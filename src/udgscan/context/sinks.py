@@ -56,9 +56,7 @@ def find_sensitive_invocations(
             func = model.functions[fid]
             if not sink.matches_function(func):
                 continue
-            for e in g.edges_of(CALL):
-                if e.dst != func.entry:
-                    continue
+            for e in g.in_edges(func.entry, CALL):
                 src = g.nodes.get(e.src)
                 if src is None or src.synthetic:
                     continue

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Iterator, Protocol
 
 from ..errors import OracleParseError
 
@@ -21,9 +21,10 @@ class ResolutionOracle(Protocol):
     def complete(self, prompt: str, site: str = "") -> str: ...
 
 
-def extract_json_object(text: str) -> dict:
-    """Last balanced JSON object in `text`, string-aware."""
-    candidates = []
+def json_objects(text: str) -> Iterator[dict]:
+    """The balanced, string-aware `{...}` spans of `text` that decode to JSON
+    objects, last first."""
+    spans = []
     depth = 0
     start = -1
     in_str = False
@@ -47,14 +48,20 @@ def extract_json_object(text: str) -> dict:
             if depth > 0:
                 depth -= 1
                 if depth == 0 and start >= 0:
-                    candidates.append(text[start : i + 1])
-    for cand in reversed(candidates):
+                    spans.append(text[start : i + 1])
+    for span in reversed(spans):
         try:
-            obj = json.loads(cand)
+            obj = json.loads(span)
         except json.JSONDecodeError:
             continue
         if isinstance(obj, dict):
-            return obj
+            yield obj
+
+
+def extract_json_object(text: str) -> dict:
+    """Last balanced JSON object in `text`, string-aware."""
+    for obj in json_objects(text):
+        return obj
     raise OracleParseError("no JSON object found in oracle response")
 
 

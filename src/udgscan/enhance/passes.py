@@ -44,15 +44,14 @@ def add_global_nodes(
     globals_list: list[GlobalDecl],
     model: RepoModel,
     audit: list[AuditEntry] | None = None,
-) -> UnifiedDependencyGraph:
-    """Add global statements as nodes, linking definitions among global
-    assignments only; no control-flow or call edges, and no edges into
+) -> None:
+    """Add global statements to `g` as nodes, linking definitions among
+    global assignments only; no control-flow or call edges, and no edges into
     function bodies (those are recovered as implicit context)."""
-    out = g.copy()
     for decl in globals_list:
         node = model.stmt(decl.statement)
-        if node.id not in out.nodes:
-            out.add_node(node)
+        if node.id not in g.nodes:
+            g.add_node(node)
     by_var: dict[tuple[str, str], str] = {}
     any_var: dict[str, str] = {}
     for decl in globals_list:
@@ -73,11 +72,8 @@ def add_global_nodes(
                 provenance="enhancement_added",
                 variable=v,
             )
-            if edge.key() not in {e.key() for e in out.edges}:
-                out.add_edge(edge)
-                if audit is not None:
-                    audit.append(AuditEntry("add", DATA_DEPENDENCY, src, decl.statement, "globals", v))
-    return out
+            if g.add_edge(edge) and audit is not None:
+                audit.append(AuditEntry("add", DATA_DEPENDENCY, src, decl.statement, "globals", v))
 
 
 def backward_dataflow_context(
@@ -132,22 +128,22 @@ def enhance_polymorphic_calls(
     model: RepoModel,
     diagnostics: DiagnosticSink | None = None,
     audit: list[AuditEntry] | None = None,
-) -> UnifiedDependencyGraph:
-    """Prune infeasible dispatch targets at call sites with >= 2 in-repo
-    candidates.  Unparseable or unmatched oracle answers keep every edge."""
-    out = g.copy()
+) -> None:
+    """Remove infeasible dispatch targets from `g` at call sites with >= 2
+    in-repo candidates.  Unparseable or unmatched oracle answers keep every
+    edge."""
     ordered = sorted(
-        (n for n in out.nodes.values() if n.calls and not n.synthetic),
+        (n for n in g.nodes.values() if n.calls and not n.synthetic),
         key=lambda n: n.sort_key(),
     )
     for stmt in ordered:
-        per_site = site_targets(out, model, stmt)
+        per_site = site_targets(g, model, stmt)
         for idx, site in enumerate(stmt.calls):
             targets = [t for t in per_site.get(idx, []) if not t.startswith("external:")]
             if len(targets) < 2:
                 continue
             receiver_vars = {site.receiver} if site.receiver and site.receiver != "this" else set(stmt.uses)
-            context_nodes, truncated = backward_dataflow_context(out, stmt, receiver_vars)
+            context_nodes, truncated = backward_dataflow_context(g, stmt, receiver_vars)
             candidates = []
             by_signature: dict[str, str] = {}
             for t in sorted(targets):
@@ -186,12 +182,10 @@ def enhance_polymorphic_calls(
             doomed = {t for t in targets if t not in feasible}
             if not doomed:
                 continue
-            keys = {(stmt.id, t, CALL, None) for t in doomed}
-            out.remove_edges(keys)
+            g.remove_edges({(stmt.id, t, CALL, None) for t in doomed})
             if audit is not None:
                 for t in sorted(doomed):
                     audit.append(AuditEntry("remove", CALL, stmt.id, t, "polymorphism"))
-    return out
 
 
 def enhance_reflective_calls(
@@ -200,31 +194,30 @@ def enhance_reflective_calls(
     model: RepoModel,
     diagnostics: DiagnosticSink | None = None,
     audit: list[AuditEntry] | None = None,
-) -> UnifiedDependencyGraph:
-    """Two-step resolution of reflective invocation sites.
+) -> None:
+    """Two-step resolution of the reflective invocation sites in `g`.
 
     Successful answers replace the reflective external edge with a call edge
     to the resolved method; any failure keeps the external edge.
     """
-    out = g.copy()
     ordered = sorted(
-        (n for n in out.nodes.values() if n.calls and not n.synthetic),
+        (n for n in g.nodes.values() if n.calls and not n.synthetic),
         key=lambda n: n.sort_key(),
     )
     class_names = sorted(model.classes)
     for stmt in ordered:
-        per_site = site_targets(out, model, stmt)
+        per_site = site_targets(g, model, stmt)
         for idx, site in enumerate(stmt.calls):
             if not is_invocation_pattern(site):
                 continue
             reflective = [
                 t
                 for t in per_site.get(idx, [])
-                if t.startswith("external:") and out.nodes[t].reflective
+                if t.startswith("external:") and g.nodes[t].reflective
             ]
             if not reflective:
                 continue
-            context_nodes, truncated = backward_dataflow_context(out, stmt, set(stmt.uses))
+            context_nodes, truncated = backward_dataflow_context(g, stmt, set(stmt.uses))
             block = render_statement_block(context_nodes, model)
             if truncated:
                 block = "(truncated: oldest definitions omitted)\n" + block
@@ -267,36 +260,29 @@ def enhance_reflective_calls(
                 continue
             resolved = sorted(matches, key=lambda f: f.id)[0]
             for ext in reflective:
-                out.remove_edges({(stmt.id, ext, CALL, None)})
+                g.remove_edges({(stmt.id, ext, CALL, None)})
                 if audit is not None:
                     audit.append(AuditEntry("remove", CALL, stmt.id, ext, "reflection"))
             new_edge = UdgEdge(
                 src=stmt.id, dst=resolved.entry, tau=CALL, provenance="enhancement_added"
             )
-            out.add_edge(new_edge)
-            if audit is not None:
+            if g.add_edge(new_edge) and audit is not None:
                 audit.append(AuditEntry("add", CALL, stmt.id, resolved.entry, "reflection"))
-    return out
 
 
 def reconstruct_labeled_jumps(
     g: UnifiedDependencyGraph,
     targets: list[JumpTarget],
     audit: list[AuditEntry] | None = None,
-) -> UnifiedDependencyGraph:
-    out = g.copy()
-    existing = {e.key() for e in out.edges}
+) -> None:
+    """Add a control-flow edge to `g` from each labeled jump to its resolved
+    successor."""
     for t in sorted(targets, key=lambda t: t.jump):
         edge = UdgEdge(
             src=t.jump, dst=t.resolved_successor, tau=CONTROL_FLOW, provenance="enhancement_added"
         )
-        if edge.key() in existing:
-            continue
-        out.add_edge(edge)
-        existing.add(edge.key())
-        if audit is not None:
+        if g.add_edge(edge) and audit is not None:
             audit.append(AuditEntry("add", CONTROL_FLOW, t.jump, t.resolved_successor, "control_flow"))
-    return out
 
 
 def _diag(diagnostics: DiagnosticSink | None, severity: str, message: str, stmt: StatementNode) -> None:

@@ -43,16 +43,19 @@ def enhance_graph(
     diagnostics: DiagnosticSink | None = None,
     jump_targets: list[JumpTarget] | None = None,
 ) -> EnhancementResult:
-    """Run the four passes in order: globals, call-edge refinement (with the
-    call graph finalized before ordering), labeled jumps, then summary-based
-    data-dependency pruning."""
+    """Run the four passes in order on one copy of `original`: globals,
+    call-edge refinement (with the call graph finalized before ordering),
+    labeled jumps, then summary-based data-dependency pruning.  Each pass
+    edits the copy in place and logs its edits to the audit; `original` is
+    left intact."""
     audit: list[AuditEntry] = []
-    g = add_global_nodes(original, extract_globals(model), model, audit)
-    g = enhance_polymorphic_calls(g, oracle, model, diagnostics, audit)
-    g = enhance_reflective_calls(g, oracle, model, diagnostics, audit)
+    g = original.copy(state="enhanced")
+    add_global_nodes(g, extract_globals(model), model, audit)
+    enhance_polymorphic_calls(g, oracle, model, diagnostics, audit)
+    enhance_reflective_calls(g, oracle, model, diagnostics, audit)
     targets = jump_targets if jump_targets is not None else resolve_label_targets(model, diagnostics)
-    g = reconstruct_labeled_jumps(g, targets, audit)
+    reconstruct_labeled_jumps(g, targets, audit)
     order = compute_analysis_order(g, model)
     summaries = compute_all_summaries(g, model, order)
-    enhanced = prune_data_edges(g, summaries, model, diagnostics, audit)
-    return EnhancementResult(graph=enhanced, audit=audit, summaries=summaries, order=order)
+    prune_data_edges(g, summaries, model, diagnostics, audit)
+    return EnhancementResult(graph=g, audit=audit, summaries=summaries, order=order)

@@ -16,21 +16,20 @@ def prune_data_edges(
     model: RepoModel,
     diagnostics: DiagnosticSink | None = None,
     audit: list[AuditEntry] | None = None,
-) -> UnifiedDependencyGraph:
-    """Keep an argument-definition edge into a call site only when the callee
-    summary says the matched parameter reaches the return value.
+) -> None:
+    """Remove from `g` each argument-definition edge into a call site whose
+    callee summary says the matched parameter does not reach the return value.
 
     Edges feeding external callees, receivers, or any non-argument use of the
     statement are untouched; arity mismatches keep their edges and produce a
-    diagnostic.  The result graph is the enhanced UDG.
+    diagnostic.
     """
-    out = g.copy(state="enhanced")
     ordered = sorted(
-        (n for n in out.nodes.values() if n.calls and not n.synthetic),
+        (n for n in g.nodes.values() if n.calls and not n.synthetic),
         key=lambda n: n.sort_key(),
     )
     for stmt in ordered:
-        per_site = site_targets(out, model, stmt)
+        per_site = site_targets(g, model, stmt)
         kept_vars: set[str] = set()
         dropped_vars: set[str] = set()
         all_arg_vars: set[str] = set()
@@ -79,12 +78,11 @@ def prune_data_edges(
         if not removable:
             continue
         doomed_keys = set()
-        for e in out.in_edges(stmt.id, DATA_DEPENDENCY):
+        for e in g.in_edges(stmt.id, DATA_DEPENDENCY):
             if e.variable in removable:
                 doomed_keys.add(e.key())
                 if audit is not None:
                     audit.append(
                         AuditEntry("remove", DATA_DEPENDENCY, e.src, e.dst, "data_pruning", e.variable)
                     )
-        out.remove_edges(doomed_keys)
-    return out
+        g.remove_edges(doomed_keys)

@@ -98,12 +98,8 @@ def compute_function_summary(
     aliases = aliases or build_alias_sets(func, model)
     nodes = [func.entry] + list(func.body) + [func.exit]
     node_set = set(nodes)
-    preds: dict[str, list[str]] = {n: [] for n in nodes}
-    succs: dict[str, list[str]] = {n: [] for n in nodes}
-    for e in g.edges_of(CONTROL_FLOW):
-        if e.src in node_set and e.dst in node_set:
-            preds[e.dst].append(e.src)
-            succs[e.src].append(e.dst)
+    preds = {n: [e.src for e in g.in_edges(n, CONTROL_FLOW) if e.src in node_set] for n in nodes}
+    succs = {n: [e.dst for e in g.out_edges(n, CONTROL_FLOW) if e.dst in node_set] for n in nodes}
 
     empty: dict[str, frozenset[str]] = {}
     out_state: dict[str, dict[str, frozenset[str]]] = {n: dict(empty) for n in nodes}

@@ -27,19 +27,7 @@ class HierarchyCycle(UdgScanError):
     """The subtype relation contains a cycle; the repository is rejected."""
 
 
-class UnresolvedLabel(UdgScanError):
-    pass
-
-
 class OracleParseError(UdgScanError):
-    pass
-
-
-class UnknownClass(UdgScanError):
-    pass
-
-
-class UnknownMethod(UdgScanError):
     pass
 
 
@@ -52,10 +40,6 @@ class SchemaError(UdgScanError):
 
 
 class MissingGuideline(UdgScanError):
-    pass
-
-
-class ParseFailure(UdgScanError):
     pass
 
 

@@ -138,42 +138,3 @@ def tokenize(text: str, path: str = "<memory>") -> list[Token]:
         tokens.append(Token("punct", ch, start_line, start_col, start, i))
     return tokens
 
-
-def strip_comments_to_code(line: str) -> str:
-    """Best-effort removal of comment content from a single physical line.
-
-    Used only to classify lines as trivial for context rendering; string
-    literals containing comment markers are not expected in trivia gaps.
-    """
-    out = line
-    idx = out.find("//")
-    if idx >= 0:
-        out = out[:idx]
-    # Block comments opened and closed on the same line.
-    while True:
-        a = out.find("/*")
-        if a < 0:
-            break
-        b = out.find("*/", a + 2)
-        if b < 0:
-            out = out[:a]
-            break
-        out = out[:a] + out[b + 2 :]
-    return out
-
-
-def is_trivial_line(line: str, in_block_comment: bool = False) -> bool:
-    """True for blank lines, comment-only lines, and brace/punctuation-only lines."""
-    stripped = line.strip()
-    if not stripped:
-        return True
-    if in_block_comment:
-        return True
-    if stripped.startswith("//"):
-        return True
-    if stripped.startswith("/*") or stripped.startswith("*"):
-        return True
-    code = strip_comments_to_code(line).strip()
-    if not code:
-        return True
-    return all(c in "{}();," for c in code)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -54,24 +55,7 @@ def _scan_flags(p: argparse.ArgumentParser, repo_required: bool = True) -> None:
     p.add_argument("--seed", type=int)
 
 
-_CONFIG_KEYS = (
-    "repo",
-    "kb_path",
-    "sink_path",
-    "hop_limit",
-    "n_rounds",
-    "oracle_mode",
-    "transcript_dir",
-    "out_dir",
-    "dump_context",
-    "dump_graph",
-    "token_budget",
-    "endpoint",
-    "model",
-    "api_key_env",
-    "temperature",
-    "seed",
-)
+_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ScanConfig))
 
 
 def _config_from_args(args: argparse.Namespace) -> ScanConfig:

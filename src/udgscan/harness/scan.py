@@ -17,6 +17,7 @@ from ..errors import (
     AllRoundsFailed,
     ClientTransportError,
     ConfigError,
+    Diagnostic,
     DiagnosticSink,
     HierarchyCycle,
     OracleParseError,
@@ -372,5 +373,4 @@ def _write_outputs(config, report, contexts, enh, g_e) -> None:
 def print_diagnostics(result: ScanResult, stream=None) -> None:
     stream = stream or sys.stderr
     for d in result.report.get("diagnostics", []):
-        loc = f"{d['path']}:{d['line']}: " if d.get("path") else ""
-        print(f"[{d['severity']}] {d['module']}: {loc}{d['message']}", file=stream)
+        print(Diagnostic(**d).render(), file=stream)

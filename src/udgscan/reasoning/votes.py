@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from ..enhance.oracle import json_objects
 from ..errors import AllRoundsFailed, ClientTransportError
 from .clients import InferenceClient
 from .prompt import MetaPrompt
@@ -35,47 +36,14 @@ class AggregatedVerdict:
         return [v for v in self.votes if v.parse_ok]
 
 
-def _json_candidates(text: str) -> list[str]:
-    out = []
-    depth = 0
-    start = -1
-    in_str = False
-    escape = False
-    for i, ch in enumerate(text):
-        if in_str:
-            if escape:
-                escape = False
-            elif ch == "\\":
-                escape = True
-            elif ch == '"':
-                in_str = False
-            continue
-        if ch == '"':
-            in_str = True
-        elif ch == "{":
-            if depth == 0:
-                start = i
-            depth += 1
-        elif ch == "}":
-            if depth > 0:
-                depth -= 1
-                if depth == 0 and start >= 0:
-                    out.append(text[start : i + 1])
-    return out
-
-
 def parse_verdict(text: str) -> Verdict:
     """Last well-formed JSON object with a boolean `is_vulnerable` wins.
 
     Tolerates code fences and leading reasoning prose; a non-boolean flag or
     no parsable object yields parse_ok=False and excludes the vote.
     """
-    for cand in reversed(_json_candidates(text)):
-        try:
-            obj = json.loads(cand)
-        except json.JSONDecodeError:
-            continue
-        if not isinstance(obj, dict) or "is_vulnerable" not in obj:
+    for obj in json_objects(text):
+        if "is_vulnerable" not in obj:
             continue
         flag = obj["is_vulnerable"]
         if not isinstance(flag, bool):

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import ValuesView
+from dataclasses import dataclass, field
 
 from ..frontend.model import StatementNode
 
@@ -26,59 +27,60 @@ class UdgEdge:
 
 @dataclass
 class UnifiedDependencyGraph:
+    """Statement nodes plus edges keyed by `UdgEdge.key()` and indexed per
+    node.  `edges`, `edges_of`, `out_edges` and `in_edges` list edges in
+    insertion order."""
+
     nodes: dict[str, StatementNode] = field(default_factory=dict)
-    edges: list[UdgEdge] = field(default_factory=list)
     state: str = "original"  # "original" | "enhanced"
-    _out: dict[str, list[UdgEdge]] | None = None
-    _in: dict[str, list[UdgEdge]] | None = None
+    _edges: dict[tuple, UdgEdge] = field(default_factory=dict, repr=False)
+    _out: dict[str, list[UdgEdge]] = field(default_factory=dict, repr=False)
+    _in: dict[str, list[UdgEdge]] = field(default_factory=dict, repr=False)
+
+    @property
+    def edges(self) -> ValuesView[UdgEdge]:
+        return self._edges.values()
 
     def add_node(self, node: StatementNode) -> None:
         self.nodes[node.id] = node
-        self._out = self._in = None
 
-    def add_edge(self, edge: UdgEdge) -> None:
-        self.edges.append(edge)
-        self._out = self._in = None
+    def add_edge(self, edge: UdgEdge) -> bool:
+        """Store the edge; False when an edge with its key is already present."""
+        key = edge.key()
+        if key in self._edges:
+            return False
+        self._edges[key] = edge
+        self._out.setdefault(edge.src, []).append(edge)
+        self._in.setdefault(edge.dst, []).append(edge)
+        return True
 
     def remove_edges(self, keys: set[tuple]) -> int:
-        before = len(self.edges)
-        self.edges = [e for e in self.edges if e.key() not in keys]
-        self._out = self._in = None
-        return before - len(self.edges)
-
-    def _index(self) -> None:
-        if self._out is not None:
-            return
-        out: dict[str, list[UdgEdge]] = {}
-        inc: dict[str, list[UdgEdge]] = {}
-        for e in self.edges:
-            out.setdefault(e.src, []).append(e)
-            inc.setdefault(e.dst, []).append(e)
-        self._out = out
-        self._in = inc
+        removed = 0
+        for key in keys:
+            edge = self._edges.pop(key, None)
+            if edge is not None:
+                self._out[edge.src].remove(edge)
+                self._in[edge.dst].remove(edge)
+                removed += 1
+        return removed
 
     def out_edges(self, node: str, tau: str | None = None) -> list[UdgEdge]:
-        self._index()
-        edges = self._out.get(node, [])
-        return [e for e in edges if tau is None or e.tau == tau]
+        return [e for e in self._out.get(node, ()) if tau is None or e.tau == tau]
 
     def in_edges(self, node: str, tau: str | None = None) -> list[UdgEdge]:
-        self._index()
-        edges = self._in.get(node, [])
-        return [e for e in edges if tau is None or e.tau == tau]
+        return [e for e in self._in.get(node, ()) if tau is None or e.tau == tau]
 
     def edges_of(self, tau: str) -> list[UdgEdge]:
         return [e for e in self.edges if e.tau == tau]
 
     def copy(self, state: str | None = None) -> "UnifiedDependencyGraph":
-        return UnifiedDependencyGraph(
-            nodes=dict(self.nodes),
-            edges=list(self.edges),
-            state=state or self.state,
-        )
+        g = UnifiedDependencyGraph(nodes=dict(self.nodes), state=state or self.state)
+        for e in self.edges:
+            g.add_edge(e)
+        return g
 
     def has_edge(self, src: str, dst: str, tau: str) -> bool:
-        return any(e.src == src and e.dst == dst and e.tau == tau for e in self.edges)
+        return any(e.dst == dst and e.tau == tau for e in self._out.get(src, ()))
 
     def sorted_edges(self) -> list[UdgEdge]:
         return sorted(self.edges, key=lambda e: (e.src, e.dst, e.tau, e.variable or ""))
@@ -126,6 +128,3 @@ def make_external_node(name: str, arity: int, reflective: bool = False) -> State
     )
     return node
 
-
-def edge_replaced(edge: UdgEdge, **kw) -> UdgEdge:
-    return replace(edge, **kw)

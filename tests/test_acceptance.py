@@ -353,12 +353,12 @@ FAULT_MODES = ["garbage", "wrong_schema", "empty_list", "unknown_names", "raises
 
 def test_criterion_12_fail_conservative(dispatch_repo, reflect_repo):
     model_d, g_d, _ = parse_and_build(dispatch_repo)
-    correct = enhance_polymorphic_calls(g_d, MockResolutionOracle(), model_d)
-    correct_call_edges = {e.key() for e in correct.edges_of(CALL)}
+    enhance_polymorphic_calls(g_d, MockResolutionOracle(), model_d)
+    correct_call_edges = {e.key() for e in g_d.edges_of(CALL)}
     for mode in FAULT_MODES:
         model, g, diags = parse_and_build(dispatch_repo)
-        out = enhance_polymorphic_calls(g, _FaultyOracle(mode), model, diags)
-        faulty_edges = {e.key() for e in out.edges_of(CALL)}
+        enhance_polymorphic_calls(g, _FaultyOracle(mode), model, diags)
+        faulty_edges = {e.key() for e in g.edges_of(CALL)}
         assert faulty_edges >= correct_call_edges, mode
 
     model_r, g_r, _ = parse_and_build(reflect_repo)
@@ -370,8 +370,8 @@ def test_criterion_12_fail_conservative(dispatch_repo, reflect_repo):
         inv_stmt = next(
             s for s in model.statements.values() if any(c.name == "invoke" for c in s.calls)
         )
-        out = enhance_reflective_calls(g, _FaultyOracle(mode), model, diags)
-        remaining = out.out_edges(inv_stmt.id, CALL)
+        enhance_reflective_calls(g, _FaultyOracle(mode), model, diags)
+        remaining = g.out_edges(inv_stmt.id, CALL)
         assert remaining, f"{mode}: reflective edge silently dropped"
-        assert any(out.nodes[e.dst].reflective for e in remaining), mode
+        assert any(g.nodes[e.dst].reflective for e in remaining), mode
     report(12, f"{len(FAULT_MODES)}-mode fault matrix: polymorphic supersets hold, reflective edges degrade to external")

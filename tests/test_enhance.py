@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import parse_and_build, write_repo
+from conftest import fixture_path, parse_and_build, write_repo
 
 from udgscan.enhance.oracle import MockResolutionOracle, RecordingOracle, ReplayOracle
 from udgscan.enhance.order import compute_analysis_order, function_call_graph, order_is_sound, tarjan_scc
@@ -60,24 +60,24 @@ class G {
 """
     root = write_repo(tmp_path, {"G.java": src})
     model, g, _ = parse_and_build(root)
-    out = add_global_nodes(g, extract_globals(model), model)
+    add_global_nodes(g, extract_globals(model), model)
     def_a = _stmt_at(model, 3, "global_def")
     def_b = _stmt_at(model, 4, "global_def")
-    assert out.has_edge(def_a.id, def_b.id, DATA_DEPENDENCY)
+    assert g.has_edge(def_a.id, def_b.id, DATA_DEPENDENCY)
     # No edges from globals into function bodies: deferred to implicit context.
     read_use = _stmt_at(model, 6, "return")
-    assert not [e for e in out.in_edges(read_use.id, DATA_DEPENDENCY) if e.src == def_b.id]
-    assert not out.out_edges(def_a.id, CONTROL_FLOW) and not out.out_edges(def_a.id, CALL)
+    assert not [e for e in g.in_edges(read_use.id, DATA_DEPENDENCY) if e.src == def_b.id]
+    assert not g.out_edges(def_a.id, CONTROL_FLOW) and not g.out_edges(def_a.id, CALL)
 
 
 def test_el_globals_have_no_body_edges(el_repo):
     model, g, _ = parse_and_build(el_repo)
-    out = add_global_nodes(g, extract_globals(model), model)
+    add_global_nodes(g, extract_globals(model), model)
     for decl in model.globals:
         if not decl.variable:
             continue
-        for e in out.out_edges(decl.statement, DATA_DEPENDENCY):
-            assert out.nodes[e.dst].kind == "global_def"
+        for e in g.out_edges(decl.statement, DATA_DEPENDENCY):
+            assert g.nodes[e.dst].kind == "global_def"
 
 
 def test_no_globals_unchanged(tmp_path):
@@ -85,8 +85,8 @@ def test_no_globals_unchanged(tmp_path):
     root = write_repo(tmp_path, {"A.java": src})
     model, g, _ = parse_and_build(root)
     before = {e.key() for e in g.edges}
-    out = add_global_nodes(g, [gl for gl in model.globals if gl.variable], model)
-    assert {e.key() for e in out.edges} == before
+    add_global_nodes(g, [gl for gl in model.globals if gl.variable], model)
+    assert {e.key() for e in g.edges} == before
 
 
 # ----------------------------------------------------------- polymorphic pass
@@ -96,8 +96,8 @@ def test_mock_oracle_narrows_dispatch(dispatch_repo):
     model, g, _ = parse_and_build(dispatch_repo)
     call_stmt = next(s for s in model.statements.values() if any(c.name == "id" for c in s.calls))
     assert len(g.out_edges(call_stmt.id, CALL)) == 2
-    out = enhance_polymorphic_calls(g, MockResolutionOracle(), model)
-    targets = {e.dst for e in out.out_edges(call_stmt.id, CALL)}
+    enhance_polymorphic_calls(g, MockResolutionOracle(), model)
+    targets = {e.dst for e in g.out_edges(call_stmt.id, CALL)}
     dog_id = next(f for f in model.functions.values() if f.name == "id" and "Dog" in f.class_name)
     assert targets == {dog_id.entry}
 
@@ -105,17 +105,18 @@ def test_mock_oracle_narrows_dispatch(dispatch_repo):
 def test_single_target_site_not_queried(pruning_repo):
     model, g, _ = parse_and_build(pruning_repo)
     oracle = ScriptedOracle([])
-    out = enhance_polymorphic_calls(g, oracle, model)
+    before = {e.key() for e in g.edges}
+    enhance_polymorphic_calls(g, oracle, model)
     assert oracle.calls == 0
-    assert {e.key() for e in out.edges} == {e.key() for e in g.edges}
+    assert {e.key() for e in g.edges} == before
 
 
 def test_unparseable_reply_keeps_all_edges(dispatch_repo):
     model, g, diags = parse_and_build(dispatch_repo)
     call_stmt = next(s for s in model.statements.values() if any(c.name == "id" for c in s.calls))
     before = {e.key() for e in g.out_edges(call_stmt.id, CALL)}
-    out = enhance_polymorphic_calls(g, ScriptedOracle(["no json here at all"]), model, diags)
-    after = {e.key() for e in out.out_edges(call_stmt.id, CALL)}
+    enhance_polymorphic_calls(g, ScriptedOracle(["no json here at all"]), model, diags)
+    after = {e.key() for e in g.out_edges(call_stmt.id, CALL)}
     assert after == before
     assert any("oracle" in d.message for d in diags.items)
 
@@ -125,8 +126,8 @@ def test_answer_naming_no_candidate_keeps_all(dispatch_repo):
     call_stmt = next(s for s in model.statements.values() if any(c.name == "id" for c in s.calls))
     before = {e.key() for e in g.out_edges(call_stmt.id, CALL)}
     reply = json.dumps({"feasible_targets": ["Cat.id(int)"]})
-    out = enhance_polymorphic_calls(g, ScriptedOracle([reply]), model, diags)
-    assert {e.key() for e in out.out_edges(call_stmt.id, CALL)} == before
+    enhance_polymorphic_calls(g, ScriptedOracle([reply]), model, diags)
+    assert {e.key() for e in g.out_edges(call_stmt.id, CALL)} == before
 
 
 # ------------------------------------------------------------ reflective pass
@@ -137,11 +138,11 @@ def test_reflective_resolution_adds_edge(reflect_repo):
     invoke = next(s for s in model.statements.values() if any(c.name == "invoke" for c in s.calls))
     display_search = next(f for f in model.functions.values() if f.name == "displaySearch")
     assert not g.has_edge(invoke.id, display_search.entry, CALL)
-    out = enhance_reflective_calls(g, MockResolutionOracle(), model)
-    assert out.has_edge(invoke.id, display_search.entry, CALL)
+    enhance_reflective_calls(g, MockResolutionOracle(), model)
+    assert g.has_edge(invoke.id, display_search.entry, CALL)
     # The old reflective external edge is removed, not kept alongside.
-    assert not [e for e in out.out_edges(invoke.id, CALL) if e.dst.startswith("external:invoke")]
-    added = [e for e in out.out_edges(invoke.id, CALL) if e.dst == display_search.entry]
+    assert not [e for e in g.out_edges(invoke.id, CALL) if e.dst.startswith("external:invoke")]
+    added = [e for e in g.out_edges(invoke.id, CALL) if e.dst == display_search.entry]
     assert added[0].provenance == "enhancement_added"
 
 
@@ -149,8 +150,8 @@ def test_reflection_unknown_class_keeps_external(reflect_repo):
     model, g, diags = parse_and_build(reflect_repo)
     invoke = next(s for s in model.statements.values() if any(c.name == "invoke" for c in s.calls))
     reply = json.dumps({"target_class": "NotARealClass"})
-    out = enhance_reflective_calls(g, ScriptedOracle([reply]), model, diags)
-    assert [e for e in out.out_edges(invoke.id, CALL) if e.dst.startswith("external:invoke")]
+    enhance_reflective_calls(g, ScriptedOracle([reply]), model, diags)
+    assert [e for e in g.out_edges(invoke.id, CALL) if e.dst.startswith("external:invoke")]
     assert any("not in repository" in d.message for d in diags.items)
 
 
@@ -161,16 +162,17 @@ def test_reflection_unknown_method_keeps_external(reflect_repo):
         json.dumps({"target_class": "PropertyClass"}),
         json.dumps({"target_method": "noSuchMethod"}),
     ]
-    out = enhance_reflective_calls(g, ScriptedOracle(replies), model, diags)
-    assert [e for e in out.out_edges(invoke.id, CALL) if e.dst.startswith("external:invoke")]
+    enhance_reflective_calls(g, ScriptedOracle(replies), model, diags)
+    assert [e for e in g.out_edges(invoke.id, CALL) if e.dst.startswith("external:invoke")]
 
 
 def test_no_reflective_calls_unchanged(dispatch_repo):
     model, g, _ = parse_and_build(dispatch_repo)
     oracle = ScriptedOracle([])
-    out = enhance_reflective_calls(g, oracle, model)
+    before = {e.key() for e in g.edges}
+    enhance_reflective_calls(g, oracle, model)
     assert oracle.calls == 0
-    assert {e.key() for e in out.edges} == {e.key() for e in g.edges}
+    assert {e.key() for e in g.edges} == before
 
 
 def test_record_replay_reproduces_graph(reflect_repo, tmp_path):
@@ -184,6 +186,22 @@ def test_record_replay_reproduces_graph(reflect_repo, tmp_path):
     replay = ReplayOracle(str(path))
     second = enhance_graph(model2, g2, replay, jump_targets=resolve_label_targets(model2))
     assert first.graph.dump() == second.graph.dump()
+
+
+@pytest.mark.parametrize("name", ["dispatch", "el_template_validation", "pruning", "reflective_dispatch"])
+def test_enhance_graph_leaves_input_intact(name):
+    model, g, diags = parse_and_build(fixture_path(name))
+    nodes = dict(g.nodes)
+    before = [e.key() for e in g.edges]
+    dump = g.dump()
+    result = enhance_graph(model, g, MockResolutionOracle(), diags)
+    assert g.nodes == nodes
+    assert [e.key() for e in g.edges] == before
+    assert g.dump() == dump
+    assert g.state == "original"
+    assert result.graph.state == "enhanced"
+    if result.audit:  # the passes edited the copy, not the input
+        assert {e.key() for e in result.graph.edges} != set(before)
 
 
 # ------------------------------------------------------------------ jumps
@@ -205,18 +223,19 @@ class J {
     root = write_repo(tmp_path, {"J.java": src})
     model, g, _ = parse_and_build(root)
     targets = resolve_label_targets(model)
-    out = reconstruct_labeled_jumps(g, targets)
     jump = next(s for s in model.statements.values() if s.kind == "jump")
-    succs = [e.dst for e in out.out_edges(jump.id, CONTROL_FLOW)]
+    assert not g.out_edges(jump.id, CONTROL_FLOW)
+    reconstruct_labeled_jumps(g, targets)
+    succs = [e.dst for e in g.out_edges(jump.id, CONTROL_FLOW)]
     assert len(succs) == 1
     assert model.stmt(succs[0]).kind == "assignment"  # the for-update node
-    assert not g.out_edges(jump.id, CONTROL_FLOW)  # original graph untouched
 
 
 def test_zero_jumps_graph_unchanged(dispatch_repo):
     model, g, _ = parse_and_build(dispatch_repo)
-    out = reconstruct_labeled_jumps(g, [])
-    assert {e.key() for e in out.edges} == {e.key() for e in g.edges}
+    before = {e.key() for e in g.edges}
+    reconstruct_labeled_jumps(g, [])
+    assert {e.key() for e in g.edges} == before
 
 
 # ------------------------------------------------------------------ ordering

@@ -18,7 +18,7 @@ from udgscan.udg.graph import DATA_DEPENDENCY
 def summarize(root_or_repo, tmp_path=None, files=None):
     root = root_or_repo if files is None else write_repo(tmp_path, files)
     model, g, _ = parse_and_build(root)
-    g = reconstruct_labeled_jumps(g, resolve_label_targets(model))
+    reconstruct_labeled_jumps(g, resolve_label_targets(model))
     order = compute_analysis_order(g, model)
     summaries = compute_all_summaries(g, model, order)
     return model, g, summaries
@@ -216,17 +216,16 @@ def test_prune_keeps_and_removes(pruning_repo):
     )
     before = {e.variable for e in g.in_edges(call_stmt.id, DATA_DEPENDENCY)}
     assert before == {"a", "b"}
-    enhanced = prune_data_edges(g, summaries, model)
-    after = {e.variable for e in enhanced.in_edges(call_stmt.id, DATA_DEPENDENCY)}
+    prune_data_edges(g, summaries, model)
+    after = {e.variable for e in g.in_edges(call_stmt.id, DATA_DEPENDENCY)}
     assert after == {"a"}  # keepFirst ignores its second parameter
-    assert enhanced.state == "enhanced"
     # b's other use (the return) keeps its own edge.
     ret = next(
         s
         for s in model.statements.values()
         if s.kind == "return" and "r + b" in s.text
     )
-    assert {e.variable for e in enhanced.in_edges(ret.id, DATA_DEPENDENCY)} == {"r", "b"}
+    assert {e.variable for e in g.in_edges(ret.id, DATA_DEPENDENCY)} == {"r", "b"}
 
 
 def test_all_identity_callees_zero_removals(pruning_repo):
@@ -236,11 +235,11 @@ def test_all_identity_callees_zero_removals(pruning_repo):
     clean_calls = [
         s for s in model.statements.values() if any(c.name == "identity" for c in s.calls)
     ]
-    enhanced = prune_data_edges(g, summaries, model)
+    assert clean_calls
+    before = {s.id: {e.key() for e in g.in_edges(s.id, DATA_DEPENDENCY)} for s in clean_calls}
+    prune_data_edges(g, summaries, model)
     for stmt in clean_calls:
-        assert {e.key() for e in enhanced.in_edges(stmt.id, DATA_DEPENDENCY)} == {
-            e.key() for e in g.in_edges(stmt.id, DATA_DEPENDENCY)
-        }
+        assert {e.key() for e in g.in_edges(stmt.id, DATA_DEPENDENCY)} == before[stmt.id]
 
 
 def test_removals_strictly_positive_with_audit(pruning_repo):
@@ -250,12 +249,15 @@ def test_removals_strictly_positive_with_audit(pruning_repo):
     order = compute_analysis_order(g, model)
     summaries = compute_all_summaries(g, model, order)
     audit: list[AuditEntry] = []
-    enhanced = prune_data_edges(g, summaries, model, audit=audit)
+    before = {e.key() for e in g.edges}
+    prune_data_edges(g, summaries, model, audit=audit)
     removed = [a for a in audit if a.op == "remove" and a.tau == DATA_DEPENDENCY]
     assert len(removed) > 0
     # Bit-exact replay: every removed edge maps to a false summary bit, every
     # kept interprocedural arg edge to a true one.
-    assert len(g.edges) - len(enhanced.edges) == len(removed)
+    after = {e.key() for e in g.edges}
+    assert before - after == {(a.src, a.dst, a.tau, a.variable) for a in removed}
+    assert len(before) - len(after) == len(removed)
 
 
 def test_corpus_runtime_budget(tmp_path):

@@ -1,13 +1,18 @@
+import random
+
+import pytest
+
 from conftest import parse_and_build, write_repo
 
 from udgscan.frontend.parser import parse_repository
 from udgscan.frontend.analysis import build_type_hierarchy
+from udgscan.harness.generate import random_udg
 from udgscan.harness.oracles import reaching_def_has_path
 from udgscan.udg.build import assemble_original_udg
 from udgscan.udg.calls import build_call_graph
 from udgscan.udg.cfg import build_cfg, unreachable_nodes
 from udgscan.udg.ddg import build_ddg
-from udgscan.udg.graph import CALL, CONTROL_FLOW, DATA_DEPENDENCY
+from udgscan.udg.graph import CALL, CONTROL_FLOW, DATA_DEPENDENCY, EDGE_TYPES, UdgEdge, UnifiedDependencyGraph
 
 
 def _single_function(model):
@@ -282,3 +287,117 @@ def test_cfg_connectivity(el_repo):
     for func in model.functions.values():
         cfg = [e for e in g.edges_of(CONTROL_FLOW)]
         assert unreachable_nodes(func, model, cfg) == []
+
+
+def test_repeated_callee_in_one_statement_has_one_call_edge(tmp_path):
+    src = """package p;
+class A {
+    static int f(int v) {
+        return v;
+    }
+    static int s(int a, int b) {
+        int x = f(a) + f(b);
+        return x;
+    }
+}
+"""
+    root = write_repo(tmp_path, {"A.java": src})
+    model, g, _ = parse_and_build(root)
+    stmt = _stmt_at(model, 7)
+    f = next(fn for fn in model.functions.values() if fn.name == "f")
+    call_edges, _ = build_call_graph(model, model.hierarchy)
+    assert [e.dst for e in call_edges if e.src == stmt.id] == [f.entry, f.entry]
+    assert [e.dst for e in g.out_edges(stmt.id, CALL)] == [f.entry]
+    assert g.dump().count(f"EDGE {stmt.id} {f.entry} call") == 1
+
+
+# --------------------------------------------------- graph store vs a list
+
+
+class ListGraph:
+    """Reference store: a plain edge list, scanned in full by every query."""
+
+    def __init__(self):
+        self.edges: list[UdgEdge] = []
+
+    def add_edge(self, edge):
+        if any(e.key() == edge.key() for e in self.edges):
+            return False
+        self.edges.append(edge)
+        return True
+
+    def remove_edges(self, keys):
+        before = len(self.edges)
+        self.edges = [e for e in self.edges if e.key() not in keys]
+        return before - len(self.edges)
+
+    def out_edges(self, node, tau=None):
+        return [e for e in self.edges if e.src == node and (tau is None or e.tau == tau)]
+
+    def in_edges(self, node, tau=None):
+        return [e for e in self.edges if e.dst == node and (tau is None or e.tau == tau)]
+
+    def has_edge(self, src, dst, tau):
+        return any(e.src == src and e.dst == dst and e.tau == tau for e in self.edges)
+
+
+def _assert_same(g, ref, nodes, rng):
+    assert list(g.edges) == ref.edges
+    assert len(g.edges) == len(ref.edges)
+    for tau in EDGE_TYPES:
+        assert g.edges_of(tau) == [e for e in ref.edges if e.tau == tau]
+    for n in nodes:
+        for tau in (None, *EDGE_TYPES):
+            assert g.out_edges(n, tau) == ref.out_edges(n, tau)
+            assert g.in_edges(n, tau) == ref.in_edges(n, tau)
+    for _ in range(20):
+        src, dst, tau = rng.choice(nodes), rng.choice(nodes), rng.choice(EDGE_TYPES)
+        assert g.has_edge(src, dst, tau) == ref.has_edge(src, dst, tau)
+    for e in ref.edges[:20]:
+        assert g.has_edge(e.src, e.dst, e.tau)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_store_matches_list_reference(seed):
+    rng = random.Random(seed)
+    base = random_udg(seed, max_nodes=30)
+    nodes = sorted(base.nodes)
+    g = UnifiedDependencyGraph(nodes=dict(base.nodes))
+    ref = ListGraph()
+    for e in base.edges:
+        assert g.add_edge(e) == ref.add_edge(e)
+    _assert_same(g, ref, nodes, rng)
+
+    def random_edge():
+        tau = rng.choice(EDGE_TYPES)
+        return UdgEdge(
+            src=rng.choice(nodes),
+            dst=rng.choice(nodes),
+            tau=tau,
+            provenance=rng.choice(("original", "enhancement_added")),
+            variable=f"v{rng.randrange(3)}" if tau == DATA_DEPENDENCY else None,
+        )
+
+    for step in range(300):
+        op = rng.random()
+        if op < 0.45:
+            edge = random_edge()
+            assert g.add_edge(edge) == ref.add_edge(edge)
+        elif op < 0.6 and ref.edges:
+            # Re-adding a stored key, possibly with another provenance, is refused.
+            old = rng.choice(ref.edges)
+            twin = UdgEdge(old.src, old.dst, old.tau, "enhancement_added", old.variable)
+            assert g.add_edge(twin) is False and ref.add_edge(twin) is False
+        else:
+            keys = {e.key() for e in rng.sample(ref.edges, min(len(ref.edges), rng.randint(0, 4)))}
+            keys |= {random_edge().key() for _ in range(rng.randint(0, 2))}
+            assert g.remove_edges(keys) == ref.remove_edges(keys)
+        if step % 25 == 0:
+            _assert_same(g, ref, nodes, rng)
+    _assert_same(g, ref, nodes, rng)
+    copied = g.copy(state="enhanced")
+    assert copied.state == "enhanced"
+    _assert_same(copied, ref, nodes, rng)
+    # The copy is independent of its source.
+    copied.remove_edges({e.key() for e in ref.edges})
+    _assert_same(g, ref, nodes, rng)
