@@ -1,9 +1,9 @@
+from ..frontend.model import trivial_line_map
 from .holistic import (
     DEFAULT_TOKEN_BUDGET,
     HolisticContext,
     holistic_context,
     render_context,
-    trivial_line_map,
     whitespace_tokenizer,
 )
 from .implicit import declaration_context, definition_context, usage_context

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from ..frontend.model import RepoModel, SourceFile
+from ..frontend.model import RepoModel
 from ..udg.graph import UnifiedDependencyGraph
 from .implicit import declaration_context, definition_context, usage_context
 from .sinks import SensitiveInvocation
@@ -52,40 +52,6 @@ class HolisticContext:
         return lines
 
 
-def trivial_line_map(source: SourceFile) -> list[bool]:
-    """Per-line triviality (blank / comment-only / brace-punctuation-only),
-    tracking multi-line block comments."""
-    out: list[bool] = []
-    in_block = False
-    for line in source.lines:
-        rest = line
-        code_chars: list[str] = []
-        while rest:
-            if in_block:
-                idx = rest.find("*/")
-                if idx < 0:
-                    rest = ""
-                else:
-                    in_block = False
-                    rest = rest[idx + 2 :]
-            else:
-                li = rest.find("//")
-                bi = rest.find("/*")
-                if bi >= 0 and (li < 0 or bi < li):
-                    code_chars.append(rest[:bi])
-                    in_block = True
-                    rest = rest[bi + 2 :]
-                elif li >= 0:
-                    code_chars.append(rest[:li])
-                    rest = ""
-                else:
-                    code_chars.append(rest)
-                    rest = ""
-        code = "".join(code_chars).strip()
-        out.append(code == "" or all(c in "{}();," for c in code))
-    return out
-
-
 def render_context(
     statement_ids: list[str], model: RepoModel
 ) -> tuple[str, dict[str, list[int]]]:
@@ -101,7 +67,7 @@ def render_context(
         source = model.file_by_path(path)
         if source is None:
             continue
-        trivia = trivial_line_map(source)
+        trivia = source.trivia
         lines = sorted(by_file[path])
         keep = set(lines)
         for a, b in zip(lines, lines[1:]):
@@ -165,17 +131,19 @@ def holistic_context(
     )
     protected.update(sid for sid in all_ids if distances.get(sid, 99) <= 1)
 
+    # Farthest first, ties broken by the later source position: the order
+    # never changes while statements are dropped, so it is computed once.
+    drop_order = sorted(
+        (sid for sid in all_ids if sid not in protected),
+        key=lambda sid: (distances.get(sid, 99), model.statements[sid].sort_key()),
+        reverse=True,
+    )
     dropped = 0
     kept = list(all_ids)
     rendered, rendered_lines = render_context(kept, model)
-    while tokenizer(rendered) > token_budget:
-        candidates = [sid for sid in kept if sid not in protected]
-        if not candidates:
+    for victim in drop_order:
+        if tokenizer(rendered) <= token_budget:
             break
-        victim = max(
-            candidates,
-            key=lambda sid: (distances.get(sid, 99), model.statements[sid].sort_key()),
-        )
         kept.remove(victim)
         dropped += 1
         rendered, rendered_lines = render_context(kept, model)

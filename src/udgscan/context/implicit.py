@@ -160,11 +160,10 @@ def declaration_context(statement_ids: list[str], model: RepoModel) -> ContextSl
             cur = model.classes.get(cur.enclosing) if cur.enclosing else None
 
     ids: set[str] = set()
-    for stmt in model.statements.values():
-        if stmt.file not in files:
-            continue
-        if stmt.kind in ("package_decl", "import_decl"):
-            ids.add(stmt.id)
+    for path in files:
+        source = model.file_by_path(path)
+        if source is not None:
+            ids.update(source.declarations)
     for cls in model.classes.values():
         if cls.decl_statement and (
             (cls.is_top_level and cls.file in files) or cls.name in enclosing_classes

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from ..frontend.model import StatementNode
@@ -56,9 +57,9 @@ def data_slice(
     directions = ["forward", "backward"] if direction == "both" else [direction]
     for mode in directions:
         local: dict[str, int] = {s.id: 0}
-        work = [(s.id, 0)]
+        work = deque([(s.id, 0)])
         while work:
-            cur, d = work.pop(0)
+            cur, d = work.popleft()
             edges = (
                 g.out_edges(cur, DATA_DEPENDENCY)
                 if mode == "forward"
@@ -92,9 +93,9 @@ def control_slice(
     for mode in ("forward", "backward"):
         hops: dict[str, int] = {s.id: 0}
         steps: dict[str, int] = {s.id: 0}
-        work = [s.id]
+        work = deque([s.id])
         while work:
-            cur = work.pop(0)
+            cur = work.popleft()
             node = g.nodes.get(cur)
             if node is not None and node.external:
                 externals.add(cur)

@@ -142,6 +142,7 @@ class _FileParser:
             self.package = self.src.text[first.end : last.start].strip()
             node = self.make_node("package_decl", first, last)
             self.model.globals.append(GlobalDecl(statement=node.id))
+            self.src.declarations.append(node.id)
         while self.at("import"):
             first = self.next()
             while not self.at(";"):
@@ -149,6 +150,7 @@ class _FileParser:
             last = self.next()
             node = self.make_node("import_decl", first, last)
             self.model.globals.append(GlobalDecl(statement=node.id))
+            self.src.declarations.append(node.id)
         while self.peek() is not None:
             if self.at(";"):
                 self.next()
@@ -1198,11 +1200,10 @@ def parse_source(path: str, text: str, model: RepoModel, diagnostics: Diagnostic
         dict(model.bodies),
     )
     try:
-        model.files.append(source)
         _FileParser(source, model, diagnostics).parse_file()
+        model.add_file(source)
         return True
     except (SubsetViolation, IndexError) as exc:
-        model.files.remove(source)
         model.statements, model.functions, model.classes, model.globals, model.bodies = (
             checkpoint[0],
             checkpoint[1],
@@ -1224,8 +1225,9 @@ def parse_repository(
 ) -> RepoModel:
     """Parse every selected source file under `root` into a RepoModel.
 
-    Files violating the subset are reported and skipped; the remaining files
-    still produce a usable model.
+    Files violating the subset, unreadable files and files that are not valid
+    UTF-8 are reported and skipped; the remaining files still produce a
+    usable model.
     """
     config = config or FrontendConfig()
     diagnostics = diagnostics if diagnostics is not None else DiagnosticSink()
@@ -1244,10 +1246,15 @@ def parse_repository(
                 paths.append(rel)
     for rel in sorted(paths):
         full = os.path.join(root, rel)
+        path = rel.replace(os.sep, "/")
         try:
             with open(full, "r", encoding="utf-8") as fh:
                 text = fh.read()
+        except UnicodeDecodeError as exc:
+            diagnostics.add("error", "frontend", f"source file is not valid UTF-8: {exc.reason}", path)
+            continue
         except OSError as exc:
-            raise IOError(f"unreadable source file: {full}") from exc
-        parse_source(rel.replace(os.sep, "/"), text, model, diagnostics)
+            diagnostics.add("error", "frontend", f"unreadable source file: {exc.strerror or exc}", path)
+            continue
+        parse_source(path, text, model, diagnostics)
     return model

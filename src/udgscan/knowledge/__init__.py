@@ -57,8 +57,11 @@ class UserSinkSpec:
     def matches_function(self, func) -> bool:
         if self.arity is not None and func.arity != self.arity:
             return False
-        qualified = f"{func.class_name}.{func.name}"
-        return suffix_match(self.pattern, qualified) or suffix_match(self.pattern, func.name)
+        return suffix_match(self.pattern, f"{func.class_name}.{func.name}")
+
+
+def _last_segment(name: str) -> str:
+    return name.rsplit(".", 1)[-1]
 
 
 def suffix_match(pattern: str, candidate: str) -> bool:
@@ -71,8 +74,14 @@ def suffix_match(pattern: str, candidate: str) -> bool:
 
 @dataclass
 class KnowledgeBase:
-    entries: list[KbEntry] = field(default_factory=list)
+    entries: list[KbEntry] = field(default_factory=list)  # append-only
     guidelines: dict[str, CweGuideline] = field(default_factory=dict)
+    # (position, entry) by the last segment of the entry's API, in entry
+    # order; extended whenever `entries` has grown since the last match.
+    _by_name: dict[str, list[tuple[int, KbEntry]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _indexed: int = field(default=0, init=False, repr=False, compare=False)
 
     def guideline_for(self, cwe_id: str) -> CweGuideline:
         if cwe_id not in self.guidelines:
@@ -80,8 +89,19 @@ class KnowledgeBase:
         return self.guidelines[cwe_id]
 
     def match_call(self, candidates: list[str], arity: int) -> list[KbEntry]:
+        """Entries matching any candidate, in entry order.  `suffix_match`
+        needs equal last segments, so only entries named like a candidate's
+        last segment are tried."""
+        for i in range(self._indexed, len(self.entries)):
+            entry = self.entries[i]
+            self._by_name.setdefault(_last_segment(entry.api), []).append((i, entry))
+        self._indexed = len(self.entries)
+        names = {_last_segment(cand) for cand in candidates}
+        tried = [hit for name in names for hit in self._by_name.get(name, [])]
+        if len(names) > 1:
+            tried.sort(key=lambda hit: hit[0])
         hits: list[KbEntry] = []
-        for entry in self.entries:
+        for _, entry in tried:
             if entry.arity is not None and entry.arity != arity:
                 continue
             if any(suffix_match(entry.api, cand) for cand in candidates):

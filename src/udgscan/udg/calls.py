@@ -130,25 +130,24 @@ def site_targets(graph, model: RepoModel, stmt: StatementNode) -> dict[int, list
     """Map each call site of a statement to its current edge targets.
 
     Targets are matched back to sites by callee name and arity; external
-    nodes match by their synthetic name.
+    nodes match by their synthetic name.  An edge goes to every site it
+    matches (`g(a) + g(b)` gives both sites `g`); an edge matching no site
+    goes to site 0.
     """
     out: dict[int, list[str]] = {i: [] for i in range(len(stmt.calls))}
     call_edges = graph.out_edges(stmt.id, CALL)
     for edge in call_edges:
         dst = edge.dst
+        func = None if dst.startswith("external:") else function_of_entry(model, dst)
         matched = False
         for i, site in enumerate(stmt.calls):
-            if dst.startswith("external:"):
-                if dst == f"external:{site.name}/{site.arity}":
-                    out[i].append(dst)
-                    matched = True
-                    break
+            if func is None:
+                hit = dst == f"external:{site.name}/{site.arity}"
             else:
-                func = function_of_entry(model, dst)
-                if func is not None and func.arity == site.arity and func.name == site.name:
-                    out[i].append(dst)
-                    matched = True
-                    break
+                hit = func.arity == site.arity and func.name == site.name
+            if hit:
+                out[i].append(dst)
+                matched = True
         if not matched and stmt.calls:
             out[0].append(dst)
     return out

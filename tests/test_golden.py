@@ -2,8 +2,11 @@
 
 The files under `tests/golden/<fixture>/` are the mock-oracle scan outputs
 (`report.json` with `repo` normalised to the fixture name, `audit.jsonl`,
-the `.ctx.txt` context dumps and `udg.txt`). Regenerate them after an
-intended output change with
+the `.ctx.txt` context dumps and `udg.txt`) at the default token budget.
+The files under `tests/golden/budget<N>/<fixture>/` are the outputs that
+depend on the token budget (`report.json` and the context dumps) of a scan
+at a budget tight enough to drop statements. Regenerate all of them after
+an intended output change with
 
     PYTHONPATH=src python tests/test_golden.py --update
 """
@@ -22,10 +25,15 @@ from udgscan.harness.scan import ScanConfig, scan  # noqa: E402
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 FIXTURE_NAMES = sorted(os.listdir(FIXTURES))
+# 120 drops some droppable statements; at 60 every droppable statement goes
+# and el_template_validation still exceeds the budget with what is protected.
+TIGHT_BUDGETS = (120, 60)
 
 
-def scan_outputs(name: str, out_dir: str) -> dict[str, bytes]:
-    """Scan one fixture into `out_dir`; return the golden-tracked files."""
+def scan_outputs(name: str, out_dir: str, token_budget: int | None = None) -> dict[str, bytes]:
+    """Scan one fixture into `out_dir`; return the golden-tracked files.
+
+    With `token_budget` only the budget-dependent files are returned."""
     config = ScanConfig(
         repo=os.path.join(FIXTURES, name),
         oracle_mode="mock",
@@ -33,10 +41,14 @@ def scan_outputs(name: str, out_dir: str) -> dict[str, bytes]:
         dump_context=True,
         dump_graph=True,
     )
+    if token_budget is not None:
+        config.token_budget = token_budget
     scan(config)
     outputs: dict[str, bytes] = {}
     for fname in sorted(os.listdir(out_dir)):
         if fname == "udg.dot":
+            continue
+        if token_budget is not None and fname in ("audit.jsonl", "udg.txt"):
             continue
         with open(os.path.join(out_dir, fname), "rb") as fh:
             outputs[fname] = fh.read()
@@ -46,8 +58,13 @@ def scan_outputs(name: str, out_dir: str) -> dict[str, bytes]:
     return outputs
 
 
-def read_golden(name: str) -> dict[str, bytes]:
-    root = os.path.join(GOLDEN, name)
+def golden_dir(name: str, token_budget: int | None = None) -> str:
+    if token_budget is None:
+        return os.path.join(GOLDEN, name)
+    return os.path.join(GOLDEN, f"budget{token_budget}", name)
+
+
+def read_golden(root: str) -> dict[str, bytes]:
     outputs = {}
     for fname in sorted(os.listdir(root)):
         with open(os.path.join(root, fname), "rb") as fh:
@@ -55,13 +72,23 @@ def read_golden(name: str) -> dict[str, bytes]:
     return outputs
 
 
-@pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_fixture_outputs_match_golden(name, tmp_path):
-    got = scan_outputs(name, str(tmp_path / "out"))
-    want = read_golden(name)
+def assert_matches_golden(got: dict[str, bytes], root: str) -> None:
+    want = read_golden(root)
     assert sorted(got) == sorted(want)
     for fname in want:
-        assert got[fname] == want[fname], f"{name}/{fname} differs from its golden copy"
+        assert got[fname] == want[fname], f"{root}/{fname} differs from its golden copy"
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixture_outputs_match_golden(name, tmp_path):
+    assert_matches_golden(scan_outputs(name, str(tmp_path / "out")), golden_dir(name))
+
+
+@pytest.mark.parametrize("budget", TIGHT_BUDGETS)
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_tight_budget_outputs_match_golden(name, budget, tmp_path):
+    got = scan_outputs(name, str(tmp_path / "out"), budget)
+    assert_matches_golden(got, golden_dir(name, budget))
 
 
 def update() -> None:
@@ -69,14 +96,15 @@ def update() -> None:
     import tempfile
 
     for name in FIXTURE_NAMES:
-        with tempfile.TemporaryDirectory() as tmp:
-            outputs = scan_outputs(name, tmp)
-        dest = os.path.join(GOLDEN, name)
-        shutil.rmtree(dest, ignore_errors=True)
-        os.makedirs(dest)
-        for fname, data in outputs.items():
-            with open(os.path.join(dest, fname), "wb") as fh:
-                fh.write(data)
+        for budget in (None, *TIGHT_BUDGETS):
+            with tempfile.TemporaryDirectory() as tmp:
+                outputs = scan_outputs(name, tmp, budget)
+            dest = golden_dir(name, budget)
+            shutil.rmtree(dest, ignore_errors=True)
+            os.makedirs(dest)
+            for fname, data in outputs.items():
+                with open(os.path.join(dest, fname), "wb") as fh:
+                    fh.write(data)
 
 
 if __name__ == "__main__":

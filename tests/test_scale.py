@@ -6,7 +6,7 @@ from conftest import write_repo
 
 from udgscan.harness.generate import random_summary_program
 from udgscan.harness.scan import ScanConfig, scan
-from udgscan.knowledge import UserSinkSpec
+from udgscan.udg.graph import CALL
 
 
 def test_multi_file_repo_scan(tmp_path):
@@ -50,6 +50,13 @@ def test_user_sink_scan_at_scale(tmp_path):
     sink_path.write_text(json.dumps(sink_doc), encoding="utf-8")
     result = scan(ScanConfig(repo=root, oracle_mode="mock", sink_path=str(sink_path)))
     assert result.exit_code == 0
-    # Any call sites of Gen0.f0 become user-sink findings.
+    # Call sites of Gen0.f0, and only those, become user-sink findings: the
+    # other classes' own f0 methods do not match the qualified pattern.
     user_findings = [f for f in result.findings if f.origin == "user_sink"]
     assert all(f.cwe == "CWE-94" for f in user_findings)
+    f0 = next(f for f in result.model.functions.values() if f.signature_text().startswith("p.Gen0.f0("))
+    callers = {e.src for e in result.graph.in_edges(f0.entry, CALL)}
+    user_invocations = [c.invocation for c in result.contexts.values() if c.invocation.origin == "user_sink"]
+    assert user_invocations and len(user_findings) == len(user_invocations)
+    assert {inv.statement for inv in user_invocations} == callers
+    assert all(f.file == "Gen0.java" for f in user_findings)

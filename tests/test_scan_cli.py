@@ -166,3 +166,21 @@ def test_console_entrypoint_installed(el_repo):
     )
     assert proc.returncode == 0
     assert '"findings"' in proc.stdout
+
+
+def test_cli_scan_skips_unreadable_files(tmp_path, capsys):
+    good = "package p;\nclass App {\n    void run(String cmd) {\n        Runtime.getRuntime().exec(cmd);\n    }\n}\n"
+    root = write_repo(tmp_path, {"App.java": good})
+    with open(os.path.join(root, "Bad.java"), "wb") as fh:
+        fh.write(b"package p;\nclass Bad { String s = \"\xff\"; }\n")
+    os.symlink(os.path.join(root, "missing.txt"), os.path.join(root, "Gone.java"))
+    rc = main(["scan", "--repo", root, "--oracle", "mock"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_PARSE
+    report = json.loads(captured.out)
+    assert report["stats"]["files"] == 1
+    assert [(f["file"], f["cwe"]) for f in report["findings"]] == [("App.java", "CWE-78")]
+    errors = {d["path"]: d["message"] for d in report["diagnostics"] if d["severity"] == "error"}
+    assert errors["Bad.java"].startswith("source file is not valid UTF-8")
+    assert errors["Gone.java"].startswith("unreadable source file")
+    assert "Bad.java" in captured.err and "not valid UTF-8" in captured.err

@@ -12,6 +12,7 @@ from udgscan.errors import DiagnosticSink
 from udgscan.frontend.analysis import resolve_label_targets
 from udgscan.harness.generate import summary_corpus
 from udgscan.harness.oracles import brute_force_summary_oracle
+from udgscan.udg.calls import site_targets
 from udgscan.udg.graph import DATA_DEPENDENCY
 
 
@@ -271,3 +272,29 @@ def test_corpus_runtime_budget(tmp_path):
         for fid, func in model.functions.items():
             assert summaries[fid].phi == brute_force_summary_oracle(model, func)
     assert time.monotonic() - start < 30
+
+
+def test_one_callee_called_twice_prunes_both_argument_edges(tmp_path):
+    src = """package p;
+class A {
+    static int g(int v) {
+        return 1;
+    }
+    static int s() {
+        int a = 2;
+        int b = 3;
+        int x = g(a) + g(b);
+        return x;
+    }
+}
+"""
+    model, g, summaries = summarize(None, tmp_path, {"A.java": src})
+    stmt = next(s for s in model.statements.values() if s.start_line == 9)
+    callee = next(f for f in model.functions.values() if f.name == "g")
+    assert summaries[callee.id].phi == {"v": False}
+    assert site_targets(g, model, stmt) == {0: [callee.entry], 1: [callee.entry]}
+    assert {e.variable for e in g.in_edges(stmt.id, DATA_DEPENDENCY)} == {"a", "b"}
+    audit = []
+    prune_data_edges(g, summaries, model, audit=audit)
+    assert {e.variable for e in g.in_edges(stmt.id, DATA_DEPENDENCY)} == set()
+    assert sorted(a.variable for a in audit) == ["a", "b"]
