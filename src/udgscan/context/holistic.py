@@ -131,22 +131,23 @@ def holistic_context(
     )
     protected.update(sid for sid in all_ids if distances.get(sid, 99) <= 1)
 
-    # Farthest first, ties broken by the later source position: the order
-    # never changes while statements are dropped, so it is computed once.
-    drop_order = sorted(
-        (sid for sid in all_ids if sid not in protected),
-        key=lambda sid: (distances.get(sid, 99), model.statements[sid].sort_key()),
-        reverse=True,
-    )
     dropped = 0
     kept = list(all_ids)
     rendered, rendered_lines = render_context(kept, model)
-    for victim in drop_order:
-        if tokenizer(rendered) <= token_budget:
-            break
-        kept.remove(victim)
-        dropped += 1
-        rendered, rendered_lines = render_context(kept, model)
+    if tokenizer(rendered) > token_budget:
+        # Farthest first, ties broken by the later source position: the order
+        # never changes while statements are dropped, so it is computed once.
+        drop_order = sorted(
+            (sid for sid in all_ids if sid not in protected),
+            key=lambda sid: (distances.get(sid, 99), model.statements[sid].sort_key()),
+            reverse=True,
+        )
+        for victim in drop_order:
+            kept.remove(victim)
+            dropped += 1
+            rendered, rendered_lines = render_context(kept, model)
+            if tokenizer(rendered) <= token_budget:
+                break
 
     notes = list(
         dict.fromkeys(

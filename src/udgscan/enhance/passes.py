@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import DiagnosticSink, OracleParseError
-from ..frontend.model import GlobalDecl, JumpTarget, RepoModel, StatementNode
+from ..frontend.model import CallSite, GlobalDecl, JumpTarget, RepoModel, StatementNode
 from ..udg.calls import function_of_entry, is_invocation_pattern, site_targets
 from ..udg.graph import CALL, CONTROL_FLOW, DATA_DEPENDENCY, UdgEdge, UnifiedDependencyGraph
 from .oracle import ResolutionOracle, extract_json_object
@@ -131,61 +131,95 @@ def enhance_polymorphic_calls(
 ) -> None:
     """Remove infeasible dispatch targets from `g` at call sites with >= 2
     in-repo candidates.  Unparseable or unmatched oracle answers keep every
-    edge."""
+    edge.
+
+    Sites calling one callee (`a.m() + b.m()`) share its call edges: an edge
+    is removed once, and only when no site's answer keeps it.  A prompt
+    already asked for at the statement is not asked again."""
     ordered = sorted(
         (n for n in g.nodes.values() if n.calls and not n.synthetic),
         key=lambda n: n.sort_key(),
     )
     for stmt in ordered:
         per_site = site_targets(g, model, stmt)
-        for idx, site in enumerate(stmt.calls):
-            targets = [t for t in per_site.get(idx, []) if not t.startswith("external:")]
-            if len(targets) < 2:
-                continue
-            receiver_vars = {site.receiver} if site.receiver and site.receiver != "this" else set(stmt.uses)
-            context_nodes, truncated = backward_dataflow_context(g, stmt, receiver_vars)
-            candidates = []
-            by_signature: dict[str, str] = {}
-            for t in sorted(targets):
-                func = function_of_entry(model, t)
-                sig = func.signature_text()
-                candidates.append(sig)
-                by_signature[sig] = t
-                by_signature[f"{func.class_name.split('.')[-1]}.{func.name}"] = t
-                by_signature[f"{func.class_name}.{func.name}"] = t
-            block = render_statement_block(context_nodes, model)
-            if truncated:
-                block = "(truncated: oldest definitions omitted)\n" + block
-            prompt = render_polymorphic_prompt(
-                block,
-                _call_statement_line(stmt, model),
-                candidates,
-                _hierarchy_text(model),
-            )
-            try:
-                raw = oracle.complete(prompt, site=f"{stmt.id}/poly{idx}")
-                answer = extract_json_object(raw)
-                named = answer.get("feasible_targets")
-                if not isinstance(named, list):
-                    raise OracleParseError("feasible_targets missing or not a list")
-            except OracleParseError as exc:
-                _diag(diagnostics, "warning", f"polymorphism oracle fault at {stmt.id}: {exc}", stmt)
-                continue
-            feasible: set[str] = set()
-            for name in named:
-                t = by_signature.get(str(name).strip())
-                if t:
-                    feasible.add(t)
-            if not feasible:
-                _diag(diagnostics, "warning", f"oracle named no known candidate at {stmt.id}", stmt)
-                continue
-            doomed = {t for t in targets if t not in feasible}
-            if not doomed:
-                continue
-            g.remove_edges({(stmt.id, t, CALL, None) for t in doomed})
-            if audit is not None:
-                for t in sorted(doomed):
+        groups: dict[tuple[str, ...], list[int]] = {}
+        for idx in range(len(stmt.calls)):
+            targets = tuple(sorted(t for t in per_site.get(idx, []) if not t.startswith("external:")))
+            if len(targets) >= 2:
+                groups.setdefault(targets, []).append(idx)
+        for targets, sites in groups.items():
+            answers: dict[str, set[str]] = {}
+            kept: set[str] = set()
+            for idx in sites:
+                prompt, by_signature = _polymorphic_prompt(g, model, stmt, stmt.calls[idx], targets)
+                if prompt not in answers:
+                    answers[prompt] = _feasible_targets(
+                        oracle, prompt, f"{stmt.id}/poly{idx}", by_signature, diagnostics, stmt
+                    ) or set(targets)
+                kept |= answers[prompt]
+            for t in sorted(set(targets) - kept):
+                if g.remove_edges({(stmt.id, t, CALL, None)}) and audit is not None:
                     audit.append(AuditEntry("remove", CALL, stmt.id, t, "polymorphism"))
+
+
+def _polymorphic_prompt(
+    g: UnifiedDependencyGraph,
+    model: RepoModel,
+    stmt: StatementNode,
+    site: CallSite,
+    targets: tuple[str, ...],
+) -> tuple[str, dict[str, str]]:
+    """The prompt for one call site, and each name an answer may give for a
+    candidate mapped to its entry node."""
+    receiver_vars = {site.receiver} if site.receiver and site.receiver != "this" else set(stmt.uses)
+    context_nodes, truncated = backward_dataflow_context(g, stmt, receiver_vars)
+    candidates = []
+    by_signature: dict[str, str] = {}
+    for t in targets:
+        func = function_of_entry(model, t)
+        sig = func.signature_text()
+        candidates.append(sig)
+        by_signature[sig] = t
+        by_signature[f"{func.class_name.split('.')[-1]}.{func.name}"] = t
+        by_signature[f"{func.class_name}.{func.name}"] = t
+    block = render_statement_block(context_nodes, model)
+    if truncated:
+        block = "(truncated: oldest definitions omitted)\n" + block
+    prompt = render_polymorphic_prompt(
+        block,
+        _call_statement_line(stmt, model),
+        candidates,
+        _hierarchy_text(model),
+    )
+    return prompt, by_signature
+
+
+def _feasible_targets(
+    oracle: ResolutionOracle,
+    prompt: str,
+    site: str,
+    by_signature: dict[str, str],
+    diagnostics: DiagnosticSink | None,
+    stmt: StatementNode,
+) -> set[str]:
+    """The candidates the oracle names feasible; empty on a fault."""
+    try:
+        raw = oracle.complete(prompt, site=site)
+        answer = extract_json_object(raw)
+        named = answer.get("feasible_targets")
+        if not isinstance(named, list):
+            raise OracleParseError("feasible_targets missing or not a list")
+    except OracleParseError as exc:
+        _diag(diagnostics, "warning", f"polymorphism oracle fault at {stmt.id}: {exc}", stmt)
+        return set()
+    feasible: set[str] = set()
+    for name in named:
+        t = by_signature.get(str(name).strip())
+        if t:
+            feasible.add(t)
+    if not feasible:
+        _diag(diagnostics, "warning", f"oracle named no known candidate at {stmt.id}", stmt)
+    return feasible
 
 
 def enhance_reflective_calls(
@@ -207,6 +241,8 @@ def enhance_reflective_calls(
     class_names = sorted(model.classes)
     for stmt in ordered:
         per_site = site_targets(g, model, stmt)
+        # Sites sharing a reflective edge get the same prompts: ask once.
+        asked: set[tuple[str, ...]] = set()
         for idx, site in enumerate(stmt.calls):
             if not is_invocation_pattern(site):
                 continue
@@ -215,8 +251,9 @@ def enhance_reflective_calls(
                 for t in per_site.get(idx, [])
                 if t.startswith("external:") and g.nodes[t].reflective
             ]
-            if not reflective:
+            if not reflective or tuple(reflective) in asked:
                 continue
+            asked.add(tuple(reflective))
             context_nodes, truncated = backward_dataflow_context(g, stmt, set(stmt.uses))
             block = render_statement_block(context_nodes, model)
             if truncated:
@@ -260,8 +297,7 @@ def enhance_reflective_calls(
                 continue
             resolved = sorted(matches, key=lambda f: f.id)[0]
             for ext in reflective:
-                g.remove_edges({(stmt.id, ext, CALL, None)})
-                if audit is not None:
+                if g.remove_edges({(stmt.id, ext, CALL, None)}) and audit is not None:
                     audit.append(AuditEntry("remove", CALL, stmt.id, ext, "reflection"))
             new_edge = UdgEdge(
                 src=stmt.id, dst=resolved.entry, tau=CALL, provenance="enhancement_added"

@@ -74,14 +74,11 @@ def suffix_match(pattern: str, candidate: str) -> bool:
 
 @dataclass
 class KnowledgeBase:
-    entries: list[KbEntry] = field(default_factory=list)  # append-only
+    entries: list[KbEntry] = field(default_factory=list)
     guidelines: dict[str, CweGuideline] = field(default_factory=dict)
-    # (position, entry) by the last segment of the entry's API, in entry
-    # order; extended whenever `entries` has grown since the last match.
-    _by_name: dict[str, list[tuple[int, KbEntry]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _indexed: int = field(default=0, init=False, repr=False, compare=False)
+    # Entry positions by the last segment of the entry's API, built on the
+    # first match (after `parse_knowledge_base` has filled `entries`).
+    _by_name: dict[str, list[int]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def guideline_for(self, cwe_id: str) -> CweGuideline:
         if cwe_id not in self.guidelines:
@@ -92,16 +89,14 @@ class KnowledgeBase:
         """Entries matching any candidate, in entry order.  `suffix_match`
         needs equal last segments, so only entries named like a candidate's
         last segment are tried."""
-        for i in range(self._indexed, len(self.entries)):
-            entry = self.entries[i]
-            self._by_name.setdefault(_last_segment(entry.api), []).append((i, entry))
-        self._indexed = len(self.entries)
+        if self._by_name is None:
+            self._by_name = {}
+            for i, entry in enumerate(self.entries):
+                self._by_name.setdefault(_last_segment(entry.api), []).append(i)
         names = {_last_segment(cand) for cand in candidates}
-        tried = [hit for name in names for hit in self._by_name.get(name, [])]
-        if len(names) > 1:
-            tried.sort(key=lambda hit: hit[0])
         hits: list[KbEntry] = []
-        for _, entry in tried:
+        for i in sorted(i for name in names for i in self._by_name.get(name, ())):
+            entry = self.entries[i]
             if entry.arity is not None and entry.arity != arity:
                 continue
             if any(suffix_match(entry.api, cand) for cand in candidates):

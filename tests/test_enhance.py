@@ -130,6 +130,67 @@ def test_answer_naming_no_candidate_keeps_all(dispatch_repo):
     assert {e.key() for e in g.out_edges(call_stmt.id, CALL)} == before
 
 
+SHAPES = """package p;
+class Shape {
+    int area() {
+        return 0;
+    }
+}
+class Circle extends Shape {
+    int area() {
+        return 1;
+    }
+}
+class Square extends Shape {
+    int area() {
+        return 2;
+    }
+}
+class Use {
+    int run() {
+        %s
+    }
+}
+"""
+
+
+def _area_entries(model):
+    return {f.class_name.split(".")[-1]: f.entry for f in model.functions.values() if f.name == "area"}
+
+
+def test_one_callee_called_twice_asks_once_and_removes_once(tmp_path):
+    body = "Shape s = new Circle();\n        int x = s.area() + s.area();\n        return x;"
+    root = write_repo(tmp_path, {"Use.java": SHAPES % body})
+    model, g, _ = parse_and_build(root)
+    stmt = _stmt_at(model, 20)
+    entries = _area_entries(model)
+    assert {e.dst for e in g.out_edges(stmt.id, CALL)} == set(entries.values())
+    oracle = RecordingOracle(MockResolutionOracle())
+    audit = []
+    enhance_polymorphic_calls(g, oracle, model, audit=audit)
+    assert len(oracle.records) == 1
+    assert {e.dst for e in g.out_edges(stmt.id, CALL)} == {entries["Circle"]}
+    assert sorted(a.dst for a in audit) == sorted([entries["Shape"], entries["Square"]])
+
+
+def test_one_callee_two_receivers_keeps_every_edge_a_site_needs(tmp_path):
+    body = (
+        "Shape s1 = new Circle();\n        Shape s2 = new Square();\n"
+        "        int x = s1.area() + s2.area();\n        return x;"
+    )
+    root = write_repo(tmp_path, {"Use.java": SHAPES % body})
+    model, g, _ = parse_and_build(root)
+    stmt = _stmt_at(model, 21)
+    entries = _area_entries(model)
+    replies = [json.dumps({"feasible_targets": [name]}) for name in ("Circle.area", "Square.area")]
+    oracle = ScriptedOracle(replies)
+    audit = []
+    enhance_polymorphic_calls(g, oracle, model, audit=audit)
+    assert oracle.calls == 2
+    assert {e.dst for e in g.out_edges(stmt.id, CALL)} == {entries["Circle"], entries["Square"]}
+    assert [a.dst for a in audit] == [entries["Shape"]]
+
+
 # ------------------------------------------------------------ reflective pass
 
 
@@ -173,6 +234,36 @@ def test_no_reflective_calls_unchanged(dispatch_repo):
     enhance_reflective_calls(g, oracle, model)
     assert oracle.calls == 0
     assert {e.key() for e in g.edges} == before
+
+
+def test_two_invoke_sites_share_one_resolution(tmp_path):
+    src = """package p;
+import java.lang.reflect.Method;
+public class R {
+    public String run(String q) throws Exception {
+        Method m1 = getClass().getMethod("show", String.class);
+        Method m2 = getClass().getMethod("show", String.class);
+        String r = "" + m1.invoke(this, q) + m2.invoke(this, q);
+        return r;
+    }
+    public String show(String s) {
+        return s;
+    }
+}
+"""
+    root = write_repo(tmp_path, {"R.java": src})
+    model, g, _ = parse_and_build(root)
+    stmt = _stmt_at(model, 7)
+    show = next(f for f in model.functions.values() if f.name == "show")
+    oracle = RecordingOracle(MockResolutionOracle())
+    audit = []
+    enhance_reflective_calls(g, oracle, model, audit=audit)
+    assert len(oracle.records) == 2  # one class and one method question
+    assert {e.dst for e in g.out_edges(stmt.id, CALL)} == {show.entry}
+    assert [(a.op, a.dst) for a in audit] == [
+        ("remove", "external:invoke/2"),
+        ("add", show.entry),
+    ]
 
 
 def test_record_replay_reproduces_graph(reflect_repo, tmp_path):
