@@ -1,4 +1,3 @@
-from ..frontend.model import trivial_line_map
 from .holistic import (
     DEFAULT_TOKEN_BUDGET,
     HolisticContext,
@@ -32,7 +31,6 @@ __all__ = [
     "holistic_context",
     "merge_slices",
     "render_context",
-    "trivial_line_map",
     "usage_context",
     "whitespace_tokenizer",
 ]

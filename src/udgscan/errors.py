@@ -91,8 +91,10 @@ class Diagnostic:
         }
 
     def render(self) -> str:
-        loc = f"{self.path}:{self.line}: " if self.path else ""
-        return f"[{self.severity}] {self.module}: {loc}{self.message}"
+        if not self.path:
+            return f"[{self.severity}] {self.module}: {self.message}"
+        loc = f"{self.path}:{self.line}" if self.line else self.path
+        return f"[{self.severity}] {self.module}: {loc}: {self.message}"
 
 
 @dataclass

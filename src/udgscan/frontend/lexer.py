@@ -4,10 +4,21 @@ Produces position-annotated tokens with absolute character offsets so that
 later passes (def/use extraction, identifier rewriting) can splice the
 original text precisely.  Comments and whitespace are skipped but line
 numbers remain exact.
+
+One compiled master regular expression does the work: its named
+alternatives are tried in order at each position (skip, string, char,
+number, word, bad, punct), and `tokenize` walks its matches, counting the
+newlines between token starts for line numbers.  `skip` is whitespace and
+`//`/`/* */` comments; `bad` matches the opening `/*`, `"` or `'` of a
+construct that does not close; `punct` ends in a one-character catch-all,
+so every character of the text belongs to some match.  This is the only
+place that knows the comment grammar: the parser derives each file's
+trivia lines from these tokens.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from ..errors import SubsetViolation
@@ -25,7 +36,7 @@ KEYWORDS = frozenset(
 
 PRIMITIVES = frozenset("boolean byte char double float int long short void".split())
 
-# Multi-character operators, longest first.
+# Multi-character operators, longest first: the regex tries them in this order.
 _OPERATORS = [
     ">>>=", "<<=", ">>=", ">>>",
     "...", "->", "::",
@@ -34,13 +45,29 @@ _OPERATORS = [
     "<<", ">>",
 ]
 
+_MASTER = re.compile(
+    "|".join(
+        f"(?P<{name}>{pattern})"
+        for name, pattern in [
+            ("skip", r"[ \t\r\n]+|//[^\n]*|/\*[\s\S]*?\*/"),
+            ("string", r'"(?:[^"\\\n]|\\[^\n])*"'),
+            ("char", r"'(?:[^'\\]|\\[\s\S])*'"),
+            # A dot continues a number only before a digit or an exponent.
+            ("number", r"\.?\d(?:\w|\.(?=[\deE]))*"),
+            ("word", r"(?:[^\W\d]|\$)[\w$]*"),
+            ("bad", r"/\*|[\"']"),
+            ("punct", "|".join(map(re.escape, _OPERATORS)) + r"|[\s\S]"),
+        ]
+    )
+)
+_UNTERMINATED = {"/*": "block comment", '"': "string literal", "'": "char literal"}
+
 
 @dataclass
 class Token:
     kind: str  # "ident" | "keyword" | "number" | "string" | "char" | "punct"
     text: str
     line: int
-    col: int
     start: int  # absolute offset, inclusive
     end: int  # absolute offset, exclusive
 
@@ -53,88 +80,22 @@ class Token:
 
 def tokenize(text: str, path: str = "<memory>") -> list[Token]:
     tokens: list[Token] = []
-    i = 0
     line = 1
-    col = 1
-    n = len(text)
-
-    def advance(count: int) -> None:
-        nonlocal i, line, col
-        for _ in range(count):
-            if text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            advance(1)
+    counted = 0  # offset up to which newlines are counted into `line`
+    for m in _MASTER.finditer(text):
+        kind = m.lastgroup
+        if kind == "skip":
             continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            while i < n and text[i] != "\n":
-                advance(1)
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "*":
-            advance(2)
-            while i + 1 < n and not (text[i] == "*" and text[i + 1] == "/"):
-                advance(1)
-            if i + 1 >= n:
-                raise SubsetViolation(path, line, "unterminated block comment")
-            advance(2)
-            continue
-        start_line, start_col, start = line, col, i
-        if ch == '"':
-            advance(1)
-            while i < n and text[i] != '"':
-                if text[i] == "\\":
-                    advance(1)
-                if text[i] == "\n":
-                    raise SubsetViolation(path, start_line, "unterminated string literal")
-                advance(1)
-            if i >= n:
-                raise SubsetViolation(path, start_line, "unterminated string literal")
-            advance(1)
-            tokens.append(Token("string", text[start:i], start_line, start_col, start, i))
-            continue
-        if ch == "'":
-            advance(1)
-            while i < n and text[i] != "'":
-                if text[i] == "\\":
-                    advance(1)
-                advance(1)
-            if i >= n:
-                raise SubsetViolation(path, start_line, "unterminated char literal")
-            advance(1)
-            tokens.append(Token("char", text[start:i], start_line, start_col, start, i))
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            while i < n and (text[i].isalnum() or text[i] in "._xX"):
-                # Stop a trailing dot that starts a method call on a literal.
-                if text[i] == "." and not (i + 1 < n and (text[i + 1].isdigit() or text[i + 1] in "eE")):
-                    break
-                advance(1)
-            tokens.append(Token("number", text[start:i], start_line, start_col, start, i))
-            continue
-        if ch.isalpha() or ch == "_" or ch == "$":
-            while i < n and (text[i].isalnum() or text[i] in "_$"):
-                advance(1)
-            word = text[start:i]
-            kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, start_line, start_col, start, i))
-            continue
-        matched = False
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                advance(len(op))
-                tokens.append(Token("punct", op, start_line, start_col, start, i))
-                matched = True
-                break
-        if matched:
-            continue
-        advance(1)
-        tokens.append(Token("punct", ch, start_line, start_col, start, i))
+        start = m.start()
+        line += text.count("\n", counted, start)
+        counted = start
+        lexeme = m.group()
+        if kind == "bad":
+            if lexeme == "/*":
+                # Reported where the scan for "*/" gave up: the last character.
+                line += text.count("\n", start, max(len(text) - 1, start + 2))
+            raise SubsetViolation(path, line, f"unterminated {_UNTERMINATED[lexeme]}")
+        if kind == "word":
+            kind = "keyword" if lexeme in KEYWORDS else "ident"
+        tokens.append(Token(kind, lexeme, line, start, m.end()))
     return tokens
-

@@ -9,7 +9,6 @@ text, 1-based inclusive line spans, and purely syntactic def/use sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 # Statement kinds.  A statement whose expression performs a method invocation
 # is classified as "call" unless a more specific kind (return, condition,
@@ -174,46 +173,13 @@ class JumpTarget:
     resolved_successor: str  # StatementNode id the reconstructed edge points to
 
 
-def trivial_line_map(source: "SourceFile") -> list[bool]:
-    """Per-line triviality (blank / comment-only / brace-punctuation-only),
-    tracking multi-line block comments."""
-    out: list[bool] = []
-    in_block = False
-    for line in source.lines:
-        rest = line
-        code_chars: list[str] = []
-        while rest:
-            if in_block:
-                idx = rest.find("*/")
-                if idx < 0:
-                    rest = ""
-                else:
-                    in_block = False
-                    rest = rest[idx + 2 :]
-            else:
-                li = rest.find("//")
-                bi = rest.find("/*")
-                if bi >= 0 and (li < 0 or bi < li):
-                    code_chars.append(rest[:bi])
-                    in_block = True
-                    rest = rest[bi + 2 :]
-                elif li >= 0:
-                    code_chars.append(rest[:li])
-                    rest = ""
-                else:
-                    code_chars.append(rest)
-                    rest = ""
-        code = "".join(code_chars).strip()
-        out.append(code == "" or all(c in "{}();," for c in code))
-    return out
-
-
 @dataclass
 class SourceFile:
     path: str
     text: str
     lines: list[str] = field(default_factory=list)
     declarations: list[str] = field(default_factory=list)  # package_decl/import_decl statement ids
+    trivia: list[bool] = field(default_factory=list)  # per line: no token but { } ( ) ; , starts there
 
     def __post_init__(self):
         if not self.lines:
@@ -221,11 +187,6 @@ class SourceFile:
 
     def slice_lines(self, start: int, end: int) -> str:
         return "\n".join(self.lines[start - 1 : end])
-
-    @cached_property
-    def trivia(self) -> list[bool]:
-        """`trivial_line_map` of this file, computed on first use."""
-        return trivial_line_map(self)
 
 
 @dataclass

@@ -36,6 +36,8 @@ from .model import (
 MODIFIERS = frozenset(
     "public private protected static final abstract native synchronized transient volatile strictfp".split()
 )
+# A line is trivia (blank, comment or brace punctuation) when no other token starts on it.
+TRIVIA_PUNCT = frozenset("{}();,")
 
 
 @dataclass
@@ -82,6 +84,10 @@ class _FileParser:
         self.model = model
         self.diag = diagnostics
         self.tokens = tokenize(source.text, source.path)
+        source.trivia = [True] * len(source.lines)
+        for tok in self.tokens:
+            if tok.text not in TRIVIA_PUNCT:
+                source.trivia[tok.line - 1] = False
         self.pos = 0
         self.counter = 0
         self.pending: list[_PendingBody] = []

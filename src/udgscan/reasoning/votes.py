@@ -10,8 +10,6 @@ from ..errors import AllRoundsFailed, ClientTransportError
 from .clients import InferenceClient
 from .prompt import MetaPrompt
 
-TRANSPORT_RETRIES = 2
-
 
 @dataclass
 class Verdict:
@@ -56,22 +54,16 @@ def parse_verdict(text: str) -> Verdict:
 
 
 def query_rounds(client: InferenceClient, prompt: MetaPrompt, n: int) -> list[Verdict]:
-    """N independent completions; transient transport errors are retried a
-    bounded number of times, then recorded as unparseable votes."""
+    """N independent completions; a transport error (the live client has
+    already retried) is recorded as that round's unparseable vote."""
     if n < 1 or n % 2 == 0:
         raise ValueError("round count must be odd and >= 1")
     votes: list[Verdict] = []
     for i in range(n):
-        raw = None
-        last_error = ""
-        for _ in range(TRANSPORT_RETRIES + 1):
-            try:
-                raw = client.complete(prompt.text, round_index=i)
-                break
-            except ClientTransportError as exc:
-                last_error = str(exc)
-        if raw is None:
-            votes.append(Verdict(raw=f"<transport failure: {last_error}>", parse_ok=False))
+        try:
+            raw = client.complete(prompt.text, round_index=i)
+        except ClientTransportError as exc:
+            votes.append(Verdict(raw=f"<transport failure: {exc}>", parse_ok=False))
             continue
         votes.append(parse_verdict(raw))
     return votes

@@ -1,6 +1,7 @@
 """The context stage's per-scan shared work checked against the per-call
-computations it replaces: the token-budget drop order, the cached trivia
-map, the per-file declaration index and the knowledge-base pre-filter."""
+computations it replaces: the token-budget drop order, the parser-set
+trivia map, the per-file declaration index and the knowledge-base
+pre-filter."""
 
 import os
 
@@ -14,7 +15,6 @@ from udgscan.context.sinks import SensitiveInvocation
 from udgscan.context.slicing import merge_slices
 from udgscan.enhance.oracle import MockResolutionOracle
 from udgscan.enhance.pipeline import enhance_graph
-from udgscan.frontend.model import trivial_line_map
 from udgscan.harness.generate import random_summary_program
 from udgscan.knowledge import load_starter_kb, suffix_match
 
@@ -105,14 +105,97 @@ def test_sorted_drop_order_matches_rebuild_and_max(tmp_path, seed):
 # ------------------------------------------------------------------ caches
 
 
-@pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_cached_trivia_equals_trivial_line_map(name):
-    model, _, _ = parse_and_build(os.path.join(FIXTURES, name))
+def trivial_line_map(source):
+    """Per-line triviality (blank / comment-only / brace-punctuation-only),
+    tracking multi-line block comments: the text scan the parser-set trivia
+    replaced. It does not know string literals."""
+    out: list[bool] = []
+    in_block = False
+    for line in source.lines:
+        rest = line
+        code_chars: list[str] = []
+        while rest:
+            if in_block:
+                idx = rest.find("*/")
+                if idx < 0:
+                    rest = ""
+                else:
+                    in_block = False
+                    rest = rest[idx + 2 :]
+            else:
+                li = rest.find("//")
+                bi = rest.find("/*")
+                if bi >= 0 and (li < 0 or bi < li):
+                    code_chars.append(rest[:bi])
+                    in_block = True
+                    rest = rest[bi + 2 :]
+                elif li >= 0:
+                    code_chars.append(rest[:li])
+                    rest = ""
+                else:
+                    code_chars.append(rest)
+                    rest = ""
+        code = "".join(code_chars).strip()
+        out.append(code == "" or all(c in "{}();," for c in code))
+    return out
+
+
+def generated_repo(tmp_path):
+    files = {}
+    for seed in range(6):
+        body = random_summary_program(seed).replace("class Gen", f"class Gen{seed}")
+        files[f"p/Gen{seed}.java"] = "package p;\n\n/* generated\n * by seed */\n" + body
+    return write_repo(tmp_path, files)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ["generated"])
+def test_cached_trivia_equals_trivial_line_map(tmp_path, name):
+    root = generated_repo(tmp_path) if name == "generated" else os.path.join(FIXTURES, name)
+    model, _, _ = parse_and_build(root)
     assert model.files
     for source in model.files:
+        assert len(source.trivia) == len(source.lines)
         assert source.trivia == trivial_line_map(source)
-        assert source.trivia is source.trivia
         assert model.file_by_path(source.path) is source
+
+
+def one_file_model(tmp_path, text):
+    model, _, diags = parse_and_build(write_repo(tmp_path, {"A.java": text}))
+    assert not diags.has_errors()
+    return model, model.file_by_path("A.java")
+
+
+def test_comment_marker_inside_a_string_is_not_a_comment(tmp_path):
+    text = (
+        "class A {\n"
+        "    int f(int a) {\n"
+        '        String g = "src/*.java";\n'
+        "        int b = a + 1;\n"
+        "        int c = b + 2;\n"
+        "        return a;\n"
+        "    }\n"
+        "}\n"
+    )
+    model, source = one_file_model(tmp_path, text)
+    assert source.trivia == [False] * 6 + [True] * 3
+    ends = [s.id for s in model.statements.values() if s.start_line in (3, 6)]
+    rendered, included = render_context(ends, model)
+    assert included == {"A.java": [3, 6]}
+    assert "...\n6|" in rendered
+
+
+def test_spaced_brace_punctuation_line_is_trivia(tmp_path):
+    text = (
+        "class A {\n"
+        "    int f(int a,\n"
+        "          int b\n"
+        "    ) {\n"
+        "        return a;\n"
+        "    }\n"
+        "}\n"
+    )
+    _, source = one_file_model(tmp_path, text)
+    assert source.trivia == [False, False, False, True, False, True, True, True]
 
 
 def brute_force_declarations(statement_ids, model):

@@ -1,4 +1,6 @@
 import json
+import urllib.error
+import urllib.request
 
 import pytest
 
@@ -8,9 +10,15 @@ from udgscan.context.holistic import holistic_context
 from udgscan.context.sinks import find_sensitive_invocations
 from udgscan.enhance.oracle import MockResolutionOracle
 from udgscan.enhance.pipeline import enhance_graph
-from udgscan.errors import AllRoundsFailed
+from udgscan.errors import AllRoundsFailed, ClientTransportError
 from udgscan.knowledge import load_starter_kb
-from udgscan.reasoning.clients import MockInferenceClient, TranscriptRecorder, TranscriptReplayClient
+from udgscan.reasoning.clients import (
+    LiveClientConfig,
+    LiveInferenceClient,
+    MockInferenceClient,
+    TranscriptRecorder,
+    TranscriptReplayClient,
+)
 from udgscan.reasoning.prompt import STEP_HEADERS, build_detection_prompt
 from udgscan.reasoning.votes import aggregate_votes, parse_verdict, query_rounds
 
@@ -99,6 +107,42 @@ def test_query_rounds_prose_round_excluded(el_repo):
 def test_query_rounds_requires_odd():
     with pytest.raises(ValueError):
         query_rounds(MockInferenceClient(), None, 2)
+
+
+class DownClient:
+    """An inference client whose every request fails in transport."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def complete(self, prompt: str, round_index: int = 0) -> str:
+        self.calls += 1
+        raise ClientTransportError("connection refused")
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_transport_failure_is_one_request_per_round(el_repo, n):
+    ctx, inv, kb = el_context(el_repo)
+    prompt = build_detection_prompt(ctx, (inv.api, "CWE-74"), kb)
+    client = DownClient()
+    votes = query_rounds(client, prompt, n)
+    assert client.calls == n
+    assert [(v.parse_ok, v.raw) for v in votes] == [(False, "<transport failure: connection refused>")] * n
+
+
+def test_live_client_retries_each_request(monkeypatch):
+    calls = []
+
+    def urlopen(request, timeout):
+        calls.append(request.full_url)
+        raise urllib.error.URLError("connection refused")
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    client = LiveInferenceClient(LiveClientConfig(endpoint="http://localhost:9/v1", model="m", retries=2))
+    for expected_calls in (3, 6):
+        with pytest.raises(ClientTransportError):
+            client.complete("prompt")
+        assert len(calls) == expected_calls
 
 
 def test_aggregate_majority():

@@ -184,3 +184,4 @@ def test_cli_scan_skips_unreadable_files(tmp_path, capsys):
     assert errors["Bad.java"].startswith("source file is not valid UTF-8")
     assert errors["Gone.java"].startswith("unreadable source file")
     assert "Bad.java" in captured.err and "not valid UTF-8" in captured.err
+    assert "Bad.java: source file" in captured.err and ":0:" not in captured.err
