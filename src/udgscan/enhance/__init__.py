@@ -1,8 +1,6 @@
 from .oracle import (
     ConstantFolder,
     MockResolutionOracle,
-    RecordingOracle,
-    ReplayOracle,
     ResolutionOracle,
     extract_json_object,
 )
@@ -34,8 +32,6 @@ __all__ = [
     "EnhancementResult",
     "FunctionSummary",
     "MockResolutionOracle",
-    "RecordingOracle",
-    "ReplayOracle",
     "ResolutionOracle",
     "SccComponent",
     "add_global_nodes",

@@ -1,17 +1,15 @@
 """Resolution oracles: answer polymorphism/reflection questions from prompts.
 
-Three implementations share one contract: `complete(prompt, site) -> str`.
-The deterministic mock infers answers from the prompt text alone (constant
-propagation over the dataflow-context lines), the replay oracle reproduces a
-recorded transcript bit-exactly, and the recorder wraps any oracle to
-produce such transcripts.
+Every oracle has one contract, `complete(prompt, site) -> str`.  The
+deterministic mock infers answers from the prompt text alone (constant
+propagation over the dataflow-context lines); `udgscan.transcript` records
+and replays any oracle's answers.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
 from typing import Iterator, Protocol
 
 from ..errors import OracleParseError
@@ -252,51 +250,3 @@ def _split_top_comma(argtext: str) -> str:
             return argtext[:i]
     return argtext
 
-
-@dataclass
-class TranscriptRecord:
-    site: str
-    prompt: str
-    response: str
-
-    def as_dict(self) -> dict:
-        return {"site": self.site, "prompt": self.prompt, "response": self.response}
-
-
-@dataclass
-class RecordingOracle:
-    inner: ResolutionOracle
-    records: list[TranscriptRecord] = field(default_factory=list)
-
-    def complete(self, prompt: str, site: str = "") -> str:
-        response = self.inner.complete(prompt, site)
-        self.records.append(TranscriptRecord(site=site, prompt=prompt, response=response))
-        return response
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in self.records:
-                fh.write(json.dumps(rec.as_dict(), sort_keys=True) + "\n")
-
-
-class ReplayOracle:
-    """Replays a recorded transcript; order-based with site verification."""
-
-    def __init__(self, path: str, strict: bool = True):
-        self.records: list[dict] = []
-        self.strict = strict
-        self.cursor = 0
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    self.records.append(json.loads(line))
-
-    def complete(self, prompt: str, site: str = "") -> str:
-        if self.cursor >= len(self.records):
-            raise OracleParseError(f"transcript exhausted at request {self.cursor} (site {site})")
-        rec = self.records[self.cursor]
-        self.cursor += 1
-        if self.strict and rec.get("site") and site and rec["site"] != site:
-            raise OracleParseError(f"transcript site mismatch: {rec['site']} != {site}")
-        return rec["response"]

@@ -204,7 +204,7 @@ def _feasible_targets(
 ) -> set[str]:
     """The candidates the oracle names feasible; empty on a fault."""
     try:
-        raw = oracle.complete(prompt, site=site)
+        raw = oracle.complete(prompt, site)
         answer = extract_json_object(raw)
         named = answer.get("feasible_targets")
         if not isinstance(named, list):
@@ -262,7 +262,7 @@ def enhance_reflective_calls(
             try:
                 raw1 = oracle.complete(
                     render_reflection_class_prompt(block, call_line, class_names),
-                    site=f"{stmt.id}/reflect{idx}/class",
+                    f"{stmt.id}/reflect{idx}/class",
                 )
                 answer1 = extract_json_object(raw1)
                 cls_name = str(answer1.get("target_class", "")).strip()
@@ -279,7 +279,7 @@ def enhance_reflective_calls(
                     render_reflection_method_prompt(
                         block, call_line, [f.signature_text() for f in methods]
                     ),
-                    site=f"{stmt.id}/reflect{idx}/method",
+                    f"{stmt.id}/reflect{idx}/method",
                 )
                 answer2 = extract_json_object(raw2)
                 method_name = str(answer2.get("target_method", "")).strip()

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import DiagnosticSink
-from ..frontend.analysis import extract_globals, resolve_label_targets
+from ..frontend.analysis import resolve_label_targets
 from ..frontend.model import JumpTarget, RepoModel
 from ..udg.graph import UnifiedDependencyGraph
 from .oracle import ResolutionOracle
@@ -50,7 +50,7 @@ def enhance_graph(
     left intact."""
     audit: list[AuditEntry] = []
     g = original.copy(state="enhanced")
-    add_global_nodes(g, extract_globals(model), model, audit)
+    add_global_nodes(g, model.globals, model, audit)
     enhance_polymorphic_calls(g, oracle, model, diagnostics, audit)
     enhance_reflective_calls(g, oracle, model, diagnostics, audit)
     targets = jump_targets if jump_targets is not None else resolve_label_targets(model, diagnostics)

@@ -68,7 +68,8 @@ class BudgetExceeded(UdgScanError):
 
 
 class ClientTransportError(UdgScanError):
-    """Transient transport failure from a live inference endpoint."""
+    """A request got no response: a live endpoint failed, or a replayed
+    transcript holds no record of it."""
 
 
 @dataclass

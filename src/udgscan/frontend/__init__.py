@@ -1,4 +1,4 @@
-from .analysis import build_type_hierarchy, extract_globals, resolve_label_targets
+from .analysis import build_type_hierarchy, resolve_label_targets
 from .model import (
     RETURN_VAR,
     CallSite,
@@ -26,7 +26,6 @@ __all__ = [
     "StatementNode",
     "TypeHierarchy",
     "build_type_hierarchy",
-    "extract_globals",
     "parse_repository",
     "parse_source",
     "resolve_label_targets",

@@ -1,4 +1,4 @@
-"""Structural analyses over a parsed repository: globals, hierarchy, labels."""
+"""Structural analyses over a parsed repository: hierarchy and labels."""
 
 from __future__ import annotations
 
@@ -6,16 +6,7 @@ from dataclasses import dataclass
 
 from ..errors import DiagnosticSink, HierarchyCycle
 from . import syntax as syn
-from .model import FunctionDecl, GlobalDecl, JumpTarget, RepoModel, TypeHierarchy
-
-
-def extract_globals(model: RepoModel) -> list[GlobalDecl]:
-    """All global statements (field defs, imports, package, class decls).
-
-    Field declarations carry the variables referenced by their initializers
-    in rhs_uses; callee names of initializer invocations are excluded.
-    """
-    return list(model.globals)
+from .model import FunctionDecl, JumpTarget, RepoModel, TypeHierarchy
 
 
 def build_type_hierarchy(model: RepoModel, diagnostics: DiagnosticSink | None = None) -> TypeHierarchy:

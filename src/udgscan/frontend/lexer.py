@@ -51,7 +51,7 @@ _MASTER = re.compile(
         for name, pattern in [
             ("skip", r"[ \t\r\n]+|//[^\n]*|/\*[\s\S]*?\*/"),
             ("string", r'"(?:[^"\\\n]|\\[^\n])*"'),
-            ("char", r"'(?:[^'\\]|\\[\s\S])*'"),
+            ("char", r"'(?:[^'\\\n]|\\[^\n])*'"),
             # A dot continues a number only before a digit or an exponent.
             ("number", r"\.?\d(?:\w|\.(?=[\deE]))*"),
             ("word", r"(?:[^\W\d]|\$)[\w$]*"),

@@ -38,6 +38,10 @@ MODIFIERS = frozenset(
 )
 # A line is trivia (blank, comment or brace punctuation) when no other token starts on it.
 TRIVIA_PUNCT = frozenset("{}();,")
+# How deep statements and call argument lists may nest, counted together:
+# deeper code is a subset violation, which keeps the recursive parser and
+# the graph walkers far from Python's recursion limit.
+MAX_NESTING = 100
 
 
 @dataclass
@@ -524,13 +528,16 @@ def _collect_ids(stmts: list) -> list[str]:
 class _BodyParser:
     """Parses one method body's token slice into statement nodes and shapes."""
 
-    def __init__(self, fp: _FileParser, func: FunctionDecl, scope: _Scope, fields: dict[str, str]):
+    def __init__(
+        self, fp: _FileParser, func: FunctionDecl, scope: _Scope, fields: dict[str, str], depth: int = 0
+    ):
         self.fp = fp
         self.func = func
         self.scope = scope
         self.fields = fields
         self.tokens: list[Token] = []
         self.pos = 0
+        self.depth = depth  # statements enclosing the next one parsed
 
     # Token helpers over the local slice.
     def peek(self, offset: int = 0) -> Token | None:
@@ -559,7 +566,9 @@ class _BodyParser:
         return merged
 
     def extract(self, tokens: list[Token]) -> tuple[set[str], list[CallSite]]:
-        return extract_expression(tokens, self.scope, self.fp.src.path, field_names=self.fields)
+        return extract_expression(
+            tokens, self.scope, self.fp.src.path, field_names=self.fields, depth=self.depth
+        )
 
     def parse_block_tokens(self, tokens: list[Token]) -> list:
         assert tokens[0].text == "{" and tokens[-1].text == "}"
@@ -607,6 +616,14 @@ class _BodyParser:
         tok = self.peek()
         if tok is None:
             raise SubsetViolation(self.fp.src.path, self.func.sig_line, "unexpected end of body")
+        if self.depth == MAX_NESTING:
+            raise SubsetViolation(self.fp.src.path, tok.line, f"nesting deeper than {MAX_NESTING}")
+        self.depth += 1
+        stmt = self.parse_statement_at(tok)
+        self.depth -= 1
+        return stmt
+
+    def parse_statement_at(self, tok: Token):
         if tok.text == ";":
             self.next()
             return syn.Block([])
@@ -658,7 +675,7 @@ class _BodyParser:
                 depth += 1
             elif t.text == "}":
                 depth -= 1
-        sub = _BodyParser(self.fp, self.func, self.scope, self.fields)
+        sub = _BodyParser(self.fp, self.func, self.scope, self.fields, self.depth)
         return syn.Block(sub.parse_block_tokens(body))
 
     def parse_if(self) -> syn.If:
@@ -986,6 +1003,7 @@ def extract_expression(
     scope: _Scope,
     path: str,
     field_names: dict[str, str] | None = None,
+    depth: int = 0,
 ) -> tuple[set[str], list[CallSite]]:
     """Syntactic use/call extraction over an expression token stream.
 
@@ -993,6 +1011,7 @@ def extract_expression(
     fields of the enclosing class chain); the base of a dotted access
     contributes the use.  Callee names never count as uses, type names and
     class literals are skipped, and `this.x` chains use the dotted name.
+    `depth` counts the statements and argument lists enclosing `tokens`.
     """
     known: dict[str, str] = dict(field_names or {})
     known.update(scope.var_types)
@@ -1038,13 +1057,7 @@ def extract_expression(
                 j += 1
         if j < len(toks) and toks[j].text == "(":
             args, end = _split_args(toks, j)
-            arg_sets = []
-            for a in args:
-                sub_scope = _Scope(known=set(known), var_types=dict(known))
-                u, c = extract_expression(a, sub_scope, path)
-                arg_sets.append(u)
-                uses.update(u)
-                calls.extend(c)
+            arg_sets = walk_args(args, toks[j])
             simple = type_parts[-1] if type_parts else "?"
             calls.append(
                 CallSite(
@@ -1093,13 +1106,7 @@ def extract_expression(
                 if len(segs) > 2:  # this.field.m() uses this.field
                     uses.add(f"this.{segs[1]}")
         args, end = _split_args(toks, paren)
-        arg_sets = []
-        for a in args:
-            sub_scope = _Scope(known=set(known), var_types=dict(known))
-            u, c = extract_expression(a, sub_scope, path)
-            arg_sets.append(u)
-            uses.update(u)
-            calls.extend(c)
+        arg_sets = walk_args(args, toks[paren])
         chain = ".".join(segs)
         site = CallSite(
             chain=chain,
@@ -1115,17 +1122,24 @@ def extract_expression(
         while j + 2 < len(toks) and toks[j].text == "." and toks[j + 1].kind == "ident" and toks[j + 2].text == "(":
             cname = toks[j + 1].text
             args2, end2 = _split_args(toks, j + 2)
-            arg_sets2 = []
-            for a in args2:
-                sub_scope = _Scope(known=set(known), var_types=dict(known))
-                u, c = extract_expression(a, sub_scope, path)
-                arg_sets2.append(u)
-                uses.update(u)
-                calls.extend(c)
+            arg_sets2 = walk_args(args2, toks[j + 2])
             chain = f"{chain}().{cname}"
             calls.append(CallSite(chain=chain, name=cname, arity=len(args2), arg_vars=arg_sets2))
             j = end2 + 1
         return j
+
+    def walk_args(args: list[list[Token]], paren: Token) -> list[set[str]]:
+        """Each argument's uses; its uses and calls also count for the whole."""
+        if args and depth == MAX_NESTING:
+            raise SubsetViolation(path, paren.line, f"nesting deeper than {MAX_NESTING}")
+        arg_sets = []
+        for a in args:
+            sub_scope = _Scope(known=set(known), var_types=dict(known))
+            u, c = extract_expression(a, sub_scope, path, depth=depth + 1)
+            arg_sets.append(u)
+            uses.update(u)
+            calls.extend(c)
+        return arg_sets
 
     def register_access(segs: list[str]) -> None:
         base = segs[0]
@@ -1198,6 +1212,7 @@ def _split_args(tokens: list[Token], paren: int) -> tuple[list[list[Token]], int
 def parse_source(path: str, text: str, model: RepoModel, diagnostics: DiagnosticSink) -> bool:
     """Parse one file into the model; returns False when the file is skipped."""
     source = SourceFile(path=path, text=text)
+    reported = len(diagnostics.items)
     checkpoint = (
         dict(model.statements),
         dict(model.functions),
@@ -1217,6 +1232,7 @@ def parse_source(path: str, text: str, model: RepoModel, diagnostics: Diagnostic
             checkpoint[3],
             checkpoint[4],
         )
+        del diagnostics.items[reported:]  # warnings about code that is skipped
         if isinstance(exc, SubsetViolation):
             diagnostics.add("error", "frontend", f"subset violation: {exc.message}", exc.path, exc.line)
         else:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from ..context.holistic import DEFAULT_TOKEN_BUDGET, holistic_context
 from ..context.sinks import find_sensitive_invocations
-from ..enhance.oracle import MockResolutionOracle, RecordingOracle, ReplayOracle
+from ..enhance.oracle import MockResolutionOracle
 from ..enhance.pipeline import enhance_graph
 from ..errors import (
     AllRoundsFailed,
@@ -25,15 +25,10 @@ from ..errors import (
 from ..frontend.analysis import build_type_hierarchy, resolve_label_targets
 from ..frontend.parser import FrontendConfig, parse_repository
 from ..knowledge import detection_units_for, load_knowledge_base, load_starter_kb, load_user_sinks
-from ..reasoning.clients import (
-    LiveClientConfig,
-    LiveInferenceClient,
-    MockInferenceClient,
-    TranscriptRecorder,
-    TranscriptReplayClient,
-)
+from ..reasoning.clients import LiveClientConfig, LiveInferenceClient, MockInferenceClient
 from ..reasoning.prompt import build_detection_prompt
 from ..reasoning.votes import aggregate_votes, query_rounds
+from ..transcript import Recorder, Replay
 from ..udg.build import assemble_original_udg
 
 EXIT_OK = 0
@@ -41,8 +36,9 @@ EXIT_CONFIG = 2
 EXIT_PARSE = 3
 EXIT_ORACLE = 4
 
-RESOLUTION_TRANSCRIPT = "resolution.jsonl"
-INFERENCE_TRANSCRIPT = "inference.jsonl"
+# Transcript file and the field holding each request's tag, per request
+# layer: the resolution oracle's site, the inference client's round.
+TRANSCRIPTS = (("resolution.jsonl", "site"), ("inference.jsonl", "round"))
 
 
 @dataclass
@@ -145,12 +141,27 @@ def _sanitize(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name)
 
 
-def _make_resolution_oracle(config: ScanConfig):
-    if config.oracle_mode == "replay":
-        path = os.path.join(config.transcript_dir, RESOLUTION_TRANSCRIPT)
-        return ReplayOracle(path), None
+class _FirstRound:
+    """Sends each resolution request to the inference client as round 0."""
+
+    def __init__(self, client: LiveInferenceClient):
+        self.client = client
+
+    def complete(self, prompt: str, site: str = "") -> str:
+        return self.client.complete(prompt)
+
+
+def _request_layers(config: ScanConfig, given: tuple) -> tuple[list, list]:
+    """The scan's (resolution oracle, inference client), each taken from
+    `given` when not None, and the (recorder, path) pairs to save after the
+    scan.
+
+    Replay mode serves both layers from the transcript; live mode sends both
+    to one `LiveInferenceClient`.  With a transcript directory outside
+    replay mode, each layer built here is recorded.
+    """
     if config.oracle_mode == "live":
-        client = LiveInferenceClient(
+        live = LiveInferenceClient(
             LiveClientConfig(
                 endpoint=config.endpoint,
                 model=config.model,
@@ -159,40 +170,18 @@ def _make_resolution_oracle(config: ScanConfig):
                 seed=config.seed,
             )
         )
-
-        class _Adapter:
-            def complete(self, prompt: str, site: str = "") -> str:
-                return client.complete(prompt)
-
-        base = _Adapter()
+        bases = (_FirstRound(live), live)
     else:
-        base = MockResolutionOracle()
-    if config.transcript_dir:
-        recorder = RecordingOracle(base)
-        return recorder, recorder
-    return base, None
-
-
-def _make_inference_client(config: ScanConfig):
-    if config.oracle_mode == "replay":
-        path = os.path.join(config.transcript_dir, INFERENCE_TRANSCRIPT)
-        return TranscriptReplayClient(path), None
-    if config.oracle_mode == "live":
-        base = LiveInferenceClient(
-            LiveClientConfig(
-                endpoint=config.endpoint,
-                model=config.model,
-                api_key_env=config.api_key_env,
-                temperature=config.temperature,
-                seed=config.seed,
-            )
-        )
-    else:
-        base = MockInferenceClient()
-    if config.transcript_dir:
-        recorder = TranscriptRecorder(base)
-        return recorder, recorder
-    return base, None
+        bases = (MockResolutionOracle(), MockInferenceClient())
+    layers, recorders = [], []
+    for layer, base, (name, tag_field) in zip(given, bases, TRANSCRIPTS):
+        if layer is None and config.oracle_mode == "replay":
+            layer = Replay(os.path.join(config.transcript_dir, name), tag_field)
+        elif layer is None and config.transcript_dir:
+            layer = Recorder(base, tag_field)
+            recorders.append((layer, os.path.join(config.transcript_dir, name)))
+        layers.append(base if layer is None else layer)
+    return layers, recorders
 
 
 def scan(config: ScanConfig, inference_client=None, resolution_oracle=None) -> ScanResult:
@@ -219,10 +208,7 @@ def scan(config: ScanConfig, inference_client=None, resolution_oracle=None) -> S
 
     t0 = time.monotonic()
     g_o = assemble_original_udg(model)
-    oracle = resolution_oracle
-    oracle_recorder = None
-    if oracle is None:
-        oracle, oracle_recorder = _make_resolution_oracle(config)
+    (oracle, client), recorders = _request_layers(config, (resolution_oracle, inference_client))
     try:
         enh = enhance_graph(model, g_o, oracle, diagnostics, jump_targets)
     except (OracleParseError, ClientTransportError) as exc:
@@ -247,10 +233,6 @@ def scan(config: ScanConfig, inference_client=None, resolution_oracle=None) -> S
     timings["context"] = time.monotonic() - t0
 
     t0 = time.monotonic()
-    client = inference_client
-    client_recorder = None
-    if client is None:
-        client, client_recorder = _make_inference_client(config)
     findings: list[Finding] = []
     for inv in invocations:
         ctx = contexts[inv.id]
@@ -320,12 +302,10 @@ def scan(config: ScanConfig, inference_client=None, resolution_oracle=None) -> S
     elif oracle_fault:
         exit_code = EXIT_ORACLE
 
-    if config.transcript_dir and config.oracle_mode != "replay":
+    if recorders:
         os.makedirs(config.transcript_dir, exist_ok=True)
-        if oracle_recorder is not None:
-            oracle_recorder.save(os.path.join(config.transcript_dir, RESOLUTION_TRANSCRIPT))
-        if client_recorder is not None:
-            client_recorder.save(os.path.join(config.transcript_dir, INFERENCE_TRANSCRIPT))
+        for recorder, path in recorders:
+            recorder.save(path)
     if config.out_dir:
         _write_outputs(config, report, contexts, enh, g_e)
     result = ScanResult(

@@ -4,8 +4,6 @@ from .clients import (
     LiveClientConfig,
     LiveInferenceClient,
     MockInferenceClient,
-    TranscriptRecorder,
-    TranscriptReplayClient,
 )
 from .prompt import DETECTION_TEMPLATE, STEP_HEADERS, MetaPrompt, build_detection_prompt
 from .votes import AggregatedVerdict, Verdict, aggregate_votes, parse_verdict, query_rounds
@@ -20,8 +18,6 @@ __all__ = [
     "MetaPrompt",
     "MockInferenceClient",
     "STEP_HEADERS",
-    "TranscriptRecorder",
-    "TranscriptReplayClient",
     "Verdict",
     "aggregate_votes",
     "build_detection_prompt",

@@ -1,4 +1,4 @@
-"""Inference clients: live HTTP, deterministic mocks, and transcript replay."""
+"""Inference clients: live HTTP and deterministic mocks."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import json
 import os
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from ..errors import ClientTransportError, ConfigError
@@ -46,42 +46,6 @@ class MockInferenceClient:
                 "is_vulnerable": False,
             }
         )
-
-
-@dataclass
-class TranscriptRecorder:
-    inner: InferenceClient
-    records: list[dict] = field(default_factory=list)
-
-    def complete(self, prompt: str, round_index: int = 0) -> str:
-        response = self.inner.complete(prompt, round_index)
-        self.records.append({"round": round_index, "prompt": prompt, "response": response})
-        return response
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in self.records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-
-
-class TranscriptReplayClient:
-    """Replays recorded responses in order, for bit-exact reproduction."""
-
-    def __init__(self, path: str):
-        self.records: list[dict] = []
-        self.cursor = 0
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    self.records.append(json.loads(line))
-
-    def complete(self, prompt: str, round_index: int = 0) -> str:
-        if self.cursor >= len(self.records):
-            raise ClientTransportError(f"inference transcript exhausted at request {self.cursor}")
-        rec = self.records[self.cursor]
-        self.cursor += 1
-        return rec["response"]
 
 
 @dataclass

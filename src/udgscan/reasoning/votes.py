@@ -61,7 +61,7 @@ def query_rounds(client: InferenceClient, prompt: MetaPrompt, n: int) -> list[Ve
     votes: list[Verdict] = []
     for i in range(n):
         try:
-            raw = client.complete(prompt.text, round_index=i)
+            raw = client.complete(prompt.text, i)
         except ClientTransportError as exc:
             votes.append(Verdict(raw=f"<transport failure: {exc}>", parse_ok=False))
             continue

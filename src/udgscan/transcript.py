@@ -1,0 +1,59 @@
+"""Transcripts of model requests: record a run, replay it bit-exactly.
+
+Both request layers share one contract, `complete(prompt, tag) -> str`: the
+resolution oracle's tag is the site it asks about, the inference client's
+is the voting round.  `Recorder` wraps either layer and writes one JSON line
+per request, the tag under the layer's field name (`site` or `round`).
+`Replay` serves those responses keyed by (tag, prompt), in recorded order
+per key, so replay does not depend on the order requests arrive in.  A
+request the transcript does not hold is a transport failure, like a live
+endpoint that does not answer; a transcript file that cannot be read is a
+configuration error.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from collections import defaultdict, deque
+
+from .errors import ClientTransportError, ConfigError
+
+
+class Recorder:
+    def __init__(self, inner, tag_field: str):
+        self.inner = inner
+        self.tag_field = tag_field
+        self.records: list[dict] = []
+
+    def complete(self, prompt: str, tag: str | int) -> str:
+        response = self.inner.complete(prompt, tag)
+        self.records.append({self.tag_field: tag, "prompt": prompt, "response": response})
+        return response
+
+    def save(self, path: str) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            for rec in self.records:
+                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+class Replay:
+    def __init__(self, path: str, tag_field: str):
+        self.name = os.path.basename(path)
+        self.tag_field = tag_field
+        self.responses: dict[tuple, deque[str]] = defaultdict(deque)
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                records = [json.loads(line) for line in fh if line.strip()]
+        except OSError as exc:
+            raise ConfigError(f"cannot read transcript {path}: {exc.strerror or exc}") from exc
+        for rec in records:
+            self.responses[(rec[tag_field], rec["prompt"])].append(rec["response"])
+
+    def complete(self, prompt: str, tag: str | int) -> str:
+        queue = self.responses.get((tag, prompt))
+        if not queue:
+            raise ClientTransportError(
+                f"{self.name} holds no response for {self.tag_field} {tag!r} with this prompt"
+            )
+        return queue.popleft()

@@ -17,7 +17,7 @@ from udgscan.context.holistic import holistic_context
 from udgscan.context.sinks import find_sensitive_invocations
 from udgscan.context.slicing import control_slice, data_slice, explicit_context, merge_slices
 from udgscan.context.implicit import declaration_context, definition_context, usage_context
-from udgscan.enhance.oracle import MockResolutionOracle, RecordingOracle, ReplayOracle
+from udgscan.enhance.oracle import MockResolutionOracle
 from udgscan.enhance.order import compute_analysis_order, function_call_graph, tarjan_scc
 from udgscan.enhance.passes import enhance_polymorphic_calls, enhance_reflective_calls
 from udgscan.enhance.pipeline import enhance_graph
@@ -37,6 +37,7 @@ from udgscan.harness.metrics import compute_pairwise
 from udgscan.harness.scan import ScanConfig, scan
 from udgscan.knowledge import UserSinkSpec, load_starter_kb
 from udgscan.reasoning.clients import MockInferenceClient
+from udgscan.transcript import Recorder, Replay
 from udgscan.udg.calls import function_of_entry
 from udgscan.udg.graph import CALL, DATA_DEPENDENCY
 
@@ -79,7 +80,7 @@ def test_criterion_2_reflective_edge_via_transcript(reflect_repo, tmp_path):
     start = time.monotonic()
     # Record a transcript from the deterministic mock, then replay it.
     model0, g0, _ = parse_and_build(reflect_repo)
-    recorder = RecordingOracle(MockResolutionOracle())
+    recorder = Recorder(MockResolutionOracle(), "site")
     enhance_graph(model0, g0, recorder, jump_targets=resolve_label_targets(model0))
     transcript = tmp_path / "resolution.jsonl"
     recorder.save(str(transcript))
@@ -94,7 +95,7 @@ def test_criterion_2_reflective_edge_via_transcript(reflect_repo, tmp_path):
     # Without enhancement the edge does not exist.
     assert not g_o.has_edge(invoke_stmt.id, display_search.entry, CALL)
     result = enhance_graph(
-        model, g_o, ReplayOracle(str(transcript)), diags, resolve_label_targets(model)
+        model, g_o, Replay(str(transcript), "site"), diags, resolve_label_targets(model)
     )
     assert result.graph.has_edge(invoke_stmt.id, display_search.entry, CALL)
     elapsed = time.monotonic() - start

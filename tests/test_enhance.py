@@ -4,7 +4,7 @@ import pytest
 
 from conftest import fixture_path, parse_and_build, write_repo
 
-from udgscan.enhance.oracle import MockResolutionOracle, RecordingOracle, ReplayOracle
+from udgscan.enhance.oracle import MockResolutionOracle
 from udgscan.enhance.order import compute_analysis_order, function_call_graph, order_is_sound, tarjan_scc
 from udgscan.enhance.passes import (
     add_global_nodes,
@@ -17,9 +17,10 @@ from udgscan.enhance.pipeline import enhance_graph
 from udgscan.enhance.prune import prune_data_edges
 from udgscan.enhance.summaries import compute_all_summaries
 from udgscan.errors import DiagnosticSink
-from udgscan.frontend.analysis import extract_globals, resolve_label_targets
+from udgscan.frontend.analysis import resolve_label_targets
 from udgscan.harness.oracles import scc_reachability_oracle
 from udgscan.harness.generate import random_call_graph
+from udgscan.transcript import Recorder, Replay
 from udgscan.udg.graph import CALL, CONTROL_FLOW, DATA_DEPENDENCY
 
 
@@ -60,7 +61,7 @@ class G {
 """
     root = write_repo(tmp_path, {"G.java": src})
     model, g, _ = parse_and_build(root)
-    add_global_nodes(g, extract_globals(model), model)
+    add_global_nodes(g, model.globals, model)
     def_a = _stmt_at(model, 3, "global_def")
     def_b = _stmt_at(model, 4, "global_def")
     assert g.has_edge(def_a.id, def_b.id, DATA_DEPENDENCY)
@@ -72,7 +73,7 @@ class G {
 
 def test_el_globals_have_no_body_edges(el_repo):
     model, g, _ = parse_and_build(el_repo)
-    add_global_nodes(g, extract_globals(model), model)
+    add_global_nodes(g, model.globals, model)
     for decl in model.globals:
         if not decl.variable:
             continue
@@ -165,7 +166,7 @@ def test_one_callee_called_twice_asks_once_and_removes_once(tmp_path):
     stmt = _stmt_at(model, 20)
     entries = _area_entries(model)
     assert {e.dst for e in g.out_edges(stmt.id, CALL)} == set(entries.values())
-    oracle = RecordingOracle(MockResolutionOracle())
+    oracle = Recorder(MockResolutionOracle(), "site")
     audit = []
     enhance_polymorphic_calls(g, oracle, model, audit=audit)
     assert len(oracle.records) == 1
@@ -255,7 +256,7 @@ public class R {
     model, g, _ = parse_and_build(root)
     stmt = _stmt_at(model, 7)
     show = next(f for f in model.functions.values() if f.name == "show")
-    oracle = RecordingOracle(MockResolutionOracle())
+    oracle = Recorder(MockResolutionOracle(), "site")
     audit = []
     enhance_reflective_calls(g, oracle, model, audit=audit)
     assert len(oracle.records) == 2  # one class and one method question
@@ -269,12 +270,12 @@ public class R {
 def test_record_replay_reproduces_graph(reflect_repo, tmp_path):
     model, g, _ = parse_and_build(reflect_repo)
     targets = resolve_label_targets(model)
-    recorder = RecordingOracle(MockResolutionOracle())
+    recorder = Recorder(MockResolutionOracle(), "site")
     first = enhance_graph(model, g, recorder, jump_targets=targets)
     path = tmp_path / "resolution.jsonl"
     recorder.save(str(path))
     model2, g2, _ = parse_and_build(reflect_repo)
-    replay = ReplayOracle(str(path))
+    replay = Replay(str(path), "site")
     second = enhance_graph(model2, g2, replay, jump_targets=resolve_label_targets(model2))
     assert first.graph.dump() == second.graph.dump()
 

@@ -3,7 +3,7 @@ import pytest
 from conftest import fixture_path, write_repo
 
 from udgscan.errors import DiagnosticSink, HierarchyCycle
-from udgscan.frontend.analysis import build_type_hierarchy, extract_globals, resolve_label_targets
+from udgscan.frontend.analysis import build_type_hierarchy, resolve_label_targets
 from udgscan.frontend.parser import FrontendConfig, parse_repository
 
 MINIMAL = """package p;
@@ -76,7 +76,7 @@ def test_el_fixture_statement_coverage(el_repo):
 
 def test_el_fixture_globals(el_repo):
     model = parse_repository(el_repo)
-    globals_list = extract_globals(model)
+    globals_list = model.globals
     by_kind = {}
     for g in globals_list:
         kind = model.stmt(g.statement).kind
@@ -124,6 +124,18 @@ class L {
     model = parse_repository(root, diagnostics=diags)
     assert len(model.files) == 1
     assert any("subset violation" in d.message for d in diags.items)
+
+
+def test_skipped_file_keeps_no_diagnostics_from_its_parse(tmp_path):
+    src = "class C { static { int z = 0; } void h() { Runnable r = () -> {}; } }"
+    root = write_repo(tmp_path, {"C.java": src})
+    diags = DiagnosticSink()
+    model = parse_repository(root, diagnostics=diags)
+    assert model.files == []
+    # The warning about the initializer block went with the file.
+    assert [(d.severity, d.message) for d in diags.items] == [
+        ("error", "subset violation: lambdas and method references are outside the subset")
+    ]
 
 
 def test_hierarchy_overrides(tmp_path):

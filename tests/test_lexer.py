@@ -3,10 +3,13 @@
 `reference_tokenize` is that lexer, kept verbatim (with a local `Token`
 that still has the `col` field it filled). The regex tokenizer must give
 the same (kind, text, line, start, end) tuples, or raise the same subset
-violation with the same line and message, on any input. The one allowed
-difference: a string or char literal whose last character in the file is
+violation with the same line and message, on any input. Two differences
+are allowed. A string or char literal whose last character in the file is
 a backslash made the reference index past the end of the text
 (`IndexError`); it is now the matching "unterminated ... literal" error.
+And the reference let a char literal run across line breaks to the next
+quote; such a literal is now an "unterminated char literal" at its line,
+as a string literal already was.
 
 The fuzzed strings leave out non-decimal Unicode digits such as `²` or
 `½`. They are not legal Java, and the two lexers disagree on them: the
@@ -18,7 +21,7 @@ import os
 from collections import namedtuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES
@@ -136,7 +139,28 @@ def lex(tokenizer, text):
         return (exc.line, exc.message)
 
 
+def multiline_char_line(text):
+    """The line of the first char literal the reference lexes across a line
+    break, or None. The extent of the reference's tokens up to a char
+    literal does not depend on the text after it, so each quote is tried as
+    the end of a prefix."""
+    for end in range(1, len(text) + 1):
+        if text[end - 1] != "'":
+            continue
+        try:
+            tokens = reference_tokenize(text[:end])
+        except (SubsetViolation, IndexError):
+            continue
+        last = tokens[-1] if tokens else None
+        if last and last.kind == "char" and last.end == end and "\n" in last.text:
+            return last.line
+    return None
+
+
 def expected(text):
+    line = multiline_char_line(text)
+    if line is not None:
+        return (line, "unterminated char literal")
     try:
         return lex(reference_tokenize, text)
     except IndexError:
@@ -159,6 +183,12 @@ FRAGMENTS = (
 
 @settings(derandomize=True, database=None, max_examples=600, deadline=None)
 @given(st.lists(st.sampled_from(FRAGMENTS), max_size=40).map("".join), st.sampled_from(["", "\\"]))
+# Char literals across line breaks, which the fuzzed strings rarely hold.
+@example("char d = 'x;\nint y = 'b;", "")
+@example("a\n'b\n'", "\\")
+@example("'\\\n' 'x", "\\")
+@example("/* ' */ '\n'", "")
+@example("\"'\" 'a'\n'b", "")
 def test_tokenize_matches_reference(text, tail):
     assert lex(tokenize, text + tail) == expected(text + tail)
 
@@ -186,6 +216,7 @@ def test_tokenize_matches_reference_on_fixtures_and_generated_programs():
         ('int a;\nString s = "ab\\', 2, "unterminated string literal"),
         ("int a;\n\nchar c = '\\", 3, "unterminated char literal"),
         ('String s = "ab\nc";', 1, "unterminated string literal"),
+        ("char d = 'x;\nint y = 'b;", 1, "unterminated char literal"),
         ("int a;\n/* open\n\n", 3, "unterminated block comment"),
         ("int a; /*", 1, "unterminated block comment"),
     ],

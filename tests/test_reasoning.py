@@ -12,15 +12,10 @@ from udgscan.enhance.oracle import MockResolutionOracle
 from udgscan.enhance.pipeline import enhance_graph
 from udgscan.errors import AllRoundsFailed, ClientTransportError
 from udgscan.knowledge import load_starter_kb
-from udgscan.reasoning.clients import (
-    LiveClientConfig,
-    LiveInferenceClient,
-    MockInferenceClient,
-    TranscriptRecorder,
-    TranscriptReplayClient,
-)
+from udgscan.reasoning.clients import LiveClientConfig, LiveInferenceClient, MockInferenceClient
 from udgscan.reasoning.prompt import STEP_HEADERS, build_detection_prompt
 from udgscan.reasoning.votes import aggregate_votes, parse_verdict, query_rounds
+from udgscan.transcript import Recorder, Replay
 
 YES = json.dumps({"explanation": "tainted path", "is_vulnerable": True})
 NO = json.dumps({"explanation": "sanitized", "is_vulnerable": False})
@@ -184,10 +179,10 @@ def test_aggregation_permutation_invariant():
 def test_transcript_replay_bit_exact(el_repo, tmp_path):
     ctx, inv, kb = el_context(el_repo)
     prompt = build_detection_prompt(ctx, (inv.api, "CWE-74"), kb)
-    recorder = TranscriptRecorder(MockInferenceClient(script=[NO, YES, NO]))
+    recorder = Recorder(MockInferenceClient(script=[NO, YES, NO]), "round")
     first = query_rounds(recorder, prompt, 3)
     path = tmp_path / "inference.jsonl"
     recorder.save(str(path))
-    replay = TranscriptReplayClient(str(path))
+    replay = Replay(str(path), "round")
     second = query_rounds(replay, prompt, 3)
     assert [v.raw for v in first] == [v.raw for v in second]
