@@ -139,7 +139,7 @@ def holistic_context(
         # never changes while statements are dropped, so it is computed once.
         drop_order = sorted(
             (sid for sid in all_ids if sid not in protected),
-            key=lambda sid: (distances.get(sid, 99), model.statements[sid].sort_key()),
+            key=lambda sid: (distances.get(sid, 99), g.nodes[sid].sort_key()),
             reverse=True,
         )
         for victim in drop_order:

@@ -73,11 +73,6 @@ def definition_context(
         for u in stmt.uses:
             v_use.setdefault(u, []).append(sid)
 
-    global_defs: dict[str, list[str]] = {}
-    for decl in model.globals:
-        if decl.variable:
-            global_defs.setdefault(decl.variable, []).append(decl.statement)
-
     notes: list[str] = []
     pieces: list[ContextSlice] = []
     extra: set[str] = set()
@@ -91,7 +86,7 @@ def definition_context(
                 pieces.append(data_slice(g, stmt, "backward"))
                 continue
             lookup = name[5:] if name.startswith("this.") else name
-            candidates = global_defs.get(lookup, [])
+            candidates = model.global_defs.get(lookup, [])
             if not candidates:
                 notes.append(f"unresolved variable {name} at {stmt.file}:{stmt.start_line}")
                 continue
@@ -112,20 +107,16 @@ def definition_context(
 
 def _closest_global(model: RepoModel, use_stmt, candidates: list[str]) -> str:
     """Prefer a global declared in the class enclosing the usage."""
-    owner_class = None
     func = model.functions.get(use_stmt.owner)
-    if func is not None:
-        owner_class = func.class_name
     chain = []
-    cur = model.classes.get(owner_class) if owner_class else None
+    cur = model.classes.get(func.class_name) if func is not None else None
     while cur is not None:
         chain.append(cur.name)
         cur = model.classes.get(cur.enclosing) if cur.enclosing else None
     for decl_class in chain:
         for sid in candidates:
-            for decl in model.globals:
-                if decl.statement == sid and decl.class_name == decl_class:
-                    return sid
+            if model.owner_class.get(sid) == decl_class:
+                return sid
     return sorted(candidates)[0]
 
 
@@ -138,36 +129,23 @@ def declaration_context(statement_ids: list[str], model: RepoModel) -> ContextSl
     """
     files: set[str] = set()
     enclosing_classes: set[str] = set()
-    global_class_of: dict[str, str] = {}
-    for decl in model.globals:
-        if decl.class_name:
-            global_class_of[decl.statement] = decl.class_name
     for sid in statement_ids:
         stmt = model.statements.get(sid)
         if stmt is None or stmt.synthetic:
             continue
-        if stmt.file != "<external>":
-            files.add(stmt.file)
-        cls_name = None
+        files.add(stmt.file)
         func = model.functions.get(stmt.owner)
-        if func is not None:
-            cls_name = func.class_name
-        elif sid in global_class_of:
-            cls_name = global_class_of[sid]
+        cls_name = func.class_name if func is not None else model.owner_class.get(sid)
         cur = model.classes.get(cls_name) if cls_name else None
         while cur is not None:
             enclosing_classes.add(cur.name)
             cur = model.classes.get(cur.enclosing) if cur.enclosing else None
 
-    ids: set[str] = set()
+    ids = {model.classes[name].decl_statement for name in enclosing_classes}
     for path in files:
         source = model.file_by_path(path)
         if source is not None:
             ids.update(source.declarations)
-    for cls in model.classes.values():
-        if cls.decl_statement and (
-            (cls.is_top_level and cls.file in files) or cls.name in enclosing_classes
-        ):
-            ids.add(cls.decl_statement)
+            ids.update(source.classes)
     ordered = sorted(ids, key=lambda sid: model.statements[sid].sort_key())
     return ContextSlice(kind="declaration", statements=ordered, depths={sid: 0 for sid in ordered})

@@ -52,7 +52,8 @@ def find_sensitive_invocations(
                         origin="knowledge_base",
                     )
     for sink in user_sinks or []:
-        for fid in sorted(model.functions):
+        # `matches_function` needs the method name to equal the pattern's last segment.
+        for fid in sorted(model.functions_by_name.get(sink.pattern.rsplit(".", 1)[-1], ())):
             func = model.functions[fid]
             if not sink.matches_function(func):
                 continue

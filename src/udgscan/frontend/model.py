@@ -76,10 +76,6 @@ class StatementNode:
     jump_kind: str = ""  # "break" | "continue" for kind == "jump"
     jump_label: str = ""  # label name for labeled jumps, "" when unlabeled
 
-    @property
-    def line_span(self) -> tuple[int, int]:
-        return (self.start_line, self.end_line)
-
     def span_lines(self) -> range:
         return range(self.start_line, self.end_line + 1)
 
@@ -179,6 +175,7 @@ class SourceFile:
     text: str
     lines: list[str] = field(default_factory=list)
     declarations: list[str] = field(default_factory=list)  # package_decl/import_decl statement ids
+    classes: list[str] = field(default_factory=list)  # class_decl statement ids of top-level classes
     trivia: list[bool] = field(default_factory=list)  # per line: no token but { } ( ) ; , starts there
 
     def __post_init__(self):
@@ -191,6 +188,14 @@ class SourceFile:
 
 @dataclass
 class RepoModel:
+    """The parsed repository.
+
+    The parser fills a fresh model, a fragment, with each file; `merge` adds
+    a parsed fragment and the lookups over it, and nothing else writes the
+    model.  It is read-only once `parse_repository` returns, apart from the
+    `hierarchy` that `build_type_hierarchy` sets.
+    """
+
     root: str
     files: list[SourceFile] = field(default_factory=list)
     functions: dict[str, FunctionDecl] = field(default_factory=dict)
@@ -199,16 +204,38 @@ class RepoModel:
     statements: dict[str, StatementNode] = field(default_factory=dict)
     hierarchy: TypeHierarchy = field(default_factory=TypeHierarchy)
     bodies: dict[str, list] = field(default_factory=dict)  # function id -> structured statements
-    diagnostics: object = None  # DiagnosticSink attached by parse_repository
-    _files_by_path: dict[str, SourceFile] = field(init=False, repr=False, compare=False)
+    # Lookups kept by `merge`.
+    owner_class: dict[str, str] = field(default_factory=dict, init=False, repr=False, compare=False)
+    global_defs: dict[str, list[str]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    functions_by_name: dict[str, list[str]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _files_by_path: dict[str, SourceFile] = field(default_factory=dict, init=False, repr=False, compare=False)
+    _by_simple_name: dict[str, list[str]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        self._files_by_path = {f.path: f for f in self.files}
+    def merge(self, fragment: RepoModel, source: SourceFile) -> None:
+        """Add one parsed file, whose nodes and declarations `fragment` holds.
 
-    def add_file(self, source: SourceFile) -> None:
-        """Append a parsed file; files are only ever added this way."""
+        `owner_class` maps each global statement to the class it belongs to
+        (a class declaration to its own class), `global_defs` each global
+        variable to its defining statements, `functions_by_name` each method
+        name to its function ids.
+        """
         self.files.append(source)
         self._files_by_path[source.path] = source
+        self.statements.update(fragment.statements)
+        self.bodies.update(fragment.bodies)
+        for fid, func in fragment.functions.items():
+            self.functions[fid] = func
+            self.functions_by_name.setdefault(func.name, []).append(fid)
+        for name, cls in fragment.classes.items():
+            if name not in self.classes:
+                self._by_simple_name.setdefault(cls.simple_name, []).append(name)
+            self.classes[name] = cls  # a later file's class shadows an equal fqn
+        for decl in fragment.globals:
+            self.globals.append(decl)
+            if decl.class_name:
+                self.owner_class[decl.statement] = decl.class_name
+            if decl.variable:
+                self.global_defs.setdefault(decl.variable, []).append(decl.statement)
 
     def stmt(self, sid: str) -> StatementNode:
         return self.statements[sid]
@@ -217,10 +244,8 @@ class RepoModel:
         return self._files_by_path.get(path)
 
     def class_by_simple_name(self, simple: str) -> ClassDecl | None:
-        hits = [c for c in self.classes.values() if c.simple_name == simple]
-        if len(hits) == 1:
-            return hits[0]
-        return None
+        hits = self._by_simple_name.get(simple, [])
+        return self.classes[hits[0]] if len(hits) == 1 else None
 
     def resolve_class(self, name: str) -> ClassDecl | None:
         if name in self.classes:
@@ -239,6 +264,3 @@ class RepoModel:
             for f in self.functions_of(class_name)
             if f.name == method and f.arity == arity
         ]
-
-    def sorted_statements(self) -> list[StatementNode]:
-        return sorted(self.statements.values(), key=lambda s: s.sort_key())

@@ -2,7 +2,9 @@
 
 The parser produces a RepoModel: statement nodes with verbatim text, line
 spans, and syntactic def/use sets, plus classes, functions, globals, and the
-structured statement forms used by control-flow construction.
+structured statement forms used by control-flow construction.  Each file is
+parsed into a fragment of its own, which is merged into the model only when
+the whole file parses.
 
 Supported subset: package/import declarations; classes (single extends,
 multiple implements), interfaces and annotation types; static and instance
@@ -79,13 +81,15 @@ class _Scope:
 class _PendingBody:
     function: FunctionDecl
     tokens: list[Token]
-    field_scope: list[str]  # enclosing class chain, innermost first
+    cls: ClassDecl
 
 
 class _FileParser:
-    def __init__(self, source: SourceFile, model: RepoModel, diagnostics: DiagnosticSink):
+    """Parses one file into `fragment`, a model that holds only this file."""
+
+    def __init__(self, source: SourceFile, fragment: RepoModel, diagnostics: DiagnosticSink):
         self.src = source
-        self.model = model
+        self.fragment = fragment
         self.diag = diagnostics
         self.tokens = tokenize(source.text, source.path)
         source.trivia = [True] * len(source.lines)
@@ -95,7 +99,7 @@ class _FileParser:
         self.pos = 0
         self.counter = 0
         self.pending: list[_PendingBody] = []
-        self.pending_fields: list[tuple] = []  # (node, cls, [(name, init tokens)])
+        self.pending_fields: list[tuple] = []  # (node, cls, [(GlobalDecl, init tokens)])
         self.package = ""
 
     # ------------------------------------------------------------------ tokens
@@ -138,7 +142,7 @@ class _FileParser:
             code=self.src.text[first.start : last.end],
             **kw,
         )
-        self.model.statements[node.id] = node
+        self.fragment.statements[node.id] = node
         return node
 
     # ------------------------------------------------------------- file level
@@ -151,7 +155,7 @@ class _FileParser:
             last = self.next()
             self.package = self.src.text[first.end : last.start].strip()
             node = self.make_node("package_decl", first, last)
-            self.model.globals.append(GlobalDecl(statement=node.id))
+            self.fragment.globals.append(GlobalDecl(statement=node.id))
             self.src.declarations.append(node.id)
         while self.at("import"):
             first = self.next()
@@ -159,7 +163,7 @@ class _FileParser:
                 self.next()
             last = self.next()
             node = self.make_node("import_decl", first, last)
-            self.model.globals.append(GlobalDecl(statement=node.id))
+            self.fragment.globals.append(GlobalDecl(statement=node.id))
             self.src.declarations.append(node.id)
         while self.peek() is not None:
             if self.at(";"):
@@ -169,17 +173,11 @@ class _FileParser:
         # Initializers and bodies are resolved once every class and field of
         # the file is known (fields may be referenced before declaration).
         for node, cls, declarators in self.pending_fields:
-            scope = _Scope()
             fields = self.field_names_for(cls)
-            per_decl: dict[str, set[str]] = {}
-            for decl_name, init in declarators:
-                u, c = extract_expression(init, scope, self.src.path, field_names=fields)
-                per_decl[decl_name] = u
-                node.uses |= u
-                node.calls.extend(c)
-            for g in self.model.globals:
-                if g.statement == node.id and g.variable in per_decl:
-                    g.rhs_uses = per_decl[g.variable]
+            for decl, init in declarators:
+                decl.rhs_uses, calls = extract_expression(init, _Scope(), self.src.path, field_names=fields)
+                node.uses |= decl.rhs_uses
+                node.calls.extend(calls)
         for pend in self.pending:
             self.parse_body(pend)
 
@@ -256,8 +254,10 @@ class _FileParser:
             enclosing=enclosing,
             file=self.src.path,
         )
-        self.model.classes[fqn] = cls
-        self.model.globals.append(GlobalDecl(statement=decl_node.id, class_name=fqn))
+        self.fragment.classes[fqn] = cls
+        if enclosing is None:
+            self.src.classes.append(decl_node.id)
+        self.fragment.globals.append(GlobalDecl(statement=decl_node.id, class_name=fqn))
         is_interface = keyword.text == "interface" or is_annotation
         while not self.at("}"):
             if self.peek() is None:
@@ -335,27 +335,24 @@ class _FileParser:
         last = self.next()  # ';'
         defs = {decl_name for decl_name, _ in declarators}
         node = self.make_node("global_def", first, last, defs=defs, owner="global")
-        self.pending_fields.append((node, cls, declarators))
-        for decl_name, _ in declarators:
-            g = GlobalDecl(
-                statement=node.id,
-                variable=decl_name,
-                rhs_uses=set(),
-                class_name=cls.name,
-                declared_type=type_name,
-            )
-            self.model.globals.append(g)
+        decls = []
+        for decl_name, init in declarators:
+            g = GlobalDecl(statement=node.id, variable=decl_name, class_name=cls.name, declared_type=type_name)
+            self.fragment.globals.append(g)
             cls.fields.append(node.id)
+            decls.append((g, init))
+        self.pending_fields.append((node, cls, decls))
 
     def field_names_for(self, cls: ClassDecl) -> dict[str, str]:
-        """Field name -> declared type over the enclosing class chain."""
+        """Field name -> declared type over the enclosing class chain, from
+        this file's own fields."""
         names: dict[str, str] = {}
         cur: ClassDecl | None = cls
         while cur is not None:
-            for g in self.model.globals:
+            for g in self.fragment.globals:
                 if g.class_name == cur.name and g.variable:
                     names.setdefault(g.variable, g.declared_type)
-            cur = self.model.classes.get(cur.enclosing) if cur.enclosing else None
+            cur = self.fragment.classes.get(cur.enclosing) if cur.enclosing else None
         return names
 
     def parse_callable(
@@ -391,9 +388,9 @@ class _FileParser:
                 self.next()
                 self.parse_type()
         fid = f"{self.src.path}#{cls.name}.{name}/{len(params)}"
-        if fid in self.model.functions:  # same-arity overloads
+        if fid in self.fragment.functions:  # same-arity overloads
             k = 2
-            while f"{fid}#{k}" in self.model.functions:
+            while f"{fid}#{k}" in self.fragment.functions:
                 k += 1
             fid = f"{fid}#{k}"
         func = FunctionDecl(
@@ -411,7 +408,7 @@ class _FileParser:
             "entry", first, close, owner=fid, defs=set(params), synthetic=True
         )
         func.entry = entry.id
-        self.model.functions[fid] = func
+        self.fragment.functions[fid] = func
         cls.methods.append(fid)
         if self.at(";"):  # abstract/interface method
             self.next()
@@ -431,12 +428,7 @@ class _FileParser:
                 depth -= 1
         exit_node = self.make_node("exit", body[-1], body[-1], owner=fid, synthetic=True)
         func.exit = exit_node.id
-        chain = [cls.name]
-        cur = cls
-        while cur.enclosing:
-            chain.append(cur.enclosing)
-            cur = self.model.classes[cur.enclosing]
-        self.pending.append(_PendingBody(function=func, tokens=body, field_scope=chain))
+        self.pending.append(_PendingBody(function=func, tokens=body, cls=cls))
 
     # ------------------------------------------------------------ method body
 
@@ -445,14 +437,9 @@ class _FileParser:
         scope = _Scope()
         for p, t in zip(func.params, func.param_types):
             scope.declare(p, t)
-        fields: dict[str, str] = {}
-        for cname in pend.field_scope:
-            for g in self.model.globals:
-                if g.class_name == cname and g.variable:
-                    fields.setdefault(g.variable, g.declared_type)
-        sub = _BodyParser(self, func, scope, fields)
+        sub = _BodyParser(self, func, scope, self.field_names_for(pend.cls))
         stmts = sub.parse_block_tokens(pend.tokens)
-        self.model.bodies[func.id] = stmts
+        self.fragment.bodies[func.id] = stmts
         func.var_types = dict(scope.var_types)
         func.body = [sid for sid in _collect_ids(stmts)]
 
@@ -1210,34 +1197,26 @@ def _split_args(tokens: list[Token], paren: int) -> tuple[list[list[Token]], int
 
 
 def parse_source(path: str, text: str, model: RepoModel, diagnostics: DiagnosticSink) -> bool:
-    """Parse one file into the model; returns False when the file is skipped."""
+    """Parse one file into the model; returns False when the file is skipped.
+
+    The file is parsed into a fragment and a diagnostic sink of its own, and
+    both are merged only on success: a skipped file leaves nothing but its
+    error behind.
+    """
     source = SourceFile(path=path, text=text)
-    reported = len(diagnostics.items)
-    checkpoint = (
-        dict(model.statements),
-        dict(model.functions),
-        dict(model.classes),
-        list(model.globals),
-        dict(model.bodies),
-    )
+    fragment = RepoModel(root=model.root)
+    local = DiagnosticSink()
     try:
-        _FileParser(source, model, diagnostics).parse_file()
-        model.add_file(source)
-        return True
-    except (SubsetViolation, IndexError) as exc:
-        model.statements, model.functions, model.classes, model.globals, model.bodies = (
-            checkpoint[0],
-            checkpoint[1],
-            checkpoint[2],
-            checkpoint[3],
-            checkpoint[4],
-        )
-        del diagnostics.items[reported:]  # warnings about code that is skipped
-        if isinstance(exc, SubsetViolation):
-            diagnostics.add("error", "frontend", f"subset violation: {exc.message}", exc.path, exc.line)
-        else:
-            diagnostics.add("error", "frontend", "subset violation: truncated construct", path)
+        _FileParser(source, fragment, local).parse_file()
+    except SubsetViolation as exc:
+        diagnostics.add("error", "frontend", f"subset violation: {exc.message}", exc.path, exc.line)
         return False
+    except IndexError:
+        diagnostics.add("error", "frontend", "subset violation: truncated construct", path)
+        return False
+    model.merge(fragment, source)
+    diagnostics.extend(local)
+    return True
 
 
 def parse_repository(
@@ -1256,7 +1235,6 @@ def parse_repository(
     if not os.path.isdir(root):
         raise IOError(f"repository root does not exist: {root}")
     model = RepoModel(root=root)
-    model.diagnostics = diagnostics
     paths: list[str] = []
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames.sort()

@@ -17,9 +17,6 @@ class PairedSample:
     patched_dir: str
     cwe: str = ""
 
-    def label_pair(self) -> tuple[int, int]:
-        return (1, 0)
-
 
 def normalized_hash(repo_dir: str) -> str:
     """MD5 over path-sorted file contents with all formatting characters

@@ -34,7 +34,6 @@ def assemble_original_udg(model: RepoModel) -> UnifiedDependencyGraph:
     call_edges, externals = build_call_graph(model, model.hierarchy)
     for node in sorted(externals.values(), key=lambda n: n.id):
         g.add_node(node)
-        model.statements.setdefault(node.id, node)
     for e in call_edges:
         g.add_edge(e)
     return g

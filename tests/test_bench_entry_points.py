@@ -1,0 +1,51 @@
+"""The scanner entry points the benchmark under `bench/` relies on.
+
+The benchmark traces scanner functions by module and name, and its checks
+parse each generated file on its own into a fresh model.  These tests keep
+a frontend or pipeline refactor that breaks either from passing here and
+failing only in a benchmark run.
+"""
+
+import os
+import sys
+
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+sys.path.insert(0, BENCH)
+
+import checks  # noqa: E402
+import spans  # noqa: E402
+import workloads  # noqa: E402
+
+from udgscan.errors import DiagnosticSink  # noqa: E402
+from udgscan.frontend.model import RepoModel  # noqa: E402
+from udgscan.frontend.parser import parse_source  # noqa: E402
+from udgscan.harness.generate import random_summary_program  # noqa: E402
+
+GOOD = random_summary_program(7)
+BAD = "class Bad {\n    void m() {\n        Runnable r = () -> m();\n    }\n}\n"
+
+
+def test_traced_boundaries_exist():
+    spans.check_boundaries()
+
+
+def test_parse_source_into_a_fresh_model():
+    model, diagnostics = RepoModel(root=""), DiagnosticSink()
+    assert parse_source("p/Gen.java", GOOD, model, diagnostics)
+    assert [f.path for f in model.files] == ["p/Gen.java"]
+    assert model.functions and model.statements
+    assert not diagnostics.items
+
+    model, diagnostics = RepoModel(root=""), DiagnosticSink()
+    assert not parse_source("Bad.java", BAD, model, diagnostics)
+    assert not model.files and not model.statements
+    assert [(d.severity, d.path, d.line) for d in diagnostics.items] == [("error", "Bad.java", 3)]
+
+
+def test_bench_checks_parse_one_file_at_a_time():
+    corpus = workloads.Corpus(files={"p/Gen.java": GOOD, "Bad.java": BAD}, summary_files=["p/Gen.java"])
+    errors = checks.parse_errors(corpus)
+    assert len(errors) == 1 and "Bad.java:3" in errors[0]
+    assert checks.summary_mismatches(corpus, {}) > 0  # no scan summaries: every function mismatches
+    prunable, statements = workloads.prunable_statements("p/Gen.java", GOOD)
+    assert 0 <= prunable <= statements and statements > 0

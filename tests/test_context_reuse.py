@@ -59,7 +59,7 @@ def rebuild_and_max_budget(g, model, ctx, token_budget, tokenizer):
             break
         victim = max(
             candidates,
-            key=lambda sid: (distances.get(sid, 99), model.statements[sid].sort_key()),
+            key=lambda sid: (distances.get(sid, 99), g.nodes[sid].sort_key()),
         )
         kept.remove(victim)
         dropped += 1

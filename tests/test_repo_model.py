@@ -1,0 +1,300 @@
+"""The repository model: built file by file from parsed fragments, read-only
+once parsing ends, and the lookups `RepoModel.merge` keeps for its readers."""
+
+import importlib
+import json
+import os
+
+import pytest
+
+from conftest import FIXTURES, copy_fixture_repo, parse_and_build, write_repo
+
+from udgscan.context.implicit import declaration_context
+from udgscan.context.sinks import find_sensitive_invocations
+from udgscan.enhance.oracle import MockResolutionOracle
+from udgscan.enhance.pipeline import enhance_graph
+from udgscan.harness.scan import ScanConfig, scan
+from udgscan.knowledge import UserSinkSpec, load_starter_kb
+from udgscan.udg.graph import CALL
+
+FIXTURE_NAMES = sorted(os.listdir(FIXTURES))
+
+
+# ------------------------------------------------------------ read-only model
+
+
+def _snapshot(model):
+    return (
+        list(model.statements),
+        list(model.functions),
+        list(model.classes),
+        [g.statement for g in model.globals],
+        list(model.bodies),
+        [f.path for f in model.files],
+    )
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_scan_leaves_the_parsed_model_unchanged(monkeypatch, name):
+    scan_module = importlib.import_module("udgscan.harness.scan")
+    parsed = []
+    parse_repository = scan_module.parse_repository
+
+    def parse_and_snapshot(*args, **kwargs):
+        model = parse_repository(*args, **kwargs)
+        parsed.append(_snapshot(model))
+        return model
+
+    monkeypatch.setattr(scan_module, "parse_repository", parse_and_snapshot)
+    result = scan(ScanConfig(repo=os.path.join(FIXTURES, name)))
+    assert parsed == [_snapshot(result.model)]
+    assert not [sid for sid in result.model.statements if sid.startswith("external:")]
+
+
+def test_external_nodes_belong_to_the_graph(el_repo):
+    model, g, _ = parse_and_build(el_repo)
+    externals = [sid for sid in g.nodes if sid.startswith("external:")]
+    assert externals
+    assert not set(externals) & set(model.statements)
+
+
+# ------------------------------------------------------------ user sink index
+
+SINK_REPO = {
+    "p/Dao.java": """package p;
+class Dao {
+    String rawQuery(String q) {
+        return q;
+    }
+    String rawQuery(String q, int limit) {
+        return q;
+    }
+    static class Inner {
+        String run(String cmd) {
+            return cmd;
+        }
+    }
+}
+""",
+    "q/Store.java": """package q;
+class Store {
+    String rawQuery(String q) {
+        return q;
+    }
+    String run(String cmd) {
+        return cmd;
+    }
+}
+""",
+    "p/Use.java": """package p;
+class Use {
+    String go(Dao d, Dao.Inner i, q.Store e, String s) {
+        String a = d.rawQuery(s);
+        String b = d.rawQuery(s, 3);
+        String c = i.run(s);
+        String x = e.rawQuery(s);
+        String y = e.run(s);
+        return a + b + c + x + y;
+    }
+}
+""",
+}
+
+SINK_PATTERNS = [
+    UserSinkSpec(pattern="Dao.rawQuery", cwe_id="CWE-89"),
+    UserSinkSpec(pattern="rawQuery", cwe_id="CWE-89", arity=2),
+    UserSinkSpec(pattern="p.Dao.rawQuery", cwe_id="CWE-89", arity=1),
+    UserSinkSpec(pattern="Dao.Inner.run", cwe_id="CWE-78"),
+    UserSinkSpec(pattern="p.Dao.Inner.run", cwe_id="CWE-78", arity=1),
+    UserSinkSpec(pattern="Inner.run", cwe_id="CWE-78", arity=2),
+    UserSinkSpec(pattern="run", cwe_id="CWE-78"),
+    UserSinkSpec(pattern="Store.run", cwe_id="CWE-78", arity=1),
+    UserSinkSpec(pattern="q.Dao.rawQuery", cwe_id="CWE-89"),
+    UserSinkSpec(pattern="Nowhere.missing", cwe_id="CWE-89"),
+]
+
+
+def _brute_force_user_sinks(g, model, sinks):
+    """(statement, pattern) pairs of every function any sink matches, over
+    all functions as the scan did before functions were indexed by name."""
+    found = set()
+    for sink in sinks:
+        for fid in sorted(model.functions):
+            func = model.functions[fid]
+            if not sink.matches_function(func):
+                continue
+            for e in g.in_edges(func.entry, CALL):
+                src = g.nodes.get(e.src)
+                if src is not None and not src.synthetic:
+                    found.add((src.id, sink.pattern))
+    return found
+
+
+def test_user_sinks_match_as_the_brute_force_loop(tmp_path):
+    model, g, diags = parse_and_build(write_repo(tmp_path, SINK_REPO))
+    g = enhance_graph(model, g, MockResolutionOracle(), diags).graph
+    kb = load_starter_kb()
+    base = {(i.statement, i.api) for i in find_sensitive_invocations(g, model, kb)}
+    for sink in SINK_PATTERNS:
+        got = {(i.statement, i.api) for i in find_sensitive_invocations(g, model, kb, [sink])} - base
+        assert got == _brute_force_user_sinks(g, model, [sink]), sink.pattern
+    invs = find_sensitive_invocations(g, model, kb, SINK_PATTERNS)
+    got = {(i.statement, i.api) for i in invs if i.origin == "user_sink"}
+    expected = _brute_force_user_sinks(g, model, SINK_PATTERNS)
+    assert got == expected
+    matched: dict[str, int] = {}
+    for _, api in expected:
+        matched[api] = matched.get(api, 0) + 1
+    assert matched == {
+        "Dao.rawQuery": 2,
+        "rawQuery": 1,
+        "p.Dao.rawQuery": 1,
+        "Dao.Inner.run": 1,
+        "p.Dao.Inner.run": 1,
+        "run": 2,
+        "Store.run": 1,
+    }
+
+
+# ------------------------------------------------------ skipped file = absent
+
+# Each F declares a class the other files name and fields whose names they
+# use, then breaks the subset in its last method body: parsed and merged, it
+# would change call resolution, field scopes and definition lookups.
+SKIPPED = {
+    "el_template_validation": (
+        "A_Shadow.java",
+        """package com.example.validation;
+public class MessageSanitizer {
+    static final String PARAM_NAME = "shadow";
+    static final String ESCAPE_CHARACTER = "";
+    static String escape(String input) {
+        return input + PARAM_NAME;
+    }
+    void broken() {
+        Runnable r = () -> escape(ESCAPE_CHARACTER);
+    }
+}
+""",
+    ),
+    "reflective_dispatch": (
+        "A_Shadow.java",
+        """package com.example.search;
+public class PropertyClass {
+    String query = "q";
+    String type = "t";
+    public String displayPlain(String input) {
+        return input + query + type;
+    }
+    void broken() {
+        Runnable r = () -> displayPlain(query);
+    }
+}
+""",
+    ),
+    "dispatch": (
+        "Z_Shadow.java",
+        """package com.example.zoo;
+class Dog extends Animal {
+    int tag = 7;
+    String id(int t) {
+        return "shadow-" + tag;
+    }
+    String greet() {
+        Runnable r = () -> id(tag);
+        return "x";
+    }
+}
+""",
+    ),
+}
+
+
+def _outputs(repo, out_dir):
+    result = scan(ScanConfig(repo=repo, out_dir=out_dir, dump_context=True))
+    outputs = {}
+    for fname in sorted(os.listdir(out_dir)):
+        with open(os.path.join(out_dir, fname), "rb") as fh:
+            outputs[fname] = fh.read()
+    report = json.loads(outputs.pop("report.json"))
+    diagnostics = report.pop("diagnostics")
+    return result.exit_code, diagnostics, report, outputs
+
+
+@pytest.mark.parametrize("name", sorted(SKIPPED))
+def test_a_skipped_file_is_as_if_absent(tmp_path, name):
+    repo = copy_fixture_repo(tmp_path, name)
+    fname, text = SKIPPED[name]
+    path = os.path.join(repo, fname)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    code, diagnostics, report, outputs = _outputs(repo, str(tmp_path / "with"))
+    assert code == 3
+    assert [(d["severity"], d["path"]) for d in diagnostics if d["path"] == fname] == [("error", fname)]
+    os.remove(path)
+    code, diagnostics_without, report_without, outputs_without = _outputs(repo, str(tmp_path / "without"))
+    assert code == 0
+    assert [d for d in diagnostics if d["path"] != fname] == diagnostics_without
+    assert report == report_without
+    assert outputs == outputs_without
+    assert "audit.jsonl" in outputs
+
+
+# ---------------------------------------------- duplicate class names (fqn)
+
+DUPLICATES = {
+    "p/A.java": """package p;
+class Box {
+    String left = "l";
+    String show(String x) {
+        String y = x + left + right;
+        return y;
+    }
+}
+""",
+    "p/B.java": """package p;
+class Box {
+    String right = "r";
+    String show2(String x) {
+        String z = x + right + left;
+        return z;
+    }
+}
+""",
+}
+
+
+def test_duplicate_fully_qualified_class_names(tmp_path):
+    model, _, _ = parse_and_build(write_repo(tmp_path, DUPLICATES))
+    box_a, box_b = (model.file_by_path(p).classes for p in ("p/A.java", "p/B.java"))
+    # The later file's class is the one the model resolves, by either name.
+    resolved = model.classes["p.Box"]
+    assert resolved.file == "p/B.java" and [resolved.decl_statement] == box_b
+    assert model.resolve_class("Box") is resolved
+    assert model.class_by_simple_name("Box") is resolved
+    assert len(model.classes) == 1
+    assert sorted(f.file for f in model.functions.values()) == ["p/A.java", "p/B.java"]
+
+    # Each file sees only its own fields: `right` and `left` are unknown names
+    # in the file that does not declare them.
+    y = next(s for s in model.statements.values() if s.defs == {"y"})
+    z = next(s for s in model.statements.values() if s.defs == {"z"})
+    assert y.uses == {"x", "left"}
+    assert z.uses == {"x", "right"}
+    left, right = (model.global_defs[v] for v in ("left", "right"))
+    assert [model.stmt(sid).file for sid in left + right] == ["p/A.java", "p/B.java"]
+    assert model.owner_class[left[0]] == model.owner_class[right[0]] == "p.Box"
+
+    # A statement of A.java brings A.java's package and class declarations,
+    # and the declaration of the class the model resolves `p.Box` to.
+    ctx = declaration_context([y.id], model)
+    assert [(model.stmt(sid).file, model.stmt(sid).kind) for sid in ctx.statements] == [
+        ("p/A.java", "package_decl"),
+        ("p/A.java", "class_decl"),
+        ("p/B.java", "class_decl"),
+    ]
+    ctx = declaration_context([z.id], model)
+    assert [(model.stmt(sid).file, model.stmt(sid).kind) for sid in ctx.statements] == [
+        ("p/B.java", "package_decl"),
+        ("p/B.java", "class_decl"),
+    ]
