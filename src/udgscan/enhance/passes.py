@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 
-from ..errors import DiagnosticSink, OracleParseError
-from ..frontend.model import CallSite, GlobalDecl, JumpTarget, RepoModel, StatementNode
+from ..errors import ClientTransportError, DiagnosticSink, OracleParseError
+from ..frontend.model import (
+    CallSite,
+    ClassDecl,
+    FunctionDecl,
+    GlobalDecl,
+    JumpTarget,
+    RepoModel,
+    StatementNode,
+)
+from ..pool import RequestPool, issue, reserve
 from ..udg.calls import function_of_entry, is_invocation_pattern, site_targets
 from ..udg.graph import CALL, CONTROL_FLOW, DATA_DEPENDENCY, UdgEdge, UnifiedDependencyGraph
 from .oracle import ResolutionOracle, extract_json_object
@@ -84,13 +94,12 @@ def backward_dataflow_context(
 ) -> tuple[list[StatementNode], bool]:
     """Transitive backward closure over data edges for the requested
     variables; source order, truncated oldest-first at `cap` statements."""
-    frontier = [
+    work = deque(
         e.src for e in g.in_edges(stmt.id, DATA_DEPENDENCY) if e.variable in variables
-    ]
+    )
     seen: set[str] = set()
-    work = list(frontier)
     while work:
-        cur = work.pop(0)
+        cur = work.popleft()
         if cur in seen:
             continue
         seen.add(cur)
@@ -111,7 +120,7 @@ def _hierarchy_text(model: RepoModel) -> str:
         lines.append(f"{sub} extends {sup}")
     for cls in sorted(model.classes.values(), key=lambda c: c.name):
         for sup in cls.supertypes:
-            if model.resolve_class(sup) is None:
+            if model.resolve_class(sup, cls.file) is None:
                 lines.append(f"{cls.name} extends {sup} (external)")
     return "\n".join(lines)
 
@@ -122,12 +131,24 @@ def _call_statement_line(stmt: StatementNode, model: RepoModel) -> str:
     return f"{qual}:{stmt.start_line}| {stmt.code or stmt.text.strip()}"
 
 
+def _ask(oracle: ResolutionOracle, prompt: str, site: str) -> str:
+    return oracle.complete(prompt, site)
+
+
+def _call_sites(g: UnifiedDependencyGraph) -> list[StatementNode]:
+    return sorted(
+        (n for n in g.nodes.values() if n.calls and not n.synthetic),
+        key=lambda n: n.sort_key(),
+    )
+
+
 def enhance_polymorphic_calls(
     g: UnifiedDependencyGraph,
     oracle: ResolutionOracle,
     model: RepoModel,
     diagnostics: DiagnosticSink | None = None,
     audit: list[AuditEntry] | None = None,
+    pool: RequestPool | None = None,
 ) -> None:
     """Remove infeasible dispatch targets from `g` at call sites with >= 2
     in-repo candidates.  Unparseable or unmatched oracle answers keep every
@@ -135,12 +156,13 @@ def enhance_polymorphic_calls(
 
     Sites calling one callee (`a.m() + b.m()`) share its call edges: an edge
     is removed once, and only when no site's answer keeps it.  A prompt
-    already asked for at the statement is not asked again."""
-    ordered = sorted(
-        (n for n in g.nodes.values() if n.calls and not n.synthetic),
-        key=lambda n: n.sort_key(),
-    )
-    for stmt in ordered:
+    already asked for at the statement is not asked again.  Every prompt is
+    issued on `pool` (see `udgscan.pool`) before the first answer is read;
+    an edit at one statement changes no other statement's prompt."""
+    hierarchy = _hierarchy_text(model)
+    # (statement, candidates, [(answer, names an answer may give)] per prompt)
+    asked: list[tuple[StatementNode, tuple[str, ...], list]] = []
+    for stmt in _call_sites(g):
         per_site = site_targets(g, model, stmt)
         groups: dict[tuple[str, ...], list[int]] = {}
         for idx in range(len(stmt.calls)):
@@ -148,18 +170,22 @@ def enhance_polymorphic_calls(
             if len(targets) >= 2:
                 groups.setdefault(targets, []).append(idx)
         for targets, sites in groups.items():
-            answers: dict[str, set[str]] = {}
-            kept: set[str] = set()
+            answers: dict[str, tuple] = {}
             for idx in sites:
-                prompt, by_signature = _polymorphic_prompt(g, model, stmt, stmt.calls[idx], targets)
+                prompt, by_signature = _polymorphic_prompt(
+                    g, model, stmt, stmt.calls[idx], targets, hierarchy
+                )
                 if prompt not in answers:
-                    answers[prompt] = _feasible_targets(
-                        oracle, prompt, f"{stmt.id}/poly{idx}", by_signature, diagnostics, stmt
-                    ) or set(targets)
-                kept |= answers[prompt]
-            for t in sorted(set(targets) - kept):
-                if g.remove_edges({(stmt.id, t, CALL, None)}) and audit is not None:
-                    audit.append(AuditEntry("remove", CALL, stmt.id, t, "polymorphism"))
+                    answer = issue(pool, _ask, oracle, prompt, f"{stmt.id}/poly{idx}")
+                    answers[prompt] = (answer, by_signature)
+            asked.append((stmt, targets, list(answers.values())))
+    for stmt, targets, answers in asked:
+        kept: set[str] = set()
+        for answer, by_signature in answers:
+            kept |= _feasible_targets(answer, by_signature, diagnostics, stmt) or set(targets)
+        for t in sorted(set(targets) - kept):
+            if g.remove_edges({(stmt.id, t, CALL, None)}) and audit is not None:
+                audit.append(AuditEntry("remove", CALL, stmt.id, t, "polymorphism"))
 
 
 def _polymorphic_prompt(
@@ -168,6 +194,7 @@ def _polymorphic_prompt(
     stmt: StatementNode,
     site: CallSite,
     targets: tuple[str, ...],
+    hierarchy: str,
 ) -> tuple[str, dict[str, str]]:
     """The prompt for one call site, and each name an answer may give for a
     candidate mapped to its entry node."""
@@ -189,24 +216,20 @@ def _polymorphic_prompt(
         block,
         _call_statement_line(stmt, model),
         candidates,
-        _hierarchy_text(model),
+        hierarchy,
     )
     return prompt, by_signature
 
 
 def _feasible_targets(
-    oracle: ResolutionOracle,
-    prompt: str,
-    site: str,
+    answer,
     by_signature: dict[str, str],
     diagnostics: DiagnosticSink | None,
     stmt: StatementNode,
 ) -> set[str]:
-    """The candidates the oracle names feasible; empty on a fault."""
+    """The candidates the oracle's answer names feasible; empty on a fault."""
     try:
-        raw = oracle.complete(prompt, site)
-        answer = extract_json_object(raw)
-        named = answer.get("feasible_targets")
+        named = extract_json_object(answer.result()).get("feasible_targets")
         if not isinstance(named, list):
             raise OracleParseError("feasible_targets missing or not a list")
     except OracleParseError as exc:
@@ -222,24 +245,43 @@ def _feasible_targets(
     return feasible
 
 
+@dataclass
+class _ReflectiveSite:
+    """One reflective invocation site and the state of its two questions."""
+
+    stmt: StatementNode
+    idx: int
+    reflective: list[str]  # the external edges an answer replaces
+    block: str
+    call_line: str
+    class_answer: object  # future of the class question
+    method_oracle: object  # where the method question goes, reserved in issue order
+    failure: Exception | None = None  # the class question's transport failure
+    fault: str = ""  # why the site keeps its external edges
+    cls: ClassDecl | None = None
+    methods: list[FunctionDecl] = field(default_factory=list)
+    method_answer: object = None
+
+
 def enhance_reflective_calls(
     g: UnifiedDependencyGraph,
     oracle: ResolutionOracle,
     model: RepoModel,
     diagnostics: DiagnosticSink | None = None,
     audit: list[AuditEntry] | None = None,
+    pool: RequestPool | None = None,
 ) -> None:
     """Two-step resolution of the reflective invocation sites in `g`.
 
     Successful answers replace the reflective external edge with a call edge
-    to the resolved method; any failure keeps the external edge.
+    to the resolved method; any failure keeps the external edge.  Every
+    site's class question is issued on `pool` first, then the method
+    question of each site whose class resolved; diagnostics and edits
+    follow in site order.
     """
-    ordered = sorted(
-        (n for n in g.nodes.values() if n.calls and not n.synthetic),
-        key=lambda n: n.sort_key(),
-    )
     class_names = sorted(model.classes)
-    for stmt in ordered:
+    sites: list[_ReflectiveSite] = []
+    for stmt in _call_sites(g):
         per_site = site_targets(g, model, stmt)
         # Sites sharing a reflective edge get the same prompts: ask once.
         asked: set[tuple[str, ...]] = set()
@@ -259,51 +301,74 @@ def enhance_reflective_calls(
             if truncated:
                 block = "(truncated: oldest definitions omitted)\n" + block
             call_line = _call_statement_line(stmt, model)
-            try:
-                raw1 = oracle.complete(
-                    render_reflection_class_prompt(block, call_line, class_names),
-                    f"{stmt.id}/reflect{idx}/class",
-                )
-                answer1 = extract_json_object(raw1)
-                cls_name = str(answer1.get("target_class", "")).strip()
-            except OracleParseError as exc:
-                _diag(diagnostics, "warning", f"reflection class oracle fault at {stmt.id}: {exc}", stmt)
-                continue
-            cls = model.resolve_class(cls_name) if cls_name else None
-            if cls is None:
-                _diag(diagnostics, "warning", f"reflection target class '{cls_name}' not in repository", stmt)
-                continue
-            methods = [model.functions[fid] for fid in cls.methods if not model.functions[fid].is_abstract]
-            try:
-                raw2 = oracle.complete(
-                    render_reflection_method_prompt(
-                        block, call_line, [f.signature_text() for f in methods]
-                    ),
-                    f"{stmt.id}/reflect{idx}/method",
-                )
-                answer2 = extract_json_object(raw2)
-                method_name = str(answer2.get("target_method", "")).strip()
-            except OracleParseError as exc:
-                _diag(diagnostics, "warning", f"reflection method oracle fault at {stmt.id}: {exc}", stmt)
-                continue
-            matches = [f for f in methods if f.name == method_name or f.signature_text() == method_name]
-            if not matches:
-                _diag(
-                    diagnostics,
-                    "warning",
-                    f"reflection target method '{method_name}' not in {cls.name}",
-                    stmt,
-                )
-                continue
-            resolved = sorted(matches, key=lambda f: f.id)[0]
-            for ext in reflective:
-                if g.remove_edges({(stmt.id, ext, CALL, None)}) and audit is not None:
-                    audit.append(AuditEntry("remove", CALL, stmt.id, ext, "reflection"))
-            new_edge = UdgEdge(
-                src=stmt.id, dst=resolved.entry, tau=CALL, provenance="enhancement_added"
+            class_answer = issue(
+                pool,
+                _ask,
+                oracle,
+                render_reflection_class_prompt(block, call_line, class_names),
+                f"{stmt.id}/reflect{idx}/class",
             )
-            if g.add_edge(new_edge) and audit is not None:
-                audit.append(AuditEntry("add", CALL, stmt.id, resolved.entry, "reflection"))
+            # The method question follows its class question in a transcript.
+            sites.append(
+                _ReflectiveSite(stmt, idx, reflective, block, call_line, class_answer, reserve(oracle))
+            )
+
+    for rs in sites:
+        try:
+            answer1 = extract_json_object(rs.class_answer.result())
+            cls_name = str(answer1.get("target_class", "")).strip()
+        except OracleParseError as exc:
+            rs.fault = f"reflection class oracle fault at {rs.stmt.id}: {exc}"
+            continue
+        except ClientTransportError as exc:
+            rs.failure = exc  # raised below, after the earlier sites' diagnostics
+            break
+        rs.cls = model.resolve_class(cls_name, rs.stmt.file) if cls_name else None
+        if rs.cls is None:
+            rs.fault = f"reflection target class '{cls_name}' not in repository"
+            continue
+        rs.methods = [model.functions[fid] for fid in rs.cls.methods if not model.functions[fid].is_abstract]
+        rs.method_answer = issue(
+            pool,
+            _ask,
+            rs.method_oracle,
+            render_reflection_method_prompt(
+                rs.block, rs.call_line, [f.signature_text() for f in rs.methods]
+            ),
+            f"{rs.stmt.id}/reflect{rs.idx}/method",
+        )
+
+    for rs in sites:
+        stmt = rs.stmt
+        if rs.failure is not None:
+            raise rs.failure
+        if rs.fault:
+            _diag(diagnostics, "warning", rs.fault, stmt)
+            continue
+        try:
+            answer2 = extract_json_object(rs.method_answer.result())
+            method_name = str(answer2.get("target_method", "")).strip()
+        except OracleParseError as exc:
+            _diag(diagnostics, "warning", f"reflection method oracle fault at {stmt.id}: {exc}", stmt)
+            continue
+        matches = [f for f in rs.methods if f.name == method_name or f.signature_text() == method_name]
+        if not matches:
+            _diag(
+                diagnostics,
+                "warning",
+                f"reflection target method '{method_name}' not in {rs.cls.name}",
+                stmt,
+            )
+            continue
+        resolved = sorted(matches, key=lambda f: f.id)[0]
+        for ext in rs.reflective:
+            if g.remove_edges({(stmt.id, ext, CALL, None)}) and audit is not None:
+                audit.append(AuditEntry("remove", CALL, stmt.id, ext, "reflection"))
+        new_edge = UdgEdge(
+            src=stmt.id, dst=resolved.entry, tau=CALL, provenance="enhancement_added"
+        )
+        if g.add_edge(new_edge) and audit is not None:
+            audit.append(AuditEntry("add", CALL, stmt.id, resolved.entry, "reflection"))
 
 
 def reconstruct_labeled_jumps(

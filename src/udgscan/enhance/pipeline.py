@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 from ..errors import DiagnosticSink
 from ..frontend.analysis import resolve_label_targets
 from ..frontend.model import JumpTarget, RepoModel
+from ..pool import RequestPool
 from ..udg.graph import UnifiedDependencyGraph
 from .oracle import ResolutionOracle
 from .order import AnalysisSequence, compute_analysis_order
@@ -42,17 +43,19 @@ def enhance_graph(
     oracle: ResolutionOracle,
     diagnostics: DiagnosticSink | None = None,
     jump_targets: list[JumpTarget] | None = None,
+    pool: RequestPool | None = None,
 ) -> EnhancementResult:
     """Run the four passes in order on one copy of `original`: globals,
     call-edge refinement (with the call graph finalized before ordering),
     labeled jumps, then summary-based data-dependency pruning.  Each pass
     edits the copy in place and logs its edits to the audit; `original` is
-    left intact."""
+    left intact.  The call-edge passes send their oracle requests on `pool`
+    (see `udgscan.pool`)."""
     audit: list[AuditEntry] = []
     g = original.copy(state="enhanced")
     add_global_nodes(g, model.globals, model, audit)
-    enhance_polymorphic_calls(g, oracle, model, diagnostics, audit)
-    enhance_reflective_calls(g, oracle, model, diagnostics, audit)
+    enhance_polymorphic_calls(g, oracle, model, diagnostics, audit, pool)
+    enhance_reflective_calls(g, oracle, model, diagnostics, audit, pool)
     targets = jump_targets if jump_targets is not None else resolve_label_targets(model, diagnostics)
     reconstruct_labeled_jumps(g, targets, audit)
     order = compute_analysis_order(g, model)

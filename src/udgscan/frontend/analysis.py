@@ -13,7 +13,7 @@ def build_type_hierarchy(model: RepoModel, diagnostics: DiagnosticSink | None = 
     hierarchy = TypeHierarchy()
     for cls in model.classes.values():
         for sup in cls.supertypes:
-            resolved = model.resolve_class(sup)
+            resolved = model.resolve_class(sup, cls.file)
             if resolved is not None:
                 hierarchy.edges.append((cls.name, resolved.name))
             else:

@@ -177,6 +177,8 @@ class SourceFile:
     declarations: list[str] = field(default_factory=list)  # package_decl/import_decl statement ids
     classes: list[str] = field(default_factory=list)  # class_decl statement ids of top-level classes
     trivia: list[bool] = field(default_factory=list)  # per line: no token but { } ( ) ; , starts there
+    package: str = ""
+    imports: list[str] = field(default_factory=list)  # single-type imports, e.g. "q.Dao"
 
     def __post_init__(self):
         if not self.lines:
@@ -247,9 +249,21 @@ class RepoModel:
         hits = self._by_simple_name.get(simple, [])
         return self.classes[hits[0]] if len(hits) == 1 else None
 
-    def resolve_class(self, name: str) -> ClassDecl | None:
+    def resolve_class(self, name: str, path: str | None = None) -> ClassDecl | None:
+        """The repository class a type name denotes: its fully qualified
+        name; else, as written in file `path`, the name in the file's own
+        package, then through the file's single-type imports; else the only
+        class with its simple name."""
         if name in self.classes:
             return self.classes[name]
+        source = self._files_by_path.get(path) if path else None
+        if source is not None:
+            head, dot, rest = name.partition(".")
+            qualified = [f"{source.package}.{name}"] if source.package else []
+            qualified += [imp + dot + rest for imp in source.imports if imp.rsplit(".", 1)[-1] == head]
+            for fqn in qualified:
+                if fqn in self.classes:
+                    return self.classes[fqn]
         return self.class_by_simple_name(name.split(".")[-1])
 
     def functions_of(self, class_name: str) -> list[FunctionDecl]:

@@ -153,15 +153,18 @@ class _FileParser:
             while not self.at(";"):
                 self.next()
             last = self.next()
-            self.package = self.src.text[first.end : last.start].strip()
+            self.package = self.src.package = self.src.text[first.end : last.start].strip()
             node = self.make_node("package_decl", first, last)
             self.fragment.globals.append(GlobalDecl(statement=node.id))
             self.src.declarations.append(node.id)
         while self.at("import"):
             first = self.next()
+            names = []
             while not self.at(";"):
-                self.next()
+                names.append(self.next().text)
             last = self.next()
+            if names and names[0] != "static" and names[-1] != "*":
+                self.src.imports.append("".join(names))
             node = self.make_node("import_decl", first, last)
             self.fragment.globals.append(GlobalDecl(statement=node.id))
             self.src.declarations.append(node.id)

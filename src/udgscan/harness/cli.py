@@ -53,6 +53,7 @@ def _scan_flags(p: argparse.ArgumentParser, repo_required: bool = True) -> None:
     p.add_argument("--api-key-env", dest="api_key_env")
     p.add_argument("--temperature", type=float)
     p.add_argument("--seed", type=int)
+    p.add_argument("--jobs", type=int, help="model requests in flight at once (default 8)")
 
 
 _CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ScanConfig))

@@ -7,6 +7,7 @@ import os
 import re
 import sys
 import time
+from collections import deque
 from dataclasses import dataclass, field
 
 from ..context.holistic import DEFAULT_TOKEN_BUDGET, holistic_context
@@ -25,6 +26,7 @@ from ..errors import (
 from ..frontend.analysis import build_type_hierarchy, resolve_label_targets
 from ..frontend.parser import FrontendConfig, parse_repository
 from ..knowledge import detection_units_for, load_knowledge_base, load_starter_kb, load_user_sinks
+from ..pool import RequestPool, issue
 from ..reasoning.clients import LiveClientConfig, LiveInferenceClient, MockInferenceClient
 from ..reasoning.prompt import build_detection_prompt
 from ..reasoning.votes import aggregate_votes, query_rounds
@@ -59,6 +61,10 @@ class ScanConfig:
     api_key_env: str = "UDGSCAN_API_KEY"
     temperature: float = 0.7
     seed: int | None = None
+    # The most model requests in flight at once, after one has waited on its
+    # endpoint (`udgscan.pool`).  The threads wait on I/O, so the default
+    # does not depend on the CPU count; outputs do not depend on it.
+    jobs: int = 8
 
     def validate(self) -> None:
         if not self.repo:
@@ -69,6 +75,8 @@ class ScanConfig:
             raise ConfigError("round count must be odd and >= 1")
         if self.hop_limit < 0:
             raise ConfigError("hop limit must be >= 0")
+        if not isinstance(self.jobs, int) or self.jobs < 1:
+            raise ConfigError("jobs must be an integer >= 1")
         if self.oracle_mode not in ("live", "mock", "replay"):
             raise ConfigError(f"unknown oracle mode {self.oracle_mode!r}")
         if self.oracle_mode == "replay" and not self.transcript_dir:
@@ -193,7 +201,6 @@ def scan(config: ScanConfig, inference_client=None, resolution_oracle=None) -> S
     config.validate()
     diagnostics = DiagnosticSink()
     timings: dict[str, float] = {}
-    oracle_fault = False
 
     t0 = time.monotonic()
     model = parse_repository(config.repo, FrontendConfig(), diagnostics)
@@ -206,70 +213,47 @@ def scan(config: ScanConfig, inference_client=None, resolution_oracle=None) -> S
     jump_targets = resolve_label_targets(model, diagnostics)
     timings["frontend"] = time.monotonic() - t0
 
-    t0 = time.monotonic()
-    g_o = assemble_original_udg(model)
-    (oracle, client), recorders = _request_layers(config, (resolution_oracle, inference_client))
-    try:
-        enh = enhance_graph(model, g_o, oracle, diagnostics, jump_targets)
-    except (OracleParseError, ClientTransportError) as exc:
-        diagnostics.add("error", "enhance", f"oracle failure: {exc}")
-        report = _empty_report(config, diagnostics, reason=str(exc))
-        return ScanResult(report=report, exit_code=EXIT_ORACLE)
-    g_e = enh.graph
-    timings["graph"] = time.monotonic() - t0
+    with RequestPool(config.jobs) as pool:
+        t0 = time.monotonic()
+        g_o = assemble_original_udg(model)
+        (oracle, client), recorders = _request_layers(config, (resolution_oracle, inference_client))
+        try:
+            enh = enhance_graph(model, g_o, oracle, diagnostics, jump_targets, pool)
+        except (OracleParseError, ClientTransportError) as exc:
+            diagnostics.add("error", "enhance", f"oracle failure: {exc}")
+            report = _empty_report(config, diagnostics, reason=str(exc))
+            return ScanResult(report=report, exit_code=EXIT_ORACLE)
+        g_e = enh.graph
+        timings["graph"] = time.monotonic() - t0
 
-    t0 = time.monotonic()
-    warnings: list[str] = []
-    kb = load_knowledge_base(config.kb_path, warnings) if config.kb_path else load_starter_kb()
-    for w in warnings:
-        diagnostics.add("warning", "knowledge", w)
-    user_sinks = load_user_sinks(config.sink_path, kb) if config.sink_path else []
-    invocations = find_sensitive_invocations(g_e, model, kb, user_sinks)
-    contexts = {}
-    for inv in invocations:
-        contexts[inv.id] = holistic_context(
-            g_e, model, inv, hop_limit=config.hop_limit, token_budget=config.token_budget
-        )
-    timings["context"] = time.monotonic() - t0
-
-    t0 = time.monotonic()
-    findings: list[Finding] = []
-    for inv in invocations:
-        ctx = contexts[inv.id]
-        stmt = model.stmt(inv.statement)
-        for unit in detection_units_for(inv, kb):
-            prompt = build_detection_prompt(ctx, unit, kb)
-            votes = query_rounds(client, prompt, config.n_rounds)
-            try:
-                agg = aggregate_votes(votes, config.n_rounds, unit=unit, invocation=inv.statement)
-                verdict = "vulnerable" if agg.final else "not_vulnerable"
-                confidence = agg.confidence
-                low = agg.low_confidence
-                explanation = next(
-                    (v.explanation for v in agg.parseable if v.is_vulnerable == agg.final), ""
-                )
-            except AllRoundsFailed:
-                oracle_fault = True
-                verdict = "undetermined"
-                confidence = 0.0
-                low = True
-                explanation = "all rounds failed to parse"
-            findings.append(
-                Finding(
-                    finding_id=f"{_sanitize(inv.statement)}::{unit[1]}",
-                    file=stmt.file,
-                    line=stmt.start_line,
-                    api=unit[0],
-                    cwe=unit[1],
-                    verdict=verdict,
-                    confidence=confidence,
-                    explanation=explanation,
-                    context_file=f"{_sanitize(inv.id)}.ctx.txt" if config.dump_context else None,
-                    low_confidence=low,
-                    origin=inv.origin,
-                )
+        t0 = time.monotonic()
+        warnings: list[str] = []
+        kb = load_knowledge_base(config.kb_path, warnings) if config.kb_path else load_starter_kb()
+        for w in warnings:
+            diagnostics.add("warning", "knowledge", w)
+        user_sinks = load_user_sinks(config.sink_path, kb) if config.sink_path else []
+        invocations = find_sensitive_invocations(g_e, model, kb, user_sinks)
+        contexts = {}
+        for inv in invocations:
+            contexts[inv.id] = holistic_context(
+                g_e, model, inv, hop_limit=config.hop_limit, token_budget=config.token_budget
             )
-    timings["reasoning"] = time.monotonic() - t0
+        timings["context"] = time.monotonic() - t0
+
+        # Each unit's rounds are one call on the pool, at most about two per
+        # thread ahead of the unit whose votes are aggregated next.
+        t0 = time.monotonic()
+        findings: list[Finding] = []
+        in_flight: deque = deque()
+        for inv in invocations:
+            for unit in detection_units_for(inv, kb):
+                prompt = build_detection_prompt(contexts[inv.id], unit, kb)
+                votes = issue(pool, query_rounds, client, prompt, config.n_rounds)
+                in_flight.append((inv, unit, votes))
+                if len(in_flight) > 2 * config.jobs:
+                    findings.append(_finding(config, model, *in_flight.popleft()))
+        findings.extend(_finding(config, model, *entry) for entry in in_flight)
+        timings["reasoning"] = time.monotonic() - t0
 
     report = {
         "schema_version": 1,
@@ -299,7 +283,7 @@ def scan(config: ScanConfig, inference_client=None, resolution_oracle=None) -> S
     exit_code = EXIT_OK
     if diagnostics.has_errors():
         exit_code = EXIT_PARSE
-    elif oracle_fault:
+    elif any(f.verdict == "undetermined" for f in findings):
         exit_code = EXIT_ORACLE
 
     if recorders:
@@ -318,6 +302,37 @@ def scan(config: ScanConfig, inference_client=None, resolution_oracle=None) -> S
         timings=timings,
     )
     return result
+
+
+def _finding(config: ScanConfig, model, inv, unit, votes) -> Finding:
+    """The finding of one detection unit from its rounds' future."""
+    stmt = model.stmt(inv.statement)
+    try:
+        agg = aggregate_votes(votes.result(), config.n_rounds, unit=unit, invocation=inv.statement)
+        verdict = "vulnerable" if agg.final else "not_vulnerable"
+        confidence = agg.confidence
+        low = agg.low_confidence
+        explanation = next(
+            (v.explanation for v in agg.parseable if v.is_vulnerable == agg.final), ""
+        )
+    except AllRoundsFailed:
+        verdict = "undetermined"
+        confidence = 0.0
+        low = True
+        explanation = "all rounds failed to parse"
+    return Finding(
+        finding_id=f"{_sanitize(inv.statement)}::{unit[1]}",
+        file=stmt.file,
+        line=stmt.start_line,
+        api=unit[0],
+        cwe=unit[1],
+        verdict=verdict,
+        confidence=confidence,
+        explanation=explanation,
+        context_file=f"{_sanitize(inv.id)}.ctx.txt" if config.dump_context else None,
+        low_confidence=low,
+        origin=inv.origin,
+    )
 
 
 def _empty_report(config: ScanConfig, diagnostics: DiagnosticSink, reason: str) -> dict:

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
 from ..errors import ClientTransportError, ConfigError
@@ -22,23 +23,27 @@ class InferenceClient(Protocol):
 class MockInferenceClient:
     """Deterministic client for offline runs and tests.
 
-    With a script, responses are served in call order; with a responder
-    function, the response is a pure function of (prompt, round).  The
-    default always votes non-vulnerable.
+    With a script, responses are served in call order, each once.  A scan
+    runs detection units concurrently, so that order is defined only within
+    one unit's rounds: a multi-unit scan needs a responder, a function
+    whose response is a pure function of (prompt, round).  The default
+    always votes non-vulnerable.
     """
 
     script: list[str] | None = None
     responder: Callable[[str, int], str] | None = None
     _cursor: int = 0
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     def complete(self, prompt: str, round_index: int = 0) -> str:
         if self.responder is not None:
             return self.responder(prompt, round_index)
         if self.script is not None:
-            if self._cursor >= len(self.script):
-                raise ClientTransportError("mock script exhausted")
-            out = self.script[self._cursor]
-            self._cursor += 1
+            with self._lock:
+                if self._cursor >= len(self.script):
+                    raise ClientTransportError("mock script exhausted")
+                out = self.script[self._cursor]
+                self._cursor += 1
             return out
         return json.dumps(
             {

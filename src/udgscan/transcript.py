@@ -3,7 +3,9 @@
 Both request layers share one contract, `complete(prompt, tag) -> str`: the
 resolution oracle's tag is the site it asks about, the inference client's
 is the voting round.  `Recorder` wraps either layer and writes one JSON line
-per request, the tag under the layer's field name (`site` or `round`).
+per request, the tag under the layer's field name (`site` or `round`), in
+issue order: requests that run later or on another thread record at the
+place `reserve` gave them when they were issued.
 `Replay` serves those responses keyed by (tag, prompt), in recorded order
 per key, so replay does not depend on the order requests arrive in.  A
 request the transcript does not hold is a transport failure, like a live
@@ -16,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 from collections import defaultdict, deque
+from typing import Iterator
 
 from .errors import ClientTransportError, ConfigError
 
@@ -24,17 +27,33 @@ class Recorder:
     def __init__(self, inner, tag_field: str):
         self.inner = inner
         self.tag_field = tag_field
-        self.records: list[dict] = []
+        # One record per request made here, and one `Recorder` per place
+        # reserved here, which holds the records of the requests made there.
+        self.records: list[dict | Recorder] = []
 
     def complete(self, prompt: str, tag: str | int) -> str:
         response = self.inner.complete(prompt, tag)
         self.records.append({self.tag_field: tag, "prompt": prompt, "response": response})
         return response
 
+    def reserve(self) -> Recorder:
+        """The transcript's next place, for requests that may run later or
+        on another thread: a recorder of the same layer whose records are
+        written here."""
+        place = Recorder(self.inner, self.tag_field)
+        self.records.append(place)
+        return place
+
+    def lines(self) -> Iterator[str]:
+        for rec in self.records:
+            if isinstance(rec, Recorder):
+                yield from rec.lines()
+            else:
+                yield json.dumps(rec, sort_keys=True) + "\n"
+
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
-            for rec in self.records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            fh.writelines(self.lines())
 
 
 class Replay:

@@ -9,6 +9,8 @@ the under-approximation a scalable analyzer produces.
 
 from __future__ import annotations
 
+from collections import deque
+
 from ..frontend.model import CallSite, FunctionDecl, RepoModel, StatementNode, TypeHierarchy
 from .graph import CALL, UdgEdge, make_external_node
 
@@ -35,18 +37,19 @@ def is_invocation_pattern(site: CallSite) -> bool:
 
 
 def resolve_call_site(
-    model: RepoModel, hierarchy: TypeHierarchy, owner_class: str, site: CallSite
+    model: RepoModel, hierarchy: TypeHierarchy, caller: FunctionDecl, site: CallSite
 ) -> tuple[list[FunctionDecl], bool]:
-    """Returns (in-repo targets, reflective flag when unresolved)."""
+    """Returns (in-repo targets, reflective flag when unresolved).  Type
+    names resolve as written in the caller's file."""
     if site.is_constructor:
-        cls = model.resolve_class(site.name)
+        cls = model.resolve_class(site.name, caller.file)
         if cls is not None:
             ctors = model.find_methods(cls.name, cls.simple_name, site.arity)
             return ctors, False
         return [], False
 
     def dispatch_targets(static_type: str) -> list[FunctionDecl]:
-        cls = model.resolve_class(static_type)
+        cls = model.resolve_class(static_type, caller.file)
         if cls is None:
             return []
         definer = None
@@ -74,11 +77,11 @@ def resolve_call_site(
         return dispatch_targets(site.receiver_type), False
 
     if site.receiver == "this" or (site.receiver is None and "." not in site.chain):
-        return dispatch_targets(owner_class), False
+        return dispatch_targets(caller.class_name), False
 
     # Class-qualified call: X.m(...) resolved statically.
     base = site.chain.split(".")[0]
-    cls = model.resolve_class(base)
+    cls = model.resolve_class(base, caller.file)
     if cls is not None:
         chain = [cls.name] + _supertype_chain(hierarchy, cls.name)
         for cname in chain:
@@ -91,9 +94,9 @@ def resolve_call_site(
 
 def _supertype_chain(hierarchy: TypeHierarchy, name: str) -> list[str]:
     out: list[str] = []
-    work = hierarchy.supertypes_of(name)
+    work = deque(hierarchy.supertypes_of(name))
     while work:
-        cur = work.pop(0)
+        cur = work.popleft()
         if cur in out:
             continue
         out.append(cur)
@@ -112,12 +115,12 @@ def build_call_graph(
         for sid in func.body:
             stmt = model.stmt(sid)
             for site in stmt.calls:
-                targets, _ = resolve_call_site(model, hierarchy, func.class_name, site)
+                targets, _ = resolve_call_site(model, hierarchy, func, site)
                 if targets:
                     for t in sorted(targets, key=lambda f: f.id):
                         edges.append(UdgEdge(src=sid, dst=t.entry, tau=CALL))
                     continue
-                if site.is_constructor and model.resolve_class(site.name) is not None:
+                if site.is_constructor and model.resolve_class(site.name, func.file) is not None:
                     continue  # implicit default constructor: nothing to link
                 reflective = is_reflective_site(site)
                 ext = make_external_node(site.name, site.arity, reflective=reflective)

@@ -8,6 +8,7 @@ failing only in a benchmark run.
 
 import os
 import sys
+import time
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 sys.path.insert(0, BENCH)
@@ -16,10 +17,15 @@ import checks  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
+from conftest import fixture_path  # noqa: E402
+
+import udgscan.pool  # noqa: E402
+from udgscan.enhance.oracle import MockResolutionOracle  # noqa: E402
 from udgscan.errors import DiagnosticSink  # noqa: E402
 from udgscan.frontend.model import RepoModel  # noqa: E402
 from udgscan.frontend.parser import parse_source  # noqa: E402
 from udgscan.harness.generate import random_summary_program  # noqa: E402
+from udgscan.harness.scan import ScanConfig, scan  # noqa: E402
 
 GOOD = random_summary_program(7)
 BAD = "class Bad {\n    void m() {\n        Runnable r = () -> m();\n    }\n}\n"
@@ -49,3 +55,21 @@ def test_bench_checks_parse_one_file_at_a_time():
     assert checks.summary_mismatches(corpus, {}) > 0  # no scan summaries: every function mismatches
     prunable, statements = workloads.prunable_statements("p/Gen.java", GOOD)
     assert 0 <= prunable <= statements and statements > 0
+
+
+class WaitingOracle(MockResolutionOracle):
+    """Answers like the mock after a wait, as an endpoint does, so that the
+    scan starts its request threads."""
+
+    def complete(self, prompt, site=""):
+        time.sleep(2 * udgscan.pool.WAIT_S)
+        return super().complete(prompt, site)
+
+
+def test_a_threaded_scan_runs_every_traced_boundary():
+    tracer = spans.Tracer()
+    with tracer.installed():
+        with tracer.span(spans.SCAN):
+            result = scan(ScanConfig(repo=fixture_path("reflective_dispatch")), resolution_oracle=WaitingOracle())
+    assert result.exit_code == 0 and result.findings
+    spans.profile(tracer)  # raises MissingBoundary for a boundary that never ran

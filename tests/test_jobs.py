@@ -1,0 +1,332 @@
+"""`--jobs`: model requests run concurrently, and nothing a scan writes
+depends on how many run at once or on which finishes first."""
+
+import hashlib
+import json
+import os
+import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+
+from conftest import FIXTURES, fixture_path, write_repo
+
+from udgscan.enhance.oracle import MockResolutionOracle
+from udgscan.errors import ClientTransportError
+from udgscan.harness.cli import main
+from udgscan.harness.scan import EXIT_CONFIG, EXIT_OK, EXIT_ORACLE, ScanConfig, scan
+import udgscan.pool
+from udgscan.pool import RequestPool, issue
+from udgscan.reasoning.clients import MockInferenceClient
+from udgscan.reasoning.prompt import MetaPrompt
+from udgscan.reasoning.votes import query_rounds
+from udgscan.transcript import Recorder, Replay
+
+YES = json.dumps({"explanation": "tainted", "is_vulnerable": True})
+NO = json.dumps({"explanation": "sanitized", "is_vulnerable": False})
+
+
+def _digest(text: str) -> int:
+    return int(hashlib.sha256(text.encode("utf-8")).hexdigest()[:8], 16)
+
+
+def _jitter(prompt: str, tag) -> None:
+    """Sleep 1-5 ms by request, like an endpoint, and unevenly, so that
+    requests finish out of issue order."""
+    time.sleep((_digest(f"{tag}{prompt}") % 5 + 1) / 1000.0)
+
+
+@pytest.fixture
+def short_waits(monkeypatch):
+    """A scan starts its request threads after a wait of half a millisecond,
+    so that jittered requests run on them."""
+    monkeypatch.setattr(udgscan.pool, "WAIT_S", 0.0005)
+
+
+@pytest.fixture
+def waiting_mocks(monkeypatch, short_waits):
+    """The offline mocks, answering after a jittered wait."""
+    oracle, client = MockResolutionOracle.complete, MockInferenceClient.complete
+
+    def oracle_complete(self, prompt, site=""):
+        _jitter(prompt, site)
+        return oracle(self, prompt, site)
+
+    def client_complete(self, prompt, round_index=0):
+        _jitter(prompt, round_index)
+        return client(self, prompt, round_index)
+
+    monkeypatch.setattr(MockResolutionOracle, "complete", oracle_complete)
+    monkeypatch.setattr(MockInferenceClient, "complete", client_complete)
+
+
+def _service(f: int) -> str:
+    """Polymorphic sites, two reflective invocations and knowledge-base
+    sinks in one file."""
+    return f"""package svc{f % 2};
+import java.lang.reflect.Method;
+import java.sql.Statement;
+class Shape{f} {{
+    String render(String v) {{
+        return "shape" + v;
+    }}
+}}
+class Circle{f} extends Shape{f} {{
+    String render(String v) {{
+        return "circle" + v;
+    }}
+}}
+class Square{f} extends Shape{f} {{
+    String render(String v) {{
+        return "square" + v;
+    }}
+}}
+public class Service{f} {{
+    String known(String v) {{
+        Shape{f} s = new Circle{f}();
+        String o = s.render(v);
+        return o;
+    }}
+    String any(Shape{f} s, String v) {{
+        String o = s.render(v);
+        return o;
+    }}
+    public String showPlain(String input) {{
+        return "<p>" + input;
+    }}
+    public String dispatch(String query) throws Exception {{
+        String target = "show" + "Plain";
+        Method m = getClass().getMethod(target, String.class);
+        String res = (String) m.invoke(this, query);
+        return res;
+    }}
+    public String lookup(String query) throws Exception {{
+        Class c = Class.forName(query);
+        Method m = c.getMethod("run", String.class);
+        String res = (String) m.invoke(this, query);
+        return res;
+    }}
+    void handle(Statement st, Shape{f} s, String a) throws Exception {{
+        String x = known(a);
+        String y = any(s, a);
+        String z = dispatch(a);
+        st.executeQuery("SELECT " + x);
+        st.executeUpdate("UPDATE " + y);
+        st.execute("DELETE " + z);
+    }}
+}}
+"""
+
+
+@pytest.fixture
+def services(tmp_path):
+    return write_repo(tmp_path, {f"svc{f % 2}/Service{f}.java": _service(f) for f in range(4)})
+
+
+def _outputs(out_dir) -> dict[str, bytes]:
+    got = {}
+    for base, _, names in os.walk(out_dir):
+        for name in names:
+            path = os.path.join(base, name)
+            with open(path, "rb") as fh:
+                got[os.path.relpath(path, out_dir)] = fh.read()
+    return got
+
+
+def _scan(repo, out_dir, jobs, **kw):
+    config = ScanConfig(repo=repo, out_dir=str(out_dir), dump_context=True, dump_graph=True, jobs=jobs, **kw)
+    return scan(config), _outputs(out_dir)
+
+
+@pytest.mark.parametrize("name", sorted(os.listdir(FIXTURES)))
+def test_fixture_outputs_do_not_depend_on_jobs(name, tmp_path, waiting_mocks):
+    repo = fixture_path(name)
+    _, one = _scan(repo, tmp_path / "1", 1, transcript_dir=str(tmp_path / "1" / "t"))
+    _, eight = _scan(repo, tmp_path / "8", 8, transcript_dir=str(tmp_path / "8" / "t"))
+    assert "report.json" in one and "udg.dot" in one
+    assert one == eight
+
+
+def test_services_repo_exercises_every_request_kind(services):
+    oracle = Recorder(MockResolutionOracle(), "site")
+    result = scan(ScanConfig(repo=services), resolution_oracle=oracle)
+    sites = [json.loads(line)["site"] for line in oracle.lines()]
+    assert sum(s.endswith("/class") for s in sites) == 8
+    assert sum(s.endswith("/method") for s in sites) == 4  # `lookup` names no class
+    assert sum("/poly" in s for s in sites) == 8
+    assert len(result.findings) == 20
+
+
+def test_transcripts_do_not_depend_on_jobs_and_replay_at_any(services, tmp_path, waiting_mocks):
+    outputs, transcripts = {}, {}
+    for jobs in (4, 1):
+        t = tmp_path / f"t{jobs}"
+        result, outputs[jobs] = _scan(services, tmp_path / f"out{jobs}", jobs, transcript_dir=str(t))
+        assert result.exit_code == EXIT_OK
+        transcripts[jobs] = _outputs(t)
+    assert sorted(transcripts[1]) == ["inference.jsonl", "resolution.jsonl"]
+    assert transcripts[4] == transcripts[1]
+    assert outputs[4] == outputs[1]
+
+    for recorded, jobs in ((4, 1), (1, 4)):
+        result, replayed = _scan(
+            services,
+            tmp_path / f"replay{recorded}",
+            jobs,
+            oracle_mode="replay",
+            transcript_dir=str(tmp_path / f"t{recorded}"),
+        )
+        assert result.exit_code == EXIT_OK
+        report = json.loads(replayed.pop("report.json"))
+        assert report["config"]["oracle_mode"] == "replay"
+        report["config"]["oracle_mode"] = "mock"
+        want = dict(outputs[recorded])
+        assert report == json.loads(want.pop("report.json"))
+        assert replayed == want
+
+
+def _responder(prompt: str, round_index: int) -> str:
+    """Half the units are vulnerable; one round of each unit dissents."""
+    _jitter(prompt, round_index)
+    digest = _digest(prompt)
+    return YES if (digest % 2 == 0) != (digest % 3 == round_index) else NO
+
+
+def _client():
+    return MockInferenceClient(responder=_responder)
+
+
+def test_requests_start_threads_once_one_waits():
+    def compute(x):
+        return sum(range(1000)) + x
+
+    def wait(x):
+        time.sleep(2 * udgscan.pool.WAIT_S)
+        return x
+
+    with RequestPool(8) as pool:
+        assert [pool.submit(compute, i).result() for i in range(50)] == [499500 + i for i in range(50)]
+        assert pool.executor is None
+        assert pool.submit(wait, 1).result() == 1  # made at once, and it waited
+        assert pool.executor is not None
+        futures = [pool.submit(wait, i) for i in range(8)]
+        assert [f.result(timeout=10) for f in futures] == list(range(8))
+    with RequestPool(1) as pool:
+        assert pool.submit(wait, 1).result() == 1
+        assert pool.executor is None  # one thread would overlap nothing
+
+
+def test_recorded_requests_keep_issue_order_whatever_finishes_first(services, waiting_mocks):
+    saved = {}
+    for jobs in (1, 8):
+        oracle = Recorder(MockResolutionOracle(), "site")
+        client = Recorder(_client(), "round")
+        scan(ScanConfig(repo=services, jobs=jobs), inference_client=client, resolution_oracle=oracle)
+        saved[jobs] = (list(oracle.lines()), list(client.lines()))
+    assert saved[8] == saved[1]
+    rounds = [json.loads(line)["round"] for line in saved[1][1]]
+    assert rounds == [0, 1, 2] * 20
+
+
+def test_multi_unit_findings_do_not_depend_on_jobs(services, short_waits):
+    reports = []
+    for jobs in (1, 8):
+        result = scan(ScanConfig(repo=services, jobs=jobs), inference_client=_client())
+        reports.append(result.report)
+    assert reports[0] == reports[1]
+    verdicts = {f["verdict"] for f in reports[0]["findings"]}
+    assert verdicts == {"vulnerable", "not_vulnerable"}
+
+
+@pytest.mark.parametrize("jobs", [1, 8])
+def test_same_key_requests_take_their_responses_in_issue_order(tmp_path, jobs):
+    path = tmp_path / "inference.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        for response in (YES, NO):
+            for r in range(3):
+                fh.write(json.dumps({"prompt": "detect", "response": response, "round": r}) + "\n")
+    replay = Replay(str(path), "round")
+    prompt = MetaPrompt(text="detect")
+    with RequestPool(jobs) as pool:
+        pool.submit(time.sleep, 2 * udgscan.pool.WAIT_S).result()  # start the threads
+        futures = [issue(pool, query_rounds, replay, prompt, 3) for _ in range(3)]
+        votes = [[v.is_vulnerable for v in f.result()] for f in futures]
+    assert votes == [[True] * 3, [False] * 3, [None] * 3]
+
+
+def _served(client):
+    try:
+        return client.complete("p", 0)
+    except ClientTransportError:
+        return None
+
+
+def test_a_script_serves_each_response_once_across_threads():
+    script = [str(i) for i in range(2000)]
+    client = MockInferenceClient(script=script)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            futures = [pool.submit(_served, client) for _ in range(3000)]
+            served = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted((s for s in served if s is not None), key=int) == script
+    assert served.count(None) == 1000
+
+
+class FailingOracle(MockResolutionOracle):
+    """The mock oracle, with the transport failing for chosen sites."""
+
+    def __init__(self, failing):
+        self.failing = failing
+
+    def complete(self, prompt, site=""):
+        if site in self.failing:
+            _jitter(prompt, site)
+            raise ClientTransportError(f"endpoint dropped {site}")
+        return super().complete(prompt, site)
+
+
+@pytest.mark.parametrize(
+    "failing",
+    [
+        ["svc1/Service1.java#s32/poly0"],  # a polymorphic site
+        ["svc0/Service2.java#s41/reflect0/class"],  # a reflective site's first question
+        ["svc0/Service2.java#s37/reflect0/method"],  # and its second
+        ["svc0/Service2.java#s30/poly0", "svc1/Service3.java#s30/poly0"],  # the first issued is reported
+    ],
+)
+def test_oracle_transport_failure_mid_batch(services, failing, waiting_mocks):
+    reports = []
+    for jobs in (1, 8):
+        result = scan(ScanConfig(repo=services, jobs=jobs), resolution_oracle=FailingOracle(failing))
+        assert result.exit_code == EXIT_ORACLE
+        reports.append(result.report)
+    assert reports[0] == reports[1]
+    assert reports[0]["fatal"] == f"endpoint dropped {failing[0]}"
+    *before, last = [d["message"] for d in reports[0]["diagnostics"]]
+    assert last == f"oracle failure: endpoint dropped {failing[0]}"
+    # The diagnostics of the sites issued before the failure, as one
+    # request at a time would have left them.
+    if "reflect" in failing[0]:
+        assert before == ["reflection target class 'unknown' not in repository"]
+    else:
+        assert before == []
+
+
+def test_jobs_must_be_at_least_one(capsys):
+    assert main(["scan", "--repo", fixture_path("dispatch"), "--jobs", "0"]) == EXIT_CONFIG
+    assert "jobs must be an integer >= 1" in capsys.readouterr().err
+
+
+def test_jobs_from_a_config_file_stays_out_of_the_report(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"jobs": 2}), encoding="utf-8")
+    assert main(["scan", "--repo", fixture_path("dispatch"), "--config", str(config)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert "jobs" not in report["config"]
+    config.write_text(json.dumps({"jobs": "2"}), encoding="utf-8")
+    assert main(["scan", "--repo", fixture_path("dispatch"), "--config", str(config)]) == EXIT_CONFIG

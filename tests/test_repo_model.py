@@ -298,3 +298,72 @@ def test_duplicate_fully_qualified_class_names(tmp_path):
         ("p/B.java", "package_decl"),
         ("p/B.java", "class_decl"),
     ]
+
+
+# -------------------------------------- one simple name in two packages
+
+SAME_SIMPLE_NAME = {
+    "p/Dao.java": """package p;
+public class Dao {
+    public String rawQuery(String s) {
+        return s;
+    }
+}
+""",
+    "q/Dao.java": """package q;
+public class Dao {
+    public String rawQuery(String s) {
+        String t = s.trim();
+        return t;
+    }
+}
+""",
+    "p/Service.java": """package p;
+class Service {
+    String run(String s) {
+        Dao d = new Dao();
+        String r = d.rawQuery(s);
+        return r;
+    }
+}
+""",
+    "r/Client.java": """package r;
+import q.Dao;
+class Cached extends Dao {
+}
+class Client {
+    String run(Dao d, String s) {
+        String r = d.rawQuery(s);
+        return r;
+    }
+}
+""",
+}
+
+
+def test_a_simple_name_resolves_in_the_callers_package_then_its_imports(tmp_path):
+    repo = write_repo(tmp_path, SAME_SIMPLE_NAME)
+    model, g, _ = parse_and_build(repo)
+    assert model.resolve_class("Dao") is None  # ambiguous without a file
+    assert model.resolve_class("Dao", "p/Service.java").name == "p.Dao"
+    assert model.resolve_class("Dao", "r/Client.java").name == "q.Dao"
+    assert model.resolve_class("q.Dao", "p/Service.java").name == "q.Dao"
+    assert model.resolve_class("Service", "r/Client.java").name == "p.Service"  # the only one
+    assert model.file_by_path("r/Client.java").imports == ["q.Dao"]
+    assert ("r.Cached", "q.Dao") in model.hierarchy.edges
+
+    entry = {f.class_name: f.entry for f in model.functions.values() if f.name == "rawQuery"}
+    calls = {
+        model.stmt(e.src).file: e.dst
+        for e in g.edges
+        if e.tau == CALL and model.statements.get(e.src) and "rawQuery" in model.stmt(e.src).code
+    }
+    assert calls == {"p/Service.java": entry["p.Dao"], "r/Client.java": entry["q.Dao"]}
+
+    sinks = tmp_path / "sinks.json"
+    sinks.write_text(json.dumps({"sinks": [{"function": "Dao.rawQuery", "cwe_id": "CWE-89"}]}))
+    result = scan(ScanConfig(repo=repo, sink_path=str(sinks)))
+    assert sorted((f.file, f.api, f.origin) for f in result.findings) == [
+        ("p/Service.java", "Dao.rawQuery", "user_sink"),
+        ("r/Client.java", "Dao.rawQuery", "user_sink"),
+    ]
