@@ -28,14 +28,6 @@ class ContextSlice:
             lines.update(node.span_lines())
         return lines
 
-    def files(self, g_or_model) -> set[str]:
-        out = set()
-        for sid in self.statements:
-            node = _node(g_or_model, sid)
-            if node is not None and not node.synthetic:
-                out.add(node.file)
-        return out
-
 
 def _node(g_or_model, sid: str) -> StatementNode | None:
     if isinstance(g_or_model, UnifiedDependencyGraph):

@@ -71,12 +71,12 @@ class ScanConfig:
             raise ConfigError("a repository path is required")
         if not os.path.isdir(self.repo):
             raise ConfigError(f"repository path does not exist: {self.repo}")
-        if self.n_rounds < 1 or self.n_rounds % 2 == 0:
-            raise ConfigError("round count must be odd and >= 1")
-        if self.hop_limit < 0:
-            raise ConfigError("hop limit must be >= 0")
-        if not isinstance(self.jobs, int) or self.jobs < 1:
-            raise ConfigError("jobs must be an integer >= 1")
+        for name, least in (("hop_limit", 0), ("n_rounds", 1), ("token_budget", 0), ("jobs", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}")
+        if self.n_rounds % 2 == 0:
+            raise ConfigError("round count must be odd")
         if self.oracle_mode not in ("live", "mock", "replay"):
             raise ConfigError(f"unknown oracle mode {self.oracle_mode!r}")
         if self.oracle_mode == "replay" and not self.transcript_dir:

@@ -1,15 +1,23 @@
 """The context stage's per-scan shared work checked against the per-call
-computations it replaces: the token-budget drop order, the parser-set
-trivia map, the per-file declaration index and the knowledge-base
-pre-filter."""
+computations it replaces: the token-budget drop order, the rendering edited
+in place as statements drop, the parser-set trivia map, the per-file
+declaration index and the knowledge-base pre-filter."""
 
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES, parse_and_build, write_repo
 
-from udgscan.context.holistic import holistic_context, render_context, whitespace_tokenizer
+from udgscan.context.holistic import (
+    TRIVIA_GAP_MAX,
+    _Rendering,
+    holistic_context,
+    render_context,
+    whitespace_tokenizer,
+)
 from udgscan.context.implicit import declaration_context
 from udgscan.context.sinks import SensitiveInvocation
 from udgscan.context.slicing import merge_slices
@@ -76,7 +84,12 @@ def summary_repo(tmp_path, seed):
     return write_repo(tmp_path, files)
 
 
-TOKENIZERS = {"words": whitespace_tokenizer, "chars": len}
+TOKENIZERS = {
+    "words": whitespace_tokenizer,
+    "chars": len,
+    # Not monotone: dropping lines can raise the count.
+    "chars mod 97": lambda text: len(text) % 97,
+}
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -100,6 +113,115 @@ def test_sorted_drop_order_matches_rebuild_and_max(tmp_path, seed):
                 assert got == want, f"{stmt.id} {name} budget {budget}"
                 dropped_somewhere |= ctx.dropped > 0
     assert dropped_somewhere
+
+
+def reference_render(statement_ids, model):
+    """Rendering from scratch as it was before the rendering was edited in
+    place: covered lines, then the short all-trivia gaps between them."""
+    by_file = {}
+    for sid in statement_ids:
+        stmt = model.statements.get(sid)
+        if stmt is not None and not stmt.synthetic:
+            by_file.setdefault(stmt.file, set()).update(stmt.span_lines())
+    blocks, included = [], {}
+    for path in sorted(by_file):
+        source = model.file_by_path(path)
+        if source is None:
+            continue
+        lines = sorted(by_file[path])
+        keep = set(lines)
+        for a, b in zip(lines, lines[1:]):
+            gap = range(a + 1, b)
+            if 0 < len(gap) <= TRIVIA_GAP_MAX and all(source.trivia[n - 1] for n in gap):
+                keep.update(gap)
+        included[path] = sorted(keep)
+        out = [f"// file: {path}"]
+        prev = None
+        for n in included[path]:
+            if prev is not None and n > prev + 1:
+                out.append("...")
+            out.append(f"{n}| {source.lines[n - 1]}")
+            prev = n
+        blocks.append("\n".join(out))
+    return "\n\n".join(blocks), included
+
+
+def gap_kinds(rendering):
+    """Per file, per covered line: "" when the next covered line follows
+    it, "last" for the last covered line, else "verbatim" or "elided"."""
+    out = {}
+    for path, block in rendering.blocks.items():
+        kinds = {}
+        for a, b, gap in zip(block.lines, [*block.lines[1:], 0], block.gaps):
+            kinds[a] = "last" if not b else "" if b == a + 1 else "verbatim" if gap else "elided"
+        out[path] = kinds
+    return out
+
+
+def drop_cases(before, after, changed):
+    """What one drop did to the rendering, given `gap_kinds` before and after."""
+    cases = set() if changed else {"no line uncovered"}
+    for path, kinds in before.items():
+        now = after.get(path)
+        if now is None:
+            cases.add("file block emptied")
+            continue
+        if any(kind == "verbatim" and now.get(a) == "elided" for a, kind in kinds.items()):
+            cases.add("verbatim gap elided")
+        if any(kind in ("verbatim", "elided") and now.get(a) == "last" for a, kind in kinds.items()):
+            cases.add("gap before the last line removed")
+    return cases
+
+
+DROP_CASES = {"no line uncovered", "file block emptied", "verbatim gap elided", "gap before the last line removed"}
+
+
+# Two statements on a line, and trivia gaps of exactly TRIVIA_GAP_MAX lines
+# and of one line more.
+SHARED_LINES = (
+    "package p;\n\nclass Shared {\n    int f(int a) {\n        int b = a + 1; int c = b * 2;\n"
+    + "        //\n" * TRIVIA_GAP_MAX
+    + "        if (c > 3) { c = c - 1; }\n"
+    + "        //\n" * (TRIVIA_GAP_MAX + 1)
+    + "        return c;\n    }\n}\n"
+)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ["generated 0", "generated 1", "generated 2"])
+def test_in_place_drops_match_rendering_from_scratch(tmp_path, name):
+    """Every drop, in any order, leaves the text and lines that rendering
+    the kept statements from scratch gives, now and as it was.  The
+    generated repositories, with `SHARED_LINES` added, make every kind of
+    edit in `DROP_CASES`."""
+    generated = name.startswith("generated")
+    if generated:
+        root = summary_repo(tmp_path, int(name.split()[1]))
+        with open(os.path.join(root, "p", "Shared.java"), "w", encoding="utf-8") as fh:
+            fh.write(SHARED_LINES)
+    else:
+        root = os.path.join(FIXTURES, name)
+    model, _, _ = parse_and_build(root)
+    ids = sorted(sid for sid, stmt in model.statements.items() if not stmt.synthetic)
+    seen = set()
+
+    @settings(derandomize=True, database=None, max_examples=30, deadline=None)
+    @given(st.permutations(ids))
+    def drop_in_order(order):
+        kept = list(ids)
+        rendering = _Rendering(kept, model)
+        assert (rendering.text, rendering.included()) == render_context(kept, model)
+        for victim in order:
+            kept.remove(victim)
+            before = gap_kinds(rendering)
+            changed = rendering.drop(victim)
+            got = (rendering.text, rendering.included())
+            assert got == render_context(kept, model) == reference_render(kept, model), victim
+            seen.update(drop_cases(before, gap_kinds(rendering), changed))
+        assert rendering.text == ""
+
+    drop_in_order()
+    if generated:
+        assert seen == DROP_CASES
 
 
 # ------------------------------------------------------------------ caches

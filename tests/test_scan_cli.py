@@ -104,6 +104,18 @@ def test_config_validation():
         ScanConfig(repo=".", oracle_mode="replay").validate()
 
 
+@pytest.mark.parametrize(
+    "values",
+    [{"hop_limit": "3"}, {"n_rounds": 3.0}, {"token_budget": "140"}, {"token_budget": -5}, {"jobs": True}],
+)
+def test_config_file_integers_are_checked(tmp_path, el_repo, capsys, values):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(values), encoding="utf-8")
+    assert main(["scan", "--repo", el_repo, "--config", str(cfg)]) == EXIT_CONFIG
+    (name,) = values
+    assert capsys.readouterr().err.startswith(f"error: {name} must be an integer >= ")
+
+
 def test_config_file_merged_under_flags(tmp_path, el_repo):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"n_rounds": 5, "hop_limit": 2}), encoding="utf-8")
