@@ -11,13 +11,12 @@ from .model import (
     StatementNode,
     TypeHierarchy,
 )
-from .parser import FrontendConfig, parse_repository, parse_source
+from .parser import parse_repository, parse_source
 
 __all__ = [
     "RETURN_VAR",
     "CallSite",
     "ClassDecl",
-    "FrontendConfig",
     "FunctionDecl",
     "GlobalDecl",
     "JumpTarget",

@@ -15,7 +15,7 @@ def build_type_hierarchy(model: RepoModel, diagnostics: DiagnosticSink | None = 
         for sup in cls.supertypes:
             resolved = model.resolve_class(sup, cls.file)
             if resolved is not None:
-                hierarchy.edges.append((cls.name, resolved.name))
+                hierarchy.add_edge(cls.name, resolved.name)
             else:
                 hierarchy.external_supertypes.add(sup)
                 if diagnostics is not None:
@@ -23,11 +23,11 @@ def build_type_hierarchy(model: RepoModel, diagnostics: DiagnosticSink | None = 
                         "info", "frontend", f"supertype {sup} of {cls.name} is external", cls.file
                     )
     _reject_cycles(hierarchy)
-    ancestors = _transitive_supertypes(hierarchy)
     for cls in sorted(model.classes.values(), key=lambda c: c.name):
+        ancestors = hierarchy.supertypes_of(cls.name)
         for fid in cls.methods:
             func = model.functions[fid]
-            for anc in ancestors.get(cls.name, []):
+            for anc in ancestors:
                 for base in model.find_methods(anc, func.name, func.arity):
                     if base.param_types == func.param_types:
                         key = (anc, func.name, func.arity)
@@ -37,9 +37,7 @@ def build_type_hierarchy(model: RepoModel, diagnostics: DiagnosticSink | None = 
 
 
 def _reject_cycles(hierarchy: TypeHierarchy) -> None:
-    adj: dict[str, list[str]] = {}
-    for sub, sup in hierarchy.edges:
-        adj.setdefault(sub, []).append(sup)
+    adj = hierarchy.direct_supertypes
     state: dict[str, int] = {}  # 0 visiting, 1 done
 
     def visit(node: str, trail: list[str]) -> None:
@@ -54,24 +52,6 @@ def _reject_cycles(hierarchy: TypeHierarchy) -> None:
     for node in sorted(adj):
         if node not in state:
             visit(node, [])
-
-
-def _transitive_supertypes(hierarchy: TypeHierarchy) -> dict[str, list[str]]:
-    out: dict[str, list[str]] = {}
-    direct: dict[str, list[str]] = {}
-    for sub, sup in hierarchy.edges:
-        direct.setdefault(sub, []).append(sup)
-    for sub in direct:
-        seen: list[str] = []
-        work = list(direct[sub])
-        while work:
-            cur = work.pop(0)
-            if cur in seen:
-                continue
-            seen.append(cur)
-            work.extend(direct.get(cur, []))
-        out[sub] = seen
-    return out
 
 
 # ------------------------------------------------------------- labeled jumps

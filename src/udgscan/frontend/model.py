@@ -8,27 +8,8 @@ text, 1-based inclusive line spans, and purely syntactic def/use sets.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-
-# Statement kinds.  A statement whose expression performs a method invocation
-# is classified as "call" unless a more specific kind (return, condition,
-# loop_header, jump) applies; such statements still carry call metadata.
-KINDS = (
-    "declaration",
-    "assignment",
-    "call",
-    "return",
-    "condition",
-    "loop_header",
-    "jump",
-    "label",
-    "entry",
-    "exit",
-    "global_def",
-    "import_decl",
-    "package_decl",
-    "class_decl",
-)
 
 RETURN_VAR = "<ret>"
 
@@ -63,6 +44,9 @@ class StatementNode:
     file: str
     start_line: int
     end_line: int
+    # A statement whose expression performs a method invocation is a "call"
+    # unless a more specific kind (return, condition, loop_header, jump)
+    # applies; such statements still carry call metadata.
     kind: str
     text: str  # full source lines covering the span
     owner: str  # function id or "global"
@@ -91,18 +75,13 @@ class FunctionDecl:
     param_types: list[str] = field(default_factory=list)
     return_type: str = "void"
     params: list[str] = field(default_factory=list)
-    body: list[str] = field(default_factory=list)  # statement ids in source order
+    body: list[str] = field(default_factory=list)  # statement ids, in the order the parser made them
     entry: str = ""
     exit: str = ""
-    return_var: str = RETURN_VAR
     is_abstract: bool = False
     var_types: dict[str, str] = field(default_factory=dict)  # declared types of params/locals
     sig_line: int = 0
     file: str = ""
-
-    @property
-    def signature(self) -> tuple[str, str, tuple[str, ...], str]:
-        return (self.class_name, self.name, tuple(self.param_types), self.return_type)
 
     def signature_text(self) -> str:
         return f"{self.class_name}.{self.name}({', '.join(self.param_types)})"
@@ -129,10 +108,8 @@ class ClassDecl:
     methods: list[str] = field(default_factory=list)  # FunctionDecl ids
     fields: list[str] = field(default_factory=list)  # statement ids of global_defs
     decl_statement: str = ""  # class_decl StatementNode id
-    is_top_level: bool = True
     enclosing: str | None = None
     file: str = ""
-    body_span: tuple[int, int] = (0, 0)  # header line .. closing brace line
 
 
 @dataclass
@@ -141,24 +118,36 @@ class TypeHierarchy:
     external_supertypes: set[str] = field(default_factory=set)
     # (class fqn, method name, arity) -> list of (subtype fqn, function id) overrides
     method_overrides: dict[tuple[str, str, int], list[tuple[str, str]]] = field(default_factory=dict)
+    # The edges as adjacency, each list in edge order; kept by `add_edge`.
+    direct_supertypes: dict[str, list[str]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    direct_subtypes: dict[str, list[str]] = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def add_edge(self, sub: str, sup: str) -> None:
+        self.edges.append((sub, sup))
+        self.direct_supertypes.setdefault(sub, []).append(sup)
+        self.direct_subtypes.setdefault(sup, []).append(sub)
 
     def supertypes_of(self, name: str) -> list[str]:
-        return [sup for sub, sup in self.edges if sub == name]
+        """All transitive supertypes, breadth first."""
+        return _closure(self.direct_supertypes, name)
 
     def subtypes_of(self, name: str) -> list[str]:
-        """All transitive subtypes, in deterministic order."""
-        direct = {}
-        for sub, sup in self.edges:
-            direct.setdefault(sup, []).append(sub)
-        seen: list[str] = []
-        work = list(direct.get(name, []))
-        while work:
-            cur = work.pop(0)
-            if cur in seen:
-                continue
-            seen.append(cur)
-            work.extend(direct.get(cur, []))
-        return seen
+        """All transitive subtypes, breadth first."""
+        return _closure(self.direct_subtypes, name)
+
+
+def _closure(adjacency: dict[str, list[str]], name: str) -> list[str]:
+    """Every name reachable from `name`, breadth first, each once."""
+    out: list[str] = []
+    seen: set[str] = set()
+    work = deque(adjacency.get(name, []))
+    while work:
+        cur = work.popleft()
+        if cur not in seen:
+            seen.add(cur)
+            out.append(cur)
+            work.extend(adjacency.get(cur, []))
+    return out
 
 
 @dataclass

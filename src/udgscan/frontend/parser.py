@@ -17,9 +17,8 @@ references are rejected per file as subset violations.
 
 from __future__ import annotations
 
-import fnmatch
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import DiagnosticSink, SubsetViolation
 from . import syntax as syn
@@ -46,69 +45,40 @@ TRIVIA_PUNCT = frozenset("{}();,")
 MAX_NESTING = 100
 
 
-@dataclass
-class FrontendConfig:
-    extension: str = ".java"
-    include: list[str] = field(default_factory=lambda: ["**"])
-    exclude: list[str] = field(default_factory=list)
-
-    def selects(self, rel_path: str) -> bool:
-        norm = rel_path.replace(os.sep, "/")
-        included = any(
-            fnmatch.fnmatch(norm, pat) or fnmatch.fnmatch(os.path.basename(norm), pat)
-            for pat in self.include
-        )
-        excluded = any(
-            fnmatch.fnmatch(norm, pat) or fnmatch.fnmatch(os.path.basename(norm), pat)
-            for pat in self.exclude
-        )
-        return included and not excluded
-
-
-@dataclass
-class _Scope:
-    """Name visibility for def/use extraction inside one function body."""
-
-    known: set[str] = field(default_factory=set)
-    var_types: dict[str, str] = field(default_factory=dict)
-
-    def declare(self, name: str, type_name: str) -> None:
-        self.known.add(name)
-        self.var_types[name] = type_name
+SOURCE_EXTENSION = ".java"
 
 
 @dataclass
 class _PendingBody:
     function: FunctionDecl
-    tokens: list[Token]
     cls: ClassDecl
+    start: int  # index of the body's first token, after its '{'
+    end: int  # index of the body's closing '}'
 
 
-class _FileParser:
-    """Parses one file into `fragment`, a model that holds only this file."""
+class _Cursor:
+    """A read position in a file's tokens that stops at `end`.
 
-    def __init__(self, source: SourceFile, fragment: RepoModel, diagnostics: DiagnosticSink):
-        self.src = source
-        self.fragment = fragment
-        self.diag = diagnostics
-        self.tokens = tokenize(source.text, source.path)
-        source.trivia = [True] * len(source.lines)
-        for tok in self.tokens:
-            if tok.text not in TRIVIA_PUNCT:
-                source.trivia[tok.line - 1] = False
+    At `end`, peek() returns None and next() raises IndexError, which
+    `parse_source` reports as a truncated construct; `expect` reports a
+    missing token at `eof_line` and names what was being parsed with `where`.
+    """
+
+    def __init__(self, path: str, tokens: list[Token], end: int, eof_line: int, where: str = ""):
+        self.path = path
+        self.tokens = tokens
         self.pos = 0
-        self.counter = 0
-        self.pending: list[_PendingBody] = []
-        self.pending_fields: list[tuple] = []  # (node, cls, [(GlobalDecl, init tokens)])
-        self.package = ""
-
-    # ------------------------------------------------------------------ tokens
+        self.end = end
+        self.eof_line = eof_line
+        self.where = where
 
     def peek(self, offset: int = 0) -> Token | None:
         idx = self.pos + offset
-        return self.tokens[idx] if idx < len(self.tokens) else None
+        return self.tokens[idx] if idx < self.end else None
 
     def next(self) -> Token:
+        if self.pos >= self.end:
+            raise IndexError(self.pos)
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
@@ -116,13 +86,49 @@ class _FileParser:
     def expect(self, text: str) -> Token:
         tok = self.peek()
         if tok is None or tok.text != text:
-            line = tok.line if tok else self.tokens[-1].line if self.tokens else 1
-            raise SubsetViolation(self.src.path, line, f"expected '{text}'")
+            line = tok.line if tok else self.eof_line
+            raise SubsetViolation(self.path, line, f"expected '{text}'{self.where}")
         return self.next()
 
     def at(self, text: str) -> bool:
         tok = self.peek()
         return tok is not None and tok.text == text
+
+    def skip_balanced(self, open_t: str, close_t: str) -> Token:
+        """Consume a group from `open_t` to its matching `close_t`; returns the close."""
+        self.expect(open_t)
+        depth = 1
+        while depth > 0:
+            tok = self.next()
+            if tok.text == open_t:
+                depth += 1
+            elif tok.text == close_t:
+                depth -= 1
+        return tok
+
+    def skip_type_args(self) -> None:
+        """Consume the type arguments `<...>` at the cursor."""
+        self.pos = _type_args_close(self.tokens, self.pos, self.end)
+        self.next()
+
+
+class _FileParser(_Cursor):
+    """Parses one file into `fragment`, a model that holds only this file."""
+
+    def __init__(self, source: SourceFile, fragment: RepoModel, diagnostics: DiagnosticSink):
+        tokens = tokenize(source.text, source.path)
+        super().__init__(source.path, tokens, len(tokens), tokens[-1].line if tokens else 1)
+        self.src = source
+        self.fragment = fragment
+        self.diag = diagnostics
+        source.trivia = [True] * len(source.lines)
+        for tok in self.tokens:
+            if tok.text not in TRIVIA_PUNCT:
+                source.trivia[tok.line - 1] = False
+        self.counter = 0
+        self.pending: list[_PendingBody] = []
+        self.pending_fields: list[tuple] = []  # (node, cls, [(GlobalDecl, init tokens)])
+        self.package = ""
 
     # ------------------------------------------------------------------ nodes
 
@@ -178,7 +184,7 @@ class _FileParser:
         for node, cls, declarators in self.pending_fields:
             fields = self.field_names_for(cls)
             for decl, init in declarators:
-                decl.rhs_uses, calls = extract_expression(init, _Scope(), self.src.path, field_names=fields)
+                decl.rhs_uses, calls = extract_expression(init, {}, self.src.path, field_names=fields)
                 node.uses |= decl.rhs_uses
                 node.calls.extend(calls)
         for pend in self.pending:
@@ -195,23 +201,6 @@ class _FileParser:
             self.next()  # name
             if self.at("("):
                 self.skip_balanced("(", ")")
-
-    def skip_balanced(self, open_t: str, close_t: str) -> Token:
-        depth = 0
-        self.expect(open_t)
-        depth = 1
-        last = None
-        while depth > 0:
-            tok = self.next()
-            last = tok
-            if tok.text == open_t:
-                depth += 1
-            elif tok.text == close_t:
-                depth -= 1
-            elif open_t == "<" and tok.text in (">>", ">>>"):
-                # Nested generics close with a single shift token.
-                depth -= len(tok.text)
-        return last
 
     def parse_type_decl(self, enclosing: str | None) -> None:
         first = self.peek()
@@ -232,7 +221,7 @@ class _FileParser:
         simple = name_tok.text
         fqn = self.qualify(simple, enclosing)
         if self.at("<"):
-            self.skip_balanced("<", ">")
+            self.skip_type_args()
         supertypes: list[str] = []
         if self.at("extends"):
             self.next()
@@ -253,7 +242,6 @@ class _FileParser:
             simple_name=simple,
             supertypes=supertypes,
             decl_statement=decl_node.id,
-            is_top_level=enclosing is None,
             enclosing=enclosing,
             file=self.src.path,
         )
@@ -266,8 +254,7 @@ class _FileParser:
             if self.peek() is None:
                 raise SubsetViolation(self.src.path, brace.line, "unterminated class body")
             self.parse_member(cls, is_interface)
-        close = self.expect("}")
-        cls.body_span = (first.line, close.line)
+        self.expect("}")
 
     def parse_member(self, cls: ClassDecl, is_interface: bool) -> None:
         if self.at(";"):
@@ -419,32 +406,17 @@ class _FileParser:
             exit_node = self.make_node("exit", close, close, owner=fid, synthetic=True)
             func.exit = exit_node.id
             return
-        body_open = self.expect("{")
-        depth = 1
-        body: list[Token] = [body_open]
-        while depth > 0:
-            tok = self.next()
-            body.append(tok)
-            if tok.text == "{":
-                depth += 1
-            elif tok.text == "}":
-                depth -= 1
-        exit_node = self.make_node("exit", body[-1], body[-1], owner=fid, synthetic=True)
+        start = self.pos + 1
+        body_close = self.skip_balanced("{", "}")
+        exit_node = self.make_node("exit", body_close, body_close, owner=fid, synthetic=True)
         func.exit = exit_node.id
-        self.pending.append(_PendingBody(function=func, tokens=body, cls=cls))
+        self.pending.append(_PendingBody(func, cls, start, self.pos - 1))
 
     # ------------------------------------------------------------ method body
 
     def parse_body(self, pend: _PendingBody) -> None:
-        func = pend.function
-        scope = _Scope()
-        for p, t in zip(func.params, func.param_types):
-            scope.declare(p, t)
-        sub = _BodyParser(self, func, scope, self.field_names_for(pend.cls))
-        stmts = sub.parse_block_tokens(pend.tokens)
-        self.fragment.bodies[func.id] = stmts
-        func.var_types = dict(scope.var_types)
-        func.body = [sid for sid in _collect_ids(stmts)]
+        body = _BodyParser(self, pend.function, self.field_names_for(pend.cls))
+        self.fragment.bodies[pend.function.id] = body.parse_statements(pend.start, pend.end)
 
     # ------------------------------------------------------------------ types
 
@@ -464,7 +436,7 @@ class _FileParser:
         else:
             raise SubsetViolation(self.src.path, tok.line, f"expected a type, found '{tok.text}'")
         if self.at("<"):
-            self.skip_balanced("<", ">")
+            self.skip_type_args()
         while self.at("[") and (n := self.peek(1)) is not None and n.text == "]":
             self.next()
             self.next()
@@ -472,142 +444,62 @@ class _FileParser:
         return base
 
 
-def _collect_ids(stmts: list) -> list[str]:
-    out: list[str] = []
-    for s in stmts:
-        if isinstance(s, syn.Simple):
-            out.append(s.node)
-        elif isinstance(s, (syn.Return, syn.Jump)):
-            out.append(s.node)
-        elif isinstance(s, syn.If):
-            out.append(s.cond)
-            out.extend(_collect_ids(s.then))
-            out.extend(_collect_ids(s.orelse))
-        elif isinstance(s, syn.While):
-            out.append(s.cond)
-            out.extend(_collect_ids(s.body))
-        elif isinstance(s, syn.DoWhile):
-            out.extend(_collect_ids(s.body))
-            out.append(s.cond)
-        elif isinstance(s, syn.For):
-            for x in (s.init, s.cond, s.update):
-                if x:
-                    out.append(x)
-            out.extend(_collect_ids(s.body))
-        elif isinstance(s, syn.ForEach):
-            out.append(s.header)
-            out.append(s.update)
-            out.extend(_collect_ids(s.body))
-        elif isinstance(s, syn.Switch):
-            out.append(s.selector)
-            for _, stmts2 in s.cases:
-                out.extend(_collect_ids(stmts2))
-        elif isinstance(s, syn.Labeled):
-            out.append(s.label_node)
-            out.extend(_collect_ids([s.inner]))
-        elif isinstance(s, syn.Try):
-            out.extend(_collect_ids(s.body))
-            for c in s.catches:
-                out.extend(_collect_ids(c))
-            out.extend(_collect_ids(s.finally_))
-        elif isinstance(s, syn.Block):
-            out.extend(_collect_ids(s.stmts))
-    return out
+class _BodyParser(_Cursor):
+    """Parses one method body, in place in its file's tokens, into statement
+    nodes and shapes.  The function's `var_types` is the scope: parameters
+    and the locals declared so far."""
 
-
-class _BodyParser:
-    """Parses one method body's token slice into statement nodes and shapes."""
-
-    def __init__(
-        self, fp: _FileParser, func: FunctionDecl, scope: _Scope, fields: dict[str, str], depth: int = 0
-    ):
+    def __init__(self, fp: _FileParser, func: FunctionDecl, fields: dict[str, str]):
+        super().__init__(fp.src.path, fp.tokens, 0, func.sig_line, " in method body")
         self.fp = fp
         self.func = func
-        self.scope = scope
+        self.var_types = func.var_types
         self.fields = fields
-        self.tokens: list[Token] = []
-        self.pos = 0
-        self.depth = depth  # statements enclosing the next one parsed
+        self.depth = 0  # statements enclosing the next one parsed
 
-    # Token helpers over the local slice.
-    def peek(self, offset: int = 0) -> Token | None:
-        idx = self.pos + offset
-        return self.tokens[idx] if idx < len(self.tokens) else None
-
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def at(self, text: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.text == text
-
-    def expect(self, text: str) -> Token:
-        tok = self.peek()
-        if tok is None or tok.text != text:
-            line = tok.line if tok else self.func.sig_line
-            raise SubsetViolation(self.fp.src.path, line, f"expected '{text}' in method body")
-        return self.next()
-
-    def known(self) -> dict[str, str]:
-        merged = dict(self.fields)
-        merged.update(self.scope.var_types)
-        return merged
+    def node(self, kind: str, first: Token, last: Token, **kw) -> StatementNode:
+        """A statement node of this body; `func.body` lists them as made."""
+        node = self.fp.make_node(kind, first, last, owner=self.func.id, **kw)
+        self.func.body.append(node.id)
+        return node
 
     def extract(self, tokens: list[Token]) -> tuple[set[str], list[CallSite]]:
         return extract_expression(
-            tokens, self.scope, self.fp.src.path, field_names=self.fields, depth=self.depth
+            tokens, self.var_types, self.path, field_names=self.fields, depth=self.depth
         )
 
-    def parse_block_tokens(self, tokens: list[Token]) -> list:
-        assert tokens[0].text == "{" and tokens[-1].text == "}"
-        self.tokens = tokens[1:-1]
-        self.pos = 0
+    def parse_statements(self, start: int, end: int) -> list:
+        """Parse tokens[start:end] as a statement list; the cursor is left at `end`."""
+        outer_end = self.end
+        self.pos, self.end = start, end
         stmts = []
         while self.peek() is not None:
             stmts.append(self.parse_statement())
+        self.end = outer_end
         return stmts
 
     def consume_until_semicolon(self) -> list[Token]:
-        out: list[Token] = []
-        depth = 0
-        while True:
-            tok = self.peek()
-            if tok is None:
-                raise SubsetViolation(self.fp.src.path, self.func.sig_line, "missing ';'")
-            if depth == 0 and tok.text == ";":
-                break
-            if tok.text in "([":
-                depth += 1
-            elif tok.text in ")]":
-                depth -= 1
-            out.append(self.next())
-        return out
+        start = self.pos
+        for i, tok in _top_level(self.tokens, start, self.end):
+            if tok.text == ";":
+                self.pos = i
+                return self.tokens[start:i]
+        raise SubsetViolation(self.path, self.func.sig_line, "missing ';'")
 
-    def balanced_group(self, open_t: str, close_t: str) -> list[Token]:
-        """Consume a balanced group and return the tokens inside it."""
-        self.expect(open_t)
-        depth = 1
-        inner: list[Token] = []
-        while True:
-            tok = self.next()
-            if tok.text == open_t:
-                depth += 1
-            elif tok.text == close_t:
-                depth -= 1
-                if depth == 0:
-                    return inner
-            inner.append(tok)
+    def parenthesized(self) -> list[Token]:
+        """Consume a parenthesized group and return the tokens inside it."""
+        start = self.pos + 1
+        self.skip_balanced("(", ")")
+        return self.tokens[start : self.pos - 1]
 
     # --------------------------------------------------------------- statements
 
     def parse_statement(self):
         tok = self.peek()
         if tok is None:
-            raise SubsetViolation(self.fp.src.path, self.func.sig_line, "unexpected end of body")
+            raise SubsetViolation(self.path, self.func.sig_line, "unexpected end of body")
         if self.depth == MAX_NESTING:
-            raise SubsetViolation(self.fp.src.path, tok.line, f"nesting deeper than {MAX_NESTING}")
+            raise SubsetViolation(self.path, tok.line, f"nesting deeper than {MAX_NESTING}")
         self.depth += 1
         stmt = self.parse_statement_at(tok)
         self.depth -= 1
@@ -640,9 +532,7 @@ class _BodyParser:
             expr = self.consume_until_semicolon()
             last = self.expect(";")
             uses, calls = self.extract(expr)
-            node = self.fp.make_node(
-                "jump", first, last, owner=self.func.id, uses=uses, calls=calls, jump_kind="throw"
-            )
+            node = self.node("jump", first, last, uses=uses, calls=calls, jump_kind="throw")
             return syn.Jump(node.id, "throw")
         # Labeled statement: IDENT ':' <statement>
         if (
@@ -655,25 +545,19 @@ class _BodyParser:
         return self.parse_simple()
 
     def parse_nested_block(self) -> syn.Block:
-        open_tok = self.expect("{")
-        depth = 1
-        body = [open_tok]
-        while depth > 0:
-            t = self.next()
-            body.append(t)
-            if t.text == "{":
-                depth += 1
-            elif t.text == "}":
-                depth -= 1
-        sub = _BodyParser(self.fp, self.func, self.scope, self.fields, self.depth)
-        return syn.Block(sub.parse_block_tokens(body))
+        start = self.pos + 1
+        self.skip_balanced("{", "}")
+        after = self.pos
+        stmts = self.parse_statements(start, after - 1)
+        self.pos = after
+        return syn.Block(stmts)
 
     def parse_if(self) -> syn.If:
         first = self.expect("if")
-        cond = self.balanced_group("(", ")")
+        cond = self.parenthesized()
         last = self.tokens[self.pos - 1]
         uses, calls = self.extract(cond)
-        node = self.fp.make_node("condition", first, last, owner=self.func.id, uses=uses, calls=calls)
+        node = self.node("condition", first, last, uses=uses, calls=calls)
         then = [self.parse_statement()]
         orelse = []
         if self.at("else"):
@@ -683,10 +567,10 @@ class _BodyParser:
 
     def parse_while(self) -> syn.While:
         first = self.expect("while")
-        cond = self.balanced_group("(", ")")
+        cond = self.parenthesized()
         last = self.tokens[self.pos - 1]
         uses, calls = self.extract(cond)
-        node = self.fp.make_node("loop_header", first, last, owner=self.func.id, uses=uses, calls=calls)
+        node = self.node("loop_header", first, last, uses=uses, calls=calls)
         body = [self.parse_statement()]
         return syn.While(node.id, body)
 
@@ -694,22 +578,24 @@ class _BodyParser:
         self.expect("do")
         body = [self.parse_statement()]
         first = self.expect("while")
-        cond = self.balanced_group("(", ")")
+        cond = self.parenthesized()
         semi = self.expect(";")
         uses, calls = self.extract(cond)
-        node = self.fp.make_node("loop_header", first, semi, owner=self.func.id, uses=uses, calls=calls)
+        node = self.node("loop_header", first, semi, uses=uses, calls=calls)
         return syn.DoWhile(node.id, body)
 
     def parse_for(self):
         first = self.expect("for")
-        header = self.balanced_group("(", ")")
+        header = self.parenthesized()
         close = self.tokens[self.pos - 1]
-        colon = _top_level_index(header, ":")
-        if colon is not None:
-            return self.parse_for_each(first, header, close, colon)
-        semis = [i for i in range(len(header)) if header[i].text == ";" and _depth_at(header, i) == 0]
+        # A top-level ':' makes a for-each header only where no top-level
+        # ';' makes a classic one: `i = c ? 1 : 2;` is a classic init.
+        marks = [i for i, t in _top_level(header) if t.text in (";", ":")]
+        semis = [i for i in marks if header[i].text == ";"]
+        if marks and not semis:
+            return self.parse_for_each(first, header, close, marks[0])
         if len(semis) != 2:
-            raise SubsetViolation(self.fp.src.path, first.line, "malformed for header")
+            raise SubsetViolation(self.path, first.line, "malformed for header")
         init_toks = header[: semis[0]]
         cond_toks = header[semis[0] + 1 : semis[1]]
         update_toks = header[semis[1] + 1 :]
@@ -718,9 +604,7 @@ class _BodyParser:
             init_id = self.simple_from_tokens(init_toks, first, close).node
         if cond_toks:
             uses, calls = self.extract(cond_toks)
-            cond_id = self.fp.make_node(
-                "loop_header", first, close, owner=self.func.id, uses=uses, calls=calls
-            ).id
+            cond_id = self.node("loop_header", first, close, uses=uses, calls=calls).id
         if update_toks:
             update_id = self.simple_from_tokens(update_toks, first, close).node
         body = [self.parse_statement()]
@@ -732,28 +616,26 @@ class _BodyParser:
         var_tok = decl[-1]
         type_toks = decl[:-1]
         type_name = _type_from_tokens(type_toks)
-        self.scope.declare(var_tok.text, type_name)
+        self.var_types[var_tok.text] = type_name
         uses, calls = self.extract(iterable)
-        head = self.fp.make_node("loop_header", first, close, owner=self.func.id, uses=set(uses), calls=calls)
-        update = self.fp.make_node(
-            "assignment", first, close, owner=self.func.id, defs={var_tok.text}, uses=set(uses)
-        )
+        head = self.node("loop_header", first, close, uses=set(uses), calls=calls)
+        update = self.node("assignment", first, close, defs={var_tok.text}, uses=set(uses))
         body = [self.parse_statement()]
         return syn.ForEach(head.id, update.id, body)
 
     def parse_switch(self) -> syn.Switch:
         first = self.expect("switch")
-        sel = self.balanced_group("(", ")")
+        sel = self.parenthesized()
         last = self.tokens[self.pos - 1]
         uses, calls = self.extract(sel)
-        node = self.fp.make_node("condition", first, last, owner=self.func.id, uses=uses, calls=calls)
+        node = self.node("condition", first, last, uses=uses, calls=calls)
         self.expect("{")
         cases: list[tuple[bool, list]] = []
         current: list | None = None
         while not self.at("}"):
             tok = self.peek()
             if tok is None:
-                raise SubsetViolation(self.fp.src.path, first.line, "unterminated switch")
+                raise SubsetViolation(self.path, first.line, "unterminated switch")
             if tok.text == "case":
                 self.next()
                 while not self.at(":"):
@@ -768,7 +650,7 @@ class _BodyParser:
                 cases.append((True, current))
             else:
                 if current is None:
-                    raise SubsetViolation(self.fp.src.path, tok.line, "statement before first case label")
+                    raise SubsetViolation(self.path, tok.line, "statement before first case label")
                 current.append(self.parse_statement())
         self.expect("}")
         return syn.Switch(node.id, cases)
@@ -779,9 +661,9 @@ class _BodyParser:
         catches = []
         while self.at("catch"):
             self.next()
-            group = self.balanced_group("(", ")")
+            group = self.parenthesized()
             if len(group) >= 2:
-                self.scope.declare(group[-1].text, _type_from_tokens(group[:-1]))
+                self.var_types[group[-1].text] = _type_from_tokens(group[:-1])
             catches.append(self.parse_nested_block().stmts)
         finally_ = []
         if self.at("finally"):
@@ -795,9 +677,7 @@ class _BodyParser:
         last = self.expect(";")
         uses, calls = self.extract(expr)
         defs = {RETURN_VAR} if expr else set()
-        node = self.fp.make_node(
-            "return", first, last, owner=self.func.id, defs=defs, uses=uses, calls=calls
-        )
+        node = self.node("return", first, last, defs=defs, uses=uses, calls=calls)
         return syn.Return(node.id)
 
     def parse_jump(self) -> syn.Jump:
@@ -806,15 +686,13 @@ class _BodyParser:
         if (tok := self.peek()) is not None and tok.kind == "ident":
             label = self.next().text
         last = self.expect(";")
-        node = self.fp.make_node(
-            "jump", first, last, owner=self.func.id, jump_kind=first.text, jump_label=label
-        )
+        node = self.node("jump", first, last, jump_kind=first.text, jump_label=label)
         return syn.Jump(node.id, first.text, label)
 
     def parse_labeled(self) -> syn.Labeled:
         name_tok = self.next()
         colon = self.expect(":")
-        node = self.fp.make_node("label", name_tok, colon, owner=self.func.id)
+        node = self.node("label", name_tok, colon)
         inner = self.parse_statement()
         return syn.Labeled(name_tok.text, node.id, inner)
 
@@ -830,15 +708,13 @@ class _BodyParser:
         if decl is not None:
             type_toks, name_tok, init = decl
             type_name = _type_from_tokens(type_toks)
-            self.scope.declare(name_tok.text, type_name)
+            self.var_types[name_tok.text] = type_name
             uses, calls = self.extract(init)
             kind = "call" if calls else "declaration"
-            node = self.fp.make_node(
-                kind, first, last, owner=self.func.id, defs={name_tok.text}, uses=uses, calls=calls
-            )
+            node = self.node(kind, first, last, defs={name_tok.text}, uses=uses, calls=calls)
             node.code = self.fp.src.text[expr[0].start : expr[-1].end] if expr else node.code
             return syn.Simple(node.id)
-        eq = _top_level_assign_index(expr)
+        eq = next((i for i, t in _top_level(expr) if t.text in _ASSIGN_OPS), None)
         if eq is not None:
             lhs, op, rhs = expr[:eq], expr[eq], expr[eq + 1 :]
             target = _dotted_name(lhs)
@@ -850,7 +726,7 @@ class _BodyParser:
             uses |= lhs_uses
             calls.extend(lhs_calls)
             kind = "call" if calls else "assignment"
-            node = self.fp.make_node(kind, first, last, owner=self.func.id, defs=defs, uses=uses, calls=calls)
+            node = self.node(kind, first, last, defs=defs, uses=uses, calls=calls)
             return syn.Simple(node.id)
         if expr and expr[-1].text in ("++", "--") or (expr and expr[0].text in ("++", "--")):
             core = [t for t in expr if t.text not in ("++", "--")]
@@ -858,53 +734,49 @@ class _BodyParser:
             uses, calls = self.extract(core)
             defs = {target} if target else set()
             uses |= defs
-            node = self.fp.make_node("assignment", first, last, owner=self.func.id, defs=defs, uses=uses, calls=calls)
+            node = self.node("assignment", first, last, defs=defs, uses=uses, calls=calls)
             return syn.Simple(node.id)
         uses, calls = self.extract(expr)
         kind = "call" if calls else "assignment"
-        node = self.fp.make_node(kind, first, last, owner=self.func.id, uses=uses, calls=calls)
+        node = self.node(kind, first, last, uses=uses, calls=calls)
         return syn.Simple(node.id)
 
 
 # ---------------------------------------------------------------- token utils
 
 
-def _depth_at(tokens: list[Token], idx: int) -> int:
+def _top_level(tokens: list[Token], start: int = 0, end: int | None = None):
+    """Yield (index, token) for each token of tokens[start:end] at depth 0,
+    where ( and [ open and ) and ] close a group from `start` on.  A bracket
+    counts at the depth before it, so the closer of a group that opened
+    before `start` is yielded."""
     depth = 0
-    for t in tokens[:idx]:
+    for i in range(start, len(tokens) if end is None else end):
+        t = tokens[i]
+        if depth == 0:
+            yield i, t
         if t.text in "([":
             depth += 1
         elif t.text in ")]":
             depth -= 1
-    return depth
 
 
-def _top_level_index(tokens: list[Token], text: str) -> int | None:
-    depth = 0
-    for i, t in enumerate(tokens):
-        if t.text in "([":
-            depth += 1
-        elif t.text in ")]":
-            depth -= 1
-        elif depth == 0 and t.text == text:
-            return i
-    return None
-
-
+# '==' is lexed as one token, so a bare '=' among these is an assignment.
 _ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>=")
+# How each token changes the depth of nested type arguments.
+_ANGLE_DEPTH = {"<": 1, ">": -1, ">>": -2, ">>>": -3}
 
 
-def _top_level_assign_index(tokens: list[Token]) -> int | None:
+def _type_args_close(tokens: list[Token], i: int, end: int) -> int:
+    """Index of the token that closes the type arguments opening at
+    tokens[i] == '<', where `>>` and `>>>` close two and three levels; `end`
+    when none does before it."""
     depth = 0
-    for i, t in enumerate(tokens):
-        if t.text in "([":
-            depth += 1
-        elif t.text in ")]":
-            depth -= 1
-        elif depth == 0 and t.kind == "punct" and t.text in _ASSIGN_OPS:
-            # '==' is lexed as one token, so a bare '=' here is an assignment.
-            return i
-    return None
+    for j in range(i, end):
+        depth += _ANGLE_DEPTH.get(tokens[j].text, 0)
+        if depth <= 0:
+            return j
+    return end
 
 
 def _dotted_name(tokens: list[Token]) -> str | None:
@@ -949,16 +821,7 @@ def _match_declaration(tokens: list[Token]) -> tuple[list[Token], Token, list[To
         while i + 1 < len(tokens) and tokens[i].text == "." and tokens[i + 1].kind == "ident":
             i += 2
         if i < len(tokens) and tokens[i].text == "<":
-            depth = 1
-            i += 1
-            while i < len(tokens) and depth > 0:
-                if tokens[i].text == "<":
-                    depth += 1
-                elif tokens[i].text == ">":
-                    depth -= 1
-                elif tokens[i].text in (">>", ">>>"):
-                    depth -= len(tokens[i].text)
-                i += 1
+            i = _type_args_close(tokens, i, len(tokens)) + 1
     else:
         return None
     while i + 1 < len(tokens) and tokens[i].text == "[" and tokens[i + 1].text == "]":
@@ -990,21 +853,20 @@ def _type_from_tokens(tokens: list[Token]) -> str:
 
 def extract_expression(
     tokens: list[Token],
-    scope: _Scope,
+    var_types: dict[str, str],
     path: str,
     field_names: dict[str, str] | None = None,
     depth: int = 0,
 ) -> tuple[set[str], list[CallSite]]:
     """Syntactic use/call extraction over an expression token stream.
 
-    Uses contain only names resolvable to declared variables (params, locals,
-    fields of the enclosing class chain); the base of a dotted access
+    Uses contain only names resolvable to declared variables (`var_types`,
+    then `field_names` of the enclosing class chain); the base of a dotted access
     contributes the use.  Callee names never count as uses, type names and
     class literals are skipped, and `this.x` chains use the dotted name.
     `depth` counts the statements and argument lists enclosing `tokens`.
     """
-    known: dict[str, str] = dict(field_names or {})
-    known.update(scope.var_types)
+    known = {**field_names, **var_types} if field_names else var_types
     uses: set[str] = set()
     calls: list[CallSite] = []
 
@@ -1037,14 +899,7 @@ def extract_expression(
                 type_parts.append(toks[j].text)
             j += 1
         if j < len(toks) and toks[j].text == "<":
-            depth = 1
-            j += 1
-            while j < len(toks) and depth > 0:
-                if toks[j].text == "<":
-                    depth += 1
-                elif toks[j].text in (">", ">>"):
-                    depth -= 2 if toks[j].text == ">>" else 1
-                j += 1
+            j = _type_args_close(toks, j, len(toks)) + 1
         if j < len(toks) and toks[j].text == "(":
             args, end = _split_args(toks, j)
             arg_sets = walk_args(args, toks[j])
@@ -1124,8 +979,7 @@ def extract_expression(
             raise SubsetViolation(path, paren.line, f"nesting deeper than {MAX_NESTING}")
         arg_sets = []
         for a in args:
-            sub_scope = _Scope(known=set(known), var_types=dict(known))
-            u, c = extract_expression(a, sub_scope, path, depth=depth + 1)
+            u, c = extract_expression(a, known, path, depth=depth + 1)
             arg_sets.append(u)
             uses.update(u)
             calls.extend(c)
@@ -1173,26 +1027,16 @@ def _split_args(tokens: list[Token], paren: int) -> tuple[list[list[Token]], int
     Returns (argument token lists, index of the closing ')').
     """
     assert tokens[paren].text == "("
-    depth = 1
     args: list[list[Token]] = []
-    current: list[Token] = []
-    i = paren + 1
-    while i < len(tokens):
-        t = tokens[i]
-        if t.text in "([":
-            depth += 1
+    start = paren + 1
+    for i, t in _top_level(tokens, start):
+        if t.text == ",":
+            args.append(tokens[start:i])
+            start = i + 1
         elif t.text in ")]":
-            depth -= 1
-            if depth == 0:
-                if current:
-                    args.append(current)
-                return args, i
-        if depth == 1 and t.text == ",":
-            args.append(current)
-            current = []
-        else:
-            current.append(t)
-        i += 1
+            if i > start:
+                args.append(tokens[start:i])
+            return args, i
     raise SubsetViolation("<expr>", tokens[paren].line, "unbalanced argument list")
 
 
@@ -1222,18 +1066,13 @@ def parse_source(path: str, text: str, model: RepoModel, diagnostics: Diagnostic
     return True
 
 
-def parse_repository(
-    root: str,
-    config: FrontendConfig | None = None,
-    diagnostics: DiagnosticSink | None = None,
-) -> RepoModel:
-    """Parse every selected source file under `root` into a RepoModel.
+def parse_repository(root: str, diagnostics: DiagnosticSink | None = None) -> RepoModel:
+    """Parse every Java source file under `root` into a RepoModel.
 
     Files violating the subset, unreadable files and files that are not valid
     UTF-8 are reported and skipped; the remaining files still produce a
     usable model.
     """
-    config = config or FrontendConfig()
     diagnostics = diagnostics if diagnostics is not None else DiagnosticSink()
     if not os.path.isdir(root):
         raise IOError(f"repository root does not exist: {root}")
@@ -1242,11 +1081,8 @@ def parse_repository(
     for dirpath, dirnames, filenames in os.walk(root):
         dirnames.sort()
         for fn in sorted(filenames):
-            if not fn.endswith(config.extension):
-                continue
-            rel = os.path.relpath(os.path.join(dirpath, fn), root)
-            if config.selects(rel):
-                paths.append(rel)
+            if fn.endswith(SOURCE_EXTENSION):
+                paths.append(os.path.relpath(os.path.join(dirpath, fn), root))
     for rel in sorted(paths):
         full = os.path.join(root, rel)
         path = rel.replace(os.sep, "/")

@@ -86,9 +86,6 @@ class Try:
     finally_: list = field(default_factory=list)
 
 
-LOOP_FORMS = (While, DoWhile, For, ForEach)
-
-
 def head_node(stmt) -> str | None:
     """First CFG node of a structured statement, or None for empty blocks."""
     if isinstance(stmt, Simple):

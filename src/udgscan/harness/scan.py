@@ -24,7 +24,7 @@ from ..errors import (
     OracleParseError,
 )
 from ..frontend.analysis import build_type_hierarchy, resolve_label_targets
-from ..frontend.parser import FrontendConfig, parse_repository
+from ..frontend.parser import parse_repository
 from ..knowledge import detection_units_for, load_knowledge_base, load_starter_kb, load_user_sinks
 from ..pool import RequestPool, issue
 from ..reasoning.clients import LiveClientConfig, LiveInferenceClient, MockInferenceClient
@@ -203,7 +203,7 @@ def scan(config: ScanConfig, inference_client=None, resolution_oracle=None) -> S
     timings: dict[str, float] = {}
 
     t0 = time.monotonic()
-    model = parse_repository(config.repo, FrontendConfig(), diagnostics)
+    model = parse_repository(config.repo, diagnostics)
     try:
         build_type_hierarchy(model, diagnostics)
     except HierarchyCycle as exc:

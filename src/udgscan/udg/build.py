@@ -8,10 +8,6 @@ from .cfg import build_cfg
 from .ddg import build_ddg
 from .graph import UnifiedDependencyGraph
 
-# Statement kinds that only enter the graph during enhancement.
-GLOBAL_KINDS = frozenset({"global_def", "import_decl", "package_decl", "class_decl"})
-
-
 def assemble_original_udg(model: RepoModel) -> UnifiedDependencyGraph:
     """Union of per-function CFG/DDG edges and the conservative call graph.
 

@@ -9,8 +9,6 @@ the under-approximation a scalable analyzer produces.
 
 from __future__ import annotations
 
-from collections import deque
-
 from ..frontend.model import CallSite, FunctionDecl, RepoModel, StatementNode, TypeHierarchy
 from .graph import CALL, UdgEdge, make_external_node
 
@@ -53,8 +51,7 @@ def resolve_call_site(
         if cls is None:
             return []
         definer = None
-        chain = [cls.name] + _supertype_chain(hierarchy, cls.name)
-        for cname in chain:
+        for cname in [cls.name, *hierarchy.supertypes_of(cls.name)]:
             found = model.find_methods(cname, site.name, site.arity)
             if found:
                 definer = (cname, found)
@@ -83,25 +80,12 @@ def resolve_call_site(
     base = site.chain.split(".")[0]
     cls = model.resolve_class(base, caller.file)
     if cls is not None:
-        chain = [cls.name] + _supertype_chain(hierarchy, cls.name)
-        for cname in chain:
+        for cname in [cls.name, *hierarchy.supertypes_of(cls.name)]:
             found = model.find_methods(cname, site.name, site.arity)
             if found:
                 return found, False
         return [], False
     return [], is_reflective_site(site)
-
-
-def _supertype_chain(hierarchy: TypeHierarchy, name: str) -> list[str]:
-    out: list[str] = []
-    work = deque(hierarchy.supertypes_of(name))
-    while work:
-        cur = work.popleft()
-        if cur in out:
-            continue
-        out.append(cur)
-        work.extend(hierarchy.supertypes_of(cur))
-    return out
 
 
 def build_call_graph(

@@ -1,10 +1,12 @@
 import pytest
 
-from conftest import fixture_path, write_repo
+from conftest import fixture_path, parse_and_build, write_repo
 
 from udgscan.errors import DiagnosticSink, HierarchyCycle
+from udgscan.frontend import syntax as syn
 from udgscan.frontend.analysis import build_type_hierarchy, resolve_label_targets
-from udgscan.frontend.parser import FrontendConfig, parse_repository
+from udgscan.frontend.parser import parse_repository
+from udgscan.udg.graph import CONTROL_FLOW
 
 MINIMAL = """package p;
 class A {
@@ -183,13 +185,45 @@ def test_hierarchy_cycle_rejected(tmp_path):
         build_type_hierarchy(model)
 
 
-def test_include_exclude_globs(tmp_path):
-    root = write_repo(
-        tmp_path,
-        {
-            "src/A.java": MINIMAL,
-            "gen/B.java": MINIMAL.replace("class A", "class B").replace("package p;", "package g;"),
-        },
-    )
-    model = parse_repository(root, FrontendConfig(exclude=["gen/*"]))
-    assert [f.path for f in model.files] == ["src/A.java"]
+def test_constructor_with_type_arguments_three_deep(tmp_path):
+    src = """package p;
+class N {
+    void m(String v) {
+        Object x = new Box<Box<Box<String>>>(v);
+    }
+}
+"""
+    root = write_repo(tmp_path, {"N.java": src})
+    model = parse_repository(root)
+    x = next(s for s in model.statements.values() if s.defs == {"x"})
+    assert [(c.chain, c.arity, c.arg_vars, c.is_constructor) for c in x.calls] == [("new Box", 1, [{"v"}], True)]
+    assert x.kind == "call"
+    assert "v" in x.uses
+
+
+def test_for_init_with_ternary_is_a_classic_for(tmp_path):
+    src = """package p;
+class F {
+    int m(boolean flag, int n) {
+        int s = 0;
+        for (int i = flag ? 1 : 2; i < n; i++) {
+            s = s + i;
+        }
+        return s;
+    }
+}
+"""
+    root = write_repo(tmp_path, {"F.java": src})
+    model, g, diags = parse_and_build(root)
+    assert not diags.has_errors()
+    func = next(iter(model.functions.values()))
+    loop = model.bodies[func.id][1]
+    assert isinstance(loop, syn.For)
+    init, cond, update = (model.stmt(sid) for sid in (loop.init, loop.cond, loop.update))
+    assert (init.kind, init.defs, init.uses) == ("declaration", {"i"}, {"flag"})
+    assert (cond.kind, cond.defs, cond.uses) == ("loop_header", set(), {"i", "n"})
+    assert (update.defs, update.uses) == ({"i"}, {"i"})
+    body = model.stmt(syn.head_of_list(loop.body))
+    ret = next(s for s in model.statements.values() if s.kind == "return")
+    for src_id, dst_id in [(init.id, cond.id), (cond.id, body.id), (body.id, update.id), (update.id, cond.id), (cond.id, ret.id)]:
+        assert g.has_edge(src_id, dst_id, CONTROL_FLOW)
