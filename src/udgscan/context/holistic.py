@@ -162,12 +162,10 @@ class _Rendering:
         return {path: block.included() for path, block in self.blocks.items()}
 
 
-def render_context(
-    statement_ids: list[str], model: RepoModel
-) -> tuple[str, dict[str, list[int]]]:
-    """The rendered text of `statement_ids` and, per file, the lines it shows."""
-    rendering = _Rendering(statement_ids, model)
-    return rendering.text, rendering.included()
+def render_context(statement_ids: list[str], model: RepoModel) -> _Rendering:
+    """The rendering of `statement_ids`: its `.text` and, per file, the lines
+    it shows (`.included()`)."""
+    return _Rendering(statement_ids, model)
 
 
 def holistic_context(
@@ -213,8 +211,8 @@ def holistic_context(
 
     dropped = 0
     kept = list(all_ids)
-    rendered, rendered_lines = render_context(kept, model)
-    if tokenizer(rendered) > token_budget:
+    rendering = render_context(kept, model)
+    if tokenizer(rendering.text) > token_budget:
         # Farthest first, ties broken by the later source position: the order
         # never changes while statements are dropped, so it is computed once.
         drop_order = sorted(
@@ -222,18 +220,14 @@ def holistic_context(
             key=lambda sid: (distances.get(sid, 99), g.nodes[sid].sort_key()),
             reverse=True,
         )
-        # `render_context` hands back only text and lines, so the loop builds
-        # the editable rendering behind them.  A drop that uncovers no line
-        # leaves the text, and so its token count, as it was: the tokenizer
-        # runs only on a changed text.
-        rendering = _Rendering(kept, model)
+        # A drop that uncovers no line leaves the text, and so its token
+        # count, as it was: the tokenizer runs only on a changed text.
         for victim in drop_order:
             dropped += 1
             if rendering.drop(victim) and tokenizer(rendering.text) <= token_budget:
                 break
         gone = set(drop_order[:dropped])
         kept = [sid for sid in kept if sid not in gone]
-        rendered, rendered_lines = rendering.text, rendering.included()
 
     notes = list(
         dict.fromkeys(
@@ -255,8 +249,8 @@ def holistic_context(
         declaration=declaration,
         implicit=implicit,
         all=kept,
-        rendered=rendered,
-        rendered_lines=rendered_lines,
+        rendered=rendering.text,
+        rendered_lines=rendering.included(),
         boundary_notes=notes,
         dropped=dropped,
     )

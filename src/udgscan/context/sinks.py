@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..frontend.model import RepoModel
+from ..udg.calls import call_statements
 from ..udg.graph import CALL, UnifiedDependencyGraph
 
 
@@ -34,9 +35,7 @@ def find_sensitive_invocations(
     if g.state != "enhanced":
         raise ValueError("sensitive invocations are collected on the enhanced graph")
     found: dict[tuple[str, str], SensitiveInvocation] = {}
-    for stmt in sorted(
-        (n for n in g.nodes.values() if n.calls and not n.synthetic), key=lambda n: n.sort_key()
-    ):
+    for stmt in call_statements(g):
         for site in stmt.calls:
             entries = kb.match_call(site.qualified_candidates(), site.arity)
             if not entries and site.receiver_type is None and not site.is_constructor:

@@ -14,6 +14,7 @@ from ..udg.graph import CALL, UnifiedDependencyGraph
 class SccComponent:
     members: tuple[str, ...]  # function ids, sorted
     index: int
+    recursive: bool  # more than one member, or a member calls itself
 
 
 @dataclass
@@ -98,7 +99,8 @@ def compute_analysis_order(g: UnifiedDependencyGraph, model: RepoModel) -> Analy
     components = tarjan_scc(fcg)
     seq = AnalysisSequence()
     for i, members in enumerate(components):
-        comp = SccComponent(members=tuple(members), index=i)
+        recursive = len(members) > 1 or members[0] in fcg[members[0]]
+        comp = SccComponent(members=tuple(members), index=i, recursive=recursive)
         seq.components.append(comp)
         for m in members:
             seq.component_of[m] = i

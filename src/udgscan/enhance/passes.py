@@ -16,7 +16,7 @@ from ..frontend.model import (
     StatementNode,
 )
 from ..pool import RequestPool, issue, reserve
-from ..udg.calls import function_of_entry, is_invocation_pattern, site_targets
+from ..udg.calls import call_statements, function_of_entry, is_invocation_pattern, site_targets
 from ..udg.graph import CALL, CONTROL_FLOW, DATA_DEPENDENCY, UdgEdge, UnifiedDependencyGraph
 from .oracle import ResolutionOracle, extract_json_object
 from .prompts import (
@@ -125,21 +125,20 @@ def _hierarchy_text(model: RepoModel) -> str:
     return "\n".join(lines)
 
 
-def _call_statement_line(stmt: StatementNode, model: RepoModel) -> str:
-    func = model.functions.get(stmt.owner)
-    qual = f"{func.class_name}.{func.name}" if func else "global"
-    return f"{qual}:{stmt.start_line}| {stmt.code or stmt.text.strip()}"
+def _dataflow_block(
+    g: UnifiedDependencyGraph, model: RepoModel, stmt: StatementNode, variables: set[str]
+) -> str:
+    """A prompt's "dataflow context": the backward context of `variables`
+    at `stmt`, rendered, with a note when it was truncated."""
+    context_nodes, truncated = backward_dataflow_context(g, stmt, variables)
+    block = render_statement_block(context_nodes, model)
+    if truncated:
+        block = "(truncated: oldest definitions omitted)\n" + block
+    return block
 
 
 def _ask(oracle: ResolutionOracle, prompt: str, site: str) -> str:
     return oracle.complete(prompt, site)
-
-
-def _call_sites(g: UnifiedDependencyGraph) -> list[StatementNode]:
-    return sorted(
-        (n for n in g.nodes.values() if n.calls and not n.synthetic),
-        key=lambda n: n.sort_key(),
-    )
 
 
 def enhance_polymorphic_calls(
@@ -162,7 +161,7 @@ def enhance_polymorphic_calls(
     hierarchy = _hierarchy_text(model)
     # (statement, candidates, [(answer, names an answer may give)] per prompt)
     asked: list[tuple[StatementNode, tuple[str, ...], list]] = []
-    for stmt in _call_sites(g):
+    for stmt in call_statements(g):
         per_site = site_targets(g, model, stmt)
         groups: dict[tuple[str, ...], list[int]] = {}
         for idx in range(len(stmt.calls)):
@@ -199,7 +198,6 @@ def _polymorphic_prompt(
     """The prompt for one call site, and each name an answer may give for a
     candidate mapped to its entry node."""
     receiver_vars = {site.receiver} if site.receiver and site.receiver != "this" else set(stmt.uses)
-    context_nodes, truncated = backward_dataflow_context(g, stmt, receiver_vars)
     candidates = []
     by_signature: dict[str, str] = {}
     for t in targets:
@@ -209,12 +207,9 @@ def _polymorphic_prompt(
         by_signature[sig] = t
         by_signature[f"{func.class_name.split('.')[-1]}.{func.name}"] = t
         by_signature[f"{func.class_name}.{func.name}"] = t
-    block = render_statement_block(context_nodes, model)
-    if truncated:
-        block = "(truncated: oldest definitions omitted)\n" + block
     prompt = render_polymorphic_prompt(
-        block,
-        _call_statement_line(stmt, model),
+        _dataflow_block(g, model, stmt, receiver_vars),
+        render_statement_block([stmt], model),
         candidates,
         hierarchy,
     )
@@ -281,7 +276,7 @@ def enhance_reflective_calls(
     """
     class_names = sorted(model.classes)
     sites: list[_ReflectiveSite] = []
-    for stmt in _call_sites(g):
+    for stmt in call_statements(g):
         per_site = site_targets(g, model, stmt)
         # Sites sharing a reflective edge get the same prompts: ask once.
         asked: set[tuple[str, ...]] = set()
@@ -296,11 +291,8 @@ def enhance_reflective_calls(
             if not reflective or tuple(reflective) in asked:
                 continue
             asked.add(tuple(reflective))
-            context_nodes, truncated = backward_dataflow_context(g, stmt, set(stmt.uses))
-            block = render_statement_block(context_nodes, model)
-            if truncated:
-                block = "(truncated: oldest definitions omitted)\n" + block
-            call_line = _call_statement_line(stmt, model)
+            block = _dataflow_block(g, model, stmt, set(stmt.uses))
+            call_line = render_statement_block([stmt], model)
             class_answer = issue(
                 pool,
                 _ask,

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 from ..errors import DiagnosticSink
 from ..frontend.model import RepoModel
-from ..udg.calls import function_of_entry, site_targets
+from ..udg.calls import call_statements, function_of_entry, site_targets
 from ..udg.graph import DATA_DEPENDENCY, UnifiedDependencyGraph
 from .passes import AuditEntry
-from .summaries import FunctionSummary
+from .summaries import FunctionSummary, flowing_uses
 
 
 def prune_data_edges(
@@ -17,45 +17,23 @@ def prune_data_edges(
     diagnostics: DiagnosticSink | None = None,
     audit: list[AuditEntry] | None = None,
 ) -> None:
-    """Remove from `g` each argument-definition edge into a call site whose
-    callee summary says the matched parameter does not reach the return value.
+    """Remove from `g` each data edge into a call statement whose variable
+    cannot reach the statement's value (see `summaries.flowing_uses`).
 
-    Edges feeding external callees, receivers, or any non-argument use of the
-    statement are untouched; arity mismatches keep their edges and produce a
-    diagnostic.
+    An argument past the end of an in-repo callee's parameters keeps its
+    edges and produces a diagnostic.
     """
-    ordered = sorted(
-        (n for n in g.nodes.values() if n.calls and not n.synthetic),
-        key=lambda n: n.sort_key(),
-    )
-    for stmt in ordered:
+    for stmt in call_statements(g):
         per_site = site_targets(g, model, stmt)
-        kept_vars: set[str] = set()
-        dropped_vars: set[str] = set()
-        all_arg_vars: set[str] = set()
-        saw_in_repo = False
-        for idx, site in enumerate(stmt.calls):
-            targets = per_site.get(idx, [])
-            in_repo = [t for t in targets if not t.startswith("external:")]
-            has_external = bool([t for t in targets if t.startswith("external:")]) or not targets
-            for arg_vars in site.arg_vars:
-                all_arg_vars |= arg_vars
-            if site.receiver and site.receiver != "this":
-                kept_vars.add(site.receiver)
-            if not in_repo or site.is_constructor:
-                # External callees and constructors keep every argument edge;
-                # return-dependence summaries say nothing about them.
-                for arg_vars in site.arg_vars:
-                    kept_vars |= arg_vars
-                continue
-            saw_in_repo = True
-            for i, arg_vars in enumerate(site.arg_vars):
-                keep = has_external
-                for t in in_repo:
-                    callee = function_of_entry(model, t)
-                    if i >= len(callee.params):
-                        keep = True
-                        if diagnostics is not None:
+        if diagnostics is not None:
+            for idx, site in enumerate(stmt.calls):
+                if site.is_constructor:
+                    continue
+                targets = per_site.get(idx, [])
+                callees = [function_of_entry(model, t) for t in targets if not t.startswith("external:")]
+                for i in range(len(site.arg_vars)):
+                    for callee in callees:
+                        if i >= len(callee.params):
                             diagnostics.add(
                                 "warning",
                                 "enhance",
@@ -63,26 +41,11 @@ def prune_data_edges(
                                 stmt.file,
                                 stmt.start_line,
                             )
-                        continue
-                    summary = summaries.get(callee.id)
-                    if summary is None or summary.depends(callee.params[i]):
-                        keep = True
-                if keep:
-                    kept_vars |= arg_vars
-                else:
-                    dropped_vars |= arg_vars
-        if not saw_in_repo:
-            continue
-        other_uses = set(stmt.uses) - all_arg_vars
-        removable = dropped_vars - kept_vars - other_uses
+        removable = set(stmt.uses) - flowing_uses(stmt, per_site, model, summaries)
         if not removable:
             continue
-        doomed_keys = set()
-        for e in g.in_edges(stmt.id, DATA_DEPENDENCY):
-            if e.variable in removable:
-                doomed_keys.add(e.key())
-                if audit is not None:
-                    audit.append(
-                        AuditEntry("remove", DATA_DEPENDENCY, e.src, e.dst, "data_pruning", e.variable)
-                    )
-        g.remove_edges(doomed_keys)
+        doomed = [e for e in g.in_edges(stmt.id, DATA_DEPENDENCY) if e.variable in removable]
+        if audit is not None:
+            for e in doomed:
+                audit.append(AuditEntry("remove", DATA_DEPENDENCY, e.src, e.dst, "data_pruning", e.variable))
+        g.remove_edges({e.key() for e in doomed})

@@ -3,8 +3,10 @@
 Each function is summarized by a boolean map: does the return value
 data-depend on each formal parameter?  Taint seeds at the parameters and
 propagates along the enhanced control-flow edges with per-statement transfer
-functions; callee summaries are applied at in-repo call sites, external
-calls conservatively taint their result with every argument.
+functions.  At a call statement, `flowing_uses` decides which uses reach the
+value: callee summaries apply at in-repo call sites, external calls
+conservatively pass on every argument.  Data-edge pruning applies the same
+rule.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 from ..frontend.model import RETURN_VAR, FunctionDecl, RepoModel
 from ..udg.calls import function_of_entry, site_targets
 from ..udg.graph import CONTROL_FLOW, UnifiedDependencyGraph
-from .order import AnalysisSequence, function_call_graph
+from .order import AnalysisSequence
 
 PRIMITIVE_TYPES = frozenset(
     "boolean byte char double float int long short void".split()
@@ -166,44 +168,47 @@ def _taint_of(state: dict[str, frozenset[str]], variables) -> frozenset[str]:
     return out
 
 
+def flowing_uses(stmt, per_site, model: RepoModel, summaries: dict[str, FunctionSummary]) -> set[str]:
+    """The uses of `stmt` that can reach its value, given each call site's
+    targets (`per_site`, from `site_targets`) and the callee summaries.
+
+    A use reaches the value when it is a receiver other than `this`; an
+    argument of a constructor, or of a site whose targets are empty or
+    include an `external:` node; an argument whose parameter reaches the
+    return of some in-repo target (its summary marks the parameter, it has
+    no summary yet, or no parameter at that index); or a use outside the
+    arguments of in-repo-only sites.  Summaries and pruning both read this
+    rule.
+    """
+    flowing: set[str] = set()
+    argument_only: set[str] = set()
+    for idx, site in enumerate(stmt.calls):
+        if site.receiver and site.receiver != "this":
+            flowing.add(site.receiver)
+        targets = per_site.get(idx, [])
+        if site.is_constructor or not targets or any(t.startswith("external:") for t in targets):
+            for arg_vars in site.arg_vars:
+                flowing |= arg_vars
+            continue
+        callees = [function_of_entry(model, t) for t in targets]
+        for i, arg_vars in enumerate(site.arg_vars):
+            argument_only |= arg_vars
+            for callee in callees:
+                summary = summaries.get(callee.id)
+                if i >= len(callee.params) or summary is None or summary.depends(callee.params[i]):
+                    flowing |= arg_vars
+                    break
+    return flowing | (set(stmt.uses) - argument_only)
+
+
 def _transfer(stmt, state, g, model, known, aliases: AliasSets):
     if stmt.kind in ("condition", "loop_header", "label", "entry", "exit"):
         return dict(state)
-    if not stmt.defs and not stmt.calls:
+    if not stmt.defs:
         return dict(state)
 
-    rhs_taint: frozenset[str] = frozenset()
-    consumed_args: set[str] = set()
-    if stmt.calls:
-        per_site = site_targets(g, model, stmt)
-        for idx, site in enumerate(stmt.calls):
-            if site.is_constructor:
-                # The constructed value depends on every constructor argument;
-                # parameter-to-return summaries do not apply (no return value).
-                for arg_vars in site.arg_vars:
-                    rhs_taint |= _taint_of(state, arg_vars)
-                continue
-            targets = per_site.get(idx, [])
-            in_repo = [t for t in targets if not t.startswith("external:")]
-            external = [t for t in targets if t.startswith("external:")] or not targets
-            for t in in_repo:
-                callee = function_of_entry(model, t)
-                summary = known.get(callee.id)
-                for i, arg_vars in enumerate(site.arg_vars):
-                    consumed_args |= arg_vars
-                    if i >= len(callee.params):
-                        rhs_taint |= _taint_of(state, arg_vars)  # arity mismatch: conservative
-                        continue
-                    param = callee.params[i]
-                    if summary is None or summary.depends(param):
-                        rhs_taint |= _taint_of(state, arg_vars)
-            if external:
-                for arg_vars in site.arg_vars:
-                    rhs_taint |= _taint_of(state, arg_vars)
-                if site.receiver and site.receiver != "this":
-                    rhs_taint |= state.get(site.receiver, frozenset())
-    other_uses = set(stmt.uses) - consumed_args
-    rhs_taint |= _taint_of(state, other_uses)
+    per_site = site_targets(g, model, stmt) if stmt.calls else {}
+    rhs_taint = _taint_of(state, flowing_uses(stmt, per_site, model, known))
 
     new_state = dict(state)
     for target in sorted(stmt.defs):
@@ -243,16 +248,12 @@ def fixed_point_scc(
 def compute_all_summaries(
     g: UnifiedDependencyGraph, model: RepoModel, order: AnalysisSequence
 ) -> dict[str, FunctionSummary]:
-    fcg = function_call_graph(g, model)
     aliases_by_func = {
         fid: build_alias_sets(model.functions[fid], model) for fid in model.functions
     }
     known: dict[str, FunctionSummary] = {}
     for comp in order:
-        recursive = len(comp.members) > 1 or any(
-            m in fcg.get(m, ()) for m in comp.members
-        )
-        if recursive:
+        if comp.recursive:
             fixed_point_scc(comp.members, g, model, known, aliases_by_func)
         else:
             fid = comp.members[0]

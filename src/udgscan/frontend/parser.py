@@ -59,9 +59,9 @@ class _PendingBody:
 class _Cursor:
     """A read position in a file's tokens that stops at `end`.
 
-    At `end`, peek() returns None and next() raises IndexError, which
-    `parse_source` reports as a truncated construct; `expect` reports a
-    missing token at `eof_line` and names what was being parsed with `where`.
+    At `end`, peek() returns None and next() reports a truncated construct
+    at `eof_line`; `expect` reports a missing token at the same line and
+    names what was being parsed with `where`.
     """
 
     def __init__(self, path: str, tokens: list[Token], end: int, eof_line: int, where: str = ""):
@@ -78,7 +78,7 @@ class _Cursor:
 
     def next(self) -> Token:
         if self.pos >= self.end:
-            raise IndexError(self.pos)
+            raise SubsetViolation(self.path, self.eof_line, "truncated construct")
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
@@ -901,7 +901,7 @@ def extract_expression(
         if j < len(toks) and toks[j].text == "<":
             j = _type_args_close(toks, j, len(toks)) + 1
         if j < len(toks) and toks[j].text == "(":
-            args, end = _split_args(toks, j)
+            args, end = _split_args(toks, j, path)
             arg_sets = walk_args(args, toks[j])
             simple = type_parts[-1] if type_parts else "?"
             calls.append(
@@ -950,7 +950,7 @@ def extract_expression(
                 receiver = "this"
                 if len(segs) > 2:  # this.field.m() uses this.field
                     uses.add(f"this.{segs[1]}")
-        args, end = _split_args(toks, paren)
+        args, end = _split_args(toks, paren, path)
         arg_sets = walk_args(args, toks[paren])
         chain = ".".join(segs)
         site = CallSite(
@@ -966,7 +966,7 @@ def extract_expression(
         j = end + 1
         while j + 2 < len(toks) and toks[j].text == "." and toks[j + 1].kind == "ident" and toks[j + 2].text == "(":
             cname = toks[j + 1].text
-            args2, end2 = _split_args(toks, j + 2)
+            args2, end2 = _split_args(toks, j + 2, path)
             arg_sets2 = walk_args(args2, toks[j + 2])
             chain = f"{chain}().{cname}"
             calls.append(CallSite(chain=chain, name=cname, arity=len(args2), arg_vars=arg_sets2))
@@ -1021,7 +1021,7 @@ def extract_expression(
     return uses, calls
 
 
-def _split_args(tokens: list[Token], paren: int) -> tuple[list[list[Token]], int]:
+def _split_args(tokens: list[Token], paren: int, path: str) -> tuple[list[list[Token]], int]:
     """Split the argument list starting at tokens[paren] == '('.
 
     Returns (argument token lists, index of the closing ')').
@@ -1037,7 +1037,7 @@ def _split_args(tokens: list[Token], paren: int) -> tuple[list[list[Token]], int
             if i > start:
                 args.append(tokens[start:i])
             return args, i
-    raise SubsetViolation("<expr>", tokens[paren].line, "unbalanced argument list")
+    raise SubsetViolation(path, tokens[paren].line, "unbalanced argument list")
 
 
 # ------------------------------------------------------------------ repo walk
@@ -1058,8 +1058,8 @@ def parse_source(path: str, text: str, model: RepoModel, diagnostics: Diagnostic
     except SubsetViolation as exc:
         diagnostics.add("error", "frontend", f"subset violation: {exc.message}", exc.path, exc.line)
         return False
-    except IndexError:
-        diagnostics.add("error", "frontend", "subset violation: truncated construct", path)
+    except Exception as exc:  # a parser bug skips the file; it never aborts the scan
+        diagnostics.add("error", "frontend", f"internal error: {type(exc).__name__}", path)
         return False
     model.merge(fragment, source)
     diagnostics.extend(local)

@@ -1,5 +1,5 @@
 from .dataset import PairedSample, load_paired_dataset, normalized_hash
-from .metrics import MetricsReport, compute_metrics, compute_pairwise, full_report
+from .metrics import compute_metrics, compute_pairwise
 from .rename import adversarial_rename, build_rename_map, collect_user_identifiers, rename_source
 from .scan import EXIT_CONFIG, EXIT_OK, EXIT_ORACLE, EXIT_PARSE, Finding, ScanConfig, ScanResult, scan
 
@@ -9,7 +9,6 @@ __all__ = [
     "EXIT_ORACLE",
     "EXIT_PARSE",
     "Finding",
-    "MetricsReport",
     "PairedSample",
     "ScanConfig",
     "ScanResult",
@@ -18,7 +17,6 @@ __all__ = [
     "collect_user_identifiers",
     "compute_metrics",
     "compute_pairwise",
-    "full_report",
     "load_paired_dataset",
     "normalized_hash",
     "rename_source",

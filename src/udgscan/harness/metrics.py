@@ -2,29 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..errors import EmptyInput, IdMismatch
-
-
-@dataclass
-class MetricsReport:
-    precision: float = 0.0
-    recall: float = 0.0
-    f1: float = 0.0
-    p_c: float = 0.0
-    p_r: float = 0.0
-    vp_s: float = 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "p_c": self.p_c,
-            "p_r": self.p_r,
-            "vp_s": self.vp_s,
-        }
 
 
 def compute_metrics(
@@ -74,13 +52,3 @@ def compute_pairwise(pairs: list[tuple[int, int]]) -> tuple[float, float, float]
     p_r = sum(1 for (yv, yp) in pairs if (yv, yp) == (0, 1)) / n
     return p_c, p_r, p_c - p_r
 
-
-def full_report(
-    preds: list[tuple[str, bool]],
-    labels: list[tuple[str, bool]],
-    pairs: list[tuple[int, int]],
-    warnings: list[str] | None = None,
-) -> MetricsReport:
-    precision, recall, f1 = compute_metrics(preds, labels, warnings)
-    p_c, p_r, vp_s = compute_pairwise(pairs)
-    return MetricsReport(precision, recall, f1, p_c, p_r, vp_s)

@@ -81,7 +81,7 @@ class _Inliner:
                         taint |= env.get(v, frozenset())
                 if site.receiver and site.receiver != "this":
                     taint |= env.get(site.receiver, frozenset())
-        for v in set(stmt.uses) - consumed:
+        for v in set(stmt.uses) - (consumed - {site.receiver for site in stmt.calls}):
             taint |= env.get(v, frozenset())
         new_env = dict(env)
         for d in stmt.defs:

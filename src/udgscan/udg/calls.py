@@ -113,6 +113,14 @@ def build_call_graph(
     return edges, externals
 
 
+def call_statements(graph) -> list[StatementNode]:
+    """The graph's non-synthetic statements with call sites, in source order."""
+    return sorted(
+        (n for n in graph.nodes.values() if n.calls and not n.synthetic),
+        key=lambda n: n.sort_key(),
+    )
+
+
 def site_targets(graph, model: RepoModel, stmt: StatementNode) -> dict[int, list[str]]:
     """Map each call site of a statement to its current edge targets.
 

@@ -37,6 +37,11 @@ def enhanced(repo):
 # ------------------------------------------------------------- budget loop
 
 
+def text_and_lines(statement_ids, model):
+    rendering = render_context(statement_ids, model)
+    return rendering.text, rendering.included()
+
+
 def rebuild_and_max_budget(g, model, ctx, token_budget, tokenizer):
     """The budget loop as it was before the drop order was computed once:
     after every drop it rebuilds the candidates and takes the farthest."""
@@ -60,7 +65,7 @@ def rebuild_and_max_budget(g, model, ctx, token_budget, tokenizer):
 
     dropped = 0
     kept = list(all_ids)
-    rendered, rendered_lines = render_context(kept, model)
+    rendered, rendered_lines = text_and_lines(kept, model)
     while tokenizer(rendered) > token_budget:
         candidates = [sid for sid in kept if sid not in protected]
         if not candidates:
@@ -71,7 +76,7 @@ def rebuild_and_max_budget(g, model, ctx, token_budget, tokenizer):
         )
         kept.remove(victim)
         dropped += 1
-        rendered, rendered_lines = render_context(kept, model)
+        rendered, rendered_lines = text_and_lines(kept, model)
     return kept, dropped, rendered, rendered_lines
 
 
@@ -209,13 +214,13 @@ def test_in_place_drops_match_rendering_from_scratch(tmp_path, name):
     def drop_in_order(order):
         kept = list(ids)
         rendering = _Rendering(kept, model)
-        assert (rendering.text, rendering.included()) == render_context(kept, model)
+        assert (rendering.text, rendering.included()) == text_and_lines(kept, model)
         for victim in order:
             kept.remove(victim)
             before = gap_kinds(rendering)
             changed = rendering.drop(victim)
             got = (rendering.text, rendering.included())
-            assert got == render_context(kept, model) == reference_render(kept, model), victim
+            assert got == text_and_lines(kept, model) == reference_render(kept, model), victim
             seen.update(drop_cases(before, gap_kinds(rendering), changed))
         assert rendering.text == ""
 
@@ -301,7 +306,7 @@ def test_comment_marker_inside_a_string_is_not_a_comment(tmp_path):
     model, source = one_file_model(tmp_path, text)
     assert source.trivia == [False] * 6 + [True] * 3
     ends = [s.id for s in model.statements.values() if s.start_line in (3, 6)]
-    rendered, included = render_context(ends, model)
+    rendered, included = text_and_lines(ends, model)
     assert included == {"A.java": [3, 6]}
     assert "...\n6|" in rendered
 

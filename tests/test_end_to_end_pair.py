@@ -69,6 +69,6 @@ def test_without_implicit_context_the_evidence_is_missing(tmp_path):
     result = enhance_graph(model, g, MockResolutionOracle(), diags)
     inv = find_sensitive_invocations(result.graph, model, load_starter_kb())[0]
     c_e = explicit_context(result.graph, result.graph.nodes[inv.statement])
-    explicit_only, _ = render_context(c_e.statements, model)
+    explicit_only = render_context(c_e.statements, model).text
     assert "ESCAPE_PATTERN" not in explicit_only  # evidence lives in implicit context
     assert context_sensitive_responder(explicit_only, 0).count("true") == 1

@@ -140,6 +140,31 @@ def test_skipped_file_keeps_no_diagnostics_from_its_parse(tmp_path):
     ]
 
 
+def body_errors(tmp_path, body_line):
+    """The (path, line, message) of each error diagnostic of a file whose
+    method body holds `body_line` on line 4."""
+    src = "package p;\nclass R {\n    int g(int d) {\n" + body_line + "\n        return d;\n    }\n}\n"
+    root = write_repo(tmp_path, {"R.java": src})
+    diags = DiagnosticSink()
+    model = parse_repository(root, diagnostics=diags)
+    assert model.files == []
+    return [(d.path, d.line, d.message) for d in diags.items if d.severity == "error"]
+
+
+def test_unbalanced_argument_list_names_its_file(tmp_path):
+    assert body_errors(tmp_path, "        ) return id(d;") == [
+        ("R.java", 4, "subset violation: unbalanced argument list")
+    ]
+
+
+def test_truncated_construct_reports_the_body_line(tmp_path):
+    # The condition's `(` swallows the rest of the body: the body cursor runs
+    # out where `expect` would report a missing token, the signature line.
+    assert body_errors(tmp_path, "        if (g(d) {\n        }") == [
+        ("R.java", 3, "subset violation: truncated construct")
+    ]
+
+
 def test_hierarchy_overrides(tmp_path):
     src = """package p;
 class A {

@@ -3,8 +3,9 @@
 The repository holds two fixture files. One of them is mutated: tokens
 deleted, duplicated or swapped, CRLF line ends, a byte order mark, NUL
 characters, or statements nested one level past the parser's cap. The scan
-must finish with exit code 0 or 3, and when it skips the mutated file its
-outputs, diagnostics apart, must be those of a scan without that file.
+must finish with exit code 0 or 3, every subset violation must name the
+mutated file and a line, and when it skips the mutated file its outputs,
+diagnostics apart, must be those of a scan without that file.
 """
 
 import json
@@ -104,5 +105,9 @@ def test_scan_with_a_mutated_file(workdir, ops):
     finally:
         os.remove(os.path.join(repo, MUTATED))
     assert result.exit_code in (EXIT_OK, EXIT_PARSE)
+    for d in result.report["diagnostics"]:
+        assert "internal error" not in d["message"]
+        if d["message"].startswith("subset violation"):
+            assert (d["path"], d["line"] >= 1) == (MUTATED, True), d
     if result.model is not None and MUTATED not in [f.path for f in result.model.files]:
         assert outputs(out) == outputs(str(workdir / "alone"))

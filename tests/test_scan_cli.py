@@ -197,3 +197,26 @@ def test_cli_scan_skips_unreadable_files(tmp_path, capsys):
     assert errors["Gone.java"].startswith("unreadable source file")
     assert "Bad.java" in captured.err and "not valid UTF-8" in captured.err
     assert "Bad.java: source file" in captured.err and ":0:" not in captured.err
+
+
+def test_parser_bug_is_a_per_file_internal_error(tmp_path, capsys, monkeypatch):
+    from udgscan.frontend import parser
+
+    good = "package p;\nclass App {\n    void run(String cmd) {\n        Runtime.getRuntime().exec(cmd);\n    }\n}\n"
+    root = write_repo(tmp_path, {"App.java": good, "Bug.java": "package p;\nclass Bug { }\n"})
+    real = parser._FileParser.parse_file
+
+    def parse_file(self):
+        if self.path == "Bug.java":
+            raise KeyError("x")
+        return real(self)
+
+    monkeypatch.setattr(parser._FileParser, "parse_file", parse_file)
+    rc = main(["scan", "--repo", root, "--oracle", "mock"])
+    captured = capsys.readouterr()
+    assert rc == EXIT_PARSE
+    report = json.loads(captured.out)
+    assert report["stats"]["files"] == 1
+    errors = [(d["path"], d["module"], d["message"]) for d in report["diagnostics"] if d["severity"] == "error"]
+    assert errors == [("Bug.java", "frontend", "internal error: KeyError")]
+    assert "Traceback" not in captured.err

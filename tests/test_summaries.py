@@ -298,3 +298,47 @@ class A {
     prune_data_edges(g, summaries, model, audit=audit)
     assert {e.variable for e in g.in_edges(stmt.id, DATA_DEPENDENCY)} == set()
     assert sorted(a.variable for a in audit) == ["a", "b"]
+
+
+RECEIVER_AND_ARGUMENT = """package p;
+class B {
+    int v;
+    int m(B p) {
+        return this.v;
+    }
+    static int g(B x) {
+        int y = x.m(x);
+        return y;
+    }
+    static int h(B z) {
+        int w = g(z);
+        return w;
+    }
+}
+"""
+
+
+def test_receiver_passed_as_argument_reaches_the_value(tmp_path):
+    """`x.m(x)`: `m`'s parameter does not reach its return, but its receiver
+    `x` does, so `g` depends on `x` and the `z` edge into `w = g(z)` stays."""
+    import json
+
+    from udgscan.harness.scan import ScanConfig, scan
+
+    root = write_repo(tmp_path, {"B.java": RECEIVER_AND_ARGUMENT})
+    model, g, summaries = summarize(root)
+    phis = phi_by_name(model, summaries)
+    assert phis["m"] == {"p": False}
+    assert phis["g"] == {"x": True}
+    func_g = next(f for f in model.functions.values() if f.name == "g")
+    assert brute_force_summary_oracle(model, func_g) == {"x": True}
+
+    call = next(s for s in model.statements.values() if s.start_line == 12)
+    prune_data_edges(g, summaries, model)
+    assert {e.variable for e in g.in_edges(call.id, DATA_DEPENDENCY)} == {"z"}
+
+    out = tmp_path / "out"
+    scan(ScanConfig(repo=root, out_dir=str(out)))
+    with open(out / "audit.jsonl", encoding="utf-8") as fh:
+        removals = [json.loads(line) for line in fh]
+    assert not [a for a in removals if a["op"] == "remove" and a["dst"] == call.id]
