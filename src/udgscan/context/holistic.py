@@ -54,14 +54,6 @@ class HolisticContext:
     boundary_notes: list[str] = field(default_factory=list)
     dropped: int = 0
 
-    def all_line_set(self, model: RepoModel) -> set[int]:
-        lines: set[int] = set()
-        for sid in self.all:
-            stmt = model.statements.get(sid)
-            if stmt is not None and not stmt.synthetic:
-                lines.update(stmt.span_lines())
-        return lines
-
 
 class _Block:
     """One file's part of a rendered context, edited in place as statements
@@ -215,9 +207,10 @@ def holistic_context(
     if tokenizer(rendering.text) > token_budget:
         # Farthest first, ties broken by the later source position: the order
         # never changes while statements are dropped, so it is computed once.
+        rank = g.rank()
         drop_order = sorted(
             (sid for sid in all_ids if sid not in protected),
-            key=lambda sid: (distances.get(sid, 99), g.nodes[sid].sort_key()),
+            key=lambda sid: (distances.get(sid, 99), rank[sid]),
             reverse=True,
         )
         # A drop that uncovers no line leaves the text, and so its token

@@ -6,7 +6,7 @@ from __future__ import annotations
 from ..frontend.model import RETURN_VAR, RepoModel
 from ..udg.calls import function_of_entry
 from ..udg.graph import CALL, DATA_DEPENDENCY, UnifiedDependencyGraph
-from .slicing import ContextSlice, _ordered, data_slice, merge_slices
+from .slicing import ContextSlice, _ordered, _union, data_slice, merge_slices
 
 
 def usage_context(
@@ -14,33 +14,43 @@ def usage_context(
 ) -> ContextSlice:
     """Forward data slices seeded at the entry of every in-repo callee
     invoked from the explicit context; external callees only leave notes."""
-    notes: list[str] = []
+    callees = g.derived("callees", model)
+    notes: dict[str, None] = {}
     pieces: list[ContextSlice] = []
     seen_entries: set[str] = set()
     for sid in c_e.statements:
-        stmt = g.nodes.get(sid)
-        if stmt is None or not stmt.calls or stmt.synthetic:
-            continue
-        for e in sorted(g.out_edges(sid, CALL), key=lambda e: e.dst):
-            dst = g.nodes.get(e.dst)
-            if dst is None:
-                continue
-            if dst.external:
-                note = f"external callee at {stmt.file}:{stmt.start_line}: {dst.text}"
-                if note not in notes:
-                    notes.append(note)
-                continue
-            if e.dst in seen_entries:
-                continue
-            seen_entries.add(e.dst)
-            func = function_of_entry(model, e.dst)
-            if func is None:
-                continue
-            sl = data_slice(g, dst, "forward")
-            pieces.append(sl)
+        found = callees.get(sid)
+        if found is None:
+            found = callees[sid] = _callees(g, model, sid)
+        entries, external = found
+        for note in external:
+            notes[note] = None
+        for entry in entries:
+            if entry not in seen_entries:
+                seen_entries.add(entry)
+                pieces.append(data_slice(g, g.nodes[entry], "forward"))
     merged = merge_slices("usage", g, pieces)
-    merged.boundary_notes.extend(n for n in notes if n not in merged.boundary_notes)
+    merged.boundary_notes = list(dict.fromkeys([*merged.boundary_notes, *notes]))
     return merged
+
+
+def _callees(g: UnifiedDependencyGraph, model: RepoModel, sid: str) -> tuple[tuple, tuple]:
+    """The entries of the in-repo functions statement `sid` calls, by id,
+    and the notes on the external callees it calls, each once."""
+    stmt = g.nodes.get(sid)
+    if stmt is None or not stmt.calls or stmt.synthetic:
+        return (), ()
+    entries: list[str] = []
+    external: dict[str, None] = {}
+    for e in sorted(g.out_edges(sid, CALL), key=lambda e: e.dst):
+        dst = g.nodes.get(e.dst)
+        if dst is None:
+            continue
+        if dst.external:
+            external[f"external callee at {stmt.file}:{stmt.start_line}: {dst.text}"] = None
+        elif function_of_entry(model, e.dst) is not None:
+            entries.append(e.dst)
+    return tuple(entries), tuple(external)
 
 
 def _resolved(name: str, defined: set[str]) -> bool:
@@ -69,40 +79,58 @@ def definition_context(
         stmt = g.nodes.get(sid)
         if stmt is None:
             continue
-        v_def.update(d for d in stmt.defs if d != RETURN_VAR)
+        v_def.update(stmt.defs)
         for u in stmt.uses:
             v_use.setdefault(u, []).append(sid)
+    v_def.discard(RETURN_VAR)
 
-    notes: list[str] = []
+    lookups = g.derived("definitions", model)
+    notes: dict[str, None] = {}
     pieces: list[ContextSlice] = []
     extra: set[str] = set()
     for name in sorted(v_use):
         if _resolved(name, v_def):
             continue
         for use_sid in sorted(v_use[name]):
-            stmt = g.nodes.get(use_sid)
-            incoming = [e for e in g.in_edges(use_sid, DATA_DEPENDENCY) if e.variable == name]
-            if incoming:
-                pieces.append(data_slice(g, stmt, "backward"))
+            found = lookups.get((use_sid, name))
+            if found is None:
+                found = lookups[use_sid, name] = _definition_of(g, model, use_sid, name)
+            chosen, piece, note = found
+            if note:
+                notes[note] = None
                 continue
-            lookup = name[5:] if name.startswith("this.") else name
-            candidates = model.global_defs.get(lookup, [])
-            if not candidates:
-                notes.append(f"unresolved variable {name} at {stmt.file}:{stmt.start_line}")
-                continue
-            chosen = _closest_global(model, stmt, candidates)
-            extra.add(chosen)
-            pieces.append(data_slice(g, g.nodes[chosen], "backward"))
-    merged = merge_slices("definition", g, pieces)
-    ids = set(merged.statements) | extra
+            if chosen:
+                extra.add(chosen)
+            pieces.append(piece)
+    ids, piece_notes, depths = _union(pieces)
+    ids |= extra
     # The definition context excludes the usage statements themselves: they
     # are already part of the input context.
-    ids -= set(base.statements)
-    merged.statements = _ordered(g, ids)
-    merged.depths = {sid: merged.depths.get(sid, 1) for sid in merged.statements}
-    merged.boundary_notes.extend(n for n in notes if n not in merged.boundary_notes)
-    merged.kind = "definition"
-    return merged
+    ids.difference_update(base.statements)
+    statements = _ordered(g, ids)
+    return ContextSlice(
+        kind="definition",
+        statements=statements,
+        boundary_notes=list(dict.fromkeys([*piece_notes, *notes])),
+        depths={sid: depths.get(sid, 1) for sid in statements},
+    )
+
+
+def _definition_of(
+    g: UnifiedDependencyGraph, model: RepoModel, use_sid: str, name: str
+) -> tuple[str | None, ContextSlice | None, str | None]:
+    """Where the use of `name` at `use_sid` is defined: (None, the use's
+    backward slice, None) when a data edge brings it, else (the chosen
+    global, its backward slice, None), else (None, None, a note)."""
+    stmt = g.nodes[use_sid]
+    if any(e.variable == name for e in g.in_edges(use_sid, DATA_DEPENDENCY)):
+        return None, data_slice(g, stmt, "backward"), None
+    lookup = name[5:] if name.startswith("this.") else name
+    candidates = model.global_defs.get(lookup, [])
+    if not candidates:
+        return None, None, f"unresolved variable {name} at {stmt.file}:{stmt.start_line}"
+    chosen = _closest_global(model, stmt, candidates)
+    return chosen, data_slice(g, g.nodes[chosen], "backward"), None
 
 
 def _closest_global(model: RepoModel, use_stmt, candidates: list[str]) -> str:
@@ -128,16 +156,19 @@ def declaration_context(statement_ids: list[str], model: RepoModel) -> ContextSl
     like must keep their declaration visible).
     """
     files: set[str] = set()
-    enclosing_classes: set[str] = set()
+    class_names: set[str] = set()
     for sid in statement_ids:
         stmt = model.statements.get(sid)
         if stmt is None or stmt.synthetic:
             continue
         files.add(stmt.file)
         func = model.functions.get(stmt.owner)
-        cls_name = func.class_name if func is not None else model.owner_class.get(sid)
-        cur = model.classes.get(cls_name) if cls_name else None
-        while cur is not None:
+        class_names.add(func.class_name if func is not None else model.owner_class.get(sid))
+    enclosing_classes: set[str] = set()
+    for name in class_names:
+        cur = model.classes.get(name) if name else None
+        # A class already collected brought its enclosing classes with it.
+        while cur is not None and cur.name not in enclosing_classes:
             enclosing_classes.add(cur.name)
             cur = model.classes.get(cur.enclosing) if cur.enclosing else None
 

@@ -1,9 +1,16 @@
-"""Explicit context: data-dependency and hop-limited control-flow slicing."""
+"""Explicit context: data-dependency and hop-limited control-flow slicing.
+
+A slice depends on the graph alone, so each one is computed once per graph
+and criterion and kept in the graph's memo tables, which any change to the
+graph empties (`UnifiedDependencyGraph.derived`).
+"""
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import itemgetter
 
 from ..frontend.model import StatementNode
 from ..udg.graph import CALL, CONTROL_FLOW, DATA_DEPENDENCY, UnifiedDependencyGraph
@@ -35,36 +42,64 @@ def _node(g_or_model, sid: str) -> StatementNode | None:
     return g_or_model.statements.get(sid)
 
 
-def _ordered(g: UnifiedDependencyGraph, ids: set[str]) -> list[str]:
-    return sorted(ids, key=lambda sid: g.nodes[sid].sort_key() if sid in g.nodes else ("", 0, sid))
+def _ordered(g: UnifiedDependencyGraph, ids) -> list[str]:
+    """`ids` in `StatementNode.sort_key` order; an id outside the graph sorts
+    by the key `("", 0, id)`."""
+    rank = g.rank()
+    try:
+        return sorted(ids, key=rank.__getitem__)
+    except KeyError:
+        return sorted(ids, key=lambda sid: g.nodes[sid].sort_key() if sid in g.nodes else ("", 0, sid))
 
 
 def data_slice(
     g: UnifiedDependencyGraph, s: StatementNode, direction: str = "both"
 ) -> ContextSlice:
-    """Transitive closure over data-dependency edges; includes the criterion."""
+    """Transitive closure over data-dependency edges; includes the criterion.
+
+    Computed once per graph, node and direction: every call returns the same
+    slice, which callers must not mutate."""
     assert direction in ("forward", "backward", "both")
-    depths: dict[str, int] = {s.id: 0}
-    notes: list[str] = []
-    directions = ["forward", "backward"] if direction == "both" else [direction]
-    for mode in directions:
-        local: dict[str, int] = {s.id: 0}
-        work = deque([(s.id, 0)])
-        while work:
-            cur, d = work.popleft()
-            edges = (
-                g.out_edges(cur, DATA_DEPENDENCY)
-                if mode == "forward"
-                else g.in_edges(cur, DATA_DEPENDENCY)
-            )
-            for e in edges:
-                nxt = e.dst if mode == "forward" else e.src
-                if nxt not in local or local[nxt] > d + 1:
-                    local[nxt] = d + 1
-                    work.append((nxt, d + 1))
-        for sid, d in local.items():
-            depths[sid] = min(depths.get(sid, d), d)
-    return ContextSlice(kind="data", statements=_ordered(g, set(depths)), boundary_notes=notes, depths=depths)
+    memo = g.derived("data_slice")
+    sl = memo.get((s.id, direction))
+    if sl is None:
+        depths = _data_depths(g, s.id, direction != "backward")
+        if direction == "both":
+            for sid, d in _data_depths(g, s.id, False).items():
+                if d < depths.get(sid, d + 1):
+                    depths[sid] = d
+        sl = memo[s.id, direction] = ContextSlice(
+            kind="data", statements=_ordered(g, depths), depths=depths
+        )
+    return sl
+
+
+def _data_depths(g: UnifiedDependencyGraph, sid: str, forward: bool) -> dict[str, int]:
+    """Breadth-first data-dependency distances from `sid` in one direction."""
+    edges_of = g.out_edges if forward else g.in_edges
+    local: dict[str, int] = {sid: 0}
+    work = deque([(sid, 0)])
+    while work:
+        cur, d = work.popleft()
+        for e in edges_of(cur, DATA_DEPENDENCY):
+            nxt = e.dst if forward else e.src
+            if nxt not in local or local[nxt] > d + 1:
+                local[nxt] = d + 1
+                work.append((nxt, d + 1))
+    return local
+
+
+def _control_neighbours(g: UnifiedDependencyGraph, sid: str, forward: bool) -> tuple[tuple, tuple]:
+    """`sid`'s control-flow and call neighbours in one direction, by
+    neighbour id, and the hops the edge to each costs."""
+    edges = g.out_edges(sid) if forward else g.in_edges(sid)
+    pairs = [
+        (e.dst if forward else e.src, 1 if e.tau == CALL else 0)
+        for e in edges
+        if e.tau in (CONTROL_FLOW, CALL)
+    ]
+    pairs.sort(key=itemgetter(0))
+    return tuple(nxt for nxt, _ in pairs), tuple(cost for _, cost in pairs)
 
 
 def control_slice(
@@ -74,15 +109,21 @@ def control_slice(
 
     Each call-edge crossing consumes one hop; traversal halts at the hop
     limit with a truncation note, and external nodes terminate paths.
+    Computed once per graph, node and hop limit, like `data_slice`; each
+    node's neighbours are listed once per graph, on its first visit.
     """
     assert hop_limit >= 0
-    best: dict[str, int] = {}
-    depths: dict[str, int] = {s.id: 0}
+    memo = g.derived("control_slice")
+    sl = memo.get((s.id, hop_limit))
+    if sl is not None:
+        return sl
+    depths: dict[str, int] = {}
     notes: list[str] = []
     truncated = False
     externals: set[str] = set()
 
-    for mode in ("forward", "backward"):
+    for forward in (True, False):
+        adjacency = g.derived("control_out" if forward else "control_in")
         hops: dict[str, int] = {s.id: 0}
         steps: dict[str, int] = {s.id: 0}
         work = deque([s.id])
@@ -92,46 +133,52 @@ def control_slice(
             if node is not None and node.external:
                 externals.add(cur)
                 continue
-            edges = (
-                g.out_edges(cur) if mode == "forward" else g.in_edges(cur)
-            )
-            for e in sorted(edges, key=lambda e: (e.dst if mode == "forward" else e.src)):
-                if e.tau not in (CONTROL_FLOW, CALL):
-                    continue
-                cost = 1 if e.tau == CALL else 0
-                nxt = e.dst if mode == "forward" else e.src
-                nh = hops[cur] + cost
+            neighbours = adjacency.get(cur)
+            if neighbours is None:
+                neighbours = adjacency[cur] = _control_neighbours(g, cur, forward)
+            h, step = hops[cur], steps[cur] + 1
+            for nxt, cost in zip(*neighbours):
+                nh = h + cost
                 if nh > hop_limit:
                     truncated = True
                     continue
                 if nxt not in hops or hops[nxt] > nh:
                     hops[nxt] = nh
-                    steps[nxt] = steps[cur] + 1
+                    steps[nxt] = step
                     work.append(nxt)
-        for sid, h in hops.items():
-            best[sid] = min(best.get(sid, h), h)
-            depths[sid] = min(depths.get(sid, steps[sid]), steps[sid])
+        for sid, d in steps.items():
+            old = depths.get(sid)
+            if old is None or d < old:
+                depths[sid] = d
 
     if truncated:
         notes.append(f"control slice truncated at {hop_limit} call hops")
     for ext in sorted(externals):
         notes.append(f"external boundary crossed: {g.nodes[ext].text}")
-    return ContextSlice(
-        kind="control", statements=_ordered(g, set(best)), boundary_notes=notes, depths=depths
+    sl = memo[s.id, hop_limit] = ContextSlice(
+        kind="control", statements=_ordered(g, depths), boundary_notes=notes, depths=depths
     )
+    return sl
+
+
+def _union(slices: list[ContextSlice]) -> tuple[set[str], list[str], dict[str, int]]:
+    """The statements of `slices`, their notes without repeats (first
+    occurrence first) and each statement's least depth."""
+    ids: set[str] = set()
+    for sl in slices:
+        ids.update(sl.statements)
+    notes = list(dict.fromkeys(chain.from_iterable(sl.boundary_notes for sl in slices)))
+    depths: dict[str, int] = dict(slices[0].depths) if slices else {}
+    for sl in slices[1:]:
+        for sid, d in sl.depths.items():
+            old = depths.get(sid)
+            if old is None or d < old:
+                depths[sid] = d
+    return ids, notes, depths
 
 
 def merge_slices(kind: str, g: UnifiedDependencyGraph, slices: list[ContextSlice]) -> ContextSlice:
-    ids: set[str] = set()
-    notes: list[str] = []
-    depths: dict[str, int] = {}
-    for sl in slices:
-        ids.update(sl.statements)
-        for note in sl.boundary_notes:
-            if note not in notes:
-                notes.append(note)
-        for sid, d in sl.depths.items():
-            depths[sid] = min(depths.get(sid, d), d)
+    ids, notes, depths = _union(slices)
     return ContextSlice(kind=kind, statements=_ordered(g, ids), boundary_notes=notes, depths=depths)
 
 

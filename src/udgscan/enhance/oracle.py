@@ -19,34 +19,29 @@ class ResolutionOracle(Protocol):
     def complete(self, prompt: str, site: str = "") -> str: ...
 
 
+# A string literal (to the end of the text when it never closes; a backslash
+# escapes the next character) or a brace: the only characters that change
+# the brace depth or hide braces from it.
+_JSON_STRUCTURE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[{}]', re.S)
+
+
 def json_objects(text: str) -> Iterator[dict]:
     """The balanced, string-aware `{...}` spans of `text` that decode to JSON
     objects, last first."""
     spans = []
     depth = 0
-    start = -1
-    in_str = False
-    escape = False
-    for i, ch in enumerate(text):
-        if in_str:
-            if escape:
-                escape = False
-            elif ch == "\\":
-                escape = True
-            elif ch == '"':
-                in_str = False
-            continue
-        if ch == '"':
-            in_str = True
-        elif ch == "{":
+    start = 0
+    for m in _JSON_STRUCTURE.finditer(text):
+        i = m.start()
+        ch = text[i]
+        if ch == "{":
             if depth == 0:
                 start = i
             depth += 1
-        elif ch == "}":
-            if depth > 0:
-                depth -= 1
-                if depth == 0 and start >= 0:
-                    spans.append(text[start : i + 1])
+        elif ch == "}" and depth > 0:
+            depth -= 1
+            if depth == 0:
+                spans.append(text[start : i + 1])
     for span in reversed(spans):
         try:
             obj = json.loads(span)

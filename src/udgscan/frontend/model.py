@@ -206,7 +206,8 @@ class RepoModel:
     _by_simple_name: dict[str, list[str]] = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def merge(self, fragment: RepoModel, source: SourceFile) -> None:
-        """Add one parsed file, whose nodes and declarations `fragment` holds.
+        """Add one parsed file, whose nodes and declarations `fragment` holds;
+        none of its classes is in the model yet.
 
         `owner_class` maps each global statement to the class it belongs to
         (a class declaration to its own class), `global_defs` each global
@@ -221,9 +222,8 @@ class RepoModel:
             self.functions[fid] = func
             self.functions_by_name.setdefault(func.name, []).append(fid)
         for name, cls in fragment.classes.items():
-            if name not in self.classes:
-                self._by_simple_name.setdefault(cls.simple_name, []).append(name)
-            self.classes[name] = cls  # a later file's class shadows an equal fqn
+            self._by_simple_name.setdefault(cls.simple_name, []).append(name)
+            self.classes[name] = cls
         for decl in fragment.globals:
             self.globals.append(decl)
             if decl.class_name:

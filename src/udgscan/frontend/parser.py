@@ -1048,7 +1048,8 @@ def parse_source(path: str, text: str, model: RepoModel, diagnostics: Diagnostic
 
     The file is parsed into a fragment and a diagnostic sink of its own, and
     both are merged only on success: a skipped file leaves nothing but its
-    error behind.
+    error behind.  A file that declares a class an earlier file declared,
+    by its fully qualified name, is skipped too.
     """
     source = SourceFile(path=path, text=text)
     fragment = RepoModel(root=model.root)
@@ -1061,6 +1062,12 @@ def parse_source(path: str, text: str, model: RepoModel, diagnostics: Diagnostic
     except Exception as exc:  # a parser bug skips the file; it never aborts the scan
         diagnostics.add("error", "frontend", f"internal error: {type(exc).__name__}", path)
         return False
+    for name, cls in fragment.classes.items():
+        first = model.classes.get(name)
+        if first is not None:
+            line = fragment.statements[cls.decl_statement].start_line
+            diagnostics.add("error", "frontend", f"duplicate class {name}: first declared in {first.file}", path, line)
+            return False
     model.merge(fragment, source)
     diagnostics.extend(local)
     return True

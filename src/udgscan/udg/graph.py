@@ -29,13 +29,21 @@ class UdgEdge:
 class UnifiedDependencyGraph:
     """Statement nodes plus edges keyed by `UdgEdge.key()` and indexed per
     node.  `edges`, `edges_of`, `out_edges` and `in_edges` list edges in
-    insertion order."""
+    insertion order.
+
+    Facts derived from the graph (node ranks, slices and the like) are
+    memoized in tables that `derived` hands out; every `add_node`, and every
+    `add_edge` or `remove_edges` that changes the edges, empties them all.
+    """
 
     nodes: dict[str, StatementNode] = field(default_factory=dict)
     state: str = "original"  # "original" | "enhanced"
     _edges: dict[tuple, UdgEdge] = field(default_factory=dict, repr=False)
     _out: dict[str, list[UdgEdge]] = field(default_factory=dict, repr=False)
     _in: dict[str, list[UdgEdge]] = field(default_factory=dict, repr=False)
+    _derived: dict[str, tuple[object, dict]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def edges(self) -> ValuesView[UdgEdge]:
@@ -43,6 +51,8 @@ class UnifiedDependencyGraph:
 
     def add_node(self, node: StatementNode) -> None:
         self.nodes[node.id] = node
+        if self._derived:
+            self._derived.clear()
 
     def add_edge(self, edge: UdgEdge) -> bool:
         """Store the edge; False when an edge with its key is already present."""
@@ -52,6 +62,8 @@ class UnifiedDependencyGraph:
         self._edges[key] = edge
         self._out.setdefault(edge.src, []).append(edge)
         self._in.setdefault(edge.dst, []).append(edge)
+        if self._derived:
+            self._derived.clear()
         return True
 
     def remove_edges(self, keys: set[tuple]) -> int:
@@ -62,7 +74,26 @@ class UnifiedDependencyGraph:
                 self._out[edge.src].remove(edge)
                 self._in[edge.dst].remove(edge)
                 removed += 1
+        if removed:
+            self._derived.clear()
         return removed
+
+    def derived(self, name: str, owner: object = None) -> dict:
+        """The memo table `name` of facts derived from this graph and, when
+        given, from `owner`: asked for with another owner, the table starts
+        empty again.  Callers treat what they read from a table as read-only."""
+        entry = self._derived.get(name)
+        if entry is None or entry[0] is not owner:
+            entry = self._derived[name] = (owner, {})
+        return entry[1]
+
+    def rank(self) -> dict[str, int]:
+        """Each node id's position in `StatementNode.sort_key` order."""
+        rank = self.derived("rank")
+        if not rank:
+            ordered = sorted(self.nodes.values(), key=StatementNode.sort_key)
+            rank.update((node.id, i) for i, node in enumerate(ordered))
+        return rank
 
     def out_edges(self, node: str, tau: str | None = None) -> list[UdgEdge]:
         return [e for e in self._out.get(node, ()) if tau is None or e.tau == tau]

@@ -5,7 +5,7 @@ from conftest import parse_and_build, write_repo
 from udgscan.context.holistic import holistic_context, render_context
 from udgscan.context.implicit import declaration_context, definition_context, usage_context
 from udgscan.context.sinks import find_sensitive_invocations
-from udgscan.context.slicing import control_slice, data_slice, explicit_context, merge_slices
+from udgscan.context.slicing import ContextSlice, control_slice, data_slice, explicit_context, merge_slices
 from udgscan.enhance.oracle import MockResolutionOracle
 from udgscan.enhance.pipeline import enhance_graph
 from udgscan.frontend.parser import parse_repository
@@ -346,7 +346,7 @@ def test_el_holistic_golden(el_repo):
     rendered_lines = set(ctx.rendered_lines["TemplateValidator.java"])
     assert rendered_lines == set(range(1, 5)) | set(range(8, 34))
     assert inv.statement in ctx.all
-    assert ctx.explicit.line_set(g) <= ctx.all_line_set(model)
+    assert ctx.explicit.line_set(g) <= ContextSlice("holistic", ctx.all).line_set(model)
 
 
 def test_holistic_rendered_numbers_match(el_repo):

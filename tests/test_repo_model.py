@@ -265,39 +265,42 @@ class Box {
 
 
 def test_duplicate_fully_qualified_class_names(tmp_path):
-    model, _, _ = parse_and_build(write_repo(tmp_path, DUPLICATES))
-    box_a, box_b = (model.file_by_path(p).classes for p in ("p/A.java", "p/B.java"))
-    # The later file's class is the one the model resolves, by either name.
+    # The second file to declare `p.Box` is an error and is skipped: only the
+    # first file's class, fields and methods are in the model.
+    model, _, diags = parse_and_build(write_repo(tmp_path, DUPLICATES))
+    assert [(d.severity, d.module, d.message, d.path, d.line) for d in diags.items] == [
+        ("error", "frontend", "duplicate class p.Box: first declared in p/A.java", "p/B.java", 2)
+    ]
+    assert model.file_by_path("p/B.java") is None
     resolved = model.classes["p.Box"]
-    assert resolved.file == "p/B.java" and [resolved.decl_statement] == box_b
+    assert resolved.file == "p/A.java" and [resolved.decl_statement] == model.file_by_path("p/A.java").classes
     assert model.resolve_class("Box") is resolved
     assert model.class_by_simple_name("Box") is resolved
     assert len(model.classes) == 1
-    assert sorted(f.file for f in model.functions.values()) == ["p/A.java", "p/B.java"]
-
-    # Each file sees only its own fields: `right` and `left` are unknown names
-    # in the file that does not declare them.
-    y = next(s for s in model.statements.values() if s.defs == {"y"})
-    z = next(s for s in model.statements.values() if s.defs == {"z"})
-    assert y.uses == {"x", "left"}
-    assert z.uses == {"x", "right"}
-    left, right = (model.global_defs[v] for v in ("left", "right"))
-    assert [model.stmt(sid).file for sid in left + right] == ["p/A.java", "p/B.java"]
-    assert model.owner_class[left[0]] == model.owner_class[right[0]] == "p.Box"
+    assert sorted(f.file for f in model.functions.values()) == ["p/A.java"]
+    assert not [s for s in model.statements.values() if s.file == "p/B.java"]
+    assert list(model.global_defs) == ["left"]
 
     # A statement of A.java brings A.java's package and class declarations,
-    # and the declaration of the class the model resolves `p.Box` to.
+    # and nothing of the skipped file.
+    y = next(s for s in model.statements.values() if s.defs == {"y"})
     ctx = declaration_context([y.id], model)
     assert [(model.stmt(sid).file, model.stmt(sid).kind) for sid in ctx.statements] == [
         ("p/A.java", "package_decl"),
         ("p/A.java", "class_decl"),
-        ("p/B.java", "class_decl"),
     ]
-    ctx = declaration_context([z.id], model)
-    assert [(model.stmt(sid).file, model.stmt(sid).kind) for sid in ctx.statements] == [
-        ("p/B.java", "package_decl"),
-        ("p/B.java", "class_decl"),
-    ]
+
+    # The scan is the scan of A.java alone, plus the error (exit 3).
+    repo = write_repo(tmp_path / "both", DUPLICATES)
+    code, diagnostics, report, outputs = _outputs(repo, str(tmp_path / "with"))
+    assert code == 3
+    assert [(d["severity"], d["path"]) for d in diagnostics] == [("error", "p/B.java")]
+    alone = write_repo(tmp_path / "alone", {"p/A.java": DUPLICATES["p/A.java"]})
+    code, diagnostics_alone, report_alone, outputs_alone = _outputs(alone, str(tmp_path / "without"))
+    assert code == 0 and diagnostics_alone == []
+    report["repo"] = report_alone["repo"]
+    assert report == report_alone
+    assert outputs == outputs_alone
 
 
 # -------------------------------------- one simple name in two packages
