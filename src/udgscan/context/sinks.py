@@ -50,9 +50,22 @@ def find_sensitive_invocations(
                         cwes=list(entry.cwes),
                         origin="knowledge_base",
                     )
+    # `matches_function` needs the method name to equal the pattern's last
+    # segment and, for a pattern of two or more segments, the class's simple
+    # name to equal the segment before it.  The order functions are tried in
+    # does not matter: the invocations are sorted below, and those one sink
+    # finds at one statement are equal.
+    by_owner: dict[tuple[str, str], list[str]] = {}
+    if user_sinks:
+        for fid, func in model.functions.items():
+            by_owner.setdefault((func.class_name.rsplit(".", 1)[-1], func.name), []).append(fid)
     for sink in user_sinks or []:
-        # `matches_function` needs the method name to equal the pattern's last segment.
-        for fid in sorted(model.functions_by_name.get(sink.pattern.rsplit(".", 1)[-1], ())):
+        segments = sink.pattern.split(".")
+        if len(segments) == 1:
+            fids = model.functions_by_name.get(segments[0], ())
+        else:
+            fids = by_owner.get((segments[-2], segments[-1]), ())
+        for fid in fids:
             func = model.functions[fid]
             if not sink.matches_function(func):
                 continue

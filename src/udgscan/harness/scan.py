@@ -8,7 +8,10 @@ import re
 import sys
 import time
 from collections import deque
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import TextIO
 
 from ..context.holistic import DEFAULT_TOKEN_BUDGET, holistic_context
 from ..context.sinks import find_sensitive_invocations
@@ -83,6 +86,15 @@ class ScanConfig:
             raise ConfigError("replay mode requires a transcript directory")
         if self.oracle_mode == "live" and (not self.endpoint or not self.model):
             raise ConfigError("live mode requires an endpoint and a model name")
+        # Directories the scan writes into, checked before any work is done;
+        # replay mode reads its transcripts instead.
+        writes = [("output", self.out_dir)]
+        if self.oracle_mode != "replay":
+            writes.append(("transcript", self.transcript_dir))
+        for label, path in writes:
+            blocker = _file_in_the_way(path) if path else None
+            if blocker is not None:
+                raise ConfigError(f"{label} directory {path} cannot be made: {blocker} is not a directory")
 
     @classmethod
     def from_sources(cls, flag_values: dict, config_file: str | None = None) -> "ScanConfig":
@@ -102,6 +114,17 @@ class ScanConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**merged)
+
+
+def _file_in_the_way(path: str) -> str | None:
+    """`path`, or the nearest of its parents that exists, when that is not a
+    directory."""
+    while not os.path.lexists(path):
+        parent = os.path.dirname(path)
+        if parent == path:
+            return None
+        path = parent
+    return None if os.path.isdir(path) else path
 
 
 @dataclass
@@ -289,7 +312,8 @@ def scan(config: ScanConfig, inference_client=None, resolution_oracle=None) -> S
     if recorders:
         os.makedirs(config.transcript_dir, exist_ok=True)
         for recorder, path in recorders:
-            recorder.save(path)
+            with _rewrite(path) as fh:
+                fh.writelines(recorder.lines())
     if config.out_dir:
         _write_outputs(config, report, contexts, enh, g_e)
     result = ScanResult(
@@ -345,23 +369,41 @@ def _empty_report(config: ScanConfig, diagnostics: DiagnosticSink, reason: str) 
     }
 
 
+@contextmanager
+def _rewrite(path: str) -> Iterator[TextIO]:
+    """A UTF-8 text stream to `path`, which holds exactly what was written
+    to it once the block ends.
+
+    An existing file is overwritten in place and then cut to its new length
+    rather than truncated to zero first: a re-scan into the same directory
+    rewrites files of about the same size, and on file systems that flush a
+    file truncated to zero when it is closed (ext4's `auto_da_alloc`), that
+    costs far more than the write.  The file is written even when its bytes
+    do not change, so its modification time always moves.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
+        try:
+            yield fh
+        finally:
+            fh.truncate()
+
+
 def _write_outputs(config, report, contexts, enh, g_e) -> None:
     os.makedirs(config.out_dir, exist_ok=True)
-    with open(os.path.join(config.out_dir, "report.json"), "w", encoding="utf-8") as fh:
+    with _rewrite(os.path.join(config.out_dir, "report.json")) as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    with open(os.path.join(config.out_dir, "audit.jsonl"), "w", encoding="utf-8") as fh:
+    with _rewrite(os.path.join(config.out_dir, "audit.jsonl")) as fh:
         for entry in enh.audit:
             fh.write(json.dumps(entry.as_dict(), sort_keys=True) + "\n")
     if config.dump_context:
         for inv_id, ctx in contexts.items():
-            dest = os.path.join(config.out_dir, f"{_sanitize(inv_id)}.ctx.txt")
-            with open(dest, "w", encoding="utf-8") as fh:
+            with _rewrite(os.path.join(config.out_dir, f"{_sanitize(inv_id)}.ctx.txt")) as fh:
                 fh.write(ctx.rendered + "\n")
     if config.dump_graph:
-        with open(os.path.join(config.out_dir, "udg.txt"), "w", encoding="utf-8") as fh:
+        with _rewrite(os.path.join(config.out_dir, "udg.txt")) as fh:
             fh.write(g_e.dump())
-        with open(os.path.join(config.out_dir, "udg.dot"), "w", encoding="utf-8") as fh:
+        with _rewrite(os.path.join(config.out_dir, "udg.dot")) as fh:
             fh.write(g_e.to_dot())
 
 

@@ -5,7 +5,8 @@ resolution oracle's tag is the site it asks about, the inference client's
 is the voting round.  `Recorder` wraps either layer and writes one JSON line
 per request, the tag under the layer's field name (`site` or `round`), in
 issue order: requests that run later or on another thread record at the
-place `reserve` gave them when they were issued.
+place `reserve` gave them when they were issued; `lines()` is the
+transcript file's text.
 `Replay` serves those responses keyed by (tag, prompt), in recorded order
 per key, so replay does not depend on the order requests arrive in.  A
 request the transcript does not hold is a transport failure, like a live
@@ -50,10 +51,6 @@ class Recorder:
                 yield from rec.lines()
             else:
                 yield json.dumps(rec, sort_keys=True) + "\n"
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(self.lines())
 
 
 class Replay:

@@ -105,10 +105,14 @@ class UnifiedDependencyGraph:
         return [e for e in self.edges if e.tau == tau]
 
     def copy(self, state: str | None = None) -> "UnifiedDependencyGraph":
-        g = UnifiedDependencyGraph(nodes=dict(self.nodes), state=state or self.state)
-        for e in self.edges:
-            g.add_edge(e)
-        return g
+        """The same nodes and edges, in the same order, with empty memo tables."""
+        return UnifiedDependencyGraph(
+            nodes=dict(self.nodes),
+            state=state or self.state,
+            _edges=dict(self._edges),
+            _out={node: list(edges) for node, edges in self._out.items()},
+            _in={node: list(edges) for node, edges in self._in.items()},
+        )
 
     def has_edge(self, src: str, dst: str, tau: str) -> bool:
         return any(e.dst == dst and e.tau == tau for e in self._out.get(src, ()))

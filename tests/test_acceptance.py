@@ -83,7 +83,7 @@ def test_criterion_2_reflective_edge_via_transcript(reflect_repo, tmp_path):
     recorder = Recorder(MockResolutionOracle(), "site")
     enhance_graph(model0, g0, recorder, jump_targets=resolve_label_targets(model0))
     transcript = tmp_path / "resolution.jsonl"
-    recorder.save(str(transcript))
+    transcript.write_text("".join(recorder.lines()), encoding="utf-8")
 
     model, g_o, diags = parse_and_build(reflect_repo)
     display = next(f for f in model.functions.values() if f.name == "display")

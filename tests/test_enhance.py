@@ -273,7 +273,7 @@ def test_record_replay_reproduces_graph(reflect_repo, tmp_path):
     recorder = Recorder(MockResolutionOracle(), "site")
     first = enhance_graph(model, g, recorder, jump_targets=targets)
     path = tmp_path / "resolution.jsonl"
-    recorder.save(str(path))
+    path.write_text("".join(recorder.lines()), encoding="utf-8")
     model2, g2, _ = parse_and_build(reflect_repo)
     replay = Replay(str(path), "site")
     second = enhance_graph(model2, g2, replay, jump_targets=resolve_label_targets(model2))

@@ -182,7 +182,7 @@ def test_transcript_replay_bit_exact(el_repo, tmp_path):
     recorder = Recorder(MockInferenceClient(script=[NO, YES, NO]), "round")
     first = query_rounds(recorder, prompt, 3)
     path = tmp_path / "inference.jsonl"
-    recorder.save(str(path))
+    path.write_text("".join(recorder.lines()), encoding="utf-8")
     replay = Replay(str(path), "round")
     second = query_rounds(replay, prompt, 3)
     assert [v.raw for v in first] == [v.raw for v in second]

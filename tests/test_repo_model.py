@@ -10,9 +10,10 @@ import pytest
 from conftest import FIXTURES, copy_fixture_repo, parse_and_build, write_repo
 
 from udgscan.context.implicit import declaration_context
-from udgscan.context.sinks import find_sensitive_invocations
+from udgscan.context.sinks import SensitiveInvocation, find_sensitive_invocations
 from udgscan.enhance.oracle import MockResolutionOracle
 from udgscan.enhance.pipeline import enhance_graph
+from udgscan.harness.generate import random_summary_program
 from udgscan.harness.scan import ScanConfig, scan
 from udgscan.knowledge import UserSinkSpec, load_starter_kb
 from udgscan.udg.graph import CALL
@@ -154,6 +155,64 @@ def test_user_sinks_match_as_the_brute_force_loop(tmp_path):
         "run": 2,
         "Store.run": 1,
     }
+
+
+def _baseline_repo(tmp_path, count):
+    """`count` generated files across 5 packages, with a user sink on the
+    `f0` of every third file's class."""
+    files = {
+        f"pkg{i % 5}/Gen{i}.java": f"package pkg{i % 5};\n"
+        + random_summary_program(seed=9000 + i).replace("class Gen", f"class Gen{i}")
+        for i in range(count)
+    }
+    sinks = [UserSinkSpec(pattern=f"Gen{i}.f0", cwe_id="CWE-94") for i in range(0, count, 3)]
+    return write_repo(tmp_path, files), sinks
+
+
+def _brute_force_invocations(g, model, kb, sinks):
+    """The invocations as found by trying every user sink on every function."""
+    found = {(inv.statement, inv.api): inv for inv in find_sensitive_invocations(g, model, kb)}
+    for sink in sinks:
+        for fid in sorted(model.functions):
+            func = model.functions[fid]
+            if not sink.matches_function(func):
+                continue
+            for e in g.in_edges(func.entry, CALL):
+                src = g.nodes.get(e.src)
+                if src is not None and not src.synthetic:
+                    found.setdefault(
+                        (src.id, sink.pattern),
+                        SensitiveInvocation(src.id, sink.pattern, [sink.cwe_id], "user_sink"),
+                    )
+    return sorted(found.values(), key=lambda inv: (g.nodes[inv.statement].sort_key(), inv.api))
+
+
+@pytest.mark.parametrize("recipe", ["baseline", "patterns"])
+def test_user_sinks_are_looked_up_by_class_and_method_name(tmp_path, monkeypatch, recipe):
+    if recipe == "baseline":
+        root, sinks = _baseline_repo(tmp_path, 80)
+    else:
+        root, sinks = write_repo(tmp_path, SINK_REPO), SINK_PATTERNS
+    model, g, diags = parse_and_build(root)
+    g = enhance_graph(model, g, MockResolutionOracle(), diags).graph
+    kb = load_starter_kb()
+    expected = _brute_force_invocations(g, model, kb, sinks)
+    matching = sum(sink.matches_function(func) for sink in sinks for func in model.functions.values())
+
+    calls = []
+    real = UserSinkSpec.matches_function
+
+    def matches_function(self, func):
+        calls.append(func.id)
+        return real(self, func)
+
+    monkeypatch.setattr(UserSinkSpec, "matches_function", matches_function)
+    assert find_sensitive_invocations(g, model, kb, sinks) == expected
+    assert any(inv.origin == "user_sink" for inv in expected)
+    if recipe == "baseline":
+        # One call per function a sink matches: each class's own f0, not
+        # every f0 in the repository.
+        assert len(calls) == matching == len(sinks) == 27
 
 
 # ------------------------------------------------------ skipped file = absent

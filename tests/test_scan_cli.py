@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import pytest
 
 from conftest import fixture_path, write_repo
 
+from udgscan.errors import ConfigError
 from udgscan.harness.cli import main
 from udgscan.harness.scan import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, ScanConfig, scan
 from udgscan.reasoning.clients import MockInferenceClient
@@ -220,3 +222,81 @@ def test_parser_bug_is_a_per_file_internal_error(tmp_path, capsys, monkeypatch):
     errors = [(d["path"], d["module"], d["message"]) for d in report["diagnostics"] if d["severity"] == "error"]
     assert errors == [("Bug.java", "frontend", "internal error: KeyError")]
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--transcript"])
+@pytest.mark.parametrize("where", ["file", "under a file"])
+def test_an_output_path_blocked_by_a_file_fails_before_parsing(el_repo, tmp_path, capsys, monkeypatch, flag, where):
+    scan_module = importlib.import_module("udgscan.harness.scan")
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    path = blocker if where == "file" else blocker / "sub"
+
+    def parse_repository(*args, **kwargs):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(scan_module, "parse_repository", parse_repository)
+    assert main(["scan", "--repo", el_repo, "--oracle", "mock", flag, str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"{blocker} is not a directory" in err
+    assert "Traceback" not in err
+    assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def test_replay_does_not_check_the_transcript_path_as_an_output(el_repo, tmp_path):
+    blocker = tmp_path / "taken"
+    blocker.write_text("", encoding="utf-8")
+    ScanConfig(repo=el_repo, oracle_mode="replay", transcript_dir=str(blocker)).validate()
+    with pytest.raises(ConfigError, match="output directory"):
+        ScanConfig(repo=el_repo, out_dir=str(blocker)).validate()
+
+
+def _tree(root):
+    return {str(path.relative_to(root)): path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+def _outputs(tmp_path, where, repo, **options):
+    config = ScanConfig(
+        repo=repo,
+        oracle_mode="mock",
+        out_dir=str(tmp_path / where / "out"),
+        transcript_dir=str(tmp_path / where / "transcripts"),
+        dump_context=True,
+        dump_graph=True,
+        **options,
+    )
+    scan(config)
+    return _tree(tmp_path / where)
+
+
+def test_rescan_into_a_used_directory_equals_a_fresh_scan(reflect_repo, el_repo, tmp_path):
+    first = _outputs(tmp_path, "used", reflect_repo)
+    assert {"out/report.json", "out/audit.jsonl", "out/udg.txt", "out/udg.dot"} <= set(first)
+    assert {"transcripts/resolution.jsonl", "transcripts/inference.jsonl"} <= set(first)
+    assert any(name.endswith(".ctx.txt") for name in first)
+    # Lengthen every output and mark it stale, so each one is longer than
+    # what the next scan writes there and must be rewritten and cut.
+    for name in first:
+        path = tmp_path / "used" / name
+        with open(path, "ab") as fh:
+            fh.write(b"stale tail\n" * 100)
+        os.utime(path, ns=(0, 0))
+
+    again = _outputs(tmp_path, "used", reflect_repo, token_budget=60)
+    fresh = _outputs(tmp_path, "fresh", reflect_repo, token_budget=60)
+    assert again == fresh
+    # The tight budget shortens the context dump and the inference prompts.
+    shorter = {name for name in fresh if len(fresh[name]) < len(first[name])}
+    assert "transcripts/inference.jsonl" in shorter
+    assert any(name.endswith(".ctx.txt") for name in shorter)
+    # Every file was written again, including those whose bytes did not change.
+    for name in fresh:
+        assert os.stat(tmp_path / "used" / name).st_mtime_ns != 0, name
+
+    # A dump whose invocation the next scan does not have stays as it was.
+    other = _outputs(tmp_path, "used", el_repo)
+    fresh_other = _outputs(tmp_path, "fresh_other", el_repo)
+    left = set(other) - set(fresh_other)
+    assert left and all(name.endswith(".ctx.txt") for name in left)
+    assert {name: other[name] for name in left} == {name: fresh[name] for name in left}
+    assert {name: other[name] for name in fresh_other} == fresh_other

@@ -63,10 +63,10 @@ def test_replay_is_keyed_by_tag_and_prompt(tmp_path_factory, session, tag_field,
     answers = {}
     for tag, prompt in recorded:
         answers.setdefault((tag, prompt), []).append(recorder.complete(prompt, tag))
-    path = str(tmp_path_factory.mktemp("t") / "transcript.jsonl")
-    recorder.save(path)
+    path = tmp_path_factory.mktemp("t") / "transcript.jsonl"
+    path.write_text("".join(recorder.lines()), encoding="utf-8")
 
-    replay = Replay(path, tag_field)
+    replay = Replay(str(path), tag_field)
     if extra not in answers:
         with pytest.raises(ClientTransportError, match=f"{tag_field} {extra[0]!r}"):
             replay.complete(extra[1], extra[0])
@@ -83,7 +83,7 @@ def test_recorder_writes_the_layer_tag_field(tmp_path):
     prompt = "### Inputs\nwhich class is accessed\nDataflow Context:\n(none)\n"
     response = recorder.complete(prompt, "A.java#s1/reflect0/class")
     path = tmp_path / "resolution.jsonl"
-    recorder.save(str(path))
+    path.write_text("".join(recorder.lines()), encoding="utf-8")
     assert [json.loads(ln) for ln in path.read_text().splitlines()] == [
         {"prompt": prompt, "response": response, "site": "A.java#s1/reflect0/class"}
     ]
@@ -96,7 +96,7 @@ def test_inference_miss_is_that_rounds_unparseable_vote(tmp_path):
     query_rounds(recorder, prompt, 3)
     recorder.records.pop()  # the transcript lacks round 2
     path = tmp_path / "inference.jsonl"
-    recorder.save(str(path))
+    path.write_text("".join(recorder.lines()), encoding="utf-8")
     votes = query_rounds(Replay(str(path), "round"), prompt, 3)
     assert [v.parse_ok for v in votes] == [True, True, False]
     assert "round 2" in votes[2].raw

@@ -401,3 +401,37 @@ def test_store_matches_list_reference(seed):
     # The copy is independent of its source.
     copied.remove_edges({e.key() for e in ref.edges})
     _assert_same(g, ref, nodes, rng)
+
+
+def _adjacency(g):
+    return (
+        list(g.edges),
+        {n: (g.out_edges(n), g.in_edges(n)) for n in g.nodes},
+    )
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_copy_keeps_edge_order_and_is_independent(seed):
+    rng = random.Random(seed)
+    g = random_udg(seed, max_nodes=40)
+    # Removing some edges and re-adding others leaves an insertion order that
+    # no sort of the edges reproduces.
+    edges = list(g.edges)
+    gone = rng.sample(edges, len(edges) // 3)
+    g.remove_edges({e.key() for e in gone})
+    for e in reversed(gone[: len(gone) // 2]):
+        g.add_edge(e)
+    g.rank()
+    before = _adjacency(g)
+
+    copied = g.copy(state="original")
+    assert copied.state == "original" and g.state == "enhanced"
+    assert copied.nodes == g.nodes and copied.nodes is not g.nodes
+    assert _adjacency(copied) == before
+    assert copied.derived("rank") == {} and g.derived("rank")
+
+    copied.remove_edges({e.key() for e in rng.sample(list(copied.edges), len(copied.edges) // 2)})
+    nodes = sorted(g.nodes)
+    copied.add_edge(UdgEdge(nodes[0], nodes[1], CALL, "enhancement_added"))
+    assert _adjacency(g) == before
+    assert _adjacency(copied) != before
