@@ -23,8 +23,9 @@ def prune_data_edges(
     An argument past the end of an in-repo callee's parameters keeps its
     edges and produces a diagnostic.
     """
-    for stmt in call_statements(g):
-        per_site = site_targets(g, model, stmt)
+    # Removing data edges leaves every statement's call targets as they are.
+    targets = [(stmt, site_targets(g, model, stmt)) for stmt in call_statements(g)]
+    for stmt, per_site in targets:
         if diagnostics is not None:
             for idx, site in enumerate(stmt.calls):
                 if site.is_constructor:

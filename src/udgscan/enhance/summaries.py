@@ -11,6 +11,7 @@ rule.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from ..frontend.model import RETURN_VAR, FunctionDecl, RepoModel
@@ -21,6 +22,8 @@ from .order import AnalysisSequence
 PRIMITIVE_TYPES = frozenset(
     "boolean byte char double float int long short void".split()
 )
+# Statements whose taint state flows through unchanged.
+PASS_THROUGH_KINDS = frozenset(("condition", "loop_header", "label", "entry", "exit"))
 
 
 @dataclass
@@ -94,78 +97,86 @@ def compute_function_summary(
     known: dict[str, FunctionSummary],
     aliases: AliasSets | None = None,
 ) -> FunctionSummary:
-    """Single flow-sensitive pass over one function's control-flow edges."""
+    """Single flow-sensitive pass over one function's control-flow edges.
+
+    A state is one int holding a mask over the parameters for each variable:
+    bit `slot * P + i` is set when parameter i (of P) taints the variable in
+    `slot`.  Each statement's transfer facts are computed once per pass."""
     if func.is_abstract or func.id not in model.bodies:
         return FunctionSummary(func.id, {p: True for p in func.params})
+    params = list(dict.fromkeys(func.params))
+    if not params:
+        return FunctionSummary(func.id, {})
     aliases = aliases or build_alias_sets(func, model)
-    nodes = [func.entry] + list(func.body) + [func.exit]
-    node_set = set(nodes)
-    preds = {n: [e.src for e in g.in_edges(n, CONTROL_FLOW) if e.src in node_set] for n in nodes}
-    succs = {n: [e.dst for e in g.out_edges(n, CONTROL_FLOW) if e.dst in node_set] for n in nodes}
+    width = len(params)
+    full = (1 << width) - 1
+    slots: dict[str, int] = {}
 
-    empty: dict[str, frozenset[str]] = {}
-    out_state: dict[str, dict[str, frozenset[str]]] = {n: dict(empty) for n in nodes}
-    seed = {p: frozenset((p,)) for p in func.params}
-    out_state[func.entry] = seed
+    def shift(var: str) -> int:
+        return slots.setdefault(var, len(slots)) * width
 
-    order = _reverse_postorder(func.entry, succs)
-    work = [n for n in order if n != func.entry]
-    in_work = set(work)
+    nodes = [func.entry, *func.body, func.exit]
+    index = {n: i for i, n in enumerate(nodes)}
+    # Per statement: None when it passes its state on unchanged, else the
+    # shifts of its flowing uses, the mask keeping every variable it does
+    # not overwrite, and one bit per variable that receives the value.
+    transfer: list[tuple[tuple[int, ...], int, int] | None] = []
+    succs: list[list[int]] = [[] for _ in nodes]
+    preds: list[list[int]] = [[] for _ in nodes]
+    for i, n in enumerate(nodes):
+        for e in g.out_edges(n, CONTROL_FLOW):
+            j = index.get(e.dst)
+            if j is not None:
+                succs[i].append(j)
+                preds[j].append(i)
+        stmt = model.stmt(n)
+        if stmt.kind in PASS_THROUGH_KINDS or not stmt.defs:
+            transfer.append(None)
+            continue
+        per_site = site_targets(g, model, stmt) if stmt.calls else {}
+        uses = tuple(shift(u) for u in flowing_uses(stmt, per_site, model, known))
+        overwritten = receives = 0
+        for target in stmt.defs:
+            receives |= 1 << shift(target)
+            if target != RETURN_VAR:
+                overwritten |= full << shift(target)
+                for alias in aliases.of(target):
+                    receives |= 1 << shift(alias)
+        transfer.append((uses, ~overwritten, receives))
+
+    out = [0] * len(nodes)
+    out[0] = sum(1 << shift(p) + i for i, p in enumerate(params))
+    queued = [True] * len(nodes)  # the entry keeps its seed: never queued
+    work = deque(range(1, len(nodes)))
     while work:
-        n = work.pop(0)
-        in_work.discard(n)
-        current: dict[str, frozenset[str]] = {}
+        n = work.popleft()
+        queued[n] = False
+        state = 0
         for p in preds[n]:
-            for var, taint in out_state[p].items():
-                current[var] = current.get(var, frozenset()) | taint
-        new_out = _transfer(model.stmt(n), current, g, model, known, aliases)
-        if new_out != out_state[n]:
-            out_state[n] = new_out
+            state |= out[p]
+        facts = transfer[n]
+        if facts is not None:
+            uses, kept, receives = facts
+            taint = 0
+            for s in uses:
+                taint |= state >> s
+            state = state & kept | (taint & full) * receives
+        if state != out[n]:
+            out[n] = state
             for s in succs[n]:
-                if s != func.entry and s not in in_work:
+                if not queued[s]:
+                    queued[s] = True
                     work.append(s)
-                    in_work.add(s)
 
-    # Return statements all flow to exit, so the exit join aggregates every
-    # recorded return-variable taint; the per-node union is redundant armor.
-    ret_taint: frozenset[str] = frozenset()
-    for p in preds[func.exit]:
-        ret_taint |= out_state[p].get(RETURN_VAR, frozenset())
-    for n in nodes:
-        ret_taint |= out_state[n].get(RETURN_VAR, frozenset())
-    phi = {p: (p in ret_taint) for p in func.params}
-    return FunctionSummary(func.id, phi)
-
-
-def _reverse_postorder(entry: str, succs: dict[str, list[str]]) -> list[str]:
-    seen: set[str] = set()
-    post: list[str] = []
-
-    def visit(start: str) -> None:
-        stack = [(start, iter(sorted(succs.get(start, ()))))]
-        seen.add(start)
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    stack.append((nxt, iter(sorted(succs.get(nxt, ())))))
-                    advanced = True
-                    break
-            if not advanced:
-                post.append(node)
-                stack.pop()
-
-    visit(entry)
-    return list(reversed(post))
-
-
-def _taint_of(state: dict[str, frozenset[str]], variables) -> frozenset[str]:
-    out: frozenset[str] = frozenset()
-    for v in variables:
-        out |= state.get(v, frozenset())
-    return out
+    # Each return statement adds to the return variable's taint, so the union
+    # of every statement's state holds all of it.
+    ret_taint = 0
+    if RETURN_VAR in slots:
+        for state in out:
+            ret_taint |= state
+        ret_taint = ret_taint >> slots[RETURN_VAR] * width & full
+    bit = {p: i for i, p in enumerate(params)}
+    return FunctionSummary(func.id, {p: bool(ret_taint >> bit[p] & 1) for p in func.params})
 
 
 def flowing_uses(stmt, per_site, model: RepoModel, summaries: dict[str, FunctionSummary]) -> set[str]:
@@ -199,27 +210,6 @@ def flowing_uses(stmt, per_site, model: RepoModel, summaries: dict[str, Function
                     flowing |= arg_vars
                     break
     return flowing | (set(stmt.uses) - argument_only)
-
-
-def _transfer(stmt, state, g, model, known, aliases: AliasSets):
-    if stmt.kind in ("condition", "loop_header", "label", "entry", "exit"):
-        return dict(state)
-    if not stmt.defs:
-        return dict(state)
-
-    per_site = site_targets(g, model, stmt) if stmt.calls else {}
-    rhs_taint = _taint_of(state, flowing_uses(stmt, per_site, model, known))
-
-    new_state = dict(state)
-    for target in sorted(stmt.defs):
-        if target == RETURN_VAR:
-            new_state[RETURN_VAR] = new_state.get(RETURN_VAR, frozenset()) | rhs_taint
-            continue
-        new_state[target] = rhs_taint
-        for alias in aliases.of(target):
-            if alias != target:
-                new_state[alias] = new_state.get(alias, frozenset()) | rhs_taint
-    return new_state
 
 
 def fixed_point_scc(

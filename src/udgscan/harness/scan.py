@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -220,10 +221,28 @@ def scan(config: ScanConfig, inference_client=None, resolution_oracle=None) -> S
 
     `inference_client` and `resolution_oracle` override the mode-selected
     implementations (used by tests and the evaluation driver).
+
+    The cyclic garbage collector is paused, process-wide, while the scan
+    runs: a scan allocates many long-lived objects and almost none of them
+    become cyclic garbage, so collections would cost time and free next to
+    nothing.  The caller's collector state is restored on every exit.
     """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _scan(config, inference_client, resolution_oracle)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _scan(config: ScanConfig, inference_client, resolution_oracle) -> ScanResult:
     config.validate()
     diagnostics = DiagnosticSink()
     timings: dict[str, float] = {}
+    # Built before any parsing, so that an unreadable replay transcript is
+    # reported at once.
+    (oracle, client), recorders = _request_layers(config, (resolution_oracle, inference_client))
 
     t0 = time.monotonic()
     model = parse_repository(config.repo, diagnostics)
@@ -239,7 +258,6 @@ def scan(config: ScanConfig, inference_client=None, resolution_oracle=None) -> S
     with RequestPool(config.jobs) as pool:
         t0 = time.monotonic()
         g_o = assemble_original_udg(model)
-        (oracle, client), recorders = _request_layers(config, (resolution_oracle, inference_client))
         try:
             enh = enhance_graph(model, g_o, oracle, diagnostics, jump_targets, pool)
         except (OracleParseError, ClientTransportError) as exc:

@@ -114,11 +114,15 @@ def build_call_graph(
 
 
 def call_statements(graph) -> list[StatementNode]:
-    """The graph's non-synthetic statements with call sites, in source order."""
-    return sorted(
-        (n for n in graph.nodes.values() if n.calls and not n.synthetic),
-        key=lambda n: n.sort_key(),
-    )
+    """The graph's non-synthetic statements with call sites, in source order.
+    Memoized on the graph; callers do not change the list."""
+    memo = graph.derived("call_statements")
+    if "all" not in memo:
+        memo["all"] = sorted(
+            (n for n in graph.nodes.values() if n.calls and not n.synthetic),
+            key=lambda n: n.sort_key(),
+        )
+    return memo["all"]
 
 
 def site_targets(graph, model: RepoModel, stmt: StatementNode) -> dict[int, list[str]]:
@@ -127,11 +131,14 @@ def site_targets(graph, model: RepoModel, stmt: StatementNode) -> dict[int, list
     Targets are matched back to sites by callee name and arity; external
     nodes match by their synthetic name.  An edge goes to every site it
     matches (`g(a) + g(b)` gives both sites `g`); an edge matching no site
-    goes to site 0.
+    goes to site 0.  Memoized on the graph; callers do not change the map.
     """
-    out: dict[int, list[str]] = {i: [] for i in range(len(stmt.calls))}
-    call_edges = graph.out_edges(stmt.id, CALL)
-    for edge in call_edges:
+    memo = graph.derived("site_targets", model)
+    out = memo.get(stmt.id)
+    if out is not None:
+        return out
+    out = memo[stmt.id] = {i: [] for i in range(len(stmt.calls))}
+    for edge in graph.out_edges(stmt.id, CALL):
         dst = edge.dst
         func = None if dst.startswith("external:") else function_of_entry(model, dst)
         matched = False

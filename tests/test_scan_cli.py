@@ -243,6 +243,24 @@ def test_an_output_path_blocked_by_a_file_fails_before_parsing(el_repo, tmp_path
     assert blocker.read_text(encoding="utf-8") == "not a directory\n"
 
 
+@pytest.mark.parametrize("missing", ["resolution.jsonl", "inference.jsonl"])
+def test_replay_without_a_transcript_file_fails_before_parsing(el_repo, tmp_path, capsys, monkeypatch, missing):
+    transcripts = tmp_path / "t"
+    assert scan(ScanConfig(repo=el_repo, transcript_dir=str(transcripts))).exit_code == EXIT_OK
+    (transcripts / missing).unlink()
+    scan_module = importlib.import_module("udgscan.harness.scan")
+
+    def parse_repository(*args, **kwargs):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(scan_module, "parse_repository", parse_repository)
+    argv = ["scan", "--repo", el_repo, "--oracle", "replay", "--transcript", str(transcripts)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read transcript {transcripts / missing}: ")
+    assert "Traceback" not in err
+
+
 def test_replay_does_not_check_the_transcript_path_as_an_output(el_repo, tmp_path):
     blocker = tmp_path / "taken"
     blocker.write_text("", encoding="utf-8")
