@@ -183,16 +183,15 @@ def flowing_uses(stmt, per_site, model: RepoModel, summaries: dict[str, Function
     """The uses of `stmt` that can reach its value, given each call site's
     targets (`per_site`, from `site_targets`) and the callee summaries.
 
-    A use reaches the value when it is a receiver other than `this`; an
+    A use reaches the value when it is made outside every argument list
+    (`stmt.outside_uses`); when it is a receiver other than `this`; an
     argument of a constructor, or of a site whose targets are empty or
-    include an `external:` node; an argument whose parameter reaches the
+    include an `external:` node; or an argument whose parameter reaches the
     return of some in-repo target (its summary marks the parameter, it has
-    no summary yet, or no parameter at that index); or a use outside the
-    arguments of in-repo-only sites.  Summaries and pruning both read this
-    rule.
+    no summary yet, or no parameter at that index).  Summaries and pruning
+    both read this rule.
     """
-    flowing: set[str] = set()
-    argument_only: set[str] = set()
+    flowing = set(stmt.outside_uses)
     for idx, site in enumerate(stmt.calls):
         if site.receiver and site.receiver != "this":
             flowing.add(site.receiver)
@@ -203,13 +202,12 @@ def flowing_uses(stmt, per_site, model: RepoModel, summaries: dict[str, Function
             continue
         callees = [function_of_entry(model, t) for t in targets]
         for i, arg_vars in enumerate(site.arg_vars):
-            argument_only |= arg_vars
             for callee in callees:
                 summary = summaries.get(callee.id)
                 if i >= len(callee.params) or summary is None or summary.depends(callee.params[i]):
                     flowing |= arg_vars
                     break
-    return flowing | (set(stmt.uses) - argument_only)
+    return flowing
 
 
 def fixed_point_scc(

@@ -55,10 +55,6 @@ class EmptyInput(UdgScanError):
     pass
 
 
-class CollisionError(UdgScanError):
-    pass
-
-
 class DuplicatePair(UdgScanError):
     pass
 

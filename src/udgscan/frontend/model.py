@@ -52,6 +52,8 @@ class StatementNode:
     owner: str  # function id or "global"
     defs: set[str] = field(default_factory=set)
     uses: set[str] = field(default_factory=set)
+    # The uses made outside every argument list of `calls`.
+    outside_uses: set[str] = field(default_factory=set)
     calls: list[CallSite] = field(default_factory=list)
     code: str = ""  # exact token slice of this statement
     synthetic: bool = False  # entry/exit/external nodes carry no renderable span

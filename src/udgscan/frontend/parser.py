@@ -127,7 +127,7 @@ class _FileParser(_Cursor):
                 source.trivia[tok.line - 1] = False
         self.counter = 0
         self.pending: list[_PendingBody] = []
-        self.pending_fields: list[tuple] = []  # (node, cls, [(GlobalDecl, init tokens)])
+        self.pending_fields: list[tuple] = []  # (node, cls, [(GlobalDecl, init start, init end)])
         self.package = ""
 
     # ------------------------------------------------------------------ nodes
@@ -183,10 +183,12 @@ class _FileParser(_Cursor):
         # the file is known (fields may be referenced before declaration).
         for node, cls, declarators in self.pending_fields:
             fields = self.field_names_for(cls)
-            for decl, init in declarators:
-                decl.rhs_uses, calls = extract_expression(init, {}, self.src.path, field_names=fields)
+            for decl, start, end in declarators:
+                init = _Expr(self.src.path, {}, fields).walk(self.tokens, start, end)
+                decl.rhs_uses = init.uses
                 node.uses |= decl.rhs_uses
-                node.calls.extend(calls)
+                node.outside_uses |= init.outside
+                node.calls.extend(init.calls)
         for pend in self.pending:
             self.parse_body(pend)
 
@@ -295,14 +297,14 @@ class _FileParser(_Cursor):
             self.parse_field(cls, first, name_tok.text, type_name)
 
     def parse_field(self, cls: ClassDecl, first: Token, name: str, type_name: str) -> None:
-        declarators: list[tuple[str, list[Token]]] = [(name, [])]
+        declarators: list[tuple[str, int, int]] = [(name, 0, 0)]  # (name, initializer range)
         while not self.at(";"):
             tok = self.peek()
             if tok is None:
                 raise SubsetViolation(self.src.path, first.line, "unterminated field declaration")
             if tok.text == "=":
                 self.next()
-                init: list[Token] = []
+                start = self.pos
                 depth = 0
                 while True:
                     t = self.peek()
@@ -314,23 +316,23 @@ class _FileParser(_Cursor):
                         depth += 1
                     elif t.text in ")]}":
                         depth -= 1
-                    init.append(self.next())
-                declarators[-1] = (declarators[-1][0], init)
+                    self.next()
+                declarators[-1] = (declarators[-1][0], start, self.pos)
             elif tok.text == ",":
                 self.next()
                 nxt = self.next()
-                declarators.append((nxt.text, []))
+                declarators.append((nxt.text, 0, 0))
             else:
                 raise SubsetViolation(self.src.path, tok.line, "unexpected token in field declaration")
         last = self.next()  # ';'
-        defs = {decl_name for decl_name, _ in declarators}
+        defs = {decl_name for decl_name, _, _ in declarators}
         node = self.make_node("global_def", first, last, defs=defs, owner="global")
         decls = []
-        for decl_name, init in declarators:
+        for decl_name, start, end in declarators:
             g = GlobalDecl(statement=node.id, variable=decl_name, class_name=cls.name, declared_type=type_name)
             self.fragment.globals.append(g)
             cls.fields.append(node.id)
-            decls.append((g, init))
+            decls.append((g, start, end))
         self.pending_fields.append((node, cls, decls))
 
     def field_names_for(self, cls: ClassDecl) -> dict[str, str]:
@@ -457,16 +459,19 @@ class _BodyParser(_Cursor):
         self.fields = fields
         self.depth = 0  # statements enclosing the next one parsed
 
-    def node(self, kind: str, first: Token, last: Token, **kw) -> StatementNode:
-        """A statement node of this body; `func.body` lists them as made."""
+    def node(self, kind: str, first: Token, last: Token, expr: _Expr | None = None, **kw) -> StatementNode:
+        """A statement node of this body, with the uses and calls of `expr`;
+        `func.body` lists them as made."""
+        if expr is not None:
+            kw.update(uses=expr.uses, outside_uses=expr.outside, calls=expr.calls)
         node = self.fp.make_node(kind, first, last, owner=self.func.id, **kw)
         self.func.body.append(node.id)
         return node
 
-    def extract(self, tokens: list[Token]) -> tuple[set[str], list[CallSite]]:
-        return extract_expression(
-            tokens, self.var_types, self.path, field_names=self.fields, depth=self.depth
-        )
+    def extract(self, start: int, end: int, tokens: list[Token] | None = None) -> _Expr:
+        """The uses and calls of tokens[start:end], by default the file's."""
+        expr = _Expr(self.path, self.var_types, self.fields, self.depth)
+        return expr.walk(self.tokens if tokens is None else tokens, start, end)
 
     def parse_statements(self, start: int, end: int) -> list:
         """Parse tokens[start:end] as a statement list; the cursor is left at `end`."""
@@ -478,19 +483,20 @@ class _BodyParser(_Cursor):
         self.end = outer_end
         return stmts
 
-    def consume_until_semicolon(self) -> list[Token]:
+    def consume_until_semicolon(self) -> tuple[int, int]:
+        """Consume up to the next top-level ';'; returns the range before it."""
         start = self.pos
         for i, tok in _top_level(self.tokens, start, self.end):
             if tok.text == ";":
                 self.pos = i
-                return self.tokens[start:i]
+                return start, i
         raise SubsetViolation(self.path, self.func.sig_line, "missing ';'")
 
-    def parenthesized(self) -> list[Token]:
-        """Consume a parenthesized group and return the tokens inside it."""
+    def parenthesized(self) -> tuple[int, int]:
+        """Consume a parenthesized group; returns the range inside it."""
         start = self.pos + 1
         self.skip_balanced("(", ")")
-        return self.tokens[start : self.pos - 1]
+        return start, self.pos - 1
 
     # --------------------------------------------------------------- statements
 
@@ -529,10 +535,9 @@ class _BodyParser(_Cursor):
             return self.parse_jump()
         if tok.text == "throw":
             first = self.next()
-            expr = self.consume_until_semicolon()
+            expr = self.extract(*self.consume_until_semicolon())
             last = self.expect(";")
-            uses, calls = self.extract(expr)
-            node = self.node("jump", first, last, uses=uses, calls=calls, jump_kind="throw")
+            node = self.node("jump", first, last, expr, jump_kind="throw")
             return syn.Jump(node.id, "throw")
         # Labeled statement: IDENT ':' <statement>
         if (
@@ -554,10 +559,9 @@ class _BodyParser(_Cursor):
 
     def parse_if(self) -> syn.If:
         first = self.expect("if")
-        cond = self.parenthesized()
+        cond = self.extract(*self.parenthesized())
         last = self.tokens[self.pos - 1]
-        uses, calls = self.extract(cond)
-        node = self.node("condition", first, last, uses=uses, calls=calls)
+        node = self.node("condition", first, last, cond)
         then = [self.parse_statement()]
         orelse = []
         if self.at("else"):
@@ -567,10 +571,9 @@ class _BodyParser(_Cursor):
 
     def parse_while(self) -> syn.While:
         first = self.expect("while")
-        cond = self.parenthesized()
+        cond = self.extract(*self.parenthesized())
         last = self.tokens[self.pos - 1]
-        uses, calls = self.extract(cond)
-        node = self.node("loop_header", first, last, uses=uses, calls=calls)
+        node = self.node("loop_header", first, last, cond)
         body = [self.parse_statement()]
         return syn.While(node.id, body)
 
@@ -580,55 +583,48 @@ class _BodyParser(_Cursor):
         first = self.expect("while")
         cond = self.parenthesized()
         semi = self.expect(";")
-        uses, calls = self.extract(cond)
-        node = self.node("loop_header", first, semi, uses=uses, calls=calls)
+        node = self.node("loop_header", first, semi, self.extract(*cond))
         return syn.DoWhile(node.id, body)
 
     def parse_for(self):
         first = self.expect("for")
-        header = self.parenthesized()
+        start, end = self.parenthesized()
         close = self.tokens[self.pos - 1]
-        # A top-level ':' makes a for-each header only where no top-level
-        # ';' makes a classic one: `i = c ? 1 : 2;` is a classic init.
-        marks = [i for i, t in _top_level(header) if t.text in (";", ":")]
-        semis = [i for i in marks if header[i].text == ";"]
-        if marks and not semis:
-            return self.parse_for_each(first, header, close, marks[0])
+        # A top-level ':' after a variable makes a for-each header only where
+        # no top-level ';' makes a classic one: `i = c ? 1 : 2;` is a classic init.
+        marks = [i for i, t in _top_level(self.tokens, start, end) if t.text in (";", ":")]
+        semis = [i for i in marks if self.tokens[i].text == ";"]
+        if marks and not semis and marks[0] > start:
+            return self.parse_for_each(first, start, end, close, marks[0])
         if len(semis) != 2:
             raise SubsetViolation(self.path, first.line, "malformed for header")
-        init_toks = header[: semis[0]]
-        cond_toks = header[semis[0] + 1 : semis[1]]
-        update_toks = header[semis[1] + 1 :]
         init_id = cond_id = update_id = None
-        if init_toks:
-            init_id = self.simple_from_tokens(init_toks, first, close).node
-        if cond_toks:
-            uses, calls = self.extract(cond_toks)
-            cond_id = self.node("loop_header", first, close, uses=uses, calls=calls).id
-        if update_toks:
-            update_id = self.simple_from_tokens(update_toks, first, close).node
+        if semis[0] > start:
+            init_id = self.simple_from_tokens(start, semis[0], first, close).node
+        if semis[1] > semis[0] + 1:
+            cond = self.extract(semis[0] + 1, semis[1])
+            cond_id = self.node("loop_header", first, close, cond).id
+        if end > semis[1] + 1:
+            update_id = self.simple_from_tokens(semis[1] + 1, end, first, close).node
         body = [self.parse_statement()]
         return syn.For(init_id, cond_id, update_id, body)
 
-    def parse_for_each(self, first: Token, header: list[Token], close: Token, colon: int):
-        decl = header[:colon]
-        iterable = header[colon + 1 :]
-        var_tok = decl[-1]
-        type_toks = decl[:-1]
-        type_name = _type_from_tokens(type_toks)
-        self.var_types[var_tok.text] = type_name
-        uses, calls = self.extract(iterable)
-        head = self.node("loop_header", first, close, uses=set(uses), calls=calls)
-        update = self.node("assignment", first, close, defs={var_tok.text}, uses=set(uses))
+    def parse_for_each(self, first: Token, start: int, end: int, close: Token, colon: int):
+        var = self.tokens[colon - 1].text
+        self.var_types[var] = _type_from_tokens(self.tokens, start, colon - 1)
+        iterable = self.extract(colon + 1, end)
+        head = self.node("loop_header", first, close, iterable)
+        # The update has no calls of its own, so all its uses are outside.
+        uses = iterable.uses
+        update = self.node("assignment", first, close, defs={var}, uses=uses, outside_uses=set(uses))
         body = [self.parse_statement()]
         return syn.ForEach(head.id, update.id, body)
 
     def parse_switch(self) -> syn.Switch:
         first = self.expect("switch")
-        sel = self.parenthesized()
+        sel = self.extract(*self.parenthesized())
         last = self.tokens[self.pos - 1]
-        uses, calls = self.extract(sel)
-        node = self.node("condition", first, last, uses=uses, calls=calls)
+        node = self.node("condition", first, last, sel)
         self.expect("{")
         cases: list[tuple[bool, list]] = []
         current: list | None = None
@@ -661,9 +657,9 @@ class _BodyParser(_Cursor):
         catches = []
         while self.at("catch"):
             self.next()
-            group = self.parenthesized()
-            if len(group) >= 2:
-                self.var_types[group[-1].text] = _type_from_tokens(group[:-1])
+            start, end = self.parenthesized()
+            if end - start >= 2:
+                self.var_types[self.tokens[end - 1].text] = _type_from_tokens(self.tokens, start, end - 1)
             catches.append(self.parse_nested_block().stmts)
         finally_ = []
         if self.at("finally"):
@@ -673,11 +669,10 @@ class _BodyParser(_Cursor):
 
     def parse_return(self) -> syn.Return:
         first = self.expect("return")
-        expr = self.consume_until_semicolon()
+        start, end = self.consume_until_semicolon()
         last = self.expect(";")
-        uses, calls = self.extract(expr)
-        defs = {RETURN_VAR} if expr else set()
-        node = self.node("return", first, last, defs=defs, uses=uses, calls=calls)
+        defs = {RETURN_VAR} if end > start else set()
+        node = self.node("return", first, last, self.extract(start, end), defs=defs)
         return syn.Return(node.id)
 
     def parse_jump(self) -> syn.Jump:
@@ -698,60 +693,58 @@ class _BodyParser(_Cursor):
 
     def parse_simple(self) -> syn.Simple:
         first = self.peek()
-        expr = self.consume_until_semicolon()
+        start, end = self.consume_until_semicolon()
         last = self.expect(";")
-        return self.simple_from_tokens(expr, first, last)
+        return self.simple_from_tokens(start, end, first, last)
 
-    def simple_from_tokens(self, expr: list[Token], first: Token, last: Token) -> syn.Simple:
-        """Lower a declaration, assignment, or call expression statement."""
-        decl = _match_declaration(expr)
-        if decl is not None:
-            type_toks, name_tok, init = decl
-            type_name = _type_from_tokens(type_toks)
-            self.var_types[name_tok.text] = type_name
-            uses, calls = self.extract(init)
-            kind = "call" if calls else "declaration"
-            node = self.node(kind, first, last, defs={name_tok.text}, uses=uses, calls=calls)
-            node.code = self.fp.src.text[expr[0].start : expr[-1].end] if expr else node.code
+    def simple_from_tokens(self, start: int, end: int, first: Token, last: Token) -> syn.Simple:
+        """Lower the declaration, assignment, or call expression statement
+        in tokens[start:end]."""
+        toks = self.tokens
+        name = _match_declaration(toks, start, end)
+        if name is not None:
+            self.var_types[toks[name].text] = _type_from_tokens(toks, start, name)
+            init = self.extract(name + 2, end)
+            kind = "call" if init.calls else "declaration"
+            node = self.node(kind, first, last, init, defs={toks[name].text})
+            node.code = self.fp.src.text[toks[start].start : toks[end - 1].end]
             return syn.Simple(node.id)
-        eq = next((i for i, t in _top_level(expr) if t.text in _ASSIGN_OPS), None)
+        eq = next((i for i, t in _top_level(toks, start, end) if t.text in _ASSIGN_OPS), None)
         if eq is not None:
-            lhs, op, rhs = expr[:eq], expr[eq], expr[eq + 1 :]
-            target = _dotted_name(lhs)
+            target = _dotted_name(toks, start, eq)
             defs = {target} if target else set()
-            uses, calls = self.extract(rhs)
-            if op.text != "=":  # compound assignment reads the target
-                uses |= defs
-            lhs_uses, lhs_calls = self.extract([t for t in lhs if t.text not in ("[", "]")][1:])
-            uses |= lhs_uses
-            calls.extend(lhs_calls)
-            kind = "call" if calls else "assignment"
-            node = self.node(kind, first, last, defs=defs, uses=uses, calls=calls)
+            expr = self.extract(eq + 1, end)
+            if toks[eq].text != "=":  # compound assignment reads the target
+                expr.outside |= defs
+            lhs = [toks[i] for i in range(start, eq) if toks[i].text not in ("[", "]")]
+            expr.walk(lhs, 1, len(lhs))
+            kind = "call" if expr.calls else "assignment"
+            node = self.node(kind, first, last, expr, defs=defs)
             return syn.Simple(node.id)
-        if expr and expr[-1].text in ("++", "--") or (expr and expr[0].text in ("++", "--")):
-            core = [t for t in expr if t.text not in ("++", "--")]
-            target = _dotted_name(core)
-            uses, calls = self.extract(core)
+        if end > start and (toks[end - 1].text in _STEP_OPS or toks[start].text in _STEP_OPS):
+            core = [toks[i] for i in range(start, end) if toks[i].text not in _STEP_OPS]
+            target = _dotted_name(core, 0, len(core))
             defs = {target} if target else set()
-            uses |= defs
-            node = self.node("assignment", first, last, defs=defs, uses=uses, calls=calls)
+            expr = self.extract(0, len(core), core)
+            expr.outside |= defs
+            node = self.node("assignment", first, last, expr, defs=defs)
             return syn.Simple(node.id)
-        uses, calls = self.extract(expr)
-        kind = "call" if calls else "assignment"
-        node = self.node(kind, first, last, uses=uses, calls=calls)
+        expr = self.extract(start, end)
+        kind = "call" if expr.calls else "assignment"
+        node = self.node(kind, first, last, expr)
         return syn.Simple(node.id)
 
 
 # ---------------------------------------------------------------- token utils
 
 
-def _top_level(tokens: list[Token], start: int = 0, end: int | None = None):
+def _top_level(tokens: list[Token], start: int, end: int):
     """Yield (index, token) for each token of tokens[start:end] at depth 0,
     where ( and [ open and ) and ] close a group from `start` on.  A bracket
     counts at the depth before it, so the closer of a group that opened
     before `start` is yielded."""
     depth = 0
-    for i in range(start, len(tokens) if end is None else end):
+    for i in range(start, end):
         t = tokens[i]
         if depth == 0:
             yield i, t
@@ -763,6 +756,7 @@ def _top_level(tokens: list[Token], start: int = 0, end: int | None = None):
 
 # '==' is lexed as one token, so a bare '=' among these is an assignment.
 _ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=", ">>>=")
+_STEP_OPS = ("++", "--")
 # How each token changes the depth of nested type arguments.
 _ANGLE_DEPTH = {"<": 1, ">": -1, ">>": -2, ">>>": -3}
 
@@ -779,265 +773,249 @@ def _type_args_close(tokens: list[Token], i: int, end: int) -> int:
     return end
 
 
-def _dotted_name(tokens: list[Token]) -> str | None:
-    """LHS tokens -> dotted target name; array subscripts are dropped."""
+def _dotted_name(tokens: list[Token], i: int, end: int) -> str | None:
+    """The dotted target name that tokens[i:end] assign; a subscript and
+    what follows it are dropped."""
     parts: list[str] = []
-    i = 0
-    while i < len(tokens):
+    while i < end:
         t = tokens[i]
         if t.kind == "ident" or t.is_kw("this"):
             parts.append(t.text)
-            i += 1
-        elif t.text == ".":
-            i += 1
         elif t.text == "[":
-            depth = 1
-            i += 1
-            while i < len(tokens) and depth > 0:
-                if tokens[i].text == "[":
-                    depth += 1
-                elif tokens[i].text == "]":
-                    depth -= 1
-                i += 1
             break
-        else:
+        elif t.text != ".":
             return None
+        i += 1
     return ".".join(parts) if parts else None
 
 
-def _match_declaration(tokens: list[Token]) -> tuple[list[Token], Token, list[Token]] | None:
-    """Match `Type name [= init]`; returns (type tokens, name token, init tokens)."""
-    i = 0
-    if i < len(tokens) and tokens[i].is_kw("final"):
+def _match_declaration(tokens: list[Token], i: int, end: int) -> int | None:
+    """Match `[final] Type name [= init]` in tokens[i:end]; returns the
+    index of the name."""
+    if i < end and tokens[i].is_kw("final"):
         i += 1
-    start = i
-    if i >= len(tokens):
+    if i >= end:
         return None
     t = tokens[i]
     if t.kind == "keyword" and t.text in PRIMITIVES:
         i += 1
     elif t.kind == "ident":
         i += 1
-        while i + 1 < len(tokens) and tokens[i].text == "." and tokens[i + 1].kind == "ident":
+        while i + 1 < end and tokens[i].text == "." and tokens[i + 1].kind == "ident":
             i += 2
-        if i < len(tokens) and tokens[i].text == "<":
-            i = _type_args_close(tokens, i, len(tokens)) + 1
+        if i < end and tokens[i].text == "<":
+            i = _type_args_close(tokens, i, end) + 1
     else:
         return None
-    while i + 1 < len(tokens) and tokens[i].text == "[" and tokens[i + 1].text == "]":
+    while i + 1 < end and tokens[i].text == "[" and tokens[i + 1].text == "]":
         i += 2
-    if i >= len(tokens) or tokens[i].kind != "ident":
+    if i >= end or tokens[i].kind != "ident":
         return None
-    name_tok = tokens[i]
-    i += 1
-    if i == len(tokens):
-        return (tokens[start : i - 1], name_tok, [])
-    if tokens[i].text == "=":
-        return (tokens[start : i - 1], name_tok, tokens[i + 1 :])
+    if i + 1 == end or tokens[i + 1].text == "=":
+        return i
     return None
 
 
-def _type_from_tokens(tokens: list[Token]) -> str:
+def _type_from_tokens(tokens: list[Token], start: int, end: int) -> str:
+    """The simple type name that tokens[start:end] declare, with `[]` when
+    any of them is a `[`."""
     base = ""
-    for t in tokens:
+    for i in range(start, end):
+        t = tokens[i]
+        if t.text == "<":
+            break
         if t.kind in ("ident", "keyword") and t.text != "final":
             base = t.text
-        elif t.text == "<":
-            break
-    suffix = "[]" if any(t.text == "[" for t in tokens) else ""
+    suffix = "[]" if any(tokens[i].text == "[" for i in range(start, end)) else ""
     return base + suffix
 
 
 # --------------------------------------------------------- def/use extraction
 
 
-def extract_expression(
-    tokens: list[Token],
-    var_types: dict[str, str],
-    path: str,
-    field_names: dict[str, str] | None = None,
-    depth: int = 0,
-) -> tuple[set[str], list[CallSite]]:
-    """Syntactic use/call extraction over an expression token stream.
+class _Expr:
+    """The uses and calls of one statement, walked in place over index
+    ranges of a token list.
 
-    Uses contain only names resolvable to declared variables (`var_types`,
-    then `field_names` of the enclosing class chain); the base of a dotted access
-    contributes the use.  Callee names never count as uses, type names and
-    class literals are skipped, and `this.x` chains use the dotted name.
-    `depth` counts the statements and argument lists enclosing `tokens`.
+    Uses contain only names of declared variables, looked up in `var_types`
+    first and in `fields` (of the enclosing class chain) second, so a local
+    shadows a field; the base of a dotted access contributes the use.
+    Callee names never count as uses, type names and class literals are
+    skipped, and `this.x` chains use the dotted name.  Each open argument
+    list collects one use set per argument, its `arg_vars`, and merges it
+    into the enclosing list, or into `inside` at the top; `outside` holds
+    the uses made outside every argument list.  The calls inside a call's
+    arguments come before that call.  `depth` counts the statements
+    enclosing the expression; with the open argument lists it may not pass
+    MAX_NESTING.
     """
-    known = {**field_names, **var_types} if field_names else var_types
-    uses: set[str] = set()
-    calls: list[CallSite] = []
 
-    def walk(toks: list[Token]) -> None:
-        i = 0
-        while i < len(toks):
+    def __init__(self, path: str, var_types: dict[str, str], fields: dict[str, str], depth: int = 0):
+        self.path = path
+        self.var_types = var_types
+        self.fields = fields
+        self.depth = depth
+        self.level = 0  # argument lists open at the walk's position
+        self.outside: set[str] = set()
+        self.inside: set[str] = set()
+        self.calls: list[CallSite] = []
+        self.toks: list[Token] = []
+
+    @property
+    def uses(self) -> set[str]:
+        return self.outside | self.inside
+
+    def walk(self, tokens: list[Token], start: int, end: int) -> _Expr:
+        """Add the uses and calls of tokens[start:end]."""
+        self.toks = tokens
+        self._walk(start, end, self.outside)
+        return self
+
+    def type_of(self, name: str) -> str | None:
+        """The declared type of a known variable; None for any other name."""
+        declared = self.var_types.get(name)
+        return self.fields.get(name) if declared is None else declared
+
+    def _walk(self, i: int, end: int, uses: set[str]) -> None:
+        toks = self.toks
+        while i < end:
             t = toks[i]
             if t.text == "->" or t.text == "::":
-                raise SubsetViolation(path, t.line, "lambdas and method references are outside the subset")
+                raise SubsetViolation(self.path, t.line, "lambdas and method references are outside the subset")
             if t.is_kw("new"):
-                i = handle_new(toks, i)
-                continue
-            if t.kind == "ident" or t.is_kw("this"):
-                i = handle_chain(toks, i)
-                continue
-            if t.text == "(" and _looks_like_cast(toks, i, known):
-                # skip the cast type entirely
-                j = i + 1
-                while j < len(toks) and toks[j].text != ")":
-                    j += 1
-                i = j + 1
-                continue
-            i += 1
+                i = self._new(i, end, uses)
+            elif t.kind == "ident" or t.is_kw("this"):
+                i = self._chain(i, end, uses)
+            elif t.text == "(" and self._is_cast(i, end):
+                while i < end and toks[i].text != ")":  # skip the cast type
+                    i += 1
+                i += 1
+            else:
+                i += 1
 
-    def handle_new(toks: list[Token], i: int) -> int:
+    def _new(self, i: int, end: int, uses: set[str]) -> int:
+        toks = self.toks
         j = i + 1
         type_parts = []
-        while j < len(toks) and (toks[j].kind == "ident" or toks[j].text == "."):
+        while j < end and (toks[j].kind == "ident" or toks[j].text == "."):
             if toks[j].kind == "ident":
                 type_parts.append(toks[j].text)
             j += 1
-        if j < len(toks) and toks[j].text == "<":
-            j = _type_args_close(toks, j, len(toks)) + 1
-        if j < len(toks) and toks[j].text == "(":
-            args, end = _split_args(toks, j, path)
-            arg_sets = walk_args(args, toks[j])
-            simple = type_parts[-1] if type_parts else "?"
-            calls.append(
+        if j < end and toks[j].text == "<":
+            j = _type_args_close(toks, j, end) + 1
+        if j < end and toks[j].text == "(":
+            arg_vars, close = self._arguments(j, end, uses)
+            self.calls.append(
                 CallSite(
                     chain=f"new {'.'.join(type_parts)}",
-                    name=simple,
-                    arity=len(args),
-                    arg_vars=arg_sets,
+                    name=type_parts[-1] if type_parts else "?",
+                    arity=len(arg_vars),
+                    arg_vars=arg_vars,
                     is_constructor=True,
                 )
             )
-            return end + 1
-        if j < len(toks) and toks[j].text == "[":
-            return j  # array creation: dimensions walk as ordinary tokens
-        return j
+            return close + 1
+        return j  # array creation: dimensions walk as ordinary tokens
 
-    def handle_chain(toks: list[Token], i: int) -> int:
+    def _chain(self, i: int, end: int, uses: set[str]) -> int:
+        toks = self.toks
         segs = [toks[i].text]
         j = i + 1
-        while j + 1 < len(toks) and toks[j].text == "." and (
+        while j + 1 < end and toks[j].text == "." and (
             toks[j + 1].kind == "ident" or toks[j + 1].is_kw("class", "this")
         ):
-            nxt = toks[j + 1]
-            if nxt.is_kw("class"):  # class literal: no variable involved
+            if toks[j + 1].is_kw("class"):  # class literal: no variable involved
                 return j + 2
-            segs.append(nxt.text)
+            segs.append(toks[j + 1].text)
             j += 2
-            if j < len(toks) and toks[j].text == "(":
+            if j < end and toks[j].text == "(":
                 break
-        if j < len(toks) and toks[j].text == "(":
-            return handle_call(toks, i, segs, j)
-        register_access(segs)
+        if j < end and toks[j].text == "(":
+            return self._call(segs, j, end, uses)
+        if segs[0] == "this":
+            if len(segs) > 1:
+                uses.add(f"this.{segs[1]}")
+        elif self.type_of(segs[0]) is not None:
+            uses.add(segs[0])
+        # Unknown bases (class names, external statics) contribute nothing.
         return j
 
-    def handle_call(toks: list[Token], start: int, segs: list[str], paren: int) -> int:
-        base = segs[0]
-        name = segs[-1]
-        receiver = None
-        receiver_type = None
+    def _call(self, segs: list[str], paren: int, end: int, uses: set[str]) -> int:
+        """Record the call `segs(...)` and those chained on its result,
+        `a.b(x).c(y)`; returns the index after the last one."""
+        toks = self.toks
+        receiver = receiver_type = None
         if len(segs) > 1:
-            if base in known:
-                receiver = base
-                receiver_type = known[base]
-                uses.add(base)
-            elif base == "this":
+            receiver_type = self.type_of(segs[0])
+            if receiver_type is not None:
+                receiver = segs[0]
+                uses.add(receiver)
+            elif segs[0] == "this":
                 receiver = "this"
                 if len(segs) > 2:  # this.field.m() uses this.field
                     uses.add(f"this.{segs[1]}")
-        args, end = _split_args(toks, paren, path)
-        arg_sets = walk_args(args, toks[paren])
-        chain = ".".join(segs)
-        site = CallSite(
-            chain=chain,
-            name=name,
-            arity=len(args),
-            receiver=receiver,
-            receiver_type=receiver_type,
-            arg_vars=arg_sets,
-        )
-        calls.append(site)
-        # Chained invocations on the result: `a.b(x).c(y)`
-        j = end + 1
-        while j + 2 < len(toks) and toks[j].text == "." and toks[j + 1].kind == "ident" and toks[j + 2].text == "(":
-            cname = toks[j + 1].text
-            args2, end2 = _split_args(toks, j + 2, path)
-            arg_sets2 = walk_args(args2, toks[j + 2])
-            chain = f"{chain}().{cname}"
-            calls.append(CallSite(chain=chain, name=cname, arity=len(args2), arg_vars=arg_sets2))
-            j = end2 + 1
-        return j
+        chain, name = ".".join(segs), segs[-1]
+        while True:
+            arg_vars, close = self._arguments(paren, end, uses)
+            site = CallSite(chain, name, len(arg_vars), receiver, receiver_type, arg_vars)
+            self.calls.append(site)
+            j = close + 1
+            if not (j + 2 < end and toks[j].text == "." and toks[j + 1].kind == "ident" and toks[j + 2].text == "("):
+                return j
+            name = toks[j + 1].text
+            chain = f"{chain}().{name}"
+            receiver = receiver_type = None
+            paren = j + 2
 
-    def walk_args(args: list[list[Token]], paren: Token) -> list[set[str]]:
-        """Each argument's uses; its uses and calls also count for the whole."""
-        if args and depth == MAX_NESTING:
-            raise SubsetViolation(path, paren.line, f"nesting deeper than {MAX_NESTING}")
-        arg_sets = []
-        for a in args:
-            u, c = extract_expression(a, known, path, depth=depth + 1)
-            arg_sets.append(u)
-            uses.update(u)
-            calls.extend(c)
-        return arg_sets
+    def _arguments(self, paren: int, end: int, uses: set[str]) -> tuple[list[set[str]], int]:
+        """Walk the argument list opening at toks[paren], whose arguments
+        `_top_level` bounds; returns each argument's uses and the index of
+        the `)` (or `]`) that closes the list."""
+        toks = self.toks
+        bounds = []
+        start = paren + 1
+        for i, t in _top_level(toks, start, end):
+            if t.text == ",":
+                bounds.append((start, i))
+                start = i + 1
+            elif t.text in ")]":
+                break
+        else:
+            raise SubsetViolation(self.path, toks[paren].line, "unbalanced argument list")
+        if i > start:
+            bounds.append((start, i))
+        if bounds and self.depth + self.level == MAX_NESTING:
+            raise SubsetViolation(self.path, toks[paren].line, f"nesting deeper than {MAX_NESTING}")
+        parent = uses if self.level else self.inside
+        self.level += 1
+        arg_vars = []
+        for a, b in bounds:
+            arg: set[str] = set()
+            self._walk(a, b, arg)
+            parent |= arg
+            arg_vars.append(arg)
+        self.level -= 1
+        return arg_vars, i
 
-    def register_access(segs: list[str]) -> None:
-        base = segs[0]
-        if base == "this":
-            if len(segs) > 1:
-                uses.add(f"this.{segs[1]}")
-            return
-        if base in known:
-            uses.add(base)
-        # Unknown bases (class names, external statics) contribute nothing.
-
-    def _looks_like_cast(toks: list[Token], i: int, known_vars: dict[str, str]) -> bool:
-        if i + 2 >= len(toks):
+    def _is_cast(self, i: int, end: int) -> bool:
+        toks = self.toks
+        if i + 2 >= end:
             return False
         j = i + 1
         if toks[j].kind == "keyword" and toks[j].text in PRIMITIVES:
             j += 1
-        elif toks[j].kind == "ident" and toks[j].text not in known_vars:
+        elif toks[j].kind == "ident" and self.type_of(toks[j].text) is None:
             j += 1
-            while j + 1 < len(toks) and toks[j].text == "." and toks[j + 1].kind == "ident":
+            while j + 1 < end and toks[j].text == "." and toks[j + 1].kind == "ident":
                 j += 2
         else:
             return False
-        while j + 1 < len(toks) and toks[j].text == "[" and toks[j + 1].text == "]":
+        while j + 1 < end and toks[j].text == "[" and toks[j + 1].text == "]":
             j += 2
-        if j >= len(toks) or toks[j].text != ")":
+        if j + 1 >= end or toks[j].text != ")":
             return False
-        k = j + 1
-        if k >= len(toks):
-            return False
-        nxt = toks[k]
+        nxt = toks[j + 1]
         return nxt.kind in ("ident", "string", "char", "number") or nxt.is_kw("this", "new") or nxt.text == "("
-
-    walk(tokens)
-    return uses, calls
-
-
-def _split_args(tokens: list[Token], paren: int, path: str) -> tuple[list[list[Token]], int]:
-    """Split the argument list starting at tokens[paren] == '('.
-
-    Returns (argument token lists, index of the closing ')').
-    """
-    assert tokens[paren].text == "("
-    args: list[list[Token]] = []
-    start = paren + 1
-    for i, t in _top_level(tokens, start):
-        if t.text == ",":
-            args.append(tokens[start:i])
-            start = i + 1
-        elif t.text in ")]":
-            if i > start:
-                args.append(tokens[start:i])
-            return args, i
-    raise SubsetViolation(path, tokens[paren].line, "unbalanced argument list")
 
 
 # ------------------------------------------------------------------ repo walk

@@ -8,10 +8,12 @@ from ..frontend.model import StatementNode
 from ..udg.graph import CALL, CONTROL_FLOW, DATA_DEPENDENCY, UdgEdge, UnifiedDependencyGraph
 
 
-def random_summary_program(seed: int, max_functions: int = 20) -> str:
+def random_summary_program(seed: int, max_functions: int = 20, mixed_uses: bool = False) -> str:
     """One class of int functions built from declarations, if/else blocks,
     and calls to previously generated functions.  No loops: the brute-force
-    oracle's path enumeration is exact on this corpus."""
+    oracle's path enumeration is exact on this corpus.  With `mixed_uses`,
+    half the calls also use one of their arguments outside the call,
+    `a + f(a)`; the option draws random numbers only when it is on."""
     rng = random.Random(seed)
     n = rng.randint(3, max_functions)
     lines = ["public class Gen {"]
@@ -25,9 +27,9 @@ def random_summary_program(seed: int, max_functions: int = 20) -> str:
         n_stmts = rng.randint(1, 5)
         for k in range(n_stmts):
             var = f"v{k}"
-            expr = _random_expr(rng, available, signatures)
+            expr = _random_expr(rng, available, signatures, mixed_uses)
             if rng.random() < 0.25:
-                then_expr = _random_expr(rng, available, signatures)
+                then_expr = _random_expr(rng, available, signatures, mixed_uses)
                 lines.append(f"        int {var} = {expr};")
                 lines.append(f"        if ({available[0]} > 0) {{")
                 lines.append(f"            {var} = {then_expr};")
@@ -35,14 +37,16 @@ def random_summary_program(seed: int, max_functions: int = 20) -> str:
             else:
                 lines.append(f"        int {var} = {expr};")
             available.append(var)
-        lines.append(f"        return {_random_expr(rng, available, signatures)};")
+        lines.append(f"        return {_random_expr(rng, available, signatures, mixed_uses)};")
         lines.append("    }")
         signatures.append((name, arity))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _random_expr(rng: random.Random, available: list[str], signatures: list[tuple[str, int]]) -> str:
+def _random_expr(
+    rng: random.Random, available: list[str], signatures: list[tuple[str, int]], mixed_uses: bool
+) -> str:
     roll = rng.random()
     if roll < 0.25:
         return str(rng.randint(0, 99))
@@ -52,8 +56,11 @@ def _random_expr(rng: random.Random, available: list[str], signatures: list[tupl
         a, b = rng.sample(available, 2)
         return f"{a} + {b}"
     name, arity = rng.choice(signatures)
-    args = ", ".join(rng.choice(available) for _ in range(arity))
-    return f"{name}({args})"
+    args = [rng.choice(available) for _ in range(arity)]
+    call = f"{name}({', '.join(args)})"
+    if mixed_uses and rng.random() < 0.5:
+        return f"{rng.choice(args)} + {call}"
+    return call
 
 
 RECURSIVE_TEMPLATES = [

@@ -64,24 +64,18 @@ class _Inliner:
 
     def _eval_stmt(self, sid: str, env: dict, stack: dict[str, int]) -> dict:
         stmt = self.model.stmt(sid)
-        taint: frozenset[str] = frozenset()
-        consumed: set[str] = set()
+        # Uses outside every argument list and receivers always reach the value.
+        reaching = set(stmt.outside_uses)
         for site in stmt.calls:
+            if site.receiver and site.receiver != "this":
+                reaching.add(site.receiver)
             callee = None if site.is_constructor else self._resolve(site.name, site.arity)
-            if callee is not None:
-                phi = self.dependence(callee, stack)
-                for i, arg_vars in enumerate(site.arg_vars):
-                    consumed |= arg_vars
-                    if i < len(callee.params) and phi.get(callee.params[i], False):
-                        for v in arg_vars:
-                            taint |= env.get(v, frozenset())
-            else:
-                for arg_vars in site.arg_vars:
-                    for v in arg_vars:
-                        taint |= env.get(v, frozenset())
-                if site.receiver and site.receiver != "this":
-                    taint |= env.get(site.receiver, frozenset())
-        for v in set(stmt.uses) - (consumed - {site.receiver for site in stmt.calls}):
+            phi = self.dependence(callee, stack) if callee is not None else None
+            for i, arg_vars in enumerate(site.arg_vars):
+                if phi is None or (i < len(callee.params) and phi.get(callee.params[i], False)):
+                    reaching |= arg_vars
+        taint: frozenset[str] = frozenset()
+        for v in reaching:
             taint |= env.get(v, frozenset())
         new_env = dict(env)
         for d in stmt.defs:

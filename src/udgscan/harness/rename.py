@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 
-from ..errors import CollisionError, DiagnosticSink
+from ..errors import DiagnosticSink
 from ..frontend.lexer import tokenize
 from ..frontend.model import RepoModel
 from ..frontend.parser import parse_repository
@@ -51,8 +51,6 @@ def build_rename_map(names: set[str], label: str, log: list[str] | None = None) 
             if log is not None:
                 log.append(f"collision: {candidate} taken, using {resolved}")
             candidate = resolved
-        if candidate in mapping.values():
-            raise CollisionError(f"rename collision on {candidate}")
         mapping[name] = candidate
         taken.add(candidate)
     return mapping

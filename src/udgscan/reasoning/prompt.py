@@ -64,7 +64,6 @@ def build_detection_prompt(
         "vuln_patterns": guideline.vuln_patterns,
         "defense_knowledge": guideline.defense_knowledge,
     }
-    text = DETECTION_TEMPLATE
-    for key, value in slots.items():
-        text = text.replace(f"%{key}%", value)
+    # One pass, so a placeholder inside a slot's value is never filled.
+    text = PLACEHOLDER_RE.sub(lambda m: slots.get(m.group()[1:-1], m.group()), DETECTION_TEMPLATE)
     return MetaPrompt(text=text, slots=slots)

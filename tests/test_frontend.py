@@ -226,6 +226,15 @@ class N {
     assert "v" in x.uses
 
 
+def test_for_each_without_a_variable_is_a_malformed_header(tmp_path):
+    src = "package p;\nclass F {\n    void m(int[] xs) {\n        for (: xs) { }\n    }\n}\n"
+    root = write_repo(tmp_path, {"F.java": src})
+    _, _, diags = parse_and_build(root)
+    assert [(d.message, d.path, d.line) for d in diags.items] == [
+        ("subset violation: malformed for header", "F.java", 4)
+    ]
+
+
 def test_for_init_with_ternary_is_a_classic_for(tmp_path):
     src = """package p;
 class F {

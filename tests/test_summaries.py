@@ -10,7 +10,7 @@ from udgscan.enhance.prune import prune_data_edges
 from udgscan.enhance.summaries import build_alias_sets, compute_all_summaries
 from udgscan.errors import DiagnosticSink
 from udgscan.frontend.analysis import resolve_label_targets
-from udgscan.harness.generate import summary_corpus
+from udgscan.harness.generate import random_summary_program, summary_corpus
 from udgscan.harness.oracles import brute_force_summary_oracle
 from udgscan.udg.calls import site_targets
 from udgscan.udg.graph import DATA_DEPENDENCY
@@ -188,6 +188,26 @@ def test_pipeline_matches_oracle_sample(tmp_path, program_index):
         assert summaries[fid].phi == oracle_phi, f"{func.name}: {summaries[fid].phi} != {oracle_phi}"
 
 
+def test_mixed_uses_match_the_oracle():
+    """Programs whose calls also use an argument outside the call, `a + f(a)`:
+    the pipeline's summaries equal the brute-force oracle's on seeds 0-99."""
+    from udgscan.frontend.model import RepoModel
+    from udgscan.frontend.parser import parse_source
+    from udgscan.udg.build import assemble_original_udg
+
+    mixed = 0
+    for seed in range(100):
+        model = RepoModel(root="")
+        assert parse_source("Gen.java", random_summary_program(seed, mixed_uses=True), model, DiagnosticSink())
+        g = assemble_original_udg(model)
+        summaries = compute_all_summaries(g, model, compute_analysis_order(g, model))
+        for fid, func in model.functions.items():
+            assert summaries[fid].phi == brute_force_summary_oracle(model, func), (seed, func.name)
+        for stmt in model.statements.values():
+            mixed += any(stmt.outside_uses & arg for site in stmt.calls for arg in site.arg_vars)
+    assert mixed >= 100
+
+
 def test_recursion_depth_stability(tmp_path):
     programs = summary_corpus(count=5)
     for src in programs[:5]:
@@ -342,3 +362,30 @@ def test_receiver_passed_as_argument_reaches_the_value(tmp_path):
     with open(out / "audit.jsonl", encoding="utf-8") as fh:
         removals = [json.loads(line) for line in fh]
     assert not [a for a in removals if a["op"] == "remove" and a["dst"] == call.id]
+
+
+MIXED_USE = (
+    "package p; class A { static int f(int a) { return 1; } "
+    "static int g(int x) { int y = x + f(x); return y; } }\n"
+)
+
+
+def test_use_inside_and_outside_call_arguments_reaches_the_value(tmp_path):
+    """`x + f(x)`: `f`'s parameter does not reach its return, but the `x`
+    outside the arguments does, so `g` depends on `x` and no edge is pruned."""
+    from udgscan.harness.scan import ScanConfig, scan
+
+    root = write_repo(tmp_path, {"p/A.java": MIXED_USE})
+    model, g, summaries = summarize(root)
+    stmt = next(s for s in model.statements.values() if s.code.startswith("int y"))
+    assert (stmt.uses, stmt.outside_uses, stmt.calls[0].arg_vars) == ({"x"}, {"x"}, [{"x"}])
+    phis = phi_by_name(model, summaries)
+    assert (phis["f"], phis["g"]) == ({"a": False}, {"x": True})
+    func_g = next(f for f in model.functions.values() if f.name == "g")
+    assert brute_force_summary_oracle(model, func_g) == {"x": True}
+
+    audit = []
+    prune_data_edges(g, summaries, model, audit=audit)
+    assert audit == []
+    assert {e.variable for e in g.in_edges(stmt.id, DATA_DEPENDENCY)} == {"x"}
+    assert scan(ScanConfig(repo=root)).report["stats"]["enhancement"] == {}
