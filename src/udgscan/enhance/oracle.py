@@ -103,7 +103,7 @@ class ConstantFolder:
                 self.values[name] = value
 
     def eval_expr(self, expr: str) -> str | None:
-        parts = [p.strip() for p in _split_concat(expr)]
+        parts = [p.strip() for p in _split_top(expr, "+")]
         out = []
         for p in parts:
             if len(p) >= 2 and p.startswith('"') and p.endswith('"'):
@@ -115,40 +115,26 @@ class ConstantFolder:
         return "".join(out)
 
 
-def _split_concat(expr: str) -> list[str]:
+# A string literal (to the end of the text when it never closes) or a
+# bracket or separator outside one.
+_TOP_STRUCTURE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[()\[\]+,]', re.S)
+
+
+def _split_top(text: str, sep: str) -> list[str]:
+    """The parts of `text` between the `sep` characters (`+` or `,`) that
+    lie outside string literals and brackets."""
     parts = []
-    depth = 0
-    in_str = False
-    cur = []
-    i = 0
-    while i < len(expr):
-        ch = expr[i]
-        if in_str:
-            cur.append(ch)
-            if ch == "\\":
-                cur.append(expr[i + 1])
-                i += 2
-                continue
-            if ch == '"':
-                in_str = False
-            i += 1
-            continue
-        if ch == '"':
-            in_str = True
-            cur.append(ch)
-        elif ch in "([":
+    depth = start = 0
+    for m in _TOP_STRUCTURE.finditer(text):
+        ch = m.group()
+        if ch in "([":
             depth += 1
-            cur.append(ch)
         elif ch in ")]":
             depth -= 1
-            cur.append(ch)
-        elif ch == "+" and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(ch)
-        i += 1
-    parts.append("".join(cur))
+        elif ch == sep and depth == 0:
+            parts.append(text[start : m.start()])
+            start = m.end()
+    parts.append(text[start:])
     return parts
 
 
@@ -220,28 +206,8 @@ class MockResolutionOracle:
         for ln in reversed(lines):
             m = re.search(r"get(?:Declared)?Method\s*\((.*)\)", ln)
             if m:
-                first_arg = _split_top_comma(m.group(1))
+                first_arg = _split_top(m.group(1), ",")[0]
                 value = folder.eval_expr(first_arg) if first_arg else None
                 if value:
                     return json.dumps({"target_method": value})
         return json.dumps({"target_method": "unknown"})
-
-
-def _split_top_comma(argtext: str) -> str:
-    depth = 0
-    in_str = False
-    for i, ch in enumerate(argtext):
-        if in_str:
-            if ch == '"' and argtext[i - 1] != "\\":
-                in_str = False
-            continue
-        if ch == '"':
-            in_str = True
-        elif ch in "([":
-            depth += 1
-        elif ch in ")]":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            return argtext[:i]
-    return argtext
-

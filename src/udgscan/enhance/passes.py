@@ -3,19 +3,18 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..errors import ClientTransportError, DiagnosticSink, OracleParseError
+from ..errors import DiagnosticSink, OracleParseError
 from ..frontend.model import (
     CallSite,
-    ClassDecl,
     FunctionDecl,
     GlobalDecl,
     JumpTarget,
     RepoModel,
     StatementNode,
 )
-from ..pool import RequestPool, issue, reserve
+from ..pool import RequestPool, issue
 from ..udg.calls import call_statements, function_of_entry, is_invocation_pattern, site_targets
 from ..udg.graph import CALL, CONTROL_FLOW, DATA_DEPENDENCY, UdgEdge, UnifiedDependencyGraph
 from .oracle import ResolutionOracle, extract_json_object
@@ -137,10 +136,6 @@ def _dataflow_block(
     return block
 
 
-def _ask(oracle: ResolutionOracle, prompt: str, site: str) -> str:
-    return oracle.complete(prompt, site)
-
-
 def enhance_polymorphic_calls(
     g: UnifiedDependencyGraph,
     oracle: ResolutionOracle,
@@ -156,10 +151,10 @@ def enhance_polymorphic_calls(
     Sites calling one callee (`a.m() + b.m()`) share its call edges: an edge
     is removed once, and only when no site's answer keeps it.  A prompt
     already asked for at the statement is not asked again.  Every prompt is
-    issued on `pool` (see `udgscan.pool`) before the first answer is read;
-    an edit at one statement changes no other statement's prompt."""
+    one call on `pool` (see `udgscan.pool`), issued before the first outcome
+    is read; an edit at one statement changes no other statement's prompt."""
     hierarchy = _hierarchy_text(model)
-    # (statement, candidates, [(answer, names an answer may give)] per prompt)
+    # (statement, candidates, one outcome per prompt)
     asked: list[tuple[StatementNode, tuple[str, ...], list]] = []
     for stmt in call_statements(g):
         per_site = site_targets(g, model, stmt)
@@ -169,19 +164,23 @@ def enhance_polymorphic_calls(
             if len(targets) >= 2:
                 groups.setdefault(targets, []).append(idx)
         for targets, sites in groups.items():
-            answers: dict[str, tuple] = {}
+            outcomes: dict[str, object] = {}
             for idx in sites:
                 prompt, by_signature = _polymorphic_prompt(
                     g, model, stmt, stmt.calls[idx], targets, hierarchy
                 )
-                if prompt not in answers:
-                    answer = issue(pool, _ask, oracle, prompt, f"{stmt.id}/poly{idx}")
-                    answers[prompt] = (answer, by_signature)
-            asked.append((stmt, targets, list(answers.values())))
-    for stmt, targets, answers in asked:
+                if prompt not in outcomes:
+                    outcomes[prompt] = issue(
+                        pool, _ask_feasible, oracle, stmt, f"{stmt.id}/poly{idx}", prompt, by_signature
+                    )
+            asked.append((stmt, targets, list(outcomes.values())))
+    for stmt, targets, outcomes in asked:
         kept: set[str] = set()
-        for answer, by_signature in answers:
-            kept |= _feasible_targets(answer, by_signature, diagnostics, stmt) or set(targets)
+        for outcome in outcomes:
+            feasible, warning = outcome.result()
+            if warning:
+                _diag(diagnostics, "warning", warning, stmt)
+            kept |= feasible or set(targets)
         for t in sorted(set(targets) - kept):
             if g.remove_edges({(stmt.id, t, CALL, None)}) and audit is not None:
                 audit.append(AuditEntry("remove", CALL, stmt.id, t, "polymorphism"))
@@ -216,46 +215,19 @@ def _polymorphic_prompt(
     return prompt, by_signature
 
 
-def _feasible_targets(
-    answer,
-    by_signature: dict[str, str],
-    diagnostics: DiagnosticSink | None,
-    stmt: StatementNode,
-) -> set[str]:
-    """The candidates the oracle's answer names feasible; empty on a fault."""
+def _ask_feasible(
+    oracle: ResolutionOracle, stmt: StatementNode, tag: str, prompt: str, by_signature: dict[str, str]
+) -> tuple[set[str], str]:
+    """Ask one polymorphic prompt: the candidates the answer names feasible,
+    and a warning when it names none (always, on a fault)."""
     try:
-        named = extract_json_object(answer.result()).get("feasible_targets")
+        named = extract_json_object(oracle.complete(prompt, tag)).get("feasible_targets")
         if not isinstance(named, list):
             raise OracleParseError("feasible_targets missing or not a list")
     except OracleParseError as exc:
-        _diag(diagnostics, "warning", f"polymorphism oracle fault at {stmt.id}: {exc}", stmt)
-        return set()
-    feasible: set[str] = set()
-    for name in named:
-        t = by_signature.get(str(name).strip())
-        if t:
-            feasible.add(t)
-    if not feasible:
-        _diag(diagnostics, "warning", f"oracle named no known candidate at {stmt.id}", stmt)
-    return feasible
-
-
-@dataclass
-class _ReflectiveSite:
-    """One reflective invocation site and the state of its two questions."""
-
-    stmt: StatementNode
-    idx: int
-    reflective: list[str]  # the external edges an answer replaces
-    block: str
-    call_line: str
-    class_answer: object  # future of the class question
-    method_oracle: object  # where the method question goes, reserved in issue order
-    failure: Exception | None = None  # the class question's transport failure
-    fault: str = ""  # why the site keeps its external edges
-    cls: ClassDecl | None = None
-    methods: list[FunctionDecl] = field(default_factory=list)
-    method_answer: object = None
+        return set(), f"polymorphism oracle fault at {stmt.id}: {exc}"
+    feasible = {by_signature[key] for key in (str(name).strip() for name in named) if key in by_signature}
+    return feasible, "" if feasible else f"oracle named no known candidate at {stmt.id}"
 
 
 def enhance_reflective_calls(
@@ -269,13 +241,14 @@ def enhance_reflective_calls(
     """Two-step resolution of the reflective invocation sites in `g`.
 
     Successful answers replace the reflective external edge with a call edge
-    to the resolved method; any failure keeps the external edge.  Every
-    site's class question is issued on `pool` first, then the method
-    question of each site whose class resolved; diagnostics and edits
-    follow in site order.
+    to the resolved method; any failure keeps the external edge.  Each
+    site's questions are one call on `pool` (see `udgscan.pool`), all issued
+    before the first outcome is read; diagnostics and edits follow in site
+    order.
     """
     class_names = sorted(model.classes)
-    sites: list[_ReflectiveSite] = []
+    # (statement, the external edges an answer replaces, outcome) per site
+    sites: list[tuple[StatementNode, list[str], object]] = []
     for stmt in call_statements(g):
         per_site = site_targets(g, model, stmt)
         # Sites sharing a reflective edge get the same prompts: ask once.
@@ -293,67 +266,16 @@ def enhance_reflective_calls(
             asked.add(tuple(reflective))
             block = _dataflow_block(g, model, stmt, set(stmt.uses))
             call_line = render_statement_block([stmt], model)
-            class_answer = issue(
-                pool,
-                _ask,
-                oracle,
-                render_reflection_class_prompt(block, call_line, class_names),
-                f"{stmt.id}/reflect{idx}/class",
+            outcome = issue(
+                pool, _ask_reflective, oracle, model, stmt, f"{stmt.id}/reflect{idx}", block, call_line, class_names
             )
-            # The method question follows its class question in a transcript.
-            sites.append(
-                _ReflectiveSite(stmt, idx, reflective, block, call_line, class_answer, reserve(oracle))
-            )
-
-    for rs in sites:
-        try:
-            answer1 = extract_json_object(rs.class_answer.result())
-            cls_name = str(answer1.get("target_class", "")).strip()
-        except OracleParseError as exc:
-            rs.fault = f"reflection class oracle fault at {rs.stmt.id}: {exc}"
+            sites.append((stmt, reflective, outcome))
+    for stmt, reflective, outcome in sites:
+        resolved = outcome.result()
+        if isinstance(resolved, str):
+            _diag(diagnostics, "warning", resolved, stmt)
             continue
-        except ClientTransportError as exc:
-            rs.failure = exc  # raised below, after the earlier sites' diagnostics
-            break
-        rs.cls = model.resolve_class(cls_name, rs.stmt.file) if cls_name else None
-        if rs.cls is None:
-            rs.fault = f"reflection target class '{cls_name}' not in repository"
-            continue
-        rs.methods = [model.functions[fid] for fid in rs.cls.methods if not model.functions[fid].is_abstract]
-        rs.method_answer = issue(
-            pool,
-            _ask,
-            rs.method_oracle,
-            render_reflection_method_prompt(
-                rs.block, rs.call_line, [f.signature_text() for f in rs.methods]
-            ),
-            f"{rs.stmt.id}/reflect{rs.idx}/method",
-        )
-
-    for rs in sites:
-        stmt = rs.stmt
-        if rs.failure is not None:
-            raise rs.failure
-        if rs.fault:
-            _diag(diagnostics, "warning", rs.fault, stmt)
-            continue
-        try:
-            answer2 = extract_json_object(rs.method_answer.result())
-            method_name = str(answer2.get("target_method", "")).strip()
-        except OracleParseError as exc:
-            _diag(diagnostics, "warning", f"reflection method oracle fault at {stmt.id}: {exc}", stmt)
-            continue
-        matches = [f for f in rs.methods if f.name == method_name or f.signature_text() == method_name]
-        if not matches:
-            _diag(
-                diagnostics,
-                "warning",
-                f"reflection target method '{method_name}' not in {rs.cls.name}",
-                stmt,
-            )
-            continue
-        resolved = sorted(matches, key=lambda f: f.id)[0]
-        for ext in rs.reflective:
+        for ext in reflective:
             if g.remove_edges({(stmt.id, ext, CALL, None)}) and audit is not None:
                 audit.append(AuditEntry("remove", CALL, stmt.id, ext, "reflection"))
         new_edge = UdgEdge(
@@ -361,6 +283,40 @@ def enhance_reflective_calls(
         )
         if g.add_edge(new_edge) and audit is not None:
             audit.append(AuditEntry("add", CALL, stmt.id, resolved.entry, "reflection"))
+
+
+def _ask_reflective(
+    oracle: ResolutionOracle,
+    model: RepoModel,
+    stmt: StatementNode,
+    tag: str,
+    block: str,
+    call_line: str,
+    class_names: list[str],
+) -> FunctionDecl | str:
+    """Ask which class one reflective site accesses and, once that class
+    resolves, which of its methods it invokes: the method, or the warning
+    saying why the site keeps its external edges."""
+    prompt = render_reflection_class_prompt(block, call_line, class_names)
+    try:
+        answer = extract_json_object(oracle.complete(prompt, f"{tag}/class"))
+        cls_name = str(answer.get("target_class", "")).strip()
+    except OracleParseError as exc:
+        return f"reflection class oracle fault at {stmt.id}: {exc}"
+    cls = model.resolve_class(cls_name, stmt.file) if cls_name else None
+    if cls is None:
+        return f"reflection target class '{cls_name}' not in repository"
+    methods = [model.functions[fid] for fid in cls.methods if not model.functions[fid].is_abstract]
+    prompt = render_reflection_method_prompt(block, call_line, [f.signature_text() for f in methods])
+    try:
+        answer = extract_json_object(oracle.complete(prompt, f"{tag}/method"))
+        method_name = str(answer.get("target_method", "")).strip()
+    except OracleParseError as exc:
+        return f"reflection method oracle fault at {stmt.id}: {exc}"
+    matches = [f for f in methods if f.name == method_name or f.signature_text() == method_name]
+    if not matches:
+        return f"reflection target method '{method_name}' not in {cls.name}"
+    return min(matches, key=lambda f: f.id)
 
 
 def reconstruct_labeled_jumps(

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 POLYMORPHIC_PROMPT = """### Task
 As an expert in object-oriented static analysis, analyze the provided dataflow context and identify which candidate methods are feasible targets for this specific polymorphic call statement.
 
@@ -57,11 +59,14 @@ Reply with a JSON object: {"target_method": "<method name>"}
 """
 
 
-def fill(template: str, slots: dict[str, str]) -> str:
-    out = template
-    for key, value in slots.items():
-        out = out.replace(f"%{key}%", value)
-    return out
+PLACEHOLDER_RE = re.compile(r"%[a-z_]+%")
+
+
+def fill_template(template: str, slots: dict[str, str]) -> str:
+    """`template` with each `%slot%` replaced by its value, in one pass, so
+    a placeholder inside a slot's value is never filled; a placeholder
+    without a slot stays as it is."""
+    return PLACEHOLDER_RE.sub(lambda m: slots.get(m.group()[1:-1], m.group()), template)
 
 
 def render_statement_block(statements, model) -> str:
@@ -76,7 +81,7 @@ def render_statement_block(statements, model) -> str:
 
 
 def render_polymorphic_prompt(context_block: str, call_statement: str, candidates: list[str], hierarchy: str) -> str:
-    return fill(
+    return fill_template(
         POLYMORPHIC_PROMPT,
         {
             "dataflow_context": context_block,
@@ -88,7 +93,7 @@ def render_polymorphic_prompt(context_block: str, call_statement: str, candidate
 
 
 def render_reflection_class_prompt(context_block: str, call_statement: str, classes: list[str]) -> str:
-    return fill(
+    return fill_template(
         REFLECTION_CLASS_PROMPT,
         {
             "dataflow_context": context_block,
@@ -99,7 +104,7 @@ def render_reflection_class_prompt(context_block: str, call_statement: str, clas
 
 
 def render_reflection_method_prompt(context_block: str, call_statement: str, methods: list[str]) -> str:
-    return fill(
+    return fill_template(
         REFLECTION_METHOD_PROMPT,
         {
             "dataflow_context": context_block,

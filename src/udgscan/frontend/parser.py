@@ -716,8 +716,11 @@ class _BodyParser(_Cursor):
             expr = self.extract(eq + 1, end)
             if toks[eq].text != "=":  # compound assignment reads the target
                 expr.outside |= defs
-            lhs = [toks[i] for i in range(start, eq) if toks[i].text not in ("[", "]")]
-            expr.walk(lhs, 1, len(lhs))
+            # The left side reads its subscripts and what holds its target:
+            # the `a` of `a.f = x`, the `new T()` of `new T().f = x`.
+            sub = next((i for i, t in _top_level(toks, start, eq) if t.text == "["), eq)
+            holder = sub - 2 if sub - start > 2 and toks[sub - 2].text == "." else start
+            expr.walk(toks, start, holder).walk(toks, sub, eq)
             kind = "call" if expr.calls else "assignment"
             node = self.node(kind, first, last, expr, defs=defs)
             return syn.Simple(node.id)

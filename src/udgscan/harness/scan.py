@@ -29,7 +29,13 @@ from ..errors import (
 )
 from ..frontend.analysis import build_type_hierarchy, resolve_label_targets
 from ..frontend.parser import parse_repository
-from ..knowledge import detection_units_for, load_knowledge_base, load_starter_kb, load_user_sinks
+from ..knowledge import (
+    detection_units_for,
+    load_knowledge_base,
+    load_starter_kb,
+    load_user_sinks,
+    read_json_object,
+)
 from ..pool import RequestPool, issue
 from ..reasoning.clients import LiveClientConfig, LiveInferenceClient, MockInferenceClient
 from ..reasoning.prompt import build_detection_prompt
@@ -71,6 +77,9 @@ class ScanConfig:
     jobs: int = 8
 
     def validate(self) -> None:
+        for name in ("repo", "kb_path", "sink_path", "transcript_dir", "out_dir"):
+            if not isinstance(getattr(self, name), (str, type(None))):
+                raise ConfigError(f"{name} must be a path")
         if not self.repo:
             raise ConfigError("a repository path is required")
         if not os.path.isdir(self.repo):
@@ -102,11 +111,7 @@ class ScanConfig:
         """Config file values apply wherever a flag was not given."""
         merged: dict = {}
         if config_file:
-            with open(config_file, "r", encoding="utf-8") as fh:
-                try:
-                    merged.update(json.load(fh))
-                except json.JSONDecodeError as exc:
-                    raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+            merged.update(read_json_object(config_file, "config"))
         for key, value in flag_values.items():
             if value is not None:
                 merged[key] = value

@@ -110,7 +110,25 @@ class KnowledgeBase:
         }
 
 
+def read_json_object(path: str, where: str) -> dict:
+    """The JSON object that file `path` holds.  A file that cannot be read,
+    is not JSON or holds no object is a `SchemaError` at `where` that names
+    the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise SchemaError(where, f"cannot read {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # not JSON, or not UTF-8
+        raise SchemaError(where, f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError(where, f"{path}: document root must be an object")
+    return doc
+
+
 def _require(doc: dict, key: str, typ, where: str):
+    if not isinstance(doc, dict):
+        raise SchemaError(where, "expected an object")
     if key not in doc:
         raise SchemaError(f"{where}.{key}", "missing required field")
     value = doc[key]
@@ -145,7 +163,7 @@ def parse_knowledge_base(doc: dict, warnings: list[str] | None = None) -> Knowle
         if arity is not None and not isinstance(arity, int):
             raise SchemaError(f"{where}.arity", "arity must be an integer")
         for cwe in cwes:
-            if cwe not in kb.guidelines:
+            if not isinstance(cwe, str) or cwe not in kb.guidelines:
                 raise SchemaError(f"{where}.cwes", f"unknown guideline {cwe}")
         key = (api, arity)
         if key in seen:
@@ -162,14 +180,7 @@ def parse_knowledge_base(doc: dict, warnings: list[str] | None = None) -> Knowle
 
 
 def load_knowledge_base(path: str, warnings: list[str] | None = None) -> KnowledgeBase:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("kb", f"not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError("kb", "document root must be an object")
-    return parse_knowledge_base(doc, warnings)
+    return parse_knowledge_base(read_json_object(path, "kb"), warnings)
 
 
 def load_starter_kb() -> KnowledgeBase:
@@ -179,12 +190,7 @@ def load_starter_kb() -> KnowledgeBase:
 
 
 def load_user_sinks(path: str, kb: KnowledgeBase) -> list[UserSinkSpec]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("sinks", f"not valid JSON: {exc}") from exc
-    sinks_doc = _require(doc, "sinks", list, "sinks")
+    sinks_doc = _require(read_json_object(path, "sinks"), "sinks", list, "sinks")
     out: list[UserSinkSpec] = []
     for i, s in enumerate(sinks_doc):
         where = f"sinks[{i}]"
@@ -228,5 +234,6 @@ __all__ = [
     "load_starter_kb",
     "load_user_sinks",
     "parse_knowledge_base",
+    "read_json_object",
     "suffix_match",
 ]

@@ -1,10 +1,10 @@
 """Issuing model requests: at once, or on a bounded thread pool.
 
-Code that asks a model issues a batch of requests in a fixed order with
-`issue` and reads the answers back in that order, so that nothing it
-decides depends on which request finishes first: only the requests
-overlap.  Reading the answers in issue order also re-raises the first
-failure in that order.
+Code that asks a model issues a batch of calls in a fixed order with
+`issue`, each making its requests and returning an outcome, and reads the
+outcomes back in that order, so that nothing it decides depends on which
+call finishes first: only the calls overlap.  Reading the outcomes in
+issue order also re-raises the first failure in that order.
 """
 
 from __future__ import annotations
@@ -77,22 +77,18 @@ class RequestPool:
                 self.executor = ThreadPoolExecutor(self.jobs, thread_name_prefix="udgscan-request")
 
 
-def reserve(layer):
-    """Where a request to `layer` issued now goes: for a `Recorder`, its
-    transcript's next place; any other layer as it is."""
-    return layer.reserve() if isinstance(layer, Recorder) else layer
-
-
 def issue(pool: RequestPool | None, fn, layer, *args):
     """Start `fn(layer, *args)`, whose requests go to `layer`, on `pool`,
     or at once when `pool` is None, and return its future.
 
-    A `Recorder` records the call's requests at this place of its
-    transcript, wherever and whenever they run.  A `Replay` waits on
-    nothing, so its requests are always made at once: requests that share
-    a (tag, prompt) key then take their responses in issue order.
+    A `Recorder` records the call's requests, in the order it makes them,
+    at this place of its transcript, wherever and whenever it runs.  A
+    `Replay` waits on nothing, so its requests are always made at once:
+    requests that share a (tag, prompt) key then take their responses in
+    issue order.
     """
-    layer = reserve(layer)
+    if isinstance(layer, Recorder):
+        layer = layer.reserve()
     if pool is None or isinstance(layer, Replay):
         return _Done(fn, (layer, *args))
     return pool.submit(fn, layer, *args)

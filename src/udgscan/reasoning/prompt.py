@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 
 from ..context.holistic import HolisticContext
+from ..enhance.prompts import PLACEHOLDER_RE, fill_template
 from ..errors import MissingGuideline
 from ..knowledge import KnowledgeBase
 
@@ -27,8 +27,6 @@ Step 3: Defense Assessment -- Critically examine defense mechanisms present in t
 
 Step 4: Evidence-Driven Verdict Synthesis -- Synthesize prior artifacts. Weight verified exploitable indicators against active counter-evidence before deriving a final verdict.
 """
-
-PLACEHOLDER_RE = re.compile(r"%[a-z_]+%")
 
 STEP_HEADERS = (
     "Contextual Flow Understanding",
@@ -64,6 +62,4 @@ def build_detection_prompt(
         "vuln_patterns": guideline.vuln_patterns,
         "defense_knowledge": guideline.defense_knowledge,
     }
-    # One pass, so a placeholder inside a slot's value is never filled.
-    text = PLACEHOLDER_RE.sub(lambda m: slots.get(m.group()[1:-1], m.group()), DETECTION_TEMPLATE)
-    return MetaPrompt(text=text, slots=slots)
+    return MetaPrompt(text=fill_template(DETECTION_TEMPLATE, slots), slots=slots)

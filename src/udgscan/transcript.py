@@ -4,14 +4,14 @@ Both request layers share one contract, `complete(prompt, tag) -> str`: the
 resolution oracle's tag is the site it asks about, the inference client's
 is the voting round.  `Recorder` wraps either layer and writes one JSON line
 per request, the tag under the layer's field name (`site` or `round`), in
-issue order: requests that run later or on another thread record at the
-place `reserve` gave them when they were issued; `lines()` is the
-transcript file's text.
+issue order: the requests of a call that runs later or on another thread
+record at the place `udgscan.pool.issue` reserved for the call when it was
+issued; `lines()` is the transcript file's text.
 `Replay` serves those responses keyed by (tag, prompt), in recorded order
 per key, so replay does not depend on the order requests arrive in.  A
 request the transcript does not hold is a transport failure, like a live
-endpoint that does not answer; a transcript file that cannot be read is a
-configuration error.
+endpoint that does not answer; a transcript file that cannot be read, or a
+line of it that is not a record, is a configuration error.
 """
 
 from __future__ import annotations
@@ -60,10 +60,22 @@ class Replay:
         self.responses: dict[tuple, deque[str]] = defaultdict(deque)
         try:
             with open(path, "r", encoding="utf-8") as fh:
-                records = [json.loads(line) for line in fh if line.strip()]
+                lines = list(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read transcript {path}: {exc.strerror or exc}") from exc
-        for rec in records:
+        except ValueError as exc:  # not UTF-8
+            raise ConfigError(f"cannot read transcript {path}: {exc}") from exc
+        for lineno, line in enumerate(lines, 1):
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+            except ValueError:
+                rec = None
+            if not _is_record(rec, tag_field):
+                raise ConfigError(
+                    f"transcript {path}:{lineno} is not a JSON object with {tag_field}, prompt and response"
+                )
             self.responses[(rec[tag_field], rec["prompt"])].append(rec["response"])
 
     def complete(self, prompt: str, tag: str | int) -> str:
@@ -73,3 +85,12 @@ class Replay:
                 f"{self.name} holds no response for {self.tag_field} {tag!r} with this prompt"
             )
         return queue.popleft()
+
+
+def _is_record(rec, tag_field: str) -> bool:
+    return (
+        isinstance(rec, dict)
+        and isinstance(rec.get(tag_field), (str, int))
+        and isinstance(rec.get("prompt"), str)
+        and isinstance(rec.get("response"), str)
+    )

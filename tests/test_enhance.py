@@ -4,7 +4,7 @@ import pytest
 
 from conftest import fixture_path, parse_and_build, write_repo
 
-from udgscan.enhance.oracle import MockResolutionOracle
+from udgscan.enhance.oracle import MockResolutionOracle, _split_top
 from udgscan.enhance.order import compute_analysis_order, function_call_graph, order_is_sound, tarjan_scc
 from udgscan.enhance.passes import (
     add_global_nodes,
@@ -14,6 +14,12 @@ from udgscan.enhance.passes import (
     reconstruct_labeled_jumps,
 )
 from udgscan.enhance.pipeline import enhance_graph
+from udgscan.enhance.prompts import (
+    PLACEHOLDER_RE,
+    render_polymorphic_prompt,
+    render_reflection_class_prompt,
+    render_reflection_method_prompt,
+)
 from udgscan.enhance.prune import prune_data_edges
 from udgscan.enhance.summaries import compute_all_summaries
 from udgscan.errors import DiagnosticSink
@@ -259,7 +265,7 @@ public class R {
     oracle = Recorder(MockResolutionOracle(), "site")
     audit = []
     enhance_reflective_calls(g, oracle, model, audit=audit)
-    assert len(oracle.records) == 2  # one class and one method question
+    assert len(list(oracle.lines())) == 2  # one class and one method question
     assert {e.dst for e in g.out_edges(stmt.id, CALL)} == {show.entry}
     assert [(a.op, a.dst) for a in audit] == [
         ("remove", "external:invoke/2"),
@@ -294,6 +300,50 @@ def test_enhance_graph_leaves_input_intact(name):
     assert result.graph.state == "enhanced"
     if result.audit:  # the passes edited the copy, not the input
         assert {e.key() for e in result.graph.edges} != set(before)
+
+
+# ------------------------------------------------------------------ prompts
+
+# A string literal holding every oracle prompt's placeholders.
+PLACEHOLDERS_LINE = 'A.m:3| String s = "%candidates% %call_statement% %classes% %methods%";'
+
+
+@pytest.mark.parametrize(
+    "render, slots",
+    [
+        (lambda v: render_polymorphic_prompt(v, v, [v], v), 4),
+        (lambda v: render_reflection_class_prompt(v, v, [v]), 3),
+        (lambda v: render_reflection_method_prompt(v, v, [v]), 3),
+    ],
+    ids=["polymorphic", "reflection-class", "reflection-method"],
+)
+def test_placeholders_inside_a_slot_value_are_kept_verbatim(render, slots):
+    """Slots are filled in one pass: a value holding another slot's
+    placeholder gets nothing spliced into it."""
+    prompt = render(PLACEHOLDERS_LINE)
+    assert prompt.count(PLACEHOLDERS_LINE) == slots
+    assert len(PLACEHOLDER_RE.findall(prompt)) == 4 * slots
+
+
+def test_polymorphic_candidates_stay_out_of_the_dataflow_context():
+    prompt = render_polymorphic_prompt(
+        'A.m:3| String s = "%candidates%";', "A.m:4| s.go();", ["p.B.go()", "p.C.go()"], ""
+    )
+    assert 'A.m:3| String s = "%candidates%";\n' in prompt
+    assert prompt.count("- p.B.go()") == 1
+
+
+def test_mock_oracle_splits_at_top_level_only():
+    # The Java text `"a\\", b`: its string ends at the second quote, since
+    # the backslash before it is itself escaped.
+    assert _split_top('"a\\\\", b', ",") == ['"a\\\\"', " b"]
+    assert _split_top('"x+" + f(a + b, c) + y[1 + 2] + "\\"+"', "+") == [
+        '"x+" ',
+        " f(a + b, c) ",
+        " y[1 + 2] ",
+        ' "\\"+"',
+    ]
+    assert _split_top('"never closed + ,', ",") == ['"never closed + ,']
 
 
 # ------------------------------------------------------------------ jumps

@@ -383,6 +383,11 @@ def test_hand_written_file():
     assert stmts["Class<?> k = String.class"].uses == set()
     # The local `b`, a String, shadows the field `b`, a Box.
     assert stmts["Object bb = b.trim()"].calls[0].receiver_type == "String"
+    # Expected deviations from the parser the reference came with, which
+    # walked a dotted target from its second token: the field `f` was a use
+    # and `a` was not, and `new Main()` was a call of a method `Main`.
+    assert stmts["a.f = h(y, x) + x;"].uses == {"a", "x", "y"}
+    assert [(c.chain, c.is_constructor) for c in stmts["new Main().f = x;"].calls] == [("new Main", True)]
 
 
 @pytest.mark.parametrize(

@@ -261,3 +261,31 @@ class F {
     ret = next(s for s in model.statements.values() if s.kind == "return")
     for src_id, dst_id in [(init.id, cond.id), (cond.id, body.id), (body.id, update.id), (update.id, cond.id), (cond.id, ret.id)]:
         assert g.has_edge(src_id, dst_id, CONTROL_FLOW)
+
+
+def test_dotted_assignment_targets_read_what_holds_them(tmp_path):
+    src = """package p;
+class Main {
+    int f;
+    void m(Main a, int x, int i, int[] b) {
+        a.f = x;
+        this.f = x;
+        new Main().f = x;
+        b[i] = x;
+    }
+}
+"""
+    root = write_repo(tmp_path, {"Main.java": src})
+    model = parse_repository(root)
+    stmts = {s.code: s for s in model.statements.values()}
+    facts = {
+        code: (s.kind, s.defs, s.uses, [(c.chain, c.is_constructor) for c in s.calls])
+        for code, s in stmts.items()
+        if code.endswith("= x;")
+    }
+    assert facts == {
+        "a.f = x;": ("assignment", {"a.f"}, {"a", "x"}, []),
+        "this.f = x;": ("assignment", {"this.f"}, {"x"}, []),
+        "new Main().f = x;": ("call", set(), {"x"}, [("new Main", True)]),
+        "b[i] = x;": ("assignment", {"b"}, {"i", "x"}, []),
+    }

@@ -118,6 +118,49 @@ def test_config_file_integers_are_checked(tmp_path, el_repo, capsys, values):
     assert capsys.readouterr().err.startswith(f"error: {name} must be an integer >= ")
 
 
+def _write(path, text):
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _replay_dir(tmp_path, resolution):
+    _write(tmp_path / "resolution.jsonl", resolution)
+    _write(tmp_path / "inference.jsonl", "")
+    return ["--oracle", "replay", "--transcript", str(tmp_path)]
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (lambda tmp: ["--config", str(tmp / "missing.json")], "missing.json"),
+        (lambda tmp: ["--config", str(_write(tmp / "c.json", "[1, 2]"))], "c.json"),
+        (lambda tmp: ["--config", str(_write(tmp / "c.json", '{"out_dir": 5}'))], "out_dir must be a path"),
+        (lambda tmp: ["--kb", str(tmp / "missing.json")], "missing.json"),
+        (lambda tmp: ["--kb", str(_write(tmp / "kb.json", '{"guidelines":[5],"apis":[]}'))], "kb.guidelines[0]"),
+        (lambda tmp: ["--sink", str(tmp / "missing.json")], "missing.json"),
+        (lambda tmp: ["--sink", str(_write(tmp / "s.json", '"sinks"'))], "s.json"),
+        (lambda tmp: _replay_dir(tmp, "not json\n"), "resolution.jsonl:1"),
+        (lambda tmp: _replay_dir(tmp, '{"site": "a", "prompt": "p", "response": "r"}\n[]\n'), "resolution.jsonl:2"),
+    ],
+    ids=[
+        "config-missing",
+        "config-list",
+        "config-path-not-a-string",
+        "kb-missing",
+        "kb-guideline-not-an-object",
+        "sink-missing",
+        "sink-string",
+        "transcript-line-not-json",
+        "transcript-line-not-an-object",
+    ],
+)
+def test_malformed_json_inputs_are_config_errors(tmp_path, el_repo, capsys, args, named):
+    assert main(["scan", "--repo", el_repo, *args(tmp_path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+
+
 def test_config_file_merged_under_flags(tmp_path, el_repo):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"n_rounds": 5, "hop_limit": 2}), encoding="utf-8")
