@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from dataclasses import dataclass
@@ -21,6 +20,8 @@ class PairedSample:
 def normalized_hash(repo_dir: str) -> str:
     """MD5 over path-sorted file contents with all formatting characters
     (spaces, tabs, newlines, carriage returns) removed."""
+    import hashlib  # only an evaluation hashes; a scan does not load it
+
     digest = hashlib.md5()
     entries = []
     for dirpath, dirnames, filenames in os.walk(repo_dir):

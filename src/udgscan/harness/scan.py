@@ -9,10 +9,7 @@ import re
 import sys
 import time
 from collections import deque
-from collections.abc import Iterator
-from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import TextIO
+from dataclasses import dataclass, field, fields
 
 from ..context.holistic import DEFAULT_TOKEN_BUDGET, holistic_context
 from ..context.sinks import find_sensitive_invocations
@@ -53,6 +50,26 @@ EXIT_ORACLE = 4
 TRANSCRIPTS = (("resolution.jsonl", "site"), ("inference.jsonl", "round"))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# What a config value must be, by its field's annotation (a string under
+# `from __future__ import annotations`): a test, and its words for the error.
+# A bool is an int to Python, but is never taken for a number here.
+_FIELD_KINDS = {
+    "int": (_is_int, "an integer"),
+    "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "str | None": (lambda v: v is None or isinstance(v, str), "a path"),
+}
+# The least value of each count; the round count must also be odd, so that
+# a majority always exists.
+_LEAST = {"hop_limit": 0, "n_rounds": 1, "token_budget": 0, "jobs": 1}
+
+
 @dataclass
 class ScanConfig:
     repo: str = ""
@@ -77,17 +94,16 @@ class ScanConfig:
     jobs: int = 8
 
     def validate(self) -> None:
-        for name in ("repo", "kb_path", "sink_path", "transcript_dir", "out_dir"):
-            if not isinstance(getattr(self, name), (str, type(None))):
-                raise ConfigError(f"{name} must be a path")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            accepts, kind = _FIELD_KINDS[f.type]
+            least = _LEAST.get(f.name)
+            if not accepts(value) or (least is not None and value < least):
+                raise ConfigError(f"{f.name} must be {kind}" + ("" if least is None else f" >= {least}"))
         if not self.repo:
             raise ConfigError("a repository path is required")
         if not os.path.isdir(self.repo):
             raise ConfigError(f"repository path does not exist: {self.repo}")
-        for name, least in (("hop_limit", 0), ("n_rounds", 1), ("token_budget", 0), ("jobs", 1)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise ConfigError(f"{name} must be an integer >= {least}")
         if self.n_rounds % 2 == 0:
             raise ConfigError("round count must be odd")
         if self.oracle_mode not in ("live", "mock", "replay"):
@@ -245,9 +261,12 @@ def _scan(config: ScanConfig, inference_client, resolution_oracle) -> ScanResult
     config.validate()
     diagnostics = DiagnosticSink()
     timings: dict[str, float] = {}
-    # Built before any parsing, so that an unreadable replay transcript is
-    # reported at once.
+    # Built and read before any parsing, so that an unreadable replay
+    # transcript, knowledge base or sink file is reported at once.
     (oracle, client), recorders = _request_layers(config, (resolution_oracle, inference_client))
+    kb_warnings: list[str] = []
+    kb = load_knowledge_base(config.kb_path, kb_warnings) if config.kb_path else load_starter_kb()
+    user_sinks = load_user_sinks(config.sink_path, kb) if config.sink_path else []
 
     t0 = time.monotonic()
     model = parse_repository(config.repo, diagnostics)
@@ -273,11 +292,8 @@ def _scan(config: ScanConfig, inference_client, resolution_oracle) -> ScanResult
         timings["graph"] = time.monotonic() - t0
 
         t0 = time.monotonic()
-        warnings: list[str] = []
-        kb = load_knowledge_base(config.kb_path, warnings) if config.kb_path else load_starter_kb()
-        for w in warnings:
+        for w in kb_warnings:
             diagnostics.add("warning", "knowledge", w)
-        user_sinks = load_user_sinks(config.sink_path, kb) if config.sink_path else []
         invocations = find_sensitive_invocations(g_e, model, kb, user_sinks)
         contexts = {}
         for inv in invocations:
@@ -335,8 +351,7 @@ def _scan(config: ScanConfig, inference_client, resolution_oracle) -> ScanResult
     if recorders:
         os.makedirs(config.transcript_dir, exist_ok=True)
         for recorder, path in recorders:
-            with _rewrite(path) as fh:
-                fh.writelines(recorder.lines())
+            _rewrite(path, "".join(recorder.lines()))
     if config.out_dir:
         _write_outputs(config, report, contexts, enh, g_e)
     result = ScanResult(
@@ -392,10 +407,8 @@ def _empty_report(config: ScanConfig, diagnostics: DiagnosticSink, reason: str) 
     }
 
 
-@contextmanager
-def _rewrite(path: str) -> Iterator[TextIO]:
-    """A UTF-8 text stream to `path`, which holds exactly what was written
-    to it once the block ends.
+def _rewrite(path: str, text: str) -> None:
+    """Make `path` hold exactly `text`, UTF-8 encoded.
 
     An existing file is overwritten in place and then cut to its new length
     rather than truncated to zero first: a re-scan into the same directory
@@ -404,30 +417,30 @@ def _rewrite(path: str) -> Iterator[TextIO]:
     costs far more than the write.  The file is written even when its bytes
     do not change, so its modification time always moves.
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as fh:
-        try:
-            yield fh
-        finally:
-            fh.truncate()
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _write_outputs(config, report, contexts, enh, g_e) -> None:
     os.makedirs(config.out_dir, exist_ok=True)
-    with _rewrite(os.path.join(config.out_dir, "report.json")) as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with _rewrite(os.path.join(config.out_dir, "audit.jsonl")) as fh:
-        for entry in enh.audit:
-            fh.write(json.dumps(entry.as_dict(), sort_keys=True) + "\n")
+    _rewrite(os.path.join(config.out_dir, "report.json"), json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _rewrite(
+        os.path.join(config.out_dir, "audit.jsonl"),
+        "".join(json.dumps(entry.as_dict(), sort_keys=True) + "\n" for entry in enh.audit),
+    )
     if config.dump_context:
         for inv_id, ctx in contexts.items():
-            with _rewrite(os.path.join(config.out_dir, f"{_sanitize(inv_id)}.ctx.txt")) as fh:
-                fh.write(ctx.rendered + "\n")
+            _rewrite(os.path.join(config.out_dir, f"{_sanitize(inv_id)}.ctx.txt"), ctx.rendered + "\n")
     if config.dump_graph:
-        with _rewrite(os.path.join(config.out_dir, "udg.txt")) as fh:
-            fh.write(g_e.dump())
-        with _rewrite(os.path.join(config.out_dir, "udg.dot")) as fh:
-            fh.write(g_e.to_dot())
+        _rewrite(os.path.join(config.out_dir, "udg.txt"), g_e.dump())
+        _rewrite(os.path.join(config.out_dir, "udg.dot"), g_e.to_dot())
 
 
 def print_diagnostics(result: ScanResult, stream=None) -> None:

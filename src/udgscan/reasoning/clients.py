@@ -1,12 +1,15 @@
-"""Inference clients: live HTTP and deterministic mocks."""
+"""Inference clients: live HTTP and deterministic mocks.
+
+The HTTP stack (`urllib.request`, and with it `ssl`, `http.client` and
+`email`) is imported by the live client on its first request, so a mock or
+replay scan never loads it.
+"""
 
 from __future__ import annotations
 
 import json
 import os
 import threading
-import urllib.error
-import urllib.request
 from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
@@ -74,6 +77,12 @@ class LiveInferenceClient:
         self.api_key = os.environ.get(config.api_key_env, "")
 
     def complete(self, prompt: str, round_index: int = 0) -> str:
+        # Looked up on the module at each request, so a test can replace
+        # `urllib.request.urlopen`.  A first import from a pool thread is
+        # safe: the import system locks each module while it loads.
+        import urllib.error
+        import urllib.request
+
         body = {
             "model": self.config.model,
             "messages": [{"role": "user", "content": prompt}],

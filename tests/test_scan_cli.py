@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import os
@@ -104,6 +105,9 @@ def test_config_validation():
         ScanConfig(repo=".", n_rounds=2).validate()
     with pytest.raises(Exception):
         ScanConfig(repo=".", oracle_mode="replay").validate()
+    # The only field a config file cannot set under `scan`'s required flag.
+    with pytest.raises(ConfigError, match="repo must be a string"):
+        ScanConfig(repo=5).validate()
 
 
 @pytest.mark.parametrize(
@@ -116,6 +120,20 @@ def test_config_file_integers_are_checked(tmp_path, el_repo, capsys, values):
     assert main(["scan", "--repo", el_repo, "--config", str(cfg)]) == EXIT_CONFIG
     (name,) = values
     assert capsys.readouterr().err.startswith(f"error: {name} must be an integer >= ")
+
+
+# A value of the wrong type for each field annotation of `ScanConfig`.
+WRONG_TYPE = {"int": "3", "int | None": "x", "float": "hot", "bool": "yes", "str": 5, "str | None": 5}
+
+
+@pytest.mark.parametrize("field", [f for f in dataclasses.fields(ScanConfig) if f.name != "repo"], ids=lambda f: f.name)
+def test_config_file_values_are_checked_by_type(tmp_path, el_repo, capsys, field):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({field.name: WRONG_TYPE[field.type]}), encoding="utf-8")
+    assert main(["scan", "--repo", el_repo, "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field.name} must be ")
+    assert "Traceback" not in err
 
 
 def _write(path, text):
@@ -154,7 +172,13 @@ def _replay_dir(tmp_path, resolution):
         "transcript-line-not-an-object",
     ],
 )
-def test_malformed_json_inputs_are_config_errors(tmp_path, el_repo, capsys, args, named):
+def test_malformed_json_inputs_are_config_errors(tmp_path, el_repo, capsys, monkeypatch, args, named):
+    scan_module = importlib.import_module("udgscan.harness.scan")
+
+    def parse_repository(*args, **kwargs):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(scan_module, "parse_repository", parse_repository)
     assert main(["scan", "--repo", el_repo, *args(tmp_path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
