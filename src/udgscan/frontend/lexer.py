@@ -5,15 +5,16 @@ later passes (def/use extraction, identifier rewriting) can splice the
 original text precisely.  Comments and whitespace are skipped but line
 numbers remain exact.
 
-One compiled master regular expression does the work: its named
-alternatives are tried in order at each position (skip, string, char,
-number, word, bad, punct), and `tokenize` walks its matches, counting the
-newlines between token starts for line numbers.  `skip` is whitespace and
-`//`/`/* */` comments; `bad` matches the opening `/*`, `"` or `'` of a
-construct that does not close; `punct` ends in a one-character catch-all,
+One compiled master regular expression does the work, one match per
+token: each match is the whitespace and `//`/`/* */` comments before a
+token, as a prefix, then the token itself, one of the named alternatives
+tried in order (word, punct, string, char, number, bad, other), or the end
+of the text, which ends the walk.  `tokenize` counts the newlines between
+token starts for line numbers.  `bad` matches the opening `/*`, `"` or `'`
+of a construct that does not close; `other` is a one-character catch-all,
 so every character of the text belongs to some match.  This is the only
 place that knows the comment grammar: the parser derives each file's
-trivia lines from these tokens.
+trivia lines, and its bracket pairs, from these tokens.
 """
 
 from __future__ import annotations
@@ -45,20 +46,34 @@ _OPERATORS = [
     "<<", ">>",
 ]
 
+# The alternatives are tried in order, the most frequent first.  `punct`
+# takes the brackets and separators, the operators (longest first), a `.`
+# that starts no number, a `/` that starts no comment and any character that
+# starts no other token; `other` takes what is left, such as a form feed.
+_SKIP = r"(?:[ \t\r\n]+|//[^\n]*|/\*[\s\S]*?\*/)*"
 _MASTER = re.compile(
-    "|".join(
+    _SKIP
+    + "(?:"
+    + "|".join(
         f"(?P<{name}>{pattern})"
         for name, pattern in [
-            ("skip", r"[ \t\r\n]+|//[^\n]*|/\*[\s\S]*?\*/"),
+            ("word", r"(?:[^\W\d]|\$)[\w$]*"),
+            (
+                "punct",
+                r"[;(){}\[\],]|"
+                + "|".join(map(re.escape, _OPERATORS))
+                + r"|\.(?!\d)|/(?!\*)|[^\w\s$\"'./]",
+            ),
             ("string", r'"(?:[^"\\\n]|\\[^\n])*"'),
             ("char", r"'(?:[^'\\\n]|\\[^\n])*'"),
             # A dot continues a number only before a digit or an exponent.
             ("number", r"\.?\d(?:\w|\.(?=[\deE]))*"),
-            ("word", r"(?:[^\W\d]|\$)[\w$]*"),
             ("bad", r"/\*|[\"']"),
-            ("punct", "|".join(map(re.escape, _OPERATORS)) + r"|[\s\S]"),
+            ("other", r"[\s\S]"),
+            ("end", r"\Z"),
         ]
     )
+    + ")"
 )
 _UNTERMINATED = {"/*": "block comment", '"': "string literal", "'": "char literal"}
 
@@ -84,12 +99,12 @@ def tokenize(text: str, path: str = "<memory>") -> list[Token]:
     counted = 0  # offset up to which newlines are counted into `line`
     for m in _MASTER.finditer(text):
         kind = m.lastgroup
-        if kind == "skip":
-            continue
-        start = m.start()
+        if kind == "end":
+            break
+        start, end = m.span(kind)
         line += text.count("\n", counted, start)
         counted = start
-        lexeme = m.group()
+        lexeme = text[start:end]
         if kind == "bad":
             if lexeme == "/*":
                 # Reported where the scan for "*/" gave up: the last character.
@@ -97,5 +112,7 @@ def tokenize(text: str, path: str = "<memory>") -> list[Token]:
             raise SubsetViolation(path, line, f"unterminated {_UNTERMINATED[lexeme]}")
         if kind == "word":
             kind = "keyword" if lexeme in KEYWORDS else "ident"
-        tokens.append(Token(kind, lexeme, line, start, m.end()))
+        elif kind == "other":
+            kind = "punct"
+        tokens.append(Token(kind, lexeme, line, start, end))
     return tokens

@@ -39,6 +39,8 @@ MODIFIERS = frozenset(
 )
 # A line is trivia (blank, comment or brace punctuation) when no other token starts on it.
 TRIVIA_PUNCT = frozenset("{}();,")
+# Each bracket, opening or closing, mapped to the opener of its type.
+_BRACKET_TYPE = {"(": "(", ")": "(", "[": "[", "]": "[", "{": "{", "}": "{"}
 # How deep statements and call argument lists may nest, counted together:
 # deeper code is a subset violation, which keeps the recursive parser and
 # the graph walkers far from Python's recursion limit.
@@ -61,12 +63,16 @@ class _Cursor:
 
     At `end`, peek() returns None and next() reports a truncated construct
     at `eof_line`; `expect` reports a missing token at the same line and
-    names what was being parsed with `where`.
+    names what was being parsed with `where`.  `closers` maps the index of
+    each paired `(`, `[` and `{` to the index of its closer.
     """
 
-    def __init__(self, path: str, tokens: list[Token], end: int, eof_line: int, where: str = ""):
+    def __init__(
+        self, path: str, tokens: list[Token], closers: dict[int, int], end: int, eof_line: int, where: str = ""
+    ):
         self.path = path
         self.tokens = tokens
+        self.closers = closers
         self.pos = 0
         self.end = end
         self.eof_line = eof_line
@@ -94,17 +100,16 @@ class _Cursor:
         tok = self.peek()
         return tok is not None and tok.text == text
 
-    def skip_balanced(self, open_t: str, close_t: str) -> Token:
-        """Consume a group from `open_t` to its matching `close_t`; returns the close."""
+    def skip_balanced(self, open_t: str) -> Token:
+        """Consume a group from `open_t` to its closer; returns the closer.
+        A closer that is missing or lies at or past `end` is a truncated
+        construct, as reading up to it would be."""
         self.expect(open_t)
-        depth = 1
-        while depth > 0:
-            tok = self.next()
-            if tok.text == open_t:
-                depth += 1
-            elif tok.text == close_t:
-                depth -= 1
-        return tok
+        close = self.closers.get(self.pos - 1, self.end)
+        if close >= self.end:
+            raise SubsetViolation(self.path, self.eof_line, "truncated construct")
+        self.pos = close + 1
+        return self.tokens[close]
 
     def skip_type_args(self) -> None:
         """Consume the type arguments `<...>` at the cursor."""
@@ -117,14 +122,26 @@ class _FileParser(_Cursor):
 
     def __init__(self, source: SourceFile, fragment: RepoModel, diagnostics: DiagnosticSink):
         tokens = tokenize(source.text, source.path)
-        super().__init__(source.path, tokens, len(tokens), tokens[-1].line if tokens else 1)
+        # One pass marks the lines that hold only trivia and pairs each
+        # bracket with its closer, one stack per bracket type.
+        trivia = source.trivia = [True] * len(source.lines)
+        closers: dict[int, int] = {}
+        opened: dict[str, list[int]] = {"(": [], "[": [], "{": []}
+        for i, tok in enumerate(tokens):
+            text = tok.text
+            if text not in TRIVIA_PUNCT:
+                trivia[tok.line - 1] = False
+            if text in _BRACKET_TYPE:
+                stack = opened[_BRACKET_TYPE[text]]
+                if text in opened:
+                    stack.append(i)
+                elif stack:
+                    closers[stack.pop()] = i
+        super().__init__(source.path, tokens, closers, len(tokens), tokens[-1].line if tokens else 1)
         self.src = source
         self.fragment = fragment
         self.diag = diagnostics
-        source.trivia = [True] * len(source.lines)
-        for tok in self.tokens:
-            if tok.text not in TRIVIA_PUNCT:
-                source.trivia[tok.line - 1] = False
+        self.field_scopes: dict[str, dict[str, str]] = {}
         self.counter = 0
         self.pending: list[_PendingBody] = []
         self.pending_fields: list[tuple] = []  # (node, cls, [(GlobalDecl, init start, init end)])
@@ -202,7 +219,7 @@ class _FileParser(_Cursor):
             self.next()  # @
             self.next()  # name
             if self.at("("):
-                self.skip_balanced("(", ")")
+                self.skip_balanced("(")
 
     def parse_type_decl(self, enclosing: str | None) -> None:
         first = self.peek()
@@ -278,7 +295,7 @@ class _FileParser(_Cursor):
             return
         if tok.text == "{":  # static or instance initializer: outside the subset's flow model
             self.diag.add("warning", "frontend", "initializer block skipped", self.src.path, tok.line)
-            self.skip_balanced("{", "}")
+            self.skip_balanced("{")
             return
         first = self.tokens[start]
         # Constructor: name matches the class and is directly followed by '('.
@@ -337,8 +354,12 @@ class _FileParser(_Cursor):
 
     def field_names_for(self, cls: ClassDecl) -> dict[str, str]:
         """Field name -> declared type over the enclosing class chain, from
-        this file's own fields."""
-        names: dict[str, str] = {}
+        this file's own fields.  Computed once per class, after the whole
+        file is read, and shared read-only by its initializers and bodies."""
+        names = self.field_scopes.get(cls.name)
+        if names is not None:
+            return names
+        names = self.field_scopes[cls.name] = {}
         cur: ClassDecl | None = cls
         while cur is not None:
             for g in self.fragment.globals:
@@ -409,7 +430,7 @@ class _FileParser(_Cursor):
             func.exit = exit_node.id
             return
         start = self.pos + 1
-        body_close = self.skip_balanced("{", "}")
+        body_close = self.skip_balanced("{")
         exit_node = self.make_node("exit", body_close, body_close, owner=fid, synthetic=True)
         func.exit = exit_node.id
         self.pending.append(_PendingBody(func, cls, start, self.pos - 1))
@@ -452,7 +473,7 @@ class _BodyParser(_Cursor):
     and the locals declared so far."""
 
     def __init__(self, fp: _FileParser, func: FunctionDecl, fields: dict[str, str]):
-        super().__init__(fp.src.path, fp.tokens, 0, func.sig_line, " in method body")
+        super().__init__(fp.src.path, fp.tokens, fp.closers, 0, func.sig_line, " in method body")
         self.fp = fp
         self.func = func
         self.var_types = func.var_types
@@ -495,7 +516,7 @@ class _BodyParser(_Cursor):
     def parenthesized(self) -> tuple[int, int]:
         """Consume a parenthesized group; returns the range inside it."""
         start = self.pos + 1
-        self.skip_balanced("(", ")")
+        self.skip_balanced("(")
         return start, self.pos - 1
 
     # --------------------------------------------------------------- statements
@@ -551,7 +572,7 @@ class _BodyParser(_Cursor):
 
     def parse_nested_block(self) -> syn.Block:
         start = self.pos + 1
-        self.skip_balanced("{", "}")
+        self.skip_balanced("{")
         after = self.pos
         stmts = self.parse_statements(start, after - 1)
         self.pos = after

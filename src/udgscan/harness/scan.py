@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 import os
 import re
 import sys
@@ -56,11 +57,13 @@ def _is_int(value) -> bool:
 
 # What a config value must be, by its field's annotation (a string under
 # `from __future__ import annotations`): a test, and its words for the error.
-# A bool is an int to Python, but is never taken for a number here.
+# A bool is an int to Python, but is never taken for a number here; nor is
+# the NaN or infinity a JSON config file may spell, which no JSON request
+# can carry.
 _FIELD_KINDS = {
     "int": (_is_int, "an integer"),
     "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
-    "float": (lambda v: _is_int(v) or isinstance(v, float), "a number"),
+    "float": (lambda v: _is_int(v) or isinstance(v, float) and math.isfinite(v), "a finite number"),
     "bool": (lambda v: isinstance(v, bool), "true or false"),
     "str": (lambda v: isinstance(v, str), "a string"),
     "str | None": (lambda v: v is None or isinstance(v, str), "a path"),

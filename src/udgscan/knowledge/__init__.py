@@ -208,7 +208,7 @@ def load_user_sinks(path: str, kb: KnowledgeBase) -> list[UserSinkSpec]:
             )
             kb.guidelines.setdefault(cwe_id, guideline)
         elif cwe_id not in kb.guidelines:
-            raise MissingGuideline(f"{where}: {cwe_id} has no guideline and no inline override")
+            raise SchemaError(where, f"{cwe_id} has no guideline and no inline override")
         out.append(UserSinkSpec(pattern=pattern, cwe_id=cwe_id, arity=arity, guideline=guideline))
     return out
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections.abc import ValuesView
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..frontend.model import StatementNode
 
@@ -13,8 +14,11 @@ CALL = "call"
 EDGE_TYPES = (CONTROL_FLOW, DATA_DEPENDENCY, CALL)
 
 
-@dataclass(frozen=True)
-class UdgEdge:
+class UdgEdge(NamedTuple):
+    """An immutable, hashable edge.  A named tuple, not a frozen dataclass:
+    it is built several times per statement, and a tuple is built and
+    compared in C."""
+
     src: str
     dst: str
     tau: str

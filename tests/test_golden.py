@@ -6,22 +6,27 @@ the `.ctx.txt` context dumps and `udg.txt`) at the default token budget.
 The files under `tests/golden/budget<N>/<fixture>/` are the outputs that
 depend on the token budget (`report.json` and the context dumps) of a scan
 at a budget tight enough to drop statements, for the fixtures that have a
-sensitive invocation. Regenerate all of them after
-an intended output change with
+sensitive invocation. The files under `tests/golden/corpus/` are the same
+outputs for a generated corpus (`corpus_files`): seeded summary programs
+across packages, whose call statements give the pruning pass argument edges
+to remove, and one entry class per package that feeds their results to a
+SQL sink. Regenerate all of them after an intended output change with
 
     PYTHONPATH=src python tests/test_golden.py --update
 """
 
 import json
 import os
+import re
 import sys
 
 import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from conftest import FIXTURES  # noqa: E402
+from conftest import FIXTURES, write_repo  # noqa: E402
 
+from udgscan.harness.generate import random_summary_program  # noqa: E402
 from udgscan.harness.scan import ScanConfig, scan  # noqa: E402
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
@@ -31,14 +36,44 @@ FIXTURE_NAMES = sorted(os.listdir(FIXTURES))
 TIGHT_BUDGETS = (120, 60)
 # The fixtures with a sensitive invocation, the only ones the budget touches.
 BUDGET_FIXTURES = ("el_template_validation", "reflective_dispatch")
+CORPUS = "corpus"
+CORPUS_SEEDS = (11, 12, 13, 14, 15, 16, 17, 18)
+CORPUS_PACKAGES = 3
 
 
-def scan_outputs(name: str, out_dir: str, token_budget: int | None = None) -> dict[str, bytes]:
-    """Scan one fixture into `out_dir`; return the golden-tracked files.
+def corpus_files() -> dict[str, str]:
+    """The generated corpus: one `random_summary_program` class per seed,
+    spread over CORPUS_PACKAGES packages, and per package an entry class
+    that passes each of its classes' `f0` result to `executeQuery`."""
+    files: dict[str, str] = {}
+    calls: dict[int, list[str]] = {pkg: [] for pkg in range(CORPUS_PACKAGES)}
+    for i, seed in enumerate(CORPUS_SEEDS):
+        pkg, cls = i % CORPUS_PACKAGES, f"Gen{i}"
+        body = random_summary_program(seed, max_functions=8)
+        arity = len(re.search(r"static int f0\(([^)]*)\)", body).group(1).split(","))
+        files[f"pkg{pkg}/{cls}.java"] = f"package pkg{pkg};\n" + body.replace("class Gen {", f"class {cls} {{", 1)
+        calls[pkg].append(f"{cls}.f0({', '.join('ab'[j % 2] for j in range(arity))})")
+    for pkg, pkg_calls in calls.items():
+        lines = [f"package pkg{pkg};", "import java.sql.Statement;", f"public class Entry{pkg} {{"]
+        lines.append("    static void run(Statement st, int a, int b) {")
+        for k, call in enumerate(pkg_calls):
+            lines.append(f"        int r{k} = {call};")
+            lines.append(f'        String q{k} = "SELECT v FROM t WHERE id = " + r{k};')
+            lines.append(f"        st.executeQuery(q{k});")
+        lines += ["    }", "}"]
+        files[f"pkg{pkg}/Entry{pkg}.java"] = "\n".join(lines) + "\n"
+    return files
+
+
+def scan_outputs(
+    name: str, out_dir: str, token_budget: int | None = None, repo: str | None = None
+) -> dict[str, bytes]:
+    """Scan one fixture (or the repository at `repo`, reported as `name`)
+    into `out_dir`; return the golden-tracked files.
 
     With `token_budget` only the budget-dependent files are returned."""
     config = ScanConfig(
-        repo=os.path.join(FIXTURES, name),
+        repo=repo or os.path.join(FIXTURES, name),
         oracle_mode="mock",
         out_dir=out_dir,
         dump_context=True,
@@ -94,15 +129,24 @@ def test_tight_budget_outputs_match_golden(name, budget, tmp_path):
     assert_matches_golden(got, golden_dir(name, budget))
 
 
+def test_generated_corpus_outputs_match_golden(tmp_path):
+    repo = write_repo(tmp_path, corpus_files())
+    got = scan_outputs(CORPUS, str(tmp_path / "out"), repo=repo)
+    assert_matches_golden(got, golden_dir(CORPUS))
+
+
 def update() -> None:
+    import pathlib
     import shutil
     import tempfile
 
-    runs = [(name, None) for name in FIXTURE_NAMES]
-    runs += [(name, budget) for name in BUDGET_FIXTURES for budget in TIGHT_BUDGETS]
-    for name, budget in runs:
+    runs = [(name, None, None) for name in FIXTURE_NAMES]
+    runs += [(name, budget, None) for name in BUDGET_FIXTURES for budget in TIGHT_BUDGETS]
+    runs.append((CORPUS, None, corpus_files()))
+    for name, budget, files in runs:
         with tempfile.TemporaryDirectory() as tmp:
-            outputs = scan_outputs(name, tmp, budget)
+            repo = write_repo(pathlib.Path(tmp), files) if files else None
+            outputs = scan_outputs(name, os.path.join(tmp, "out"), budget, repo)
         dest = golden_dir(name, budget)
         shutil.rmtree(dest, ignore_errors=True)
         os.makedirs(dest)

@@ -132,5 +132,5 @@ def test_user_sink_without_guideline_rejected(tmp_path):
     kb = parse_knowledge_base({"guidelines": [], "apis": []})
     path = tmp_path / "sinks.json"
     path.write_text(json.dumps({"sinks": [{"function": "f", "cwe_id": "CWE-1"}]}), encoding="utf-8")
-    with pytest.raises(MissingGuideline):
+    with pytest.raises(SchemaError, match=r"^sinks\[0\]: CWE-1 has no guideline and no inline override$"):
         load_user_sinks(str(path), kb)

@@ -174,7 +174,7 @@ def expected(text):
 
 FRAGMENTS = (
     list("abcdefxyzABCXYZ0123456789$_.ex")
-    + ['"', "'", "\\", "/*", "*/", "//", "/", "*", "\n", " ", "\t", "\r", "é"]
+    + ['"', "'", "\\", "/*", "*/", "//", "/", "*", "\n", " ", "\t", "\r", "\f", "é"]
     + list("{}()[];,=+-<>!&|^%?:@~")
     + _OPERATORS
     + ["class", "int", "return", "0x1F", "1.5e3", ".5", "1.e2", "1.equals"]
@@ -225,3 +225,26 @@ def test_unterminated_constructs_report_their_line(text, line, message):
     with pytest.raises(SubsetViolation) as info:
         tokenize(text, "T.java")
     assert (info.value.path, info.value.line, info.value.message) == ("T.java", line, message)
+
+
+# What trails the last token, or a file with no token, ends the walk.
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("int a; \n\t \n", [("keyword", "int", 1, 0, 3), ("ident", "a", 1, 4, 5), ("punct", ";", 1, 5, 6)]),
+        ("x; // done", [("ident", "x", 1, 0, 1), ("punct", ";", 1, 1, 2)]),
+        ("// one\n/* two\n */ // three", []),
+        ("", []),
+        (" \n ", []),
+    ],
+    ids=["trailing-whitespace", "trailing-line-comment", "only-comments", "empty", "only-whitespace"],
+)
+def test_end_of_text(text, want):
+    assert lex(tokenize, text) == want == expected(text)
+
+
+def test_unterminated_block_comment_after_trailing_blanks():
+    # Reported at the line of the text's last character, where the scan for
+    # the closing `*/` gave up.
+    text = "int a;\n  \n\t\n/* open\n\n"
+    assert lex(tokenize, text) == (5, "unterminated block comment") == expected(text)

@@ -136,6 +136,16 @@ def test_config_file_values_are_checked_by_type(tmp_path, el_repo, capsys, field
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_config_file_temperature_must_be_finite(tmp_path, el_repo, capsys, value):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(f'{{"temperature": {value}}}', encoding="utf-8")
+    assert main(["scan", "--repo", el_repo, "--config", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == "error: temperature must be a finite number\n"
+    assert "Traceback" not in err
+
+
 def _write(path, text):
     path.write_text(text, encoding="utf-8")
     return path
@@ -157,6 +167,10 @@ def _replay_dir(tmp_path, resolution):
         (lambda tmp: ["--kb", str(_write(tmp / "kb.json", '{"guidelines":[5],"apis":[]}'))], "kb.guidelines[0]"),
         (lambda tmp: ["--sink", str(tmp / "missing.json")], "missing.json"),
         (lambda tmp: ["--sink", str(_write(tmp / "s.json", '"sinks"'))], "s.json"),
+        (
+            lambda tmp: ["--sink", str(_write(tmp / "s.json", '{"sinks":[{"function":"X.y","cwe_id":"CWE-999"}]}'))],
+            "sinks[0]: CWE-999 has no guideline and no inline override",
+        ),
         (lambda tmp: _replay_dir(tmp, "not json\n"), "resolution.jsonl:1"),
         (lambda tmp: _replay_dir(tmp, '{"site": "a", "prompt": "p", "response": "r"}\n[]\n'), "resolution.jsonl:2"),
     ],
@@ -168,6 +182,7 @@ def _replay_dir(tmp_path, resolution):
         "kb-guideline-not-an-object",
         "sink-missing",
         "sink-string",
+        "sink-cwe-without-guideline",
         "transcript-line-not-json",
         "transcript-line-not-an-object",
     ],

@@ -435,3 +435,19 @@ def test_copy_keeps_edge_order_and_is_independent(seed):
     copied.add_edge(UdgEdge(nodes[0], nodes[1], CALL, "enhancement_added"))
     assert _adjacency(g) == before
     assert _adjacency(copied) != before
+
+
+def test_edge_is_an_immutable_hashable_record():
+    edge = UdgEdge("a", "b", DATA_DEPENDENCY, variable="x")
+    assert UdgEdge._fields == ("src", "dst", "tau", "provenance", "variable")
+    assert edge == UdgEdge(src="a", dst="b", tau=DATA_DEPENDENCY, provenance="original", variable="x")
+    assert edge.provenance == "original"
+    assert UdgEdge("a", "b", CALL).variable is None
+    assert edge.key() == ("a", "b", DATA_DEPENDENCY, "x")
+    added = UdgEdge("a", "b", DATA_DEPENDENCY, "enhancement_added", "x")
+    assert added.key() == edge.key() and added != edge
+    assert len({edge, UdgEdge("a", "b", DATA_DEPENDENCY, variable="x"), added}) == 2
+    for name in UdgEdge._fields:
+        with pytest.raises(AttributeError):
+            setattr(edge, name, "changed")
+    assert edge == UdgEdge("a", "b", DATA_DEPENDENCY, variable="x")
