@@ -1,10 +1,2 @@
 """udgscan: unified dependency graphs, holistic context extraction, and
 guideline-driven LLM vulnerability triage for a Java subset."""
-
-__version__ = "0.1.0"
-
-from .frontend import parse_repository
-from .harness import ScanConfig, scan
-from .udg import assemble_original_udg
-
-__all__ = ["ScanConfig", "assemble_original_udg", "parse_repository", "scan", "__version__"]

@@ -13,7 +13,6 @@ from ..udg.graph import CALL, UnifiedDependencyGraph
 @dataclass(frozen=True)
 class SccComponent:
     members: tuple[str, ...]  # function ids, sorted
-    index: int
     recursive: bool  # more than one member, or a member calls itself
 
 
@@ -100,7 +99,7 @@ def compute_analysis_order(g: UnifiedDependencyGraph, model: RepoModel) -> Analy
     seq = AnalysisSequence()
     for i, members in enumerate(components):
         recursive = len(members) > 1 or members[0] in fcg[members[0]]
-        comp = SccComponent(members=tuple(members), index=i, recursive=recursive)
+        comp = SccComponent(members=tuple(members), recursive=recursive)
         seq.components.append(comp)
         for m in members:
             seq.component_of[m] = i

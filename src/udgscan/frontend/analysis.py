@@ -59,7 +59,6 @@ def _reject_cycles(hierarchy: TypeHierarchy) -> None:
 
 @dataclass
 class _LabelInfo:
-    construct_head: str
     after: str
     next_iteration: str | None  # None when the construct is not a loop
 
@@ -103,11 +102,7 @@ def _walk_list(stmts, cont, env, targets, model, func: FunctionDecl, diagnostics
 def _walk_stmt(stmt, after, env, targets, model, func: FunctionDecl, diagnostics) -> None:
     if isinstance(stmt, syn.Labeled):
         inner = stmt.inner
-        info = _LabelInfo(
-            construct_head=syn.head_node(inner) or stmt.label_node,
-            after=after,
-            next_iteration=_next_iteration_point(inner),
-        )
+        info = _LabelInfo(after=after, next_iteration=_next_iteration_point(inner))
         _walk_stmt(inner, after, {**env, stmt.label: info}, targets, model, func, diagnostics)
         return
     if isinstance(stmt, syn.Jump):
@@ -126,14 +121,7 @@ def _walk_stmt(stmt, after, env, targets, model, func: FunctionDecl, diagnostics
                 successor = info.next_iteration
             else:
                 successor = info.after
-            targets.append(
-                JumpTarget(
-                    jump=stmt.node,
-                    label=stmt.label,
-                    target_construct=info.construct_head,
-                    resolved_successor=successor,
-                )
-            )
+            targets.append(JumpTarget(jump=stmt.node, resolved_successor=successor))
         return
     if isinstance(stmt, syn.If):
         _walk_list(stmt.then, after, env, targets, model, func, diagnostics)

@@ -59,8 +59,6 @@ class StatementNode:
     synthetic: bool = False  # entry/exit/external nodes carry no renderable span
     external: bool = False
     reflective: bool = False
-    jump_kind: str = ""  # "break" | "continue" for kind == "jump"
-    jump_label: str = ""  # label name for labeled jumps, "" when unlabeled
 
     def span_lines(self) -> range:
         return range(self.start_line, self.end_line + 1)
@@ -75,7 +73,6 @@ class FunctionDecl:
     class_name: str  # fully qualified owner class
     name: str
     param_types: list[str] = field(default_factory=list)
-    return_type: str = "void"
     params: list[str] = field(default_factory=list)
     body: list[str] = field(default_factory=list)  # statement ids, in the order the parser made them
     entry: str = ""
@@ -155,8 +152,6 @@ def _closure(adjacency: dict[str, list[str]], name: str) -> list[str]:
 @dataclass
 class JumpTarget:
     jump: str  # StatementNode id of the labeled break/continue
-    label: str
-    target_construct: str  # StatementNode id of the labeled construct's head
     resolved_successor: str  # StatementNode id the reconstructed edge points to
 
 

@@ -232,7 +232,7 @@ class _FileParser(_Cursor):
             is_annotation = True
         tok = self.peek()
         if tok is None or tok.text not in ("class", "interface", "enum"):
-            raise SubsetViolation(self.src.path, tok.line if tok else 1, "expected a type declaration")
+            raise SubsetViolation(self.src.path, tok.line if tok else self.eof_line, "expected a type declaration")
         if tok.text == "enum":
             raise SubsetViolation(self.src.path, tok.line, "enum declarations are outside the subset")
         keyword = self.next()
@@ -301,7 +301,7 @@ class _FileParser(_Cursor):
         # Constructor: name matches the class and is directly followed by '('.
         if tok.kind == "ident" and tok.text == cls.simple_name and (n := self.peek(1)) is not None and n.text == "(":
             name_tok = self.next()
-            self.parse_callable(cls, first, name_tok, cls.simple_name, "void", is_interface)
+            self.parse_callable(cls, first, name_tok, cls.simple_name, is_interface)
             return
         type_name = self.parse_type()
         name_tok = self.peek()
@@ -309,7 +309,7 @@ class _FileParser(_Cursor):
             raise SubsetViolation(self.src.path, tok.line, "expected a member name")
         self.next()
         if self.at("("):
-            self.parse_callable(cls, first, name_tok, name_tok.text, type_name, is_interface)
+            self.parse_callable(cls, first, name_tok, name_tok.text, is_interface)
         else:
             self.parse_field(cls, first, name_tok.text, type_name)
 
@@ -374,7 +374,6 @@ class _FileParser(_Cursor):
         first: Token,
         name_tok: Token,
         name: str,
-        return_type: str,
         is_interface: bool,
     ) -> None:
         self.expect("(")
@@ -411,7 +410,6 @@ class _FileParser(_Cursor):
             class_name=cls.name,
             name=name,
             param_types=param_types,
-            return_type=return_type,
             params=params,
             sig_line=first.line,
             file=self.src.path,
@@ -446,7 +444,7 @@ class _FileParser(_Cursor):
     def parse_type(self) -> str:
         tok = self.peek()
         if tok is None:
-            raise SubsetViolation(self.src.path, 1, "expected a type")
+            raise SubsetViolation(self.src.path, self.eof_line, "expected a type")
         if tok.kind == "keyword" and tok.text in PRIMITIVES:
             self.next()
             base = tok.text
@@ -504,14 +502,19 @@ class _BodyParser(_Cursor):
         self.end = outer_end
         return stmts
 
-    def consume_until_semicolon(self) -> tuple[int, int]:
-        """Consume up to the next top-level ';'; returns the range before it."""
+    def consume_until_semicolon(self, first: Token) -> tuple[int, int]:
+        """Consume up to the next top-level ';'; returns the range before it.
+        A missing ';' is reported at `first`, the statement's first token,
+        as an unclosed bracket when one opened here closes past the body."""
         start = self.pos
         for i, tok in _top_level(self.tokens, start, self.end):
             if tok.text == ";":
                 self.pos = i
                 return start, i
-        raise SubsetViolation(self.path, self.func.sig_line, "missing ';'")
+        for i in range(start, self.end):
+            if self.tokens[i].text in "([" and self.closers.get(i, self.end) >= self.end:
+                raise SubsetViolation(self.path, first.line, f"unclosed '{self.tokens[i].text}'")
+        raise SubsetViolation(self.path, first.line, "missing ';'")
 
     def parenthesized(self) -> tuple[int, int]:
         """Consume a parenthesized group; returns the range inside it."""
@@ -556,9 +559,9 @@ class _BodyParser(_Cursor):
             return self.parse_jump()
         if tok.text == "throw":
             first = self.next()
-            expr = self.extract(*self.consume_until_semicolon())
+            expr = self.extract(*self.consume_until_semicolon(first))
             last = self.expect(";")
-            node = self.node("jump", first, last, expr, jump_kind="throw")
+            node = self.node("jump", first, last, expr)
             return syn.Jump(node.id, "throw")
         # Labeled statement: IDENT ':' <statement>
         if (
@@ -690,7 +693,7 @@ class _BodyParser(_Cursor):
 
     def parse_return(self) -> syn.Return:
         first = self.expect("return")
-        start, end = self.consume_until_semicolon()
+        start, end = self.consume_until_semicolon(first)
         last = self.expect(";")
         defs = {RETURN_VAR} if end > start else set()
         node = self.node("return", first, last, self.extract(start, end), defs=defs)
@@ -702,7 +705,7 @@ class _BodyParser(_Cursor):
         if (tok := self.peek()) is not None and tok.kind == "ident":
             label = self.next().text
         last = self.expect(";")
-        node = self.node("jump", first, last, jump_kind=first.text, jump_label=label)
+        node = self.node("jump", first, last)
         return syn.Jump(node.id, first.text, label)
 
     def parse_labeled(self) -> syn.Labeled:
@@ -714,7 +717,7 @@ class _BodyParser(_Cursor):
 
     def parse_simple(self) -> syn.Simple:
         first = self.peek()
-        start, end = self.consume_until_semicolon()
+        start, end = self.consume_until_semicolon(first)
         last = self.expect(";")
         return self.simple_from_tokens(start, end, first, last)
 

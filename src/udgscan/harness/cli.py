@@ -59,8 +59,10 @@ def _scan_flags(p: argparse.ArgumentParser, repo_required: bool = True) -> None:
 _CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ScanConfig))
 
 
-def _config_from_args(args: argparse.Namespace) -> ScanConfig:
+def _config_from_args(args: argparse.Namespace, **overrides) -> ScanConfig:
+    """The flags, with `overrides` in place of some, merged over `--config`."""
     flags = {k: getattr(args, k, None) for k in _CONFIG_KEYS}
+    flags.update(overrides)
     return ScanConfig.from_sources(flags, getattr(args, "config", None))
 
 
@@ -83,15 +85,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for sample in samples:
         verdicts = []
         for variant_dir, truth in ((sample.vulnerable_dir, True), (sample.patched_dir, False)):
-            flags = {k: getattr(args, k, None) for k in _CONFIG_KEYS}
-            flags["repo"] = variant_dir
-            if flags.get("transcript_dir"):
-                variant = "vulnerable" if truth else "patched"
-                flags["transcript_dir"] = os.path.join(
-                    flags["transcript_dir"], sample.pair_id, variant
-                )
-            config = ScanConfig.from_sources(flags, getattr(args, "config", None))
-            result = scan(config)
+            variant = "vulnerable" if truth else "patched"
+            transcripts = args.transcript_dir and os.path.join(args.transcript_dir, sample.pair_id, variant)
+            result = scan(_config_from_args(args, repo=variant_dir, transcript_dir=transcripts))
             flagged = any(f.verdict == "vulnerable" for f in result.findings)
             verdicts.append(flagged)
             sample_id = f"{sample.pair_id}:{'v' if truth else 'p'}"

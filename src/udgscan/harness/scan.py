@@ -35,7 +35,7 @@ from ..knowledge import (
     read_json_object,
 )
 from ..pool import RequestPool, issue
-from ..reasoning.clients import LiveClientConfig, LiveInferenceClient, MockInferenceClient
+from ..reasoning.clients import LiveInferenceClient, MockInferenceClient
 from ..reasoning.prompt import build_detection_prompt
 from ..reasoning.votes import aggregate_votes, query_rounds
 from ..transcript import Recorder, Replay
@@ -89,7 +89,7 @@ class ScanConfig:
     endpoint: str = ""
     model: str = ""
     api_key_env: str = "UDGSCAN_API_KEY"
-    temperature: float = 0.7
+    temperature: float = 0.7  # vote diversity across rounds
     seed: int | None = None
     # The most model requests in flight at once, after one has waited on its
     # endpoint (`udgscan.pool`).  The threads wait on I/O, so the default
@@ -218,13 +218,11 @@ def _request_layers(config: ScanConfig, given: tuple) -> tuple[list, list]:
     """
     if config.oracle_mode == "live":
         live = LiveInferenceClient(
-            LiveClientConfig(
-                endpoint=config.endpoint,
-                model=config.model,
-                api_key_env=config.api_key_env,
-                temperature=config.temperature,
-                seed=config.seed,
-            )
+            endpoint=config.endpoint,
+            model=config.model,
+            api_key_env=config.api_key_env,
+            temperature=config.temperature,
+            seed=config.seed,
         )
         bases = (_FirstRound(live), live)
     else:
@@ -373,7 +371,7 @@ def _finding(config: ScanConfig, model, inv, unit, votes) -> Finding:
     """The finding of one detection unit from its rounds' future."""
     stmt = model.stmt(inv.statement)
     try:
-        agg = aggregate_votes(votes.result(), config.n_rounds, unit=unit, invocation=inv.statement)
+        agg = aggregate_votes(votes.result(), config.n_rounds)
         verdict = "vulnerable" if agg.final else "not_vulnerable"
         confidence = agg.confidence
         low = agg.low_confidence

@@ -52,7 +52,6 @@ class UserSinkSpec:
     pattern: str  # function signature pattern, e.g. "MyDao.rawQuery"
     cwe_id: str
     arity: int | None = None
-    guideline: CweGuideline | None = None
 
     def matches_function(self, func) -> bool:
         if self.arity is not None and func.arity != self.arity:
@@ -197,7 +196,6 @@ def load_user_sinks(path: str, kb: KnowledgeBase) -> list[UserSinkSpec]:
         pattern = _require(s, "function", str, where)
         cwe_id = _require(s, "cwe_id", str, where)
         arity = s.get("arity")
-        guideline = None
         if "guideline" in s:
             g = s["guideline"]
             guideline = CweGuideline(
@@ -209,7 +207,7 @@ def load_user_sinks(path: str, kb: KnowledgeBase) -> list[UserSinkSpec]:
             kb.guidelines.setdefault(cwe_id, guideline)
         elif cwe_id not in kb.guidelines:
             raise SchemaError(where, f"{cwe_id} has no guideline and no inline override")
-        out.append(UserSinkSpec(pattern=pattern, cwe_id=cwe_id, arity=arity, guideline=guideline))
+        out.append(UserSinkSpec(pattern=pattern, cwe_id=cwe_id, arity=arity))
     return out
 
 

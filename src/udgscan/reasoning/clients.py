@@ -15,7 +15,8 @@ from typing import Callable, Protocol
 
 from ..errors import ClientTransportError, ConfigError
 
-DEFAULT_TEMPERATURE = 0.7  # vote diversity across rounds
+TIMEOUT_S = 120.0  # seconds per HTTP attempt
+RETRIES = 2  # further attempts after a failed request
 
 
 class InferenceClient(Protocol):
@@ -56,25 +57,20 @@ class MockInferenceClient:
         )
 
 
-@dataclass
-class LiveClientConfig:
-    endpoint: str = ""
-    model: str = ""
-    api_key_env: str = "UDGSCAN_API_KEY"
-    timeout: float = 120.0
-    retries: int = 2
-    temperature: float = DEFAULT_TEMPERATURE
-    seed: int | None = None
-
-
 class LiveInferenceClient:
-    """Minimal chat-completion HTTP client behind the InferenceClient contract."""
+    """Minimal chat-completion HTTP client behind the InferenceClient contract.
 
-    def __init__(self, config: LiveClientConfig):
-        if not config.endpoint or not config.model:
+    The settings are `ScanConfig`'s fields of the same names.
+    """
+
+    def __init__(self, *, endpoint: str, model: str, api_key_env: str, temperature: float, seed: int | None):
+        if not endpoint or not model:
             raise ConfigError("live client requires endpoint and model")
-        self.config = config
-        self.api_key = os.environ.get(config.api_key_env, "")
+        self.endpoint = endpoint
+        self.model = model
+        self.temperature = temperature
+        self.seed = seed
+        self.api_key = os.environ.get(api_key_env, "")
 
     def complete(self, prompt: str, round_index: int = 0) -> str:
         # Looked up on the module at each request, so a test can replace
@@ -84,22 +80,22 @@ class LiveInferenceClient:
         import urllib.request
 
         body = {
-            "model": self.config.model,
+            "model": self.model,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": self.config.temperature,
+            "temperature": self.temperature,
         }
-        if self.config.seed is not None:
-            body["seed"] = self.config.seed + round_index
+        if self.seed is not None:
+            body["seed"] = self.seed + round_index
         payload = json.dumps(body).encode("utf-8")
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        request = urllib.request.Request(self.config.endpoint, data=payload, headers=headers)
+        request = urllib.request.Request(self.endpoint, data=payload, headers=headers)
         doc = None
         last_error: Exception | None = None
-        for _ in range(self.config.retries + 1):
+        for _ in range(RETRIES + 1):
             try:
-                with urllib.request.urlopen(request, timeout=self.config.timeout) as resp:
+                with urllib.request.urlopen(request, timeout=TIMEOUT_S) as resp:
                     doc = json.loads(resp.read().decode("utf-8"))
                 break
             except (urllib.error.URLError, TimeoutError, json.JSONDecodeError) as exc:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..context.holistic import HolisticContext
 from ..enhance.prompts import PLACEHOLDER_RE, fill_template
@@ -39,7 +39,6 @@ STEP_HEADERS = (
 @dataclass
 class MetaPrompt:
     text: str
-    slots: dict[str, str] = field(default_factory=dict)
 
     def unfilled_placeholders(self) -> list[str]:
         return PLACEHOLDER_RE.findall(self.text)
@@ -62,4 +61,4 @@ def build_detection_prompt(
         "vuln_patterns": guideline.vuln_patterns,
         "defense_knowledge": guideline.defense_knowledge,
     }
-    return MetaPrompt(text=fill_template(DETECTION_TEMPLATE, slots), slots=slots)
+    return MetaPrompt(text=fill_template(DETECTION_TEMPLATE, slots))

@@ -21,10 +21,7 @@ class Verdict:
 
 @dataclass
 class AggregatedVerdict:
-    unit: tuple[str, str]  # (api, cwe)
-    invocation: str
     votes: list[Verdict] = field(default_factory=list)
-    n_requested: int = 3
     final: bool | None = None
     confidence: float = 0.0
     low_confidence: bool = False
@@ -69,13 +66,13 @@ def query_rounds(client: InferenceClient, prompt: MetaPrompt, n: int) -> list[Ve
     return votes
 
 
-def aggregate_votes(votes: list[Verdict], n_requested: int, unit=("", ""), invocation="") -> AggregatedVerdict:
+def aggregate_votes(votes: list[Verdict], n_requested: int) -> AggregatedVerdict:
     """Strict majority over parseable votes; an even split breaks toward
     vulnerable and is flagged low-confidence."""
-    agg = AggregatedVerdict(unit=unit, invocation=invocation, votes=votes, n_requested=n_requested)
+    agg = AggregatedVerdict(votes=votes)
     parseable = agg.parseable
     if not parseable:
-        raise AllRoundsFailed(f"no parseable verdicts for {unit}")
+        raise AllRoundsFailed("no parseable verdicts")
     yes = sum(1 for v in parseable if v.is_vulnerable)
     no = len(parseable) - yes
     if yes > no:

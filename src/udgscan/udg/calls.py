@@ -36,31 +36,31 @@ def is_invocation_pattern(site: CallSite) -> bool:
 
 def resolve_call_site(
     model: RepoModel, hierarchy: TypeHierarchy, caller: FunctionDecl, site: CallSite
-) -> tuple[list[FunctionDecl], bool]:
-    """Returns (in-repo targets, reflective flag when unresolved).  Type
-    names resolve as written in the caller's file."""
+) -> list[FunctionDecl]:
+    """The in-repo targets of a call site.  Type names resolve as written in
+    the caller's file."""
     if site.is_constructor:
         cls = model.resolve_class(site.name, caller.file)
+        return [] if cls is None else model.find_methods(cls.name, cls.simple_name, site.arity)
+
+    def declared_in(type_name: str) -> tuple[str, str, list[FunctionDecl]] | None:
+        """(class, declaring class, methods): the nearest of the class and
+        its supertypes that declares the site's name and arity."""
+        cls = model.resolve_class(type_name, caller.file)
         if cls is not None:
-            ctors = model.find_methods(cls.name, cls.simple_name, site.arity)
-            return ctors, False
-        return [], False
+            for cname in [cls.name, *hierarchy.supertypes_of(cls.name)]:
+                found = model.find_methods(cname, site.name, site.arity)
+                if found:
+                    return cls.name, cname, found
+        return None
 
     def dispatch_targets(static_type: str) -> list[FunctionDecl]:
-        cls = model.resolve_class(static_type, caller.file)
-        if cls is None:
+        declared = declared_in(static_type)
+        if declared is None:
             return []
-        definer = None
-        for cname in [cls.name, *hierarchy.supertypes_of(cls.name)]:
-            found = model.find_methods(cname, site.name, site.arity)
-            if found:
-                definer = (cname, found)
-                break
-        if definer is None:
-            return []
-        definer_class, base_methods = definer
+        cls_name, definer_class, base_methods = declared
         targets: list[FunctionDecl] = list(base_methods)
-        allowed = {cls.name, *hierarchy.subtypes_of(cls.name)}
+        allowed = {cls_name, *hierarchy.subtypes_of(cls_name)}
         for sub_class, fid in hierarchy.method_overrides.get(
             (definer_class, site.name, site.arity), []
         ):
@@ -71,21 +71,14 @@ def resolve_call_site(
         return targets
 
     if site.receiver and site.receiver != "this" and site.receiver_type:
-        return dispatch_targets(site.receiver_type), False
+        return dispatch_targets(site.receiver_type)
 
     if site.receiver == "this" or (site.receiver is None and "." not in site.chain):
-        return dispatch_targets(caller.class_name), False
+        return dispatch_targets(caller.class_name)
 
     # Class-qualified call: X.m(...) resolved statically.
-    base = site.chain.split(".")[0]
-    cls = model.resolve_class(base, caller.file)
-    if cls is not None:
-        for cname in [cls.name, *hierarchy.supertypes_of(cls.name)]:
-            found = model.find_methods(cname, site.name, site.arity)
-            if found:
-                return found, False
-        return [], False
-    return [], is_reflective_site(site)
+    declared = declared_in(site.chain.split(".")[0])
+    return [] if declared is None else declared[2]
 
 
 def build_call_graph(
@@ -99,7 +92,7 @@ def build_call_graph(
         for sid in func.body:
             stmt = model.stmt(sid)
             for site in stmt.calls:
-                targets, _ = resolve_call_site(model, hierarchy, func, site)
+                targets = resolve_call_site(model, hierarchy, func, site)
                 if targets:
                     for t in sorted(targets, key=lambda f: f.id):
                         edges.append(UdgEdge(src=sid, dst=t.entry, tau=CALL))

@@ -165,6 +165,33 @@ def test_truncated_construct_reports_the_body_line(tmp_path):
     ]
 
 
+def test_unclosed_paren_reports_its_statement_line(tmp_path):
+    assert body_errors(tmp_path, "        g(d;") == [("R.java", 4, "subset violation: unclosed '('")]
+
+
+def test_missing_semicolon_reports_its_statement_line(tmp_path):
+    src = "package p;\nclass R {\n    int g(int d) {\n        d = d + 1;\n        g(d)\n    }\n}\n"
+    root = write_repo(tmp_path, {"R.java": src})
+    diags = DiagnosticSink()
+    assert parse_repository(root, diagnostics=diags).files == []
+    assert [(d.line, d.message) for d in diags.items] == [(5, "subset violation: missing ';'")]
+
+
+@pytest.mark.parametrize(
+    "src, line, message",
+    [
+        ("package p;\n\n\n\nclass A extends", 5, "expected a type"),
+        ("package p;\n\n\npublic", 4, "expected a type declaration"),
+    ],
+    ids=["supertype", "type-declaration"],
+)
+def test_end_of_file_errors_report_the_last_line(tmp_path, src, line, message):
+    root = write_repo(tmp_path, {"A.java": src})
+    diags = DiagnosticSink()
+    assert parse_repository(root, diagnostics=diags).files == []
+    assert [(d.line, d.message) for d in diags.items] == [(line, f"subset violation: {message}")]
+
+
 def test_hierarchy_overrides(tmp_path):
     src = """package p;
 class A {

@@ -13,7 +13,7 @@ from udgscan.enhance.oracle import MockResolutionOracle
 from udgscan.enhance.pipeline import enhance_graph
 from udgscan.errors import AllRoundsFailed, ClientTransportError
 from udgscan.knowledge import load_starter_kb
-from udgscan.reasoning.clients import LiveClientConfig, LiveInferenceClient, MockInferenceClient
+from udgscan.reasoning.clients import LiveInferenceClient, MockInferenceClient
 from udgscan.reasoning.prompt import STEP_HEADERS, build_detection_prompt
 from udgscan.reasoning.votes import aggregate_votes, parse_verdict, query_rounds
 from udgscan.transcript import Recorder, Replay
@@ -144,7 +144,9 @@ def test_live_client_retries_each_request(monkeypatch):
         raise urllib.error.URLError("connection refused")
 
     monkeypatch.setattr(urllib.request, "urlopen", urlopen)
-    client = LiveInferenceClient(LiveClientConfig(endpoint="http://localhost:9/v1", model="m", retries=2))
+    client = LiveInferenceClient(
+        endpoint="http://localhost:9/v1", model="m", api_key_env="UDGSCAN_API_KEY", temperature=0.7, seed=None
+    )
     for expected_calls in (3, 6):
         with pytest.raises(ClientTransportError):
             client.complete("prompt")

@@ -150,7 +150,7 @@ class FakeLiveClient:
 
     built: list = []
 
-    def __init__(self, config):
+    def __init__(self, *, endpoint, model, api_key_env, temperature, seed):
         FakeLiveClient.built.append(self)
         self.rounds = []
 

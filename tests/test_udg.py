@@ -89,9 +89,12 @@ class A {
     model = parse_repository(root)
     func = _single_function(model)
     edges = build_cfg(func, model)
-    jump = next(s for s in model.statements.values() if s.kind == "jump")
-    assert jump.jump_label == "outer"
-    assert not [e for e in edges if e.src == jump.id]
+    [outer, _] = model.bodies[func.id]
+    [[inner, _]] = [block.stmts for block in outer.inner.body]
+    [[jump]] = [block.stmts for block in inner.body]
+    assert (jump.kind, jump.label) == ("break", "outer")
+    assert model.stmt(jump.node).kind == "jump"
+    assert not [e for e in edges if e.src == jump.node]
 
 
 def test_ddg_simple_chain(tmp_path):
