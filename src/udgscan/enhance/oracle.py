@@ -141,8 +141,11 @@ def _split_top(text: str, sep: str) -> list[str]:
 class MockResolutionOracle:
     """Deterministic oracle driven entirely by prompt content.
 
-    Polymorphism: exact intraprocedural constant type propagation; the last
-    `receiver = new T(...)` in the dataflow context wins.  Reflection: the
+    Polymorphism: the candidates of the classes `T` of every
+    `receiver = new T(...)` in the dataflow context; all candidates when
+    there is none, or when one `T` names no candidate.  The context may hold
+    an allocation that does not reach the call, so the answer may keep a
+    candidate the call cannot reach.  Reflection: the
     class comes from the getMethod receiver (own class for getClass()), the
     method from folding the getMethod name argument.
     """
@@ -160,26 +163,17 @@ class MockResolutionOracle:
         call = _section(prompt, "Polymorphic Call Statement")
         m = re.search(r"([A-Za-z_$][\w$]*)\s*\.\s*[A-Za-z_$][\w$]*\s*\(", call)
         candidates = _bullet_list(prompt, "Candidate Callee Method Signatures")
-        receiver = m.group(1) if m else None
-        concrete = None
-        if receiver:
-            pattern = re.compile(
-                rf"\b{re.escape(receiver)}\s*=\s*new\s+([A-Za-z_$][\w$]*)"
-            )
-            for ln in reversed(_context_lines(prompt)):
-                hit = pattern.search(ln)
-                if hit:
-                    concrete = hit.group(1)
-                    break
-        feasible = candidates
-        if concrete:
-            narrowed = [
-                c for c in candidates if c.split("(")[0].split(".")[-2:][0] == concrete
-                or f".{concrete}." in f".{c.split('(')[0]}."
-            ]
-            if narrowed:
-                feasible = narrowed
-        return json.dumps({"feasible_targets": feasible})
+        concrete: set[str] = set()
+        if m:
+            pattern = re.compile(rf"\b{re.escape(m.group(1))}\s*=\s*new\s+([A-Za-z_$][\w$]*)")
+            hits = (pattern.search(ln) for ln in _context_lines(prompt))
+            concrete = {hit.group(1) for hit in hits if hit}
+        # The candidates each allocated class names; a class naming none
+        # inherits the method from a class the mock cannot tell.
+        named = [[c for c in candidates if f".{t}." in f".{c.split('(')[0]}."] for t in concrete]
+        if named and all(named):
+            candidates = [c for c in candidates if any(c in n for n in named)]
+        return json.dumps({"feasible_targets": candidates})
 
     def _reflection_class(self, prompt: str) -> str:
         call = _section(prompt, "Reflection API Call Statement")

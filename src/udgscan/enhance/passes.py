@@ -148,14 +148,21 @@ def enhance_polymorphic_calls(
     in-repo candidates.  Unparseable or unmatched oracle answers keep every
     edge.
 
+    A site is decided by rule, with no prompt built and no request, when
+    its receiver is a local variable that every reaching definition sets to
+    one `new T(...)` of one repository class `T`: the one candidate `T`
+    declares is feasible (see `_allocated_target`).  Every other site is
+    asked, so a transcript holds only the sites that were asked.
+
     Sites calling one callee (`a.m() + b.m()`) share its call edges: an edge
-    is removed once, and only when no site's answer keeps it.  A prompt
-    already asked for at the statement is not asked again.  Every prompt is
-    one call on `pool` (see `udgscan.pool`), issued before the first outcome
-    is read; an edit at one statement changes no other statement's prompt."""
+    is removed once, and only when no site's answer keeps it.  They are
+    decided together, or all asked; a prompt already asked for at the
+    statement is not asked again.  Every prompt is one call on `pool` (see
+    `udgscan.pool`), issued before the first outcome is read; an edit at one
+    statement changes no other statement's prompt."""
     hierarchy = _hierarchy_text(model)
-    # (statement, candidates, one outcome per prompt)
-    asked: list[tuple[StatementNode, tuple[str, ...], list]] = []
+    # (statement, candidates, the candidates decided by rule, one outcome per prompt)
+    asked: list[tuple[StatementNode, tuple[str, ...], set[str], list]] = []
     for stmt in call_statements(g):
         per_site = site_targets(g, model, stmt)
         groups: dict[tuple[str, ...], list[int]] = {}
@@ -164,6 +171,10 @@ def enhance_polymorphic_calls(
             if len(targets) >= 2:
                 groups.setdefault(targets, []).append(idx)
         for targets, sites in groups.items():
+            decided = {_allocated_target(g, model, stmt, stmt.calls[idx], targets) for idx in sites}
+            if None not in decided:
+                asked.append((stmt, targets, decided, []))
+                continue
             outcomes: dict[str, object] = {}
             for idx in sites:
                 prompt, by_signature = _polymorphic_prompt(
@@ -173,9 +184,8 @@ def enhance_polymorphic_calls(
                     outcomes[prompt] = issue(
                         pool, _ask_feasible, oracle, stmt, f"{stmt.id}/poly{idx}", prompt, by_signature
                     )
-            asked.append((stmt, targets, list(outcomes.values())))
-    for stmt, targets, outcomes in asked:
-        kept: set[str] = set()
+            asked.append((stmt, targets, set(), list(outcomes.values())))
+    for stmt, targets, kept, outcomes in asked:
         for outcome in outcomes:
             feasible, warning = outcome.result()
             if warning:
@@ -184,6 +194,29 @@ def enhance_polymorphic_calls(
         for t in sorted(set(targets) - kept):
             if g.remove_edges({(stmt.id, t, CALL, None)}) and audit is not None:
                 audit.append(AuditEntry("remove", CALL, stmt.id, t, "polymorphism"))
+
+
+def _allocated_target(
+    g: UnifiedDependencyGraph, model: RepoModel, stmt: StatementNode, site: CallSite, targets: tuple[str, ...]
+) -> str | None:
+    """The one candidate in `targets` that `site` can dispatch to, when it
+    calls a method of a local variable (not `this`, a field, a field of the
+    variable or an unassigned parameter) and every data edge bringing the
+    variable to `stmt` comes from a statement setting it to one
+    `new T(...)`, each naming the same repository class `T`, which declares
+    exactly one of `targets` itself; None when any of this fails."""
+    func = model.functions.get(stmt.owner)
+    if func is None or site.receiver not in func.var_types or site.chain != f"{site.receiver}.{site.name}":
+        return None
+    # A parameter's definition is the synthetic entry node, which allocates nothing.
+    written = {g.nodes[e.src].allocates for e in g.in_edges(stmt.id, DATA_DEPENDENCY) if e.variable == site.receiver}
+    if len(written) != 1 or "" in written:
+        return None
+    cls = model.resolve_class(written.pop(), stmt.file)
+    if cls is None:
+        return None
+    declared = [t for t in targets if function_of_entry(model, t).class_name == cls.name]
+    return declared[0] if len(declared) == 1 else None
 
 
 def _polymorphic_prompt(

@@ -55,6 +55,9 @@ class StatementNode:
     # The uses made outside every argument list of `calls`.
     outside_uses: set[str] = field(default_factory=set)
     calls: list[CallSite] = field(default_factory=list)
+    # The class `T`, as written, when the value this statement assigns is
+    # one `new T(...)` and nothing else.
+    allocates: str = ""
     code: str = ""  # exact token slice of this statement
     synthetic: bool = False  # entry/exit/external nodes carry no renderable span
     external: bool = False

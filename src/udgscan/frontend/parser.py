@@ -730,7 +730,8 @@ class _BodyParser(_Cursor):
             self.var_types[toks[name].text] = _type_from_tokens(toks, start, name)
             init = self.extract(name + 2, end)
             kind = "call" if init.calls else "declaration"
-            node = self.node(kind, first, last, init, defs={toks[name].text})
+            allocates = _allocated_class(toks, self.closers, name + 2, end)
+            node = self.node(kind, first, last, init, defs={toks[name].text}, allocates=allocates)
             node.code = self.fp.src.text[toks[start].start : toks[end - 1].end]
             return syn.Simple(node.id)
         eq = next((i for i, t in _top_level(toks, start, end) if t.text in _ASSIGN_OPS), None)
@@ -746,7 +747,8 @@ class _BodyParser(_Cursor):
             holder = sub - 2 if sub - start > 2 and toks[sub - 2].text == "." else start
             expr.walk(toks, start, holder).walk(toks, sub, eq)
             kind = "call" if expr.calls else "assignment"
-            node = self.node(kind, first, last, expr, defs=defs)
+            allocates = _allocated_class(toks, self.closers, eq + 1, end) if toks[eq].text == "=" else ""
+            node = self.node(kind, first, last, expr, defs=defs, allocates=allocates)
             return syn.Simple(node.id)
         if end > start and (toks[end - 1].text in _STEP_OPS or toks[start].text in _STEP_OPS):
             core = [toks[i] for i in range(start, end) if toks[i].text not in _STEP_OPS]
@@ -841,6 +843,17 @@ def _match_declaration(tokens: list[Token], i: int, end: int) -> int | None:
     if i + 1 == end or tokens[i + 1].text == "=":
         return i
     return None
+
+
+def _allocated_class(tokens: list[Token], closers: dict[int, int], start: int, end: int) -> str:
+    """The class `T` as written when tokens[start:end] are one `new T(...)`
+    and nothing else, with any type arguments dropped; '' otherwise."""
+    if start >= end or not tokens[start].is_kw("new"):
+        return ""
+    paren = next((i for i in range(start + 1, end) if tokens[i].text == "("), end)
+    if closers.get(paren) != end - 1:
+        return ""
+    return "".join(t.text for t in tokens[start + 1 : paren]).split("<")[0]
 
 
 def _type_from_tokens(tokens: list[Token], start: int, end: int) -> str:

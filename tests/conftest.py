@@ -16,7 +16,7 @@ def pytest_runtest_makereport(item, call):
             print(f"\nACCEPTANCE {m.group(1)}: FAIL - {item.name}")
 
 from udgscan.errors import DiagnosticSink
-from udgscan.frontend.analysis import build_type_hierarchy, resolve_label_targets
+from udgscan.frontend.analysis import build_type_hierarchy
 from udgscan.frontend.parser import parse_repository
 from udgscan.udg.build import assemble_original_udg
 
@@ -69,3 +69,29 @@ def dispatch_repo():
 @pytest.fixture
 def pruning_repo():
     return fixture_path("pruning")
+
+
+@pytest.fixture
+def parameter_dispatch_repo(tmp_path):
+    """The `dispatch` fixture's polymorphic call made on a parameter, a
+    receiver whose class only the oracle can narrow."""
+    return write_repo(tmp_path, {"Zoo.java": ZOO_PARAMETER})
+
+
+ZOO_PARAMETER = """package com.example.zoo;
+class Animal {
+    String id(int tag) {
+        return "animal-" + tag;
+    }
+}
+class Dog extends Animal {
+    String id(int tag) {
+        return "dog-" + tag;
+    }
+}
+class Keeper {
+    String label(Animal a, int tag) {
+        return a.id(tag);
+    }
+}
+"""

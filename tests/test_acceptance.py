@@ -5,12 +5,9 @@ verdict lines.
 """
 
 import json
-import os
 import time
 
-import pytest
-
-from conftest import fixture_path, parse_and_build, write_repo
+from conftest import parse_and_build, write_repo
 from test_labeled_jumps import CASES as JUMP_CASES
 
 from udgscan.context.holistic import holistic_context
@@ -18,7 +15,7 @@ from udgscan.context.sinks import find_sensitive_invocations
 from udgscan.context.slicing import control_slice, data_slice, explicit_context, merge_slices
 from udgscan.context.implicit import declaration_context, definition_context, usage_context
 from udgscan.enhance.oracle import MockResolutionOracle
-from udgscan.enhance.order import compute_analysis_order, function_call_graph, tarjan_scc
+from udgscan.enhance.order import compute_analysis_order, tarjan_scc
 from udgscan.enhance.passes import enhance_polymorphic_calls, enhance_reflective_calls
 from udgscan.enhance.pipeline import enhance_graph
 from udgscan.enhance.summaries import compute_all_summaries
@@ -35,7 +32,7 @@ from udgscan.harness.oracles import (
 from udgscan.harness.rename import adversarial_rename
 from udgscan.harness.metrics import compute_pairwise
 from udgscan.harness.scan import ScanConfig, scan
-from udgscan.knowledge import UserSinkSpec, load_starter_kb
+from udgscan.knowledge import load_starter_kb
 from udgscan.reasoning.clients import MockInferenceClient
 from udgscan.transcript import Recorder, Replay
 from udgscan.udg.calls import function_of_entry

@@ -20,9 +20,6 @@ from udgscan.enhance.prompts import (
     render_reflection_class_prompt,
     render_reflection_method_prompt,
 )
-from udgscan.enhance.prune import prune_data_edges
-from udgscan.enhance.summaries import compute_all_summaries
-from udgscan.errors import DiagnosticSink
 from udgscan.frontend.analysis import resolve_label_targets
 from udgscan.harness.oracles import scc_reachability_oracle
 from udgscan.harness.generate import random_call_graph
@@ -118,8 +115,8 @@ def test_single_target_site_not_queried(pruning_repo):
     assert {e.key() for e in g.edges} == before
 
 
-def test_unparseable_reply_keeps_all_edges(dispatch_repo):
-    model, g, diags = parse_and_build(dispatch_repo)
+def test_unparseable_reply_keeps_all_edges(parameter_dispatch_repo):
+    model, g, diags = parse_and_build(parameter_dispatch_repo)
     call_stmt = next(s for s in model.statements.values() if any(c.name == "id" for c in s.calls))
     before = {e.key() for e in g.out_edges(call_stmt.id, CALL)}
     enhance_polymorphic_calls(g, ScriptedOracle(["no json here at all"]), model, diags)
@@ -128,8 +125,8 @@ def test_unparseable_reply_keeps_all_edges(dispatch_repo):
     assert any("oracle" in d.message for d in diags.items)
 
 
-def test_answer_naming_no_candidate_keeps_all(dispatch_repo):
-    model, g, diags = parse_and_build(dispatch_repo)
+def test_answer_naming_no_candidate_keeps_all(parameter_dispatch_repo):
+    model, g, diags = parse_and_build(parameter_dispatch_repo)
     call_stmt = next(s for s in model.statements.values() if any(c.name == "id" for c in s.calls))
     before = {e.key() for e in g.out_edges(call_stmt.id, CALL)}
     reply = json.dumps({"feasible_targets": ["Cat.id(int)"]})
@@ -154,7 +151,8 @@ class Square extends Shape {
     }
 }
 class Use {
-    int run() {
+    Shape f;
+    int run(Shape p, Shape q) {
         %s
     }
 }
@@ -166,10 +164,11 @@ def _area_entries(model):
 
 
 def test_one_callee_called_twice_asks_once_and_removes_once(tmp_path):
-    body = "Shape s = new Circle();\n        int x = s.area() + s.area();\n        return x;"
+    # A field receiver: the oracle, not the allocation rule, decides it.
+    body = "f = new Circle();\n        int x = f.area() + f.area();\n        return x;"
     root = write_repo(tmp_path, {"Use.java": SHAPES % body})
     model, g, _ = parse_and_build(root)
-    stmt = _stmt_at(model, 20)
+    stmt = _stmt_at(model, 21)
     entries = _area_entries(model)
     assert {e.dst for e in g.out_edges(stmt.id, CALL)} == set(entries.values())
     oracle = Recorder(MockResolutionOracle(), "site")
@@ -181,13 +180,12 @@ def test_one_callee_called_twice_asks_once_and_removes_once(tmp_path):
 
 
 def test_one_callee_two_receivers_keeps_every_edge_a_site_needs(tmp_path):
-    body = (
-        "Shape s1 = new Circle();\n        Shape s2 = new Square();\n"
-        "        int x = s1.area() + s2.area();\n        return x;"
-    )
+    # Receivers copied from parameters, so that their prompts differ and the
+    # allocation rule decides neither.
+    body = "Shape s1 = p;\n        Shape s2 = q;\n        int x = s1.area() + s2.area();\n        return x;"
     root = write_repo(tmp_path, {"Use.java": SHAPES % body})
     model, g, _ = parse_and_build(root)
-    stmt = _stmt_at(model, 21)
+    stmt = _stmt_at(model, 22)
     entries = _area_entries(model)
     replies = [json.dumps({"feasible_targets": [name]}) for name in ("Circle.area", "Square.area")]
     oracle = ScriptedOracle(replies)

@@ -1,10 +1,10 @@
 import pytest
 
-from conftest import fixture_path, parse_and_build, write_repo
+from conftest import parse_and_build, write_repo
 
 from udgscan.errors import DiagnosticSink, HierarchyCycle
 from udgscan.frontend import syntax as syn
-from udgscan.frontend.analysis import build_type_hierarchy, resolve_label_targets
+from udgscan.frontend.analysis import build_type_hierarchy
 from udgscan.frontend.parser import parse_repository
 from udgscan.udg.graph import CONTROL_FLOW
 

@@ -41,9 +41,9 @@ def collector(request):
     (gc.enable if before else gc.disable)()
 
 
-def test_a_successful_scan_restores_the_collector(collector, dispatch_repo):
+def test_a_successful_scan_restores_the_collector(collector, parameter_dispatch_repo):
     oracle = SpyOracle()
-    result = scan(ScanConfig(repo=dispatch_repo), resolution_oracle=oracle)
+    result = scan(ScanConfig(repo=parameter_dispatch_repo), resolution_oracle=oracle)
     assert result.exit_code == EXIT_OK
     assert oracle.collecting and not any(oracle.collecting)
     assert gc.isenabled() is collector
@@ -55,9 +55,9 @@ def test_a_hierarchy_cycle_restores_the_collector(collector, tmp_path):
     assert gc.isenabled() is collector
 
 
-def test_an_oracle_failure_restores_the_collector(collector, dispatch_repo):
+def test_an_oracle_failure_restores_the_collector(collector, parameter_dispatch_repo):
     oracle = SpyOracle(fail=True)
-    result = scan(ScanConfig(repo=dispatch_repo), resolution_oracle=oracle)
+    result = scan(ScanConfig(repo=parameter_dispatch_repo), resolution_oracle=oracle)
     assert result.exit_code == EXIT_ORACLE
     assert oracle.collecting == [False]
     assert gc.isenabled() is collector

@@ -1,12 +1,10 @@
 import json
-import os
 
 import pytest
 
-from conftest import copy_fixture_repo, parse_and_build, write_repo
+from conftest import parse_and_build
 
 from udgscan.errors import DiagnosticSink, DuplicatePair, EmptyInput, IdMismatch
-from udgscan.frontend.parser import parse_repository
 from udgscan.harness.dataset import load_paired_dataset, normalized_hash
 from udgscan.harness.metrics import compute_metrics, compute_pairwise
 from udgscan.harness.rename import adversarial_rename, build_rename_map, rename_source

@@ -63,7 +63,8 @@ def waiting_mocks(monkeypatch, short_waits):
 
 def _service(f: int) -> str:
     """Polymorphic sites, two reflective invocations and knowledge-base
-    sinks in one file."""
+    sinks in one file.  Both polymorphic receivers are ones only the oracle
+    decides: a field the method allocates and a parameter."""
     return f"""package svc{f % 2};
 import java.lang.reflect.Method;
 import java.sql.Statement;
@@ -84,8 +85,8 @@ class Square{f} extends Shape{f} {{
 }}
 public class Service{f} {{
     String known(String v) {{
-        Shape{f} s = new Circle{f}();
-        String o = s.render(v);
+        shape = new Circle{f}();
+        String o = shape.render(v);
         return o;
     }}
     String any(Shape{f} s, String v) {{
@@ -115,6 +116,7 @@ public class Service{f} {{
         st.executeUpdate("UPDATE " + y);
         st.execute("DELETE " + z);
     }}
+    Shape{f} shape;
 }}
 """
 
@@ -293,10 +295,10 @@ class FailingOracle(MockResolutionOracle):
 @pytest.mark.parametrize(
     "failing",
     [
-        ["svc1/Service1.java#s32/poly0"],  # a polymorphic site
-        ["svc0/Service2.java#s41/reflect0/class"],  # a reflective site's first question
-        ["svc0/Service2.java#s37/reflect0/method"],  # and its second
-        ["svc0/Service2.java#s30/poly0", "svc1/Service3.java#s30/poly0"],  # the first issued is reported
+        ["svc1/Service1.java#s33/poly0"],  # a polymorphic site
+        ["svc0/Service2.java#s42/reflect0/class"],  # a reflective site's first question
+        ["svc0/Service2.java#s38/reflect0/method"],  # and its second
+        ["svc0/Service2.java#s31/poly0", "svc1/Service3.java#s31/poly0"],  # the first issued is reported
     ],
 )
 def test_oracle_transport_failure_mid_batch(services, failing, waiting_mocks):

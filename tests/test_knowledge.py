@@ -5,7 +5,6 @@ import pytest
 from udgscan.context.sinks import SensitiveInvocation
 from udgscan.errors import MissingGuideline, SchemaError
 from udgscan.knowledge import (
-    UserSinkSpec,
     detection_units_for,
     load_knowledge_base,
     load_starter_kb,

@@ -4,9 +4,7 @@ import json
 
 from conftest import parse_and_build, write_repo
 
-from udgscan.enhance.order import compute_analysis_order
 from udgscan.enhance.summaries import FunctionSummary, build_alias_sets, compute_function_summary
-from udgscan.frontend.parser import parse_repository
 from udgscan.harness.oracles import reaching_def_has_path
 from udgscan.harness.scan import EXIT_ORACLE, ScanConfig, scan
 from udgscan.reasoning.clients import MockInferenceClient

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from conftest import fixture_path, write_repo
+from conftest import write_repo
 
 from udgscan.errors import ConfigError
 from udgscan.harness.cli import main

@@ -23,9 +23,11 @@ from udgscan.reasoning.prompt import MetaPrompt  # noqa: E402
 from udgscan.reasoning.votes import query_rounds  # noqa: E402
 from udgscan.transcript import Recorder, Replay  # noqa: E402
 
-# Transcripts of a mock scan of `reflective_dispatch`, recorded before
-# replay was keyed by request.
+# Transcripts of mock scans: of `reflective_dispatch`, recorded before
+# replay was keyed by request, and of `dispatch`, recorded before the
+# polymorphism pass decided locally allocated receivers without a request.
 EARLIER_TRANSCRIPTS = os.path.join(GOLDEN, "transcripts", "reflective_dispatch")
+EARLIER_DISPATCH_TRANSCRIPTS = os.path.join(GOLDEN, "transcripts", "dispatch")
 
 TAGS = ["s0", "s1", 0, 1]
 PROMPTS = ["p", "q", 'multi\nline "quoted"']
@@ -124,12 +126,28 @@ def test_missing_transcript_is_a_config_error(tmp_path, capsys):
 
 
 def test_earlier_transcripts_replay_to_the_mock_golden_outputs(tmp_path):
-    name = "reflective_dispatch"
+    assert_replays_to_golden("reflective_dispatch", EARLIER_TRANSCRIPTS, tmp_path)
+
+
+def test_transcripts_recorded_before_the_allocation_rule_still_replay(tmp_path):
+    # The one recorded request is for the site the rule now decides: it
+    # stays unused, and that is not an error.
+    with open(os.path.join(EARLIER_DISPATCH_TRANSCRIPTS, "resolution.jsonl"), encoding="utf-8") as fh:
+        assert [json.loads(line)["site"] for line in fh] == ["Zoo.java#s18/poly0"]
+    oracle = Recorder(MockResolutionOracle(), "site")
+    scan(ScanConfig(repo=fixture_path("dispatch")), resolution_oracle=oracle)
+    assert not list(oracle.lines())
+    assert_replays_to_golden("dispatch", EARLIER_DISPATCH_TRANSCRIPTS, tmp_path)
+
+
+def assert_replays_to_golden(name, transcripts, tmp_path):
+    """A replay scan of fixture `name` from `transcripts` writes the mock
+    golden outputs, but for the oracle mode in its report."""
     out = tmp_path / "out"
     config = ScanConfig(
         repo=fixture_path(name),
         oracle_mode="replay",
-        transcript_dir=EARLIER_TRANSCRIPTS,
+        transcript_dir=transcripts,
         out_dir=str(out),
         dump_context=True,
         dump_graph=True,

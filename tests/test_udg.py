@@ -8,7 +8,6 @@ from udgscan.frontend.parser import parse_repository
 from udgscan.frontend.analysis import build_type_hierarchy
 from udgscan.harness.generate import random_udg
 from udgscan.harness.oracles import reaching_def_has_path
-from udgscan.udg.build import assemble_original_udg
 from udgscan.udg.calls import build_call_graph
 from udgscan.udg.cfg import build_cfg, unreachable_nodes
 from udgscan.udg.ddg import build_ddg
