@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
+from ..context.slicing import data_slice
 from ..errors import DiagnosticSink, OracleParseError
 from ..frontend.model import (
     CallSite,
@@ -92,19 +92,12 @@ def backward_dataflow_context(
     cap: int = DATAFLOW_CONTEXT_CAP,
 ) -> tuple[list[StatementNode], bool]:
     """Transitive backward closure over data edges for the requested
-    variables; source order, truncated oldest-first at `cap` statements."""
-    work = deque(
-        e.src for e in g.in_edges(stmt.id, DATA_DEPENDENCY) if e.variable in variables
-    )
+    variables: the backward data slices of the statements whose edges bring
+    them in, in source order, truncated oldest-first at `cap` statements."""
     seen: set[str] = set()
-    while work:
-        cur = work.popleft()
-        if cur in seen:
-            continue
-        seen.add(cur)
-        for e in g.in_edges(cur, DATA_DEPENDENCY):
-            if e.src not in seen:
-                work.append(e.src)
+    for e in g.in_edges(stmt.id, DATA_DEPENDENCY):
+        if e.variable in variables:
+            seen.update(data_slice(g, g.nodes[e.src], "backward").statements)
     nodes = [g.nodes[sid] for sid in seen if not g.nodes[sid].synthetic]
     nodes.sort(key=lambda n: n.sort_key())
     truncated = len(nodes) > cap

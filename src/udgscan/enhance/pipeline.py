@@ -5,9 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import DiagnosticSink
-from ..frontend.analysis import resolve_label_targets
 from ..frontend.model import JumpTarget, RepoModel
 from ..pool import RequestPool
+from ..udg.cfg import resolve_label_targets
 from ..udg.graph import UnifiedDependencyGraph
 from .oracle import ResolutionOracle
 from .order import AnalysisSequence, compute_analysis_order
@@ -60,5 +60,5 @@ def enhance_graph(
     reconstruct_labeled_jumps(g, targets, audit)
     order = compute_analysis_order(g, model)
     summaries = compute_all_summaries(g, model, order)
-    prune_data_edges(g, summaries, model, diagnostics, audit)
+    prune_data_edges(g, summaries, model, audit)
     return EnhancementResult(graph=g, audit=audit, summaries=summaries, order=order)

@@ -8,7 +8,6 @@ import math
 import os
 import re
 import sys
-import time
 from collections import deque
 from dataclasses import dataclass, field, fields
 
@@ -25,7 +24,7 @@ from ..errors import (
     HierarchyCycle,
     OracleParseError,
 )
-from ..frontend.analysis import build_type_hierarchy, resolve_label_targets
+from ..frontend.analysis import build_type_hierarchy
 from ..frontend.parser import parse_repository
 from ..knowledge import (
     detection_units_for,
@@ -40,6 +39,7 @@ from ..reasoning.prompt import build_detection_prompt
 from ..reasoning.votes import aggregate_votes, query_rounds
 from ..transcript import Recorder, Replay
 from ..udg.build import assemble_original_udg
+from ..udg.cfg import resolve_label_targets
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -190,7 +190,6 @@ class ScanResult:
     contexts: dict[str, object] = field(default_factory=dict)
     graph: object = None
     model: object = None
-    timings: dict[str, float] = field(default_factory=dict)
 
 
 def _sanitize(name: str) -> str:
@@ -261,7 +260,6 @@ def scan(config: ScanConfig, inference_client=None, resolution_oracle=None) -> S
 def _scan(config: ScanConfig, inference_client, resolution_oracle) -> ScanResult:
     config.validate()
     diagnostics = DiagnosticSink()
-    timings: dict[str, float] = {}
     # Built and read before any parsing, so that an unreadable replay
     # transcript, knowledge base or sink file is reported at once.
     (oracle, client), recorders = _request_layers(config, (resolution_oracle, inference_client))
@@ -269,7 +267,6 @@ def _scan(config: ScanConfig, inference_client, resolution_oracle) -> ScanResult
     kb = load_knowledge_base(config.kb_path, kb_warnings) if config.kb_path else load_starter_kb()
     user_sinks = load_user_sinks(config.sink_path, kb) if config.sink_path else []
 
-    t0 = time.monotonic()
     model = parse_repository(config.repo, diagnostics)
     try:
         build_type_hierarchy(model, diagnostics)
@@ -278,10 +275,8 @@ def _scan(config: ScanConfig, inference_client, resolution_oracle) -> ScanResult
         report = _empty_report(config, diagnostics, reason=str(exc))
         return ScanResult(report=report, exit_code=EXIT_PARSE)
     jump_targets = resolve_label_targets(model, diagnostics)
-    timings["frontend"] = time.monotonic() - t0
 
     with RequestPool(config.jobs) as pool:
-        t0 = time.monotonic()
         g_o = assemble_original_udg(model)
         try:
             enh = enhance_graph(model, g_o, oracle, diagnostics, jump_targets, pool)
@@ -290,9 +285,7 @@ def _scan(config: ScanConfig, inference_client, resolution_oracle) -> ScanResult
             report = _empty_report(config, diagnostics, reason=str(exc))
             return ScanResult(report=report, exit_code=EXIT_ORACLE)
         g_e = enh.graph
-        timings["graph"] = time.monotonic() - t0
 
-        t0 = time.monotonic()
         for w in kb_warnings:
             diagnostics.add("warning", "knowledge", w)
         invocations = find_sensitive_invocations(g_e, model, kb, user_sinks)
@@ -301,11 +294,9 @@ def _scan(config: ScanConfig, inference_client, resolution_oracle) -> ScanResult
             contexts[inv.id] = holistic_context(
                 g_e, model, inv, hop_limit=config.hop_limit, token_budget=config.token_budget
             )
-        timings["context"] = time.monotonic() - t0
 
         # Each unit's rounds are one call on the pool, at most about two per
         # thread ahead of the unit whose votes are aggregated next.
-        t0 = time.monotonic()
         findings: list[Finding] = []
         in_flight: deque = deque()
         for inv in invocations:
@@ -316,7 +307,6 @@ def _scan(config: ScanConfig, inference_client, resolution_oracle) -> ScanResult
                 if len(in_flight) > 2 * config.jobs:
                     findings.append(_finding(config, model, *in_flight.popleft()))
         findings.extend(_finding(config, model, *entry) for entry in in_flight)
-        timings["reasoning"] = time.monotonic() - t0
 
     report = {
         "schema_version": 1,
@@ -355,16 +345,14 @@ def _scan(config: ScanConfig, inference_client, resolution_oracle) -> ScanResult
             _rewrite(path, "".join(recorder.lines()))
     if config.out_dir:
         _write_outputs(config, report, contexts, enh, g_e)
-    result = ScanResult(
+    return ScanResult(
         report=report,
         exit_code=exit_code,
         findings=findings,
         contexts=contexts,
         graph=g_e,
         model=model,
-        timings=timings,
     )
-    return result
 
 
 def _finding(config: ScanConfig, model, inv, unit, votes) -> Finding:

@@ -20,7 +20,6 @@ from udgscan.enhance.passes import enhance_polymorphic_calls, enhance_reflective
 from udgscan.enhance.pipeline import enhance_graph
 from udgscan.enhance.summaries import compute_all_summaries
 from udgscan.errors import DiagnosticSink, OracleParseError
-from udgscan.frontend.analysis import resolve_label_targets
 from udgscan.frontend.parser import parse_repository
 from udgscan.harness.generate import random_call_graph, random_udg, summary_corpus
 from udgscan.harness.oracles import (
@@ -36,6 +35,7 @@ from udgscan.knowledge import load_starter_kb
 from udgscan.reasoning.clients import MockInferenceClient
 from udgscan.transcript import Recorder, Replay
 from udgscan.udg.calls import function_of_entry
+from udgscan.udg.cfg import resolve_label_targets
 from udgscan.udg.graph import CALL, DATA_DEPENDENCY
 
 

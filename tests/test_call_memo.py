@@ -88,6 +88,6 @@ def test_a_polymorphism_removal_is_seen_by_reflection_and_pruning(tmp_path, monk
     run = next(fid for fid, func in model.functions.items() if func.name == "run")
     assert summaries[run].phi == {"t": False}
     assert any(e.variable == "t" for e in g.in_edges(stmt.id, DATA_DEPENDENCY))
-    prune_data_edges(g, summaries, model, diags)
+    prune_data_edges(g, summaries, model)
     assert seen == {name: {0: [entries["B"]]} for name in ("udgscan.enhance.passes", "udgscan.enhance.prune")}
     assert not any(e.variable == "t" for e in g.in_edges(stmt.id, DATA_DEPENDENCY))

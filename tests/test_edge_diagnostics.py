@@ -1,4 +1,5 @@
-"""Diagnostic paths: arity mismatches and unresolvable variables."""
+"""Edge cases: an arity mismatch keeps its edge, an unresolvable variable
+gets a note."""
 
 from conftest import parse_and_build, write_repo
 
@@ -7,7 +8,6 @@ from udgscan.context.slicing import ContextSlice
 from udgscan.enhance.order import compute_analysis_order
 from udgscan.enhance.prune import prune_data_edges
 from udgscan.enhance.summaries import compute_all_summaries
-from udgscan.errors import DiagnosticSink
 from udgscan.udg.graph import DATA_DEPENDENCY
 
 
@@ -39,12 +39,10 @@ class Use {
     # Sabotage the summary map to simulate a param-list mismatch.
     impl = next(f for f in model.functions.values() if f.class_name.endswith("Impl"))
     impl.params = ["a"]
-    diags = DiagnosticSink()
-    prune_data_edges(g, summaries, model, diags)
+    prune_data_edges(g, summaries, model)
     call_stmt = next(s for s in model.statements.values() if any(c.name == "apply" for c in s.calls))
     kept = {e.variable for e in g.in_edges(call_stmt.id, DATA_DEPENDENCY)}
     assert "v" in kept  # the out-of-range argument keeps its edge
-    assert any("arity mismatch" in d.message for d in diags.items)
 
 
 def test_unresolved_variable_note(tmp_path):

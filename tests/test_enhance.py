@@ -20,10 +20,10 @@ from udgscan.enhance.prompts import (
     render_reflection_class_prompt,
     render_reflection_method_prompt,
 )
-from udgscan.frontend.analysis import resolve_label_targets
 from udgscan.harness.oracles import scc_reachability_oracle
 from udgscan.harness.generate import random_call_graph
 from udgscan.transcript import Recorder, Replay
+from udgscan.udg.cfg import resolve_label_targets
 from udgscan.udg.graph import CALL, CONTROL_FLOW, DATA_DEPENDENCY
 
 
@@ -210,6 +210,15 @@ def test_reflective_resolution_adds_edge(reflect_repo):
     assert not [e for e in g.out_edges(invoke.id, CALL) if e.dst.startswith("external:invoke")]
     added = [e for e in g.out_edges(invoke.id, CALL) if e.dst == display_search.entry]
     assert added[0].provenance == "enhancement_added"
+
+
+def test_a_resolved_reflective_call_adds_no_warning(reflect_repo):
+    # `m.invoke(this, payload)` passes two arguments to a one-parameter
+    # method: reflection, not an arity mismatch.
+    model, g, diags = parse_and_build(reflect_repo)
+    enh = enhance_graph(model, g, MockResolutionOracle(), diags)
+    assert enh.audit_counts() == {"call.add": 1, "call.remove": 1}
+    assert diags.items == []
 
 
 def test_reflection_unknown_class_keeps_external(reflect_repo):

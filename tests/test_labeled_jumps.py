@@ -3,15 +3,20 @@
 Expected successors are hand-derived: continue lands on the loop's
 next-iteration point (for/for-each update, while/do-while condition), break
 on the statement immediately after the labeled construct (function exit when
-the construct is last).
+the construct is last).  Where a label names the innermost loop around its
+jump, the successor is also checked against the CFG edge of the same jump
+written without the label.
 """
+
+import re
 
 import pytest
 
 from conftest import write_repo
 
-from udgscan.frontend.analysis import resolve_label_targets
+from udgscan.frontend import syntax as syn
 from udgscan.frontend.parser import parse_repository
+from udgscan.udg.cfg import build_cfg, resolve_label_targets
 
 # (name, source, expectation) where expectation is ("line", lineno, kind) or ("exit",)
 CASES = [
@@ -444,3 +449,181 @@ class Bad2 {
     targets = resolve_label_targets(model, diags)
     assert targets == []
     assert any("iteration construct" in d.message for d in diags.items)
+
+
+def test_break_lands_on_an_empty_infinite_loop_where_the_cfg_enters_it(tmp_path):
+    # The for has no init, condition or body statement: control enters it at
+    # its update, so that is the statement after the labeled block.
+    source = """package p;
+class Spin {
+    void m(int n) {
+        int i = 0;
+        L: {
+            if (n > 0) {
+                break L;
+            }
+            n = 1;
+        }
+        for (;; i = i + 1) { }
+    }
+}
+"""
+    model, target = resolve_single(tmp_path, source)
+    succ = model.stmt(target.resolved_successor)
+    assert (succ.start_line, succ.kind, succ.defs) == (11, "assignment", {"i"})
+
+
+NESTED_LOOPS = """package p;
+class Nest {
+    int loops(int n, int[] xs) {
+        int s = 0;
+        a: for (int i = 0; i < n; i = i + 1) {
+            b: while (s < n) {
+                if (s == 3) {
+                    continue b;
+                }
+                if (s == 4) {
+                    break b;
+                }
+                if (s == 5) {
+                    break a;
+                }
+                s = s + 1;
+            }
+            c: for (int x : xs) {
+                if (x < 0) {
+                    continue c;
+                }
+                try {
+                    if (x == 9) {
+                        break c;
+                    }
+                } finally {
+                    s = s + x;
+                }
+            }
+            if (s > 100) {
+                continue a;
+            }
+        }
+        d: do {
+            switch (s) {
+                case 1:
+                    continue d;
+                case 2:
+                    break d;
+                default:
+                    s = s - 1;
+            }
+            e: for (;;) {
+                if (s > 5) {
+                    break e;
+                }
+                s = s + 2;
+            }
+        } while (s > 0);
+        f: for (int j = 0; ; j = j + 1) {
+            if (j > n) {
+                break f;
+            }
+        }
+        return s;
+    }
+}
+"""
+LOOPS = (syn.While, syn.DoWhile, syn.For, syn.ForEach)
+
+
+def _children(stmt) -> list:
+    if isinstance(stmt, syn.Block):
+        return stmt.stmts
+    if isinstance(stmt, syn.If):
+        return stmt.then + stmt.orelse
+    if isinstance(stmt, LOOPS):
+        return stmt.body
+    if isinstance(stmt, syn.Switch):
+        return [s for _, case_stmts in stmt.cases for s in case_stmts]
+    if isinstance(stmt, syn.Try):
+        return stmt.body + [s for c in stmt.catches for s in c] + stmt.finally_
+    return []
+
+
+def innermost_loop_jumps(stmt, enclosing=(), label=None):
+    """The labeled jumps under `stmt` whose label names the construct an
+    unlabeled jump of the same kind would leave, when that construct is a
+    loop: the innermost loop for a continue, the innermost loop or switch
+    for a break.  `enclosing` holds (label, is_loop) of the loops and
+    switches around `stmt`, innermost last."""
+    if isinstance(stmt, syn.Jump):
+        if stmt.label:
+            left = [e for e in enclosing if e[1] or stmt.kind == "break"]
+            if left and left[-1] == (stmt.label, True):
+                yield stmt.node
+        return
+    if isinstance(stmt, syn.Labeled):
+        if stmt.inner is not None:
+            yield from innermost_loop_jumps(stmt.inner, enclosing, stmt.label)
+        return
+    if isinstance(stmt, (syn.Switch, *LOOPS)):
+        enclosing = (*enclosing, (label, isinstance(stmt, LOOPS)))
+    for child in _children(stmt):
+        yield from innermost_loop_jumps(child, enclosing)
+
+
+def without_labels(source: str, model, jumps: list[str]) -> str:
+    """`source` with the label dropped from each of `jumps`."""
+    lines = source.split("\n")
+    for jump in jumps:
+        n = model.stmt(jump).start_line - 1
+        lines[n] = re.sub(r"\b(break|continue) \w+;", r"\1;", lines[n])
+    return "\n".join(lines)
+
+
+def check_against_unlabeled(tmp_path, source) -> list[str]:
+    """Assert that each labeled jump to its innermost loop resolves to the
+    one CFG successor of the same jump without its label; return the
+    jumps checked."""
+    labeled = parse_repository(write_repo(tmp_path / "labeled", {"Case.java": source}))
+    jumps = [j for body in labeled.bodies.values() for stmt in body for j in innermost_loop_jumps(stmt)]
+    plain = parse_repository(write_repo(tmp_path / "plain", {"Case.java": without_labels(source, labeled, jumps)}))
+    successors: dict[str, list[str]] = {}
+    for func in plain.functions.values():
+        for e in build_cfg(func, plain):
+            if e.src in jumps:
+                successors.setdefault(e.src, []).append(e.dst)
+    resolved = {t.jump: [t.resolved_successor] for t in resolve_label_targets(labeled) if t.jump in jumps}
+    assert resolved == successors
+    assert sorted(resolved) == sorted(jumps)
+    return jumps
+
+
+@pytest.mark.parametrize("name,source,expect", CASES, ids=[c[0] for c in CASES])
+def test_a_label_naming_the_innermost_loop_lands_where_the_unlabeled_jump_does(tmp_path, name, source, expect):
+    check_against_unlabeled(tmp_path, source)
+
+
+def test_nested_loops_land_where_their_unlabeled_jumps_do(tmp_path):
+    jumps = check_against_unlabeled(tmp_path, NESTED_LOOPS)
+    # every labeled jump but `break a` (from inside b) and `break d` (from
+    # inside the switch)
+    assert len(jumps) == 8
+
+
+def test_targets_and_errors_come_in_source_order(tmp_path):
+    # The CFG builder wires each statement list from its end; what it finds
+    # is reported in the order the jumps are written.
+    source = NESTED_LOOPS.replace(
+        "        return s;\n",
+        "        if (s > 1) {\n            break gone;\n        }\n        if (s > 2) {\n            continue f;\n        }\n"
+        "        return s;\n",
+    )
+    from udgscan.errors import DiagnosticSink
+
+    model = parse_repository(write_repo(tmp_path, {"Case.java": source}))
+    diags = DiagnosticSink()
+    lines = [model.stmt(t.jump).start_line for t in resolve_label_targets(model, diags)]
+    assert lines == [8, 11, 14, 20, 24, 31, 37, 39, 45, 52]
+    assert [(d.line, d.message) for d in diags.items] == [
+        (56, "label gone has no enclosing construct"),
+        (59, "label f has no enclosing construct"),
+    ]

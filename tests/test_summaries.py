@@ -9,10 +9,10 @@ from udgscan.enhance.passes import reconstruct_labeled_jumps
 from udgscan.enhance.prune import prune_data_edges
 from udgscan.enhance.summaries import build_alias_sets, compute_all_summaries
 from udgscan.errors import DiagnosticSink
-from udgscan.frontend.analysis import resolve_label_targets
 from udgscan.harness.generate import random_summary_program, summary_corpus
 from udgscan.harness.oracles import brute_force_summary_oracle
 from udgscan.udg.calls import site_targets
+from udgscan.udg.cfg import resolve_label_targets
 from udgscan.udg.graph import DATA_DEPENDENCY
 
 
