@@ -87,32 +87,47 @@ def _bullet_list(prompt: str, header: str) -> list[str]:
 
 
 class ConstantFolder:
-    """Latest-definition string constant propagation over context lines."""
+    """String constant propagation over context lines: each variable's
+    value set collects every definition of it that folds."""
 
     ASSIGN = re.compile(r"(?:[\w\[\]<>,.\s]+\s)?([A-Za-z_$][\w$]*)\s*=\s*(.+?);?$")
 
     def __init__(self, lines: list[str]):
-        self.values: dict[str, str] = {}
+        self.values: dict[str, set[str]] = {}
         for ln in lines:
             m = self.ASSIGN.match(ln.strip())
             if not m:
                 continue
-            name, rhs = m.group(1), m.group(2)
-            value = self.eval_expr(rhs)
+            value = fold_concat(m.group(2), self.values.get)
             if value is not None:
-                self.values[name] = value
+                self.values.setdefault(m.group(1), set()).update(value)
 
-    def eval_expr(self, expr: str) -> str | None:
-        parts = [p.strip() for p in _split_top(expr, "+")]
-        out = []
-        for p in parts:
-            if len(p) >= 2 and p.startswith('"') and p.endswith('"'):
-                out.append(p[1:-1])
-            elif re.fullmatch(r"[A-Za-z_$][\w$]*", p) and p in self.values:
-                out.append(self.values[p])
-            else:
+
+FOLD_CAP = 8  # most strings one concatenation may fold to
+_STRING_LITERAL = re.compile(r'"[^"\\]*"')
+_IDENTIFIER = re.compile(r"[A-Za-z_$][\w$]*")
+
+
+def fold_concat(expr: str, lookup) -> set[str] | None:
+    """The strings `expr` can take when it is a top-level `+` concatenation
+    of string literals and variables, each variable's strings coming from
+    `lookup(name)`; None when a part is anything else, a variable's lookup
+    gives None, or there are more than `FOLD_CAP` strings."""
+    values = {""}
+    for part in _split_top(expr, "+"):
+        part = part.strip()
+        if _STRING_LITERAL.fullmatch(part):
+            options = {part[1:-1]}
+        elif _IDENTIFIER.fullmatch(part):
+            options = lookup(part)
+            if options is None:
                 return None
-        return "".join(out)
+        else:
+            return None
+        values = {v + o for v in values for o in options}
+        if len(values) > FOLD_CAP:
+            return None
+    return values
 
 
 # A string literal (to the end of the text when it never closes) or a
@@ -147,7 +162,8 @@ class MockResolutionOracle:
     an allocation that does not reach the call, so the answer may keep a
     candidate the call cannot reach.  Reflection: the
     class comes from the getMethod receiver (own class for getClass()), the
-    method from folding the getMethod name argument.
+    methods from folding the getMethod name argument over every definition
+    in the context.
     """
 
     def complete(self, prompt: str, site: str = "") -> str:
@@ -200,8 +216,7 @@ class MockResolutionOracle:
         for ln in reversed(lines):
             m = re.search(r"get(?:Declared)?Method\s*\((.*)\)", ln)
             if m:
-                first_arg = _split_top(m.group(1), ",")[0]
-                value = folder.eval_expr(first_arg) if first_arg else None
-                if value:
-                    return json.dumps({"target_method": value})
-        return json.dumps({"target_method": "unknown"})
+                values = fold_concat(_split_top(m.group(1), ",")[0], folder.values.get)
+                if values:
+                    return json.dumps({"target_methods": sorted(values)})
+        return json.dumps({"target_methods": ["unknown"]})

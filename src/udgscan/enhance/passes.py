@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from ..context.slicing import data_slice
 from ..errors import DiagnosticSink, OracleParseError
 from ..frontend.model import (
     CallSite,
+    ClassDecl,
     FunctionDecl,
     GlobalDecl,
     JumpTarget,
@@ -17,7 +19,7 @@ from ..frontend.model import (
 from ..pool import RequestPool, issue
 from ..udg.calls import call_statements, function_of_entry, is_invocation_pattern, site_targets
 from ..udg.graph import CALL, CONTROL_FLOW, DATA_DEPENDENCY, UdgEdge, UnifiedDependencyGraph
-from .oracle import ResolutionOracle, extract_json_object
+from .oracle import FOLD_CAP, ConstantFolder, ResolutionOracle, _split_top, extract_json_object, fold_concat
 from .prompts import (
     render_polymorphic_prompt,
     render_reflection_class_prompt,
@@ -266,15 +268,21 @@ def enhance_reflective_calls(
 ) -> None:
     """Two-step resolution of the reflective invocation sites in `g`.
 
-    Successful answers replace the reflective external edge with a call edge
-    to the resolved method; any failure keeps the external edge.  Each
-    site's questions are one call on `pool` (see `udgscan.pool`), all issued
-    before the first outcome is read; diagnostics and edits follow in site
-    order.
+    Successful answers replace the reflective external edges with a call
+    edge to each resolved method; any failure keeps the external edges.
+
+    A site is decided by rule, with no prompt built and no request, when it
+    invokes a method looked up by name on one known class and the name
+    folds to string constants that each name a method of that class (see
+    `_looked_up_methods`).  Every other site is asked, so a transcript
+    holds only the sites that were asked.  Each asked site's questions are
+    one call on `pool` (see `udgscan.pool`), all issued before the first
+    outcome is read; diagnostics and edits follow in site order.
     """
     class_names = sorted(model.classes)
-    # (statement, the external edges an answer replaces, outcome) per site
-    sites: list[tuple[StatementNode, list[str], object]] = []
+    # (statement, the external edges an answer replaces, the methods decided
+    # by rule, else the outcome of asking) per site
+    sites: list[tuple[StatementNode, list[str], list[FunctionDecl] | None, object]] = []
     for stmt in call_statements(g):
         per_site = site_targets(g, model, stmt)
         # Sites sharing a reflective edge get the same prompts: ask once.
@@ -290,25 +298,110 @@ def enhance_reflective_calls(
             if not reflective or tuple(reflective) in asked:
                 continue
             asked.add(tuple(reflective))
+            decided = _looked_up_methods(g, model, stmt, site)
+            if decided:
+                sites.append((stmt, reflective, decided, None))
+                continue
             block = _dataflow_block(g, model, stmt, set(stmt.uses))
             call_line = render_statement_block([stmt], model)
             outcome = issue(
                 pool, _ask_reflective, oracle, model, stmt, f"{stmt.id}/reflect{idx}", block, call_line, class_names
             )
-            sites.append((stmt, reflective, outcome))
-    for stmt, reflective, outcome in sites:
-        resolved = outcome.result()
+            sites.append((stmt, reflective, None, outcome))
+    for stmt, reflective, decided, outcome in sites:
+        resolved = decided or outcome.result()
         if isinstance(resolved, str):
             _diag(diagnostics, "warning", resolved, stmt)
             continue
         for ext in reflective:
             if g.remove_edges({(stmt.id, ext, CALL, None)}) and audit is not None:
                 audit.append(AuditEntry("remove", CALL, stmt.id, ext, "reflection"))
-        new_edge = UdgEdge(
-            src=stmt.id, dst=resolved.entry, tau=CALL, provenance="enhancement_added"
-        )
-        if g.add_edge(new_edge) and audit is not None:
-            audit.append(AuditEntry("add", CALL, stmt.id, resolved.entry, "reflection"))
+        for method in resolved:
+            new_edge = UdgEdge(src=stmt.id, dst=method.entry, tau=CALL, provenance="enhancement_added")
+            if g.add_edge(new_edge) and audit is not None:
+                audit.append(AuditEntry("add", CALL, stmt.id, method.entry, "reflection"))
+
+
+# The whole value of a reflective lookup: `X.class.getMethod(<args>)` or
+# `getClass().getMethod(<args>)` (or `getDeclaredMethod`).
+_LOOKUP = re.compile(
+    r"(?:(?P<cls>[A-Za-z_$][\w$.]*?)\s*\.\s*class|(?:this\s*\.\s*)?getClass\s*\(\s*\))"
+    r"\s*\.\s*get(?:Declared)?Method\s*\((?P<args>.*)\)"
+)
+_LOOKUP_CALLS = frozenset({"getClass", "getMethod", "getDeclaredMethod"})
+
+
+def _looked_up_methods(
+    g: UnifiedDependencyGraph, model: RepoModel, stmt: StatementNode, site: CallSite
+) -> list[FunctionDecl] | None:
+    """The methods `site` can invoke, when it is `m.invoke(...)` on a local
+    variable `m` whose one reaching definition assigns it
+    `X.class.getMethod(name, ...)` of a repository class `X`, or
+    `getClass().getMethod(name, ...)` in a class with no repository
+    subtype, and `name` folds over reaching definitions to string constants
+    (see `_reaching_strings`) that each name a method the class declares:
+    per name, its first method by id, in entry order.  None when any of
+    this fails."""
+    func = model.functions.get(stmt.owner)
+    if func is None or site.receiver not in func.var_types or site.chain != f"{site.receiver}.invoke":
+        return None
+    defs = [g.nodes[e.src] for e in g.in_edges(stmt.id, DATA_DEPENDENCY) if e.variable == site.receiver]
+    if len(defs) != 1:
+        return None
+    lookup = defs[0]
+    calls = [c.name for c in lookup.calls]
+    if not set(calls) <= _LOOKUP_CALLS or calls.count("getMethod") + calls.count("getDeclaredMethod") != 1:
+        return None
+    assign = ConstantFolder.ASSIGN.match(lookup.code.strip())
+    m = _LOOKUP.fullmatch(assign.group(2).strip()) if assign and assign.group(1) == site.receiver else None
+    if m is None:
+        return None
+    if m.group("cls"):
+        cls = model.resolve_class(m.group("cls"), lookup.file)
+    else:
+        cls = None if model.hierarchy.subtypes_of(func.class_name) else model.classes.get(func.class_name)
+    if cls is None:
+        return None
+    folded: dict[str, set[str] | None] = {}
+    names = fold_concat(_split_top(m.group("args"), ",")[0], lambda v: _reaching_strings(g, lookup, v, folded))
+    methods = _concrete_methods(model, cls)
+    named = [[f for f in methods if f.name == name] for name in names or ()]
+    if not named or not all(named):
+        return None
+    return _entry_order(min(matches, key=lambda f: f.id) for matches in named)
+
+
+def _reaching_strings(
+    g: UnifiedDependencyGraph, stmt: StatementNode, var: str, folded: dict[str, set[str] | None]
+) -> set[str] | None:
+    """The strings `var` can hold at `stmt`: the union, over the data edges
+    bringing `var` in, of the strings each definition folds to (see
+    `fold_concat`).  None when a definition is not a plain `var = ...`
+    without a call (a parameter's is the synthetic entry), when folding
+    reaches a definition again (a cycle), or when there are more than
+    `FOLD_CAP` strings.  `folded` keeps each definition's strings, None
+    while it is being folded."""
+    defs = [g.nodes[e.src] for e in g.in_edges(stmt.id, DATA_DEPENDENCY) if e.variable == var]
+    out: set[str] = set()
+    for d in defs:
+        if d.id not in folded:
+            folded[d.id] = None
+            assign = ConstantFolder.ASSIGN.match(d.code.strip())
+            if assign and assign.group(1) == var and d.defs == {var} and not d.calls:
+                folded[d.id] = fold_concat(assign.group(2), lambda v: _reaching_strings(g, d, v, folded))
+        if folded[d.id] is None:
+            return None
+        out |= folded[d.id]
+    return out if defs and len(out) <= FOLD_CAP else None
+
+
+def _concrete_methods(model: RepoModel, cls: ClassDecl) -> list[FunctionDecl]:
+    return [model.functions[fid] for fid in cls.methods if not model.functions[fid].is_abstract]
+
+
+def _entry_order(methods) -> list[FunctionDecl]:
+    """`methods`, each once, ordered by entry node."""
+    return sorted({f.id: f for f in methods}.values(), key=lambda f: f.entry)
 
 
 def _ask_reflective(
@@ -319,10 +412,12 @@ def _ask_reflective(
     block: str,
     call_line: str,
     class_names: list[str],
-) -> FunctionDecl | str:
+) -> list[FunctionDecl] | str:
     """Ask which class one reflective site accesses and, once that class
-    resolves, which of its methods it invokes: the method, or the warning
-    saying why the site keeps its external edges."""
+    resolves, which of its methods it invokes: per method name the answer
+    gives (`target_methods`, or one `target_method`), its first method by
+    id, in entry order, or the warning saying why the site keeps its
+    external edges."""
     prompt = render_reflection_class_prompt(block, call_line, class_names)
     try:
         answer = extract_json_object(oracle.complete(prompt, f"{tag}/class"))
@@ -332,17 +427,18 @@ def _ask_reflective(
     cls = model.resolve_class(cls_name, stmt.file) if cls_name else None
     if cls is None:
         return f"reflection target class '{cls_name}' not in repository"
-    methods = [model.functions[fid] for fid in cls.methods if not model.functions[fid].is_abstract]
+    methods = _concrete_methods(model, cls)
     prompt = render_reflection_method_prompt(block, call_line, [f.signature_text() for f in methods])
     try:
         answer = extract_json_object(oracle.complete(prompt, f"{tag}/method"))
-        method_name = str(answer.get("target_method", "")).strip()
+        named = answer.get("target_methods", answer.get("target_method", ""))
+        names = [str(name).strip() for name in (named if isinstance(named, list) else [named])]
     except OracleParseError as exc:
         return f"reflection method oracle fault at {stmt.id}: {exc}"
-    matches = [f for f in methods if f.name == method_name or f.signature_text() == method_name]
-    if not matches:
-        return f"reflection target method '{method_name}' not in {cls.name}"
-    return min(matches, key=lambda f: f.id)
+    matches = [[f for f in methods if name in (f.name, f.signature_text())] for name in names]
+    if not any(matches):
+        return f"reflection target method '{', '.join(names)}' not in {cls.name}"
+    return _entry_order(min(found, key=lambda f: f.id) for found in matches if found)
 
 
 def reconstruct_labeled_jumps(

@@ -264,7 +264,11 @@ public class R {
         return s;
     }
 }
+class S extends R {
+}
 """
+    # `S` makes `getClass()` name a class the reflection rule cannot tell,
+    # so the shared edge is asked about.
     root = write_repo(tmp_path, {"R.java": src})
     model, g, _ = parse_and_build(root)
     stmt = _stmt_at(model, 7)

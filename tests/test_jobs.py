@@ -121,9 +121,17 @@ public class Service{f} {{
 """
 
 
+def _tenant(f: int) -> str:
+    """A subclass of `Service{f}`, so that the reflection rule leaves the
+    `getClass()` of `dispatch` to the oracle."""
+    return f"package svc{f % 2};\nclass Tenant{f} extends Service{f} {{\n}}\n"
+
+
 @pytest.fixture
 def services(tmp_path):
-    return write_repo(tmp_path, {f"svc{f % 2}/Service{f}.java": _service(f) for f in range(4)})
+    files = {f"svc{f % 2}/Service{f}.java": _service(f) for f in range(4)}
+    files.update({f"svc{f % 2}/Tenant{f}.java": _tenant(f) for f in range(4)})
+    return write_repo(tmp_path, files)
 
 
 def _outputs(out_dir) -> dict[str, bytes]:
