@@ -5,9 +5,13 @@ statements in ascending order.  Gaps made only of blank, comment, or
 brace-only lines are rendered verbatim (keeping snippets syntactically
 coherent); gaps containing real code are elided with `...`.
 
-A context over the token budget loses statements one at a time.  Its one
-rendering is edited in place: a drop rebuilds only the gap before each line
-it uncovers, and a drop that uncovers no line leaves the text as it was.
+The token budget counts whitespace-separated words.  A context over it
+loses statements one at a time.  Its one rendering is edited in place: a
+drop rebuilds only the gap before each line it uncovers, and a drop that
+uncovers no line leaves the rendering as it was.  The rendering keeps its
+word count as it is edited, per segment, block and whole; blocks and
+segments are joined only by newlines, so the count always equals the
+words of the text, which is joined only when it is read.
 """
 
 from __future__ import annotations
@@ -16,43 +20,37 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Callable
 
 from ..frontend.model import RepoModel, SourceFile, StatementNode
 from ..udg.graph import UnifiedDependencyGraph
 from .implicit import declaration_context, definition_context, usage_context
 from .sinks import SensitiveInvocation
-from .slicing import DEFAULT_HOP_LIMIT, ContextSlice, control_slice, data_slice, merge_slices
+from .slicing import DEFAULT_HOP_LIMIT, ContextSlice, _ordered, control_slice, data_slice, merge_slices
 
 DEFAULT_TOKEN_BUDGET = 16000
 TRIVIA_GAP_MAX = 8  # longest all-trivia gap rendered instead of elided
 _NO_GAP = range(0)
 
-# Counts the tokens of a whole rendered context.  It may be any deterministic
-# function of the text, not even monotone in it: the budget loop only skips
-# counting a text equal to the one it counted last.
-Tokenizer = Callable[[str], int]
-
 
 def whitespace_tokenizer(text: str) -> int:
+    """The tokens of a text as the budget counts them: its words."""
     return len(text.split())
 
 
 @dataclass
 class HolisticContext:
     invocation: SensitiveInvocation
-    data: ContextSlice
-    control: ContextSlice
-    explicit: ContextSlice
+    data: ContextSlice  # both directions from the sink
+    control: ContextSlice  # hop-limited, from the sink
+    explicit: ContextSlice  # data and control merged
     usage: ContextSlice
     definition: ContextSlice
     declaration: ContextSlice
-    implicit: ContextSlice
-    all: list[str] = field(default_factory=list)
+    all: list[str] = field(default_factory=list)  # kept statements, in sort-key order
     rendered: str = ""
-    rendered_lines: dict[str, list[int]] = field(default_factory=dict)
+    rendered_lines: dict[str, list[int]] = field(default_factory=dict)  # per file, the lines shown
     boundary_notes: list[str] = field(default_factory=list)
-    dropped: int = 0
+    dropped: int = 0  # statements the token budget dropped
 
 
 class _Block:
@@ -60,10 +58,11 @@ class _Block:
     are dropped.
 
     `count` holds how many kept statements cover each line, `lines` the
-    covered lines in order.  `segments[i]` is the numbered line `lines[i]`
-    plus the gap up to the next covered line: the gap's lines verbatim when
-    they are at most `TRIVIA_GAP_MAX` trivia lines (they are `gaps[i]`),
-    else `...`.
+    covered lines in order.  Segment i of the text is the numbered line
+    `lines[i]` plus the gap up to the next covered line: the gap's lines
+    verbatim when they are at most `TRIVIA_GAP_MAX` trivia lines (they are
+    `gaps[i]`), else `...`.  `segment_words[i]` counts the words of segment
+    i, and `words` those of the whole text, header included.
     """
 
     def __init__(self, path: str, source: SourceFile, statements: list[StatementNode]):
@@ -71,26 +70,37 @@ class _Block:
         self.source = source
         self.count = Counter(chain.from_iterable(stmt.span_lines() for stmt in statements))
         self.lines = sorted(self.count)
-        self.segments: list[str] = []
-        self.gaps: list[range] = []
-        for a, b in zip(self.lines, [*self.lines[1:], 0]):
-            segment, gap = self._segment(a, b)
-            self.segments.append(segment)
-            self.gaps.append(gap)
-        self._join()
+        # Each segment starts as its numbered line alone; one followed by a
+        # gap then takes the gap's lines or `...`.
+        words = source.words
+        self.gaps: list[range] = [_NO_GAP] * len(self.lines)
+        self.segment_words: list[int] = [words[a - 1] for a in self.lines]
+        for i, (a, b) in enumerate(zip(self.lines, self.lines[1:])):
+            if b > a + 1:
+                self.gaps[i], self.segment_words[i] = self._segment(a, b)
+        self.words = len(self.header.split()) + sum(self.segment_words)
 
-    def _segment(self, a: int, b: int) -> tuple[str, range]:
-        """The segment of covered line `a` and its verbatim gap lines, when
-        `b` is the next covered line (0 for none)."""
-        numbered = self.source.numbered
+    def _segment(self, a: int, b: int) -> tuple[range, int]:
+        """The verbatim gap lines of covered line `a`'s segment and the
+        segment's words, when `b` is the next covered line (0 for none)."""
+        words = self.source.words
         if b <= a + 1:
-            return numbered[a - 1], _NO_GAP
+            return _NO_GAP, words[a - 1]
         if b - a - 1 <= TRIVIA_GAP_MAX and all(self.source.trivia[a : b - 1]):
-            return "\n".join(numbered[a - 1 : b - 1]), range(a + 1, b)
-        return numbered[a - 1] + "\n...", _NO_GAP
+            return range(a + 1, b), sum(words[a - 1 : b - 1])
+        return _NO_GAP, words[a - 1] + 1
 
-    def _join(self) -> None:
-        self.text = "\n".join([self.header, *self.segments])
+    @property
+    def text(self) -> str:
+        numbered = self.source.numbered
+        out = [self.header]
+        for a, b, gap in zip(self.lines, [*self.lines[1:], 0], self.gaps):
+            out.append(numbered[a - 1])
+            if gap:
+                out += numbered[a : b - 1]
+            elif b > a + 1:
+                out.append("...")
+        return "\n".join(out)
 
     def uncover(self, span: range) -> bool:
         """Drop one kept statement covering `span`; True when the text changed."""
@@ -104,14 +114,16 @@ class _Block:
                 gone.append(n)
         if not gone:
             return False
-        lines = self.lines
+        lines, segment_words = self.lines, self.segment_words
         for n in gone:
             i = bisect_left(lines, n)
-            del lines[i], self.segments[i], self.gaps[i]
+            self.words -= segment_words[i]
+            del lines[i], self.gaps[i], segment_words[i]
         for i in {bisect_left(lines, n) for n in gone} - {0}:
             after = lines[i] if i < len(lines) else 0
-            self.segments[i - 1], self.gaps[i - 1] = self._segment(lines[i - 1], after)
-        self._join()
+            self.words -= segment_words[i - 1]
+            self.gaps[i - 1], segment_words[i - 1] = self._segment(lines[i - 1], after)
+            self.words += segment_words[i - 1]
         return True
 
     def included(self) -> list[int]:
@@ -120,7 +132,7 @@ class _Block:
 
 class _Rendering:
     """The rendered text of a list of kept statements: one block per file,
-    in path order."""
+    in path order.  `words` counts the words of the text."""
 
     def __init__(self, statement_ids: list[str], model: RepoModel):
         self.model = model
@@ -134,20 +146,27 @@ class _Rendering:
             source = model.file_by_path(path)
             if source is not None:
                 self.blocks[path] = _Block(path, source, by_file[path])
-        self._join()
+        self.words = sum(block.words for block in self.blocks.values())
 
-    def _join(self) -> None:
-        self.text = "\n\n".join([block.text for block in self.blocks.values()])
+    @property
+    def text(self) -> str:
+        return "\n\n".join([block.text for block in self.blocks.values()])
 
     def drop(self, sid: str) -> bool:
         """Drop one kept statement; True when the text changed."""
         stmt = self.model.statements.get(sid)
         block = self.blocks.get(stmt.file) if stmt is not None and not stmt.synthetic else None
-        if block is None or not block.uncover(stmt.span_lines()):
+        if block is None:
             return False
-        if not block.lines:
+        before = block.words
+        if not block.uncover(stmt.span_lines()):
+            return False
+        if block.lines:
+            self.words += block.words - before
+        else:
+            # An emptied block takes its header with it.
             del self.blocks[stmt.file]
-        self._join()
+            self.words -= before
         return True
 
     def included(self) -> dict[str, list[int]]:
@@ -155,8 +174,8 @@ class _Rendering:
 
 
 def render_context(statement_ids: list[str], model: RepoModel) -> _Rendering:
-    """The rendering of `statement_ids`: its `.text` and, per file, the lines
-    it shows (`.included()`)."""
+    """The rendering of `statement_ids`: its `.text`, the text's `.words`
+    and, per file, the lines it shows (`.included()`)."""
     return _Rendering(statement_ids, model)
 
 
@@ -166,25 +185,21 @@ def holistic_context(
     inv: SensitiveInvocation,
     hop_limit: int = DEFAULT_HOP_LIMIT,
     token_budget: int = DEFAULT_TOKEN_BUDGET,
-    tokenizer: Tokenizer | None = None,
 ) -> HolisticContext:
     """Explicit slices plus one round of usage, definition, and declaration
     resolution, ordered, rendered, and capped to the token budget."""
-    tokenizer = tokenizer or whitespace_tokenizer
     sink = g.nodes[inv.statement]
     d_slice = data_slice(g, sink, "both")
     c_slice = control_slice(g, sink, hop_limit)
     explicit = merge_slices("explicit", g, [d_slice, c_slice])
     usage = usage_context(g, model, explicit)
-    base = merge_slices("base", g, [explicit, usage])
-    definition = definition_context(g, model, base)
-    decl_input = list(
-        dict.fromkeys(explicit.statements + usage.statements + definition.statements)
-    )
+    # Neither the definition nor the declaration context depends on the
+    # order of its input; the definition context excludes its input.
+    base = list(dict.fromkeys(explicit.statements + usage.statements))
+    definition = definition_context(g, model, ContextSlice(kind="base", statements=base))
+    decl_input = base + definition.statements
     declaration = declaration_context(decl_input, model)
-    implicit = merge_slices("implicit", g, [usage, definition, declaration])
-    union = merge_slices("holistic", g, [explicit, implicit])
-    all_ids = union.statements
+    all_ids = _ordered(g, {*decl_input, *declaration.statements})
 
     distances: dict[str, int] = {}
     for sid in explicit.statements:
@@ -204,7 +219,7 @@ def holistic_context(
     dropped = 0
     kept = list(all_ids)
     rendering = render_context(kept, model)
-    if tokenizer(rendering.text) > token_budget:
+    if rendering.words > token_budget:
         # Farthest first, ties broken by the later source position: the order
         # never changes while statements are dropped, so it is computed once.
         rank = g.rank()
@@ -213,11 +228,10 @@ def holistic_context(
             key=lambda sid: (distances.get(sid, 99), rank[sid]),
             reverse=True,
         )
-        # A drop that uncovers no line leaves the text, and so its token
-        # count, as it was: the tokenizer runs only on a changed text.
+        # A drop that uncovers no line leaves the word count as it was.
         for victim in drop_order:
             dropped += 1
-            if rendering.drop(victim) and tokenizer(rendering.text) <= token_budget:
+            if rendering.drop(victim) and rendering.words <= token_budget:
                 break
         gone = set(drop_order[:dropped])
         kept = [sid for sid in kept if sid not in gone]
@@ -240,7 +254,6 @@ def holistic_context(
         usage=usage,
         definition=definition,
         declaration=declaration,
-        implicit=implicit,
         all=kept,
         rendered=rendering.text,
         rendered_lines=rendering.included(),

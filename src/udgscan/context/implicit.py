@@ -71,7 +71,8 @@ def definition_context(
 
     A use with no incoming data edge is assumed global: its global definition
     seeds a backward slice.  A use with incoming edges is locally reachable
-    and seeds a backward slice at the usage statement.
+    and seeds a backward slice at the usage statement.  Only the set of
+    `base.statements` matters, not its order.
     """
     v_def: set[str] = set()
     v_use: dict[str, list[str]] = {}

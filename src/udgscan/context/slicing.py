@@ -180,14 +180,3 @@ def _union(slices: list[ContextSlice]) -> tuple[set[str], list[str], dict[str, i
 def merge_slices(kind: str, g: UnifiedDependencyGraph, slices: list[ContextSlice]) -> ContextSlice:
     ids, notes, depths = _union(slices)
     return ContextSlice(kind=kind, statements=_ordered(g, ids), boundary_notes=notes, depths=depths)
-
-
-def explicit_context(
-    g: UnifiedDependencyGraph,
-    s: StatementNode,
-    hop_limit: int = DEFAULT_HOP_LIMIT,
-) -> ContextSlice:
-    """Union of bidirectional data slicing and hop-limited control slicing."""
-    return merge_slices(
-        "explicit", g, [data_slice(g, s, "both"), control_slice(g, s, hop_limit)]
-    )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 RETURN_VAR = "<ret>"
 
@@ -178,6 +179,12 @@ class SourceFile:
 
     def slice_lines(self, start: int, end: int) -> str:
         return "\n".join(self.lines[start - 1 : end])
+
+    @cached_property
+    def words(self) -> list[int]:
+        """Per line: the words of its `numbered` text, counted the first
+        time the file is rendered."""
+        return [len(line.split()) for line in self.numbered]
 
 
 @dataclass

@@ -965,7 +965,11 @@ class _Expr:
             toks[j + 1].kind == "ident" or toks[j + 1].is_kw("class", "this")
         ):
             if toks[j + 1].is_kw("class"):  # class literal: no variable involved
-                return j + 2
+                if not (j + 3 < end and toks[j + 2].text == "." and toks[j + 3].kind == "ident"):
+                    return j + 2
+                segs[-1] += ".class"  # `T.class` stays the base of a chain on it
+                j += 2
+                continue
             segs.append(toks[j + 1].text)
             j += 2
             if j < end and toks[j].text == "(":

@@ -76,6 +76,11 @@ def resolve_call_site(
     if site.receiver == "this" or (site.receiver is None and "." not in site.chain):
         return dispatch_targets(caller.class_name)
 
+    # A method called on a class literal, `X.class.m(...)`, is a method of
+    # `Class`, never one of `X`.
+    if ".class." in site.chain:
+        return []
+
     # Class-qualified call: X.m(...) resolved statically.
     declared = declared_in(site.chain.split(".")[0])
     return [] if declared is None else declared[2]

@@ -9,10 +9,11 @@ import time
 
 from conftest import parse_and_build, write_repo
 from test_labeled_jumps import CASES as JUMP_CASES
+from support.slicing import explicit_context
 
 from udgscan.context.holistic import holistic_context
 from udgscan.context.sinks import find_sensitive_invocations
-from udgscan.context.slicing import control_slice, data_slice, explicit_context, merge_slices
+from udgscan.context.slicing import control_slice, data_slice, merge_slices
 from udgscan.context.implicit import declaration_context, definition_context, usage_context
 from udgscan.enhance.oracle import MockResolutionOracle
 from udgscan.enhance.order import compute_analysis_order, tarjan_scc

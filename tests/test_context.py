@@ -1,11 +1,12 @@
 import pytest
 
 from conftest import parse_and_build, write_repo
+from support.slicing import explicit_context
 
 from udgscan.context.holistic import holistic_context
 from udgscan.context.implicit import declaration_context, definition_context, usage_context
 from udgscan.context.sinks import find_sensitive_invocations
-from udgscan.context.slicing import ContextSlice, control_slice, data_slice, explicit_context, merge_slices
+from udgscan.context.slicing import ContextSlice, control_slice, data_slice, merge_slices
 from udgscan.enhance.oracle import MockResolutionOracle
 from udgscan.enhance.pipeline import enhance_graph
 from udgscan.harness.generate import random_udg

@@ -23,7 +23,7 @@ from udgscan.harness.scan import ScanConfig, scan
 from udgscan.udg.graph import CALL, CONTROL_FLOW, DATA_DEPENDENCY, UdgEdge
 
 FIXTURE_NAMES = sorted(os.listdir(FIXTURES))
-SLICES = ("data", "control", "explicit", "usage", "definition", "declaration", "implicit")
+SLICES = ("data", "control", "explicit", "usage", "definition", "declaration")
 TIGHT_BUDGET = 40
 
 

@@ -42,12 +42,14 @@ def text_and_lines(statement_ids, model):
     return rendering.text, rendering.included()
 
 
-def rebuild_and_max_budget(g, model, ctx, token_budget, tokenizer):
+def rebuild_and_max_budget(g, model, ctx, token_budget):
     """The budget loop as it was before the drop order was computed once:
-    after every drop it rebuilds the candidates and takes the farthest."""
+    after every drop it rebuilds the candidates and takes the farthest, and
+    counts the words of the whole text."""
     inv = ctx.invocation
     sink = g.nodes[inv.statement]
-    all_ids = merge_slices("holistic", g, [ctx.explicit, ctx.implicit]).statements
+    slices = [ctx.explicit, ctx.usage, ctx.definition, ctx.declaration]
+    all_ids = merge_slices("holistic", g, slices).statements
     distances = {}
     for sid in ctx.explicit.statements:
         distances[sid] = ctx.explicit.depths.get(sid, 1)
@@ -66,7 +68,7 @@ def rebuild_and_max_budget(g, model, ctx, token_budget, tokenizer):
     dropped = 0
     kept = list(all_ids)
     rendered, rendered_lines = text_and_lines(kept, model)
-    while tokenizer(rendered) > token_budget:
+    while whitespace_tokenizer(rendered) > token_budget:
         candidates = [sid for sid in kept if sid not in protected]
         if not candidates:
             break
@@ -89,14 +91,6 @@ def summary_repo(tmp_path, seed):
     return write_repo(tmp_path, files)
 
 
-TOKENIZERS = {
-    "words": whitespace_tokenizer,
-    "chars": len,
-    # Not monotone: dropping lines can raise the count.
-    "chars mod 97": lambda text: len(text) % 97,
-}
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_sorted_drop_order_matches_rebuild_and_max(tmp_path, seed):
     model, g = enhanced(summary_repo(tmp_path, seed))
@@ -109,14 +103,13 @@ def test_sorted_drop_order_matches_rebuild_and_max(tmp_path, seed):
     dropped_somewhere = False
     for stmt in criteria:
         inv = SensitiveInvocation(statement=stmt.id, api="f")
-        for name, tokenizer in TOKENIZERS.items():
-            full = tokenizer(holistic_context(g, model, inv, tokenizer=tokenizer).rendered)
-            for budget in sorted({full * 3 // 4, full // 2, full // 4, 0}):
-                ctx = holistic_context(g, model, inv, token_budget=budget, tokenizer=tokenizer)
-                want = rebuild_and_max_budget(g, model, ctx, budget, tokenizer)
-                got = (ctx.all, ctx.dropped, ctx.rendered, ctx.rendered_lines)
-                assert got == want, f"{stmt.id} {name} budget {budget}"
-                dropped_somewhere |= ctx.dropped > 0
+        full = whitespace_tokenizer(holistic_context(g, model, inv).rendered)
+        for budget in sorted({full * 3 // 4, full // 2, full // 4, 0}):
+            ctx = holistic_context(g, model, inv, token_budget=budget)
+            want = rebuild_and_max_budget(g, model, ctx, budget)
+            got = (ctx.all, ctx.dropped, ctx.rendered, ctx.rendered_lines)
+            assert got == want, f"{stmt.id} budget {budget}"
+            dropped_somewhere |= ctx.dropped > 0
     assert dropped_somewhere
 
 
@@ -192,17 +185,23 @@ SHARED_LINES = (
 )
 
 
-@pytest.mark.parametrize("name", FIXTURE_NAMES + ["generated 0", "generated 1", "generated 2"])
+SPACED_DIR = "sub dir"
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ["generated 0", "generated 1", "generated 2", "spaced directory"])
 def test_in_place_drops_match_rendering_from_scratch(tmp_path, name):
     """Every drop, in any order, leaves the text and lines that rendering
-    the kept statements from scratch gives, now and as it was.  The
-    generated repositories, with `SHARED_LINES` added, make every kind of
-    edit in `DROP_CASES`."""
+    the kept statements from scratch gives, now and as it was, and a running
+    word count equal to the words of that text.  The generated repositories,
+    with `SHARED_LINES` added, make every kind of edit in `DROP_CASES`; the
+    spaced directory gives a file header of four words."""
     generated = name.startswith("generated")
     if generated:
         root = summary_repo(tmp_path, int(name.split()[1]))
         with open(os.path.join(root, "p", "Shared.java"), "w", encoding="utf-8") as fh:
             fh.write(SHARED_LINES)
+    elif name == "spaced directory":
+        root = write_repo(tmp_path, {f"{SPACED_DIR}/Shared.java": SHARED_LINES})
     else:
         root = os.path.join(FIXTURES, name)
     model, _, _ = parse_and_build(root)
@@ -215,18 +214,26 @@ def test_in_place_drops_match_rendering_from_scratch(tmp_path, name):
         kept = list(ids)
         rendering = _Rendering(kept, model)
         assert (rendering.text, rendering.included()) == text_and_lines(kept, model)
+        assert rendering.words == whitespace_tokenizer(rendering.text)
         for victim in order:
             kept.remove(victim)
-            before = gap_kinds(rendering)
+            before, words_before = gap_kinds(rendering), rendering.words
             changed = rendering.drop(victim)
             got = (rendering.text, rendering.included())
             assert got == text_and_lines(kept, model) == reference_render(kept, model), victim
+            assert rendering.words == whitespace_tokenizer(rendering.text), victim
+            # A drop only widens gaps, and a wider gap is never rendered
+            # verbatim where a narrower one was elided: the count never rises.
+            assert rendering.words <= words_before, victim
             seen.update(drop_cases(before, gap_kinds(rendering), changed))
-        assert rendering.text == ""
+        assert rendering.text == "" and rendering.words == 0
 
     drop_in_order()
     if generated:
         assert seen == DROP_CASES
+    if name == "spaced directory":
+        block = _Rendering(ids, model).blocks[f"{SPACED_DIR}/Shared.java"]
+        assert len(block.header.split()) == 4
 
 
 # ------------------------------------------------------------------ caches

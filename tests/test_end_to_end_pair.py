@@ -58,7 +58,7 @@ def test_without_implicit_context_the_evidence_is_missing(tmp_path):
     # responder would flag even the patched variant.
     from conftest import parse_and_build
     from udgscan.context.sinks import find_sensitive_invocations
-    from udgscan.context.slicing import explicit_context
+    from support.slicing import explicit_context
     from udgscan.context.holistic import render_context
     from udgscan.enhance.oracle import MockResolutionOracle
     from udgscan.enhance.pipeline import enhance_graph

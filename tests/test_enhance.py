@@ -3,9 +3,10 @@ import json
 import pytest
 
 from conftest import fixture_path, parse_and_build, write_repo
+from support.order import order_is_sound
 
 from udgscan.enhance.oracle import MockResolutionOracle, _split_top
-from udgscan.enhance.order import compute_analysis_order, function_call_graph, order_is_sound, tarjan_scc
+from udgscan.enhance.order import compute_analysis_order, function_call_graph, tarjan_scc
 from udgscan.enhance.passes import (
     add_global_nodes,
     backward_dataflow_context,

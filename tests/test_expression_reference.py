@@ -87,7 +87,11 @@ def reference_extract_expression(
         ):
             nxt = toks[j + 1]
             if nxt.is_kw("class"):
-                return j + 2
+                if not (j + 3 < len(toks) and toks[j + 2].text == "." and toks[j + 3].kind == "ident"):
+                    return j + 2
+                segs[-1] += ".class"
+                j += 2
+                continue
             segs.append(nxt.text)
             j += 2
             if j < len(toks) and toks[j].text == "(":
@@ -381,6 +385,10 @@ def test_hand_written_file():
     assert (nested.outside_uses, stmts["int z = x + g(x)"].outside_uses) == (set(), {"x"})
     assert stmts["this.f.m(x);"].uses == {"this.f", "x"}
     assert stmts["Class<?> k = String.class"].uses == set()
+    # A class literal stays the base of a call chain on it.
+    assert [(c.chain, c.receiver) for c in stmts["Class<?> kk = Main.class.getClass()"].calls] == [
+        ("Main.class.getClass", None)
+    ]
     # The local `b`, a String, shadows the field `b`, a Box.
     assert stmts["Object bb = b.trim()"].calls[0].receiver_type == "String"
     # Expected deviations from the parser the reference came with, which

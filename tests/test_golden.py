@@ -10,7 +10,10 @@ sensitive invocation. The files under `tests/golden/corpus/` are the same
 outputs for a generated corpus (`corpus_files`): seeded summary programs
 across packages, whose call statements give the pruning pass argument edges
 to remove, and one entry class per package that feeds their results to a
-SQL sink. Regenerate all of them after an intended output change with
+SQL sink; `tests/golden/budget40/corpus/` holds its budget-dependent
+outputs at budget 40 (`CORPUS_BUDGET`), where the budget loop drops
+statements from its contexts. Regenerate all of them after an intended
+output change with
 
     PYTHONPATH=src python tests/test_golden.py --update
 """
@@ -39,6 +42,8 @@ BUDGET_FIXTURES = ("el_template_validation", "reflective_dispatch")
 CORPUS = "corpus"
 CORPUS_SEEDS = (11, 12, 13, 14, 15, 16, 17, 18)
 CORPUS_PACKAGES = 3
+# Tight enough that the corpus's contexts lose statements to the budget.
+CORPUS_BUDGET = 40
 
 
 def corpus_files() -> dict[str, str]:
@@ -135,6 +140,15 @@ def test_generated_corpus_outputs_match_golden(tmp_path):
     assert_matches_golden(got, golden_dir(CORPUS))
 
 
+def test_generated_corpus_tight_budget_outputs_match_golden(tmp_path):
+    repo = write_repo(tmp_path, corpus_files())
+    got = scan_outputs(CORPUS, str(tmp_path / "out"), CORPUS_BUDGET, repo)
+    assert_matches_golden(got, golden_dir(CORPUS, CORPUS_BUDGET))
+    # A context that lost statements renders fewer lines than at the default budget.
+    full = read_golden(golden_dir(CORPUS))
+    assert any(data != full[fname] for fname, data in got.items() if fname.endswith(".ctx.txt"))
+
+
 def update() -> None:
     import pathlib
     import shutil
@@ -143,6 +157,7 @@ def update() -> None:
     runs = [(name, None, None) for name in FIXTURE_NAMES]
     runs += [(name, budget, None) for name in BUDGET_FIXTURES for budget in TIGHT_BUDGETS]
     runs.append((CORPUS, None, corpus_files()))
+    runs.append((CORPUS, CORPUS_BUDGET, corpus_files()))
     for name, budget, files in runs:
         with tempfile.TemporaryDirectory() as tmp:
             repo = write_repo(pathlib.Path(tmp), files) if files else None

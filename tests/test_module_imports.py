@@ -1,5 +1,6 @@
-"""Every module imports on its own, and the packages export nothing: code
-names the module a name lives in, so no import order can hide a cycle."""
+"""Every module imports on its own, the tests' support modules too, and
+the packages export nothing: code names the module a name lives in, so no
+import order can hide a cycle."""
 
 import ast
 import os
@@ -25,13 +26,30 @@ def _modules() -> list[str]:
 MODULES = _modules()
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_module_imports_in_a_fresh_interpreter(module):
-    env = dict(os.environ, PYTHONPATH=SRC)
+def _imports_alone(module: str, *path: str) -> None:
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(
         [sys.executable, "-S", "-c", f"import {module}"], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_in_a_fresh_interpreter(module):
+    _imports_alone(module, SRC)
+
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+SUPPORT = sorted(
+    f"support.{name[: -len('.py')]}".removesuffix(".__init__")
+    for name in os.listdir(os.path.join(TESTS, "support"))
+    if name.endswith(".py")
+)
+
+
+@pytest.mark.parametrize("module", SUPPORT)
+def test_support_module_imports_in_a_fresh_interpreter(module):
+    _imports_alone(module, SRC, TESTS)
 
 
 # `udgscan.knowledge` is a module of its own, not a re-export layer.

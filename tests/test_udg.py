@@ -3,13 +3,14 @@ import random
 import pytest
 
 from conftest import parse_and_build, write_repo
+from support.cfg import unreachable_nodes
 
 from udgscan.frontend.parser import parse_repository
 from udgscan.frontend.analysis import build_type_hierarchy
 from udgscan.harness.generate import random_udg
 from udgscan.harness.oracles import reaching_def_has_path
 from udgscan.udg.calls import build_call_graph
-from udgscan.udg.cfg import build_cfg, unreachable_nodes
+from udgscan.udg.cfg import build_cfg
 from udgscan.udg.ddg import build_ddg
 from udgscan.udg.graph import CALL, CONTROL_FLOW, DATA_DEPENDENCY, EDGE_TYPES, UdgEdge, UnifiedDependencyGraph
 
@@ -228,6 +229,26 @@ def test_reflective_call_external_only(reflect_repo):
     assert all(t.startswith("external:") for t in targets)
     assert any(externals[t].reflective for t in targets if t in externals)
     assert display_search.entry not in targets
+
+
+CLASS_LITERAL_CALL = """import java.lang.reflect.Method;
+class A {
+    Object getMethod(String n, Class c) { return n; }
+    void run() {
+        Method m = A.class.getMethod("go", String.class);
+    }
+}
+"""
+
+
+def test_call_on_a_class_literal_is_reflective_not_the_callers_method(tmp_path):
+    model = parse_repository(write_repo(tmp_path, {"A.java": CLASS_LITERAL_CALL}))
+    edges, externals = build_call_graph(model, build_type_hierarchy(model))
+    stmt = next(s for s in model.statements.values() if s.code.startswith("Method m ="))
+    assert [(c.chain, c.receiver) for c in stmt.calls] == [("A.class.getMethod", None)]
+    targets = [e.dst for e in edges if e.src == stmt.id]
+    assert targets == ["external:getMethod/2"]
+    assert externals["external:getMethod/2"].reflective
 
 
 def test_assemble_keeps_globals_out(el_repo):
