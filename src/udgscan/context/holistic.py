@@ -1,5 +1,13 @@
 """Holistic context assembly and rendering.
 
+One call builds the contexts of every sensitive invocation of a scan, one
+layer at a time: the data slices of all invocations, then all control
+slices, the explicit merges, the usage, definition and declaration
+contexts; only then is each context ordered, rendered and fitted to the
+token budget in turn.  Each layer runs over the same graph, its memo
+tables and the code that reads them while they are hot, and computes what
+one invocation at a time would.
+
 The rendered block is what the reasoning stage sees: per-file, line-numbered
 statements in ascending order.  Gaps made only of blank, comment, or
 brace-only lines are rendered verbatim (keeping snippets syntactically
@@ -182,24 +190,41 @@ def render_context(statement_ids: list[str], model: RepoModel) -> _Rendering:
 def holistic_context(
     g: UnifiedDependencyGraph,
     model: RepoModel,
-    inv: SensitiveInvocation,
+    invocations: list[SensitiveInvocation],
     hop_limit: int = DEFAULT_HOP_LIMIT,
     token_budget: int = DEFAULT_TOKEN_BUDGET,
-) -> HolisticContext:
-    """Explicit slices plus one round of usage, definition, and declaration
-    resolution, ordered, rendered, and capped to the token budget."""
-    sink = g.nodes[inv.statement]
-    d_slice = data_slice(g, sink, "both")
-    c_slice = control_slice(g, sink, hop_limit)
-    explicit = merge_slices("explicit", g, [d_slice, c_slice])
-    usage = usage_context(g, model, explicit)
+) -> list[HolisticContext]:
+    """The context of each invocation, in input order: explicit slices plus
+    one round of usage, definition, and declaration resolution, ordered,
+    rendered, and capped to the token budget.
+
+    Each layer runs over every invocation before the next one starts; the
+    last step orders, renders and fits one context at a time."""
+    sinks = [g.nodes[inv.statement] for inv in invocations]
+    data = [data_slice(g, sink, "both") for sink in sinks]
+    control = [control_slice(g, sink, hop_limit) for sink in sinks]
+    explicit = [merge_slices("explicit", g, [d, c]) for d, c in zip(data, control)]
+    usage = [usage_context(g, model, e) for e in explicit]
     # Neither the definition nor the declaration context depends on the
     # order of its input; the definition context excludes its input.
-    base = list(dict.fromkeys(explicit.statements + usage.statements))
-    definition = definition_context(g, model, ContextSlice(kind="base", statements=base))
-    decl_input = base + definition.statements
-    declaration = declaration_context(decl_input, model)
-    all_ids = _ordered(g, {*decl_input, *declaration.statements})
+    bases = [list(dict.fromkeys(e.statements + u.statements)) for e, u in zip(explicit, usage)]
+    definition = [definition_context(g, model, ContextSlice(kind="base", statements=b)) for b in bases]
+    declaration = [declaration_context(b + d.statements, model) for b, d in zip(bases, definition)]
+    return [
+        _fit(g, model, HolisticContext(*layers), token_budget)
+        for layers in zip(invocations, data, control, explicit, usage, definition, declaration)
+    ]
+
+
+def _fit(g: UnifiedDependencyGraph, model: RepoModel, ctx: HolisticContext, token_budget: int) -> HolisticContext:
+    """Fill in `ctx`'s kept statements, rendering and notes from its slices,
+    dropping statements farthest first while the rendering is over the
+    token budget."""
+    inv = ctx.invocation
+    explicit, usage, definition, declaration = ctx.explicit, ctx.usage, ctx.definition, ctx.declaration
+    all_ids = _ordered(
+        g, {*explicit.statements, *usage.statements, *definition.statements, *declaration.statements}
+    )
 
     distances: dict[str, int] = {}
     for sid in explicit.statements:
@@ -210,9 +235,10 @@ def holistic_context(
         distances[sid] = min(distances.get(sid, 99), 12)
     for sid in declaration.statements:
         distances[sid] = min(distances.get(sid, 99), 0)
+    sink_file = g.nodes[inv.statement].file
     protected = {inv.statement}
     protected.update(
-        sid for sid in declaration.statements if model.statements[sid].file == sink.file
+        sid for sid in declaration.statements if model.statements[sid].file == sink_file
     )
     protected.update(sid for sid in all_ids if distances.get(sid, 99) <= 1)
 
@@ -246,17 +272,9 @@ def holistic_context(
     )
     if dropped:
         notes.append(f"token budget exceeded: dropped {dropped} statements")
-    return HolisticContext(
-        invocation=inv,
-        data=d_slice,
-        control=c_slice,
-        explicit=explicit,
-        usage=usage,
-        definition=definition,
-        declaration=declaration,
-        all=kept,
-        rendered=rendering.text,
-        rendered_lines=rendering.included(),
-        boundary_notes=notes,
-        dropped=dropped,
-    )
+    ctx.all = kept
+    ctx.rendered = rendering.text
+    ctx.rendered_lines = rendering.included()
+    ctx.boundary_notes = notes
+    ctx.dropped = dropped
+    return ctx

@@ -790,6 +790,12 @@ _STEP_OPS = ("++", "--")
 _ANGLE_DEPTH = {"<": 1, ">": -1, ">>": -2, ">>>": -3}
 
 
+def _chained_call(tokens: list[Token], j: int, end: int) -> bool:
+    """Whether tokens[j:end] open with a call on the value before them,
+    `.m(`."""
+    return j + 2 < end and tokens[j].text == "." and tokens[j + 1].kind == "ident" and tokens[j + 2].text == "("
+
+
 def _type_args_close(tokens: list[Token], i: int, end: int) -> int:
     """Index of the token that closes the type arguments opening at
     tokens[i] == '<', where `>>` and `>>>` close two and three levels; `end`
@@ -945,16 +951,22 @@ class _Expr:
             j = _type_args_close(toks, j, end) + 1
         if j < end and toks[j].text == "(":
             arg_vars, close = self._arguments(j, end, uses)
+            written = ".".join(type_parts)
             self.calls.append(
                 CallSite(
-                    chain=f"new {'.'.join(type_parts)}",
+                    chain=f"new {written}",
                     name=type_parts[-1] if type_parts else "?",
                     arity=len(arg_vars),
                     arg_vars=arg_vars,
                     is_constructor=True,
                 )
             )
-            return close + 1
+            j = close + 1
+            if type_parts and _chained_call(toks, j, end):
+                # `new T(...).m(...)`: the receiver, unnamed, is exactly a `T`.
+                name = toks[j + 1].text
+                return self._chained(f"new {written}().{name}", name, None, written, j + 2, end, uses)
+            return j
         return j  # array creation: dimensions walk as ordinary tokens
 
     def _chain(self, i: int, end: int, uses: set[str]) -> int:
@@ -987,7 +999,6 @@ class _Expr:
     def _call(self, segs: list[str], paren: int, end: int, uses: set[str]) -> int:
         """Record the call `segs(...)` and those chained on its result,
         `a.b(x).c(y)`; returns the index after the last one."""
-        toks = self.toks
         receiver = receiver_type = None
         if len(segs) > 1:
             receiver_type = self.type_of(segs[0])
@@ -998,13 +1009,21 @@ class _Expr:
                 receiver = "this"
                 if len(segs) > 2:  # this.field.m() uses this.field
                     uses.add(f"this.{segs[1]}")
-        chain, name = ".".join(segs), segs[-1]
+        return self._chained(".".join(segs), segs[-1], receiver, receiver_type, paren, end, uses)
+
+    def _chained(
+        self, chain: str, name: str, receiver: str | None, receiver_type: str | None, paren: int, end: int, uses: set[str]
+    ) -> int:
+        """Record the call `chain(...)` whose argument list opens at
+        toks[paren], and those chained on its result, whose receiver is
+        unknown; returns the index after the last one."""
+        toks = self.toks
         while True:
             arg_vars, close = self._arguments(paren, end, uses)
             site = CallSite(chain, name, len(arg_vars), receiver, receiver_type, arg_vars)
             self.calls.append(site)
             j = close + 1
-            if not (j + 2 < end and toks[j].text == "." and toks[j + 1].kind == "ident" and toks[j + 2].text == "("):
+            if not _chained_call(toks, j, end):
                 return j
             name = toks[j + 1].text
             chain = f"{chain}().{name}"

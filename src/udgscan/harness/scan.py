@@ -196,6 +196,35 @@ def _sanitize(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name)
 
 
+def _unique(keys) -> dict[str, str]:
+    """Each key's `_sanitize`d name, the keys taken in order.  A name an
+    earlier key already took gets the suffix `~2`, `~3`, ..., which
+    `_sanitize` never produces."""
+    names: dict[str, str] = {}
+    taken: set[str] = set()
+    for key in keys:
+        if key in names:
+            continue
+        name = base = _sanitize(key)
+        n = 1
+        while name in taken:
+            n += 1
+            name = f"{base}~{n}"
+        taken.add(name)
+        names[key] = name
+    return names
+
+
+class _Names:
+    """The output names of a scan's invocations, in invocation order: each
+    statement's, for finding ids, and each invocation's, for its context
+    dump."""
+
+    def __init__(self, invocations):
+        self.statements = _unique(inv.statement for inv in invocations)
+        self.contexts = _unique(inv.id for inv in invocations)
+
+
 class _FirstRound:
     """Sends each resolution request to the inference client as round 0."""
 
@@ -289,11 +318,11 @@ def _scan(config: ScanConfig, inference_client, resolution_oracle) -> ScanResult
         for w in kb_warnings:
             diagnostics.add("warning", "knowledge", w)
         invocations = find_sensitive_invocations(g_e, model, kb, user_sinks)
-        contexts = {}
-        for inv in invocations:
-            contexts[inv.id] = holistic_context(
-                g_e, model, inv, hop_limit=config.hop_limit, token_budget=config.token_budget
-            )
+        built = holistic_context(
+            g_e, model, invocations, hop_limit=config.hop_limit, token_budget=config.token_budget
+        )
+        contexts = {inv.id: ctx for inv, ctx in zip(invocations, built)}
+        names = _Names(invocations)
 
         # Each unit's rounds are one call on the pool, at most about two per
         # thread ahead of the unit whose votes are aggregated next.
@@ -305,8 +334,8 @@ def _scan(config: ScanConfig, inference_client, resolution_oracle) -> ScanResult
                 votes = issue(pool, query_rounds, client, prompt, config.n_rounds)
                 in_flight.append((inv, unit, votes))
                 if len(in_flight) > 2 * config.jobs:
-                    findings.append(_finding(config, model, *in_flight.popleft()))
-        findings.extend(_finding(config, model, *entry) for entry in in_flight)
+                    findings.append(_finding(config, model, names, *in_flight.popleft()))
+        findings.extend(_finding(config, model, names, *entry) for entry in in_flight)
 
     report = {
         "schema_version": 1,
@@ -344,7 +373,7 @@ def _scan(config: ScanConfig, inference_client, resolution_oracle) -> ScanResult
         for recorder, path in recorders:
             _rewrite(path, "".join(recorder.lines()))
     if config.out_dir:
-        _write_outputs(config, report, contexts, enh, g_e)
+        _write_outputs(config, report, contexts, names, enh, g_e)
     return ScanResult(
         report=report,
         exit_code=exit_code,
@@ -355,7 +384,7 @@ def _scan(config: ScanConfig, inference_client, resolution_oracle) -> ScanResult
     )
 
 
-def _finding(config: ScanConfig, model, inv, unit, votes) -> Finding:
+def _finding(config: ScanConfig, model, names: _Names, inv, unit, votes) -> Finding:
     """The finding of one detection unit from its rounds' future."""
     stmt = model.stmt(inv.statement)
     try:
@@ -372,7 +401,7 @@ def _finding(config: ScanConfig, model, inv, unit, votes) -> Finding:
         low = True
         explanation = "all rounds failed to parse"
     return Finding(
-        finding_id=f"{_sanitize(inv.statement)}::{unit[1]}",
+        finding_id=f"{names.statements[inv.statement]}::{unit[1]}",
         file=stmt.file,
         line=stmt.start_line,
         api=unit[0],
@@ -380,7 +409,7 @@ def _finding(config: ScanConfig, model, inv, unit, votes) -> Finding:
         verdict=verdict,
         confidence=confidence,
         explanation=explanation,
-        context_file=f"{_sanitize(inv.id)}.ctx.txt" if config.dump_context else None,
+        context_file=f"{names.contexts[inv.id]}.ctx.txt" if config.dump_context else None,
         low_confidence=low,
         origin=inv.origin,
     )
@@ -417,7 +446,7 @@ def _rewrite(path: str, text: str) -> None:
         os.close(fd)
 
 
-def _write_outputs(config, report, contexts, enh, g_e) -> None:
+def _write_outputs(config, report, contexts, names: _Names, enh, g_e) -> None:
     os.makedirs(config.out_dir, exist_ok=True)
     _rewrite(os.path.join(config.out_dir, "report.json"), json.dumps(report, indent=2, sort_keys=True) + "\n")
     _rewrite(
@@ -426,7 +455,7 @@ def _write_outputs(config, report, contexts, enh, g_e) -> None:
     )
     if config.dump_context:
         for inv_id, ctx in contexts.items():
-            _rewrite(os.path.join(config.out_dir, f"{_sanitize(inv_id)}.ctx.txt"), ctx.rendered + "\n")
+            _rewrite(os.path.join(config.out_dir, f"{names.contexts[inv_id]}.ctx.txt"), ctx.rendered + "\n")
     if config.dump_graph:
         _rewrite(os.path.join(config.out_dir, "udg.txt"), g_e.dump())
         _rewrite(os.path.join(config.out_dir, "udg.dot"), g_e.to_dot())

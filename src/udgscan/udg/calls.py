@@ -1,6 +1,7 @@
 """Conservative call graph over the repository.
 
-Static and constructor calls resolve to their exact target.  Instance calls
+Static and constructor calls, and calls on a new object, resolve to their
+exact target; a call on another call's result resolves to none.  Instance calls
 connect to the receiver's declared-type method plus every override in its
 subtypes (the over-approximation later pruned with oracle help).  Reflection
 API invocations connect to a synthetic reflective external node, mirroring
@@ -26,7 +27,7 @@ def is_reflective_site(site: CallSite) -> bool:
     if site.chain.startswith("Class.") or ".class." in site.chain or "getClass()." in site.chain:
         return True
     # Name-based fallback for chained results, e.g. getClass().getMethod(...)
-    return site.receiver is None
+    return site.receiver is None and site.receiver_type is None
 
 
 def is_invocation_pattern(site: CallSite) -> bool:
@@ -73,12 +74,18 @@ def resolve_call_site(
     if site.receiver and site.receiver != "this" and site.receiver_type:
         return dispatch_targets(site.receiver_type)
 
+    # A method called on `new T(...)` is the one `T` declares or inherits.
+    if site.receiver is None and site.receiver_type:
+        declared = declared_in(site.receiver_type)
+        return [] if declared is None else declared[2]
+
     if site.receiver == "this" or (site.receiver is None and "." not in site.chain):
         return dispatch_targets(caller.class_name)
 
     # A method called on a class literal, `X.class.m(...)`, is a method of
-    # `Class`, never one of `X`.
-    if ".class." in site.chain:
+    # `Class`, and one called on a call's result, `X.f().m(...)`, a method of
+    # a type the parser does not know: neither is one of `X`.
+    if ".class." in site.chain or "()." in site.chain:
         return []
 
     # Class-qualified call: X.m(...) resolved statically.

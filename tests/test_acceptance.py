@@ -67,7 +67,7 @@ def test_criterion_1_context_golden(el_repo):
     assert c_def.line_set(g_e) == {4} | set(range(18, 25))
     c_decl = declaration_context(c_e.statements + c_use.statements + c_def.statements, model)
     assert c_decl.line_set(model) == {1, 17, 33}
-    ctx = holistic_context(g_e, model, inv)
+    ctx = holistic_context(g_e, model, [inv])[0]
     assert set(ctx.rendered_lines["TemplateValidator.java"]) == set(range(1, 5)) | set(range(8, 34))
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
@@ -297,8 +297,8 @@ def test_criterion_10_rename_isomorphism(tmp_path, el_repo, dispatch_repo, pruni
         sinks_b = find_sensitive_invocations(g_b, model_b, kb)
         assert len(sinks_a) == len(sinks_b)
         for inv_a, inv_b in zip(sinks_a, sinks_b):
-            ctx_a = holistic_context(g_a, model_a, inv_a)
-            ctx_b = holistic_context(g_b, model_b, inv_b)
+            ctx_a = holistic_context(g_a, model_a, [inv_a])[0]
+            ctx_b = holistic_context(g_b, model_b, [inv_b])[0]
             assert ctx_a.rendered_lines == ctx_b.rendered_lines
             assert len(ctx_a.all) == len(ctx_b.all)
     report(10, "renamed repos yield 1:1-corresponding graphs and contexts on three fixtures")

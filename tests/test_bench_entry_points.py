@@ -17,7 +17,7 @@ import checks  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
-from conftest import fixture_path  # noqa: E402
+from conftest import fixture_path, write_repo  # noqa: E402
 
 import udgscan.pool  # noqa: E402
 from udgscan.enhance.oracle import MockResolutionOracle  # noqa: E402
@@ -73,3 +73,29 @@ def test_a_threaded_scan_runs_every_traced_boundary():
             result = scan(ScanConfig(repo=fixture_path("reflective_dispatch")), resolution_oracle=WaitingOracle())
     assert result.exit_code == 0 and result.findings
     spans.profile(tracer)  # raises MissingBoundary for a boundary that never ran
+
+
+SINKS = """package p;
+import java.sql.Statement;
+class Q {
+    String tail(String s) { return s.trim(); }
+    void one(Statement st, String q) throws Exception { st.executeQuery(q); }
+    void two(Statement st, String q) throws Exception { String t = tail(q); st.executeQuery(t); }
+    void three(String cmd) throws Exception { Runtime.getRuntime().exec(cmd); }
+}
+"""
+
+
+def test_the_context_stage_is_one_call_over_every_invocation(tmp_path):
+    """`holistic_context` is traced once per scan, and each layer inside it
+    once per invocation."""
+    root = write_repo(tmp_path, {"p/Q.java": SINKS, "p/R.java": SINKS.replace("class Q", "class R")})
+    tracer = spans.Tracer()
+    with tracer.installed():
+        with tracer.span(spans.SCAN):
+            result = scan(ScanConfig(repo=root))
+    calls = spans.profile(tracer).calls
+    assert len(result.contexts) == 6
+    assert calls["context.holistic"] == 1
+    for layer in ("data_slice", "control_slice", "usage", "definition", "declaration", "render"):
+        assert calls[f"context.{layer}"] == len(result.contexts), layer

@@ -69,6 +69,20 @@ class App {
     assert all(i.origin == "user_sink" and i.cwes == ["CWE-89"] for i in invs)
 
 
+def test_a_call_on_a_new_object_matches_by_the_objects_type(tmp_path):
+    """`new T(...).m()` matches as `T.m`, not by the bare name `m`."""
+    src = """class Run {
+    void m(String cmd, Runnable r) throws Exception {
+        new ProcessBuilder(cmd).start();
+        new Thread(r).start();
+    }
+}
+"""
+    model, g = enhanced(write_repo(tmp_path, {"Run.java": src}))
+    invs = find_sensitive_invocations(g, model, load_starter_kb())
+    assert [(model.stmt(i.statement).start_line, i.api) for i in invs] == [(3, "java.lang.ProcessBuilder.start")]
+
+
 def test_no_matches_empty(dispatch_repo):
     model, g = enhanced(dispatch_repo)
     invs = find_sensitive_invocations(g, model, load_starter_kb())
@@ -342,7 +356,7 @@ def test_el_holistic_golden(el_repo):
     model, g = enhanced(el_repo)
     kb = load_starter_kb()
     inv = sink_of(model, g, kb, "buildConstraintViolationWithTemplate")
-    ctx = holistic_context(g, model, inv)
+    ctx = holistic_context(g, model, [inv])[0]
     rendered_lines = set(ctx.rendered_lines["TemplateValidator.java"])
     assert rendered_lines == set(range(1, 5)) | set(range(8, 34))
     assert inv.statement in ctx.all
@@ -353,7 +367,7 @@ def test_holistic_rendered_numbers_match(el_repo):
     model, g = enhanced(el_repo)
     kb = load_starter_kb()
     inv = sink_of(model, g, kb, "buildConstraintViolationWithTemplate")
-    ctx = holistic_context(g, model, inv)
+    ctx = holistic_context(g, model, [inv])[0]
     numbered = [
         int(line.split("|", 1)[0])
         for line in ctx.rendered.splitlines()
@@ -374,7 +388,7 @@ class Lone {
     model, g = enhanced(root)
     kb = load_starter_kb()
     inv = sink_of(model, g, kb, "exec")
-    ctx = holistic_context(g, model, inv)
+    ctx = holistic_context(g, model, [inv])[0]
     lines = set(ctx.rendered_lines["Lone.java"])
     assert 4 in lines  # the sink itself
     assert 1 in lines and 2 in lines  # package + class declaration context
@@ -384,8 +398,8 @@ def test_token_budget_drops_far_statements(el_repo):
     model, g = enhanced(el_repo)
     kb = load_starter_kb()
     inv = sink_of(model, g, kb, "buildConstraintViolationWithTemplate")
-    full = holistic_context(g, model, inv)
-    tight = holistic_context(g, model, inv, token_budget=40)
+    full = holistic_context(g, model, [inv])[0]
+    tight = holistic_context(g, model, [inv], token_budget=40)[0]
     assert tight.dropped > 0
     assert inv.statement in tight.all
     assert len(tight.all) < len(full.all)
@@ -410,7 +424,7 @@ def test_implicit_idempotence_on_golden(el_repo):
     model, g = enhanced(el_repo)
     kb = load_starter_kb()
     inv = sink_of(model, g, kb, "buildConstraintViolationWithTemplate")
-    ctx = holistic_context(g, model, inv)
+    ctx = holistic_context(g, model, [inv])[0]
     from udgscan.context.slicing import ContextSlice
 
     full = ContextSlice(kind="holistic", statements=list(ctx.all), depths={s: 0 for s in ctx.all})

@@ -6,6 +6,7 @@ graph drops what was memoized, and the memo dies with its graph."""
 import gc
 import json
 import os
+import random
 import weakref
 
 import pytest
@@ -59,10 +60,10 @@ def _assert_order_free(result, config):
     graph, with the invocations taken in reverse order."""
     fresh = result.graph.copy()
     for ctx in reversed(list(result.contexts.values())):
-        again = holistic_context(
+        [again] = holistic_context(
             fresh,
             result.model,
-            ctx.invocation,
+            [ctx.invocation],
             hop_limit=config.hop_limit,
             token_budget=config.token_budget,
         )
@@ -95,6 +96,40 @@ def test_generated_contexts_do_not_depend_on_invocation_order(tmp_path, budget):
     assert (dropped > 0) == (budget is not None)
 
 
+def _assert_layered_is_one_at_a_time(result, config, rng):
+    """The contexts one call builds layer by layer over every invocation of
+    the scan, on a fresh copy of the graph, equal those of one call per
+    invocation, in shuffled order, on another fresh copy.  Returns the
+    statements dropped."""
+    invocations = [ctx.invocation for ctx in result.contexts.values()]
+    budgets = dict(hop_limit=config.hop_limit, token_budget=config.token_budget)
+    layered = holistic_context(result.graph.copy(), result.model, invocations, **budgets)
+    assert [ctx.invocation for ctx in layered] == invocations
+    fresh = result.graph.copy()
+    for i in rng.sample(range(len(invocations)), len(invocations)):
+        [single] = holistic_context(fresh, result.model, [invocations[i]], **budgets)
+        assert _snapshot(single) == _snapshot(layered[i]), invocations[i].id
+    return sum(ctx.dropped for ctx in layered)
+
+
+@pytest.mark.parametrize("budget", [None, TIGHT_BUDGET])
+def test_layer_order_builds_what_one_invocation_at_a_time_does(tmp_path, budget):
+    rng = random.Random(0)
+    contexts = dropped = 0
+    configs = [ScanConfig(repo=os.path.join(FIXTURES, name)) for name in FIXTURE_NAMES]
+    for seed in range(50):
+        root, sinks = _summary_repo(tmp_path / str(seed), seed)
+        configs.append(ScanConfig(repo=root, sink_path=sinks))
+    for config in configs:
+        if budget is not None:
+            config.token_budget = budget
+        result = scan(config)
+        contexts += len(result.contexts)
+        dropped += _assert_layered_is_one_at_a_time(result, config, rng)
+    assert contexts > 50
+    assert (dropped > 0) == (budget is not None)
+
+
 def test_scan_slices_equal_the_oracles():
     for name in FIXTURE_NAMES:
         result = scan(ScanConfig(repo=os.path.join(FIXTURES, name), oracle_mode="mock"))
@@ -123,7 +158,7 @@ def test_adding_and_removing_an_edge_changes_the_next_slice():
     backward = data_slice(g, sink, "backward")
     assert far in backward.statements and backward.depths[far] == 1
     assert set(data_slice(g, sink, "both").statements) == data_slice_oracle(g, sink.id, "both")
-    assert far in holistic_context(g, result.model, ctx.invocation).explicit.statements
+    assert far in holistic_context(g, result.model, [ctx.invocation])[0].explicit.statements
     assert g.remove_edges({edge.key()}) == 1
     assert far not in data_slice(g, sink, "backward").statements
     assert data_slice(g, sink, "both").statements == ctx.data.statements
@@ -134,7 +169,7 @@ def test_adding_and_removing_an_edge_changes_the_next_slice():
     assert set(control_slice(g, sink).statements) == control_slice_oracle(g, sink.id, 3)
     g.remove_edges({edge.key()})
     assert control_slice(g, sink).statements == ctx.control.statements
-    assert holistic_context(g, result.model, ctx.invocation).all == ctx.all
+    assert holistic_context(g, result.model, [ctx.invocation])[0].all == ctx.all
 
 
 def test_only_a_change_drops_the_memo():

@@ -103,9 +103,9 @@ def test_sorted_drop_order_matches_rebuild_and_max(tmp_path, seed):
     dropped_somewhere = False
     for stmt in criteria:
         inv = SensitiveInvocation(statement=stmt.id, api="f")
-        full = whitespace_tokenizer(holistic_context(g, model, inv).rendered)
+        full = whitespace_tokenizer(holistic_context(g, model, [inv])[0].rendered)
         for budget in sorted({full * 3 // 4, full // 2, full // 4, 0}):
-            ctx = holistic_context(g, model, inv, token_budget=budget)
+            ctx = holistic_context(g, model, [inv], token_budget=budget)[0]
             want = rebuild_and_max_budget(g, model, ctx, budget)
             got = (ctx.all, ctx.dropped, ctx.rendered, ctx.rendered_lines)
             assert got == want, f"{stmt.id} budget {budget}"

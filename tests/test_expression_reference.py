@@ -65,15 +65,20 @@ def reference_extract_expression(
             args, end = reference_split_args(toks, j, path)
             arg_sets = walk_args(args, toks[j])
             simple = type_parts[-1] if type_parts else "?"
+            chain = f"new {'.'.join(type_parts)}"
             calls.append(
                 CallSite(
-                    chain=f"new {'.'.join(type_parts)}",
+                    chain=chain,
                     name=simple,
                     arity=len(args),
                     arg_vars=arg_sets,
                     is_constructor=True,
                 )
             )
+            if type_parts:
+                # Deviation from the parser the reference came with: a call
+                # on the new object is recorded with the object's type.
+                return chained_calls(toks, end + 1, f"{chain}()", None, ".".join(type_parts))
             return end + 1
         if j < len(toks) and toks[j].text == "[":
             return j
@@ -127,13 +132,26 @@ def reference_extract_expression(
             arg_vars=arg_sets,
         )
         calls.append(site)
-        j = end + 1
+        return chained_calls(toks, end + 1, f"{chain}()", None, None)
+
+    def chained_calls(toks: list[Token], j: int, base: str, receiver, receiver_type) -> int:
+        """The calls chained on `base`, the first with the given receiver."""
         while j + 2 < len(toks) and toks[j].text == "." and toks[j + 1].kind == "ident" and toks[j + 2].text == "(":
             cname = toks[j + 1].text
             args2, end2 = reference_split_args(toks, j + 2, path)
             arg_sets2 = walk_args(args2, toks[j + 2])
-            chain = f"{chain}().{cname}"
-            calls.append(CallSite(chain=chain, name=cname, arity=len(args2), arg_vars=arg_sets2))
+            chain = f"{base}.{cname}"
+            calls.append(
+                CallSite(
+                    chain=chain,
+                    name=cname,
+                    arity=len(args2),
+                    receiver=receiver,
+                    receiver_type=receiver_type,
+                    arg_vars=arg_sets2,
+                )
+            )
+            base, receiver, receiver_type = f"{chain}()", None, None
             j = end2 + 1
         return j
 
@@ -396,6 +414,16 @@ def test_hand_written_file():
     # and `a` was not, and `new Main()` was a call of a method `Main`.
     assert stmts["a.f = h(y, x) + x;"].uses == {"a", "x", "y"}
     assert [(c.chain, c.is_constructor) for c in stmts["new Main().f = x;"].calls] == [("new Main", True)]
+    # Also expected: a call on a new object is recorded with the object's
+    # type; the parser the reference came with recorded `run` as a call in
+    # the caller's class.  These two statements are the ones it changes.
+    fresh = stmts["return new Main().run(v, a, x, y, arr, raw);"]
+    assert [(c.chain, c.receiver, c.receiver_type) for c in fresh.calls] == [
+        ("new Main", None, None),
+        ("new Main().run", None, "Main"),
+    ]
+    generic = stmts["String s = String.valueOf(f) + f, s2 = new Box<String>(s).get();"]
+    assert [(c.chain, c.receiver_type) for c in generic.calls][-1] == ("new Box().get", "Box")
 
 
 @pytest.mark.parametrize(

@@ -27,7 +27,7 @@ def el_context(el_repo):
     result = enhance_graph(model, g, MockResolutionOracle(), diags)
     kb = load_starter_kb()
     inv = find_sensitive_invocations(result.graph, model, kb)[0]
-    return holistic_context(result.graph, model, inv), inv, kb
+    return holistic_context(result.graph, model, [inv])[0], inv, kb
 
 
 def test_prompt_contains_context_and_guideline(el_repo):

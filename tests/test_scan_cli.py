@@ -77,6 +77,33 @@ def test_scan_outputs_written(el_repo, tmp_path):
     assert (tmp_path / "transcripts" / "inference.jsonl").exists()
 
 
+QUERY = """%s
+import java.sql.Statement;
+class A {
+    void m(Statement st, String q) throws Exception {
+        st.executeQuery(q);
+    }
+}
+"""
+
+
+def test_invocations_whose_names_sanitize_alike_keep_their_own_outputs(tmp_path):
+    """`p/A.java` and `p_A.java` give one sanitized name; the later
+    invocation's finding id and context dump take a suffix."""
+    root = write_repo(tmp_path, {"p/A.java": QUERY % "package p;", "p_A.java": QUERY % "import java.util.List;"})
+    out = tmp_path / "out"
+    result = scan(ScanConfig(repo=root, out_dir=str(out), dump_context=True))
+    assert [f.file for f in result.findings] == ["p/A.java", "p_A.java"]
+    ids = [f.finding_id for f in result.findings]
+    assert len(set(ids)) == 2 and ids[1] == ids[0].replace("::", "~2::", 1)
+    dumps = [f.context_file for f in result.findings]
+    assert len(set(dumps)) == 2 and sorted(p.name for p in out.glob("*.ctx.txt")) == sorted(dumps)
+    for finding, dump in zip(result.findings, dumps):
+        assert f"// file: {finding.file}\n" in (out / dump).read_text()
+    report = json.loads((out / "report.json").read_text())
+    assert [f["id"] for f in report["findings"]] == ids
+
+
 def test_scan_determinism_replay(el_repo, tmp_path):
     transcripts = tmp_path / "t"
     out1 = tmp_path / "o1"

@@ -251,6 +251,41 @@ def test_call_on_a_class_literal_is_reflective_not_the_callers_method(tmp_path):
     assert externals["external:getMethod/2"].reflective
 
 
+CHAINED_CALLS = """class Base { void stop() { } }
+class Bar extends Base { void run() { } }
+class Foo {
+    static Bar make() { Bar b = new Bar(); return b; }
+    void run() { }
+    void stop() { }
+    void go() { Foo.make().run(); }
+    void go2() { new Bar().run(); }
+    void go3() { new Bar().stop(); }
+}
+"""
+
+
+def test_calls_chained_on_a_result_or_a_new_object(tmp_path):
+    """A call on a call's result has no in-repository target: the result's
+    type is unknown, not the class at the head of the chain.  A call on
+    `new T(...)` goes to the method `T` declares or inherits, not to the
+    caller's."""
+    model = parse_repository(write_repo(tmp_path, {"Foo.java": CHAINED_CALLS}))
+    edges, _ = build_call_graph(model, build_type_hierarchy(model))
+    entry = {f"{f.class_name}.{f.name}": f.entry for f in model.functions.values()}
+    by_code = {s.code: s for s in model.statements.values()}
+
+    def targets(code):
+        return sorted(e.dst for e in edges if e.src == by_code[code].id)
+
+    assert [(c.chain, c.receiver_type) for c in by_code["new Bar().run();"].calls] == [
+        ("new Bar", None),
+        ("new Bar().run", "Bar"),
+    ]
+    assert targets("Foo.make().run();") == sorted([entry["Foo.make"], "external:run/0"])
+    assert targets("new Bar().run();") == [entry["Bar.run"]]
+    assert targets("new Bar().stop();") == [entry["Base.stop"]]
+
+
 def test_assemble_keeps_globals_out(el_repo):
     model, g, _ = parse_and_build(el_repo)
     assert g.state == "original"
