@@ -13,6 +13,7 @@ import re
 from typing import Iterator, Protocol
 
 from ..errors import OracleParseError
+from ..jsonio import decode
 
 
 class ResolutionOracle(Protocol):
@@ -26,8 +27,8 @@ _JSON_STRUCTURE = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"?|[{}]', re.S)
 
 
 def json_objects(text: str) -> Iterator[dict]:
-    """The balanced, string-aware `{...}` spans of `text` that decode to JSON
-    objects, last first."""
+    """The balanced, string-aware `{...}` spans of `text` that `decode` turns
+    into JSON objects, last first."""
     spans = []
     depth = 0
     start = 0
@@ -44,8 +45,8 @@ def json_objects(text: str) -> Iterator[dict]:
                 spans.append(text[start : i + 1])
     for span in reversed(spans):
         try:
-            obj = json.loads(span)
-        except json.JSONDecodeError:
+            obj = decode(span)
+        except ValueError:
             continue
         if isinstance(obj, dict):
             yield obj

@@ -76,13 +76,7 @@ def add_global_nodes(
             src = by_var.get((decl.class_name, v)) or any_var.get(v)
             if src is None or src == decl.statement:
                 continue
-            edge = UdgEdge(
-                src=src,
-                dst=decl.statement,
-                tau=DATA_DEPENDENCY,
-                provenance="enhancement_added",
-                variable=v,
-            )
+            edge = UdgEdge(src=src, dst=decl.statement, tau=DATA_DEPENDENCY, variable=v)
             if g.add_edge(edge) and audit is not None:
                 audit.append(AuditEntry("add", DATA_DEPENDENCY, src, decl.statement, "globals", v))
 
@@ -317,7 +311,7 @@ def enhance_reflective_calls(
             if g.remove_edges({(stmt.id, ext, CALL, None)}) and audit is not None:
                 audit.append(AuditEntry("remove", CALL, stmt.id, ext, "reflection"))
         for method in resolved:
-            new_edge = UdgEdge(src=stmt.id, dst=method.entry, tau=CALL, provenance="enhancement_added")
+            new_edge = UdgEdge(src=stmt.id, dst=method.entry, tau=CALL)
             if g.add_edge(new_edge) and audit is not None:
                 audit.append(AuditEntry("add", CALL, stmt.id, method.entry, "reflection"))
 
@@ -380,15 +374,49 @@ def _reaching_strings(
     without a call (a parameter's is the synthetic entry), when folding
     reaches a definition again (a cycle), or when there are more than
     `FOLD_CAP` strings.  `folded` keeps each definition's strings, None
-    while it is being folded."""
+    while it is being folded.
+
+    The walk keeps its own stack, so a chain of any length folds: a
+    definition whose folding meets one not yet folded is folded again
+    once that one is."""
+    # The definitions being folded, each with its right-hand side, each
+    # waiting on the one after it.
+    waiting: list[tuple[StatementNode, str]] = []
+    while True:
+        met: list[tuple[StatementNode, str]] = []
+        if waiting:
+            d, rhs = waiting[-1]
+            strings = fold_concat(rhs, lambda v: _folded_strings(g, d, v, folded, met))
+        else:
+            strings = _folded_strings(g, stmt, var, folded, met)
+        if met:
+            d, v = met[0]
+            folded[d.id] = None
+            assign = ConstantFolder.ASSIGN.match(d.code.strip())
+            if assign and assign.group(1) == v and d.defs == {v} and not d.calls:
+                waiting.append((d, assign.group(2)))
+        elif waiting:
+            folded[waiting.pop()[0].id] = strings
+        else:
+            return strings
+
+
+def _folded_strings(
+    g: UnifiedDependencyGraph,
+    stmt: StatementNode,
+    var: str,
+    folded: dict[str, set[str] | None],
+    met: list[tuple[StatementNode, str]],
+) -> set[str] | None:
+    """`_reaching_strings` of `var` at `stmt` from the definitions `folded`
+    holds; the first definition it does not hold yet goes to `met` (and the
+    result is None)."""
     defs = [g.nodes[e.src] for e in g.in_edges(stmt.id, DATA_DEPENDENCY) if e.variable == var]
     out: set[str] = set()
     for d in defs:
         if d.id not in folded:
-            folded[d.id] = None
-            assign = ConstantFolder.ASSIGN.match(d.code.strip())
-            if assign and assign.group(1) == var and d.defs == {var} and not d.calls:
-                folded[d.id] = fold_concat(assign.group(2), lambda v: _reaching_strings(g, d, v, folded))
+            met.append((d, var))
+            return None
         if folded[d.id] is None:
             return None
         out |= folded[d.id]
@@ -449,9 +477,7 @@ def reconstruct_labeled_jumps(
     """Add a control-flow edge to `g` from each labeled jump to its resolved
     successor."""
     for t in sorted(targets, key=lambda t: t.jump):
-        edge = UdgEdge(
-            src=t.jump, dst=t.resolved_successor, tau=CONTROL_FLOW, provenance="enhancement_added"
-        )
+        edge = UdgEdge(src=t.jump, dst=t.resolved_successor, tau=CONTROL_FLOW)
         if g.add_edge(edge) and audit is not None:
             audit.append(AuditEntry("add", CONTROL_FLOW, t.jump, t.resolved_successor, "control_flow"))
 

@@ -10,7 +10,8 @@ class UdgScanError(Exception):
 
 
 class ConfigError(UdgScanError):
-    pass
+    """A setting, or a document the scan reads (config, knowledge base,
+    sinks, transcript, dataset), is unusable: the run exits with 2."""
 
 
 class SubsetViolation(UdgScanError):
@@ -29,14 +30,6 @@ class HierarchyCycle(UdgScanError):
 
 class OracleParseError(UdgScanError):
     pass
-
-
-class SchemaError(UdgScanError):
-    """A configuration or knowledge-base document violates its schema."""
-
-    def __init__(self, field_name: str, message: str):
-        super().__init__(f"{field_name}: {message}")
-        self.field_name = field_name
 
 
 class MissingGuideline(UdgScanError):

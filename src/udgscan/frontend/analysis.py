@@ -34,18 +34,29 @@ def build_type_hierarchy(model: RepoModel, diagnostics: DiagnosticSink | None = 
 
 
 def _reject_cycles(hierarchy: TypeHierarchy) -> None:
+    """Raise `HierarchyCycle` naming the first cycle a depth-first walk from
+    each class, in name order, meets.  The walk keeps its own stack, so a
+    chain of any length is checked."""
     adj = hierarchy.direct_supertypes
-    state: dict[str, int] = {}  # 0 visiting, 1 done
-
-    def visit(node: str, trail: list[str]) -> None:
-        state[node] = 0
-        for nxt in adj.get(node, []):
-            if state.get(nxt) == 0:
-                raise HierarchyCycle(f"inheritance cycle through {' -> '.join(trail + [node, nxt])}")
-            if nxt not in state:
-                visit(nxt, trail + [node])
-        state[node] = 1
-
-    for node in sorted(adj):
-        if node not in state:
-            visit(node, [])
+    done: set[str] = set()
+    for root in sorted(adj):
+        if root in done:
+            continue
+        # The path from `root` to the class being visited, and for each
+        # class on it, the supertypes still to visit.
+        path = [root]
+        on_path = {root}
+        pending = [iter(adj.get(root, []))]
+        while pending:
+            nxt = next(pending[-1], None)
+            if nxt is None:
+                pending.pop()
+                node = path.pop()
+                on_path.discard(node)
+                done.add(node)
+            elif nxt in on_path:
+                raise HierarchyCycle(f"inheritance cycle through {' -> '.join(path + [nxt])}")
+            elif nxt not in done:
+                path.append(nxt)
+                on_path.add(nxt)
+                pending.append(iter(adj.get(nxt, [])))

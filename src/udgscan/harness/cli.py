@@ -8,7 +8,7 @@ import json
 import os
 import sys
 
-from ..errors import ConfigError, DiagnosticSink, SchemaError, UdgScanError
+from ..errors import ConfigError, DiagnosticSink, UdgScanError
 from .dataset import load_paired_dataset
 from .metrics import compute_metrics, compute_pairwise
 from .rename import adversarial_rename
@@ -137,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "rename":
             return cmd_rename(args)
         parser.error(f"unknown command {args.command}")
-    except (ConfigError, SchemaError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except UdgScanError as exc:

@@ -1,12 +1,17 @@
-"""Toy loader for paired vulnerable/patched sample repositories."""
+"""Toy loader for paired vulnerable/patched sample repositories.
+
+A dataset file that cannot be read, a line that is not a record, and a
+variant that is missing or cannot be read are configuration errors naming
+the file.
+"""
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
-from ..errors import DuplicatePair, SchemaError
+from ..errors import ConfigError, DuplicatePair
+from ..jsonio import read_json_lines
 
 
 @dataclass
@@ -18,7 +23,7 @@ class PairedSample:
 
 
 def normalized_hash(repo_dir: str) -> str:
-    """MD5 over path-sorted file contents with all formatting characters
+    """MD5 over path-sorted file bytes with all formatting characters
     (spaces, tabs, newlines, carriage returns) removed."""
     import hashlib  # only an evaluation hashes; a scan does not load it
 
@@ -31,12 +36,15 @@ def normalized_hash(repo_dir: str) -> str:
                 rel = os.path.relpath(os.path.join(dirpath, fn), repo_dir)
                 entries.append(rel.replace(os.sep, "/"))
     for rel in sorted(entries):
-        with open(os.path.join(repo_dir, rel), "r", encoding="utf-8") as fh:
-            text = fh.read()
-        stripped = "".join(ch for ch in text if ch not in " \t\n\r")
+        path = os.path.join(repo_dir, rel)
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise ConfigError(f"cannot read variant file {path}: {exc.strerror or exc}") from exc
         digest.update(rel.encode("utf-8"))
         digest.update(b"\x00")
-        digest.update(stripped.encode("utf-8"))
+        digest.update(data.translate(None, b" \t\n\r"))
     return digest.hexdigest()
 
 
@@ -48,47 +56,40 @@ def load_paired_dataset(path: str, warnings: list[str] | None = None) -> list[Pa
     base = os.path.dirname(os.path.abspath(path))
     samples: list[PairedSample] = []
     seen_hashes: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"dataset:{lineno}", f"not valid JSON: {exc}") from exc
-            for key in ("id", "vulnerable", "patched"):
-                if key not in doc:
-                    raise SchemaError(f"dataset:{lineno}.{key}", "missing required field")
-            vuln_dir = os.path.join(base, doc["vulnerable"])
-            patched_dir = os.path.join(base, doc["patched"])
-            for d in (vuln_dir, patched_dir):
-                if not os.path.isdir(d):
-                    raise SchemaError(f"dataset:{lineno}", f"variant directory missing: {d}")
-            hv = normalized_hash(vuln_dir)
-            hp = normalized_hash(patched_dir)
-            if hv == hp:
-                raise DuplicatePair(
-                    f"pair {doc['id']}: variants are identical after normalization"
-                )
-            skip = False
-            for h, d in ((hv, vuln_dir), (hp, patched_dir)):
-                if h in seen_hashes:
-                    if warnings is not None:
-                        warnings.append(
-                            f"pair {doc['id']}: variant duplicates {seen_hashes[h]}, pair skipped"
-                        )
-                    skip = True
-            if skip:
-                continue
-            seen_hashes[hv] = doc["id"]
-            seen_hashes[hp] = doc["id"]
-            samples.append(
-                PairedSample(
-                    pair_id=doc["id"],
-                    vulnerable_dir=vuln_dir,
-                    patched_dir=patched_dir,
-                    cwe=doc.get("cwe", ""),
-                )
+    for lineno, doc in read_json_lines(path, "dataset"):
+        where = f"dataset {path}:{lineno}"
+        for key in ("id", "vulnerable", "patched"):
+            if not isinstance(doc.get(key), str):
+                raise ConfigError(f"{where}: {key} must be a string")
+        vuln_dir = os.path.join(base, doc["vulnerable"])
+        patched_dir = os.path.join(base, doc["patched"])
+        for d in (vuln_dir, patched_dir):
+            if not os.path.isdir(d):
+                raise ConfigError(f"{where}: variant directory missing: {d}")
+        hv = normalized_hash(vuln_dir)
+        hp = normalized_hash(patched_dir)
+        if hv == hp:
+            raise DuplicatePair(
+                f"pair {doc['id']}: variants are identical after normalization"
             )
+        skip = False
+        for h, d in ((hv, vuln_dir), (hp, patched_dir)):
+            if h in seen_hashes:
+                if warnings is not None:
+                    warnings.append(
+                        f"pair {doc['id']}: variant duplicates {seen_hashes[h]}, pair skipped"
+                    )
+                skip = True
+        if skip:
+            continue
+        seen_hashes[hv] = doc["id"]
+        seen_hashes[hp] = doc["id"]
+        samples.append(
+            PairedSample(
+                pair_id=doc["id"],
+                vulnerable_dir=vuln_dir,
+                patched_dir=patched_dir,
+                cwe=doc.get("cwe", ""),
+            )
+        )
     return samples

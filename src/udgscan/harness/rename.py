@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 
-from ..errors import DiagnosticSink
+from ..errors import ConfigError, DiagnosticSink
 from ..frontend.lexer import tokenize
 from ..frontend.model import RepoModel
 from ..frontend.parser import parse_repository
@@ -107,6 +107,8 @@ def adversarial_rename(
     diagnostics: DiagnosticSink | None = None,
 ) -> dict[str, str]:
     """Rewrite a repository into `out_root`; returns the rename map."""
+    if not os.path.isdir(repo_root):
+        raise ConfigError(f"repository path does not exist: {repo_root}")
     model = parse_repository(repo_root, diagnostics=diagnostics)
     names = collect_user_identifiers(model)
     member_names = {f.name for f in model.functions.values()}

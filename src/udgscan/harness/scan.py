@@ -26,13 +26,8 @@ from ..errors import (
 )
 from ..frontend.analysis import build_type_hierarchy
 from ..frontend.parser import parse_repository
-from ..knowledge import (
-    detection_units_for,
-    load_knowledge_base,
-    load_starter_kb,
-    load_user_sinks,
-    read_json_object,
-)
+from ..jsonio import read_json_object
+from ..knowledge import detection_units_for, load_knowledge_base, load_starter_kb, load_user_sinks
 from ..pool import RequestPool, issue
 from ..reasoning.clients import LiveInferenceClient, MockInferenceClient
 from ..reasoning.prompt import build_detection_prompt
@@ -196,23 +191,26 @@ def _sanitize(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9_.-]+", "_", name)
 
 
-def _unique(keys) -> dict[str, str]:
-    """Each key's `_sanitize`d name, the keys taken in order.  A name an
-    earlier key already took gets the suffix `~2`, `~3`, ..., which
-    `_sanitize` never produces."""
-    names: dict[str, str] = {}
+def _unique(names) -> list[str]:
+    """`names` in order, each one an earlier one already took given the
+    suffix `~2`, `~3`, ..., which `_sanitize` never produces."""
     taken: set[str] = set()
-    for key in keys:
-        if key in names:
-            continue
-        name = base = _sanitize(key)
+    out: list[str] = []
+    for base in names:
+        name = base
         n = 1
         while name in taken:
             n += 1
             name = f"{base}~{n}"
         taken.add(name)
-        names[key] = name
-    return names
+        out.append(name)
+    return out
+
+
+def _sanitized(keys) -> dict[str, str]:
+    """Each distinct key's `_sanitize`d name, made `_unique` in key order."""
+    distinct = list(dict.fromkeys(keys))
+    return dict(zip(distinct, _unique(_sanitize(key) for key in distinct)))
 
 
 class _Names:
@@ -221,8 +219,8 @@ class _Names:
     dump."""
 
     def __init__(self, invocations):
-        self.statements = _unique(inv.statement for inv in invocations)
-        self.contexts = _unique(inv.id for inv in invocations)
+        self.statements = _sanitized(inv.statement for inv in invocations)
+        self.contexts = _sanitized(inv.id for inv in invocations)
 
 
 class _FirstRound:
@@ -336,6 +334,10 @@ def _scan(config: ScanConfig, inference_client, resolution_oracle) -> ScanResult
                 if len(in_flight) > 2 * config.jobs:
                     findings.append(_finding(config, model, names, *in_flight.popleft()))
         findings.extend(_finding(config, model, names, *entry) for entry in in_flight)
+    # Two APIs called at one statement can share a CWE: the later finding's
+    # id takes a suffix, as a dump's name does.
+    for finding, finding_id in zip(findings, _unique([f.finding_id for f in findings])):
+        finding.finding_id = finding_id
 
     report = {
         "schema_version": 1,

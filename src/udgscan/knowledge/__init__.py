@@ -1,7 +1,9 @@
 """Knowledge base: sensitive APIs mapped to CWE types and per-CWE guideline
 text (vulnerability patterns and defense knowledge) used by the meta-prompt.
 
-File format: one JSON document `{"guidelines": [...], "apis": [...]}`.
+File format: one JSON document `{"guidelines": [...], "apis": [...]}`,
+read by `udgscan.jsonio.read_json_object`; a knowledge-base or sink file
+that breaks its format is a `ConfigError` naming the field.
 Signature matching is qualified-suffix based (`exec` matches
 `java.lang.Runtime.exec`) with an optional arity pin.
 """
@@ -9,11 +11,11 @@ Signature matching is qualified-suffix based (`exec` matches
 from __future__ import annotations
 
 import importlib.resources
-import json
 import re
 from dataclasses import dataclass, field
 
-from ..errors import MissingGuideline, SchemaError
+from ..errors import ConfigError, MissingGuideline
+from ..jsonio import decode, read_json_object
 
 CWE_ID_RE = re.compile(r"^CWE-\d+$")
 
@@ -109,30 +111,14 @@ class KnowledgeBase:
         }
 
 
-def read_json_object(path: str, where: str) -> dict:
-    """The JSON object that file `path` holds.  A file that cannot be read,
-    is not JSON or holds no object is a `SchemaError` at `where` that names
-    the file."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise SchemaError(where, f"cannot read {path}: {exc.strerror or exc}") from exc
-    except ValueError as exc:  # not JSON, or not UTF-8
-        raise SchemaError(where, f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise SchemaError(where, f"{path}: document root must be an object")
-    return doc
-
-
 def _require(doc: dict, key: str, typ, where: str):
     if not isinstance(doc, dict):
-        raise SchemaError(where, "expected an object")
+        raise ConfigError(f"{where}: expected an object")
     if key not in doc:
-        raise SchemaError(f"{where}.{key}", "missing required field")
+        raise ConfigError(f"{where}.{key}: missing required field")
     value = doc[key]
     if not isinstance(value, typ):
-        raise SchemaError(f"{where}.{key}", f"expected {typ.__name__}")
+        raise ConfigError(f"{where}.{key}: expected {typ.__name__}")
     return value
 
 
@@ -143,12 +129,12 @@ def parse_knowledge_base(doc: dict, warnings: list[str] | None = None) -> Knowle
         where = f"kb.guidelines[{i}]"
         cwe_id = _require(g, "cwe_id", str, where)
         if not CWE_ID_RE.match(cwe_id):
-            raise SchemaError(f"{where}.cwe_id", f"malformed CWE id {cwe_id!r}")
+            raise ConfigError(f"{where}.cwe_id: malformed CWE id {cwe_id!r}")
         title = _require(g, "title", str, where)
         vuln = _require(g, "vuln_patterns", str, where)
         defense = _require(g, "defense_knowledge", str, where)
         if not vuln.strip() or not defense.strip() or not title.strip():
-            raise SchemaError(where, "guideline text blocks must be non-empty")
+            raise ConfigError(f"{where}: guideline text blocks must be non-empty")
         kb.guidelines[cwe_id] = CweGuideline(cwe_id, title, vuln, defense)
     apis = _require(doc, "apis", list, "kb")
     seen: dict[tuple[str, int | None], KbEntry] = {}
@@ -157,13 +143,13 @@ def parse_knowledge_base(doc: dict, warnings: list[str] | None = None) -> Knowle
         api = _require(a, "api", str, where)
         cwes = _require(a, "cwes", list, where)
         if not cwes:
-            raise SchemaError(f"{where}.cwes", "at least one CWE per entry")
+            raise ConfigError(f"{where}.cwes: at least one CWE per entry")
         arity = a.get("arity")
         if arity is not None and not isinstance(arity, int):
-            raise SchemaError(f"{where}.arity", "arity must be an integer")
+            raise ConfigError(f"{where}.arity: arity must be an integer")
         for cwe in cwes:
             if not isinstance(cwe, str) or cwe not in kb.guidelines:
-                raise SchemaError(f"{where}.cwes", f"unknown guideline {cwe}")
+                raise ConfigError(f"{where}.cwes: unknown guideline {cwe}")
         key = (api, arity)
         if key in seen:
             if warnings is not None:
@@ -185,7 +171,7 @@ def load_knowledge_base(path: str, warnings: list[str] | None = None) -> Knowled
 def load_starter_kb() -> KnowledgeBase:
     """The shipped seed knowledge base (not an industrial-scale catalog)."""
     data = importlib.resources.files("udgscan.knowledge").joinpath("data/starter_kb.json")
-    return parse_knowledge_base(json.loads(data.read_text(encoding="utf-8")))
+    return parse_knowledge_base(decode(data.read_bytes()))
 
 
 def load_user_sinks(path: str, kb: KnowledgeBase) -> list[UserSinkSpec]:
@@ -206,7 +192,7 @@ def load_user_sinks(path: str, kb: KnowledgeBase) -> list[UserSinkSpec]:
             )
             kb.guidelines.setdefault(cwe_id, guideline)
         elif cwe_id not in kb.guidelines:
-            raise SchemaError(where, f"{cwe_id} has no guideline and no inline override")
+            raise ConfigError(f"{where}: {cwe_id} has no guideline and no inline override")
         out.append(UserSinkSpec(pattern=pattern, cwe_id=cwe_id, arity=arity))
     return out
 
@@ -220,18 +206,3 @@ def detection_units_for(inv, kb: KnowledgeBase) -> list[tuple[str, str]]:
             raise MissingGuideline(f"{inv.api}: no guideline for {cwe}")
         units.append((inv.api, cwe))
     return units
-
-
-__all__ = [
-    "CweGuideline",
-    "KbEntry",
-    "KnowledgeBase",
-    "UserSinkSpec",
-    "detection_units_for",
-    "load_knowledge_base",
-    "load_starter_kb",
-    "load_user_sinks",
-    "parse_knowledge_base",
-    "read_json_object",
-    "suffix_match",
-]

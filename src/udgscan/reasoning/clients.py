@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
 from ..errors import ClientTransportError, ConfigError
+from ..jsonio import decode
 
 TIMEOUT_S = 120.0  # seconds per HTTP attempt
 RETRIES = 2  # further attempts after a failed request
@@ -60,7 +61,9 @@ class MockInferenceClient:
 class LiveInferenceClient:
     """Minimal chat-completion HTTP client behind the InferenceClient contract.
 
-    The settings are `ScanConfig`'s fields of the same names.
+    The settings are `ScanConfig`'s fields of the same names.  A request
+    that fails, or whose body `udgscan.jsonio.decode` rejects, is tried
+    again up to `RETRIES` times and then is a `ClientTransportError`.
     """
 
     def __init__(self, *, endpoint: str, model: str, api_key_env: str, temperature: float, seed: int | None):
@@ -96,9 +99,9 @@ class LiveInferenceClient:
         for _ in range(RETRIES + 1):
             try:
                 with urllib.request.urlopen(request, timeout=TIMEOUT_S) as resp:
-                    doc = json.loads(resp.read().decode("utf-8"))
+                    doc = decode(resp.read())
                 break
-            except (urllib.error.URLError, TimeoutError, json.JSONDecodeError) as exc:
+            except (urllib.error.URLError, TimeoutError, ValueError) as exc:
                 last_error = exc
         if doc is None:
             raise ClientTransportError(str(last_error)) from last_error

@@ -11,7 +11,8 @@ issued; `lines()` is the transcript file's text.
 per key, so replay does not depend on the order requests arrive in.  A
 request the transcript does not hold is a transport failure, like a live
 endpoint that does not answer; a transcript file that cannot be read, or a
-line of it that is not a record, is a configuration error.
+line of it that is not a record, is a configuration error naming the file
+(`udgscan.jsonio.read_json_lines`).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from collections import defaultdict, deque
 from typing import Iterator
 
 from .errors import ClientTransportError, ConfigError
+from .jsonio import read_json_lines
 
 
 class Recorder:
@@ -58,20 +60,7 @@ class Replay:
         self.name = os.path.basename(path)
         self.tag_field = tag_field
         self.responses: dict[tuple, deque[str]] = defaultdict(deque)
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                lines = list(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read transcript {path}: {exc.strerror or exc}") from exc
-        except ValueError as exc:  # not UTF-8
-            raise ConfigError(f"cannot read transcript {path}: {exc}") from exc
-        for lineno, line in enumerate(lines, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except ValueError:
-                rec = None
+        for lineno, rec in read_json_lines(path, "transcript"):
             if not _is_record(rec, tag_field):
                 raise ConfigError(
                     f"transcript {path}:{lineno} is not a JSON object with {tag_field}, prompt and response"
@@ -87,10 +76,9 @@ class Replay:
         return queue.popleft()
 
 
-def _is_record(rec, tag_field: str) -> bool:
+def _is_record(rec: dict, tag_field: str) -> bool:
     return (
-        isinstance(rec, dict)
-        and isinstance(rec.get(tag_field), (str, int))
+        isinstance(rec.get(tag_field), (str, int))
         and isinstance(rec.get("prompt"), str)
         and isinstance(rec.get("response"), str)
     )

@@ -22,7 +22,6 @@ class UdgEdge(NamedTuple):
     src: str
     dst: str
     tau: str
-    provenance: str = "original"  # "original" | "enhancement_added"
     variable: str | None = None
 
     def key(self) -> tuple:

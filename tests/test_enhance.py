@@ -8,6 +8,7 @@ from support.order import order_is_sound
 from udgscan.enhance.oracle import MockResolutionOracle, _split_top
 from udgscan.enhance.order import compute_analysis_order, function_call_graph, tarjan_scc
 from udgscan.enhance.passes import (
+    AuditEntry,
     add_global_nodes,
     backward_dataflow_context,
     enhance_polymorphic_calls,
@@ -116,14 +117,21 @@ def test_single_target_site_not_queried(pruning_repo):
     assert {e.key() for e in g.edges} == before
 
 
-def test_unparseable_reply_keeps_all_edges(parameter_dispatch_repo):
+# An answer nesting deeper than any JSON decoder follows.
+TOO_DEEP = '{"feasible_targets": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
+@pytest.mark.parametrize("reply", ["no json here at all", TOO_DEEP], ids=["prose", "too deep"])
+def test_unparseable_reply_keeps_all_edges(parameter_dispatch_repo, reply):
     model, g, diags = parse_and_build(parameter_dispatch_repo)
     call_stmt = next(s for s in model.statements.values() if any(c.name == "id" for c in s.calls))
     before = {e.key() for e in g.out_edges(call_stmt.id, CALL)}
-    enhance_polymorphic_calls(g, ScriptedOracle(["no json here at all"]), model, diags)
+    enhance_polymorphic_calls(g, ScriptedOracle([reply]), model, diags)
     after = {e.key() for e in g.out_edges(call_stmt.id, CALL)}
     assert after == before
-    assert any("oracle" in d.message for d in diags.items)
+    assert [d.message for d in diags.items if "oracle" in d.message] == [
+        f"polymorphism oracle fault at {call_stmt.id}: no JSON object found in oracle response"
+    ]
 
 
 def test_answer_naming_no_candidate_keeps_all(parameter_dispatch_repo):
@@ -205,12 +213,14 @@ def test_reflective_resolution_adds_edge(reflect_repo):
     invoke = next(s for s in model.statements.values() if any(c.name == "invoke" for c in s.calls))
     display_search = next(f for f in model.functions.values() if f.name == "displaySearch")
     assert not g.has_edge(invoke.id, display_search.entry, CALL)
-    enhance_reflective_calls(g, MockResolutionOracle(), model)
+    audit = []
+    enhance_reflective_calls(g, MockResolutionOracle(), model, audit=audit)
     assert g.has_edge(invoke.id, display_search.entry, CALL)
     # The old reflective external edge is removed, not kept alongside.
     assert not [e for e in g.out_edges(invoke.id, CALL) if e.dst.startswith("external:invoke")]
-    added = [e for e in g.out_edges(invoke.id, CALL) if e.dst == display_search.entry]
-    assert added[0].provenance == "enhancement_added"
+    assert [a for a in audit if a.op == "add"] == [
+        AuditEntry("add", CALL, invoke.id, display_search.entry, "reflection")
+    ]
 
 
 def test_a_resolved_reflective_call_adds_no_warning(reflect_repo):

@@ -233,8 +233,26 @@ def test_hierarchy_cycle_rejected(tmp_path):
     src = "package p;\nclass A extends B {\n}\nclass B extends A {\n}\n"
     root = write_repo(tmp_path, {"A.java": src})
     model = parse_repository(root)
-    with pytest.raises(HierarchyCycle):
+    with pytest.raises(HierarchyCycle, match=r"^inheritance cycle through p\.A -> p\.B -> p\.A$"):
         build_type_hierarchy(model)
+
+
+@pytest.mark.parametrize("cycle", [False, True])
+def test_a_long_inheritance_chain_is_checked(tmp_path, cycle):
+    """Classes C00000 ... C01499, each extending the next: the check walks
+    the whole chain, deeper than the interpreter's recursion limit."""
+    n = 1500
+    top = " extends C00000" if cycle else ""
+    src = "package p;\n" + "".join(
+        f"class C{i:05d}" + (f" extends C{i + 1:05d}" if i + 1 < n else top) + " {\n}\n" for i in range(n)
+    )
+    model = parse_repository(write_repo(tmp_path, {"A.java": src}))
+    if cycle:
+        through = r"^inheritance cycle through p\.C00000 -> p\.C00001 -> .* -> p\.C01499 -> p\.C00000$"
+        with pytest.raises(HierarchyCycle, match=through):
+            build_type_hierarchy(model)
+    else:
+        assert len(build_type_hierarchy(model).edges) == n - 1
 
 
 def test_constructor_with_type_arguments_three_deep(tmp_path):

@@ -1,10 +1,12 @@
+import hashlib
 import json
+import os
 
 import pytest
 
 from conftest import parse_and_build
 
-from udgscan.errors import DiagnosticSink, DuplicatePair, EmptyInput, IdMismatch
+from udgscan.errors import ConfigError, DiagnosticSink, DuplicatePair, EmptyInput, IdMismatch
 from udgscan.harness.dataset import load_paired_dataset, normalized_hash
 from udgscan.harness.metrics import compute_metrics, compute_pairwise
 from udgscan.harness.rename import adversarial_rename, build_rename_map, rename_source
@@ -218,6 +220,39 @@ def test_normalized_hash_stability(tmp_path):
     (a / "X.java").write_text(VULN, encoding="utf-8")
     (b / "X.java").write_text(VULN.replace("    ", "\t\t").replace("\n", "\r\n"), encoding="utf-8")
     assert normalized_hash(str(a)) == normalized_hash(str(b))
+
+
+@pytest.mark.parametrize("key", ["id", "vulnerable", "patched"])
+@pytest.mark.parametrize("value", [None, 5, ["pair1"]])
+def test_a_record_field_that_is_not_a_string_is_a_config_error(tmp_path, key, value):
+    path = _write_dataset(tmp_path, {"pair1": ({"App.java": VULN}, {"App.java": PATCHED})})
+    record = json.loads(open(path, encoding="utf-8").read())
+    if value is None:
+        del record[key]
+    else:
+        record[key] = value
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(record) + "\n")
+    with pytest.raises(ConfigError, match=rf"^dataset {path}:1: {key} must be a string$"):
+        load_paired_dataset(path)
+
+
+def test_normalized_hash_reads_bytes(tmp_path):
+    """The hash of a UTF-8 file is that of its text with the formatting
+    characters removed; a file that is not UTF-8 hashes too."""
+    (tmp_path / "X.java").write_text("class  X {\r\n\t// \u00e9t\u00e9\n}\n", encoding="utf-8")
+    want = hashlib.md5(b"X.java\x00" + "classX{//\u00e9t\u00e9}".encode("utf-8")).hexdigest()
+    assert normalized_hash(str(tmp_path)) == want
+    (tmp_path / "X.java").write_bytes(b"class X { String s = \"\xff\"; }\n")
+    assert normalized_hash(str(tmp_path)) == hashlib.md5(b'X.java\x00classX{Strings="\xff";}').hexdigest()
+
+
+def test_an_unreadable_variant_file_is_a_config_error(tmp_path):
+    path = _write_dataset(tmp_path, {"pair1": ({"App.java": VULN}, {"App.java": PATCHED})})
+    gone = tmp_path / "pair1" / "patched" / "Gone.java"
+    os.symlink(tmp_path / "nowhere", gone)
+    with pytest.raises(ConfigError, match=rf"^cannot read variant file {gone}: "):
+        load_paired_dataset(path)
 
 
 def test_duplicate_across_pairs_skipped(tmp_path):

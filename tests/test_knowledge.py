@@ -3,7 +3,7 @@ import json
 import pytest
 
 from udgscan.context.sinks import SensitiveInvocation
-from udgscan.errors import MissingGuideline, SchemaError
+from udgscan.errors import ConfigError, MissingGuideline
 from udgscan.knowledge import (
     detection_units_for,
     load_knowledge_base,
@@ -47,7 +47,7 @@ def test_empty_kb_valid():
 
 
 def test_schema_error_names_field():
-    with pytest.raises(SchemaError) as err:
+    with pytest.raises(ConfigError) as err:
         parse_knowledge_base({"guidelines": [{"cwe_id": "nope"}], "apis": []})
     assert "cwe_id" in str(err.value)
 
@@ -131,5 +131,5 @@ def test_user_sink_without_guideline_rejected(tmp_path):
     kb = parse_knowledge_base({"guidelines": [], "apis": []})
     path = tmp_path / "sinks.json"
     path.write_text(json.dumps({"sinks": [{"function": "f", "cwe_id": "CWE-1"}]}), encoding="utf-8")
-    with pytest.raises(SchemaError, match=r"^sinks\[0\]: CWE-1 has no guideline and no inline override$"):
+    with pytest.raises(ConfigError, match=r"^sinks\[0\]: CWE-1 has no guideline and no inline override$"):
         load_user_sinks(str(path), kb)

@@ -20,6 +20,8 @@ from udgscan.transcript import Recorder, Replay
 
 YES = json.dumps({"explanation": "tainted path", "is_vulnerable": True})
 NO = json.dumps({"explanation": "sanitized", "is_vulnerable": False})
+# A verdict whose explanation nests deeper than any JSON decoder follows.
+TOO_DEEP = '{"is_vulnerable": true, "explanation": ' + "[" * 100_000 + "]" * 100_000 + "}"
 
 
 def el_context(el_repo):
@@ -83,8 +85,9 @@ def test_parse_verdict_non_boolean_fails():
     assert not v.parse_ok
 
 
-def test_parse_verdict_no_json_fails():
-    assert not parse_verdict("definitely vulnerable!").parse_ok
+@pytest.mark.parametrize("text", ["definitely vulnerable!", TOO_DEEP], ids=["prose", "too deep"])
+def test_parse_verdict_no_json_fails(text):
+    assert not parse_verdict(text).parse_ok
 
 
 def test_query_rounds_fixed_mock(el_repo):
@@ -151,6 +154,39 @@ def test_live_client_retries_each_request(monkeypatch):
         with pytest.raises(ClientTransportError):
             client.complete("prompt")
         assert len(calls) == expected_calls
+
+
+class Body:
+    def __init__(self, data):
+        self.data = data
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def read(self):
+        return self.data
+
+
+@pytest.mark.parametrize(
+    "body", [b'{"choices": "\xff"}', TOO_DEEP.encode(), b"<html>"], ids=["not UTF-8", "too deep", "not JSON"]
+)
+def test_live_client_retries_a_body_it_cannot_decode(monkeypatch, body):
+    calls = []
+
+    def urlopen(request, timeout):
+        calls.append(request.full_url)
+        return Body(body)
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    client = LiveInferenceClient(
+        endpoint="http://localhost:9/v1", model="m", api_key_env="UDGSCAN_API_KEY", temperature=0.7, seed=None
+    )
+    with pytest.raises(ClientTransportError):
+        client.complete("prompt")
+    assert len(calls) == 3
 
 
 def test_aggregate_majority():

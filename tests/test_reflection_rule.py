@@ -195,6 +195,16 @@ def test_the_rule_agrees_with_the_mock_on_a_written_file(tmp_path, case):
     assert names(rule) == want
 
 
+@pytest.mark.parametrize("length", [2, 1200])
+def test_a_long_chain_of_copies_is_decided_as_a_short_one(tmp_path, length):
+    """`String s1 = s0; ... ` ending in the looked-up name: the fold follows
+    the whole chain, deeper than the interpreter's recursion limit."""
+    copies = "".join(f"\n        String s{i} = s{i - 1};" for i in range(1, length))
+    body = f'String s0 = "showSearch";{copies}\n        Method m = Svc.class.getMethod(s{length - 1}, String.class);'
+    [(_, rule, _)] = rule_and_mock(service_repo(tmp_path, body))
+    assert names(rule) == ["showSearch"]
+
+
 @pytest.mark.parametrize("case", sorted(NARROWER))
 def test_where_the_rule_is_narrower_than_the_mock(tmp_path, case):
     body, want = NARROWER[case]

@@ -104,6 +104,23 @@ def test_invocations_whose_names_sanitize_alike_keep_their_own_outputs(tmp_path)
     assert [f["id"] for f in report["findings"]] == ids
 
 
+def test_two_findings_of_one_statement_and_cwe_keep_their_own_ids(tmp_path):
+    """Two APIs with one CWE at one statement: the later finding, in report
+    order, takes the suffix a dump name would."""
+    src = (
+        "package p;\nimport java.sql.Statement;\nclass A {\n"
+        "    void run(Statement st, String q) throws Exception {\n"
+        "        int n = st.executeUpdate(q) + st.executeQuery(q).getRow();\n    }\n}\n"
+    )
+    result = scan(ScanConfig(repo=write_repo(tmp_path, {"A.java": src}), dump_context=True))
+    assert [(f.api, f.finding_id) for f in result.findings] == [
+        ("java.sql.Statement.executeQuery", "A.java_s6::CWE-89"),
+        ("java.sql.Statement.executeUpdate", "A.java_s6::CWE-89~2"),
+    ]
+    assert [f["id"] for f in result.report["findings"]] == ["A.java_s6::CWE-89", "A.java_s6::CWE-89~2"]
+    assert len({f.context_file for f in result.findings}) == 2
+
+
 def test_scan_determinism_replay(el_repo, tmp_path):
     transcripts = tmp_path / "t"
     out1 = tmp_path / "o1"
@@ -227,6 +244,47 @@ def test_malformed_json_inputs_are_config_errors(tmp_path, el_repo, capsys, monk
     assert "Traceback" not in err
 
 
+# What each fault leaves where a document should be (None: no file).
+DOCUMENT_FAULTS = {
+    "missing": None,
+    "not UTF-8": b'{"a": "\xff"}\n',
+    "not JSON": b"{not json\n",
+    "nested too deep": b"[" * 100_000 + b"]" * 100_000 + b"\n",
+    "not an object": b"5\n",
+}
+
+
+def _reading(kind, tmp_path, repo):
+    """The CLI arguments under which `udgscan` reads a document of `kind`,
+    and where that document is."""
+    if kind in ("config", "kb", "sink"):
+        path = tmp_path / f"{kind}.json"
+        return ["scan", "--repo", repo, f"--{kind}", str(path)], path
+    if kind == "dataset":
+        path = tmp_path / "data.jsonl"
+        return ["eval", "--dataset", str(path), "--oracle", "mock"], path
+    transcripts = tmp_path / "t"
+    transcripts.mkdir()
+    for name in ("resolution.jsonl", "inference.jsonl"):
+        _write(transcripts / name, "")
+    return ["scan", "--repo", repo, "--oracle", "replay", "--transcript", str(transcripts)], transcripts / kind
+
+
+@pytest.mark.parametrize("fault", sorted(DOCUMENT_FAULTS))
+@pytest.mark.parametrize("kind", ["config", "kb", "sink", "resolution.jsonl", "inference.jsonl", "dataset"])
+def test_every_document_fault_is_a_config_error_naming_the_file(tmp_path, el_repo, capsys, kind, fault):
+    argv, path = _reading(kind, tmp_path, el_repo)
+    content = DOCUMENT_FAULTS[fault]
+    if content is None:
+        path.unlink(missing_ok=True)
+    else:
+        path.write_bytes(content)
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(path) in err
+    assert "Traceback" not in err
+
+
 def test_config_file_merged_under_flags(tmp_path, el_repo):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps({"n_rounds": 5, "hop_limit": 2}), encoding="utf-8")
@@ -252,6 +310,13 @@ def test_cli_rename_roundtrip(el_repo, tmp_path, capsys):
     assert (out / "TemplateValidator.java").exists()
     text = (out / "TemplateValidator.java").read_text(encoding="utf-8")
     assert "non_vulnerable_isValid" in text
+
+
+def test_cli_rename_of_a_missing_repository_is_a_config_error(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    assert main(["rename", "--repo", str(missing), "--label", "vulnerable", "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: repository path does not exist: {missing}\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_eval_toy_dataset(tmp_path, capsys):

@@ -432,7 +432,6 @@ def test_store_matches_list_reference(seed):
             src=rng.choice(nodes),
             dst=rng.choice(nodes),
             tau=tau,
-            provenance=rng.choice(("original", "enhancement_added")),
             variable=f"v{rng.randrange(3)}" if tau == DATA_DEPENDENCY else None,
         )
 
@@ -442,9 +441,9 @@ def test_store_matches_list_reference(seed):
             edge = random_edge()
             assert g.add_edge(edge) == ref.add_edge(edge)
         elif op < 0.6 and ref.edges:
-            # Re-adding a stored key, possibly with another provenance, is refused.
+            # Re-adding a stored key, as an equal new edge, is refused.
             old = rng.choice(ref.edges)
-            twin = UdgEdge(old.src, old.dst, old.tau, "enhancement_added", old.variable)
+            twin = UdgEdge(old.src, old.dst, old.tau, old.variable)
             assert g.add_edge(twin) is False and ref.add_edge(twin) is False
         else:
             keys = {e.key() for e in rng.sample(ref.edges, min(len(ref.edges), rng.randint(0, 4)))}
@@ -490,21 +489,20 @@ def test_copy_keeps_edge_order_and_is_independent(seed):
 
     copied.remove_edges({e.key() for e in rng.sample(list(copied.edges), len(copied.edges) // 2)})
     nodes = sorted(g.nodes)
-    copied.add_edge(UdgEdge(nodes[0], nodes[1], CALL, "enhancement_added"))
+    copied.add_edge(UdgEdge(nodes[0], nodes[1], CALL))
     assert _adjacency(g) == before
     assert _adjacency(copied) != before
 
 
 def test_edge_is_an_immutable_hashable_record():
     edge = UdgEdge("a", "b", DATA_DEPENDENCY, variable="x")
-    assert UdgEdge._fields == ("src", "dst", "tau", "provenance", "variable")
-    assert edge == UdgEdge(src="a", dst="b", tau=DATA_DEPENDENCY, provenance="original", variable="x")
-    assert edge.provenance == "original"
+    assert UdgEdge._fields == ("src", "dst", "tau", "variable")
+    assert edge == UdgEdge(src="a", dst="b", tau=DATA_DEPENDENCY, variable="x")
     assert UdgEdge("a", "b", CALL).variable is None
     assert edge.key() == ("a", "b", DATA_DEPENDENCY, "x")
-    added = UdgEdge("a", "b", DATA_DEPENDENCY, "enhancement_added", "x")
-    assert added.key() == edge.key() and added != edge
-    assert len({edge, UdgEdge("a", "b", DATA_DEPENDENCY, variable="x"), added}) == 2
+    other = UdgEdge("a", "b", DATA_DEPENDENCY, "y")
+    assert other.key() != edge.key() and other != edge
+    assert len({edge, UdgEdge("a", "b", DATA_DEPENDENCY, variable="x"), other}) == 2
     for name in UdgEdge._fields:
         with pytest.raises(AttributeError):
             setattr(edge, name, "changed")
