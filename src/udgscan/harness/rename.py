@@ -13,6 +13,7 @@ from ..errors import ConfigError, DiagnosticSink
 from ..frontend.lexer import tokenize
 from ..frontend.model import RepoModel
 from ..frontend.parser import parse_repository
+from .scan import _file_in_the_way
 
 PREFIX_FOR_LABEL = {
     "vulnerable": "non_vulnerable_",
@@ -109,6 +110,9 @@ def adversarial_rename(
     """Rewrite a repository into `out_root`; returns the rename map."""
     if not os.path.isdir(repo_root):
         raise ConfigError(f"repository path does not exist: {repo_root}")
+    blocker = _file_in_the_way(out_root)
+    if blocker is not None:
+        raise ConfigError(f"output directory {out_root} cannot be made: {blocker} is not a directory")
     model = parse_repository(repo_root, diagnostics=diagnostics)
     names = collect_user_identifiers(model)
     member_names = {f.name for f in model.functions.values()}

@@ -390,7 +390,7 @@ def _finding(config: ScanConfig, model, names: _Names, inv, unit, votes) -> Find
     """The finding of one detection unit from its rounds' future."""
     stmt = model.stmt(inv.statement)
     try:
-        agg = aggregate_votes(votes.result(), config.n_rounds)
+        agg = aggregate_votes(votes.result())
         verdict = "vulnerable" if agg.final else "not_vulnerable"
         confidence = agg.confidence
         low = agg.low_confidence

@@ -28,11 +28,13 @@ class InferenceClient(Protocol):
 class MockInferenceClient:
     """Deterministic client for offline runs and tests.
 
-    With a script, responses are served in call order, each once.  A scan
-    runs detection units concurrently, so that order is defined only within
-    one unit's rounds: a multi-unit scan needs a responder, a function
-    whose response is a pure function of (prompt, round).  The default
-    always votes non-vulnerable.
+    With a script, responses are served in call order, each once; a unit
+    uses as many entries as the rounds it asks, which end once its majority
+    is decided (`reasoning.votes.query_rounds`).  A scan runs detection
+    units concurrently, so that order is defined only within one unit's
+    rounds: a multi-unit scan needs a responder, a function whose response
+    is a pure function of (prompt, round).  The default always votes
+    non-vulnerable.
     """
 
     script: list[str] | None = None
@@ -62,8 +64,9 @@ class LiveInferenceClient:
     """Minimal chat-completion HTTP client behind the InferenceClient contract.
 
     The settings are `ScanConfig`'s fields of the same names.  A request
-    that fails, or whose body `udgscan.jsonio.decode` rejects, is tried
-    again up to `RETRIES` times and then is a `ClientTransportError`.
+    that fails, or whose body `udgscan.jsonio.decode` rejects or finds to be
+    JSON `null`, is tried again up to `RETRIES` times and then is a
+    `ClientTransportError`.
     """
 
     def __init__(self, *, endpoint: str, model: str, api_key_env: str, temperature: float, seed: int | None):
@@ -94,16 +97,18 @@ class LiveInferenceClient:
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
         request = urllib.request.Request(self.endpoint, data=payload, headers=headers)
-        doc = None
         last_error: Exception | None = None
         for _ in range(RETRIES + 1):
             try:
                 with urllib.request.urlopen(request, timeout=TIMEOUT_S) as resp:
                     doc = decode(resp.read())
-                break
             except (urllib.error.URLError, TimeoutError, ValueError) as exc:
                 last_error = exc
-        if doc is None:
+                continue
+            if doc is not None:
+                break
+            last_error = ValueError("response body is JSON null")
+        else:
             raise ClientTransportError(str(last_error)) from last_error
         try:
             return doc["choices"][0]["message"]["content"]

@@ -51,24 +51,39 @@ def parse_verdict(text: str) -> Verdict:
 
 
 def query_rounds(client: InferenceClient, prompt: MetaPrompt, n: int) -> list[Verdict]:
-    """N independent completions; a transport error (the live client has
-    already retried) is recorded as that round's unparseable vote."""
+    """Up to n independent completions, asked one after another, stopping
+    once the rounds not yet asked cannot change `aggregate_votes`' `final`.
+
+    With y yes and m no parseable votes so far and `left` rounds not yet
+    asked, the verdict is decided when y >= m + left (an even split breaks
+    toward vulnerable) or m > y + left.  A unit without a parseable vote
+    asks every round.  A transport error (the live client has already
+    retried) is recorded as that round's unparseable vote."""
     if n < 1 or n % 2 == 0:
         raise ValueError("round count must be odd and >= 1")
     votes: list[Verdict] = []
+    yes = no = 0
     for i in range(n):
         try:
             raw = client.complete(prompt.text, i)
         except ClientTransportError as exc:
-            votes.append(Verdict(raw=f"<transport failure: {exc}>", parse_ok=False))
-            continue
-        votes.append(parse_verdict(raw))
+            vote = Verdict(raw=f"<transport failure: {exc}>", parse_ok=False)
+        else:
+            vote = parse_verdict(raw)
+        votes.append(vote)
+        yes += vote.is_vulnerable is True
+        no += vote.is_vulnerable is False
+        left = n - 1 - i
+        if yes >= no + left or no > yes + left:
+            break
     return votes
 
 
-def aggregate_votes(votes: list[Verdict], n_requested: int) -> AggregatedVerdict:
+def aggregate_votes(votes: list[Verdict]) -> AggregatedVerdict:
     """Strict majority over parseable votes; an even split breaks toward
-    vulnerable and is flagged low-confidence."""
+    vulnerable and is flagged low-confidence.  `votes` are the rounds
+    asked: `confidence` is the winning share of their parseable votes, and
+    a unit is also low-confidence when one of them has no parseable vote."""
     agg = AggregatedVerdict(votes=votes)
     parseable = agg.parseable
     if not parseable:
@@ -84,6 +99,6 @@ def aggregate_votes(votes: list[Verdict], n_requested: int) -> AggregatedVerdict
         agg.low_confidence = True
     winner_votes = yes if agg.final else no
     agg.confidence = winner_votes / len(parseable)
-    if len(parseable) < n_requested:
+    if len(parseable) < len(votes):
         agg.low_confidence = True
     return agg

@@ -235,8 +235,13 @@ def test_recorded_requests_keep_issue_order_whatever_finishes_first(services, wa
         scan(ScanConfig(repo=services, jobs=jobs), inference_client=client, resolution_oracle=oracle)
         saved[jobs] = (list(oracle.lines()), list(client.lines()))
     assert saved[8] == saved[1]
-    rounds = [json.loads(line)["round"] for line in saved[1][1]]
-    assert rounds == [0, 1, 2] * 20
+    # A unit whose dissenting round is its last stops after two agreeing
+    # rounds; every other unit asks all three.
+    requests = [(rec["round"], rec["prompt"]) for rec in map(json.loads, saved[1][1])]
+    prompts = [prompt for r, prompt in requests if r == 0]
+    asked = {prompt: 2 if _digest(prompt) % 3 == 2 else 3 for prompt in prompts}
+    assert len(prompts) == 20 and set(asked.values()) == {2, 3}
+    assert requests == [(r, prompt) for prompt in prompts for r in range(asked[prompt])]
 
 
 def test_multi_unit_findings_do_not_depend_on_jobs(services, short_waits):
@@ -253,8 +258,9 @@ def test_multi_unit_findings_do_not_depend_on_jobs(services, short_waits):
 def test_same_key_requests_take_their_responses_in_issue_order(tmp_path, jobs):
     path = tmp_path / "inference.jsonl"
     with open(path, "w", encoding="utf-8") as fh:
-        for response in (YES, NO):
-            for r in range(3):
+        # Two units whose votes split, so that each asks all three rounds.
+        for responses in ((YES, NO, YES), (NO, YES, NO)):
+            for r, response in enumerate(responses):
                 fh.write(json.dumps({"prompt": "detect", "response": response, "round": r}) + "\n")
     replay = Replay(str(path), "round")
     prompt = MetaPrompt(text="detect")
@@ -262,7 +268,7 @@ def test_same_key_requests_take_their_responses_in_issue_order(tmp_path, jobs):
         pool.submit(time.sleep, 2 * udgscan.pool.WAIT_S).result()  # start the threads
         futures = [issue(pool, query_rounds, replay, prompt, 3) for _ in range(3)]
         votes = [[v.is_vulnerable for v in f.result()] for f in futures]
-    assert votes == [[True] * 3, [False] * 3, [None] * 3]
+    assert votes == [[True, False, True], [False, True, False], [None] * 3]
 
 
 def _served(client):

@@ -13,7 +13,7 @@ from udgscan.enhance.oracle import MockResolutionOracle
 from udgscan.enhance.pipeline import enhance_graph
 from udgscan.errors import AllRoundsFailed, ClientTransportError
 from udgscan.knowledge import load_starter_kb
-from udgscan.reasoning.clients import LiveInferenceClient, MockInferenceClient
+from udgscan.reasoning.clients import RETRIES, LiveInferenceClient, MockInferenceClient
 from udgscan.reasoning.prompt import STEP_HEADERS, build_detection_prompt
 from udgscan.reasoning.votes import aggregate_votes, parse_verdict, query_rounds
 from udgscan.transcript import Recorder, Replay
@@ -94,7 +94,8 @@ def test_query_rounds_fixed_mock(el_repo):
     ctx, inv, kb = el_context(el_repo)
     prompt = build_detection_prompt(ctx, (inv.api, "CWE-74"), kb)
     votes = query_rounds(MockInferenceClient(script=[NO, NO, NO]), prompt, 3)
-    assert [v.is_vulnerable for v in votes] == [False, False, False]
+    # Two agreeing votes decide three rounds: the third is not asked.
+    assert [v.is_vulnerable for v in votes] == [False, False]
 
 
 def test_query_rounds_alternating(el_repo):
@@ -107,10 +108,11 @@ def test_query_rounds_alternating(el_repo):
 def test_query_rounds_prose_round_excluded(el_repo):
     ctx, inv, kb = el_context(el_repo)
     prompt = build_detection_prompt(ctx, (inv.api, "CWE-74"), kb)
-    votes = query_rounds(MockInferenceClient(script=[YES, "no json, just prose", YES]), prompt, 3)
+    # 0-1 with one round left is undecided, so the third round is asked.
+    votes = query_rounds(MockInferenceClient(script=[NO, "no json, just prose", NO]), prompt, 3)
     assert [v.parse_ok for v in votes] == [True, False, True]
-    agg = aggregate_votes(votes, 3)
-    assert agg.final is True and agg.low_confidence
+    agg = aggregate_votes(votes)
+    assert agg.final is False and agg.low_confidence
 
 
 def test_query_rounds_requires_odd():
@@ -170,48 +172,69 @@ class Body:
         return self.data
 
 
-@pytest.mark.parametrize(
-    "body", [b'{"choices": "\xff"}', TOO_DEEP.encode(), b"<html>"], ids=["not UTF-8", "too deep", "not JSON"]
-)
-def test_live_client_retries_a_body_it_cannot_decode(monkeypatch, body):
-    calls = []
+def _serving(monkeypatch, bodies):
+    """A live client whose endpoint answers with `bodies` in turn, the last
+    one from then on; returns it and the list of bodies served."""
+    served = []
 
     def urlopen(request, timeout):
-        calls.append(request.full_url)
-        return Body(body)
+        served.append(bodies[min(len(served), len(bodies) - 1)])
+        return Body(served[-1])
 
     monkeypatch.setattr(urllib.request, "urlopen", urlopen)
     client = LiveInferenceClient(
         endpoint="http://localhost:9/v1", model="m", api_key_env="UDGSCAN_API_KEY", temperature=0.7, seed=None
     )
+    return client, served
+
+
+@pytest.mark.parametrize(
+    "body", [b'{"choices": "\xff"}', TOO_DEEP.encode(), b"<html>"], ids=["not UTF-8", "too deep", "not JSON"]
+)
+def test_live_client_retries_a_body_it_cannot_decode(monkeypatch, body):
+    client, served = _serving(monkeypatch, [body])
     with pytest.raises(ClientTransportError):
         client.complete("prompt")
-    assert len(calls) == 3
+    assert len(served) == 3
+
+
+def test_live_client_retries_a_null_body(monkeypatch):
+    client, served = _serving(monkeypatch, [b"null", b'{"choices": [{"message": {"content": "ok"}}]}'])
+    assert client.complete("prompt") == "ok"
+    assert len(served) == 2
+
+
+def test_live_client_gives_up_on_an_always_null_body(monkeypatch):
+    client, served = _serving(monkeypatch, [b"null"])
+    with pytest.raises(ClientTransportError) as failure:
+        client.complete("prompt")
+    assert len(served) == RETRIES + 1
+    assert str(failure.value) != "None" and "null" in str(failure.value)
 
 
 def test_aggregate_majority():
     votes = [parse_verdict(YES), parse_verdict(YES), parse_verdict(NO)]
-    agg = aggregate_votes(votes, 3)
+    agg = aggregate_votes(votes)
     assert agg.final is True
     assert agg.confidence == pytest.approx(2 / 3)
 
 
 def test_aggregate_unanimous():
     votes = [parse_verdict(NO)] * 3
-    agg = aggregate_votes(votes, 3)
+    agg = aggregate_votes(votes)
     assert agg.final is False and agg.confidence == 1.0 and not agg.low_confidence
 
 
 def test_aggregate_tie_breaks_vulnerable():
     votes = [parse_verdict(YES), parse_verdict(NO), parse_verdict("garbage")]
-    agg = aggregate_votes(votes, 3)
+    agg = aggregate_votes(votes)
     assert agg.final is True and agg.low_confidence
 
 
 def test_aggregate_all_failed():
     votes = [parse_verdict("x"), parse_verdict("y"), parse_verdict("z")]
     with pytest.raises(AllRoundsFailed):
-        aggregate_votes(votes, 3)
+        aggregate_votes(votes)
 
 
 def test_aggregation_permutation_invariant():
@@ -220,7 +243,7 @@ def test_aggregation_permutation_invariant():
     base = [parse_verdict(YES), parse_verdict(NO), parse_verdict(YES)]
     outcomes = set()
     for perm in itertools.permutations(base):
-        agg = aggregate_votes(list(perm), 3)
+        agg = aggregate_votes(list(perm))
         outcomes.add((agg.final, round(agg.confidence, 9)))
     assert len(outcomes) == 1
 

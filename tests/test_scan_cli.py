@@ -319,6 +319,17 @@ def test_cli_rename_of_a_missing_repository_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("where", ["file", "under a file"])
+def test_cli_rename_into_a_path_blocked_by_a_file_is_a_config_error(el_repo, tmp_path, capsys, where):
+    blocker = tmp_path / "taken"
+    blocker.write_text("not a directory\n", encoding="utf-8")
+    out = blocker if where == "file" else blocker / "sub"
+    assert main(["rename", "--repo", el_repo, "--label", "vulnerable", "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"error: output directory {out} cannot be made: {blocker} is not a directory\n"
+    assert blocker.read_text(encoding="utf-8") == "not a directory\n"
+
+
 def test_cli_eval_toy_dataset(tmp_path, capsys):
     vuln = """package p;
 class App {

@@ -93,14 +93,16 @@ def test_recorder_writes_the_layer_tag_field(tmp_path):
 
 def test_inference_miss_is_that_rounds_unparseable_vote(tmp_path):
     yes = json.dumps({"explanation": "tainted", "is_vulnerable": True})
-    recorder = Recorder(MockInferenceClient(script=[yes, yes, yes]), "round")
+    no = json.dumps({"explanation": "sanitized", "is_vulnerable": False})
+    # Split votes, so that round 2 is asked.
+    recorder = Recorder(MockInferenceClient(script=[yes, no, yes]), "round")
     prompt = MetaPrompt(text="detect")
     query_rounds(recorder, prompt, 3)
     recorder.records.pop()  # the transcript lacks round 2
     path = tmp_path / "inference.jsonl"
     path.write_text("".join(recorder.lines()), encoding="utf-8")
     votes = query_rounds(Replay(str(path), "round"), prompt, 3)
-    assert [v.parse_ok for v in votes] == [True, True, False]
+    assert [(v.parse_ok, v.is_vulnerable) for v in votes] == [(True, True), (True, False), (False, None)]
     assert "round 2" in votes[2].raw
 
 
@@ -196,7 +198,8 @@ def test_live_scan_builds_one_client_and_records_both_layers(tmp_path, monkeypat
     resolution = [json.loads(ln) for ln in (transcripts / "resolution.jsonl").read_text().splitlines()]
     inference = [json.loads(ln) for ln in (transcripts / "inference.jsonl").read_text().splitlines()]
     assert resolution and all(isinstance(r["site"], str) for r in resolution)
-    assert [r["round"] for r in inference] == [0, 1, 2] * (len(inference) // 3)
+    # The mock's votes always agree, so every unit stops after two rounds.
+    assert inference and [r["round"] for r in inference] == [0, 1] * (len(inference) // 2)
     # Resolution requests go to the one client as round 0.
     assert client.rounds == [0] * len(resolution) + [r["round"] for r in inference]
     replayed = scan(ScanConfig(repo=config.repo, oracle_mode="replay", transcript_dir=str(transcripts)))
