@@ -106,10 +106,8 @@ def _hierarchy_text(model: RepoModel) -> str:
     lines = []
     for sub, sup in sorted(model.hierarchy.edges):
         lines.append(f"{sub} extends {sup}")
-    for cls in sorted(model.classes.values(), key=lambda c: c.name):
-        for sup in cls.supertypes:
-            if model.resolve_class(sup, cls.file) is None:
-                lines.append(f"{cls.name} extends {sup} (external)")
+    for sub, sup in sorted(model.hierarchy.external_edges, key=lambda edge: edge[0]):
+        lines.append(f"{sub} extends {sup} (external)")
     return "\n".join(lines)
 
 

@@ -1,4 +1,4 @@
-"""The type hierarchy of a parsed repository: supertypes and overrides."""
+"""The type hierarchy of a parsed repository: its supertype edges."""
 
 from __future__ import annotations
 
@@ -14,21 +14,12 @@ def build_type_hierarchy(model: RepoModel, diagnostics: DiagnosticSink | None = 
             if resolved is not None:
                 hierarchy.add_edge(cls.name, resolved.name)
             else:
-                hierarchy.external_supertypes.add(sup)
+                hierarchy.external_edges.append((cls.name, sup))
                 if diagnostics is not None:
                     diagnostics.add(
                         "info", "frontend", f"supertype {sup} of {cls.name} is external", cls.file
                     )
     _reject_cycles(hierarchy)
-    for cls in sorted(model.classes.values(), key=lambda c: c.name):
-        ancestors = hierarchy.supertypes_of(cls.name)
-        for fid in cls.methods:
-            func = model.functions[fid]
-            for anc in ancestors:
-                for base in model.find_methods(anc, func.name, func.arity):
-                    if base.param_types == func.param_types:
-                        key = (anc, func.name, func.arity)
-                        hierarchy.method_overrides.setdefault(key, []).append((cls.name, fid))
     model.hierarchy = hierarchy
     return hierarchy
 

@@ -118,9 +118,7 @@ class ClassDecl:
 @dataclass
 class TypeHierarchy:
     edges: list[tuple[str, str]] = field(default_factory=list)  # (subtype, supertype) fqn pairs
-    external_supertypes: set[str] = field(default_factory=set)
-    # (class fqn, method name, arity) -> list of (subtype fqn, function id) overrides
-    method_overrides: dict[tuple[str, str, int], list[tuple[str, str]]] = field(default_factory=dict)
+    external_edges: list[tuple[str, str]] = field(default_factory=list)  # (class fqn, supertype as written)
     # The edges as adjacency, each list in edge order; kept by `add_edge`.
     direct_supertypes: dict[str, list[str]] = field(default_factory=dict, init=False, repr=False, compare=False)
     direct_subtypes: dict[str, list[str]] = field(default_factory=dict, init=False, repr=False, compare=False)

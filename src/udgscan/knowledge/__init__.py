@@ -122,6 +122,17 @@ def _require(doc: dict, key: str, typ, where: str):
     return value
 
 
+def _arity(doc: dict, where: str) -> int | None:
+    """A KB entry's or sink's optional arity pin, which, when present, is a
+    non-negative integer (not a bool, which Python counts as one)."""
+    if "arity" not in doc:
+        return None
+    arity = doc["arity"]
+    if not isinstance(arity, int) or isinstance(arity, bool) or arity < 0:
+        raise ConfigError(f"{where}.arity: arity must be a non-negative integer")
+    return arity
+
+
 def parse_knowledge_base(doc: dict, warnings: list[str] | None = None) -> KnowledgeBase:
     kb = KnowledgeBase()
     guidelines = _require(doc, "guidelines", list, "kb")
@@ -144,9 +155,7 @@ def parse_knowledge_base(doc: dict, warnings: list[str] | None = None) -> Knowle
         cwes = _require(a, "cwes", list, where)
         if not cwes:
             raise ConfigError(f"{where}.cwes: at least one CWE per entry")
-        arity = a.get("arity")
-        if arity is not None and not isinstance(arity, int):
-            raise ConfigError(f"{where}.arity: arity must be an integer")
+        arity = _arity(a, where)
         for cwe in cwes:
             if not isinstance(cwe, str) or cwe not in kb.guidelines:
                 raise ConfigError(f"{where}.cwes: unknown guideline {cwe}")
@@ -181,7 +190,7 @@ def load_user_sinks(path: str, kb: KnowledgeBase) -> list[UserSinkSpec]:
         where = f"sinks[{i}]"
         pattern = _require(s, "function", str, where)
         cwe_id = _require(s, "cwe_id", str, where)
-        arity = s.get("arity")
+        arity = _arity(s, where)
         if "guideline" in s:
             g = s["guideline"]
             guideline = CweGuideline(

@@ -44,31 +44,28 @@ def resolve_call_site(
         cls = model.resolve_class(site.name, caller.file)
         return [] if cls is None else model.find_methods(cls.name, cls.simple_name, site.arity)
 
-    def declared_in(type_name: str) -> tuple[str, str, list[FunctionDecl]] | None:
-        """(class, declaring class, methods): the nearest of the class and
-        its supertypes that declares the site's name and arity."""
+    def declared_in(type_name: str) -> tuple[str, list[FunctionDecl]] | None:
+        """(class, methods): the methods with the site's name and arity that
+        the class declares, else those of its nearest supertype that does."""
         cls = model.resolve_class(type_name, caller.file)
         if cls is not None:
             for cname in [cls.name, *hierarchy.supertypes_of(cls.name)]:
                 found = model.find_methods(cname, site.name, site.arity)
                 if found:
-                    return cls.name, cname, found
+                    return cls.name, found
         return None
 
     def dispatch_targets(static_type: str) -> list[FunctionDecl]:
+        """The declared or inherited methods, plus each method of a
+        transitive subtype with their name, arity and parameter types."""
         declared = declared_in(static_type)
         if declared is None:
             return []
-        cls_name, definer_class, base_methods = declared
-        targets: list[FunctionDecl] = list(base_methods)
-        allowed = {cls_name, *hierarchy.subtypes_of(cls_name)}
-        for sub_class, fid in hierarchy.method_overrides.get(
-            (definer_class, site.name, site.arity), []
-        ):
-            if sub_class in allowed:
-                func = model.functions[fid]
-                if func not in targets:
-                    targets.append(func)
+        cls_name, targets = declared
+        signatures = [f.param_types for f in targets]
+        for sub in hierarchy.subtypes_of(cls_name):
+            found = model.find_methods(sub, site.name, site.arity)
+            targets += [f for f in found if f.param_types in signatures]
         return targets
 
     if site.receiver and site.receiver != "this" and site.receiver_type:
@@ -77,7 +74,7 @@ def resolve_call_site(
     # A method called on `new T(...)` is the one `T` declares or inherits.
     if site.receiver is None and site.receiver_type:
         declared = declared_in(site.receiver_type)
-        return [] if declared is None else declared[2]
+        return [] if declared is None else declared[1]
 
     if site.receiver == "this" or (site.receiver is None and "." not in site.chain):
         return dispatch_targets(caller.class_name)
@@ -90,7 +87,7 @@ def resolve_call_site(
 
     # Class-qualified call: X.m(...) resolved statically.
     declared = declared_in(site.chain.split(".")[0])
-    return [] if declared is None else declared[2]
+    return [] if declared is None else declared[1]
 
 
 def build_call_graph(

@@ -6,6 +6,7 @@ from udgscan.errors import DiagnosticSink, HierarchyCycle
 from udgscan.frontend import syntax as syn
 from udgscan.frontend.analysis import build_type_hierarchy
 from udgscan.frontend.parser import parse_repository
+from udgscan.udg.calls import build_call_graph, function_of_entry
 from udgscan.udg.graph import CONTROL_FLOW
 
 MINIMAL = """package p;
@@ -204,13 +205,18 @@ class B extends A {
         return x + 1;
     }
 }
+class K {
+    int k(A a) {
+        return a.id(1);
+    }
+}
 """
     root = write_repo(tmp_path, {"H.java": src})
     model = parse_repository(root)
     h = build_type_hierarchy(model)
     assert ("p.B", "p.A") in h.edges
-    overrides = h.method_overrides.get(("p.A", "id", 1), [])
-    assert [cls for cls, _ in overrides] == ["p.B"]
+    edges, _ = build_call_graph(model, h)
+    assert [function_of_entry(model, e.dst).class_name for e in edges] == ["p.A", "p.B"]
 
 
 def test_hierarchy_single_class_empty(tmp_path):
@@ -226,7 +232,7 @@ def test_hierarchy_external_supertype(tmp_path):
     model = parse_repository(root)
     h = build_type_hierarchy(model)
     assert h.edges == []
-    assert "HashMap" in h.external_supertypes
+    assert h.external_edges == [("p.A", "HashMap")]
 
 
 def test_hierarchy_cycle_rejected(tmp_path):

@@ -226,7 +226,8 @@ def test_normalized_hash_stability(tmp_path):
 @pytest.mark.parametrize("value", [None, 5, ["pair1"]])
 def test_a_record_field_that_is_not_a_string_is_a_config_error(tmp_path, key, value):
     path = _write_dataset(tmp_path, {"pair1": ({"App.java": VULN}, {"App.java": PATCHED})})
-    record = json.loads(open(path, encoding="utf-8").read())
+    with open(path, encoding="utf-8") as fh:
+        record = json.loads(fh.read())
     if value is None:
         del record[key]
     else:

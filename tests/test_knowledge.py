@@ -133,3 +133,39 @@ def test_user_sink_without_guideline_rejected(tmp_path):
     path.write_text(json.dumps({"sinks": [{"function": "f", "cwe_id": "CWE-1"}]}), encoding="utf-8")
     with pytest.raises(ConfigError, match=r"^sinks\[0\]: CWE-1 has no guideline and no inline override$"):
         load_user_sinks(str(path), kb)
+
+
+BAD_ARITIES = ["2", True, False, 1.5, -1, None]
+
+
+@pytest.mark.parametrize("arity", BAD_ARITIES)
+def test_kb_arity_must_be_a_non_negative_integer(arity):
+    doc = {
+        "guidelines": [{"cwe_id": "CWE-89", "title": "t", "vuln_patterns": "v", "defense_knowledge": "d"}],
+        "apis": [{"api": "executeQuery", "cwes": ["CWE-89"], "arity": arity}],
+    }
+    with pytest.raises(ConfigError, match=r"^kb\.apis\[0\]\.arity: arity must be a non-negative integer$"):
+        parse_knowledge_base(doc)
+
+
+@pytest.mark.parametrize("arity", BAD_ARITIES)
+def test_sink_arity_must_be_a_non_negative_integer(tmp_path, arity):
+    path = tmp_path / "sinks.json"
+    sink = {"function": "Dao.rawQuery", "cwe_id": "CWE-89", "arity": arity}
+    path.write_text(json.dumps({"sinks": [sink]}), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"^sinks\[0\]\.arity: arity must be a non-negative integer$"):
+        load_user_sinks(str(path), load_starter_kb())
+
+
+def test_an_integer_arity_pins_kb_entries_and_sinks(tmp_path):
+    doc = {
+        "guidelines": [{"cwe_id": "CWE-89", "title": "t", "vuln_patterns": "v", "defense_knowledge": "d"}],
+        "apis": [{"api": "executeQuery", "cwes": ["CWE-89"], "arity": 1}],
+    }
+    kb = parse_knowledge_base(doc)
+    assert [e.arity for e in kb.entries] == [1]
+    path = tmp_path / "sinks.json"
+    sinks = [{"function": "Dao.rawQuery", "cwe_id": "CWE-89", "arity": n} for n in (0, 2)]
+    sinks.append({"function": "Dao.rawQuery", "cwe_id": "CWE-89"})
+    path.write_text(json.dumps({"sinks": sinks}), encoding="utf-8")
+    assert [s.arity for s in load_user_sinks(str(path), kb)] == [0, 2, None]

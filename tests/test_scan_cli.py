@@ -215,6 +215,13 @@ def _replay_dir(tmp_path, resolution):
             lambda tmp: ["--sink", str(_write(tmp / "s.json", '{"sinks":[{"function":"X.y","cwe_id":"CWE-999"}]}'))],
             "sinks[0]: CWE-999 has no guideline and no inline override",
         ),
+        (
+            lambda tmp: [
+                "--sink",
+                str(_write(tmp / "s.json", '{"sinks":[{"function":"Dao.rawQuery","cwe_id":"CWE-89","arity":"2"}]}')),
+            ],
+            "sinks[0].arity: arity must be a non-negative integer",
+        ),
         (lambda tmp: _replay_dir(tmp, "not json\n"), "resolution.jsonl:1"),
         (lambda tmp: _replay_dir(tmp, '{"site": "a", "prompt": "p", "response": "r"}\n[]\n'), "resolution.jsonl:2"),
     ],
@@ -227,6 +234,7 @@ def _replay_dir(tmp_path, resolution):
         "sink-missing",
         "sink-string",
         "sink-cwe-without-guideline",
+        "sink-arity-a-string",
         "transcript-line-not-json",
         "transcript-line-not-an-object",
     ],
