@@ -13,6 +13,12 @@ assignments, expression/call statements, return, if/else, while, do-while,
 for, for-each, switch, labeled statements, break/continue, blocks, and
 try/catch/finally with normal-flow-only semantics.  Lambdas and method
 references are rejected per file as subset violations.
+
+Fields, locals, for-inits, for-each variables and catch parameters share
+one grammar (JLS 8.3, 14.4): a type, then declarators `name [] ... [=
+init]` split at commas outside brackets and the type arguments of a `new`.
+A for header's init and update may be expression lists, each lowered to
+one node; a multi-catch parameter takes the type of its last alternative.
 """
 
 from __future__ import annotations
@@ -214,46 +220,35 @@ class _FileParser(_Cursor):
             return f"{enclosing}.{simple}"
         return f"{self.package}.{simple}" if self.package else simple
 
-    def skip_annotations(self) -> None:
+    def skip_modifiers(self) -> None:
+        """Consume the annotations at the cursor, then the modifiers."""
         while self.at("@") and (nxt := self.peek(1)) is not None and nxt.kind == "ident":
             self.next()  # @
             self.next()  # name
             if self.at("("):
                 self.skip_balanced("(")
+        while (tok := self.peek()) is not None and tok.text in MODIFIERS:
+            self.next()
 
     def parse_type_decl(self, enclosing: str | None) -> None:
         first = self.peek()
-        self.skip_annotations()
-        while (tok := self.peek()) is not None and tok.text in MODIFIERS:
-            self.next()
-        is_annotation = False
+        self.skip_modifiers()
         if self.at("@") and (nxt := self.peek(1)) is not None and nxt.text == "interface":
             self.next()
-            is_annotation = True
         tok = self.peek()
         if tok is None or tok.text not in ("class", "interface", "enum"):
             raise SubsetViolation(self.src.path, tok.line if tok else self.eof_line, "expected a type declaration")
         if tok.text == "enum":
             raise SubsetViolation(self.src.path, tok.line, "enum declarations are outside the subset")
-        keyword = self.next()
-        name_tok = self.next()
-        simple = name_tok.text
+        self.next()
+        simple = self.next().text
         fqn = self.qualify(simple, enclosing)
         if self.at("<"):
             self.skip_type_args()
         supertypes: list[str] = []
-        if self.at("extends"):
-            self.next()
-            supertypes.append(self.parse_type())
-            while self.at(","):  # interface extends list
-                self.next()
-                supertypes.append(self.parse_type())
-        if self.at("implements"):
-            self.next()
-            supertypes.append(self.parse_type())
-            while self.at(","):
-                self.next()
-                supertypes.append(self.parse_type())
+        for keyword in ("extends", "implements"):  # an interface extends a list
+            if self.at(keyword):
+                supertypes += self.parse_type_list()
         brace = self.expect("{")
         decl_node = self.make_node("class_decl", first, brace)
         cls = ClassDecl(
@@ -268,22 +263,18 @@ class _FileParser(_Cursor):
         if enclosing is None:
             self.src.classes.append(decl_node.id)
         self.fragment.globals.append(GlobalDecl(statement=decl_node.id, class_name=fqn))
-        is_interface = keyword.text == "interface" or is_annotation
         while not self.at("}"):
             if self.peek() is None:
                 raise SubsetViolation(self.src.path, brace.line, "unterminated class body")
-            self.parse_member(cls, is_interface)
+            self.parse_member(cls)
         self.expect("}")
 
-    def parse_member(self, cls: ClassDecl, is_interface: bool) -> None:
+    def parse_member(self, cls: ClassDecl) -> None:
         if self.at(";"):
             self.next()
             return
         start = self.pos
-        self.skip_annotations()
-        mods: list[str] = []
-        while (tok := self.peek()) is not None and tok.text in MODIFIERS:
-            mods.append(self.next().text)
+        self.skip_modifiers()
         tok = self.peek()
         if tok is None:
             return
@@ -300,53 +291,31 @@ class _FileParser(_Cursor):
         first = self.tokens[start]
         # Constructor: name matches the class and is directly followed by '('.
         if tok.kind == "ident" and tok.text == cls.simple_name and (n := self.peek(1)) is not None and n.text == "(":
-            name_tok = self.next()
-            self.parse_callable(cls, first, name_tok, cls.simple_name, is_interface)
+            self.parse_callable(cls, first)
             return
         type_name = self.parse_type()
         name_tok = self.peek()
         if name_tok is None or name_tok.kind != "ident":
             raise SubsetViolation(self.src.path, tok.line, "expected a member name")
-        self.next()
-        if self.at("("):
-            self.parse_callable(cls, first, name_tok, name_tok.text, is_interface)
+        if (n := self.peek(1)) is not None and n.text == "(":
+            self.parse_callable(cls, first)
         else:
-            self.parse_field(cls, first, name_tok.text, type_name)
+            self.parse_field(cls, first, type_name)
 
-    def parse_field(self, cls: ClassDecl, first: Token, name: str, type_name: str) -> None:
-        declarators: list[tuple[str, int, int]] = [(name, 0, 0)]  # (name, initializer range)
-        while not self.at(";"):
-            tok = self.peek()
-            if tok is None:
-                raise SubsetViolation(self.src.path, first.line, "unterminated field declaration")
-            if tok.text == "=":
-                self.next()
-                start = self.pos
-                depth = 0
-                while True:
-                    t = self.peek()
-                    if t is None:
-                        raise SubsetViolation(self.src.path, first.line, "unterminated initializer")
-                    if depth == 0 and t.text in (",", ";"):
-                        break
-                    if t.text in "([{":
-                        depth += 1
-                    elif t.text in ")]}":
-                        depth -= 1
-                    self.next()
-                declarators[-1] = (declarators[-1][0], start, self.pos)
-            elif tok.text == ",":
-                self.next()
-                nxt = self.next()
-                declarators.append((nxt.text, 0, 0))
-            else:
-                raise SubsetViolation(self.src.path, tok.line, "unexpected token in field declaration")
-        last = self.next()  # ';'
-        defs = {decl_name for decl_name, _, _ in declarators}
-        node = self.make_node("global_def", first, last, defs=defs, owner="global")
+    def parse_field(self, cls: ClassDecl, first: Token, type_name: str) -> None:
+        semi = next((i for i, t in _top_level(self.tokens, self.pos, self.end) if t.text == ";"), self.end)
+        declarators, bad = _declarators(self.tokens, self.pos, semi, type_name)
+        if bad is not None and bad < self.end:
+            raise SubsetViolation(self.src.path, self.tokens[bad].line, "unexpected token in field declaration")
+        if semi == self.end:
+            what = "initializer" if bad is None and declarators[-1][2] <= declarators[-1][3] else "field declaration"
+            raise SubsetViolation(self.src.path, first.line, f"unterminated {what}")
+        self.pos = semi
+        last = self.next()
+        node = self.make_node("global_def", first, last, defs={d[0] for d in declarators}, owner="global")
         decls = []
-        for decl_name, start, end in declarators:
-            g = GlobalDecl(statement=node.id, variable=decl_name, class_name=cls.name, declared_type=type_name)
+        for decl_name, declared_type, start, end in declarators:
+            g = GlobalDecl(statement=node.id, variable=decl_name, class_name=cls.name, declared_type=declared_type)
             self.fragment.globals.append(g)
             cls.fields.append(node.id)
             decls.append((g, start, end))
@@ -368,14 +337,9 @@ class _FileParser(_Cursor):
             cur = self.fragment.classes.get(cur.enclosing) if cur.enclosing else None
         return names
 
-    def parse_callable(
-        self,
-        cls: ClassDecl,
-        first: Token,
-        name_tok: Token,
-        name: str,
-        is_interface: bool,
-    ) -> None:
+    def parse_callable(self, cls: ClassDecl, first: Token) -> None:
+        """Read the method or constructor whose name is at the cursor."""
+        name = self.next().text
         self.expect("(")
         params: list[str] = []
         param_types: list[str] = []
@@ -389,16 +353,11 @@ class _FileParser(_Cursor):
             if self.at("..."):
                 self.next()
                 ptype += "[]"
-            ptok = self.next()
-            params.append(ptok.text)
+            params.append(self.next().text)
             param_types.append(ptype)
         close = self.expect(")")
         if self.at("throws"):
-            self.next()
-            self.parse_type()
-            while self.at(","):
-                self.next()
-                self.parse_type()
+            self.parse_type_list()
         fid = f"{self.src.path}#{cls.name}.{name}/{len(params)}"
         if fid in self.fragment.functions:  # same-arity overloads
             k = 2
@@ -441,28 +400,26 @@ class _FileParser(_Cursor):
 
     # ------------------------------------------------------------------ types
 
+    def parse_type_list(self) -> list[str]:
+        """Read the keyword at the cursor and the types its commas separate."""
+        self.next()
+        types = [self.parse_type()]
+        while self.at(","):
+            self.next()
+            types.append(self.parse_type())
+        return types
+
     def parse_type(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise SubsetViolation(self.src.path, self.eof_line, "expected a type")
-        if tok.kind == "keyword" and tok.text in PRIMITIVES:
-            self.next()
-            base = tok.text
-        elif tok.kind == "ident":
-            self.next()
-            base = tok.text
-            while self.at(".") and (n := self.peek(1)) is not None and n.kind == "ident":
-                self.next()
-                base = self.next().text  # keep the simple name of a dotted type
-        else:
+        read = _read_type(self.tokens, self.pos, self.end)
+        if read is None:
+            tok = self.peek()
+            if tok is None:
+                raise SubsetViolation(self.src.path, self.eof_line, "expected a type")
             raise SubsetViolation(self.src.path, tok.line, f"expected a type, found '{tok.text}'")
-        if self.at("<"):
-            self.skip_type_args()
-        while self.at("[") and (n := self.peek(1)) is not None and n.text == "]":
-            self.next()
-            self.next()
-            base += "[]"
-        return base
+        self.pos, name = read
+        if self.pos > self.end:  # type arguments that never close
+            raise SubsetViolation(self.src.path, self.eof_line, "truncated construct")
+        return name
 
 
 class _BodyParser(_Cursor):
@@ -487,10 +444,9 @@ class _BodyParser(_Cursor):
         self.func.body.append(node.id)
         return node
 
-    def extract(self, start: int, end: int, tokens: list[Token] | None = None) -> _Expr:
-        """The uses and calls of tokens[start:end], by default the file's."""
-        expr = _Expr(self.path, self.var_types, self.fields, self.depth)
-        return expr.walk(self.tokens if tokens is None else tokens, start, end)
+    def extract(self, start: int, end: int) -> _Expr:
+        """The uses and calls of tokens[start:end]."""
+        return _Expr(self.path, self.var_types, self.fields, self.depth).walk(self.tokens, start, end)
 
     def parse_statements(self, start: int, end: int) -> list:
         """Parse tokens[start:end] as a statement list; the cursor is left at `end`."""
@@ -634,8 +590,11 @@ class _BodyParser(_Cursor):
         return syn.For(init_id, cond_id, update_id, body)
 
     def parse_for_each(self, first: Token, start: int, end: int, close: Token, colon: int):
-        var = self.tokens[colon - 1].text
-        self.var_types[var] = _type_from_tokens(self.tokens, start, colon - 1)
+        decls = _declaration(self.tokens, start, colon)
+        if decls is None or len(decls) != 1:
+            raise SubsetViolation(self.path, first.line, "malformed for header")
+        var, type_name, _, _ = decls[0]
+        self.var_types[var] = type_name
         iterable = self.extract(colon + 1, end)
         head = self.node("loop_header", first, close, iterable)
         # The update has no calls of its own, so all its uses are outside.
@@ -682,8 +641,10 @@ class _BodyParser(_Cursor):
         while self.at("catch"):
             self.next()
             start, end = self.parenthesized()
-            if end - start >= 2:
-                self.var_types[self.tokens[end - 1].text] = _type_from_tokens(self.tokens, start, end - 1)
+            # A multi-catch parameter takes the type of its last alternative.
+            bar = max((i for i in range(start, end) if self.tokens[i].text == "|"), default=start - 1)
+            for name, type_name, _, _ in _declaration(self.tokens, bar + 1, end) or ():
+                self.var_types[name] = type_name
             catches.append(self.parse_nested_block().stmts)
         finally_ = []
         if self.at("finally"):
@@ -722,23 +683,43 @@ class _BodyParser(_Cursor):
         return self.simple_from_tokens(start, end, first, last)
 
     def simple_from_tokens(self, start: int, end: int, first: Token, last: Token) -> syn.Simple:
-        """Lower the declaration, assignment, or call expression statement
-        in tokens[start:end]."""
+        """Lower the declaration in tokens[start:end], or the assignment,
+        step and call expressions its commas separate (one but in a for
+        header), to one node with the defs, uses and calls of them all."""
         toks = self.tokens
-        name = _match_declaration(toks, start, end)
-        if name is not None:
-            self.var_types[toks[name].text] = _type_from_tokens(toks, start, name)
-            init = self.extract(name + 2, end)
-            kind = "call" if init.calls else "declaration"
-            allocates = _allocated_class(toks, self.closers, name + 2, end)
-            node = self.node(kind, first, last, init, defs={toks[name].text}, allocates=allocates)
+        expr = _Expr(self.path, self.var_types, self.fields, self.depth)
+        decls = _declaration(toks, start, end)
+        if decls is not None:
+            # Each name is in scope from its own initializer on (JLS 6.3).
+            for name, type_name, init_start, init_end in decls:
+                self.var_types[name] = type_name
+                expr.walk(toks, init_start, init_end)
+            kind = "call" if expr.calls else "declaration"
+            allocates = _allocated_class(toks, self.closers, init_start, init_end) if len(decls) == 1 else ""
+            node = self.node(kind, first, last, expr, defs={d[0] for d in decls}, allocates=allocates)
             node.code = self.fp.src.text[toks[start].start : toks[end - 1].end]
             return syn.Simple(node.id)
+        lowered = []
+        while True:
+            stop = _part_end(toks, start, end)
+            lowered.append(self.lower_expression(start, stop, expr))
+            if stop == end:
+                break
+            start = stop + 1  # the next expression of a for header's list
+        defs = set().union(*(part_defs for part_defs, _ in lowered))
+        allocates = lowered[0][1] if len(lowered) == 1 else ""
+        node = self.node("call" if expr.calls else "assignment", first, last, expr, defs=defs, allocates=allocates)
+        return syn.Simple(node.id)
+
+    def lower_expression(self, start: int, end: int, expr: _Expr) -> tuple[set[str], str]:
+        """Walk the assignment, step or call expression tokens[start:end]
+        into `expr`; returns the names it defines and the class it allocates."""
+        toks = self.tokens
         eq = next((i for i, t in _top_level(toks, start, end) if t.text in _ASSIGN_OPS), None)
         if eq is not None:
             target = _dotted_name(toks, start, eq)
             defs = {target} if target else set()
-            expr = self.extract(eq + 1, end)
+            expr.walk(toks, eq + 1, end)
             if toks[eq].text != "=":  # compound assignment reads the target
                 expr.outside |= defs
             # The left side reads its subscripts and what holds its target:
@@ -746,22 +727,15 @@ class _BodyParser(_Cursor):
             sub = next((i for i, t in _top_level(toks, start, eq) if t.text == "["), eq)
             holder = sub - 2 if sub - start > 2 and toks[sub - 2].text == "." else start
             expr.walk(toks, start, holder).walk(toks, sub, eq)
-            kind = "call" if expr.calls else "assignment"
-            allocates = _allocated_class(toks, self.closers, eq + 1, end) if toks[eq].text == "=" else ""
-            node = self.node(kind, first, last, expr, defs=defs, allocates=allocates)
-            return syn.Simple(node.id)
+            return defs, _allocated_class(toks, self.closers, eq + 1, end) if toks[eq].text == "=" else ""
         if end > start and (toks[end - 1].text in _STEP_OPS or toks[start].text in _STEP_OPS):
             core = [toks[i] for i in range(start, end) if toks[i].text not in _STEP_OPS]
             target = _dotted_name(core, 0, len(core))
             defs = {target} if target else set()
-            expr = self.extract(0, len(core), core)
-            expr.outside |= defs
-            node = self.node("assignment", first, last, expr, defs=defs)
-            return syn.Simple(node.id)
-        expr = self.extract(start, end)
-        kind = "call" if expr.calls else "assignment"
-        node = self.node(kind, first, last, expr)
-        return syn.Simple(node.id)
+            expr.walk(core, 0, len(core)).outside |= defs
+            return defs, ""
+        expr.walk(toks, start, end)
+        return set(), ""
 
 
 # ---------------------------------------------------------------- token utils
@@ -769,18 +743,36 @@ class _BodyParser(_Cursor):
 
 def _top_level(tokens: list[Token], start: int, end: int):
     """Yield (index, token) for each token of tokens[start:end] at depth 0,
-    where ( and [ open and ) and ] close a group from `start` on.  A bracket
-    counts at the depth before it, so the closer of a group that opened
-    before `start` is yielded."""
+    where (, [ and { open and ), ] and } close a group from `start` on.  A
+    bracket counts at the depth before it, so the closer of a group that
+    opened before `start` is yielded."""
     depth = 0
     for i in range(start, end):
         t = tokens[i]
         if depth == 0:
             yield i, t
-        if t.text in "([":
+        if t.text in "([{":
             depth += 1
-        elif t.text in ")]":
+        elif t.text in ")]}":
             depth -= 1
+
+
+def _part_end(tokens: list[Token], start: int, end: int) -> int:
+    """Index of the first comma of tokens[start:end] outside brackets and
+    outside the type arguments of a `new`; `end` when there is none."""
+    skip = start
+    for i, t in _top_level(tokens, start, end):
+        if i < skip:
+            continue
+        if t.text == ",":
+            return i
+        if t.text == "new":
+            j = i + 1
+            while j < end and (tokens[j].kind == "ident" or tokens[j].text == "."):
+                j += 1
+            if j < end and tokens[j].text == "<":
+                skip = _type_args_close(tokens, j, end)
+    return end
 
 
 # '==' is lexed as one token, so a bare '=' among these is an assignment.
@@ -824,31 +816,61 @@ def _dotted_name(tokens: list[Token], i: int, end: int) -> str | None:
     return ".".join(parts) if parts else None
 
 
-def _match_declaration(tokens: list[Token], i: int, end: int) -> int | None:
-    """Match `[final] Type name [= init]` in tokens[i:end]; returns the
-    index of the name."""
-    if i < end and tokens[i].is_kw("final"):
-        i += 1
+def _read_type(tokens: list[Token], i: int, end: int) -> tuple[int, str] | None:
+    """Read the type at tokens[i:end]: a primitive or a dotted name, its type
+    arguments, then `[]` pairs.  Returns the index after it, past `end` when
+    the type arguments do not close, and its simple name with one `[]` per
+    dimension; None when no type starts at `i`."""
     if i >= end:
         return None
     t = tokens[i]
-    if t.kind == "keyword" and t.text in PRIMITIVES:
-        i += 1
-    elif t.kind == "ident":
-        i += 1
-        while i + 1 < end and tokens[i].text == "." and tokens[i + 1].kind == "ident":
-            i += 2
-        if i < end and tokens[i].text == "<":
-            i = _type_args_close(tokens, i, end) + 1
-    else:
+    if t.kind != "ident" and not (t.kind == "keyword" and t.text in PRIMITIVES):
         return None
-    while i + 1 < end and tokens[i].text == "[" and tokens[i + 1].text == "]":
+    name = t.text
+    i += 1
+    while i + 1 < end and tokens[i].text == "." and tokens[i + 1].kind == "ident":
+        name = tokens[i + 1].text  # keep the simple name of a dotted type
         i += 2
-    if i >= end or tokens[i].kind != "ident":
+    if i < end and tokens[i].text == "<":
+        i = _type_args_close(tokens, i, end) + 1
+    while i + 1 < end and tokens[i].text == "[" and tokens[i + 1].text == "]":
+        name += "[]"
+        i += 2
+    return i, name
+
+
+def _declarators(tokens: list[Token], i: int, end: int, type_name: str) -> tuple[list, int | None]:
+    """Read the declarators `name ([])* [= init]` that tokens[i:end] list.
+    Returns each one's (name, type with its own `[]`s, initializer range),
+    the range starting past its end when there is no `=`; and the index of
+    the first token that fits no declarator, or None when all of them fit."""
+    decls = []
+    while True:
+        if i >= end or tokens[i].kind != "ident":
+            return decls, i
+        j, dims = i + 1, ""
+        while j + 1 < end and tokens[j].text == "[" and tokens[j + 1].text == "]":
+            j, dims = j + 2, dims + "[]"
+        stop = _part_end(tokens, j + 1, end) if j < end and tokens[j].text == "=" else j
+        if stop < end and tokens[stop].text != ",":
+            return decls, stop
+        decls.append((tokens[i].text, type_name + dims, j + 1, stop))
+        if stop == end:
+            return decls, None
+        i = stop + 1
+
+
+def _declaration(tokens: list[Token], i: int, end: int) -> list | None:
+    """The declarators of the local declaration `[final] Type declarators`
+    that tokens[i:end] are, as `_declarators` reads them; None when they
+    are not one."""
+    if i < end and tokens[i].is_kw("final"):
+        i += 1
+    read = _read_type(tokens, i, end)
+    if read is None:
         return None
-    if i + 1 == end or tokens[i + 1].text == "=":
-        return i
-    return None
+    decls, bad = _declarators(tokens, read[0], end, read[1])
+    return decls if bad is None else None
 
 
 def _allocated_class(tokens: list[Token], closers: dict[int, int], start: int, end: int) -> str:
@@ -860,20 +882,6 @@ def _allocated_class(tokens: list[Token], closers: dict[int, int], start: int, e
     if closers.get(paren) != end - 1:
         return ""
     return "".join(t.text for t in tokens[start + 1 : paren]).split("<")[0]
-
-
-def _type_from_tokens(tokens: list[Token], start: int, end: int) -> str:
-    """The simple type name that tokens[start:end] declare, with `[]` when
-    any of them is a `[`."""
-    base = ""
-    for i in range(start, end):
-        t = tokens[i]
-        if t.text == "<":
-            break
-        if t.kind in ("ident", "keyword") and t.text != "final":
-            base = t.text
-    suffix = "[]" if any(tokens[i].text == "[" for i in range(start, end)) else ""
-    return base + suffix
 
 
 # --------------------------------------------------------- def/use extraction

@@ -8,12 +8,17 @@ from ..frontend.model import StatementNode
 from ..udg.graph import CALL, CONTROL_FLOW, DATA_DEPENDENCY, UdgEdge, UnifiedDependencyGraph
 
 
-def random_summary_program(seed: int, max_functions: int = 20, mixed_uses: bool = False) -> str:
+def random_summary_program(
+    seed: int, max_functions: int = 20, mixed_uses: bool = False, multi_declarators: bool = False
+) -> str:
     """One class of int functions built from declarations, if/else blocks,
     and calls to previously generated functions.  No loops: the brute-force
     oracle's path enumeration is exact on this corpus.  With `mixed_uses`,
     half the calls also use one of their arguments outside the call,
-    `a + f(a)`; the option draws random numbers only when it is on."""
+    `a + f(a)`.  With `multi_declarators`, some declarations declare two
+    variables, `int vK = e1, wK = e2;`, or `int vK, wK;` followed by an
+    assignment to each, where `e2` may read `vK`.  Each option draws random
+    numbers only when it is on."""
     rng = random.Random(seed)
     n = rng.randint(3, max_functions)
     lines = ["public class Gen {"]
@@ -28,6 +33,17 @@ def random_summary_program(seed: int, max_functions: int = 20, mixed_uses: bool 
         for k in range(n_stmts):
             var = f"v{k}"
             expr = _random_expr(rng, available, signatures, mixed_uses)
+            if multi_declarators and rng.random() < 0.4:
+                second = f"w{k}"
+                second_expr = _random_expr(rng, available + [var], signatures, mixed_uses)
+                if rng.random() < 0.5:
+                    lines.append(f"        int {var} = {expr}, {second} = {second_expr};")
+                else:
+                    lines.append(f"        int {var}, {second};")
+                    lines.append(f"        {var} = {expr};")
+                    lines.append(f"        {second} = {second_expr};")
+                available += [var, second]
+                continue
             if rng.random() < 0.25:
                 then_expr = _random_expr(rng, available, signatures, mixed_uses)
                 lines.append(f"        int {var} = {expr};")

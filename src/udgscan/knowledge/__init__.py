@@ -133,6 +133,17 @@ def _arity(doc: dict, where: str) -> int | None:
     return arity
 
 
+def _guideline(g: dict, cwe_id: str, where: str) -> CweGuideline:
+    """A KB guideline's or an inline sink guideline's text blocks, each
+    required to hold more than whitespace."""
+    title = _require(g, "title", str, where)
+    vuln = _require(g, "vuln_patterns", str, where)
+    defense = _require(g, "defense_knowledge", str, where)
+    if not vuln.strip() or not defense.strip() or not title.strip():
+        raise ConfigError(f"{where}: guideline text blocks must be non-empty")
+    return CweGuideline(cwe_id, title, vuln, defense)
+
+
 def parse_knowledge_base(doc: dict, warnings: list[str] | None = None) -> KnowledgeBase:
     kb = KnowledgeBase()
     guidelines = _require(doc, "guidelines", list, "kb")
@@ -141,12 +152,7 @@ def parse_knowledge_base(doc: dict, warnings: list[str] | None = None) -> Knowle
         cwe_id = _require(g, "cwe_id", str, where)
         if not CWE_ID_RE.match(cwe_id):
             raise ConfigError(f"{where}.cwe_id: malformed CWE id {cwe_id!r}")
-        title = _require(g, "title", str, where)
-        vuln = _require(g, "vuln_patterns", str, where)
-        defense = _require(g, "defense_knowledge", str, where)
-        if not vuln.strip() or not defense.strip() or not title.strip():
-            raise ConfigError(f"{where}: guideline text blocks must be non-empty")
-        kb.guidelines[cwe_id] = CweGuideline(cwe_id, title, vuln, defense)
+        kb.guidelines[cwe_id] = _guideline(g, cwe_id, where)
     apis = _require(doc, "apis", list, "kb")
     seen: dict[tuple[str, int | None], KbEntry] = {}
     for i, a in enumerate(apis):
@@ -192,14 +198,7 @@ def load_user_sinks(path: str, kb: KnowledgeBase) -> list[UserSinkSpec]:
         cwe_id = _require(s, "cwe_id", str, where)
         arity = _arity(s, where)
         if "guideline" in s:
-            g = s["guideline"]
-            guideline = CweGuideline(
-                cwe_id=cwe_id,
-                title=_require(g, "title", str, f"{where}.guideline"),
-                vuln_patterns=_require(g, "vuln_patterns", str, f"{where}.guideline"),
-                defense_knowledge=_require(g, "defense_knowledge", str, f"{where}.guideline"),
-            )
-            kb.guidelines.setdefault(cwe_id, guideline)
+            kb.guidelines.setdefault(cwe_id, _guideline(s["guideline"], cwe_id, f"{where}.guideline"))
         elif cwe_id not in kb.guidelines:
             raise ConfigError(f"{where}: {cwe_id} has no guideline and no inline override")
         out.append(UserSinkSpec(pattern=pattern, cwe_id=cwe_id, arity=arity))

@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 from ..context.holistic import HolisticContext
 from ..enhance.prompts import PLACEHOLDER_RE, fill_template
-from ..errors import MissingGuideline
 from ..knowledge import KnowledgeBase
 
 DETECTION_TEMPLATE = """### Problem
@@ -51,8 +50,6 @@ def build_detection_prompt(
     and the CWE guideline's two knowledge blocks."""
     api, cwe = unit
     guideline = kb.guideline_for(cwe)
-    if not guideline.vuln_patterns.strip() or not guideline.defense_knowledge.strip():
-        raise MissingGuideline(f"{cwe}: empty guideline text")
     slots = {
         "api": api,
         "cwe": cwe,

@@ -1,0 +1,201 @@
+"""One declaration grammar (JLS 8.3, 14.4): a field, a local, a for-init,
+a for-each header and a catch parameter are one type followed by
+`name [] ... [= init]` declarators, read by the same readers.  A for
+header's expression lists are lowered part by part into one node."""
+
+from conftest import parse_and_build, write_repo
+
+from udgscan.errors import DiagnosticSink
+from udgscan.frontend.analysis import build_type_hierarchy
+from udgscan.frontend.model import RepoModel
+from udgscan.frontend.parser import parse_source
+from udgscan.udg.calls import build_call_graph
+from udgscan.udg.graph import DATA_DEPENDENCY
+
+CLASS = """package p;
+import java.util.HashMap;
+import java.util.List;
+import java.util.Map;
+class A {
+%s
+    int f(int a, int b) {
+        return a;
+    }
+    void m(int x, int[][] g, List<String> names) {
+        %s
+    }
+}
+"""
+
+
+def parse(body, members=""):
+    """The model of a class whose method `m(int x, int[][] g, List<String>
+    names)` holds `body`, with `members` before it; the file must parse."""
+    model, diags = RepoModel(root=""), DiagnosticSink()
+    assert parse_source("p/A.java", CLASS % (members, body), model, diags), diags.as_dicts()
+    return model
+
+
+def statements(model):
+    """Each statement by its code, and a for header's nodes by (code, kind)."""
+    found = {}
+    for s in model.statements.values():
+        if not s.synthetic:
+            found[(s.code, s.kind) if s.code.startswith("for (") else s.code] = s
+    return found
+
+
+def scope(model):
+    return next(f for f in model.functions.values() if f.name == "m").var_types
+
+
+def test_every_declarator_of_a_local_is_declared():
+    model = parse("int i, j;\n i = x;\n int y = i + 1;\n int a = 1, b = x;\n int c = b + j;")
+    stmts = statements(model)
+    assert (stmts["int i, j"].defs, stmts["int i, j"].uses) == ({"i", "j"}, set())
+    assert stmts["int y = i + 1"].uses == {"i"}
+    both = stmts["int a = 1, b = x"]
+    assert (both.kind, both.defs, both.uses, both.outside_uses) == ("declaration", {"a", "b"}, {"x"}, {"x"})
+    assert stmts["int c = b + j"].uses == {"b", "j"}
+    assert {name: scope(model)[name] for name in "ijabc"} == dict.fromkeys("ijabc", "int")
+
+
+def test_each_name_is_in_scope_from_its_own_initializer_on():
+    """`b`'s initializer reads `a`; the node takes the uses of both
+    initializers, and their calls in declarator order."""
+    node = statements(parse("int a = f(x, x), b = a + f(a, 1);"))["int a = f(x, x), b = a + f(a, 1)"]
+    assert (node.kind, node.defs, node.uses) == ("call", {"a", "b"}, {"a", "x"})
+    assert [site.arg_vars for site in node.calls] == [[{"x"}, {"x"}], [{"a"}, set()]]
+
+
+def test_a_later_statement_depends_on_the_declarator_that_defines_what_it_reads(tmp_path):
+    files = {"p/A.java": CLASS % ("", "int i = 1, j = x;\n int y = j + 1;")}
+    model, g, _ = parse_and_build(write_repo(tmp_path, files))
+    stmts = statements(model)
+    into_y = g.in_edges(stmts["int y = j + 1"].id, DATA_DEPENDENCY)
+    assert [(e.src, e.variable) for e in into_y] == [(stmts["int i = 1, j = x"].id, "j")]
+
+
+def test_a_for_init_declares_every_declarator():
+    stmts = statements(parse("for (int k = 0, n = x; k < n; k++) {\n x = k;\n }"))
+    assert (stmts["int k = 0, n = x"].defs, stmts["int k = 0, n = x"].uses) == ({"k", "n"}, {"x"})
+    assert stmts[("for (int k = 0, n = x; k < n; k++)", "loop_header")].uses == {"k", "n"}
+
+
+def test_a_local_takes_every_dimension_and_drops_type_arguments():
+    model = parse("int[][] grid = g;\n List<int[]> ys = null;\n int row[] = g[0], cell = row[0];")
+    assert {name: scope(model)[name] for name in ("grid", "ys", "row", "cell")} == {
+        "grid": "int[][]",
+        "ys": "List",
+        "row": "int[]",
+        "cell": "int",
+    }
+
+
+def test_fields_with_generic_new_and_dimensions_after_the_name():
+    members = (
+        "    Map<String, String> m = new HashMap<String, String>(), n;\n"
+        "    int c[] = null, d = 1;\n"
+        "    int[] e = {1, 2}, h[];\n"
+    )
+    model = parse("x = 1;", members)
+    fields = {g.variable: (g.declared_type, g.rhs_uses) for g in model.globals if g.variable}
+    assert fields == {
+        "m": ("Map", set()),
+        "n": ("Map", set()),
+        "c": ("int[]", set()),
+        "d": ("int", set()),
+        "e": ("int[]", set()),
+        "h": ("int[][]", set()),
+    }
+    node = statements(model)["Map<String, String> m = new HashMap<String, String>(), n;"]
+    assert (node.defs, [(c.chain, c.arity) for c in node.calls]) == ({"m", "n"}, [("new HashMap", 0)])
+
+
+def test_a_for_each_variable_may_take_its_dimensions_after_its_name():
+    model = parse("for (int row[] : g) {\n x = row[0];\n }")
+    stmts = statements(model)
+    assert stmts[("for (int row[] : g)", "assignment")].defs == {"row"}
+    assert stmts["x = row[0];"].uses == {"row"}
+    assert scope(model)["row"] == "int[]" and "]" not in scope(model)
+
+
+def test_a_multi_catch_parameter_takes_the_type_of_its_last_alternative():
+    body = (
+        "try {\n x = 1;\n } catch (final IllegalStateException | java.io.UncheckedIOException e) {\n x = 2;\n }"
+        " catch (RuntimeException r) {\n x = 3;\n }"
+    )
+    assert {name: scope(parse(body))[name] for name in "er"} == {
+        "e": "UncheckedIOException",
+        "r": "RuntimeException",
+    }
+
+
+def test_a_single_declarator_allocation_is_kept_and_several_drop_it():
+    stmts = statements(parse("Object a = new Object();\n Object b = new Object(), c = names;"))
+    assert stmts["Object a = new Object()"].allocates == "Object"
+    assert stmts["Object b = new Object(), c = names"].allocates == ""
+
+
+def test_a_for_header_lowers_each_expression_of_its_lists():
+    model = parse("int i = 0, j = 0;\n for (i = 0, j = x - 1; i < j; i++, j--) {\n x = i + j;\n }")
+    stmts = statements(model)
+    header = "for (i = 0, j = x - 1; i < j; i++, j--)"
+    init, update = [s for s in model.statements.values() if s.code == header and s.kind == "assignment"]
+    assert (init.defs, init.uses, init.outside_uses) == ({"i", "j"}, {"x"}, {"x"})
+    assert (update.defs, update.uses, update.outside_uses) == ({"i", "j"}, {"i", "j"}, {"i", "j"})
+    assert stmts[(header, "loop_header")].uses == {"i", "j"}
+
+
+def test_a_for_header_list_keeps_its_calls_in_order_and_allocates_nothing():
+    header = "for (Object o = null, q = null; x > 0; o = new Object(), x = f(x, 1), q = o)"
+    model = parse(header + " {\n }")
+    update = [s for s in model.statements.values() if s.code == header and s.kind != "loop_header"][-1]
+    assert (update.kind, update.defs, update.uses) == ("call", {"o", "x", "q"}, {"o", "x"})
+    assert [(c.chain, c.arg_vars) for c in update.calls] == [("new Object", []), ("f", [{"x"}, set()])]
+    assert update.allocates == ""
+
+
+def test_the_update_feeds_the_next_iteration(tmp_path):
+    """The loop-carried dependences on both variables of a header list."""
+    body = "int i = 0, j = 0;\n for (i = 0, j = x - 1; i < j; i++, j--) {\n x = i + j;\n }"
+    model, g, _ = parse_and_build(write_repo(tmp_path, {"p/A.java": CLASS % ("", body)}))
+    header = "for (i = 0, j = x - 1; i < j; i++, j--)"
+    init, update = [s for s in model.statements.values() if s.code == header and s.kind == "assignment"]
+    cond = statements(model)[(header, "loop_header")]
+    into_cond = {(e.src, e.variable) for e in g.in_edges(cond.id, DATA_DEPENDENCY)}
+    assert into_cond == {(src.id, v) for src in (init, update) for v in "ij"}
+
+
+def test_an_array_initializer_in_an_argument_list_is_one_argument():
+    model = parse("int y = f(new int[]{1, 2}, x);")
+    node = statements(model)["int y = f(new int[]{1, 2}, x)"]
+    assert [(c.name, c.arity, c.arg_vars) for c in node.calls] == [("f", 2, [set(), {"x"}])]
+    edges, _ = build_call_graph(model, build_type_hierarchy(model))
+    entry = next(f.entry for f in model.functions.values() if f.name == "f")
+    assert [e.dst for e in edges if e.src == node.id] == [entry]
+
+
+def test_an_anonymous_class_body_stays_in_its_statement():
+    """Outside the subset, but it no longer splits the statement at the
+    first `;` of its body."""
+    model = parse("Runnable r = new Runnable() { public void run() { f(x, x); } };\n int z = x;")
+    code = "Runnable r = new Runnable() { public void run() { f(x, x); } }"
+    assert [s.code for s in model.statements.values() if not s.synthetic][-2:] == [code, "int z = x"]
+    assert [(c.chain, c.arity) for c in statements(model)[code].calls] == [("new Runnable", 0), ("run", 0), ("f", 2)]
+
+
+def field_errors(member):
+    model, diags = RepoModel(root=""), DiagnosticSink()
+    assert not parse_source("p/A.java", f"package p;\nclass A {{\n{member}", model, diags)
+    return [(d.line, d.message) for d in diags.items]
+
+
+def test_malformed_field_declarations_are_reported_at_their_line():
+    unexpected = "subset violation: unexpected token in field declaration"
+    assert field_errors("    int a\n    b;\n}\n") == [(4, unexpected)]
+    assert field_errors("    int a[3];\n}\n") == [(3, unexpected)]
+    assert field_errors("    int a, 5;\n}\n") == [(3, unexpected)]
+    assert field_errors("    int a = f(1,\n") == [(3, "subset violation: unterminated initializer")]
+    assert field_errors("    int a, b\n") == [(3, "subset violation: unterminated field declaration")]
+    assert field_errors("    List<String x;\n}\n") == [(4, "subset violation: truncated construct")]

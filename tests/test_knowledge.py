@@ -135,6 +135,24 @@ def test_user_sink_without_guideline_rejected(tmp_path):
         load_user_sinks(str(path), kb)
 
 
+GUIDELINE = {"title": "t", "vuln_patterns": "v", "defense_knowledge": "d"}
+
+
+@pytest.mark.parametrize("block", sorted(GUIDELINE))
+def test_a_blank_guideline_text_block_is_a_config_error(tmp_path, block):
+    """A KB guideline and an inline sink guideline are checked alike, when
+    their file is loaded."""
+    blank = {**GUIDELINE, block: " "}
+    with pytest.raises(ConfigError, match=r"^kb\.guidelines\[0\]: guideline text blocks must be non-empty$"):
+        parse_knowledge_base({"guidelines": [{"cwe_id": "CWE-89", **blank}], "apis": []})
+    path = tmp_path / "sinks.json"
+    sinks = [{"function": "f", "cwe_id": "CWE-89", "guideline": GUIDELINE}]
+    sinks.append({"function": "g", "cwe_id": "CWE-999", "guideline": blank})
+    path.write_text(json.dumps({"sinks": sinks}), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"^sinks\[1\]\.guideline: guideline text blocks must be non-empty$"):
+        load_user_sinks(str(path), parse_knowledge_base({"guidelines": [], "apis": []}))
+
+
 BAD_ARITIES = ["2", True, False, 1.5, -1, None]
 
 

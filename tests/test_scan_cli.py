@@ -222,6 +222,19 @@ def _replay_dir(tmp_path, resolution):
             ],
             "sinks[0].arity: arity must be a non-negative integer",
         ),
+        (
+            lambda tmp: [
+                "--sink",
+                str(
+                    _write(
+                        tmp / "s.json",
+                        '{"sinks":[{"function":"X.y","cwe_id":"CWE-999","guideline":'
+                        '{"title":"t","vuln_patterns":" ","defense_knowledge":"d"}}]}',
+                    )
+                ),
+            ],
+            "sinks[0].guideline: guideline text blocks must be non-empty",
+        ),
         (lambda tmp: _replay_dir(tmp, "not json\n"), "resolution.jsonl:1"),
         (lambda tmp: _replay_dir(tmp, '{"site": "a", "prompt": "p", "response": "r"}\n[]\n'), "resolution.jsonl:2"),
     ],
@@ -235,6 +248,7 @@ def _replay_dir(tmp_path, resolution):
         "sink-string",
         "sink-cwe-without-guideline",
         "sink-arity-a-string",
+        "sink-guideline-text-blank",
         "transcript-line-not-json",
         "transcript-line-not-an-object",
     ],

@@ -208,6 +208,29 @@ def test_mixed_uses_match_the_oracle():
     assert mixed >= 100
 
 
+def test_multi_declarators_match_the_oracle():
+    """Programs whose declarations declare two variables, `int v = e1, w =
+    e2;` and `int v, w;` with an assignment to each: the pipeline's
+    summaries equal the brute-force oracle's on seeds 0-59."""
+    from udgscan.frontend.model import RepoModel
+    from udgscan.frontend.parser import parse_source
+    from udgscan.udg.build import assemble_original_udg
+
+    shapes = {"split": 0, "joined": 0}
+    for seed in range(60):
+        model = RepoModel(root="")
+        text = random_summary_program(seed, multi_declarators=True)
+        assert parse_source("Gen.java", text, model, DiagnosticSink())
+        g = assemble_original_udg(model)
+        summaries = compute_all_summaries(g, model, compute_analysis_order(g, model))
+        for fid, func in model.functions.items():
+            assert summaries[fid].phi == brute_force_summary_oracle(model, func), (seed, func.name)
+        for stmt in model.statements.values():
+            if len(stmt.defs) == 2:
+                shapes["joined" if "=" in stmt.code else "split"] += 1
+    assert min(shapes.values()) >= 50
+
+
 def test_recursion_depth_stability(tmp_path):
     programs = summary_corpus(count=5)
     for src in programs[:5]:
