@@ -115,6 +115,15 @@ def compute_function_summary(
     def shift(var: str) -> int:
         return slots.setdefault(var, len(slots)) * width
 
+    group_bits: dict[frozenset[str], int] = {}  # one bit per member of each alias group
+
+    def receivers(target: str) -> int:
+        group = aliases.of(target)
+        bits = group_bits.get(group)
+        if bits is None:
+            bits = group_bits[group] = sum(1 << shift(alias) for alias in group)
+        return bits
+
     nodes = [func.entry, *func.body, func.exit]
     index = {n: i for i, n in enumerate(nodes)}
     # Per statement: None when it passes its state on unchanged, else the
@@ -137,11 +146,11 @@ def compute_function_summary(
         uses = tuple(shift(u) for u in flowing_uses(stmt, per_site, model, known))
         overwritten = receives = 0
         for target in stmt.defs:
-            receives |= 1 << shift(target)
-            if target != RETURN_VAR:
+            if target == RETURN_VAR:
+                receives |= 1 << shift(target)
+            else:
                 overwritten |= full << shift(target)
-                for alias in aliases.of(target):
-                    receives |= 1 << shift(alias)
+                receives |= receivers(target)
         transfer.append((uses, ~overwritten, receives))
 
     out = [0] * len(nodes)

@@ -14,9 +14,10 @@ for, for-each, switch, labeled statements, break/continue, blocks, and
 try/catch/finally with normal-flow-only semantics.  Lambdas and method
 references are rejected per file as subset violations.
 
-Fields, locals, for-inits, for-each variables and catch parameters share
-one grammar (JLS 8.3, 14.4): a type, then declarators `name [] ... [=
-init]` split at commas outside brackets and the type arguments of a `new`.
+Fields, locals, for-inits, for-each variables, catch parameters and
+parameters share one grammar (JLS 8.3, 14.4): annotations and modifiers in
+any order, a type, then declarators `name [] ... [= init]` split, as
+argument lists are, at commas outside brackets and `new` type arguments.
 A for header's init and update may be expression lists, each lowered to
 one node; a multi-catch parameter takes the type of its last alternative.
 """
@@ -198,10 +199,7 @@ class _FileParser(_Cursor):
             self.fragment.globals.append(GlobalDecl(statement=node.id))
             self.src.declarations.append(node.id)
         while self.peek() is not None:
-            if self.at(";"):
-                self.next()
-                continue
-            self.parse_type_decl(enclosing=None)
+            self.parse_member(None)
         # Initializers and bodies are resolved once every class and field of
         # the file is known (fields may be referenced before declaration).
         for node, cls, declarators in self.pending_fields:
@@ -220,27 +218,11 @@ class _FileParser(_Cursor):
             return f"{enclosing}.{simple}"
         return f"{self.package}.{simple}" if self.package else simple
 
-    def skip_modifiers(self) -> None:
-        """Consume the annotations at the cursor, then the modifiers."""
-        while self.at("@") and (nxt := self.peek(1)) is not None and nxt.kind == "ident":
-            self.next()  # @
-            self.next()  # name
-            if self.at("("):
-                self.skip_balanced("(")
-        while (tok := self.peek()) is not None and tok.text in MODIFIERS:
-            self.next()
-
-    def parse_type_decl(self, enclosing: str | None) -> None:
-        first = self.peek()
-        self.skip_modifiers()
-        if self.at("@") and (nxt := self.peek(1)) is not None and nxt.text == "interface":
-            self.next()
-        tok = self.peek()
-        if tok is None or tok.text not in ("class", "interface", "enum"):
-            raise SubsetViolation(self.src.path, tok.line if tok else self.eof_line, "expected a type declaration")
+    def parse_type_decl(self, first: Token, enclosing: str | None) -> None:
+        """Read the type declaration whose keyword is at the cursor and whose modifiers start at `first`."""
+        tok = self.next()
         if tok.text == "enum":
             raise SubsetViolation(self.src.path, tok.line, "enum declarations are outside the subset")
-        self.next()
         simple = self.next().text
         fqn = self.qualify(simple, enclosing)
         if self.at("<"):
@@ -269,26 +251,27 @@ class _FileParser(_Cursor):
             self.parse_member(cls)
         self.expect("}")
 
-    def parse_member(self, cls: ClassDecl) -> None:
+    def parse_member(self, cls: ClassDecl | None) -> None:
+        """Read the member of `cls` at the cursor, or at file level (`cls` None) a type declaration."""
         if self.at(";"):
             self.next()
             return
-        start = self.pos
-        self.skip_modifiers()
+        first = self.peek()
+        self.pos = _modifiers_end(self.tokens, self.closers, self.pos, self.end)
+        if self.at("@") and (n := self.peek(1)) is not None and n.text == "interface":
+            self.next()  # an annotation type is read as an interface
         tok = self.peek()
-        if tok is None:
+        if tok is not None and tok.text in ("class", "interface", "enum"):
+            self.parse_type_decl(first, cls.name if cls else None)
             return
-        if tok.text in ("class", "interface", "enum") or (
-            tok.text == "@" and (n := self.peek(1)) is not None and n.text == "interface"
-        ):
-            self.pos = start
-            self.parse_type_decl(enclosing=cls.name)
+        if cls is None:
+            raise SubsetViolation(self.src.path, tok.line if tok else self.eof_line, "expected a type declaration")
+        if tok is None:
             return
         if tok.text == "{":  # static or instance initializer: outside the subset's flow model
             self.diag.add("warning", "frontend", "initializer block skipped", self.src.path, tok.line)
             self.skip_balanced("{")
             return
-        first = self.tokens[start]
         # Constructor: name matches the class and is directly followed by '('.
         if tok.kind == "ident" and tok.text == cls.simple_name and (n := self.peek(1)) is not None and n.text == "(":
             self.parse_callable(cls, first)
@@ -340,22 +323,21 @@ class _FileParser(_Cursor):
     def parse_callable(self, cls: ClassDecl, first: Token) -> None:
         """Read the method or constructor whose name is at the cursor."""
         name = self.next().text
-        self.expect("(")
+        start = self.pos + 1
+        close = self.skip_balanced("(")
         params: list[str] = []
         param_types: list[str] = []
-        while not self.at(")"):
-            if self.at(","):
-                self.next()
-                continue
-            if self.at("final"):
-                self.next()
-            ptype = self.parse_type()
-            if self.at("..."):
-                self.next()
-                ptype += "[]"
-            params.append(self.next().text)
-            param_types.append(ptype)
-        close = self.expect(")")
+        end = self.pos - 1  # the list's ')'
+        while start < end:  # modifiers, a type, then one declarator without an initializer
+            type_start = _modifiers_end(self.tokens, self.closers, start, end)
+            i, type_name = _read_type(self.tokens, type_start, end) or (type_start, "")
+            stop = _part_end(self.tokens, i, end)
+            decls, bad = _declarators(self.tokens, i, stop, type_name)
+            if bad is not None or decls[0][2] <= decls[0][3]:
+                raise SubsetViolation(self.src.path, self.tokens[start].line, "malformed parameter")
+            params.append(decls[0][0])
+            param_types.append(decls[0][1])
+            start = stop + 1
         if self.at("throws"):
             self.parse_type_list()
         fid = f"{self.src.path}#{cls.name}.{name}/{len(params)}"
@@ -590,7 +572,7 @@ class _BodyParser(_Cursor):
         return syn.For(init_id, cond_id, update_id, body)
 
     def parse_for_each(self, first: Token, start: int, end: int, close: Token, colon: int):
-        decls = _declaration(self.tokens, start, colon)
+        decls = _declaration(self.tokens, self.closers, start, colon)
         if decls is None or len(decls) != 1:
             raise SubsetViolation(self.path, first.line, "malformed for header")
         var, type_name, _, _ = decls[0]
@@ -642,8 +624,8 @@ class _BodyParser(_Cursor):
             self.next()
             start, end = self.parenthesized()
             # A multi-catch parameter takes the type of its last alternative.
-            bar = max((i for i in range(start, end) if self.tokens[i].text == "|"), default=start - 1)
-            for name, type_name, _, _ in _declaration(self.tokens, bar + 1, end) or ():
+            bar = max((i for i, t in _top_level(self.tokens, start, end) if t.text == "|"), default=start - 1)
+            for name, type_name, _, _ in _declaration(self.tokens, self.closers, bar + 1, end) or ():
                 self.var_types[name] = type_name
             catches.append(self.parse_nested_block().stmts)
         finally_ = []
@@ -688,7 +670,7 @@ class _BodyParser(_Cursor):
         header), to one node with the defs, uses and calls of them all."""
         toks = self.tokens
         expr = _Expr(self.path, self.var_types, self.fields, self.depth)
-        decls = _declaration(toks, start, end)
+        decls = _declaration(toks, self.closers, start, end)
         if decls is not None:
             # Each name is in scope from its own initializer on (JLS 6.3).
             for name, type_name, init_start, init_end in decls:
@@ -767,11 +749,7 @@ def _part_end(tokens: list[Token], start: int, end: int) -> int:
         if t.text == ",":
             return i
         if t.text == "new":
-            j = i + 1
-            while j < end and (tokens[j].kind == "ident" or tokens[j].text == "."):
-                j += 1
-            if j < end and tokens[j].text == "<":
-                skip = _type_args_close(tokens, j, end)
+            skip = _new_type(tokens, i, end)[0]
     return end
 
 
@@ -816,11 +794,44 @@ def _dotted_name(tokens: list[Token], i: int, end: int) -> str | None:
     return ".".join(parts) if parts else None
 
 
+def _modifiers_end(tokens: list[Token], closers: dict[int, int], i: int, end: int) -> int:
+    """Index after the annotations (`@A`, `@a.b.C`, `@A(...)`) and modifiers
+    that tokens[i:end] open with, in any order; past `end` when the
+    arguments of an annotation do not close before it."""
+    while i < end:
+        if tokens[i].text in MODIFIERS:
+            i += 1
+        elif tokens[i].text == "@" and i + 1 < end and tokens[i + 1].kind == "ident":
+            i += 2
+            while i + 1 < end and tokens[i].text == "." and tokens[i + 1].kind == "ident":
+                i += 2
+            if i < end and tokens[i].text == "(":
+                i = closers.get(i, end) + 1
+        else:
+            break
+    return i
+
+
+def _new_type(tokens: list[Token], i: int, end: int) -> tuple[int, str]:
+    """Read the class of the `new` at tokens[i]: a dotted name, then its type
+    arguments.  Returns the index after them, past `end` when the type
+    arguments do not close, and the name as written ('' when there is none)."""
+    parts = []
+    i += 1
+    while i < end and (tokens[i].kind == "ident" or tokens[i].text == "."):
+        if tokens[i].kind == "ident":
+            parts.append(tokens[i].text)
+        i += 1
+    if i < end and tokens[i].text == "<":
+        i = _type_args_close(tokens, i, end) + 1
+    return i, ".".join(parts)
+
+
 def _read_type(tokens: list[Token], i: int, end: int) -> tuple[int, str] | None:
     """Read the type at tokens[i:end]: a primitive or a dotted name, its type
-    arguments, then `[]` pairs.  Returns the index after it, past `end` when
-    the type arguments do not close, and its simple name with one `[]` per
-    dimension; None when no type starts at `i`."""
+    arguments, then `[]` pairs and a varargs `...` (one more pair).  Returns
+    the index after it, past `end` when the type arguments do not close, and
+    its simple name with one `[]` per dimension; None when no type starts."""
     if i >= end:
         return None
     t = tokens[i]
@@ -836,6 +847,9 @@ def _read_type(tokens: list[Token], i: int, end: int) -> tuple[int, str] | None:
     while i + 1 < end and tokens[i].text == "[" and tokens[i + 1].text == "]":
         name += "[]"
         i += 2
+    if i < end and tokens[i].text == "...":
+        name += "[]"
+        i += 1
     return i, name
 
 
@@ -860,13 +874,11 @@ def _declarators(tokens: list[Token], i: int, end: int, type_name: str) -> tuple
         i = stop + 1
 
 
-def _declaration(tokens: list[Token], i: int, end: int) -> list | None:
-    """The declarators of the local declaration `[final] Type declarators`
-    that tokens[i:end] are, as `_declarators` reads them; None when they
-    are not one."""
-    if i < end and tokens[i].is_kw("final"):
-        i += 1
-    read = _read_type(tokens, i, end)
+def _declaration(tokens: list[Token], closers: dict[int, int], i: int, end: int) -> list | None:
+    """The declarators of the declaration `modifiers Type declarators` that
+    tokens[i:end] are, as `_declarators` reads them; None when they are not
+    one."""
+    read = _read_type(tokens, _modifiers_end(tokens, closers, i, end), end)
     if read is None:
         return None
     decls, bad = _declarators(tokens, read[0], end, read[1])
@@ -878,10 +890,8 @@ def _allocated_class(tokens: list[Token], closers: dict[int, int], start: int, e
     and nothing else, with any type arguments dropped; '' otherwise."""
     if start >= end or not tokens[start].is_kw("new"):
         return ""
-    paren = next((i for i in range(start + 1, end) if tokens[i].text == "("), end)
-    if closers.get(paren) != end - 1:
-        return ""
-    return "".join(t.text for t in tokens[start + 1 : paren]).split("<")[0]
+    paren, written = _new_type(tokens, start, end)
+    return written if paren < end and tokens[paren].text == "(" and closers.get(paren) == end - 1 else ""
 
 
 # --------------------------------------------------------- def/use extraction
@@ -949,28 +959,20 @@ class _Expr:
 
     def _new(self, i: int, end: int, uses: set[str]) -> int:
         toks = self.toks
-        j = i + 1
-        type_parts = []
-        while j < end and (toks[j].kind == "ident" or toks[j].text == "."):
-            if toks[j].kind == "ident":
-                type_parts.append(toks[j].text)
-            j += 1
-        if j < end and toks[j].text == "<":
-            j = _type_args_close(toks, j, end) + 1
+        j, written = _new_type(toks, i, end)
         if j < end and toks[j].text == "(":
             arg_vars, close = self._arguments(j, end, uses)
-            written = ".".join(type_parts)
             self.calls.append(
                 CallSite(
                     chain=f"new {written}",
-                    name=type_parts[-1] if type_parts else "?",
+                    name=written.rpartition(".")[2] or "?",
                     arity=len(arg_vars),
                     arg_vars=arg_vars,
                     is_constructor=True,
                 )
             )
             j = close + 1
-            if type_parts and _chained_call(toks, j, end):
+            if written and _chained_call(toks, j, end):
                 # `new T(...).m(...)`: the receiver, unnamed, is exactly a `T`.
                 name = toks[j + 1].text
                 return self._chained(f"new {written}().{name}", name, None, written, j + 2, end, uses)
@@ -1039,22 +1041,19 @@ class _Expr:
             paren = j + 2
 
     def _arguments(self, paren: int, end: int, uses: set[str]) -> tuple[list[set[str]], int]:
-        """Walk the argument list opening at toks[paren], whose arguments
-        `_top_level` bounds; returns each argument's uses and the index of
-        the `)` (or `]`) that closes the list."""
+        """Walk the argument list opening at toks[paren], split as declarators
+        are (`_part_end`); returns each argument's uses and the index of the
+        first `)` or `]` that closes the list."""
         toks = self.toks
+        close = next((i for i, t in _top_level(toks, paren + 1, end) if t.text in ")]"), None)
+        if close is None:
+            raise SubsetViolation(self.path, toks[paren].line, "unbalanced argument list")
         bounds = []
         start = paren + 1
-        for i, t in _top_level(toks, start, end):
-            if t.text == ",":
-                bounds.append((start, i))
-                start = i + 1
-            elif t.text in ")]":
-                break
-        else:
-            raise SubsetViolation(self.path, toks[paren].line, "unbalanced argument list")
-        if i > start:
-            bounds.append((start, i))
+        while start < close:  # a comma ends an argument, even an empty one
+            stop = _part_end(toks, start, close)
+            bounds.append((start, stop))
+            start = stop + 1
         if bounds and self.depth + self.level == MAX_NESTING:
             raise SubsetViolation(self.path, toks[paren].line, f"nesting deeper than {MAX_NESTING}")
         parent = uses if self.level else self.inside
@@ -1066,7 +1065,7 @@ class _Expr:
             parent |= arg
             arg_vars.append(arg)
         self.level -= 1
-        return arg_vars, i
+        return arg_vars, close
 
     def _is_cast(self, i: int, end: int) -> bool:
         toks = self.toks

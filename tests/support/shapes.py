@@ -17,6 +17,19 @@ def extends_chain(n: int) -> dict[str, str]:
     return {"p/Chain.java": "package p;\n" + "\n".join(classes) + "\n"}
 
 
+def alias_group(n: int) -> dict[str, str]:
+    """One method whose locals `a0` … `a{n-1}` each copy the parameter `q`,
+    so all n + 1 share one alias group, and whose one SQL sink reads them
+    all."""
+    copies = "".join(f"        String a{i} = q;\n" for i in range(n))
+    query = " + ".join(f"a{i}" for i in range(n))
+    return {
+        "p/Aliases.java": "package p;\nimport java.sql.Statement;\nclass Aliases {\n"
+        f"    void run(Statement st, String q) throws Exception {{\n{copies}"
+        f"        st.executeQuery({query});\n    }}\n}}\n"
+    }
+
+
 def override_chain(n: int) -> dict[str, str]:
     """Classes `C0` … `C{n-1}`, each extending the one before and overriding
     `m`, and each calling `m` on a `C0`: every call site dispatches to all n

@@ -1,7 +1,11 @@
 """One declaration grammar (JLS 8.3, 14.4): a field, a local, a for-init,
-a for-each header and a catch parameter are one type followed by
-`name [] ... [= init]` declarators, read by the same readers.  A for
-header's expression lists are lowered part by part into one node."""
+a for-each header, a catch parameter and a parameter are annotations and
+modifiers in any order, one type, and `name [] ... [= init]` declarators,
+read by the same readers.  A for header's expression lists are lowered
+part by part into one node."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import parse_and_build, write_repo
 
@@ -199,3 +203,115 @@ def test_malformed_field_declarations_are_reported_at_their_line():
     assert field_errors("    int a = f(1,\n") == [(3, "subset violation: unterminated initializer")]
     assert field_errors("    int a, b\n") == [(3, "subset violation: unterminated field declaration")]
     assert field_errors("    List<String x;\n}\n") == [(4, "subset violation: truncated construct")]
+
+
+def test_annotated_final_and_dimensioned_parameters_are_read():
+    members = (
+        "    void p(@Deprecated String s) {\n    }\n"
+        "    void q(final @A String s, @a.b.C(k = {1, 2}) int... rest) {\n    }\n"
+        "    void r(int a[], Map<String, List<String>> m) {\n    }\n"
+    )
+    model = parse("x = 1;", members)
+    params = {f.name: list(f.var_types.items()) for f in model.functions.values() if f.name in "pqr"}
+    assert params == {
+        "p": [("s", "String")],
+        "q": [("s", "String"), ("rest", "int[]")],
+        "r": [("a", "int[]"), ("m", "Map")],
+    }
+
+
+def test_an_annotated_local_is_declared():
+    model = parse('@SuppressWarnings("unused") int a = x;\n final @A int c = x;\n int b = a + c + 1;')
+    stmts = statements(model)
+    assert [stmts[code].defs for code in ('@SuppressWarnings("unused") int a = x', "final @A int c = x")] == [
+        {"a"},
+        {"c"},
+    ]
+    assert stmts["int b = a + c + 1"].uses == {"a", "c"}
+
+
+def test_an_annotated_catch_parameter_and_for_each_variable_are_declared():
+    body = (
+        "try {\n x = 1;\n } catch (@A IllegalStateException e) {\n x = e.hashCode();\n }\n"
+        " for (@A String y : names) {\n x = y.length();\n }"
+    )
+    model = parse(body)
+    stmts = statements(model)
+    assert {name: scope(model)[name] for name in "ey"} == {"e": "IllegalStateException", "y": "String"}
+    assert stmts[("for (@A String y : names)", "assignment")].defs == {"y"}
+    assert (stmts["x = e.hashCode();"].uses, stmts["x = y.length();"].uses) == ({"e"}, {"y"})
+
+
+def test_a_field_with_an_annotation_after_a_modifier_and_a_qualified_annotation_are_read():
+    model = parse("x = 1;", "    private @Deprecated String s = null;\n    @org.junit.Test void t() {\n    }\n")
+    assert [(g.variable, g.declared_type) for g in model.globals if g.variable] == [("s", "String")]
+    assert any(f.name == "t" for f in model.functions.values())
+
+
+def test_an_argument_holding_a_generic_new_is_one_argument():
+    model = parse("int y = g(new Box<String, String>(x));", "    int g(Object o) {\n        return 1;\n    }\n")
+    node = statements(model)["int y = g(new Box<String, String>(x))"]
+    assert [(c.chain, c.arity, c.arg_vars) for c in node.calls] == [("new Box", 1, [{"x"}]), ("g", 1, [{"x"}])]
+    edges, _ = build_call_graph(model, build_type_hierarchy(model))
+    entry = next(f.entry for f in model.functions.values() if f.name == "g")
+    assert [e.dst for e in edges if e.src == node.id] == ["external:Box/1", entry]
+
+
+# Every declaration site of one method, each opened by a prefix; a prefix
+# and what follows it share a line, so no line number moves.
+SITES = """package p;
+class A {
+    %(field)s int f = 1, h;
+    int m(%(param)s int x, %(varargs)s String... ys) {
+        %(local)s int a = x + f, b = g(a);
+        for (%(init)s int i = 0, j = a; i < j; i++) {
+            b = i;
+        }
+        for (%(each)s String y : ys) {
+            a = a + y.length();
+        }
+        try {
+            a = g(a);
+        } catch (%(catch)s RuntimeException e) {
+            a = e.hashCode();
+        }
+        return a + b;
+    }
+    int g(int z) {
+        return z;
+    }
+}
+"""
+ANNOTATIONS = ["@A", "@a.b.C", "@A()", "@A(x)", '@A("s, t")', "@A(k = 1, v = {x, 2})", "@p.B(g(x), y)"]
+FIELD_MODIFIERS = "public protected private static final transient volatile".split()
+
+
+def facts(src):
+    """What a scan reads of `src`'s statements, functions and fields: all but
+    the code and text of each node."""
+    model, diags = RepoModel(root=""), DiagnosticSink()
+    assert parse_source("p/A.java", src, model, diags), diags.as_dicts()
+    nodes = [
+        (s.id, s.kind, s.start_line, s.end_line, s.defs, s.uses, s.outside_uses, s.calls, s.allocates)
+        for s in model.statements.values()
+    ]
+    functions = [(f.id, f.params, f.param_types, f.var_types) for f in model.functions.values()]
+    fields = [(g.statement, g.variable, g.declared_type, g.rhs_uses) for g in model.globals]
+    return nodes, functions, fields
+
+
+def _prefixes(modifiers):
+    return st.lists(st.sampled_from(ANNOTATIONS + modifiers), max_size=4).map(" ".join)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(
+    st.fixed_dictionaries(
+        {
+            "field": _prefixes(FIELD_MODIFIERS),
+            **{site: _prefixes(["final"]) for site in ("param", "varargs", "local", "init", "each", "catch")},
+        }
+    )
+)
+def test_annotations_and_modifiers_change_no_fact_of_any_declaration_site(prefixes):
+    assert facts(SITES % prefixes) == facts(SITES % dict.fromkeys(prefixes, ""))

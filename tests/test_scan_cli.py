@@ -121,6 +121,21 @@ def test_two_findings_of_one_statement_and_cwe_keep_their_own_ids(tmp_path):
     assert len({f.context_file for f in result.findings}) == 2
 
 
+def test_an_annotated_controller_parameter_reaches_its_sink(tmp_path):
+    """A Spring-style handler: the annotated parameter no longer makes the
+    file a subset violation, so its command sink is found."""
+    src = (
+        "package web;\nclass CommandController {\n"
+        '    @RequestMapping("/run")\n'
+        '    String run(@RequestParam("cmd") String cmd) throws Exception {\n'
+        "        Runtime.getRuntime().exec(cmd);\n"
+        '        return "ok";\n    }\n}\n'
+    )
+    result = scan(ScanConfig(repo=write_repo(tmp_path, {"web/CommandController.java": src}), oracle_mode="mock"))
+    assert (result.exit_code, result.report["stats"]["files"]) == (EXIT_OK, 1)
+    assert [(f.api, f.cwe, f.line) for f in result.findings] == [("java.lang.Runtime.exec", "CWE-78", 5)]
+
+
 def test_scan_determinism_replay(el_repo, tmp_path):
     transcripts = tmp_path / "t"
     out1 = tmp_path / "o1"

@@ -7,10 +7,21 @@ recorded call edge instead of per run.
 
 import time
 
+import pytest
+
 from conftest import write_repo
 from support import shapes
 
 from udgscan.harness.scan import ScanConfig, scan
+
+# (generator, n, bound on the time ratio of 4n to n, call edges at n or
+# None).  A row with call edges is output-bound: its count is checked at
+# both sizes and the ratio is taken of the time per call edge.
+SHAPES = [
+    (shapes.extends_chain, 200, 8, None),
+    (shapes.alias_group, 400, 8, None),
+    (shapes.override_chain, 40, 1.5, lambda n: n * n),
+]
 
 
 def best_scan(tmp_path, files: dict[str, str]) -> tuple[float, dict]:
@@ -25,15 +36,11 @@ def best_scan(tmp_path, files: dict[str, str]) -> tuple[float, dict]:
     return best, result.report["stats"]["edges"]
 
 
-def test_extends_chain_scales_linearly(tmp_path):
-    small, _ = best_scan(tmp_path / "small", shapes.extends_chain(200))
-    large, _ = best_scan(tmp_path / "large", shapes.extends_chain(800))
-    assert large / small < 8, (small, large)
-
-
-def test_override_chain_costs_the_same_per_call_edge(tmp_path):
-    small, small_edges = best_scan(tmp_path / "small", shapes.override_chain(40))
-    large, large_edges = best_scan(tmp_path / "large", shapes.override_chain(160))
-    assert (small_edges["call"], large_edges["call"]) == (40 * 40, 160 * 160)
-    per_edge_ratio = (large / large_edges["call"]) / (small / small_edges["call"])
-    assert per_edge_ratio < 1.5, (small, large)
+@pytest.mark.parametrize("shape, n, bound, call_edges", SHAPES, ids=[row[0].__name__ for row in SHAPES])
+def test_a_shape_at_4n_costs_about_4x(tmp_path, shape, n, bound, call_edges):
+    small, small_edges = best_scan(tmp_path / "small", shape(n))
+    large, large_edges = best_scan(tmp_path / "large", shape(4 * n))
+    if call_edges is not None:
+        assert (small_edges["call"], large_edges["call"]) == (call_edges(n), call_edges(4 * n))
+        small, large = small / call_edges(n), large / call_edges(4 * n)
+    assert large / small < bound, (small, large)
