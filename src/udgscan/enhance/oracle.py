@@ -167,6 +167,8 @@ class MockResolutionOracle:
     in the context.
     """
 
+    in_process = True  # answers without waiting: `udgscan.pool.issue` asks it at once
+
     def complete(self, prompt: str, site: str = "") -> str:
         if "polymorphic call statement" in prompt:
             return self._polymorphic(prompt)

@@ -260,6 +260,8 @@ class _FileParser(_Cursor):
         self.pos = _modifiers_end(self.tokens, self.closers, self.pos, self.end)
         if self.at("@") and (n := self.peek(1)) is not None and n.text == "interface":
             self.next()  # an annotation type is read as an interface
+        if self.at("<"):  # a generic method's or constructor's type parameters
+            self.skip_type_args()
         tok = self.peek()
         if tok is not None and tok.text in ("class", "interface", "enum"):
             self.parse_type_decl(first, cls.name if cls else None)
@@ -340,6 +342,8 @@ class _FileParser(_Cursor):
             start = stop + 1
         if self.at("throws"):
             self.parse_type_list()
+        if self.at("default"):  # an annotation element's default value
+            self.pos = next((i for i, t in _top_level(self.tokens, self.pos, self.end) if t.text == ";"), self.end)
         fid = f"{self.src.path}#{cls.name}.{name}/{len(params)}"
         if fid in self.fragment.functions:  # same-arity overloads
             k = 2

@@ -86,9 +86,10 @@ class ScanConfig:
     api_key_env: str = "UDGSCAN_API_KEY"
     temperature: float = 0.7  # vote diversity across rounds
     seed: int | None = None
-    # The most model requests in flight at once, after one has waited on its
-    # endpoint (`udgscan.pool`).  The threads wait on I/O, so the default
-    # does not depend on the CPU count; outputs do not depend on it.
+    # The most model requests in flight at once to a layer that waits on an
+    # endpoint; in-process layers answer on the scan thread (`udgscan.pool`).
+    # The threads wait on I/O, so the default does not depend on the CPU
+    # count; outputs do not depend on it.
     jobs: int = 8
 
     def validate(self) -> None:

@@ -5,19 +5,19 @@ Code that asks a model issues a batch of calls in a fixed order with
 outcomes back in that order, so that nothing it decides depends on which
 call finishes first: only the calls overlap.  Reading the outcomes in
 issue order also re-raises the first failure in that order.
+
+Where a call runs is decided by the layer it asks.  A layer whose class
+sets `in_process = True` answers inside the interpreter and waits on
+nothing, like the offline mocks and a transcript replay, so its calls run
+at once on the issuing thread: under the interpreter lock other threads
+would overlap none of their work and cost a hand-off each.  Any other
+layer, such as a live endpoint or one a caller hands to `scan()`, is
+taken to wait, and its calls go to the pool's threads.
 """
 
 from __future__ import annotations
 
-import time
-
-from .transcript import Recorder, Replay
-
-# A call whose wall time exceeds its thread's CPU time by this much waited on
-# something outside the interpreter, such as a model endpoint: far longer
-# than the host usually takes the CPU away from a thread, far shorter than
-# a model takes to answer.
-WAIT_S = 0.01
+from .transcript import Recorder
 
 
 class _Done:
@@ -40,15 +40,14 @@ class _Done:
 class RequestPool:
     """Runs the request calls of one scan, at most `jobs` at once.
 
-    Calls run at once on the calling thread until one of them waits; from
-    then on they run on a thread pool.  Under the interpreter lock threads
-    overlap only waiting, so calls that compute, like the offline mocks',
-    would gain nothing from them and pay a hand-off between threads each.
+    The threads start at the first call submitted, which `issue` does only
+    for a layer that waits; with `jobs` 1 calls run at once on the calling
+    thread, since one thread would overlap nothing.
     """
 
     def __init__(self, jobs: int):
         self.jobs = jobs
-        self.executor = None  # started after the first call that waits
+        self.executor = None  # started by the first call submitted
 
     def __enter__(self) -> RequestPool:
         return self
@@ -59,36 +58,30 @@ class RequestPool:
             self.executor.shutdown(cancel_futures=True)
 
     def submit(self, fn, *args):
-        if self.executor is not None:
-            return self.executor.submit(fn, *args)
-        return _Done(self._timed, (fn, *args))
+        if self.jobs == 1:
+            return _Done(fn, args)
+        if self.executor is None:
+            # Imported here: loading the CLI, and a scan whose layers all
+            # run in-process, do not need it.
+            from concurrent.futures import ThreadPoolExecutor
 
-    def _timed(self, fn, *args):
-        wall, cpu = time.perf_counter(), time.thread_time()
-        try:
-            return fn(*args)
-        finally:
-            waited = time.perf_counter() - wall - (time.thread_time() - cpu)
-            if waited > WAIT_S and self.jobs > 1:
-                # Imported here: loading the CLI, and a scan whose requests
-                # never wait, do not need it.
-                from concurrent.futures import ThreadPoolExecutor
-
-                self.executor = ThreadPoolExecutor(self.jobs, thread_name_prefix="udgscan-request")
+            self.executor = ThreadPoolExecutor(self.jobs, thread_name_prefix="udgscan-request")
+        return self.executor.submit(fn, *args)
 
 
 def issue(pool: RequestPool | None, fn, layer, *args):
     """Start `fn(layer, *args)`, whose requests go to `layer`, on `pool`,
-    or at once when `pool` is None, and return its future.
+    or at once when `pool` is None or `layer` runs in-process, and return
+    its future.
 
     A `Recorder` records the call's requests, in the order it makes them,
-    at this place of its transcript, wherever and whenever it runs.  A
-    `Replay` waits on nothing, so its requests are always made at once:
-    requests that share a (tag, prompt) key then take their responses in
-    issue order.
+    at this place of its transcript, wherever and whenever it runs.  Since
+    a `Replay` runs in-process, its requests are made in issue order:
+    requests that share a (tag, prompt) key take their responses in that
+    order.
     """
     if isinstance(layer, Recorder):
         layer = layer.reserve()
-    if pool is None or isinstance(layer, Replay):
+    if pool is None or getattr(layer, "in_process", False):
         return _Done(fn, (layer, *args))
     return pool.submit(fn, layer, *args)

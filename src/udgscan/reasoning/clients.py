@@ -34,9 +34,11 @@ class MockInferenceClient:
     units concurrently, so that order is defined only within one unit's
     rounds: a multi-unit scan needs a responder, a function whose response
     is a pure function of (prompt, round).  The default always votes
-    non-vulnerable.
+    non-vulnerable.  A responder that waits still runs on the issuing
+    thread: wrap it in a layer without `in_process` to run it on the pool.
     """
 
+    in_process = True  # answers without waiting: `udgscan.pool.issue` asks it at once
     script: list[str] | None = None
     responder: Callable[[str, int], str] | None = None
     _cursor: int = 0

@@ -30,6 +30,8 @@ class Recorder:
     def __init__(self, inner, tag_field: str):
         self.inner = inner
         self.tag_field = tag_field
+        # Recording waits on nothing: the inner layer decides where its calls run.
+        self.in_process = getattr(inner, "in_process", False)
         # One record per request made here, and one `Recorder` per place
         # reserved here, which holds the records of the requests made there.
         self.records: list[dict | Recorder] = []
@@ -56,6 +58,8 @@ class Recorder:
 
 
 class Replay:
+    in_process = True  # `udgscan.pool.issue` makes its requests at once
+
     def __init__(self, path: str, tag_field: str):
         self.name = os.path.basename(path)
         self.tag_field = tag_field

@@ -43,3 +43,15 @@ def override_chain(n: int) -> dict[str, str]:
             f"    int call{i}(C0 b) {{\n        return b.m({i});\n    }}\n}}"
         )
     return {"p/Overrides.java": "package p;\n" + "\n".join(classes) + "\n"}
+
+
+def conditional_redefinitions(n: int) -> dict[str, str]:
+    """One method `f(int p)` whose local `x` is defined once and then
+    redefined under n conditions, each reading it.  Any condition may be
+    false, so every definition reaches every later read of `x`: with the
+    n reads of `p` the method has (n + 1)(n + 2) / 2 + n data edges."""
+    branches = "".join(f"        if (p > {i}) {{\n            x = x + {i};\n        }}\n" for i in range(n))
+    return {
+        "p/Redefinitions.java": "package p;\nclass Redefinitions {\n    int f(int p) {\n"
+        f"        int x = 0;\n{branches}        return x;\n    }}\n}}\n"
+    }

@@ -8,6 +8,7 @@ failing only in a benchmark run.
 
 import os
 import sys
+import threading
 import time
 
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
@@ -19,7 +20,6 @@ import workloads  # noqa: E402
 
 from conftest import fixture_path, write_repo  # noqa: E402
 
-import udgscan.pool  # noqa: E402
 from udgscan.enhance.oracle import MockResolutionOracle  # noqa: E402
 from udgscan.errors import DiagnosticSink  # noqa: E402
 from udgscan.frontend.model import RepoModel  # noqa: E402
@@ -57,21 +57,29 @@ def test_bench_checks_parse_one_file_at_a_time():
     assert 0 <= prunable <= statements and statements > 0
 
 
-class WaitingOracle(MockResolutionOracle):
-    """Answers like the mock after a wait, as an endpoint does, so that the
-    scan starts its request threads."""
+class WaitingOracle:
+    """Answers like the mock after a wait, as an endpoint does.  It does not
+    run in-process, so the scan runs its requests on the request threads;
+    `threads` holds the name of the thread of each."""
 
-    def complete(self, prompt, site=""):
-        time.sleep(2 * udgscan.pool.WAIT_S)
-        return super().complete(prompt, site)
+    def __init__(self):
+        self.inner = MockResolutionOracle()
+        self.threads = []
+
+    def complete(self, prompt, site):
+        self.threads.append(threading.current_thread().name)
+        time.sleep(0.02)
+        return self.inner.complete(prompt, site)
 
 
 def test_a_threaded_scan_runs_every_traced_boundary():
     tracer = spans.Tracer()
     with tracer.installed():
         with tracer.span(spans.SCAN):
-            result = scan(ScanConfig(repo=fixture_path("reflective_dispatch")), resolution_oracle=WaitingOracle())
+            oracle = WaitingOracle()
+            result = scan(ScanConfig(repo=fixture_path("reflective_dispatch")), resolution_oracle=oracle)
     assert result.exit_code == 0 and result.findings
+    assert oracle.threads and all(name.startswith("udgscan-request") for name in oracle.threads)
     spans.profile(tracer)  # raises MissingBoundary for a boundary that never ran
 
 

@@ -1,5 +1,6 @@
 """What a scan imports depends on the mode it runs in: an offline scan loads
-no network, TLS or hashing stack, and no executor while no request waits."""
+no network, TLS or hashing stack, and, since the mocks and a replay answer
+in-process, no executor."""
 
 import json
 import os

@@ -248,6 +248,31 @@ def test_a_field_with_an_annotation_after_a_modifier_and_a_qualified_annotation_
     assert any(f.name == "t" for f in model.functions.values())
 
 
+def _parsed(path, text):
+    model, diags = RepoModel(root=""), DiagnosticSink()
+    assert parse_source(path, text, model, diags), diags.as_dicts()
+    return model
+
+
+def test_generic_methods_and_constructors_are_read():
+    model = _parsed("A.java", "class A { <T> T id(T x) { return x; } int f(int y) { return y; } }")
+    functions = {f.name: f for f in model.functions.values()}
+    assert sorted(functions) == ["f", "id"]
+    assert functions["id"].param_types == ["T"]
+    model = _parsed("B.java", "class B { public <T extends Comparable<T>> B(T x) { } }")
+    assert [(f.name, f.params) for f in model.functions.values()] == [("B", ["x"])]
+
+
+def test_an_annotation_element_may_take_a_default():
+    model = _parsed(
+        "Tag.java",
+        '@interface Tag {\n    String value() default "x";\n    int[] ids() default {1, 2};\n    int n();\n}\n',
+    )
+    functions = {f.name: f for f in model.functions.values()}
+    assert sorted(functions) == ["ids", "n", "value"]
+    assert all(f.is_abstract for f in functions.values())
+
+
 def test_an_argument_holding_a_generic_new_is_one_argument():
     model = parse("int y = g(new Box<String, String>(x));", "    int g(Object o) {\n        return 1;\n    }\n")
     node = statements(model)["int y = g(new Box<String, String>(x))"]

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -15,8 +16,8 @@ from conftest import FIXTURES, fixture_path, write_repo
 from udgscan.enhance.oracle import MockResolutionOracle
 from udgscan.errors import ClientTransportError
 from udgscan.harness.cli import main
+from udgscan.harness import scan as scan_module
 from udgscan.harness.scan import EXIT_CONFIG, EXIT_OK, EXIT_ORACLE, ScanConfig, scan
-import udgscan.pool
 from udgscan.pool import RequestPool, issue
 from udgscan.reasoning.clients import MockInferenceClient
 from udgscan.reasoning.prompt import MetaPrompt
@@ -37,28 +38,33 @@ def _jitter(prompt: str, tag) -> None:
     time.sleep((_digest(f"{tag}{prompt}") % 5 + 1) / 1000.0)
 
 
-@pytest.fixture
-def short_waits(monkeypatch):
-    """A scan starts its request threads after a wait of half a millisecond,
-    so that jittered requests run on them."""
-    monkeypatch.setattr(udgscan.pool, "WAIT_S", 0.0005)
+class Waiting:
+    """`inner`'s answers after a jittered wait, like an endpoint's.  It does
+    not run in-process, so a scan with `jobs` > 1 sends its requests to the
+    request threads; `threads` gets the name of the thread of each."""
+
+    def __init__(self, inner, threads: list[str]):
+        self.inner = inner
+        self.threads = threads
+
+    def complete(self, prompt, tag):
+        self.threads.append(threading.current_thread().name)
+        _jitter(prompt, tag)
+        return self.inner.complete(prompt, tag)
+
+
+def _on_request_threads(threads: list[str]) -> bool:
+    return bool(threads) and all(name.startswith("udgscan-request") for name in threads)
 
 
 @pytest.fixture
-def waiting_mocks(monkeypatch, short_waits):
-    """The offline mocks, answering after a jittered wait."""
-    oracle, client = MockResolutionOracle.complete, MockInferenceClient.complete
-
-    def oracle_complete(self, prompt, site=""):
-        _jitter(prompt, site)
-        return oracle(self, prompt, site)
-
-    def client_complete(self, prompt, round_index=0):
-        _jitter(prompt, round_index)
-        return client(self, prompt, round_index)
-
-    monkeypatch.setattr(MockResolutionOracle, "complete", oracle_complete)
-    monkeypatch.setattr(MockInferenceClient, "complete", client_complete)
+def waiting_mocks(monkeypatch):
+    """A scan's offline mocks, each wrapped in `Waiting`; returns the list
+    of the threads their requests ran on."""
+    threads: list[str] = []
+    monkeypatch.setattr(scan_module, "MockResolutionOracle", lambda: Waiting(MockResolutionOracle(), threads))
+    monkeypatch.setattr(scan_module, "MockInferenceClient", lambda: Waiting(MockInferenceClient(), threads))
+    return threads
 
 
 def _service(f: int) -> str:
@@ -153,7 +159,11 @@ def _scan(repo, out_dir, jobs, **kw):
 def test_fixture_outputs_do_not_depend_on_jobs(name, tmp_path, waiting_mocks):
     repo = fixture_path(name)
     _, one = _scan(repo, tmp_path / "1", 1, transcript_dir=str(tmp_path / "1" / "t"))
+    assert set(waiting_mocks) <= {threading.current_thread().name}
+    waiting_mocks.clear()
     _, eight = _scan(repo, tmp_path / "8", 8, transcript_dir=str(tmp_path / "8" / "t"))
+    # The dispatch and pruning fixtures make no request.
+    assert not waiting_mocks or _on_request_threads(waiting_mocks)
     assert "report.json" in one and "udg.dot" in one
     assert one == eight
 
@@ -171,10 +181,13 @@ def test_services_repo_exercises_every_request_kind(services):
 def test_transcripts_do_not_depend_on_jobs_and_replay_at_any(services, tmp_path, waiting_mocks):
     outputs, transcripts = {}, {}
     for jobs in (4, 1):
+        waiting_mocks.clear()
         t = tmp_path / f"t{jobs}"
         result, outputs[jobs] = _scan(services, tmp_path / f"out{jobs}", jobs, transcript_dir=str(t))
         assert result.exit_code == EXIT_OK
         transcripts[jobs] = _outputs(t)
+        if jobs > 1:
+            assert _on_request_threads(waiting_mocks)
     assert sorted(transcripts[1]) == ["inference.jsonl", "resolution.jsonl"]
     assert transcripts[4] == transcripts[1]
     assert outputs[4] == outputs[1]
@@ -198,42 +211,74 @@ def test_transcripts_do_not_depend_on_jobs_and_replay_at_any(services, tmp_path,
 
 def _responder(prompt: str, round_index: int) -> str:
     """Half the units are vulnerable; one round of each unit dissents."""
-    _jitter(prompt, round_index)
     digest = _digest(prompt)
     return YES if (digest % 2 == 0) != (digest % 3 == round_index) else NO
 
 
-def _client():
-    return MockInferenceClient(responder=_responder)
+def _client(threads: list[str]):
+    return Waiting(MockInferenceClient(responder=_responder), threads)
 
 
-def test_requests_start_threads_once_one_waits():
-    def compute(x):
-        return sum(range(1000)) + x
+class Endpoint:
+    """A layer that sets no `in_process`: one that may wait."""
 
-    def wait(x):
-        time.sleep(2 * udgscan.pool.WAIT_S)
-        return x
+    def complete(self, prompt, tag):
+        time.sleep(0.05)
+        return prompt
 
+
+def _sleep_and_name(layer) -> str:
+    layer.complete("p", 0)
+    return threading.current_thread().name
+
+
+def _name(layer) -> str:
+    return threading.current_thread().name
+
+
+def test_a_layer_that_may_wait_starts_the_request_threads_at_its_first_call():
     with RequestPool(8) as pool:
-        assert [pool.submit(compute, i).result() for i in range(50)] == [499500 + i for i in range(50)]
+        start = time.perf_counter()
+        futures = [issue(pool, _sleep_and_name, Endpoint()) for _ in range(2)]
+        names = [f.result(timeout=10) for f in futures]
+        took = time.perf_counter() - start
+    assert _on_request_threads(names)
+    assert took < 0.09  # the two sleeps overlapped
+
+
+def test_in_process_layers_run_on_the_calling_thread(tmp_path):
+    path = tmp_path / "inference.jsonl"
+    path.write_text("", encoding="utf-8")
+    layers = [
+        MockResolutionOracle(),
+        MockInferenceClient(),
+        Replay(str(path), "round"),
+        Recorder(MockInferenceClient(), "round"),
+        Recorder(MockResolutionOracle(), "site"),
+    ]
+    here = threading.current_thread().name
+    with RequestPool(8) as pool:
+        assert [issue(pool, _name, layer).result() for layer in layers] == [here] * len(layers)
         assert pool.executor is None
-        assert pool.submit(wait, 1).result() == 1  # made at once, and it waited
-        assert pool.executor is not None
-        futures = [pool.submit(wait, i) for i in range(8)]
-        assert [f.result(timeout=10) for f in futures] == list(range(8))
+
+
+def test_one_job_never_starts_threads():
+    here = threading.current_thread().name
     with RequestPool(1) as pool:
-        assert pool.submit(wait, 1).result() == 1
+        assert issue(pool, _name, Endpoint()).result() == here
+        assert issue(pool, _name, Recorder(Endpoint(), "round")).result() == here
         assert pool.executor is None  # one thread would overlap nothing
 
 
-def test_recorded_requests_keep_issue_order_whatever_finishes_first(services, waiting_mocks):
-    saved = {}
+def test_recorded_requests_keep_issue_order_whatever_finishes_first(services):
+    saved, threads = {}, []
     for jobs in (1, 8):
-        oracle = Recorder(MockResolutionOracle(), "site")
-        client = Recorder(_client(), "round")
+        oracle = Recorder(Waiting(MockResolutionOracle(), threads), "site")
+        client = Recorder(_client(threads), "round")
+        threads.clear()
         scan(ScanConfig(repo=services, jobs=jobs), inference_client=client, resolution_oracle=oracle)
         saved[jobs] = (list(oracle.lines()), list(client.lines()))
+    assert _on_request_threads(threads)
     assert saved[8] == saved[1]
     # A unit whose dissenting round is its last stops after two agreeing
     # rounds; every other unit asks all three.
@@ -244,11 +289,13 @@ def test_recorded_requests_keep_issue_order_whatever_finishes_first(services, wa
     assert requests == [(r, prompt) for prompt in prompts for r in range(asked[prompt])]
 
 
-def test_multi_unit_findings_do_not_depend_on_jobs(services, short_waits):
-    reports = []
+def test_multi_unit_findings_do_not_depend_on_jobs(services):
+    reports, threads = [], []
     for jobs in (1, 8):
-        result = scan(ScanConfig(repo=services, jobs=jobs), inference_client=_client())
+        threads.clear()
+        result = scan(ScanConfig(repo=services, jobs=jobs), inference_client=_client(threads))
         reports.append(result.report)
+    assert _on_request_threads(threads)
     assert reports[0] == reports[1]
     verdicts = {f["verdict"] for f in reports[0]["findings"]}
     assert verdicts == {"vulnerable", "not_vulnerable"}
@@ -265,7 +312,6 @@ def test_same_key_requests_take_their_responses_in_issue_order(tmp_path, jobs):
     replay = Replay(str(path), "round")
     prompt = MetaPrompt(text="detect")
     with RequestPool(jobs) as pool:
-        pool.submit(time.sleep, 2 * udgscan.pool.WAIT_S).result()  # start the threads
         futures = [issue(pool, query_rounds, replay, prompt, 3) for _ in range(3)]
         votes = [[v.is_vulnerable for v in f.result()] for f in futures]
     assert votes == [[True, False, True], [False, True, False], [None] * 3]
@@ -293,14 +339,16 @@ def test_a_script_serves_each_response_once_across_threads():
     assert served.count(None) == 1000
 
 
-class FailingOracle(MockResolutionOracle):
-    """The mock oracle, with the transport failing for chosen sites."""
+class FailingOracle(Waiting):
+    """The waiting mock oracle, with the transport failing for chosen sites."""
 
-    def __init__(self, failing):
+    def __init__(self, failing, threads):
+        super().__init__(MockResolutionOracle(), threads)
         self.failing = failing
 
-    def complete(self, prompt, site=""):
+    def complete(self, prompt, site):
         if site in self.failing:
+            self.threads.append(threading.current_thread().name)
             _jitter(prompt, site)
             raise ClientTransportError(f"endpoint dropped {site}")
         return super().complete(prompt, site)
@@ -318,9 +366,11 @@ class FailingOracle(MockResolutionOracle):
 def test_oracle_transport_failure_mid_batch(services, failing, waiting_mocks):
     reports = []
     for jobs in (1, 8):
-        result = scan(ScanConfig(repo=services, jobs=jobs), resolution_oracle=FailingOracle(failing))
+        waiting_mocks.clear()
+        result = scan(ScanConfig(repo=services, jobs=jobs), resolution_oracle=FailingOracle(failing, waiting_mocks))
         assert result.exit_code == EXIT_ORACLE
         reports.append(result.report)
+    assert _on_request_threads(waiting_mocks)
     assert reports[0] == reports[1]
     assert reports[0]["fatal"] == f"endpoint dropped {failing[0]}"
     *before, last = [d["message"] for d in reports[0]["diagnostics"]]

@@ -2,7 +2,7 @@
 
 Each shape is scanned in-process with the mock oracle, best of three runs
 per size.  A shape whose output grows faster than its input is bounded per
-recorded call edge instead of per run.
+recorded edge of the type it multiplies instead of per run.
 """
 
 import time
@@ -14,13 +14,14 @@ from support import shapes
 
 from udgscan.harness.scan import ScanConfig, scan
 
-# (generator, n, bound on the time ratio of 4n to n, call edges at n or
-# None).  A row with call edges is output-bound: its count is checked at
-# both sizes and the ratio is taken of the time per call edge.
+# (generator, n, bound on the time ratio of 4n to n, None or (edge type,
+# edges of that type at n)).  A row with an edge type is output-bound: its
+# count is checked at both sizes and the ratio is taken of the time per edge.
 SHAPES = [
     (shapes.extends_chain, 200, 8, None),
     (shapes.alias_group, 400, 8, None),
-    (shapes.override_chain, 40, 1.5, lambda n: n * n),
+    (shapes.override_chain, 40, 1.5, ("call", lambda n: n * n)),
+    (shapes.conditional_redefinitions, 100, 1.5, ("data_dependency", lambda n: (n + 1) * (n + 2) // 2 + n)),
 ]
 
 
@@ -36,11 +37,12 @@ def best_scan(tmp_path, files: dict[str, str]) -> tuple[float, dict]:
     return best, result.report["stats"]["edges"]
 
 
-@pytest.mark.parametrize("shape, n, bound, call_edges", SHAPES, ids=[row[0].__name__ for row in SHAPES])
-def test_a_shape_at_4n_costs_about_4x(tmp_path, shape, n, bound, call_edges):
+@pytest.mark.parametrize("shape, n, bound, output", SHAPES, ids=[row[0].__name__ for row in SHAPES])
+def test_a_shape_at_4n_costs_about_4x(tmp_path, shape, n, bound, output):
     small, small_edges = best_scan(tmp_path / "small", shape(n))
     large, large_edges = best_scan(tmp_path / "large", shape(4 * n))
-    if call_edges is not None:
-        assert (small_edges["call"], large_edges["call"]) == (call_edges(n), call_edges(4 * n))
-        small, large = small / call_edges(n), large / call_edges(4 * n)
+    if output is not None:
+        kind, edges = output
+        assert (small_edges[kind], large_edges[kind]) == (edges(n), edges(4 * n))
+        small, large = small / edges(n), large / edges(4 * n)
     assert large / small < bound, (small, large)
