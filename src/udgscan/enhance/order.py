@@ -20,6 +20,7 @@ class SccComponent:
 class AnalysisSequence:
     components: list[SccComponent] = field(default_factory=list)
     component_of: dict[str, int] = field(default_factory=dict)
+    called: set[str] = field(default_factory=set)  # functions some call edge targets
 
     def __iter__(self):
         return iter(self.components)
@@ -96,7 +97,7 @@ def compute_analysis_order(g: UnifiedDependencyGraph, model: RepoModel) -> Analy
     order: every cross-component callee precedes its callers."""
     fcg = function_call_graph(g, model)
     components = tarjan_scc(fcg)
-    seq = AnalysisSequence()
+    seq = AnalysisSequence(called=set().union(*fcg.values()))
     for i, members in enumerate(components):
         recursive = len(members) > 1 or members[0] in fcg[members[0]]
         comp = SccComponent(members=tuple(members), recursive=recursive)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_string
 
 from ..context.slicing import data_slice
 from ..errors import DiagnosticSink, OracleParseError
@@ -18,6 +19,7 @@ from ..frontend.model import (
 )
 from ..pool import RequestPool, issue
 from ..udg.calls import call_statements, function_of_entry, is_invocation_pattern, site_targets
+from ..udg.ddg import build_ddg
 from ..udg.graph import CALL, CONTROL_FLOW, DATA_DEPENDENCY, UdgEdge, UnifiedDependencyGraph
 from .oracle import FOLD_CAP, ConstantFolder, ResolutionOracle, _split_top, extract_json_object, fold_concat
 from .prompts import (
@@ -48,6 +50,16 @@ class AuditEntry:
             "pass": self.pass_name,
             "variable": self.variable,
         }
+
+    def json_line(self) -> str:
+        """`json.dumps(self.as_dict(), sort_keys=True)` and a newline, without
+        the encoder that each `json.dumps` call builds."""
+        variable = "null" if self.variable is None else _json_string(self.variable)
+        return (
+            f'{{"dst": {_json_string(self.dst)}, "op": {_json_string(self.op)}, '
+            f'"pass": {_json_string(self.pass_name)}, "src": {_json_string(self.src)}, '
+            f'"tau": {_json_string(self.tau)}, "variable": {variable}}}\n'
+        )
 
 
 def add_global_nodes(
@@ -470,14 +482,26 @@ def _ask_reflective(
 def reconstruct_labeled_jumps(
     g: UnifiedDependencyGraph,
     targets: list[JumpTarget],
+    model: RepoModel,
     audit: list[AuditEntry] | None = None,
 ) -> None:
     """Add a control-flow edge to `g` from each labeled jump to its resolved
-    successor."""
+    successor, then the data edges the new paths bring: reaching definitions
+    are solved again over the enhanced control flow of each function that
+    gained an edge."""
+    owners: set[str] = set()
     for t in sorted(targets, key=lambda t: t.jump):
         edge = UdgEdge(src=t.jump, dst=t.resolved_successor, tau=CONTROL_FLOW)
-        if g.add_edge(edge) and audit is not None:
-            audit.append(AuditEntry("add", CONTROL_FLOW, t.jump, t.resolved_successor, "control_flow"))
+        if g.add_edge(edge):
+            owners.add(model.stmt(t.jump).owner)
+            if audit is not None:
+                audit.append(AuditEntry("add", CONTROL_FLOW, t.jump, t.resolved_successor, "control_flow"))
+    for fid in sorted(owners):
+        func = model.functions[fid]
+        cfg_edges = [e for n in (func.entry, *func.body, func.exit) for e in g.out_edges(n, CONTROL_FLOW)]
+        for edge in build_ddg(func, model, cfg_edges):
+            if g.add_edge(edge) and audit is not None:
+                audit.append(AuditEntry("add", DATA_DEPENDENCY, edge.src, edge.dst, "control_flow", edge.variable))
 
 
 def _diag(diagnostics: DiagnosticSink | None, severity: str, message: str, stmt: StatementNode) -> None:

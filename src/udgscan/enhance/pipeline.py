@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from ..errors import DiagnosticSink
@@ -26,7 +27,7 @@ from .summaries import FunctionSummary, compute_all_summaries
 class EnhancementResult:
     graph: UnifiedDependencyGraph
     audit: list[AuditEntry] = field(default_factory=list)
-    summaries: dict[str, FunctionSummary] = field(default_factory=dict)
+    summaries: Mapping[str, FunctionSummary] = field(default_factory=dict)
     order: AnalysisSequence | None = None
 
     def audit_counts(self) -> dict[str, int]:
@@ -57,7 +58,7 @@ def enhance_graph(
     enhance_polymorphic_calls(g, oracle, model, diagnostics, audit, pool)
     enhance_reflective_calls(g, oracle, model, diagnostics, audit, pool)
     targets = jump_targets if jump_targets is not None else resolve_label_targets(model, diagnostics)
-    reconstruct_labeled_jumps(g, targets, audit)
+    reconstruct_labeled_jumps(g, targets, model, audit)
     order = compute_analysis_order(g, model)
     summaries = compute_all_summaries(g, model, order)
     prune_data_edges(g, summaries, model, audit)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+
 from ..frontend.model import RepoModel
 from ..udg.calls import call_statements, site_targets
 from ..udg.graph import DATA_DEPENDENCY, UnifiedDependencyGraph
@@ -11,7 +13,7 @@ from .summaries import FunctionSummary, flowing_uses
 
 def prune_data_edges(
     g: UnifiedDependencyGraph,
-    summaries: dict[str, FunctionSummary],
+    summaries: Mapping[str, FunctionSummary],
     model: RepoModel,
     audit: list[AuditEntry] | None = None,
 ) -> None:

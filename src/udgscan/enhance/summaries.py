@@ -12,6 +12,7 @@ rule.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
 from ..frontend.model import RETURN_VAR, FunctionDecl, RepoModel
@@ -188,7 +189,7 @@ def compute_function_summary(
     return FunctionSummary(func.id, {p: bool(ret_taint >> bit[p] & 1) for p in func.params})
 
 
-def flowing_uses(stmt, per_site, model: RepoModel, summaries: dict[str, FunctionSummary]) -> set[str]:
+def flowing_uses(stmt, per_site, model: RepoModel, summaries: Mapping[str, FunctionSummary]) -> set[str]:
     """The uses of `stmt` that can reach its value, given each call site's
     targets (`per_site`, from `site_targets`) and the callee summaries.
 
@@ -224,9 +225,9 @@ def fixed_point_scc(
     g: UnifiedDependencyGraph,
     model: RepoModel,
     known: dict[str, FunctionSummary],
-    aliases_by_func: dict[str, AliasSets],
 ) -> dict[str, FunctionSummary]:
     """Chaotic iteration from all-false summaries until no phi flips."""
+    aliases = {fid: build_alias_sets(model.functions[fid], model) for fid in scc_members}
     for fid in scc_members:
         func = model.functions[fid]
         known[fid] = FunctionSummary(fid, {p: False for p in func.params})
@@ -235,25 +236,65 @@ def fixed_point_scc(
         changed = False
         for fid in scc_members:
             func = model.functions[fid]
-            summary = compute_function_summary(func, g, model, known, aliases_by_func.get(fid))
+            summary = compute_function_summary(func, g, model, known, aliases[fid])
             if summary.phi != known[fid].phi:
                 known[fid] = summary
                 changed = True
     return {fid: known[fid] for fid in scc_members}
 
 
+class SummaryTable(Mapping[str, FunctionSummary]):
+    """Every function's summary by function id, in analysis order.
+
+    `compute_all_summaries` solves the functions some call edge targets.
+    Any other function's summary is computed the first time it is read and
+    then kept.  Such a function's callees are all called, so already solved,
+    and the passes after summarising remove only data edges, so it sees the
+    control-flow and call edges the eager pass saw and gets the same phi.
+    """
+
+    def __init__(
+        self,
+        g: UnifiedDependencyGraph,
+        model: RepoModel,
+        order: AnalysisSequence,
+        solved: dict[str, FunctionSummary],
+    ):
+        self._g = g
+        self._model = model
+        self._ids = order.component_of  # every function, in analysis order
+        self._solved = solved
+
+    def __getitem__(self, fid: str) -> FunctionSummary:
+        summary = self._solved.get(fid)
+        if summary is None:
+            if fid not in self._ids:
+                raise KeyError(fid)
+            func = self._model.functions[fid]
+            summary = self._solved[fid] = compute_function_summary(func, self._g, self._model, self._solved)
+        return summary
+
+    def __contains__(self, fid: object) -> bool:
+        return fid in self._ids
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._ids)
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+
 def compute_all_summaries(
     g: UnifiedDependencyGraph, model: RepoModel, order: AnalysisSequence
-) -> dict[str, FunctionSummary]:
-    aliases_by_func = {
-        fid: build_alias_sets(model.functions[fid], model) for fid in model.functions
-    }
-    known: dict[str, FunctionSummary] = {}
+) -> SummaryTable:
+    """Solve, callees first, each component that holds a function some call
+    edge targets (every recursive one does); the other functions' summaries
+    are computed when first read (see `SummaryTable`)."""
+    solved: dict[str, FunctionSummary] = {}
     for comp in order:
         if comp.recursive:
-            fixed_point_scc(comp.members, g, model, known, aliases_by_func)
-        else:
-            fid = comp.members[0]
-            func = model.functions[fid]
-            known[fid] = compute_function_summary(func, g, model, known, aliases_by_func.get(fid))
-    return known
+            fixed_point_scc(comp.members, g, model, solved)
+        elif comp.members[0] in order.called:
+            func = model.functions[comp.members[0]]
+            solved[func.id] = compute_function_summary(func, g, model, solved)
+    return SummaryTable(g, model, order, solved)

@@ -165,18 +165,21 @@ class SourceFile:
     declarations: list[str] = field(default_factory=list)  # package_decl/import_decl statement ids
     classes: list[str] = field(default_factory=list)  # class_decl statement ids of top-level classes
     trivia: list[bool] = field(default_factory=list)  # per line: no token but { } ( ) ; , starts there
-    numbered: list[str] = field(default_factory=list)  # per line n: f"{n}| {line}", as contexts show it
     package: str = ""
     imports: list[str] = field(default_factory=list)  # single-type imports, e.g. "q.Dao"
 
     def __post_init__(self):
         if not self.lines:
             self.lines = self.text.split("\n")
-        if not self.numbered:
-            self.numbered = [f"{n}| {line}" for n, line in enumerate(self.lines, 1)]
 
     def slice_lines(self, start: int, end: int) -> str:
         return "\n".join(self.lines[start - 1 : end])
+
+    @cached_property
+    def numbered(self) -> list[str]:
+        """Per line n: f"{n}| {line}", as contexts show it, built the first
+        time the file is rendered."""
+        return [f"{n}| {line}" for n, line in enumerate(self.lines, 1)]
 
     @cached_property
     def words(self) -> list[int]:

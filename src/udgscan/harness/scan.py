@@ -454,7 +454,7 @@ def _write_outputs(config, report, contexts, names: _Names, enh, g_e) -> None:
     _rewrite(os.path.join(config.out_dir, "report.json"), json.dumps(report, indent=2, sort_keys=True) + "\n")
     _rewrite(
         os.path.join(config.out_dir, "audit.jsonl"),
-        "".join(json.dumps(entry.as_dict(), sort_keys=True) + "\n" for entry in enh.audit),
+        "".join(entry.json_line() for entry in enh.audit),
     )
     if config.dump_context:
         for inv_id, ctx in contexts.items():

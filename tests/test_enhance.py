@@ -389,7 +389,7 @@ class J {
     targets = resolve_label_targets(model)
     jump = next(s for s in model.statements.values() if s.kind == "jump")
     assert not g.out_edges(jump.id, CONTROL_FLOW)
-    reconstruct_labeled_jumps(g, targets)
+    reconstruct_labeled_jumps(g, targets, model)
     succs = [e.dst for e in g.out_edges(jump.id, CONTROL_FLOW)]
     assert len(succs) == 1
     assert model.stmt(succs[0]).kind == "assignment"  # the for-update node
@@ -398,8 +398,41 @@ class J {
 def test_zero_jumps_graph_unchanged(dispatch_repo):
     model, g, _ = parse_and_build(dispatch_repo)
     before = {e.key() for e in g.edges}
-    reconstruct_labeled_jumps(g, [])
+    reconstruct_labeled_jumps(g, [], model)
     assert {e.key() for e in g.edges} == before
+
+
+def test_reconstructed_jump_brings_its_data_edges(tmp_path):
+    """The definition before a `continue outer` reaches the sink only along
+    the reconstructed edge, so only a DDG over the enhanced CFG has it."""
+    src = """package p;
+import java.sql.Statement;
+class J {
+    void run(Statement st, String[] rows) {
+        String q = "a";
+        outer: for (int i = 0; i < 3; i++) {
+            for (int j = 0; j < rows.length; j++) {
+                if (j == 1) {
+                    q = rows[j];
+                    continue outer;
+                }
+            }
+            q = "b";
+        }
+        st.executeQuery(q);
+    }
+}
+"""
+    root = write_repo(tmp_path, {"J.java": src})
+    model, g, diags = parse_and_build(root)
+    enh = enhance_graph(model, g, MockResolutionOracle(), diags)
+    sink = _stmt_at(model, 15)
+    into_sink = enh.graph.in_edges(sink.id, DATA_DEPENDENCY)
+    assert sorted(model.stmt(e.src).start_line for e in into_sink if e.variable == "q") == [5, 9, 13]
+    jumped = _stmt_at(model, 9)
+    assert AuditEntry("add", DATA_DEPENDENCY, jumped.id, sink.id, "control_flow", "q") in enh.audit
+    # The original graph keeps the dead end's view.
+    assert not g.has_edge(jumped.id, sink.id, DATA_DEPENDENCY)
 
 
 # ------------------------------------------------------------------ ordering
@@ -522,3 +555,21 @@ def test_truncation_cap(tmp_path):
     assert truncated and len(nodes) == 60
     # Oldest-first truncation keeps the definitions nearest the call site.
     assert nodes[-1].start_line > nodes[0].start_line
+
+
+# ------------------------------------------------------------------ audit lines
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["n12", 'say "hi"', "back\\slash", "tab\tnewline\nbell\x07nul\x00del\x7f", "héllo ☃ \U0001d11e", ""],
+    ids=["plain", "quotes", "backslash", "control", "non-ascii", "empty"],
+)
+def test_audit_line_is_the_sorted_json_dump(text):
+    entries = [
+        AuditEntry("add", DATA_DEPENDENCY, f"src:{text}", f"{text}:dst", text, variable)
+        for variable in (None, text, f"v{text}")
+    ]
+    entries.append(AuditEntry(text, text, text, text, text, text))
+    for entry in entries:
+        assert entry.json_line() == json.dumps(entry.as_dict(), sort_keys=True) + "\n"

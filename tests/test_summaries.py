@@ -19,7 +19,7 @@ from udgscan.udg.graph import DATA_DEPENDENCY
 def summarize(root_or_repo, tmp_path=None, files=None):
     root = root_or_repo if files is None else write_repo(tmp_path, files)
     model, g, _ = parse_and_build(root)
-    reconstruct_labeled_jumps(g, resolve_label_targets(model))
+    reconstruct_labeled_jumps(g, resolve_label_targets(model), model)
     order = compute_analysis_order(g, model)
     summaries = compute_all_summaries(g, model, order)
     return model, g, summaries
