@@ -81,9 +81,4 @@ def find_sensitive_invocations(
                         cwes=[sink.cwe_id],
                         origin="user_sink",
                     )
-    callee_name = lambda inv: inv.api  # noqa: E731
-    ordered = sorted(
-        found.values(),
-        key=lambda inv: (g.nodes[inv.statement].sort_key(), callee_name(inv)),
-    )
-    return ordered
+    return sorted(found.values(), key=lambda inv: (g.nodes[inv.statement].sort_key(), inv.api))

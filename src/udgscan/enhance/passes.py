@@ -19,7 +19,7 @@ from ..frontend.model import (
 )
 from ..pool import RequestPool, issue
 from ..udg.calls import call_statements, function_of_entry, is_invocation_pattern, site_targets
-from ..udg.ddg import build_ddg
+from ..udg.ddg import build_ddg, control_flow_edges
 from ..udg.graph import CALL, CONTROL_FLOW, DATA_DEPENDENCY, UdgEdge, UnifiedDependencyGraph
 from .oracle import FOLD_CAP, ConstantFolder, ResolutionOracle, _split_top, extract_json_object, fold_concat
 from .prompts import (
@@ -498,8 +498,7 @@ def reconstruct_labeled_jumps(
                 audit.append(AuditEntry("add", CONTROL_FLOW, t.jump, t.resolved_successor, "control_flow"))
     for fid in sorted(owners):
         func = model.functions[fid]
-        cfg_edges = [e for n in (func.entry, *func.body, func.exit) for e in g.out_edges(n, CONTROL_FLOW)]
-        for edge in build_ddg(func, model, cfg_edges):
+        for edge in build_ddg(func, model, control_flow_edges(g, func)):
             if g.add_edge(edge) and audit is not None:
                 audit.append(AuditEntry("add", DATA_DEPENDENCY, edge.src, edge.dst, "control_flow", edge.variable))
 

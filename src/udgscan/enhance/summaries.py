@@ -1,30 +1,31 @@
 """Parameter-to-return dependency summaries via taint-style reachability.
 
 Each function is summarized by a boolean map: does the return value
-data-depend on each formal parameter?  Taint seeds at the parameters and
-propagates along the enhanced control-flow edges with per-statement transfer
-functions.  At a call statement, `flowing_uses` decides which uses reach the
-value: callee summaries apply at in-repo call sites, external calls
-conservatively pass on every argument.  Data-edge pruning applies the same
-rule.
+data-depend on each formal parameter?  Taint seeds at the parameters, as
+the entry's gen, and propagates along the enhanced control-flow edges
+through the solver reaching definitions use (`udg.ddg.solve`), with one
+transfer rule: a statement that defines nothing passes its state on, and
+one that defines something keeps what it does not overwrite and taints its
+receivers with what its flowing uses carry.  At a call statement,
+`flowing_uses` decides which uses reach the value: callee summaries apply
+at in-repo call sites, external calls conservatively pass on every
+argument.  Data-edge pruning applies the same rule.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
 from ..frontend.model import RETURN_VAR, FunctionDecl, RepoModel
 from ..udg.calls import function_of_entry, site_targets
-from ..udg.graph import CONTROL_FLOW, UnifiedDependencyGraph
+from ..udg.ddg import control_flow_edges, flow_graph, solve
+from ..udg.graph import UnifiedDependencyGraph
 from .order import AnalysisSequence
 
 PRIMITIVE_TYPES = frozenset(
     "boolean byte char double float int long short void".split()
 )
-# Statements whose taint state flows through unchanged.
-PASS_THROUGH_KINDS = frozenset(("condition", "loop_header", "label", "entry", "exit"))
 
 
 @dataclass
@@ -126,22 +127,14 @@ def compute_function_summary(
         return bits
 
     nodes = [func.entry, *func.body, func.exit]
-    index = {n: i for i, n in enumerate(nodes)}
-    # Per statement: None when it passes its state on unchanged, else the
-    # shifts of its flowing uses, the mask keeping every variable it does
-    # not overwrite, and one bit per variable that receives the value.
-    transfer: list[tuple[tuple[int, ...], int, int] | None] = []
-    succs: list[list[int]] = [[] for _ in nodes]
-    preds: list[list[int]] = [[] for _ in nodes]
-    for i, n in enumerate(nodes):
-        for e in g.out_edges(n, CONTROL_FLOW):
-            j = index.get(e.dst)
-            if j is not None:
-                succs[i].append(j)
-                preds[j].append(i)
+    preds, succs = flow_graph(nodes, control_flow_edges(g, func))
+    gen = [0] * len(nodes)
+    gen[0] = sum(1 << shift(p) + i for i, p in enumerate(params))
+    keep = [-1] * len(nodes)
+    taint: dict[int, tuple[tuple[int, ...], int, int]] = {}
+    for i, n in enumerate(nodes[1:], 1):  # the entry has no predecessor: only its seed
         stmt = model.stmt(n)
-        if stmt.kind in PASS_THROUGH_KINDS or not stmt.defs:
-            transfer.append(None)
+        if not stmt.defs:
             continue
         per_site = site_targets(g, model, stmt) if stmt.calls else {}
         uses = tuple(shift(u) for u in flowing_uses(stmt, per_site, model, known))
@@ -152,31 +145,9 @@ def compute_function_summary(
             else:
                 overwritten |= full << shift(target)
                 receives |= receivers(target)
-        transfer.append((uses, ~overwritten, receives))
-
-    out = [0] * len(nodes)
-    out[0] = sum(1 << shift(p) + i for i, p in enumerate(params))
-    queued = [True] * len(nodes)  # the entry keeps its seed: never queued
-    work = deque(range(1, len(nodes)))
-    while work:
-        n = work.popleft()
-        queued[n] = False
-        state = 0
-        for p in preds[n]:
-            state |= out[p]
-        facts = transfer[n]
-        if facts is not None:
-            uses, kept, receives = facts
-            taint = 0
-            for s in uses:
-                taint |= state >> s
-            state = state & kept | (taint & full) * receives
-        if state != out[n]:
-            out[n] = state
-            for s in succs[n]:
-                if not queued[s]:
-                    queued[s] = True
-                    work.append(s)
+        keep[i] = ~overwritten
+        taint[i] = (uses, full, receives)
+    _, out = solve(preds, succs, gen, keep, taint)
 
     # Each return statement adds to the return variable's taint, so the union
     # of every statement's state holds all of it.

@@ -109,7 +109,6 @@ class ClassDecl:
     simple_name: str
     supertypes: list[str] = field(default_factory=list)  # as written (extends + implements)
     methods: list[str] = field(default_factory=list)  # FunctionDecl ids
-    fields: list[str] = field(default_factory=list)  # statement ids of global_defs
     decl_statement: str = ""  # class_decl StatementNode id
     enclosing: str | None = None
     file: str = ""

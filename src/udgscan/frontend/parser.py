@@ -302,7 +302,6 @@ class _FileParser(_Cursor):
         for decl_name, declared_type, start, end in declarators:
             g = GlobalDecl(statement=node.id, variable=decl_name, class_name=cls.name, declared_type=declared_type)
             self.fragment.globals.append(g)
-            cls.fields.append(node.id)
             decls.append((g, start, end))
         self.pending_fields.append((node, cls, decls))
 

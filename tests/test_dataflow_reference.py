@@ -10,6 +10,7 @@ from unittest import mock
 import pytest
 
 from conftest import FIXTURES
+from support import shapes
 
 from udgscan.enhance import pipeline
 from udgscan.enhance import summaries as summaries_module
@@ -233,6 +234,44 @@ FIXTURE_NAMES = ["dispatch", "el_template_validation", "pruning", "reflective_di
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_fixtures(name):
     assert check_dataflow(_model(_fixture_files(name))) > 0
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [shapes.alias_group, shapes.conditional_redefinitions, shapes.extends_chain, shapes.override_chain],
+    ids=lambda shape: shape.__name__,
+)
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_shapes(shape, n):
+    """Alias groups put several receiving bits in one summary state, and
+    conditional redefinitions give the reaching definitions dense sets."""
+    assert check_dataflow(_model(shape(n))) > 0
+
+
+CONDITION_DEF = """package p;
+class F {
+    int f(int a) {
+        int x = 0;
+        if ((x = a) > 0) {
+        }
+        return x;
+    }
+}
+"""
+
+
+def test_a_condition_that_defines_transfers_in_both_problems():
+    """The reaching definitions and the summaries honour any statement's
+    defs: here a condition's, set by hand because the parser gives a
+    condition none."""
+    model = _model({"p/F.java": CONDITION_DEF})
+    func = next(iter(model.functions.values()))
+    cond, ret = (next(n for n in func.body if model.stmt(n).kind == kind) for kind in ("condition", "return"))
+    model.stmt(cond).defs = {"x"}
+    edges = build_ddg(func, model, build_cfg(func, model))
+    assert [e.src for e in edges if e.dst == ret] == [cond]
+    g = assemble_original_udg(model)
+    assert compute_function_summary(func, g, model, {}).phi == {"a": True}
 
 
 @pytest.mark.parametrize("block", range(6))
