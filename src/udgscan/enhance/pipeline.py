@@ -47,18 +47,20 @@ def enhance_graph(
     pool: RequestPool | None = None,
 ) -> EnhancementResult:
     """Run the four passes in order on one copy of `original`: globals,
-    call-edge refinement (with the call graph finalized before ordering),
-    labeled jumps, then summary-based data-dependency pruning.  Each pass
+    labeled jumps (with the data edges they bring), call-edge refinement
+    (with the call graph finalized before ordering), then summary-based
+    data-dependency pruning.  The call-edge rules and prompts thus read the
+    data edges a jump brings.  Each pass
     edits the copy in place and logs its edits to the audit; `original` is
     left intact.  The call-edge passes send their oracle requests on `pool`
     (see `udgscan.pool`)."""
     audit: list[AuditEntry] = []
     g = original.copy(state="enhanced")
     add_global_nodes(g, model.globals, model, audit)
-    enhance_polymorphic_calls(g, oracle, model, diagnostics, audit, pool)
-    enhance_reflective_calls(g, oracle, model, diagnostics, audit, pool)
     targets = jump_targets if jump_targets is not None else resolve_label_targets(model, diagnostics)
     reconstruct_labeled_jumps(g, targets, model, audit)
+    enhance_polymorphic_calls(g, oracle, model, diagnostics, audit, pool)
+    enhance_reflective_calls(g, oracle, model, diagnostics, audit, pool)
     order = compute_analysis_order(g, model)
     summaries = compute_all_summaries(g, model, order)
     prune_data_edges(g, summaries, model, audit)

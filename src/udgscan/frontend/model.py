@@ -160,7 +160,7 @@ class JumpTarget:
 class SourceFile:
     path: str
     text: str
-    lines: list[str] = field(default_factory=list)
+    lines: list[str] = field(init=False)  # the text split at "\n"
     declarations: list[str] = field(default_factory=list)  # package_decl/import_decl statement ids
     classes: list[str] = field(default_factory=list)  # class_decl statement ids of top-level classes
     trivia: list[bool] = field(default_factory=list)  # per line: no token but { } ( ) ; , starts there
@@ -168,8 +168,7 @@ class SourceFile:
     imports: list[str] = field(default_factory=list)  # single-type imports, e.g. "q.Dao"
 
     def __post_init__(self):
-        if not self.lines:
-            self.lines = self.text.split("\n")
+        self.lines = self.text.split("\n")
 
     def slice_lines(self, start: int, end: int) -> str:
         return "\n".join(self.lines[start - 1 : end])

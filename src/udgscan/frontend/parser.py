@@ -12,7 +12,8 @@ fields with initializers; methods and constructors; local declarations,
 assignments, expression/call statements, return, if/else, while, do-while,
 for, for-each, switch, labeled statements, break/continue, blocks, and
 try/catch/finally with normal-flow-only semantics.  Lambdas and method
-references are rejected per file as subset violations.
+references are rejected per file as subset violations, as are brackets
+that do not nest; every reader jumps by the file's bracket pairs.
 
 Fields, locals, for-inits, for-each variables, catch parameters and
 parameters share one grammar (JLS 8.3, 14.4): annotations and modifiers in
@@ -46,8 +47,8 @@ MODIFIERS = frozenset(
 )
 # A line is trivia (blank, comment or brace punctuation) when no other token starts on it.
 TRIVIA_PUNCT = frozenset("{}();,")
-# Each bracket, opening or closing, mapped to the opener of its type.
-_BRACKET_TYPE = {"(": "(", ")": "(", "[": "[", "]": "[", "{": "{", "}": "{"}
+# Each closing bracket mapped to the opener it closes.
+_OPENER_OF = {")": "(", "]": "[", "}": "{"}
 # How deep statements and call argument lists may nest, counted together:
 # deeper code is a subset violation, which keeps the recursive parser and
 # the graph walkers far from Python's recursion limit.
@@ -70,13 +71,13 @@ class _Cursor:
 
     At `end`, peek() returns None and next() reports a truncated construct
     at `eof_line`; `expect` reports a missing token at the same line and
-    names what was being parsed with `where`.  `closers` maps the index of
-    each paired `(`, `[` and `{` to the index of its closer.
+    names what was being parsed with `where`.  `closers[i]` is the index of
+    the closer of the `(`, `[` or `{` at i, and i for any other token.  A
+    cursor's range is always a group's inside or the whole file, so each
+    group that opens in it closes in it.
     """
 
-    def __init__(
-        self, path: str, tokens: list[Token], closers: dict[int, int], end: int, eof_line: int, where: str = ""
-    ):
+    def __init__(self, path: str, tokens: list[Token], closers: list[int], end: int, eof_line: int, where: str = ""):
         self.path = path
         self.tokens = tokens
         self.closers = closers
@@ -108,15 +109,15 @@ class _Cursor:
         return tok is not None and tok.text == text
 
     def skip_balanced(self, open_t: str) -> Token:
-        """Consume a group from `open_t` to its closer; returns the closer.
-        A closer that is missing or lies at or past `end` is a truncated
-        construct, as reading up to it would be."""
+        """Consume a group from `open_t` to its closer; returns the closer."""
         self.expect(open_t)
-        close = self.closers.get(self.pos - 1, self.end)
-        if close >= self.end:
-            raise SubsetViolation(self.path, self.eof_line, "truncated construct")
-        self.pos = close + 1
-        return self.tokens[close]
+        self.pos = self.closers[self.pos - 1] + 1
+        return self.tokens[self.pos - 1]
+
+    def semicolon(self) -> int:
+        """Index of the first top-level `;` from the cursor; `end` when there is none."""
+        semis = (i for i, t in _top_level(self.tokens, self.closers, self.pos, self.end) if t.text == ";")
+        return next(semis, self.end)
 
     def skip_type_args(self) -> None:
         """Consume the type arguments `<...>` at the cursor."""
@@ -130,20 +131,28 @@ class _FileParser(_Cursor):
     def __init__(self, source: SourceFile, fragment: RepoModel, diagnostics: DiagnosticSink):
         tokens = tokenize(source.text, source.path)
         # One pass marks the lines that hold only trivia and pairs each
-        # bracket with its closer, one stack per bracket type.
+        # bracket with its closer on one stack.  A closer of a type no open
+        # group has is unmatched; any other that does not nest, like the end
+        # of the file, leaves the innermost open group unclosed.
         trivia = source.trivia = [True] * len(source.lines)
-        closers: dict[int, int] = {}
-        opened: dict[str, list[int]] = {"(": [], "[": [], "{": []}
+        closers = list(range(len(tokens)))
+        opened: list[int] = []
         for i, tok in enumerate(tokens):
             text = tok.text
             if text not in TRIVIA_PUNCT:
                 trivia[tok.line - 1] = False
-            if text in _BRACKET_TYPE:
-                stack = opened[_BRACKET_TYPE[text]]
-                if text in opened:
-                    stack.append(i)
-                elif stack:
-                    closers[stack.pop()] = i
+            if text in "([{":
+                opened.append(i)
+            elif text in _OPENER_OF:
+                if opened and tokens[opened[-1]].text == _OPENER_OF[text]:
+                    closers[opened.pop()] = i
+                elif any(tokens[j].text == _OPENER_OF[text] for j in opened):
+                    break  # the innermost open group never closes
+                else:
+                    raise SubsetViolation(source.path, tok.line, f"unmatched '{text}'")
+        if opened:
+            unclosed = tokens[opened[-1]]
+            raise SubsetViolation(source.path, unclosed.line, f"unclosed '{unclosed.text}'")
         super().__init__(source.path, tokens, closers, len(tokens), tokens[-1].line if tokens else 1)
         self.src = source
         self.fragment = fragment
@@ -205,7 +214,7 @@ class _FileParser(_Cursor):
         for node, cls, declarators in self.pending_fields:
             fields = self.field_names_for(cls)
             for decl, start, end in declarators:
-                init = _Expr(self.src.path, {}, fields).walk(self.tokens, start, end)
+                init = _Expr(self, {}, fields).walk(start, end)
                 decl.rhs_uses = init.uses
                 node.uses |= decl.rhs_uses
                 node.outside_uses |= init.outside
@@ -288,13 +297,12 @@ class _FileParser(_Cursor):
             self.parse_field(cls, first, type_name)
 
     def parse_field(self, cls: ClassDecl, first: Token, type_name: str) -> None:
-        semi = next((i for i, t in _top_level(self.tokens, self.pos, self.end) if t.text == ";"), self.end)
-        declarators, bad = _declarators(self.tokens, self.pos, semi, type_name)
-        if bad is not None and bad < self.end:
+        semi = self.semicolon()
+        declarators, bad = _declarators(self.tokens, self.closers, self.pos, semi, type_name)
+        if bad is not None:  # without a `;`, the class's `}` is one...
             raise SubsetViolation(self.src.path, self.tokens[bad].line, "unexpected token in field declaration")
-        if semi == self.end:
-            what = "initializer" if bad is None and declarators[-1][2] <= declarators[-1][3] else "field declaration"
-            raise SubsetViolation(self.src.path, first.line, f"unterminated {what}")
+        if semi == self.end:  # ...unless the last initializer runs into it
+            raise SubsetViolation(self.src.path, first.line, "unterminated initializer")
         self.pos = semi
         last = self.next()
         node = self.make_node("global_def", first, last, defs={d[0] for d in declarators}, owner="global")
@@ -332,8 +340,8 @@ class _FileParser(_Cursor):
         while start < end:  # modifiers, a type, then one declarator without an initializer
             type_start = _modifiers_end(self.tokens, self.closers, start, end)
             i, type_name = _read_type(self.tokens, type_start, end) or (type_start, "")
-            stop = _part_end(self.tokens, i, end)
-            decls, bad = _declarators(self.tokens, i, stop, type_name)
+            stop = _part_end(self.tokens, self.closers, i, end)
+            decls, bad = _declarators(self.tokens, self.closers, i, stop, type_name)
             if bad is not None or decls[0][2] <= decls[0][3]:
                 raise SubsetViolation(self.src.path, self.tokens[start].line, "malformed parameter")
             params.append(decls[0][0])
@@ -342,7 +350,7 @@ class _FileParser(_Cursor):
         if self.at("throws"):
             self.parse_type_list()
         if self.at("default"):  # an annotation element's default value
-            self.pos = next((i for i, t in _top_level(self.tokens, self.pos, self.end) if t.text == ";"), self.end)
+            self.pos = self.semicolon()
         fid = f"{self.src.path}#{cls.name}.{name}/{len(params)}"
         if fid in self.fragment.functions:  # same-arity overloads
             k = 2
@@ -431,7 +439,7 @@ class _BodyParser(_Cursor):
 
     def extract(self, start: int, end: int) -> _Expr:
         """The uses and calls of tokens[start:end]."""
-        return _Expr(self.path, self.var_types, self.fields, self.depth).walk(self.tokens, start, end)
+        return _Expr(self, self.var_types, self.fields, self.depth).walk(start, end)
 
     def parse_statements(self, start: int, end: int) -> list:
         """Parse tokens[start:end] as a statement list; the cursor is left at `end`."""
@@ -445,17 +453,12 @@ class _BodyParser(_Cursor):
 
     def consume_until_semicolon(self, first: Token) -> tuple[int, int]:
         """Consume up to the next top-level ';'; returns the range before it.
-        A missing ';' is reported at `first`, the statement's first token,
-        as an unclosed bracket when one opened here closes past the body."""
-        start = self.pos
-        for i, tok in _top_level(self.tokens, start, self.end):
-            if tok.text == ";":
-                self.pos = i
-                return start, i
-        for i in range(start, self.end):
-            if self.tokens[i].text in "([" and self.closers.get(i, self.end) >= self.end:
-                raise SubsetViolation(self.path, first.line, f"unclosed '{self.tokens[i].text}'")
-        raise SubsetViolation(self.path, first.line, "missing ';'")
+        A missing ';' is reported at `first`, the statement's first token."""
+        start, semi = self.pos, self.semicolon()
+        if semi == self.end:
+            raise SubsetViolation(self.path, first.line, "missing ';'")
+        self.pos = semi
+        return start, semi
 
     def parenthesized(self) -> tuple[int, int]:
         """Consume a parenthesized group; returns the range inside it."""
@@ -557,7 +560,7 @@ class _BodyParser(_Cursor):
         close = self.tokens[self.pos - 1]
         # A top-level ':' after a variable makes a for-each header only where
         # no top-level ';' makes a classic one: `i = c ? 1 : 2;` is a classic init.
-        marks = [i for i, t in _top_level(self.tokens, start, end) if t.text in (";", ":")]
+        marks = [i for i, t in _top_level(self.tokens, self.closers, start, end) if t.text in (";", ":")]
         semis = [i for i in marks if self.tokens[i].text == ";"]
         if marks and not semis and marks[0] > start:
             return self.parse_for_each(first, start, end, close, marks[0])
@@ -627,8 +630,9 @@ class _BodyParser(_Cursor):
             self.next()
             start, end = self.parenthesized()
             # A multi-catch parameter takes the type of its last alternative.
-            bar = max((i for i, t in _top_level(self.tokens, start, end) if t.text == "|"), default=start - 1)
-            for name, type_name, _, _ in _declaration(self.tokens, self.closers, bar + 1, end) or ():
+            bars = [i for i, t in _top_level(self.tokens, self.closers, start, end) if t.text == "|"]
+            start = bars[-1] + 1 if bars else start
+            for name, type_name, _, _ in _declaration(self.tokens, self.closers, start, end) or ():
                 self.var_types[name] = type_name
             catches.append(self.parse_nested_block().stmts)
         finally_ = []
@@ -672,13 +676,13 @@ class _BodyParser(_Cursor):
         step and call expressions its commas separate (one but in a for
         header), to one node with the defs, uses and calls of them all."""
         toks = self.tokens
-        expr = _Expr(self.path, self.var_types, self.fields, self.depth)
+        expr = _Expr(self, self.var_types, self.fields, self.depth)
         decls = _declaration(toks, self.closers, start, end)
         if decls is not None:
             # Each name is in scope from its own initializer on (JLS 6.3).
             for name, type_name, init_start, init_end in decls:
                 self.var_types[name] = type_name
-                expr.walk(toks, init_start, init_end)
+                expr.walk(init_start, init_end)
             kind = "call" if expr.calls else "declaration"
             allocates = _allocated_class(toks, self.closers, init_start, init_end) if len(decls) == 1 else ""
             node = self.node(kind, first, last, expr, defs={d[0] for d in decls}, allocates=allocates)
@@ -686,7 +690,7 @@ class _BodyParser(_Cursor):
             return syn.Simple(node.id)
         lowered = []
         while True:
-            stop = _part_end(toks, start, end)
+            stop = _part_end(toks, self.closers, start, end)
             lowered.append(self.lower_expression(start, stop, expr))
             if stop == end:
                 break
@@ -699,54 +703,52 @@ class _BodyParser(_Cursor):
     def lower_expression(self, start: int, end: int, expr: _Expr) -> tuple[set[str], str]:
         """Walk the assignment, step or call expression tokens[start:end]
         into `expr`; returns the names it defines and the class it allocates."""
-        toks = self.tokens
-        eq = next((i for i, t in _top_level(toks, start, end) if t.text in _ASSIGN_OPS), None)
+        toks, closers = self.tokens, self.closers
+        eq = next((i for i, t in _top_level(toks, closers, start, end) if t.text in _ASSIGN_OPS), None)
         if eq is not None:
             target = _dotted_name(toks, start, eq)
             defs = {target} if target else set()
-            expr.walk(toks, eq + 1, end)
+            expr.walk(eq + 1, end)
             if toks[eq].text != "=":  # compound assignment reads the target
                 expr.outside |= defs
             # The left side reads its subscripts and what holds its target:
             # the `a` of `a.f = x`, the `new T()` of `new T().f = x`.
-            sub = next((i for i, t in _top_level(toks, start, eq) if t.text == "["), eq)
-            holder = sub - 2 if sub - start > 2 and toks[sub - 2].text == "." else start
-            expr.walk(toks, start, holder).walk(toks, sub, eq)
-            return defs, _allocated_class(toks, self.closers, eq + 1, end) if toks[eq].text == "=" else ""
+            sub = next((i for i, t in _top_level(toks, closers, start, eq) if t.text == "["), eq)
+            named = sub - start > 2 and toks[sub - 2].text == "." and toks[sub - 1].kind == "ident"
+            expr.walk(start, sub - 2 if named else start).walk(sub, eq)
+            return defs, _allocated_class(toks, closers, eq + 1, end) if toks[eq].text == "=" else ""
         if end > start and (toks[end - 1].text in _STEP_OPS or toks[start].text in _STEP_OPS):
-            core = [toks[i] for i in range(start, end) if toks[i].text not in _STEP_OPS]
-            target = _dotted_name(core, 0, len(core))
+            start += toks[start].text in _STEP_OPS  # the operand of a prefix or postfix step
+            end -= toks[end - 1].text in _STEP_OPS
+            target = _dotted_name(toks, start, end)
             defs = {target} if target else set()
-            expr.walk(core, 0, len(core)).outside |= defs
+            expr.walk(start, end).outside |= defs
             return defs, ""
-        expr.walk(toks, start, end)
+        expr.walk(start, end)
         return set(), ""
 
 
 # ---------------------------------------------------------------- token utils
 
 
-def _top_level(tokens: list[Token], start: int, end: int):
-    """Yield (index, token) for each token of tokens[start:end] at depth 0,
-    where (, [ and { open and ), ] and } close a group from `start` on.  A
-    bracket counts at the depth before it, so the closer of a group that
-    opened before `start` is yielded."""
-    depth = 0
-    for i in range(start, end):
+def _top_level(tokens: list[Token], closers: list[int], start: int, end: int):
+    """Yield (index, token) for each token of tokens[start:end] outside the
+    groups that open there: an opener is yielded and its group jumped.  The
+    closer of a group that opened before `start` is the last one yielded."""
+    i = start
+    while i < end:
         t = tokens[i]
-        if depth == 0:
-            yield i, t
-        if t.text in "([{":
-            depth += 1
-        elif t.text in ")]}":
-            depth -= 1
+        yield i, t
+        if t.text in _OPENER_OF:
+            return
+        i = closers[i] + 1
 
 
-def _part_end(tokens: list[Token], start: int, end: int) -> int:
+def _part_end(tokens: list[Token], closers: list[int], start: int, end: int) -> int:
     """Index of the first comma of tokens[start:end] outside brackets and
     outside the type arguments of a `new`; `end` when there is none."""
     skip = start
-    for i, t in _top_level(tokens, start, end):
+    for i, t in _top_level(tokens, closers, start, end):
         if i < skip:
             continue
         if t.text == ",":
@@ -797,10 +799,9 @@ def _dotted_name(tokens: list[Token], i: int, end: int) -> str | None:
     return ".".join(parts) if parts else None
 
 
-def _modifiers_end(tokens: list[Token], closers: dict[int, int], i: int, end: int) -> int:
+def _modifiers_end(tokens: list[Token], closers: list[int], i: int, end: int) -> int:
     """Index after the annotations (`@A`, `@a.b.C`, `@A(...)`) and modifiers
-    that tokens[i:end] open with, in any order; past `end` when the
-    arguments of an annotation do not close before it."""
+    that tokens[i:end] open with, in any order."""
     while i < end:
         if tokens[i].text in MODIFIERS:
             i += 1
@@ -809,7 +810,7 @@ def _modifiers_end(tokens: list[Token], closers: dict[int, int], i: int, end: in
             while i + 1 < end and tokens[i].text == "." and tokens[i + 1].kind == "ident":
                 i += 2
             if i < end and tokens[i].text == "(":
-                i = closers.get(i, end) + 1
+                i = closers[i] + 1
         else:
             break
     return i
@@ -856,7 +857,9 @@ def _read_type(tokens: list[Token], i: int, end: int) -> tuple[int, str] | None:
     return i, name
 
 
-def _declarators(tokens: list[Token], i: int, end: int, type_name: str) -> tuple[list, int | None]:
+def _declarators(
+    tokens: list[Token], closers: list[int], i: int, end: int, type_name: str
+) -> tuple[list, int | None]:
     """Read the declarators `name ([])* [= init]` that tokens[i:end] list.
     Returns each one's (name, type with its own `[]`s, initializer range),
     the range starting past its end when there is no `=`; and the index of
@@ -868,7 +871,7 @@ def _declarators(tokens: list[Token], i: int, end: int, type_name: str) -> tuple
         j, dims = i + 1, ""
         while j + 1 < end and tokens[j].text == "[" and tokens[j + 1].text == "]":
             j, dims = j + 2, dims + "[]"
-        stop = _part_end(tokens, j + 1, end) if j < end and tokens[j].text == "=" else j
+        stop = _part_end(tokens, closers, j + 1, end) if j < end and tokens[j].text == "=" else j
         if stop < end and tokens[stop].text != ",":
             return decls, stop
         decls.append((tokens[i].text, type_name + dims, j + 1, stop))
@@ -877,24 +880,24 @@ def _declarators(tokens: list[Token], i: int, end: int, type_name: str) -> tuple
         i = stop + 1
 
 
-def _declaration(tokens: list[Token], closers: dict[int, int], i: int, end: int) -> list | None:
+def _declaration(tokens: list[Token], closers: list[int], i: int, end: int) -> list | None:
     """The declarators of the declaration `modifiers Type declarators` that
     tokens[i:end] are, as `_declarators` reads them; None when they are not
     one."""
     read = _read_type(tokens, _modifiers_end(tokens, closers, i, end), end)
     if read is None:
         return None
-    decls, bad = _declarators(tokens, read[0], end, read[1])
+    decls, bad = _declarators(tokens, closers, read[0], end, read[1])
     return decls if bad is None else None
 
 
-def _allocated_class(tokens: list[Token], closers: dict[int, int], start: int, end: int) -> str:
+def _allocated_class(tokens: list[Token], closers: list[int], start: int, end: int) -> str:
     """The class `T` as written when tokens[start:end] are one `new T(...)`
     and nothing else, with any type arguments dropped; '' otherwise."""
     if start >= end or not tokens[start].is_kw("new"):
         return ""
     paren, written = _new_type(tokens, start, end)
-    return written if paren < end and tokens[paren].text == "(" and closers.get(paren) == end - 1 else ""
+    return written if paren < end and tokens[paren].text == "(" and closers[paren] == end - 1 else ""
 
 
 # --------------------------------------------------------- def/use extraction
@@ -902,7 +905,7 @@ def _allocated_class(tokens: list[Token], closers: dict[int, int], start: int, e
 
 class _Expr:
     """The uses and calls of one statement, walked in place over index
-    ranges of a token list.
+    ranges of the token list of `cursor`'s file, by its bracket pairs.
 
     Uses contain only names of declared variables, looked up in `var_types`
     first and in `fields` (of the enclosing class chain) second, so a local
@@ -917,8 +920,10 @@ class _Expr:
     MAX_NESTING.
     """
 
-    def __init__(self, path: str, var_types: dict[str, str], fields: dict[str, str], depth: int = 0):
-        self.path = path
+    def __init__(self, cursor: _Cursor, var_types: dict[str, str], fields: dict[str, str], depth: int = 0):
+        self.path = cursor.path
+        self.toks = cursor.tokens
+        self.closers = cursor.closers
         self.var_types = var_types
         self.fields = fields
         self.depth = depth
@@ -926,15 +931,13 @@ class _Expr:
         self.outside: set[str] = set()
         self.inside: set[str] = set()
         self.calls: list[CallSite] = []
-        self.toks: list[Token] = []
 
     @property
     def uses(self) -> set[str]:
         return self.outside | self.inside
 
-    def walk(self, tokens: list[Token], start: int, end: int) -> _Expr:
+    def walk(self, start: int, end: int) -> _Expr:
         """Add the uses and calls of tokens[start:end]."""
-        self.toks = tokens
         self._walk(start, end, self.outside)
         return self
 
@@ -954,9 +957,7 @@ class _Expr:
             elif t.kind == "ident" or t.is_kw("this"):
                 i = self._chain(i, end, uses)
             elif t.text == "(" and self._is_cast(i, end):
-                while i < end and toks[i].text != ")":  # skip the cast type
-                    i += 1
-                i += 1
+                i = self.closers[i] + 1  # skip the cast type
             else:
                 i += 1
 
@@ -964,7 +965,7 @@ class _Expr:
         toks = self.toks
         j, written = _new_type(toks, i, end)
         if j < end and toks[j].text == "(":
-            arg_vars, close = self._arguments(j, end, uses)
+            arg_vars, close = self._arguments(j, uses)
             self.calls.append(
                 CallSite(
                     chain=f"new {written}",
@@ -1032,7 +1033,7 @@ class _Expr:
         unknown; returns the index after the last one."""
         toks = self.toks
         while True:
-            arg_vars, close = self._arguments(paren, end, uses)
+            arg_vars, close = self._arguments(paren, uses)
             site = CallSite(chain, name, len(arg_vars), receiver, receiver_type, arg_vars)
             self.calls.append(site)
             j = close + 1
@@ -1043,18 +1044,16 @@ class _Expr:
             receiver = receiver_type = None
             paren = j + 2
 
-    def _arguments(self, paren: int, end: int, uses: set[str]) -> tuple[list[set[str]], int]:
+    def _arguments(self, paren: int, uses: set[str]) -> tuple[list[set[str]], int]:
         """Walk the argument list opening at toks[paren], split as declarators
         are (`_part_end`); returns each argument's uses and the index of the
-        first `)` or `]` that closes the list."""
+        `)` that closes the list."""
         toks = self.toks
-        close = next((i for i, t in _top_level(toks, paren + 1, end) if t.text in ")]"), None)
-        if close is None:
-            raise SubsetViolation(self.path, toks[paren].line, "unbalanced argument list")
+        close = self.closers[paren]
         bounds = []
         start = paren + 1
         while start < close:  # a comma ends an argument, even an empty one
-            stop = _part_end(toks, start, close)
+            stop = _part_end(toks, self.closers, start, close)
             bounds.append((start, stop))
             start = stop + 1
         if bounds and self.depth + self.level == MAX_NESTING:

@@ -232,3 +232,24 @@ class Canvas {
     call = next(s for s in result.model.statements.values() if any(c.name == "draw" for c in s.calls))
     kept = {function_of_entry(result.model, e.dst).class_name for e in result.graph.out_edges(call.id, CALL)}
     assert kept == {"p.Circle", "p.Square"}
+
+
+def test_the_rule_reads_the_data_edges_a_labeled_jump_brings(tmp_path):
+    """`s = new Circle()` reaches `s.area()` only through `continue outer`:
+    the jump's data edges come before the rule, so both classes stay."""
+    body = """Shape s = new Square();
+        outer:
+        for (int i = 0; i < 3; i++) {
+            for (int j = 0; j < 3; j++) {
+                if (c) {
+                    s = new Circle();
+                    continue outer;
+                }
+            }
+            s = new Square();
+        }
+        int x = s.area();"""
+    result = scan(ScanConfig(repo=write_repo(tmp_path, {"p/Shape.java": SHAPES % body})))
+    call = next(s for s in result.model.statements.values() if s.code == "int x = s.area()")
+    kept = {function_of_entry(result.model, e.dst).class_name for e in result.graph.out_edges(call.id, CALL)}
+    assert kept == {"p.Circle", "p.Square"}

@@ -200,8 +200,10 @@ def test_malformed_field_declarations_are_reported_at_their_line():
     assert field_errors("    int a\n    b;\n}\n") == [(4, unexpected)]
     assert field_errors("    int a[3];\n}\n") == [(3, unexpected)]
     assert field_errors("    int a, 5;\n}\n") == [(3, unexpected)]
-    assert field_errors("    int a = f(1,\n") == [(3, "subset violation: unterminated initializer")]
-    assert field_errors("    int a, b\n") == [(3, "subset violation: unterminated field declaration")]
+    assert field_errors("    int a = f(1,\n") == [(3, "subset violation: unclosed '('")]
+    assert field_errors("    int a, b\n") == [(2, "subset violation: unclosed '{'")]
+    assert field_errors("    int a = f(1)\n}\n") == [(3, "subset violation: unterminated initializer")]
+    assert field_errors("    int a = f(1));\n}\n") == [(3, "subset violation: unmatched ')'")]
     assert field_errors("    List<String x;\n}\n") == [(4, "subset violation: truncated construct")]
 
 

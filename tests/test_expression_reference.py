@@ -16,7 +16,7 @@ from udgscan.errors import DiagnosticSink, SubsetViolation
 from udgscan.frontend import parser
 from udgscan.frontend.lexer import PRIMITIVES, Token, tokenize
 from udgscan.frontend.model import CallSite, RepoModel
-from udgscan.frontend.parser import MAX_NESTING, _top_level, _type_args_close, parse_source
+from udgscan.frontend.parser import MAX_NESTING, _type_args_close, parse_source
 from udgscan.harness.generate import random_summary_program
 
 # ------------------------------------------------------------- reference
@@ -202,11 +202,27 @@ def reference_extract_expression(
     return uses, calls
 
 
+def reference_top_level(tokens: list[Token], start: int, end: int):
+    """Yield (index, token) for each token of tokens[start:end] at depth 0,
+    where (, [ and { open and ), ] and } close a group from `start` on.  A
+    bracket counts at the depth before it, so the closer of a group that
+    opened before `start` is yielded."""
+    depth = 0
+    for i in range(start, end):
+        t = tokens[i]
+        if depth == 0:
+            yield i, t
+        if t.text in "([{":
+            depth += 1
+        elif t.text in ")]}":
+            depth -= 1
+
+
 def reference_split_args(tokens: list[Token], paren: int, path: str) -> tuple[list[list[Token]], int]:
     assert tokens[paren].text == "("
     args: list[list[Token]] = []
     start = paren + 1
-    for i, t in _top_level(tokens, start, len(tokens)):
+    for i, t in reference_top_level(tokens, start, len(tokens)):
         if t.text == ",":
             args.append(tokens[start:i])
             start = i + 1
@@ -217,11 +233,11 @@ def reference_split_args(tokens: list[Token], paren: int, path: str) -> tuple[li
     raise SubsetViolation(path, tokens[paren].line, "unbalanced argument list")
 
 
-def reference_walk(self, tokens, start, end):
+def reference_walk(self, start, end):
     """`_Expr.walk` by the reference, on a copy of the range.  It cannot
     tell uses outside the arguments apart, so it records them all as inside."""
     uses, calls = reference_extract_expression(
-        tokens[start:end], self.var_types, self.path, field_names=self.fields, depth=self.depth
+        self.toks[start:end], self.var_types, self.path, field_names=self.fields, depth=self.depth
     )
     self.inside |= uses
     self.calls.extend(calls)
@@ -445,8 +461,8 @@ def test_hand_written_file():
         (_nested(MAX_NESTING - 1), None, None),
         (_nested(MAX_NESTING), f"nesting deeper than {MAX_NESTING}", MEMBER_LINE + 1 + MAX_NESTING),
         ("int n(int x) {\n    return g(x, h(x -> x));\n}\n", LAMBDA, MEMBER_LINE + 1),
-        ("static int bad = g(x};\n", "unbalanced argument list", MEMBER_LINE),
-        ("static Object bad = g(x -> x};\n", "unbalanced argument list", MEMBER_LINE),
+        ("static int bad = g(x};\n", "unclosed '('", MEMBER_LINE),
+        ("static Object bad = g(x -> x};\n", "unclosed '('", MEMBER_LINE),
         ("int n(Main a) {\n    return a.b(List::of);\n}\n", LAMBDA, MEMBER_LINE + 1),
     ],
     ids=["at-the-cap", "past-the-cap", "lambda", "unbalanced", "unbalanced-before-lambda", "method-reference"],

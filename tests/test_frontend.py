@@ -153,17 +153,26 @@ def body_errors(tmp_path, body_line):
 
 
 def test_unbalanced_argument_list_names_its_file(tmp_path):
-    assert body_errors(tmp_path, "        ) return id(d;") == [
-        ("R.java", 4, "subset violation: unbalanced argument list")
-    ]
+    assert body_errors(tmp_path, "        ) return id(d;") == [("R.java", 4, "subset violation: unmatched ')'")]
 
 
 def test_truncated_construct_reports_the_body_line(tmp_path):
-    # The condition's `(` swallows the rest of the body: the body cursor runs
-    # out where `expect` would report a missing token, the signature line.
-    assert body_errors(tmp_path, "        if (g(d) {\n        }") == [
-        ("R.java", 3, "subset violation: truncated construct")
-    ]
+    # The condition's `(` swallows the rest of the body: the method's `}`
+    # finds it open, so it is reported where it opens.
+    assert body_errors(tmp_path, "        if (g(d) {\n        }") == [("R.java", 4, "subset violation: unclosed '('")]
+
+
+@pytest.mark.parametrize(
+    "body_line, message",
+    [
+        ("        int x = a[f(b]);", "unclosed '('"),
+        ("        d = d];", "unmatched ']'"),
+        ("        f(b});", "unclosed '('"),
+    ],
+    ids=["interleaved", "stray-bracket", "brace-in-arguments"],
+)
+def test_brackets_that_do_not_nest_skip_the_file_at_the_bracket(tmp_path, body_line, message):
+    assert body_errors(tmp_path, body_line) == [("R.java", 4, f"subset violation: {message}")]
 
 
 def test_unclosed_paren_reports_its_statement_line(tmp_path):
