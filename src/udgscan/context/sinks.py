@@ -1,4 +1,4 @@
-"""Sensitive-invocation collection over the enhanced graph."""
+"""Sensitive-invocation collection over a dependency graph."""
 
 from __future__ import annotations
 
@@ -32,8 +32,6 @@ def find_sensitive_invocations(
     User sinks are matched against in-repo function signatures; the call
     sites of the matched functions become invocations.
     """
-    if g.state != "enhanced":
-        raise ValueError("sensitive invocations are collected on the enhanced graph")
     found: dict[tuple[str, str], SensitiveInvocation] = {}
     for stmt in call_statements(g):
         for site in stmt.calls:

@@ -62,11 +62,29 @@ class AuditEntry:
         )
 
 
+def add_audited(g: UnifiedDependencyGraph, audit: list[AuditEntry], pass_name: str, edge: UdgEdge) -> bool:
+    """Add `edge` to `g` and, when `g` did not hold it yet, its entry to
+    `audit`; True then."""
+    if not g.add_edge(edge):
+        return False
+    audit.append(AuditEntry("add", edge.tau, edge.src, edge.dst, pass_name, edge.variable))
+    return True
+
+
+def remove_audited(
+    g: UnifiedDependencyGraph, audit: list[AuditEntry], pass_name: str, edges: list[UdgEdge]
+) -> None:
+    """Remove `edges` from `g` in one `remove_edges` call, with an entry in
+    `audit` for each edge `g` held, in the order of `edges`."""
+    for edge in g.remove_edges([edge.key() for edge in edges]):
+        audit.append(AuditEntry("remove", edge.tau, edge.src, edge.dst, pass_name, edge.variable))
+
+
 def add_global_nodes(
     g: UnifiedDependencyGraph,
     globals_list: list[GlobalDecl],
     model: RepoModel,
-    audit: list[AuditEntry] | None = None,
+    audit: list[AuditEntry],
 ) -> None:
     """Add global statements to `g` as nodes, linking definitions among
     global assignments only; no control-flow or call edges, and no edges into
@@ -88,9 +106,7 @@ def add_global_nodes(
             src = by_var.get((decl.class_name, v)) or any_var.get(v)
             if src is None or src == decl.statement:
                 continue
-            edge = UdgEdge(src=src, dst=decl.statement, tau=DATA_DEPENDENCY, variable=v)
-            if g.add_edge(edge) and audit is not None:
-                audit.append(AuditEntry("add", DATA_DEPENDENCY, src, decl.statement, "globals", v))
+            add_audited(g, audit, "globals", UdgEdge(src, decl.statement, DATA_DEPENDENCY, v))
 
 
 def backward_dataflow_context(
@@ -139,8 +155,8 @@ def enhance_polymorphic_calls(
     g: UnifiedDependencyGraph,
     oracle: ResolutionOracle,
     model: RepoModel,
-    diagnostics: DiagnosticSink | None = None,
-    audit: list[AuditEntry] | None = None,
+    diagnostics: DiagnosticSink,
+    audit: list[AuditEntry],
     pool: RequestPool | None = None,
 ) -> None:
     """Remove infeasible dispatch targets from `g` at call sites with >= 2
@@ -188,11 +204,10 @@ def enhance_polymorphic_calls(
         for outcome in outcomes:
             feasible, warning = outcome.result()
             if warning:
-                _diag(diagnostics, "warning", warning, stmt)
+                diagnostics.add("warning", "enhance", warning, stmt.file, stmt.start_line)
             kept |= feasible or set(targets)
-        for t in sorted(set(targets) - kept):
-            if g.remove_edges({(stmt.id, t, CALL, None)}) and audit is not None:
-                audit.append(AuditEntry("remove", CALL, stmt.id, t, "polymorphism"))
+        infeasible = [UdgEdge(stmt.id, t, CALL) for t in sorted(set(targets) - kept)]
+        remove_audited(g, audit, "polymorphism", infeasible)
 
 
 def _allocated_target(
@@ -266,8 +281,8 @@ def enhance_reflective_calls(
     g: UnifiedDependencyGraph,
     oracle: ResolutionOracle,
     model: RepoModel,
-    diagnostics: DiagnosticSink | None = None,
-    audit: list[AuditEntry] | None = None,
+    diagnostics: DiagnosticSink,
+    audit: list[AuditEntry],
     pool: RequestPool | None = None,
 ) -> None:
     """Two-step resolution of the reflective invocation sites in `g`.
@@ -315,15 +330,11 @@ def enhance_reflective_calls(
     for stmt, reflective, decided, outcome in sites:
         resolved = decided or outcome.result()
         if isinstance(resolved, str):
-            _diag(diagnostics, "warning", resolved, stmt)
+            diagnostics.add("warning", "enhance", resolved, stmt.file, stmt.start_line)
             continue
-        for ext in reflective:
-            if g.remove_edges({(stmt.id, ext, CALL, None)}) and audit is not None:
-                audit.append(AuditEntry("remove", CALL, stmt.id, ext, "reflection"))
+        remove_audited(g, audit, "reflection", [UdgEdge(stmt.id, ext, CALL) for ext in reflective])
         for method in resolved:
-            new_edge = UdgEdge(src=stmt.id, dst=method.entry, tau=CALL)
-            if g.add_edge(new_edge) and audit is not None:
-                audit.append(AuditEntry("add", CALL, stmt.id, method.entry, "reflection"))
+            add_audited(g, audit, "reflection", UdgEdge(stmt.id, method.entry, CALL))
 
 
 # The whole value of a reflective lookup: `X.class.getMethod(<args>)` or
@@ -483,7 +494,7 @@ def reconstruct_labeled_jumps(
     g: UnifiedDependencyGraph,
     targets: list[JumpTarget],
     model: RepoModel,
-    audit: list[AuditEntry] | None = None,
+    audit: list[AuditEntry],
 ) -> None:
     """Add a control-flow edge to `g` from each labeled jump to its resolved
     successor, then the data edges the new paths bring: reaching definitions
@@ -491,18 +502,9 @@ def reconstruct_labeled_jumps(
     gained an edge."""
     owners: set[str] = set()
     for t in sorted(targets, key=lambda t: t.jump):
-        edge = UdgEdge(src=t.jump, dst=t.resolved_successor, tau=CONTROL_FLOW)
-        if g.add_edge(edge):
+        if add_audited(g, audit, "control_flow", UdgEdge(t.jump, t.resolved_successor, CONTROL_FLOW)):
             owners.add(model.stmt(t.jump).owner)
-            if audit is not None:
-                audit.append(AuditEntry("add", CONTROL_FLOW, t.jump, t.resolved_successor, "control_flow"))
     for fid in sorted(owners):
         func = model.functions[fid]
         for edge in build_ddg(func, model, control_flow_edges(g, func)):
-            if g.add_edge(edge) and audit is not None:
-                audit.append(AuditEntry("add", DATA_DEPENDENCY, edge.src, edge.dst, "control_flow", edge.variable))
-
-
-def _diag(diagnostics: DiagnosticSink | None, severity: str, message: str, stmt: StatementNode) -> None:
-    if diagnostics is not None:
-        diagnostics.add(severity, "enhance", message, stmt.file, stmt.start_line)
+            add_audited(g, audit, "control_flow", edge)

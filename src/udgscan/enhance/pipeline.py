@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from ..errors import DiagnosticSink
 from ..frontend.model import JumpTarget, RepoModel
 from ..pool import RequestPool
-from ..udg.cfg import resolve_label_targets
 from ..udg.graph import UnifiedDependencyGraph
 from .oracle import ResolutionOracle
 from .order import AnalysisSequence, compute_analysis_order
@@ -42,23 +41,23 @@ def enhance_graph(
     model: RepoModel,
     original: UnifiedDependencyGraph,
     oracle: ResolutionOracle,
-    diagnostics: DiagnosticSink | None = None,
-    jump_targets: list[JumpTarget] | None = None,
+    diagnostics: DiagnosticSink,
+    jump_targets: list[JumpTarget],
     pool: RequestPool | None = None,
 ) -> EnhancementResult:
     """Run the four passes in order on one copy of `original`: globals,
-    labeled jumps (with the data edges they bring), call-edge refinement
-    (with the call graph finalized before ordering), then summary-based
-    data-dependency pruning.  The call-edge rules and prompts thus read the
-    data edges a jump brings.  Each pass
-    edits the copy in place and logs its edits to the audit; `original` is
-    left intact.  The call-edge passes send their oracle requests on `pool`
-    (see `udgscan.pool`)."""
+    labeled jumps to `jump_targets` (see `udg.cfg.resolve_label_targets`)
+    with the data edges they bring, call-edge refinement (with the call
+    graph finalized before ordering), then summary-based data-dependency
+    pruning.  The call-edge rules and prompts thus read the data edges a
+    jump brings.  Each pass edits the copy in place, logs its edits to the
+    audit and its warnings to `diagnostics`; `original` is left intact.
+    The call-edge passes send their oracle requests on `pool` (see
+    `udgscan.pool`)."""
     audit: list[AuditEntry] = []
-    g = original.copy(state="enhanced")
+    g = original.copy()
     add_global_nodes(g, model.globals, model, audit)
-    targets = jump_targets if jump_targets is not None else resolve_label_targets(model, diagnostics)
-    reconstruct_labeled_jumps(g, targets, model, audit)
+    reconstruct_labeled_jumps(g, jump_targets, model, audit)
     enhance_polymorphic_calls(g, oracle, model, diagnostics, audit, pool)
     enhance_reflective_calls(g, oracle, model, diagnostics, audit, pool)
     order = compute_analysis_order(g, model)

@@ -7,7 +7,7 @@ from collections.abc import Mapping
 from ..frontend.model import RepoModel
 from ..udg.calls import call_statements, site_targets
 from ..udg.graph import DATA_DEPENDENCY, UnifiedDependencyGraph
-from .passes import AuditEntry
+from .passes import AuditEntry, remove_audited
 from .summaries import FunctionSummary, flowing_uses
 
 
@@ -15,7 +15,7 @@ def prune_data_edges(
     g: UnifiedDependencyGraph,
     summaries: Mapping[str, FunctionSummary],
     model: RepoModel,
-    audit: list[AuditEntry] | None = None,
+    audit: list[AuditEntry],
 ) -> None:
     """Remove from `g` each data edge into a call statement whose variable
     cannot reach the statement's value (see `summaries.flowing_uses`)."""
@@ -23,10 +23,6 @@ def prune_data_edges(
     targets = [(stmt, site_targets(g, model, stmt)) for stmt in call_statements(g)]
     for stmt, per_site in targets:
         removable = set(stmt.uses) - flowing_uses(stmt, per_site, model, summaries)
-        if not removable:
-            continue
-        doomed = [e for e in g.in_edges(stmt.id, DATA_DEPENDENCY) if e.variable in removable]
-        if audit is not None:
-            for e in doomed:
-                audit.append(AuditEntry("remove", DATA_DEPENDENCY, e.src, e.dst, "data_pruning", e.variable))
-        g.remove_edges({e.key() for e in doomed})
+        if removable:
+            doomed = [e for e in g.in_edges(stmt.id, DATA_DEPENDENCY) if e.variable in removable]
+            remove_audited(g, audit, "data_pruning", doomed)

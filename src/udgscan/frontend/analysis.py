@@ -6,7 +6,7 @@ from ..errors import DiagnosticSink, HierarchyCycle
 from .model import RepoModel, TypeHierarchy
 
 
-def build_type_hierarchy(model: RepoModel, diagnostics: DiagnosticSink | None = None) -> TypeHierarchy:
+def build_type_hierarchy(model: RepoModel, diagnostics: DiagnosticSink) -> TypeHierarchy:
     hierarchy = TypeHierarchy()
     for cls in model.classes.values():
         for sup in cls.supertypes:
@@ -15,10 +15,7 @@ def build_type_hierarchy(model: RepoModel, diagnostics: DiagnosticSink | None = 
                 hierarchy.add_edge(cls.name, resolved.name)
             else:
                 hierarchy.external_edges.append((cls.name, sup))
-                if diagnostics is not None:
-                    diagnostics.add(
-                        "info", "frontend", f"supertype {sup} of {cls.name} is external", cls.file
-                    )
+                diagnostics.add("info", "frontend", f"supertype {sup} of {cls.name} is external", cls.file)
     _reject_cycles(hierarchy)
     model.hierarchy = hierarchy
     return hierarchy

@@ -121,8 +121,10 @@ class _Cursor:
 
     def skip_type_args(self) -> None:
         """Consume the type arguments `<...>` at the cursor."""
-        self.pos = _type_args_close(self.tokens, self.pos, self.end)
-        self.next()
+        close = _type_args_close(self.tokens, self.closers, self.pos, self.end)
+        if close == self.end:
+            raise SubsetViolation(self.path, self.tokens[self.pos].line, "unclosed '<'")
+        self.pos = close + 1
 
 
 class _FileParser(_Cursor):
@@ -339,7 +341,7 @@ class _FileParser(_Cursor):
         end = self.pos - 1  # the list's ')'
         while start < end:  # modifiers, a type, then one declarator without an initializer
             type_start = _modifiers_end(self.tokens, self.closers, start, end)
-            i, type_name = _read_type(self.tokens, type_start, end) or (type_start, "")
+            i, type_name = _read_type(self.tokens, self.closers, type_start, end) or (type_start, "")
             stop = _part_end(self.tokens, self.closers, i, end)
             decls, bad = _declarators(self.tokens, self.closers, i, stop, type_name)
             if bad is not None or decls[0][2] <= decls[0][3]:
@@ -403,7 +405,8 @@ class _FileParser(_Cursor):
         return types
 
     def parse_type(self) -> str:
-        read = _read_type(self.tokens, self.pos, self.end)
+        start = self.pos
+        read = _read_type(self.tokens, self.closers, start, self.end)
         if read is None:
             tok = self.peek()
             if tok is None:
@@ -411,7 +414,8 @@ class _FileParser(_Cursor):
             raise SubsetViolation(self.src.path, tok.line, f"expected a type, found '{tok.text}'")
         self.pos, name = read
         if self.pos > self.end:  # type arguments that never close
-            raise SubsetViolation(self.src.path, self.eof_line, "truncated construct")
+            lt = next(i for i in range(start, self.end) if self.tokens[i].text == "<")
+            raise SubsetViolation(self.src.path, self.tokens[lt].line, "unclosed '<'")
         return name
 
 
@@ -754,7 +758,7 @@ def _part_end(tokens: list[Token], closers: list[int], start: int, end: int) -> 
         if t.text == ",":
             return i
         if t.text == "new":
-            skip = _new_type(tokens, i, end)[0]
+            skip = _new_type(tokens, closers, i, end)[0]
     return end
 
 
@@ -763,6 +767,7 @@ _ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>="
 _STEP_OPS = ("++", "--")
 # How each token changes the depth of nested type arguments.
 _ANGLE_DEPTH = {"<": 1, ">": -1, ">>": -2, ">>>": -3}
+_NOT_IN_TYPE_ARGS = frozenset((";", "{", *_OPENER_OF))
 
 
 def _chained_call(tokens: list[Token], j: int, end: int) -> bool:
@@ -771,13 +776,16 @@ def _chained_call(tokens: list[Token], j: int, end: int) -> bool:
     return j + 2 < end and tokens[j].text == "." and tokens[j + 1].kind == "ident" and tokens[j + 2].text == "("
 
 
-def _type_args_close(tokens: list[Token], i: int, end: int) -> int:
+def _type_args_close(tokens: list[Token], closers: list[int], i: int, end: int) -> int:
     """Index of the token that closes the type arguments opening at
     tokens[i] == '<', where `>>` and `>>>` close two and three levels; `end`
-    when none does before it."""
+    when none does before `end`, a `;`, a `{` or the closer of the group
+    they are in, none of which type arguments hold."""
     depth = 0
-    for j in range(i, end):
-        depth += _ANGLE_DEPTH.get(tokens[j].text, 0)
+    for j, t in _top_level(tokens, closers, i, end):
+        if t.text in _NOT_IN_TYPE_ARGS:
+            return end
+        depth += _ANGLE_DEPTH.get(t.text, 0)
         if depth <= 0:
             return j
     return end
@@ -816,7 +824,7 @@ def _modifiers_end(tokens: list[Token], closers: list[int], i: int, end: int) ->
     return i
 
 
-def _new_type(tokens: list[Token], i: int, end: int) -> tuple[int, str]:
+def _new_type(tokens: list[Token], closers: list[int], i: int, end: int) -> tuple[int, str]:
     """Read the class of the `new` at tokens[i]: a dotted name, then its type
     arguments.  Returns the index after them, past `end` when the type
     arguments do not close, and the name as written ('' when there is none)."""
@@ -827,11 +835,11 @@ def _new_type(tokens: list[Token], i: int, end: int) -> tuple[int, str]:
             parts.append(tokens[i].text)
         i += 1
     if i < end and tokens[i].text == "<":
-        i = _type_args_close(tokens, i, end) + 1
+        i = _type_args_close(tokens, closers, i, end) + 1
     return i, ".".join(parts)
 
 
-def _read_type(tokens: list[Token], i: int, end: int) -> tuple[int, str] | None:
+def _read_type(tokens: list[Token], closers: list[int], i: int, end: int) -> tuple[int, str] | None:
     """Read the type at tokens[i:end]: a primitive or a dotted name, its type
     arguments, then `[]` pairs and a varargs `...` (one more pair).  Returns
     the index after it, past `end` when the type arguments do not close, and
@@ -847,7 +855,7 @@ def _read_type(tokens: list[Token], i: int, end: int) -> tuple[int, str] | None:
         name = tokens[i + 1].text  # keep the simple name of a dotted type
         i += 2
     if i < end and tokens[i].text == "<":
-        i = _type_args_close(tokens, i, end) + 1
+        i = _type_args_close(tokens, closers, i, end) + 1
     while i + 1 < end and tokens[i].text == "[" and tokens[i + 1].text == "]":
         name += "[]"
         i += 2
@@ -884,7 +892,7 @@ def _declaration(tokens: list[Token], closers: list[int], i: int, end: int) -> l
     """The declarators of the declaration `modifiers Type declarators` that
     tokens[i:end] are, as `_declarators` reads them; None when they are not
     one."""
-    read = _read_type(tokens, _modifiers_end(tokens, closers, i, end), end)
+    read = _read_type(tokens, closers, _modifiers_end(tokens, closers, i, end), end)
     if read is None:
         return None
     decls, bad = _declarators(tokens, closers, read[0], end, read[1])
@@ -896,7 +904,7 @@ def _allocated_class(tokens: list[Token], closers: list[int], start: int, end: i
     and nothing else, with any type arguments dropped; '' otherwise."""
     if start >= end or not tokens[start].is_kw("new"):
         return ""
-    paren, written = _new_type(tokens, start, end)
+    paren, written = _new_type(tokens, closers, start, end)
     return written if paren < end and tokens[paren].text == "(" and closers[paren] == end - 1 else ""
 
 
@@ -963,7 +971,7 @@ class _Expr:
 
     def _new(self, i: int, end: int, uses: set[str]) -> int:
         toks = self.toks
-        j, written = _new_type(toks, i, end)
+        j, written = _new_type(toks, self.closers, i, end)
         if j < end and toks[j].text == "(":
             arg_vars, close = self._arguments(j, uses)
             self.calls.append(
@@ -1123,14 +1131,13 @@ def parse_source(path: str, text: str, model: RepoModel, diagnostics: Diagnostic
     return True
 
 
-def parse_repository(root: str, diagnostics: DiagnosticSink | None = None) -> RepoModel:
+def parse_repository(root: str, diagnostics: DiagnosticSink) -> RepoModel:
     """Parse every Java source file under `root` into a RepoModel.
 
     Files violating the subset, unreadable files and files that are not valid
     UTF-8 are reported and skipped; the remaining files still produce a
     usable model.
     """
-    diagnostics = diagnostics if diagnostics is not None else DiagnosticSink()
     if not os.path.isdir(root):
         raise IOError(f"repository root does not exist: {root}")
     model = RepoModel(root=root)

@@ -8,11 +8,11 @@ import json
 import os
 import sys
 
-from ..errors import ConfigError, DiagnosticSink, UdgScanError
+from ..errors import ConfigError, Diagnostic, DiagnosticSink, UdgScanError
 from .dataset import load_paired_dataset
 from .metrics import compute_metrics, compute_pairwise
 from .rename import adversarial_rename
-from .scan import EXIT_CONFIG, ScanConfig, print_diagnostics, scan
+from .scan import EXIT_CONFIG, ScanConfig, scan
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,19 +66,24 @@ def _config_from_args(args: argparse.Namespace, **overrides) -> ScanConfig:
     return ScanConfig.from_sources(flags, getattr(args, "config", None))
 
 
+def _print_notes(notes) -> None:
+    """Each note on stderr, as `Diagnostic.render` writes it."""
+    for note in notes:
+        print(note.render(), file=sys.stderr)
+
+
 def cmd_scan(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     result = scan(config)
-    print_diagnostics(result)
+    _print_notes(Diagnostic(**d) for d in result.report["diagnostics"])
     print(json.dumps(result.report, indent=2, sort_keys=True))
     return result.exit_code
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    warnings: list[str] = []
-    samples = load_paired_dataset(args.dataset, warnings)
-    for w in warnings:
-        print(f"[warning] dataset: {w}", file=sys.stderr)
+    dataset_notes = DiagnosticSink()
+    samples = load_paired_dataset(args.dataset, dataset_notes)
+    _print_notes(dataset_notes.items)
     preds: list[tuple[str, bool]] = []
     labels: list[tuple[str, bool]] = []
     pairs: list[tuple[int, int]] = []
@@ -94,11 +99,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
             preds.append((sample_id, flagged))
             labels.append((sample_id, truth))
         pairs.append((int(verdicts[0]), int(verdicts[1])))
-    metric_warnings: list[str] = []
-    precision, recall, f1 = compute_metrics(preds, labels, metric_warnings)
+    metric_notes = DiagnosticSink()
+    precision, recall, f1 = compute_metrics(preds, labels, metric_notes)
     p_c, p_r, vp_s = compute_pairwise(pairs)
-    for w in metric_warnings:
-        print(f"[warning] metrics: {w}", file=sys.stderr)
+    _print_notes(metric_notes.items)
     print(
         json.dumps(
             {
@@ -120,8 +124,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_rename(args: argparse.Namespace) -> int:
     diagnostics = DiagnosticSink()
     mapping = adversarial_rename(args.repo, args.label, args.out, diagnostics)
-    for d in diagnostics.items:
-        print(d.render(), file=sys.stderr)
+    _print_notes(diagnostics.items)
     print(json.dumps({"renamed_identifiers": len(mapping), "out": args.out}, sort_keys=True))
     return 0
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from ..errors import ConfigError, DuplicatePair
+from ..errors import ConfigError, DiagnosticSink, DuplicatePair
 from ..jsonio import read_json_lines
 
 
@@ -48,7 +48,7 @@ def normalized_hash(repo_dir: str) -> str:
     return digest.hexdigest()
 
 
-def load_paired_dataset(path: str, warnings: list[str] | None = None) -> list[PairedSample]:
+def load_paired_dataset(path: str, diagnostics: DiagnosticSink) -> list[PairedSample]:
     """JSON-lines records {id, vulnerable, patched[, cwe]}; directories are
     resolved relative to the dataset file.  Pairs whose variants normalize to
     the same hash are rejected; duplicated normalized variants across pairs
@@ -75,10 +75,8 @@ def load_paired_dataset(path: str, warnings: list[str] | None = None) -> list[Pa
         skip = False
         for h, d in ((hv, vuln_dir), (hp, patched_dir)):
             if h in seen_hashes:
-                if warnings is not None:
-                    warnings.append(
-                        f"pair {doc['id']}: variant duplicates {seen_hashes[h]}, pair skipped"
-                    )
+                message = f"pair {doc['id']}: variant duplicates {seen_hashes[h]}, pair skipped"
+                diagnostics.add("warning", "dataset", message)
                 skip = True
         if skip:
             continue

@@ -171,7 +171,7 @@ def _mk_node(i: int) -> StatementNode:
 def random_udg(seed: int, max_nodes: int = 200) -> UnifiedDependencyGraph:
     rng = random.Random(seed)
     n = rng.randint(8, max_nodes)
-    g = UnifiedDependencyGraph(state="enhanced")
+    g = UnifiedDependencyGraph()
     for i in range(n):
         g.add_node(_mk_node(i))
     n_edges = rng.randint(n, 3 * n)

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from ..errors import EmptyInput, IdMismatch
+from ..errors import DiagnosticSink, EmptyInput, IdMismatch
 
 
 def compute_metrics(
     preds: list[tuple[str, bool]],
     labels: list[tuple[str, bool]],
-    warnings: list[str] | None = None,
+    diagnostics: DiagnosticSink,
 ) -> tuple[float, float, float]:
     """Precision, recall, F1 over aligned (id, flag) lists; a zero
     denominator yields 0 with a warning."""
@@ -26,19 +26,18 @@ def compute_metrics(
             fp += 1
         elif not guess and truth:
             fn += 1
-    precision = tp / (tp + fp) if (tp + fp) else _warned(warnings, "precision: no positive predictions")
-    recall = tp / (tp + fn) if (tp + fn) else _warned(warnings, "recall: no positive labels")
+    precision = tp / (tp + fp) if (tp + fp) else _warned(diagnostics, "precision: no positive predictions")
+    recall = tp / (tp + fn) if (tp + fn) else _warned(diagnostics, "recall: no positive labels")
     f1 = (
         2 * precision * recall / (precision + recall)
         if (precision + recall)
-        else _warned(warnings, "f1: degenerate precision/recall")
+        else _warned(diagnostics, "f1: degenerate precision/recall")
     )
     return precision, recall, f1
 
 
-def _warned(warnings: list[str] | None, message: str) -> float:
-    if warnings is not None:
-        warnings.append(message)
+def _warned(diagnostics: DiagnosticSink, message: str) -> float:
+    diagnostics.add("warning", "metrics", message)
     return 0.0
 
 

@@ -36,7 +36,7 @@ def collect_user_identifiers(model: RepoModel) -> set[str]:
     return names
 
 
-def build_rename_map(names: set[str], label: str, log: list[str] | None = None) -> dict[str, str]:
+def build_rename_map(names: set[str], label: str, diagnostics: DiagnosticSink) -> dict[str, str]:
     if label not in PREFIX_FOR_LABEL:
         raise ValueError(f"label must be one of {sorted(PREFIX_FOR_LABEL)}")
     prefix = PREFIX_FOR_LABEL[label]
@@ -49,8 +49,7 @@ def build_rename_map(names: set[str], label: str, log: list[str] | None = None) 
             while f"{candidate}_{k}" in taken:
                 k += 1
             resolved = f"{candidate}_{k}"
-            if log is not None:
-                log.append(f"collision: {candidate} taken, using {resolved}")
+            diagnostics.add("info", "rename", f"collision: {candidate} taken, using {resolved}")
             candidate = resolved
         mapping[name] = candidate
         taken.add(candidate)
@@ -105,7 +104,7 @@ def adversarial_rename(
     repo_root: str,
     label: str,
     out_root: str,
-    diagnostics: DiagnosticSink | None = None,
+    diagnostics: DiagnosticSink,
 ) -> dict[str, str]:
     """Rewrite a repository into `out_root`; returns the rename map."""
     if not os.path.isdir(repo_root):
@@ -113,15 +112,11 @@ def adversarial_rename(
     blocker = _file_in_the_way(out_root)
     if blocker is not None:
         raise ConfigError(f"output directory {out_root} cannot be made: {blocker} is not a directory")
-    model = parse_repository(repo_root, diagnostics=diagnostics)
+    model = parse_repository(repo_root, diagnostics)
     names = collect_user_identifiers(model)
     member_names = {f.name for f in model.functions.values()}
     member_names.update(g.variable for g in model.globals if g.variable)
-    log: list[str] = []
-    mapping = build_rename_map(names, label, log)
-    if diagnostics is not None:
-        for entry in log:
-            diagnostics.add("info", "rename", entry)
+    mapping = build_rename_map(names, label, diagnostics)
     os.makedirs(out_root, exist_ok=True)
     for source in model.files:
         renamed = rename_source(source.text, mapping, source.path, member_names)

@@ -7,7 +7,6 @@ import json
 import math
 import os
 import re
-import sys
 from collections import deque
 from dataclasses import dataclass, field, fields
 
@@ -19,7 +18,6 @@ from ..errors import (
     AllRoundsFailed,
     ClientTransportError,
     ConfigError,
-    Diagnostic,
     DiagnosticSink,
     HierarchyCycle,
     OracleParseError,
@@ -291,8 +289,8 @@ def _scan(config: ScanConfig, inference_client, resolution_oracle) -> ScanResult
     # Built and read before any parsing, so that an unreadable replay
     # transcript, knowledge base or sink file is reported at once.
     (oracle, client), recorders = _request_layers(config, (resolution_oracle, inference_client))
-    kb_warnings: list[str] = []
-    kb = load_knowledge_base(config.kb_path, kb_warnings) if config.kb_path else load_starter_kb()
+    kb_notes = DiagnosticSink()
+    kb = load_knowledge_base(config.kb_path, kb_notes) if config.kb_path else load_starter_kb()
     user_sinks = load_user_sinks(config.sink_path, kb) if config.sink_path else []
 
     model = parse_repository(config.repo, diagnostics)
@@ -314,8 +312,7 @@ def _scan(config: ScanConfig, inference_client, resolution_oracle) -> ScanResult
             return ScanResult(report=report, exit_code=EXIT_ORACLE)
         g_e = enh.graph
 
-        for w in kb_warnings:
-            diagnostics.add("warning", "knowledge", w)
+        diagnostics.extend(kb_notes)
         invocations = find_sensitive_invocations(g_e, model, kb, user_sinks)
         built = holistic_context(
             g_e, model, invocations, hop_limit=config.hop_limit, token_budget=config.token_budget
@@ -463,8 +460,3 @@ def _write_outputs(config, report, contexts, names: _Names, enh, g_e) -> None:
         _rewrite(os.path.join(config.out_dir, "udg.txt"), g_e.dump())
         _rewrite(os.path.join(config.out_dir, "udg.dot"), g_e.to_dot())
 
-
-def print_diagnostics(result: ScanResult, stream=None) -> None:
-    stream = stream or sys.stderr
-    for d in result.report.get("diagnostics", []):
-        print(Diagnostic(**d).render(), file=stream)

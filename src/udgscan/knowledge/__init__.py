@@ -14,7 +14,7 @@ import importlib.resources
 import re
 from dataclasses import dataclass, field
 
-from ..errors import ConfigError, MissingGuideline
+from ..errors import ConfigError, DiagnosticSink, MissingGuideline
 from ..jsonio import decode, read_json_object
 
 CWE_ID_RE = re.compile(r"^CWE-\d+$")
@@ -144,7 +144,7 @@ def _guideline(g: dict, cwe_id: str, where: str) -> CweGuideline:
     return CweGuideline(cwe_id, title, vuln, defense)
 
 
-def parse_knowledge_base(doc: dict, warnings: list[str] | None = None) -> KnowledgeBase:
+def parse_knowledge_base(doc: dict, diagnostics: DiagnosticSink) -> KnowledgeBase:
     kb = KnowledgeBase()
     guidelines = _require(doc, "guidelines", list, "kb")
     for i, g in enumerate(guidelines):
@@ -167,8 +167,7 @@ def parse_knowledge_base(doc: dict, warnings: list[str] | None = None) -> Knowle
                 raise ConfigError(f"{where}.cwes: unknown guideline {cwe}")
         key = (api, arity)
         if key in seen:
-            if warnings is not None:
-                warnings.append(f"duplicate api {api}: entries merged")
+            diagnostics.add("warning", "knowledge", f"duplicate api {api}: entries merged")
             for cwe in cwes:
                 if cwe not in seen[key].cwes:
                     seen[key].cwes.append(cwe)
@@ -179,14 +178,15 @@ def parse_knowledge_base(doc: dict, warnings: list[str] | None = None) -> Knowle
     return kb
 
 
-def load_knowledge_base(path: str, warnings: list[str] | None = None) -> KnowledgeBase:
-    return parse_knowledge_base(read_json_object(path, "kb"), warnings)
+def load_knowledge_base(path: str, diagnostics: DiagnosticSink) -> KnowledgeBase:
+    return parse_knowledge_base(read_json_object(path, "kb"), diagnostics)
 
 
 def load_starter_kb() -> KnowledgeBase:
-    """The shipped seed knowledge base (not an industrial-scale catalog)."""
+    """The shipped seed knowledge base (not an industrial-scale catalog),
+    which merges no entries and so gives no note."""
     data = importlib.resources.files("udgscan.knowledge").joinpath("data/starter_kb.json")
-    return parse_knowledge_base(decode(data.read_bytes()))
+    return parse_knowledge_base(decode(data.read_bytes()), DiagnosticSink())
 
 
 def load_user_sinks(path: str, kb: KnowledgeBase) -> list[UserSinkSpec]:

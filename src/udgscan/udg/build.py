@@ -15,7 +15,7 @@ def assemble_original_udg(model: RepoModel) -> UnifiedDependencyGraph:
     a def-use edge; those conservative interprocedural edges are the ones the
     summary pass prunes.  Global statements are not yet nodes.
     """
-    g = UnifiedDependencyGraph(state="original")
+    g = UnifiedDependencyGraph()
     for fid in sorted(model.functions):
         func = model.functions[fid]
         g.add_node(model.stmt(func.entry))

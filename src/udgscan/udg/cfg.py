@@ -23,9 +23,7 @@ def build_cfg(func: FunctionDecl, model: RepoModel) -> list[UdgEdge]:
     return [UdgEdge(src, dst, CONTROL_FLOW) for src, dst in dict.fromkeys(builder.edges)]
 
 
-def resolve_label_targets(
-    model: RepoModel, diagnostics: DiagnosticSink | None = None
-) -> list[JumpTarget]:
+def resolve_label_targets(model: RepoModel, diagnostics: DiagnosticSink) -> list[JumpTarget]:
     """Resolve every labeled break/continue to its reconstruction successor.
 
     A labeled break lands where the labeled statement's own successor is; a
@@ -47,7 +45,7 @@ def resolve_label_targets(
             found = builder.jumps.get(sid)
             if isinstance(found, JumpTarget):
                 targets.append(found)
-            elif found is not None and diagnostics is not None:
+            elif found is not None:
                 node = model.stmt(sid)
                 diagnostics.add("error", "frontend", found, node.file, node.start_line)
     return targets

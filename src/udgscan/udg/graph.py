@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections.abc import ValuesView
+from collections.abc import Iterable, ValuesView
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -40,7 +40,6 @@ class UnifiedDependencyGraph:
     """
 
     nodes: dict[str, StatementNode] = field(default_factory=dict)
-    state: str = "original"  # "original" | "enhanced"
     _edges: dict[tuple, UdgEdge] = field(default_factory=dict, repr=False)
     _out: dict[str, list[UdgEdge]] = field(default_factory=dict, repr=False)
     _in: dict[str, list[UdgEdge]] = field(default_factory=dict, repr=False)
@@ -69,14 +68,16 @@ class UnifiedDependencyGraph:
             self._derived.clear()
         return True
 
-    def remove_edges(self, keys: set[tuple]) -> int:
-        removed = 0
+    def remove_edges(self, keys: Iterable[tuple]) -> list[UdgEdge]:
+        """Remove the edges with `keys`; the ones that were present, in the
+        order of `keys`."""
+        removed = []
         for key in keys:
             edge = self._edges.pop(key, None)
             if edge is not None:
                 self._out[edge.src].remove(edge)
                 self._in[edge.dst].remove(edge)
-                removed += 1
+                removed.append(edge)
         if removed:
             self._derived.clear()
         return removed
@@ -107,11 +108,10 @@ class UnifiedDependencyGraph:
     def edges_of(self, tau: str) -> list[UdgEdge]:
         return [e for e in self.edges if e.tau == tau]
 
-    def copy(self, state: str | None = None) -> "UnifiedDependencyGraph":
+    def copy(self) -> "UnifiedDependencyGraph":
         """The same nodes and edges, in the same order, with empty memo tables."""
         return UnifiedDependencyGraph(
             nodes=dict(self.nodes),
-            state=state or self.state,
             _edges=dict(self._edges),
             _out={node: list(edges) for node, edges in self._out.items()},
             _in={node: list(edges) for node, edges in self._in.items()},

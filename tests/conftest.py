@@ -15,10 +15,12 @@ def pytest_runtest_makereport(item, call):
         if m:
             print(f"\nACCEPTANCE {m.group(1)}: FAIL - {item.name}")
 
+from udgscan.enhance.pipeline import enhance_graph
 from udgscan.errors import DiagnosticSink
 from udgscan.frontend.analysis import build_type_hierarchy
 from udgscan.frontend.parser import parse_repository
 from udgscan.udg.build import assemble_original_udg
+from udgscan.udg.cfg import resolve_label_targets
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -49,6 +51,12 @@ def parse_and_build(root: str):
     build_type_hierarchy(model, diags)
     g = assemble_original_udg(model)
     return model, g, diags
+
+
+def enhance(model, g, oracle, diags, pool=None):
+    """`enhance_graph` as a scan runs it: on the labeled jumps that
+    `resolve_label_targets` resolves, its errors going to `diags`."""
+    return enhance_graph(model, g, oracle, diags, resolve_label_targets(model, diags), pool)
 
 
 @pytest.fixture

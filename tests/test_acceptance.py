@@ -7,7 +7,7 @@ verdict lines.
 import json
 import time
 
-from conftest import parse_and_build, write_repo
+from conftest import enhance, parse_and_build, write_repo
 from test_labeled_jumps import CASES as JUMP_CASES
 from support.slicing import explicit_context
 
@@ -18,7 +18,6 @@ from udgscan.context.implicit import declaration_context, definition_context, us
 from udgscan.enhance.oracle import MockResolutionOracle
 from udgscan.enhance.order import compute_analysis_order, tarjan_scc
 from udgscan.enhance.passes import enhance_polymorphic_calls, enhance_reflective_calls
-from udgscan.enhance.pipeline import enhance_graph
 from udgscan.enhance.summaries import compute_all_summaries
 from udgscan.errors import DiagnosticSink, OracleParseError
 from udgscan.frontend.parser import parse_repository
@@ -46,7 +45,7 @@ def report(n: int, text: str) -> None:
 
 def _enhanced(repo):
     model, g, diags = parse_and_build(repo)
-    result = enhance_graph(model, g, MockResolutionOracle(), diags)
+    result = enhance(model, g, MockResolutionOracle(), diags)
     return model, g, result
 
 
@@ -79,7 +78,7 @@ def test_criterion_2_reflective_edge_via_transcript(reflect_repo, tmp_path):
     # Record a transcript from the deterministic mock, then replay it.
     model0, g0, _ = parse_and_build(reflect_repo)
     recorder = Recorder(MockResolutionOracle(), "site")
-    enhance_graph(model0, g0, recorder, jump_targets=resolve_label_targets(model0))
+    enhance(model0, g0, recorder, DiagnosticSink())
     transcript = tmp_path / "resolution.jsonl"
     transcript.write_text("".join(recorder.lines()), encoding="utf-8")
 
@@ -92,9 +91,7 @@ def test_criterion_2_reflective_edge_via_transcript(reflect_repo, tmp_path):
     assert invoke_stmt.owner == display.id
     # Without enhancement the edge does not exist.
     assert not g_o.has_edge(invoke_stmt.id, display_search.entry, CALL)
-    result = enhance_graph(
-        model, g_o, Replay(str(transcript), "site"), diags, resolve_label_targets(model)
-    )
+    result = enhance(model, g_o, Replay(str(transcript), "site"), diags)
     assert result.graph.has_edge(invoke_stmt.id, display_search.entry, CALL)
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
@@ -144,8 +141,8 @@ def test_criterion_5_labeled_jump_corpus(tmp_path):
     successes = 0
     for i, (name, source, expect) in enumerate(JUMP_CASES):
         root = write_repo(tmp_path / name if hasattr(tmp_path, "__truediv__") else tmp_path, {"Case.java": source})
-        model = parse_repository(root)
-        targets = resolve_label_targets(model)
+        model = parse_repository(root, DiagnosticSink())
+        targets = resolve_label_targets(model, DiagnosticSink())
         assert len(targets) == 1
         target = targets[0]
         func = next(iter(model.functions.values()))
@@ -352,11 +349,11 @@ FAULT_MODES = ["garbage", "wrong_schema", "empty_list", "unknown_names", "raises
 
 def test_criterion_12_fail_conservative(dispatch_repo, reflect_repo):
     model_d, g_d, _ = parse_and_build(dispatch_repo)
-    enhance_polymorphic_calls(g_d, MockResolutionOracle(), model_d)
+    enhance_polymorphic_calls(g_d, MockResolutionOracle(), model_d, DiagnosticSink(), [])
     correct_call_edges = {e.key() for e in g_d.edges_of(CALL)}
     for mode in FAULT_MODES:
         model, g, diags = parse_and_build(dispatch_repo)
-        enhance_polymorphic_calls(g, _FaultyOracle(mode), model, diags)
+        enhance_polymorphic_calls(g, _FaultyOracle(mode), model, diags, [])
         faulty_edges = {e.key() for e in g.edges_of(CALL)}
         assert faulty_edges >= correct_call_edges, mode
 
@@ -369,7 +366,7 @@ def test_criterion_12_fail_conservative(dispatch_repo, reflect_repo):
         inv_stmt = next(
             s for s in model.statements.values() if any(c.name == "invoke" for c in s.calls)
         )
-        enhance_reflective_calls(g, _FaultyOracle(mode), model, diags)
+        enhance_reflective_calls(g, _FaultyOracle(mode), model, diags, [])
         remaining = g.out_edges(inv_stmt.id, CALL)
         assert remaining, f"{mode}: reflective edge silently dropped"
         assert any(g.nodes[e.dst].reflective for e in remaining), mode

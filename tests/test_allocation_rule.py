@@ -11,6 +11,7 @@ from conftest import FIXTURES, fixture_path, parse_and_build, write_repo
 
 from udgscan.enhance import passes
 from udgscan.enhance.oracle import MockResolutionOracle
+from udgscan.errors import DiagnosticSink
 from udgscan.harness.scan import ScanConfig, scan
 from udgscan.udg.calls import call_statements, function_of_entry, site_targets
 from udgscan.udg.graph import CALL
@@ -114,7 +115,7 @@ def rule_and_mock(root):
     """Per site the rule decides: the statement, the rule's candidate and
     the candidates the mock names for the prompt the pass would build."""
     model, g, _ = parse_and_build(root)
-    passes.add_global_nodes(g, model.globals, model)
+    passes.add_global_nodes(g, model.globals, model, [])
     hierarchy = passes._hierarchy_text(model)
     decided = []
     for stmt in call_statements(g):
@@ -195,7 +196,7 @@ def test_deciding_by_rule_edits_the_graph_as_asking_the_mock_does(tmp_path, monk
 def test_the_rule_refuses(tmp_path, case):
     model, g, _ = parse_and_build(write_repo(tmp_path, {"p/Shape.java": SHAPES % REFUSED[case]}))
     oracle = CountingOracle()
-    passes.enhance_polymorphic_calls(g, oracle, model)
+    passes.enhance_polymorphic_calls(g, oracle, model, DiagnosticSink(), [])
     assert len(oracle.sites) == 1
 
 

@@ -40,7 +40,7 @@ class U {
 
 def _setup(tmp_path):
     model, g_o, diags = parse_and_build(write_repo(tmp_path, {"U.java": SOURCE}))
-    g = g_o.copy(state="enhanced")
+    g = g_o.copy()
     stmt = next(s for s in call_statements(g) if s.calls[0].name == "f")
     entries = {model.functions[fid].class_name.split(".")[-1]: model.functions[fid].entry for fid in model.functions}
     return model, g, diags, stmt, entries
@@ -51,7 +51,7 @@ def test_edge_and_node_changes_reach_the_next_lookup(tmp_path):
     assert site_targets(g, model, stmt) == {0: [entries["A"], entries["B"]]}
     assert site_targets(g, model, stmt) is site_targets(g, model, stmt)
 
-    assert g.remove_edges({(stmt.id, entries["A"], CALL, None)}) == 1
+    assert g.remove_edges({(stmt.id, entries["A"], CALL, None)}) == [UdgEdge(stmt.id, entries["A"], CALL)]
     assert site_targets(g, model, stmt) == {0: [entries["B"]]}
     assert g.add_edge(UdgEdge(stmt.id, entries["A"], CALL))
     assert site_targets(g, model, stmt) == {0: [entries["B"], entries["A"]]}
@@ -68,7 +68,7 @@ def test_a_polymorphism_removal_is_seen_by_reflection_and_pruning(tmp_path, monk
     # Fill both memos before the pass removes A.f.
     assert site_targets(g, model, stmt) == {0: [entries["A"], entries["B"]]}
     assert stmt in call_statements(g)
-    enhance_polymorphic_calls(g, MockResolutionOracle(), model, diags)
+    enhance_polymorphic_calls(g, MockResolutionOracle(), model, diags, [])
     assert not g.has_edge(stmt.id, entries["A"], CALL)
 
     seen = {}
@@ -83,11 +83,11 @@ def test_a_polymorphism_removal_is_seen_by_reflection_and_pruning(tmp_path, monk
             return out
 
         monkeypatch.setattr(module, "site_targets", spy)
-    enhance_reflective_calls(g, MockResolutionOracle(), model, diags)
+    enhance_reflective_calls(g, MockResolutionOracle(), model, diags, [])
     summaries = compute_all_summaries(g, model, compute_analysis_order(g, model))
     run = next(fid for fid, func in model.functions.items() if func.name == "run")
     assert summaries[run].phi == {"t": False}
     assert any(e.variable == "t" for e in g.in_edges(stmt.id, DATA_DEPENDENCY))
-    prune_data_edges(g, summaries, model)
+    prune_data_edges(g, summaries, model, [])
     assert seen == {name: {0: [entries["B"]]} for name in ("udgscan.enhance.passes", "udgscan.enhance.prune")}
     assert not any(e.variable == "t" for e in g.in_edges(stmt.id, DATA_DEPENDENCY))

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import parse_and_build, write_repo
+from conftest import enhance, fixture_path, parse_and_build, write_repo
 from support.slicing import explicit_context
 
 from udgscan.context.holistic import holistic_context
@@ -8,7 +8,6 @@ from udgscan.context.implicit import declaration_context, definition_context, us
 from udgscan.context.sinks import find_sensitive_invocations
 from udgscan.context.slicing import ContextSlice, control_slice, data_slice, merge_slices
 from udgscan.enhance.oracle import MockResolutionOracle
-from udgscan.enhance.pipeline import enhance_graph
 from udgscan.harness.generate import random_udg
 from udgscan.harness.oracles import control_slice_oracle, data_slice_oracle
 from udgscan.knowledge import UserSinkSpec, load_starter_kb
@@ -16,7 +15,7 @@ from udgscan.knowledge import UserSinkSpec, load_starter_kb
 
 def enhanced(repo):
     model, g, diags = parse_and_build(repo)
-    result = enhance_graph(model, g, MockResolutionOracle(), diags)
+    result = enhance(model, g, MockResolutionOracle(), diags)
     return model, result.graph
 
 
@@ -28,6 +27,15 @@ def sink_of(model, g, kb, api_substr):
 
 
 # ------------------------------------------------------------- invocations
+
+
+@pytest.mark.parametrize("name", ["el_template_validation", "reflective_dispatch"])
+def test_invocations_are_found_on_the_original_graph_too(name):
+    model, g_o, diags = parse_and_build(fixture_path(name))
+    kb = load_starter_kb()
+    found = find_sensitive_invocations(g_o, model, kb)
+    assert found
+    assert found == find_sensitive_invocations(enhance(model, g_o, MockResolutionOracle(), diags).graph, model, kb)
 
 
 def test_kb_invocation_found(el_repo):

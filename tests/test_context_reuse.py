@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES, parse_and_build, write_repo
+from conftest import FIXTURES, enhance, parse_and_build, write_repo
 
 from udgscan.context.holistic import (
     TRIVIA_GAP_MAX,
@@ -22,7 +22,6 @@ from udgscan.context.implicit import declaration_context
 from udgscan.context.sinks import SensitiveInvocation
 from udgscan.context.slicing import merge_slices
 from udgscan.enhance.oracle import MockResolutionOracle
-from udgscan.enhance.pipeline import enhance_graph
 from udgscan.harness.generate import random_summary_program
 from udgscan.knowledge import load_starter_kb, suffix_match
 
@@ -31,7 +30,7 @@ FIXTURE_NAMES = sorted(os.listdir(FIXTURES))
 
 def enhanced(repo):
     model, g, diags = parse_and_build(repo)
-    return model, enhance_graph(model, g, MockResolutionOracle(), diags).graph
+    return model, enhance(model, g, MockResolutionOracle(), diags).graph
 
 
 # ------------------------------------------------------------- budget loop

@@ -9,7 +9,7 @@ from unittest import mock
 
 import pytest
 
-from conftest import FIXTURES
+from conftest import FIXTURES, enhance
 from support import shapes
 
 from udgscan.enhance import pipeline
@@ -189,7 +189,7 @@ def _enhanced_for_summaries(model):
         return compute_all_summaries(g, model, order)
 
     with mock.patch.object(pipeline, "compute_all_summaries", capture):
-        enh = pipeline.enhance_graph(model, assemble_original_udg(model), MockResolutionOracle(), DiagnosticSink())
+        enh = enhance(model, assemble_original_udg(model), MockResolutionOracle(), DiagnosticSink())
     return (*captured["at_summaries"], enh.summaries)
 
 

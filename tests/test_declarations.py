@@ -4,6 +4,7 @@ modifiers in any order, one type, and `name [] ... [= init]` declarators,
 read by the same readers.  A for header's expression lists are lowered
 part by part into one node."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -175,7 +176,7 @@ def test_an_array_initializer_in_an_argument_list_is_one_argument():
     model = parse("int y = f(new int[]{1, 2}, x);")
     node = statements(model)["int y = f(new int[]{1, 2}, x)"]
     assert [(c.name, c.arity, c.arg_vars) for c in node.calls] == [("f", 2, [set(), {"x"}])]
-    edges, _ = build_call_graph(model, build_type_hierarchy(model))
+    edges, _ = build_call_graph(model, build_type_hierarchy(model, DiagnosticSink()))
     entry = next(f.entry for f in model.functions.values() if f.name == "f")
     assert [e.dst for e in edges if e.src == node.id] == [entry]
 
@@ -204,7 +205,26 @@ def test_malformed_field_declarations_are_reported_at_their_line():
     assert field_errors("    int a, b\n") == [(2, "subset violation: unclosed '{'")]
     assert field_errors("    int a = f(1)\n}\n") == [(3, "subset violation: unterminated initializer")]
     assert field_errors("    int a = f(1));\n}\n") == [(3, "subset violation: unmatched ')'")]
-    assert field_errors("    List<String x;\n}\n") == [(4, "subset violation: truncated construct")]
+    assert field_errors("    List<String x;\n}\n") == [(3, "subset violation: unclosed '<'")]
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("class A {\n    List<String x;\n}\nclass B {\n    boolean f = a > b;\n}\n", 2),
+        ("class A<T {\n    int x;\n}\nclass B {\n    boolean f = a > b;\n}\n", 1),
+        ("class A {\n    <T void f() {\n    }\n    boolean f = a > b;\n}\n", 2),
+        ("class A {\n    Map<String, List<String x = null;\n}\nclass B {\n    int f = a >> b;\n}\n", 2),
+    ],
+)
+def test_unclosed_type_arguments_end_at_their_statement(text, line):
+    """A `<` that no `>` closes before the end of its statement, a `{`, or
+    the group it is in, is an error at its line; it never closes on a `>`
+    of a later class."""
+    model, diags = RepoModel(root=""), DiagnosticSink()
+    assert not parse_source("A.java", text, model, diags)
+    assert [(d.line, d.message) for d in diags.items] == [(line, "subset violation: unclosed '<'")]
+    assert model.classes == {} and model.globals == []
 
 
 def test_annotated_final_and_dimensioned_parameters_are_read():
@@ -279,7 +299,7 @@ def test_an_argument_holding_a_generic_new_is_one_argument():
     model = parse("int y = g(new Box<String, String>(x));", "    int g(Object o) {\n        return 1;\n    }\n")
     node = statements(model)["int y = g(new Box<String, String>(x))"]
     assert [(c.chain, c.arity, c.arg_vars) for c in node.calls] == [("new Box", 1, [{"x"}]), ("g", 1, [{"x"}])]
-    edges, _ = build_call_graph(model, build_type_hierarchy(model))
+    edges, _ = build_call_graph(model, build_type_hierarchy(model, DiagnosticSink()))
     entry = next(f.entry for f in model.functions.values() if f.name == "g")
     assert [e.dst for e in edges if e.src == node.id] == ["external:Box/1", entry]
 

@@ -25,7 +25,7 @@ from udgscan.udg import calls  # noqa: E402
 def both_call_graphs(root: str, monkeypatch):
     """(model, call edges, reference call edges) of a repository."""
     model = parse_repository(root, diagnostics=DiagnosticSink())
-    hierarchy = build_type_hierarchy(model)
+    hierarchy = build_type_hierarchy(model, DiagnosticSink())
     edges, externals = calls.build_call_graph(model, hierarchy)
     overrides = reference.method_overrides(model, hierarchy)
     with monkeypatch.context() as patch:

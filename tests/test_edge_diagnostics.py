@@ -39,7 +39,7 @@ class Use {
     # Sabotage the summary map to simulate a param-list mismatch.
     impl = next(f for f in model.functions.values() if f.class_name.endswith("Impl"))
     impl.params = ["a"]
-    prune_data_edges(g, summaries, model)
+    prune_data_edges(g, summaries, model, [])
     call_stmt = next(s for s in model.statements.values() if any(c.name == "apply" for c in s.calls))
     kept = {e.variable for e in g.in_edges(call_stmt.id, DATA_DEPENDENCY)}
     assert "v" in kept  # the out-of-range argument keeps its edge

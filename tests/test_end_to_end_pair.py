@@ -7,7 +7,7 @@ evidence the implicit-context passes exist to surface.
 
 import json
 
-from conftest import fixture_path, write_repo
+from conftest import enhance, fixture_path, write_repo
 
 from udgscan.harness.metrics import compute_pairwise
 from udgscan.harness.scan import ScanConfig, scan
@@ -66,7 +66,7 @@ def test_without_implicit_context_the_evidence_is_missing(tmp_path):
 
     repo = fixture_path("el_template_validation")
     model, g, diags = parse_and_build(repo)
-    result = enhance_graph(model, g, MockResolutionOracle(), diags)
+    result = enhance(model, g, MockResolutionOracle(), diags)
     inv = find_sensitive_invocations(result.graph, model, load_starter_kb())[0]
     c_e = explicit_context(result.graph, result.graph.nodes[inv.statement])
     explicit_only = render_context(c_e.statements, model).text

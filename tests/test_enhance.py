@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import fixture_path, parse_and_build, write_repo
+from conftest import enhance, fixture_path, parse_and_build, write_repo
 from support.order import order_is_sound
 
 from udgscan.enhance.oracle import MockResolutionOracle, _split_top
@@ -15,13 +15,13 @@ from udgscan.enhance.passes import (
     enhance_reflective_calls,
     reconstruct_labeled_jumps,
 )
-from udgscan.enhance.pipeline import enhance_graph
 from udgscan.enhance.prompts import (
     PLACEHOLDER_RE,
     render_polymorphic_prompt,
     render_reflection_class_prompt,
     render_reflection_method_prompt,
 )
+from udgscan.errors import DiagnosticSink
 from udgscan.harness.oracles import scc_reachability_oracle
 from udgscan.harness.generate import random_call_graph
 from udgscan.transcript import Recorder, Replay
@@ -66,7 +66,7 @@ class G {
 """
     root = write_repo(tmp_path, {"G.java": src})
     model, g, _ = parse_and_build(root)
-    add_global_nodes(g, model.globals, model)
+    add_global_nodes(g, model.globals, model, [])
     def_a = _stmt_at(model, 3, "global_def")
     def_b = _stmt_at(model, 4, "global_def")
     assert g.has_edge(def_a.id, def_b.id, DATA_DEPENDENCY)
@@ -78,7 +78,7 @@ class G {
 
 def test_el_globals_have_no_body_edges(el_repo):
     model, g, _ = parse_and_build(el_repo)
-    add_global_nodes(g, model.globals, model)
+    add_global_nodes(g, model.globals, model, [])
     for decl in model.globals:
         if not decl.variable:
             continue
@@ -91,7 +91,7 @@ def test_no_globals_unchanged(tmp_path):
     root = write_repo(tmp_path, {"A.java": src})
     model, g, _ = parse_and_build(root)
     before = {e.key() for e in g.edges}
-    add_global_nodes(g, [gl for gl in model.globals if gl.variable], model)
+    add_global_nodes(g, [gl for gl in model.globals if gl.variable], model, [])
     assert {e.key() for e in g.edges} == before
 
 
@@ -102,7 +102,7 @@ def test_mock_oracle_narrows_dispatch(dispatch_repo):
     model, g, _ = parse_and_build(dispatch_repo)
     call_stmt = next(s for s in model.statements.values() if any(c.name == "id" for c in s.calls))
     assert len(g.out_edges(call_stmt.id, CALL)) == 2
-    enhance_polymorphic_calls(g, MockResolutionOracle(), model)
+    enhance_polymorphic_calls(g, MockResolutionOracle(), model, DiagnosticSink(), [])
     targets = {e.dst for e in g.out_edges(call_stmt.id, CALL)}
     dog_id = next(f for f in model.functions.values() if f.name == "id" and "Dog" in f.class_name)
     assert targets == {dog_id.entry}
@@ -112,7 +112,7 @@ def test_single_target_site_not_queried(pruning_repo):
     model, g, _ = parse_and_build(pruning_repo)
     oracle = ScriptedOracle([])
     before = {e.key() for e in g.edges}
-    enhance_polymorphic_calls(g, oracle, model)
+    enhance_polymorphic_calls(g, oracle, model, DiagnosticSink(), [])
     assert oracle.calls == 0
     assert {e.key() for e in g.edges} == before
 
@@ -126,7 +126,7 @@ def test_unparseable_reply_keeps_all_edges(parameter_dispatch_repo, reply):
     model, g, diags = parse_and_build(parameter_dispatch_repo)
     call_stmt = next(s for s in model.statements.values() if any(c.name == "id" for c in s.calls))
     before = {e.key() for e in g.out_edges(call_stmt.id, CALL)}
-    enhance_polymorphic_calls(g, ScriptedOracle([reply]), model, diags)
+    enhance_polymorphic_calls(g, ScriptedOracle([reply]), model, diags, [])
     after = {e.key() for e in g.out_edges(call_stmt.id, CALL)}
     assert after == before
     assert [d.message for d in diags.items if "oracle" in d.message] == [
@@ -139,7 +139,7 @@ def test_answer_naming_no_candidate_keeps_all(parameter_dispatch_repo):
     call_stmt = next(s for s in model.statements.values() if any(c.name == "id" for c in s.calls))
     before = {e.key() for e in g.out_edges(call_stmt.id, CALL)}
     reply = json.dumps({"feasible_targets": ["Cat.id(int)"]})
-    enhance_polymorphic_calls(g, ScriptedOracle([reply]), model, diags)
+    enhance_polymorphic_calls(g, ScriptedOracle([reply]), model, diags, [])
     assert {e.key() for e in g.out_edges(call_stmt.id, CALL)} == before
 
 
@@ -182,7 +182,7 @@ def test_one_callee_called_twice_asks_once_and_removes_once(tmp_path):
     assert {e.dst for e in g.out_edges(stmt.id, CALL)} == set(entries.values())
     oracle = Recorder(MockResolutionOracle(), "site")
     audit = []
-    enhance_polymorphic_calls(g, oracle, model, audit=audit)
+    enhance_polymorphic_calls(g, oracle, model, DiagnosticSink(), audit)
     assert len(oracle.records) == 1
     assert {e.dst for e in g.out_edges(stmt.id, CALL)} == {entries["Circle"]}
     assert sorted(a.dst for a in audit) == sorted([entries["Shape"], entries["Square"]])
@@ -199,7 +199,7 @@ def test_one_callee_two_receivers_keeps_every_edge_a_site_needs(tmp_path):
     replies = [json.dumps({"feasible_targets": [name]}) for name in ("Circle.area", "Square.area")]
     oracle = ScriptedOracle(replies)
     audit = []
-    enhance_polymorphic_calls(g, oracle, model, audit=audit)
+    enhance_polymorphic_calls(g, oracle, model, DiagnosticSink(), audit)
     assert oracle.calls == 2
     assert {e.dst for e in g.out_edges(stmt.id, CALL)} == {entries["Circle"], entries["Square"]}
     assert [a.dst for a in audit] == [entries["Shape"]]
@@ -214,7 +214,7 @@ def test_reflective_resolution_adds_edge(reflect_repo):
     display_search = next(f for f in model.functions.values() if f.name == "displaySearch")
     assert not g.has_edge(invoke.id, display_search.entry, CALL)
     audit = []
-    enhance_reflective_calls(g, MockResolutionOracle(), model, audit=audit)
+    enhance_reflective_calls(g, MockResolutionOracle(), model, DiagnosticSink(), audit)
     assert g.has_edge(invoke.id, display_search.entry, CALL)
     # The old reflective external edge is removed, not kept alongside.
     assert not [e for e in g.out_edges(invoke.id, CALL) if e.dst.startswith("external:invoke")]
@@ -227,7 +227,7 @@ def test_a_resolved_reflective_call_adds_no_warning(reflect_repo):
     # `m.invoke(this, payload)` passes two arguments to a one-parameter
     # method: reflection, not an arity mismatch.
     model, g, diags = parse_and_build(reflect_repo)
-    enh = enhance_graph(model, g, MockResolutionOracle(), diags)
+    enh = enhance(model, g, MockResolutionOracle(), diags)
     assert enh.audit_counts() == {"call.add": 1, "call.remove": 1}
     assert diags.items == []
 
@@ -236,7 +236,7 @@ def test_reflection_unknown_class_keeps_external(reflect_repo):
     model, g, diags = parse_and_build(reflect_repo)
     invoke = next(s for s in model.statements.values() if any(c.name == "invoke" for c in s.calls))
     reply = json.dumps({"target_class": "NotARealClass"})
-    enhance_reflective_calls(g, ScriptedOracle([reply]), model, diags)
+    enhance_reflective_calls(g, ScriptedOracle([reply]), model, diags, [])
     assert [e for e in g.out_edges(invoke.id, CALL) if e.dst.startswith("external:invoke")]
     assert any("not in repository" in d.message for d in diags.items)
 
@@ -248,7 +248,7 @@ def test_reflection_unknown_method_keeps_external(reflect_repo):
         json.dumps({"target_class": "PropertyClass"}),
         json.dumps({"target_method": "noSuchMethod"}),
     ]
-    enhance_reflective_calls(g, ScriptedOracle(replies), model, diags)
+    enhance_reflective_calls(g, ScriptedOracle(replies), model, diags, [])
     assert [e for e in g.out_edges(invoke.id, CALL) if e.dst.startswith("external:invoke")]
 
 
@@ -256,7 +256,7 @@ def test_no_reflective_calls_unchanged(dispatch_repo):
     model, g, _ = parse_and_build(dispatch_repo)
     oracle = ScriptedOracle([])
     before = {e.key() for e in g.edges}
-    enhance_reflective_calls(g, oracle, model)
+    enhance_reflective_calls(g, oracle, model, DiagnosticSink(), [])
     assert oracle.calls == 0
     assert {e.key() for e in g.edges} == before
 
@@ -286,7 +286,7 @@ class S extends R {
     show = next(f for f in model.functions.values() if f.name == "show")
     oracle = Recorder(MockResolutionOracle(), "site")
     audit = []
-    enhance_reflective_calls(g, oracle, model, audit=audit)
+    enhance_reflective_calls(g, oracle, model, DiagnosticSink(), audit)
     assert len(list(oracle.lines())) == 2  # one class and one method question
     assert {e.dst for e in g.out_edges(stmt.id, CALL)} == {show.entry}
     assert [(a.op, a.dst) for a in audit] == [
@@ -297,14 +297,13 @@ class S extends R {
 
 def test_record_replay_reproduces_graph(reflect_repo, tmp_path):
     model, g, _ = parse_and_build(reflect_repo)
-    targets = resolve_label_targets(model)
     recorder = Recorder(MockResolutionOracle(), "site")
-    first = enhance_graph(model, g, recorder, jump_targets=targets)
+    first = enhance(model, g, recorder, DiagnosticSink())
     path = tmp_path / "resolution.jsonl"
     path.write_text("".join(recorder.lines()), encoding="utf-8")
     model2, g2, _ = parse_and_build(reflect_repo)
     replay = Replay(str(path), "site")
-    second = enhance_graph(model2, g2, replay, jump_targets=resolve_label_targets(model2))
+    second = enhance(model2, g2, replay, DiagnosticSink())
     assert first.graph.dump() == second.graph.dump()
 
 
@@ -314,12 +313,10 @@ def test_enhance_graph_leaves_input_intact(name):
     nodes = dict(g.nodes)
     before = [e.key() for e in g.edges]
     dump = g.dump()
-    result = enhance_graph(model, g, MockResolutionOracle(), diags)
+    result = enhance(model, g, MockResolutionOracle(), diags)
     assert g.nodes == nodes
     assert [e.key() for e in g.edges] == before
     assert g.dump() == dump
-    assert g.state == "original"
-    assert result.graph.state == "enhanced"
     if result.audit:  # the passes edited the copy, not the input
         assert {e.key() for e in result.graph.edges} != set(before)
 
@@ -386,10 +383,10 @@ class J {
 """
     root = write_repo(tmp_path, {"J.java": src})
     model, g, _ = parse_and_build(root)
-    targets = resolve_label_targets(model)
+    targets = resolve_label_targets(model, DiagnosticSink())
     jump = next(s for s in model.statements.values() if s.kind == "jump")
     assert not g.out_edges(jump.id, CONTROL_FLOW)
-    reconstruct_labeled_jumps(g, targets, model)
+    reconstruct_labeled_jumps(g, targets, model, [])
     succs = [e.dst for e in g.out_edges(jump.id, CONTROL_FLOW)]
     assert len(succs) == 1
     assert model.stmt(succs[0]).kind == "assignment"  # the for-update node
@@ -398,7 +395,7 @@ class J {
 def test_zero_jumps_graph_unchanged(dispatch_repo):
     model, g, _ = parse_and_build(dispatch_repo)
     before = {e.key() for e in g.edges}
-    reconstruct_labeled_jumps(g, [], model)
+    reconstruct_labeled_jumps(g, [], model, [])
     assert {e.key() for e in g.edges} == before
 
 
@@ -425,7 +422,7 @@ class J {
 """
     root = write_repo(tmp_path, {"J.java": src})
     model, g, diags = parse_and_build(root)
-    enh = enhance_graph(model, g, MockResolutionOracle(), diags)
+    enh = enhance(model, g, MockResolutionOracle(), diags)
     sink = _stmt_at(model, 15)
     into_sink = enh.graph.in_edges(sink.id, DATA_DEPENDENCY)
     assert sorted(model.stmt(e.src).start_line for e in into_sink if e.variable == "q") == [5, 9, 13]

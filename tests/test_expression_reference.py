@@ -16,10 +16,21 @@ from udgscan.errors import DiagnosticSink, SubsetViolation
 from udgscan.frontend import parser
 from udgscan.frontend.lexer import PRIMITIVES, Token, tokenize
 from udgscan.frontend.model import CallSite, RepoModel
-from udgscan.frontend.parser import MAX_NESTING, _type_args_close, parse_source
+from udgscan.frontend.parser import MAX_NESTING, parse_source
 from udgscan.harness.generate import random_summary_program
 
 # ------------------------------------------------------------- reference
+
+
+def reference_type_args_close(toks: list[Token], i: int) -> int:
+    """Index of the token closing the type arguments opening at toks[i],
+    where `>>` and `>>>` close two and three levels; len(toks) when none does."""
+    depth = 0
+    for j in range(i, len(toks)):
+        depth += {"<": 1, ">": -1, ">>": -2, ">>>": -3}.get(toks[j].text, 0)
+        if depth <= 0:
+            return j
+    return len(toks)
 
 
 def reference_extract_expression(
@@ -61,7 +72,7 @@ def reference_extract_expression(
                 type_parts.append(toks[j].text)
             j += 1
         if j < len(toks) and toks[j].text == "<":
-            j = _type_args_close(toks, j, len(toks)) + 1
+            j = reference_type_args_close(toks, j) + 1
         if j < len(toks) and toks[j].text == "(":
             args, end = reference_split_args(toks, j, path)
             arg_sets = walk_args(args, toks[j])

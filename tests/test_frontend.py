@@ -22,7 +22,7 @@ class A {
 
 def test_minimal_program_shapes(tmp_path):
     root = write_repo(tmp_path, {"A.java": MINIMAL})
-    model = parse_repository(root)
+    model = parse_repository(root, DiagnosticSink())
     assert len(model.classes) == 1
     assert len(model.functions) == 1
     func = next(iter(model.functions.values()))
@@ -44,12 +44,12 @@ def test_empty_directory(tmp_path):
 
 def test_missing_root_raises_ioerror(tmp_path):
     with pytest.raises(IOError):
-        parse_repository(str(tmp_path / "nope"))
+        parse_repository(str(tmp_path / "nope"), DiagnosticSink())
 
 
 def test_round_trip_locality(tmp_path):
     root = write_repo(tmp_path, {"A.java": MINIMAL})
-    model = parse_repository(root)
+    model = parse_repository(root, DiagnosticSink())
     source = model.files[0]
     for stmt in model.statements.values():
         assert stmt.text == source.slice_lines(stmt.start_line, stmt.end_line)
@@ -57,7 +57,7 @@ def test_round_trip_locality(tmp_path):
 
 def test_defs_uses_occur_in_text(tmp_path):
     root = write_repo(tmp_path, {"A.java": MINIMAL})
-    model = parse_repository(root)
+    model = parse_repository(root, DiagnosticSink())
     for stmt in model.statements.values():
         for name in stmt.uses:
             assert name.split(".")[0] in stmt.text
@@ -68,7 +68,7 @@ def test_defs_uses_occur_in_text(tmp_path):
 
 
 def test_el_fixture_statement_coverage(el_repo):
-    model = parse_repository(el_repo)
+    model = parse_repository(el_repo, DiagnosticSink())
     lines = set()
     for stmt in model.statements.values():
         if not stmt.synthetic:
@@ -78,7 +78,7 @@ def test_el_fixture_statement_coverage(el_repo):
 
 
 def test_el_fixture_globals(el_repo):
-    model = parse_repository(el_repo)
+    model = parse_repository(el_repo, DiagnosticSink())
     globals_list = model.globals
     by_kind = {}
     for g in globals_list:
@@ -100,7 +100,7 @@ class K {
 }
 """
     root = write_repo(tmp_path, {"K.java": src})
-    model = parse_repository(root)
+    model = parse_repository(root, DiagnosticSink())
     decls = {g.variable: g for g in model.globals if g.variable}
     assert decls["P"].rhs_uses == {"Q"}
     assert decls["Q"].rhs_uses == set()
@@ -109,7 +109,7 @@ class K {
 def test_class_without_fields_or_imports(tmp_path):
     src = "package p;\nclass Empty {\n}\n"
     root = write_repo(tmp_path, {"E.java": src})
-    model = parse_repository(root)
+    model = parse_repository(root, DiagnosticSink())
     kinds = sorted(model.stmt(g.statement).kind for g in model.globals)
     assert kinds == ["class_decl", "package_decl"]
 
@@ -221,8 +221,8 @@ class K {
 }
 """
     root = write_repo(tmp_path, {"H.java": src})
-    model = parse_repository(root)
-    h = build_type_hierarchy(model)
+    model = parse_repository(root, DiagnosticSink())
+    h = build_type_hierarchy(model, DiagnosticSink())
     assert ("p.B", "p.A") in h.edges
     edges, _ = build_call_graph(model, h)
     assert [function_of_entry(model, e.dst).class_name for e in edges] == ["p.A", "p.B"]
@@ -230,16 +230,16 @@ class K {
 
 def test_hierarchy_single_class_empty(tmp_path):
     root = write_repo(tmp_path, {"A.java": MINIMAL})
-    model = parse_repository(root)
-    h = build_type_hierarchy(model)
+    model = parse_repository(root, DiagnosticSink())
+    h = build_type_hierarchy(model, DiagnosticSink())
     assert h.edges == []
 
 
 def test_hierarchy_external_supertype(tmp_path):
     src = "package p;\nclass A extends HashMap {\n}\n"
     root = write_repo(tmp_path, {"A.java": src})
-    model = parse_repository(root)
-    h = build_type_hierarchy(model)
+    model = parse_repository(root, DiagnosticSink())
+    h = build_type_hierarchy(model, DiagnosticSink())
     assert h.edges == []
     assert h.external_edges == [("p.A", "HashMap")]
 
@@ -247,9 +247,9 @@ def test_hierarchy_external_supertype(tmp_path):
 def test_hierarchy_cycle_rejected(tmp_path):
     src = "package p;\nclass A extends B {\n}\nclass B extends A {\n}\n"
     root = write_repo(tmp_path, {"A.java": src})
-    model = parse_repository(root)
+    model = parse_repository(root, DiagnosticSink())
     with pytest.raises(HierarchyCycle, match=r"^inheritance cycle through p\.A -> p\.B -> p\.A$"):
-        build_type_hierarchy(model)
+        build_type_hierarchy(model, DiagnosticSink())
 
 
 @pytest.mark.parametrize("cycle", [False, True])
@@ -261,13 +261,13 @@ def test_a_long_inheritance_chain_is_checked(tmp_path, cycle):
     src = "package p;\n" + "".join(
         f"class C{i:05d}" + (f" extends C{i + 1:05d}" if i + 1 < n else top) + " {\n}\n" for i in range(n)
     )
-    model = parse_repository(write_repo(tmp_path, {"A.java": src}))
+    model = parse_repository(write_repo(tmp_path, {"A.java": src}), DiagnosticSink())
     if cycle:
         through = r"^inheritance cycle through p\.C00000 -> p\.C00001 -> .* -> p\.C01499 -> p\.C00000$"
         with pytest.raises(HierarchyCycle, match=through):
-            build_type_hierarchy(model)
+            build_type_hierarchy(model, DiagnosticSink())
     else:
-        assert len(build_type_hierarchy(model).edges) == n - 1
+        assert len(build_type_hierarchy(model, DiagnosticSink()).edges) == n - 1
 
 
 def test_constructor_with_type_arguments_three_deep(tmp_path):
@@ -279,7 +279,7 @@ class N {
 }
 """
     root = write_repo(tmp_path, {"N.java": src})
-    model = parse_repository(root)
+    model = parse_repository(root, DiagnosticSink())
     x = next(s for s in model.statements.values() if s.defs == {"x"})
     assert [(c.chain, c.arity, c.arg_vars, c.is_constructor) for c in x.calls] == [("new Box", 1, [{"v"}], True)]
     assert x.kind == "call"
@@ -336,7 +336,7 @@ class Main {
 }
 """
     root = write_repo(tmp_path, {"Main.java": src})
-    model = parse_repository(root)
+    model = parse_repository(root, DiagnosticSink())
     stmts = {s.code: s for s in model.statements.values()}
     facts = {
         code: (s.kind, s.defs, s.uses, [(c.chain, c.is_constructor) for c in s.calls])

@@ -18,14 +18,14 @@ from udgscan.harness.rename import adversarial_rename, build_rename_map, rename_
 def test_perfect_predictions():
     preds = [("a", True), ("b", False)]
     labels = [("a", True), ("b", False)]
-    assert compute_metrics(preds, labels) == (1.0, 1.0, 1.0)
+    assert compute_metrics(preds, labels, DiagnosticSink()) == (1.0, 1.0, 1.0)
 
 
 def test_metrics_arithmetic():
     # TP=2, FP=1, FN=2 -> precision 2/3, recall 1/2, f1 4/7
     preds = [("a", True), ("b", True), ("c", True), ("d", False), ("e", False)]
     labels = [("a", True), ("b", True), ("c", False), ("d", True), ("e", True)]
-    precision, recall, f1 = compute_metrics(preds, labels)
+    precision, recall, f1 = compute_metrics(preds, labels, DiagnosticSink())
     assert precision == pytest.approx(2 / 3)
     assert recall == pytest.approx(0.5)
     assert f1 == pytest.approx(2 * (2 / 3) * 0.5 / ((2 / 3) + 0.5))
@@ -34,15 +34,15 @@ def test_metrics_arithmetic():
 def test_metrics_degenerate_zero_with_warning():
     preds = [("a", False), ("b", False)]
     labels = [("a", True), ("b", False)]
-    warnings: list[str] = []
-    precision, recall, f1 = compute_metrics(preds, labels, warnings)
+    diags = DiagnosticSink()
+    precision, recall, f1 = compute_metrics(preds, labels, diags)
     assert (precision, recall, f1) == (0.0, 0.5, 0.0) or precision == 0.0
-    assert warnings
+    assert {(d.severity, d.module) for d in diags.items} == {("warning", "metrics")}
 
 
 def test_metrics_id_mismatch():
     with pytest.raises(IdMismatch):
-        compute_metrics([("a", True)], [("b", True)])
+        compute_metrics([("a", True)], [("b", True)], DiagnosticSink())
 
 
 def test_pairwise_arithmetic():
@@ -66,18 +66,18 @@ def test_pairwise_empty():
 
 
 def test_rename_prefix_direction():
-    mapping = build_rename_map({"taint"}, "vulnerable")
+    mapping = build_rename_map({"taint"}, "vulnerable", DiagnosticSink())
     assert mapping == {"taint": "non_vulnerable_taint"}
-    mapping = build_rename_map({"taint"}, "non_vulnerable")
+    mapping = build_rename_map({"taint"}, "non_vulnerable", DiagnosticSink())
     assert mapping == {"taint": "vulnerable_taint"}
 
 
 def test_rename_collision_gets_suffix():
-    log: list[str] = []
-    mapping = build_rename_map({"x", "non_vulnerable_x"}, "vulnerable", log)
+    diags = DiagnosticSink()
+    mapping = build_rename_map({"x", "non_vulnerable_x"}, "vulnerable", diags)
     assert mapping["x"] != mapping["non_vulnerable_x"]
     assert len(set(mapping.values())) == 2
-    assert log
+    assert [(d.severity, d.module) for d in diags.items] == [("info", "rename")]
 
 
 def test_rename_source_preserves_strings_and_keywords():
@@ -100,7 +100,7 @@ def test_rename_preserves_original_graph_of_reflective_repo(reflect_repo, tmp_pa
     # literals keep the old names), but the pre-enhancement graph structure
     # must still correspond 1:1.
     out_dir = tmp_path / "renamed_reflect"
-    mapping = adversarial_rename(reflect_repo, "non_vulnerable", str(out_dir))
+    mapping = adversarial_rename(reflect_repo, "non_vulnerable", str(out_dir), DiagnosticSink())
     model_a, g_a, _ = parse_and_build(reflect_repo)
     model_b, g_b, diag_b = parse_and_build(str(out_dir))
     assert not diag_b.has_errors()
@@ -201,7 +201,7 @@ def test_toy_dataset_loads(tmp_path):
             "pair2": ({"Other.java": other_v}, {"Other.java": other_p}),
         },
     )
-    samples = load_paired_dataset(path)
+    samples = load_paired_dataset(path, DiagnosticSink())
     assert [s.pair_id for s in samples] == ["pair1", "pair2"]
 
 
@@ -209,7 +209,7 @@ def test_identical_variants_rejected(tmp_path):
     reformatted = VULN.replace("    ", "\t")  # whitespace-only difference
     path = _write_dataset(tmp_path, {"pair1": ({"App.java": VULN}, {"App.java": reformatted})})
     with pytest.raises(DuplicatePair):
-        load_paired_dataset(path)
+        load_paired_dataset(path, DiagnosticSink())
 
 
 def test_normalized_hash_stability(tmp_path):
@@ -235,7 +235,7 @@ def test_a_record_field_that_is_not_a_string_is_a_config_error(tmp_path, key, va
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(record) + "\n")
     with pytest.raises(ConfigError, match=rf"^dataset {path}:1: {key} must be a string$"):
-        load_paired_dataset(path)
+        load_paired_dataset(path, DiagnosticSink())
 
 
 def test_normalized_hash_reads_bytes(tmp_path):
@@ -253,7 +253,7 @@ def test_an_unreadable_variant_file_is_a_config_error(tmp_path):
     gone = tmp_path / "pair1" / "patched" / "Gone.java"
     os.symlink(tmp_path / "nowhere", gone)
     with pytest.raises(ConfigError, match=rf"^cannot read variant file {gone}: "):
-        load_paired_dataset(path)
+        load_paired_dataset(path, DiagnosticSink())
 
 
 def test_duplicate_across_pairs_skipped(tmp_path):
@@ -264,7 +264,7 @@ def test_duplicate_across_pairs_skipped(tmp_path):
             "pair2": ({"App.java": VULN}, {"App.java": PATCHED}),
         },
     )
-    warnings: list[str] = []
-    samples = load_paired_dataset(path, warnings)
+    diags = DiagnosticSink()
+    samples = load_paired_dataset(path, diags)
     assert [s.pair_id for s in samples] == ["pair1"]
-    assert warnings
+    assert [(d.severity, d.module) for d in diags.items] == [("warning", "dataset")] * 2

@@ -14,6 +14,7 @@ import pytest
 
 from conftest import write_repo
 
+from udgscan.errors import DiagnosticSink
 from udgscan.frontend import syntax as syn
 from udgscan.frontend.parser import parse_repository
 from udgscan.udg.cfg import build_cfg, resolve_label_targets
@@ -385,8 +386,8 @@ class C20 {
 
 def resolve_single(tmp_path, source):
     root = write_repo(tmp_path, {"Case.java": source})
-    model = parse_repository(root)
-    targets = resolve_label_targets(model)
+    model = parse_repository(root, DiagnosticSink())
+    targets = resolve_label_targets(model, DiagnosticSink())
     assert len(targets) == 1, "each corpus case carries exactly one labeled jump"
     return model, targets[0]
 
@@ -421,7 +422,7 @@ class Bad {
     from udgscan.errors import DiagnosticSink
 
     root = write_repo(tmp_path, {"Bad.java": source})
-    model = parse_repository(root)
+    model = parse_repository(root, DiagnosticSink())
     diags = DiagnosticSink()
     targets = resolve_label_targets(model, diags)
     assert targets == []
@@ -444,7 +445,7 @@ class Bad2 {
     from udgscan.errors import DiagnosticSink
 
     root = write_repo(tmp_path, {"Bad2.java": source})
-    model = parse_repository(root)
+    model = parse_repository(root, DiagnosticSink())
     diags = DiagnosticSink()
     targets = resolve_label_targets(model, diags)
     assert targets == []
@@ -583,15 +584,15 @@ def check_against_unlabeled(tmp_path, source) -> list[str]:
     """Assert that each labeled jump to its innermost loop resolves to the
     one CFG successor of the same jump without its label; return the
     jumps checked."""
-    labeled = parse_repository(write_repo(tmp_path / "labeled", {"Case.java": source}))
+    labeled = parse_repository(write_repo(tmp_path / "labeled", {"Case.java": source}), DiagnosticSink())
     jumps = [j for body in labeled.bodies.values() for stmt in body for j in innermost_loop_jumps(stmt)]
-    plain = parse_repository(write_repo(tmp_path / "plain", {"Case.java": without_labels(source, labeled, jumps)}))
+    plain = parse_repository(write_repo(tmp_path / "plain", {"Case.java": without_labels(source, labeled, jumps)}), DiagnosticSink())
     successors: dict[str, list[str]] = {}
     for func in plain.functions.values():
         for e in build_cfg(func, plain):
             if e.src in jumps:
                 successors.setdefault(e.src, []).append(e.dst)
-    resolved = {t.jump: [t.resolved_successor] for t in resolve_label_targets(labeled) if t.jump in jumps}
+    resolved = {t.jump: [t.resolved_successor] for t in resolve_label_targets(labeled, DiagnosticSink()) if t.jump in jumps}
     assert resolved == successors
     assert sorted(resolved) == sorted(jumps)
     return jumps
@@ -619,7 +620,7 @@ def test_targets_and_errors_come_in_source_order(tmp_path):
     )
     from udgscan.errors import DiagnosticSink
 
-    model = parse_repository(write_repo(tmp_path, {"Case.java": source}))
+    model = parse_repository(write_repo(tmp_path, {"Case.java": source}), DiagnosticSink())
     diags = DiagnosticSink()
     lines = [model.stmt(t.jump).start_line for t in resolve_label_targets(model, diags)]
     assert lines == [8, 11, 14, 20, 24, 31, 37, 39, 45, 52]

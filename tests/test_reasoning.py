@@ -5,12 +5,11 @@ import urllib.request
 
 import pytest
 
-from conftest import parse_and_build
+from conftest import enhance, parse_and_build
 
 from udgscan.context.holistic import holistic_context
 from udgscan.context.sinks import find_sensitive_invocations
 from udgscan.enhance.oracle import MockResolutionOracle
-from udgscan.enhance.pipeline import enhance_graph
 from udgscan.errors import AllRoundsFailed, ClientTransportError
 from udgscan.knowledge import load_starter_kb
 from udgscan.reasoning.clients import RETRIES, LiveInferenceClient, MockInferenceClient
@@ -26,7 +25,7 @@ TOO_DEEP = '{"is_vulnerable": true, "explanation": ' + "[" * 100_000 + "]" * 100
 
 def el_context(el_repo):
     model, g, diags = parse_and_build(el_repo)
-    result = enhance_graph(model, g, MockResolutionOracle(), diags)
+    result = enhance(model, g, MockResolutionOracle(), diags)
     kb = load_starter_kb()
     inv = find_sensitive_invocations(result.graph, model, kb)[0]
     return holistic_context(result.graph, model, [inv])[0], inv, kb

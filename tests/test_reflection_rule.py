@@ -14,6 +14,7 @@ from conftest import FIXTURES, fixture_path, parse_and_build, write_repo
 from udgscan.enhance import passes
 from udgscan.enhance.oracle import MockResolutionOracle
 from udgscan.enhance.prompts import render_statement_block
+from udgscan.errors import DiagnosticSink
 from udgscan.harness.scan import EXIT_OK, ScanConfig, scan
 from udgscan.transcript import Recorder
 from udgscan.udg.calls import call_statements, function_of_entry, is_invocation_pattern, site_targets
@@ -138,7 +139,7 @@ def rule_and_mock(root):
     decides (None when it refuses) and the methods the mock names, or its
     warning, for the prompts the pass would build."""
     model, g, _ = parse_and_build(root)
-    passes.add_global_nodes(g, model.globals, model)
+    passes.add_global_nodes(g, model.globals, model, [])
     class_names = sorted(model.classes)
     sites = []
     for stmt in call_statements(g):
@@ -216,14 +217,14 @@ def test_where_the_rule_is_narrower_than_the_mock(tmp_path, case):
 def test_the_rule_refuses(tmp_path, case):
     model, g, _ = parse_and_build(service_repo(tmp_path, *REFUSED[case]))
     oracle = CountingOracle()
-    passes.enhance_reflective_calls(g, oracle, model)
+    passes.enhance_reflective_calls(g, oracle, model, DiagnosticSink(), [])
     assert sum(site.endswith("/class") for site in oracle.sites) == 1
 
 
 def test_the_rule_refuses_a_name_that_is_not_a_method(reflect_repo):
     model, g, diags = parse_and_build(reflect_repo)
     oracle = CountingOracle()
-    passes.enhance_reflective_calls(g, oracle, model, diags)
+    passes.enhance_reflective_calls(g, oracle, model, diags, [])
     assert [site.rsplit("/", 1)[1] for site in oracle.sites] == ["class", "method"]
     # The mock names `displayPlain` too; the class declares only `displaySearch`.
     [stmt] = [s for s in model.statements.values() if "invoke" in s.code]
@@ -291,7 +292,7 @@ def test_two_invoke_sites_decided_by_rule_share_one_edge(tmp_path):
         query = "" + m1.invoke(this, query) + m.invoke(this, query);"""
     model, g, _ = parse_and_build(service_repo(tmp_path, body))
     oracle, audit = CountingOracle(), []
-    passes.enhance_reflective_calls(g, oracle, model, audit=audit)
+    passes.enhance_reflective_calls(g, oracle, model, DiagnosticSink(), audit)
     assert oracle.sites == []
     show = next(f for f in model.functions.values() if f.name == "showPlain")
     assert [(a.op, a.dst) for a in audit] == [

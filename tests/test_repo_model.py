@@ -7,12 +7,11 @@ import os
 
 import pytest
 
-from conftest import FIXTURES, copy_fixture_repo, parse_and_build, write_repo
+from conftest import FIXTURES, copy_fixture_repo, enhance, parse_and_build, write_repo
 
 from udgscan.context.implicit import declaration_context
 from udgscan.context.sinks import SensitiveInvocation, find_sensitive_invocations
 from udgscan.enhance.oracle import MockResolutionOracle
-from udgscan.enhance.pipeline import enhance_graph
 from udgscan.harness.generate import random_summary_program
 from udgscan.harness.scan import ScanConfig, scan
 from udgscan.knowledge import UserSinkSpec, load_starter_kb
@@ -133,7 +132,7 @@ def _brute_force_user_sinks(g, model, sinks):
 
 def test_user_sinks_match_as_the_brute_force_loop(tmp_path):
     model, g, diags = parse_and_build(write_repo(tmp_path, SINK_REPO))
-    g = enhance_graph(model, g, MockResolutionOracle(), diags).graph
+    g = enhance(model, g, MockResolutionOracle(), diags).graph
     kb = load_starter_kb()
     base = {(i.statement, i.api) for i in find_sensitive_invocations(g, model, kb)}
     for sink in SINK_PATTERNS:
@@ -194,7 +193,7 @@ def test_user_sinks_are_looked_up_by_class_and_method_name(tmp_path, monkeypatch
     else:
         root, sinks = write_repo(tmp_path, SINK_REPO), SINK_PATTERNS
     model, g, diags = parse_and_build(root)
-    g = enhance_graph(model, g, MockResolutionOracle(), diags).graph
+    g = enhance(model, g, MockResolutionOracle(), diags).graph
     kb = load_starter_kb()
     expected = _brute_force_invocations(g, model, kb, sinks)
     matching = sum(sink.matches_function(func) for sink in sinks for func in model.functions.values())

@@ -39,7 +39,7 @@ class Use {
     assert summaries[wrap.id].phi == {"secret": True}
     assert summaries[wrap.id].phi == brute_force_summary_oracle(model, wrap)
     # Pruning must not drop the constructor argument edge.
-    prune_data_edges(g, summaries, model)
+    prune_data_edges(g, summaries, model, [])
     ctor_stmt = next(s for s in model.statements.values() if "new Box" in s.text)
     assert {e.variable for e in g.in_edges(ctor_stmt.id, DATA_DEPENDENCY)} == {"secret"}
 

@@ -1,0 +1,120 @@
+"""The notes each command prints or reports, pinned line by line: eval's
+dataset and metrics warnings, the knowledge base's duplicate-API warning
+among a scan's diagnostics, and rename's collision lines."""
+
+import importlib.resources
+import json
+
+from conftest import write_repo
+
+from udgscan.harness.cli import main
+from udgscan.harness.scan import ScanConfig, scan
+from udgscan.jsonio import decode
+
+
+def _dataset(tmp_path, pairs: dict[str, tuple[str, str]]) -> str:
+    lines = []
+    for pid, (vuln, patched) in pairs.items():
+        for variant, text in (("vulnerable", vuln), ("patched", patched)):
+            (tmp_path / pid / variant).mkdir(parents=True)
+            (tmp_path / pid / variant / "App.java").write_text(text, encoding="utf-8")
+        lines.append(json.dumps({"id": pid, "vulnerable": f"{pid}/vulnerable", "patched": f"{pid}/patched"}))
+    path = tmp_path / "data.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+QUIET = """package p;
+class App {
+    int step(int x) {
+        return x + 1;
+    }
+}
+"""
+
+
+def test_eval_prints_dataset_then_metrics_warnings(tmp_path, capsys):
+    # pair2 repeats pair1, so both its variants duplicate; no variant calls
+    # a sensitive API, so every verdict is negative.
+    patched = QUIET.replace("x + 1", "x + 2")
+    dataset = _dataset(tmp_path, {"pair1": (QUIET, patched), "pair2": (QUIET, patched)})
+    assert main(["eval", "--dataset", dataset, "--oracle", "mock"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "[warning] dataset: pair pair2: variant duplicates pair1, pair skipped\n"
+        "[warning] dataset: pair pair2: variant duplicates pair1, pair skipped\n"
+        "[warning] metrics: precision: no positive predictions\n"
+        "[warning] metrics: f1: degenerate precision/recall\n"
+    )
+    assert json.loads(captured.out)["pairs"] == 1
+
+
+class _Unparseable:
+    def complete(self, prompt: str, site: str = "") -> str:
+        return "no json here"
+
+
+def test_a_duplicate_kb_api_is_noted_after_the_enhancement_notes(tmp_path):
+    repo = write_repo(
+        tmp_path,
+        {
+            "p/A.java": """package p;
+class Shape {
+    int area() {
+        return 0;
+    }
+}
+class Square extends Shape {
+    int area() {
+        return 1;
+    }
+}
+class Outside extends Missing {
+}
+class App {
+    int run(Shape s, String cmd) {
+        Runtime.getRuntime().exec(cmd);
+        return s.area();
+    }
+}
+""",
+            "p/B.java": "package p;\nclass B {\n    void f( }\n",
+        },
+    )
+    starter = decode(importlib.resources.files("udgscan.knowledge").joinpath("data/starter_kb.json").read_bytes())
+    starter["apis"].append(dict(starter["apis"][0]))
+    kb = tmp_path / "kb.json"
+    kb.write_text(json.dumps(starter), encoding="utf-8")
+    out = tmp_path / "out"
+    scan(ScanConfig(repo=repo, kb_path=str(kb), out_dir=str(out)), resolution_oracle=_Unparseable())
+    with open(out / "report.json", encoding="utf-8") as fh:
+        diagnostics = json.load(fh)["diagnostics"]
+    notes = [(d["severity"], d["module"], d["path"]) for d in diagnostics]
+    assert notes == [
+        ("error", "frontend", "p/B.java"),
+        ("info", "frontend", "p/A.java"),
+        ("warning", "enhance", "p/A.java"),
+        ("warning", "knowledge", ""),
+    ]
+    assert diagnostics[-1]["message"] == "duplicate api java.lang.Runtime.exec: entries merged"
+
+
+def test_rename_prints_each_collision(tmp_path, capsys):
+    repo = write_repo(
+        tmp_path,
+        {
+            "p/A.java": """package p;
+class A {
+    int x;
+    int non_vulnerable_x;
+    int f(int y) {
+        return y;
+    }
+}
+"""
+        },
+    )
+    assert main(["rename", "--repo", repo, "--label", "vulnerable", "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == (
+        "[info] rename: collision: non_vulnerable_x taken, using non_vulnerable_x_2\n"
+    )

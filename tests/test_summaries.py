@@ -19,7 +19,7 @@ from udgscan.udg.graph import DATA_DEPENDENCY
 def summarize(root_or_repo, tmp_path=None, files=None):
     root = root_or_repo if files is None else write_repo(tmp_path, files)
     model, g, _ = parse_and_build(root)
-    reconstruct_labeled_jumps(g, resolve_label_targets(model), model)
+    reconstruct_labeled_jumps(g, resolve_label_targets(model, DiagnosticSink()), model, [])
     order = compute_analysis_order(g, model)
     summaries = compute_all_summaries(g, model, order)
     return model, g, summaries
@@ -260,7 +260,7 @@ def test_prune_keeps_and_removes(pruning_repo):
     )
     before = {e.variable for e in g.in_edges(call_stmt.id, DATA_DEPENDENCY)}
     assert before == {"a", "b"}
-    prune_data_edges(g, summaries, model)
+    prune_data_edges(g, summaries, model, [])
     after = {e.variable for e in g.in_edges(call_stmt.id, DATA_DEPENDENCY)}
     assert after == {"a"}  # keepFirst ignores its second parameter
     # b's other use (the return) keeps its own edge.
@@ -281,7 +281,7 @@ def test_all_identity_callees_zero_removals(pruning_repo):
     ]
     assert clean_calls
     before = {s.id: {e.key() for e in g.in_edges(s.id, DATA_DEPENDENCY)} for s in clean_calls}
-    prune_data_edges(g, summaries, model)
+    prune_data_edges(g, summaries, model, [])
     for stmt in clean_calls:
         assert {e.key() for e in g.in_edges(stmt.id, DATA_DEPENDENCY)} == before[stmt.id]
 
@@ -377,7 +377,7 @@ def test_receiver_passed_as_argument_reaches_the_value(tmp_path):
     assert brute_force_summary_oracle(model, func_g) == {"x": True}
 
     call = next(s for s in model.statements.values() if s.start_line == 12)
-    prune_data_edges(g, summaries, model)
+    prune_data_edges(g, summaries, model, [])
     assert {e.variable for e in g.in_edges(call.id, DATA_DEPENDENCY)} == {"z"}
 
     out = tmp_path / "out"

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from conftest import fixture_path, parse_and_build, write_repo
+from conftest import enhance, fixture_path, parse_and_build, write_repo
 
 from udgscan.enhance import pipeline
 from udgscan.enhance import summaries as summaries_module
@@ -60,7 +60,7 @@ def enhanced(monkeypatch, model, g):
         return prune(g, *args, **kwargs)
 
     monkeypatch.setattr(pipeline, "prune_data_edges", snapshot)
-    enh = pipeline.enhance_graph(model, g, MockResolutionOracle(), DiagnosticSink())
+    enh = enhance(model, g, MockResolutionOracle(), DiagnosticSink())
     monkeypatch.undo()
     return enh, before["graph"]
 

@@ -5,6 +5,7 @@ import pytest
 from conftest import parse_and_build, write_repo
 from support.cfg import unreachable_nodes
 
+from udgscan.errors import DiagnosticSink
 from udgscan.frontend.parser import parse_repository
 from udgscan.frontend.analysis import build_type_hierarchy
 from udgscan.harness.generate import random_udg
@@ -40,7 +41,7 @@ class A {
 }
 """
     root = write_repo(tmp_path, {"A.java": src})
-    model = parse_repository(root)
+    model = parse_repository(root, DiagnosticSink())
     func = _single_function(model)
     edges = build_cfg(func, model)
     chain = [func.entry] + func.body + [func.exit]
@@ -60,7 +61,7 @@ class A {
 }
 """
     root = write_repo(tmp_path, {"A.java": src})
-    model = parse_repository(root)
+    model = parse_repository(root, DiagnosticSink())
     func = _single_function(model)
     edges = {(e.src, e.dst) for e in build_cfg(func, model)}
     cond = _stmt_at(model, 4, "loop_header").id
@@ -86,7 +87,7 @@ class A {
 }
 """
     root = write_repo(tmp_path, {"A.java": src})
-    model = parse_repository(root)
+    model = parse_repository(root, DiagnosticSink())
     func = _single_function(model)
     edges = build_cfg(func, model)
     [outer, _] = model.bodies[func.id]
@@ -108,7 +109,7 @@ class A {
 }
 """
     root = write_repo(tmp_path, {"A.java": src})
-    model = parse_repository(root)
+    model = parse_repository(root, DiagnosticSink())
     func = _single_function(model)
     cfg = build_cfg(func, model)
     ddg = build_ddg(func, model, cfg)
@@ -131,7 +132,7 @@ class A {
 }
 """
     root = write_repo(tmp_path, {"A.java": src})
-    model = parse_repository(root)
+    model = parse_repository(root, DiagnosticSink())
     func = _single_function(model)
     cfg = build_cfg(func, model)
     ddg = build_ddg(func, model, cfg)
@@ -150,7 +151,7 @@ class A {
 }
 """
     root = write_repo(tmp_path, {"A.java": src})
-    model = parse_repository(root)
+    model = parse_repository(root, DiagnosticSink())
     func = _single_function(model)
     cfg = build_cfg(func, model)
     ddg = build_ddg(func, model, cfg)
@@ -174,7 +175,7 @@ class A {
 }
 """
     root = write_repo(tmp_path, {"A.java": src})
-    model = parse_repository(root)
+    model = parse_repository(root, DiagnosticSink())
     func = _single_function(model)
     cfg = build_cfg(func, model)
     ddg = build_ddg(func, model, cfg)
@@ -196,8 +197,8 @@ class A {
 
 
 def test_call_graph_polymorphic_fanout(dispatch_repo):
-    model = parse_repository(dispatch_repo)
-    h = build_type_hierarchy(model)
+    model = parse_repository(dispatch_repo, DiagnosticSink())
+    h = build_type_hierarchy(model, DiagnosticSink())
     edges, _ = build_call_graph(model, h)
     call_stmt = next(
         s for s in model.statements.values() if any(c.name == "id" for c in s.calls)
@@ -209,8 +210,8 @@ def test_call_graph_polymorphic_fanout(dispatch_repo):
 
 
 def test_call_graph_static_exact(pruning_repo):
-    model = parse_repository(pruning_repo)
-    h = build_type_hierarchy(model)
+    model = parse_repository(pruning_repo, DiagnosticSink())
+    h = build_type_hierarchy(model, DiagnosticSink())
     edges, _ = build_call_graph(model, h)
     keep_first = next(f for f in model.functions.values() if f.name == "keepFirst")
     callers = [e.src for e in edges if e.dst == keep_first.entry]
@@ -218,8 +219,8 @@ def test_call_graph_static_exact(pruning_repo):
 
 
 def test_reflective_call_external_only(reflect_repo):
-    model = parse_repository(reflect_repo)
-    h = build_type_hierarchy(model)
+    model = parse_repository(reflect_repo, DiagnosticSink())
+    h = build_type_hierarchy(model, DiagnosticSink())
     edges, externals = build_call_graph(model, h)
     invoke_stmt = next(
         s for s in model.statements.values() if any(c.name == "invoke" for c in s.calls)
@@ -242,8 +243,8 @@ class A {
 
 
 def test_call_on_a_class_literal_is_reflective_not_the_callers_method(tmp_path):
-    model = parse_repository(write_repo(tmp_path, {"A.java": CLASS_LITERAL_CALL}))
-    edges, externals = build_call_graph(model, build_type_hierarchy(model))
+    model = parse_repository(write_repo(tmp_path, {"A.java": CLASS_LITERAL_CALL}), DiagnosticSink())
+    edges, externals = build_call_graph(model, build_type_hierarchy(model, DiagnosticSink()))
     stmt = next(s for s in model.statements.values() if s.code.startswith("Method m ="))
     assert [(c.chain, c.receiver) for c in stmt.calls] == [("A.class.getMethod", None)]
     targets = [e.dst for e in edges if e.src == stmt.id]
@@ -269,8 +270,8 @@ def test_calls_chained_on_a_result_or_a_new_object(tmp_path):
     type is unknown, not the class at the head of the chain.  A call on
     `new T(...)` goes to the method `T` declares or inherits, not to the
     caller's."""
-    model = parse_repository(write_repo(tmp_path, {"Foo.java": CHAINED_CALLS}))
-    edges, _ = build_call_graph(model, build_type_hierarchy(model))
+    model = parse_repository(write_repo(tmp_path, {"Foo.java": CHAINED_CALLS}), DiagnosticSink())
+    edges, _ = build_call_graph(model, build_type_hierarchy(model, DiagnosticSink()))
     entry = {f"{f.class_name}.{f.name}": f.entry for f in model.functions.values()}
     by_code = {s.code: s for s in model.statements.values()}
 
@@ -288,7 +289,6 @@ def test_calls_chained_on_a_result_or_a_new_object(tmp_path):
 
 def test_assemble_keeps_globals_out(el_repo):
     model, g, _ = parse_and_build(el_repo)
-    assert g.state == "original"
     kinds = {g.nodes[n].kind for n in g.nodes}
     assert "global_def" not in kinds and "package_decl" not in kinds
     # Conservative arg edges exist: both args of keepFirst-like calls feed the site.
@@ -385,9 +385,9 @@ class ListGraph:
         return True
 
     def remove_edges(self, keys):
-        before = len(self.edges)
+        present = {e.key(): e for e in self.edges}
         self.edges = [e for e in self.edges if e.key() not in keys]
-        return before - len(self.edges)
+        return [present[key] for key in keys if key in present]
 
     def out_edges(self, node, tau=None):
         return [e for e in self.edges if e.src == node and (tau is None or e.tau == tau)]
@@ -452,8 +452,7 @@ def test_store_matches_list_reference(seed):
         if step % 25 == 0:
             _assert_same(g, ref, nodes, rng)
     _assert_same(g, ref, nodes, rng)
-    copied = g.copy(state="enhanced")
-    assert copied.state == "enhanced"
+    copied = g.copy()
     _assert_same(copied, ref, nodes, rng)
     # The copy is independent of its source.
     copied.remove_edges({e.key() for e in ref.edges})
@@ -481,8 +480,7 @@ def test_copy_keeps_edge_order_and_is_independent(seed):
     g.rank()
     before = _adjacency(g)
 
-    copied = g.copy(state="original")
-    assert copied.state == "original" and g.state == "enhanced"
+    copied = g.copy()
     assert copied.nodes == g.nodes and copied.nodes is not g.nodes
     assert _adjacency(copied) == before
     assert copied.derived("rank") == {} and g.derived("rank")
