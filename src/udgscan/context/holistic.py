@@ -14,12 +14,14 @@ brace-only lines are rendered verbatim (keeping snippets syntactically
 coherent); gaps containing real code are elided with `...`.
 
 The token budget counts whitespace-separated words.  A context over it
-loses statements one at a time.  Its one rendering is edited in place: a
-drop rebuilds only the gap before each line it uncovers, and a drop that
-uncovers no line leaves the rendering as it was.  The rendering keeps its
-word count as it is edited, per segment, block and whole; blocks and
-segments are joined only by newlines, so the count always equals the
-words of the text, which is joined only when it is read.
+loses statements one at a time, farthest first: an explicit statement is
+as far as its depth, a usage statement 10 more than its depth, a
+definition statement 12 and a declaration 0.  Its one rendering is edited
+in place: a drop rebuilds only the gap before each line it uncovers, and a
+drop that uncovers no line leaves the rendering as it was.  The rendering
+keeps its word count as it is edited, per segment, block and whole;
+blocks and segments are joined only by newlines, so the count always
+equals the words of the text, which is joined only when it is read.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ class HolisticContext:
     all: list[str] = field(default_factory=list)  # kept statements, in sort-key order
     rendered: str = ""
     rendered_lines: dict[str, list[int]] = field(default_factory=dict)  # per file, the lines shown
-    boundary_notes: list[str] = field(default_factory=list)
     dropped: int = 0  # statements the token budget dropped
 
 
@@ -203,12 +204,12 @@ def holistic_context(
     sinks = [g.nodes[inv.statement] for inv in invocations]
     data = [data_slice(g, sink, "both") for sink in sinks]
     control = [control_slice(g, sink, hop_limit) for sink in sinks]
-    explicit = [merge_slices("explicit", g, [d, c]) for d, c in zip(data, control)]
+    explicit = [merge_slices(g, [d, c]) for d, c in zip(data, control)]
     usage = [usage_context(g, model, e) for e in explicit]
     # Neither the definition nor the declaration context depends on the
     # order of its input; the definition context excludes its input.
     bases = [list(dict.fromkeys(e.statements + u.statements)) for e, u in zip(explicit, usage)]
-    definition = [definition_context(g, model, ContextSlice(kind="base", statements=b)) for b in bases]
+    definition = [definition_context(g, model, b) for b in bases]
     declaration = [declaration_context(b + d.statements, model) for b, d in zip(bases, definition)]
     return [
         _fit(g, model, HolisticContext(*layers), token_budget)
@@ -217,7 +218,7 @@ def holistic_context(
 
 
 def _fit(g: UnifiedDependencyGraph, model: RepoModel, ctx: HolisticContext, token_budget: int) -> HolisticContext:
-    """Fill in `ctx`'s kept statements, rendering and notes from its slices,
+    """Fill in `ctx`'s kept statements and rendering from its slices,
     dropping statements farthest first while the rendering is over the
     token budget."""
     inv = ctx.invocation
@@ -226,32 +227,29 @@ def _fit(g: UnifiedDependencyGraph, model: RepoModel, ctx: HolisticContext, toke
         g, {*explicit.statements, *usage.statements, *definition.statements, *declaration.statements}
     )
 
-    distances: dict[str, int] = {}
-    for sid in explicit.statements:
-        distances[sid] = explicit.depths.get(sid, 1)
-    for sid in usage.statements:
-        distances[sid] = min(distances.get(sid, 99), 10 + usage.depths.get(sid, 0))
+    distances = dict(explicit.depths)
+    for sid, d in usage.depths.items():
+        distances[sid] = min(distances.get(sid, 99), 10 + d)
     for sid in definition.statements:
         distances[sid] = min(distances.get(sid, 99), 12)
-    for sid in declaration.statements:
-        distances[sid] = min(distances.get(sid, 99), 0)
+    distances.update(dict.fromkeys(declaration.statements, 0))
     sink_file = g.nodes[inv.statement].file
     protected = {inv.statement}
     protected.update(
         sid for sid in declaration.statements if model.statements[sid].file == sink_file
     )
-    protected.update(sid for sid in all_ids if distances.get(sid, 99) <= 1)
+    protected.update(sid for sid in all_ids if distances[sid] <= 1)
 
     dropped = 0
     kept = list(all_ids)
     rendering = render_context(kept, model)
     if rendering.words > token_budget:
-        # Farthest first, ties broken by the later source position: the order
-        # never changes while statements are dropped, so it is computed once.
-        rank = g.rank()
+        # Farthest first, ties broken by the later position in `all_ids` (a
+        # stable sort of its reverse): the order never changes while
+        # statements are dropped, so it is computed once.
         drop_order = sorted(
-            (sid for sid in all_ids if sid not in protected),
-            key=lambda sid: (distances.get(sid, 99), rank[sid]),
+            (sid for sid in reversed(all_ids) if sid not in protected),
+            key=distances.__getitem__,
             reverse=True,
         )
         # A drop that uncovers no line leaves the word count as it was.
@@ -262,19 +260,8 @@ def _fit(g: UnifiedDependencyGraph, model: RepoModel, ctx: HolisticContext, toke
         gone = set(drop_order[:dropped])
         kept = [sid for sid in kept if sid not in gone]
 
-    notes = list(
-        dict.fromkeys(
-            explicit.boundary_notes
-            + usage.boundary_notes
-            + definition.boundary_notes
-            + declaration.boundary_notes
-        )
-    )
-    if dropped:
-        notes.append(f"token budget exceeded: dropped {dropped} statements")
     ctx.all = kept
     ctx.rendered = rendering.text
     ctx.rendered_lines = rendering.included()
-    ctx.boundary_notes = notes
     ctx.dropped = dropped
     return ctx

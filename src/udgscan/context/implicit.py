@@ -1,56 +1,48 @@
 """Implicit context: callee-internal flows, unresolved definitions, and
-structural declarations that directional slicing cannot reach."""
+structural declarations that directional slicing cannot reach.
+
+The usage context keeps its statements' data-slice depths for the drop
+order; the definition and declaration contexts are statements alone, which
+the drop order ranks by constants.  A use that nothing defines adds no
+statement, and an external callee adds none."""
 
 from __future__ import annotations
 
 from ..frontend.model import RETURN_VAR, RepoModel
 from ..udg.calls import function_of_entry
 from ..udg.graph import CALL, DATA_DEPENDENCY, UnifiedDependencyGraph
-from .slicing import ContextSlice, _ordered, _union, data_slice, merge_slices
+from .slicing import ContextSlice, _ordered, data_slice, merge_slices
 
 
 def usage_context(
     g: UnifiedDependencyGraph, model: RepoModel, c_e: ContextSlice
 ) -> ContextSlice:
     """Forward data slices seeded at the entry of every in-repo callee
-    invoked from the explicit context; external callees only leave notes."""
+    invoked from the explicit context."""
     callees = g.derived("callees", model)
-    notes: dict[str, None] = {}
     pieces: list[ContextSlice] = []
     seen_entries: set[str] = set()
     for sid in c_e.statements:
-        found = callees.get(sid)
-        if found is None:
-            found = callees[sid] = _callees(g, model, sid)
-        entries, external = found
-        for note in external:
-            notes[note] = None
+        entries = callees.get(sid)
+        if entries is None:
+            entries = callees[sid] = _callees(g, model, sid)
         for entry in entries:
             if entry not in seen_entries:
                 seen_entries.add(entry)
                 pieces.append(data_slice(g, g.nodes[entry], "forward"))
-    merged = merge_slices("usage", g, pieces)
-    merged.boundary_notes = list(dict.fromkeys([*merged.boundary_notes, *notes]))
-    return merged
+    return merge_slices(g, pieces)
 
 
-def _callees(g: UnifiedDependencyGraph, model: RepoModel, sid: str) -> tuple[tuple, tuple]:
-    """The entries of the in-repo functions statement `sid` calls, by id,
-    and the notes on the external callees it calls, each once."""
+def _callees(g: UnifiedDependencyGraph, model: RepoModel, sid: str) -> tuple[str, ...]:
+    """The entries of the in-repo functions statement `sid` calls, by id."""
     stmt = g.nodes.get(sid)
     if stmt is None or not stmt.calls or stmt.synthetic:
-        return (), ()
-    entries: list[str] = []
-    external: dict[str, None] = {}
-    for e in sorted(g.out_edges(sid, CALL), key=lambda e: e.dst):
-        dst = g.nodes.get(e.dst)
-        if dst is None:
-            continue
-        if dst.external:
-            external[f"external callee at {stmt.file}:{stmt.start_line}: {dst.text}"] = None
-        elif function_of_entry(model, e.dst) is not None:
-            entries.append(e.dst)
-    return tuple(entries), tuple(external)
+        return ()
+    return tuple(
+        e.dst
+        for e in sorted(g.out_edges(sid, CALL), key=lambda e: e.dst)
+        if e.dst in g.nodes and function_of_entry(model, e.dst) is not None
+    )
 
 
 def _resolved(name: str, defined: set[str]) -> bool:
@@ -65,18 +57,18 @@ def _resolved(name: str, defined: set[str]) -> bool:
 
 
 def definition_context(
-    g: UnifiedDependencyGraph, model: RepoModel, base: ContextSlice
+    g: UnifiedDependencyGraph, model: RepoModel, base_ids: list[str]
 ) -> ContextSlice:
-    """Recover definitions for variables used but not defined in the input.
+    """Recover definitions for variables used but not defined in `base_ids`.
 
     A use with no incoming data edge is assumed global: its global definition
     seeds a backward slice.  A use with incoming edges is locally reachable
     and seeds a backward slice at the usage statement.  Only the set of
-    `base.statements` matters, not its order.
+    `base_ids` matters, not its order.
     """
     v_def: set[str] = set()
     v_use: dict[str, list[str]] = {}
-    for sid in base.statements:
+    for sid in base_ids:
         stmt = g.nodes.get(sid)
         if stmt is None:
             continue
@@ -86,9 +78,7 @@ def definition_context(
     v_def.discard(RETURN_VAR)
 
     lookups = g.derived("definitions", model)
-    notes: dict[str, None] = {}
-    pieces: list[ContextSlice] = []
-    extra: set[str] = set()
+    ids: set[str] = set()
     for name in sorted(v_use):
         if _resolved(name, v_def):
             continue
@@ -96,42 +86,29 @@ def definition_context(
             found = lookups.get((use_sid, name))
             if found is None:
                 found = lookups[use_sid, name] = _definition_of(g, model, use_sid, name)
-            chosen, piece, note = found
-            if note:
-                notes[note] = None
-                continue
-            if chosen:
-                extra.add(chosen)
-            pieces.append(piece)
-    ids, piece_notes, depths = _union(pieces)
-    ids |= extra
+            ids.update(found)
     # The definition context excludes the usage statements themselves: they
     # are already part of the input context.
-    ids.difference_update(base.statements)
-    statements = _ordered(g, ids)
-    return ContextSlice(
-        kind="definition",
-        statements=statements,
-        boundary_notes=list(dict.fromkeys([*piece_notes, *notes])),
-        depths={sid: depths.get(sid, 1) for sid in statements},
-    )
+    ids.difference_update(base_ids)
+    return ContextSlice(_ordered(g, ids))
 
 
-def _definition_of(
-    g: UnifiedDependencyGraph, model: RepoModel, use_sid: str, name: str
-) -> tuple[str | None, ContextSlice | None, str | None]:
-    """Where the use of `name` at `use_sid` is defined: (None, the use's
-    backward slice, None) when a data edge brings it, else (the chosen
-    global, its backward slice, None), else (None, None, a note)."""
+def _definition_of(g: UnifiedDependencyGraph, model: RepoModel, use_sid: str, name: str) -> list[str]:
+    """The statements that define the use of `name` at `use_sid`: the use's
+    backward slice when a data edge brings it, else the backward slice of
+    the chosen global, else none.  A global that is not a graph node (the
+    original graph holds none) contributes its own statement."""
     stmt = g.nodes[use_sid]
     if any(e.variable == name for e in g.in_edges(use_sid, DATA_DEPENDENCY)):
-        return None, data_slice(g, stmt, "backward"), None
+        return data_slice(g, stmt, "backward").statements
     lookup = name[5:] if name.startswith("this.") else name
     candidates = model.global_defs.get(lookup, [])
     if not candidates:
-        return None, None, f"unresolved variable {name} at {stmt.file}:{stmt.start_line}"
+        return []
     chosen = _closest_global(model, stmt, candidates)
-    return chosen, data_slice(g, g.nodes[chosen], "backward"), None
+    if chosen not in g.nodes:
+        return [chosen]
+    return data_slice(g, g.nodes[chosen], "backward").statements
 
 
 def _closest_global(model: RepoModel, use_stmt, candidates: list[str]) -> str:
@@ -179,5 +156,4 @@ def declaration_context(statement_ids: list[str], model: RepoModel) -> ContextSl
         if source is not None:
             ids.update(source.declarations)
             ids.update(source.classes)
-    ordered = sorted(ids, key=lambda sid: model.statements[sid].sort_key())
-    return ContextSlice(kind="declaration", statements=ordered, depths={sid: 0 for sid in ordered})
+    return ContextSlice(sorted(ids, key=lambda sid: model.statements[sid].sort_key()))

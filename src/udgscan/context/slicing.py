@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import chain
 from operator import itemgetter
 
 from ..frontend.model import StatementNode
@@ -20,26 +19,11 @@ DEFAULT_HOP_LIMIT = 3
 
 @dataclass
 class ContextSlice:
-    kind: str  # data | control | usage | definition | declaration | explicit | holistic
-    statements: list[str] = field(default_factory=list)  # ordered by (file, line, id)
-    boundary_notes: list[str] = field(default_factory=list)
-    depths: dict[str, int] = field(default_factory=dict)  # graph distance from the criterion
+    """A set of statements, ordered by (file, line, id), and each one's
+    graph distance from the criterion."""
 
-    def line_set(self, g_or_model) -> set[int]:
-        """Source lines covered by the slice's non-synthetic statements."""
-        lines: set[int] = set()
-        for sid in self.statements:
-            node = _node(g_or_model, sid)
-            if node is None or node.synthetic:
-                continue
-            lines.update(node.span_lines())
-        return lines
-
-
-def _node(g_or_model, sid: str) -> StatementNode | None:
-    if isinstance(g_or_model, UnifiedDependencyGraph):
-        return g_or_model.nodes.get(sid)
-    return g_or_model.statements.get(sid)
+    statements: list[str] = field(default_factory=list)
+    depths: dict[str, int] = field(default_factory=dict)
 
 
 def _ordered(g: UnifiedDependencyGraph, ids) -> list[str]:
@@ -68,9 +52,7 @@ def data_slice(
             for sid, d in _data_depths(g, s.id, False).items():
                 if d < depths.get(sid, d + 1):
                     depths[sid] = d
-        sl = memo[s.id, direction] = ContextSlice(
-            kind="data", statements=_ordered(g, depths), depths=depths
-        )
+        sl = memo[s.id, direction] = ContextSlice(_ordered(g, depths), depths)
     return sl
 
 
@@ -107,8 +89,8 @@ def control_slice(
 ) -> ContextSlice:
     """Bidirectional traversal over control-flow and call edges.
 
-    Each call-edge crossing consumes one hop; traversal halts at the hop
-    limit with a truncation note, and external nodes terminate paths.
+    Each call-edge crossing consumes one hop; a neighbour beyond the hop
+    limit is not visited, and external nodes terminate paths.
     Computed once per graph, node and hop limit, like `data_slice`; each
     node's neighbours are listed once per graph, on its first visit.
     """
@@ -118,9 +100,6 @@ def control_slice(
     if sl is not None:
         return sl
     depths: dict[str, int] = {}
-    notes: list[str] = []
-    truncated = False
-    externals: set[str] = set()
 
     for forward in (True, False):
         adjacency = g.derived("control_out" if forward else "control_in")
@@ -131,7 +110,6 @@ def control_slice(
             cur = work.popleft()
             node = g.nodes.get(cur)
             if node is not None and node.external:
-                externals.add(cur)
                 continue
             neighbours = adjacency.get(cur)
             if neighbours is None:
@@ -139,10 +117,7 @@ def control_slice(
             h, step = hops[cur], steps[cur] + 1
             for nxt, cost in zip(*neighbours):
                 nh = h + cost
-                if nh > hop_limit:
-                    truncated = True
-                    continue
-                if nxt not in hops or hops[nxt] > nh:
+                if nh <= hop_limit and (nxt not in hops or hops[nxt] > nh):
                     hops[nxt] = nh
                     steps[nxt] = step
                     work.append(nxt)
@@ -151,32 +126,17 @@ def control_slice(
             if old is None or d < old:
                 depths[sid] = d
 
-    if truncated:
-        notes.append(f"control slice truncated at {hop_limit} call hops")
-    for ext in sorted(externals):
-        notes.append(f"external boundary crossed: {g.nodes[ext].text}")
-    sl = memo[s.id, hop_limit] = ContextSlice(
-        kind="control", statements=_ordered(g, depths), boundary_notes=notes, depths=depths
-    )
+    sl = memo[s.id, hop_limit] = ContextSlice(_ordered(g, depths), depths)
     return sl
 
 
-def _union(slices: list[ContextSlice]) -> tuple[set[str], list[str], dict[str, int]]:
-    """The statements of `slices`, their notes without repeats (first
-    occurrence first) and each statement's least depth."""
-    ids: set[str] = set()
-    for sl in slices:
-        ids.update(sl.statements)
-    notes = list(dict.fromkeys(chain.from_iterable(sl.boundary_notes for sl in slices)))
+def merge_slices(g: UnifiedDependencyGraph, slices: list[ContextSlice]) -> ContextSlice:
+    """The union of `slices`, each statement at its least depth."""
     depths: dict[str, int] = dict(slices[0].depths) if slices else {}
     for sl in slices[1:]:
         for sid, d in sl.depths.items():
             old = depths.get(sid)
             if old is None or d < old:
                 depths[sid] = d
-    return ids, notes, depths
-
-
-def merge_slices(kind: str, g: UnifiedDependencyGraph, slices: list[ContextSlice]) -> ContextSlice:
-    ids, notes, depths = _union(slices)
-    return ContextSlice(kind=kind, statements=_ordered(g, ids), boundary_notes=notes, depths=depths)
+    ids = {sid for sl in slices for sid in sl.statements}
+    return ContextSlice(_ordered(g, ids), depths)

@@ -123,8 +123,14 @@ class _Cursor:
         """Consume the type arguments `<...>` at the cursor."""
         close = _type_args_close(self.tokens, self.closers, self.pos, self.end)
         if close == self.end:
-            raise SubsetViolation(self.path, self.tokens[self.pos].line, "unclosed '<'")
+            raise self.unclosed_type_args(self.pos)
         self.pos = close + 1
+
+    def unclosed_type_args(self, start: int) -> SubsetViolation:
+        """The error for the type at tokens[start] whose type arguments do
+        not close: at its first `<`."""
+        lt = next(i for i in range(start, self.end) if self.tokens[i].text == "<")
+        return SubsetViolation(self.path, self.tokens[lt].line, "unclosed '<'")
 
 
 class _FileParser(_Cursor):
@@ -414,8 +420,7 @@ class _FileParser(_Cursor):
             raise SubsetViolation(self.src.path, tok.line, f"expected a type, found '{tok.text}'")
         self.pos, name = read
         if self.pos > self.end:  # type arguments that never close
-            lt = next(i for i in range(start, self.end) if self.tokens[i].text == "<")
-            raise SubsetViolation(self.src.path, self.tokens[lt].line, "unclosed '<'")
+            raise self.unclosed_type_args(start)
         return name
 
 
@@ -582,7 +587,7 @@ class _BodyParser(_Cursor):
         return syn.For(init_id, cond_id, update_id, body)
 
     def parse_for_each(self, first: Token, start: int, end: int, close: Token, colon: int):
-        decls = _declaration(self.tokens, self.closers, start, colon)
+        decls = self.declaration(start, colon)
         if decls is None or len(decls) != 1:
             raise SubsetViolation(self.path, first.line, "malformed for header")
         var, type_name, _, _ = decls[0]
@@ -636,7 +641,7 @@ class _BodyParser(_Cursor):
             # A multi-catch parameter takes the type of its last alternative.
             bars = [i for i, t in _top_level(self.tokens, self.closers, start, end) if t.text == "|"]
             start = bars[-1] + 1 if bars else start
-            for name, type_name, _, _ in _declaration(self.tokens, self.closers, start, end) or ():
+            for name, type_name, _, _ in self.declaration(start, end) or ():
                 self.var_types[name] = type_name
             catches.append(self.parse_nested_block().stmts)
         finally_ = []
@@ -675,13 +680,27 @@ class _BodyParser(_Cursor):
         last = self.expect(";")
         return self.simple_from_tokens(start, end, first, last)
 
+    def declaration(self, start: int, end: int) -> list | None:
+        """The declarators of the declaration `modifiers Type declarators`
+        that tokens[start:end] are, as `_declarators` reads them; None when
+        they are not one.  A type whose type arguments do not close before
+        `end` is an error: no statement expression starts with one."""
+        i = _modifiers_end(self.tokens, self.closers, start, end)
+        read = _read_type(self.tokens, self.closers, i, end)
+        if read is None:
+            return None
+        if read[0] > end:
+            raise self.unclosed_type_args(i)
+        decls, bad = _declarators(self.tokens, self.closers, read[0], end, read[1])
+        return decls if bad is None else None
+
     def simple_from_tokens(self, start: int, end: int, first: Token, last: Token) -> syn.Simple:
         """Lower the declaration in tokens[start:end], or the assignment,
         step and call expressions its commas separate (one but in a for
         header), to one node with the defs, uses and calls of them all."""
         toks = self.tokens
         expr = _Expr(self, self.var_types, self.fields, self.depth)
-        decls = _declaration(toks, self.closers, start, end)
+        decls = self.declaration(start, end)
         if decls is not None:
             # Each name is in scope from its own initializer on (JLS 6.3).
             for name, type_name, init_start, init_end in decls:
@@ -886,17 +905,6 @@ def _declarators(
         if stop == end:
             return decls, None
         i = stop + 1
-
-
-def _declaration(tokens: list[Token], closers: list[int], i: int, end: int) -> list | None:
-    """The declarators of the declaration `modifiers Type declarators` that
-    tokens[i:end] are, as `_declarators` reads them; None when they are not
-    one."""
-    read = _read_type(tokens, closers, _modifiers_end(tokens, closers, i, end), end)
-    if read is None:
-        return None
-    decls, bad = _declarators(tokens, closers, read[0], end, read[1])
-    return decls if bad is None else None
 
 
 def _allocated_class(tokens: list[Token], closers: list[int], start: int, end: int) -> str:

@@ -297,6 +297,7 @@ def _scan(config: ScanConfig, inference_client, resolution_oracle) -> ScanResult
     try:
         build_type_hierarchy(model, diagnostics)
     except HierarchyCycle as exc:
+        diagnostics.extend(kb_notes)
         diagnostics.add("error", "frontend", str(exc))
         report = _empty_report(config, diagnostics, reason=str(exc))
         return ScanResult(report=report, exit_code=EXIT_PARSE)
@@ -307,6 +308,7 @@ def _scan(config: ScanConfig, inference_client, resolution_oracle) -> ScanResult
         try:
             enh = enhance_graph(model, g_o, oracle, diagnostics, jump_targets, pool)
         except (OracleParseError, ClientTransportError) as exc:
+            diagnostics.extend(kb_notes)
             diagnostics.add("error", "enhance", f"oracle failure: {exc}")
             report = _empty_report(config, diagnostics, reason=str(exc))
             return ScanResult(report=report, exit_code=EXIT_ORACLE)

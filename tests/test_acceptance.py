@@ -9,11 +9,11 @@ import time
 
 from conftest import enhance, parse_and_build, write_repo
 from test_labeled_jumps import CASES as JUMP_CASES
-from support.slicing import explicit_context
+from support.slicing import explicit_context, lines_of
 
 from udgscan.context.holistic import holistic_context
 from udgscan.context.sinks import find_sensitive_invocations
-from udgscan.context.slicing import control_slice, data_slice, merge_slices
+from udgscan.context.slicing import control_slice, data_slice
 from udgscan.context.implicit import declaration_context, definition_context, usage_context
 from udgscan.enhance.oracle import MockResolutionOracle
 from udgscan.enhance.order import compute_analysis_order, tarjan_scc
@@ -58,14 +58,13 @@ def test_criterion_1_context_golden(el_repo):
     sink = g_e.nodes[inv.statement]
 
     c_e = explicit_context(g_e, sink)
-    assert c_e.line_set(g_e) == {8, 9, 10, 11}
+    assert lines_of(g_e.nodes, c_e.statements) == {8, 9, 10, 11}
     c_use = usage_context(g_e, model, c_e)
-    assert c_use.line_set(g_e) == set(range(26, 32))
-    base = merge_slices("base", g_e, [c_e, c_use])
-    c_def = definition_context(g_e, model, base)
-    assert c_def.line_set(g_e) == {4} | set(range(18, 25))
+    assert lines_of(g_e.nodes, c_use.statements) == set(range(26, 32))
+    c_def = definition_context(g_e, model, c_e.statements + c_use.statements)
+    assert lines_of(g_e.nodes, c_def.statements) == {4} | set(range(18, 25))
     c_decl = declaration_context(c_e.statements + c_use.statements + c_def.statements, model)
-    assert c_decl.line_set(model) == {1, 17, 33}
+    assert lines_of(model.statements, c_decl.statements) == {1, 17, 33}
     ctx = holistic_context(g_e, model, [inv])[0]
     assert set(ctx.rendered_lines["TemplateValidator.java"]) == set(range(1, 5)) | set(range(8, 34))
     elapsed = time.monotonic() - start

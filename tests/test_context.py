@@ -1,16 +1,20 @@
+import os
+
 import pytest
 
-from conftest import enhance, fixture_path, parse_and_build, write_repo
-from support.slicing import explicit_context
+from conftest import FIXTURES, enhance, fixture_path, parse_and_build, write_repo
+from support.slicing import explicit_context, lines_of
 
-from udgscan.context.holistic import holistic_context
+from udgscan.context.holistic import DEFAULT_TOKEN_BUDGET, holistic_context
 from udgscan.context.implicit import declaration_context, definition_context, usage_context
-from udgscan.context.sinks import find_sensitive_invocations
-from udgscan.context.slicing import ContextSlice, control_slice, data_slice, merge_slices
+from udgscan.context.sinks import SensitiveInvocation, find_sensitive_invocations
+from udgscan.context.slicing import control_slice, data_slice
 from udgscan.enhance.oracle import MockResolutionOracle
 from udgscan.harness.generate import random_udg
 from udgscan.harness.oracles import control_slice_oracle, data_slice_oracle
 from udgscan.knowledge import UserSinkSpec, load_starter_kb
+
+FIXTURE_NAMES = sorted(os.listdir(FIXTURES))
 
 
 def enhanced(repo):
@@ -105,7 +109,7 @@ def test_el_backward_data_slice(el_repo):
     kb = load_starter_kb()
     inv = sink_of(model, g, kb, "buildConstraintViolationWithTemplate")
     sl = data_slice(g, g.nodes[inv.statement], "backward")
-    assert sl.line_set(g) == {8, 9, 11}
+    assert lines_of(g.nodes, sl.statements) == {8, 9, 11}
     assert inv.statement in sl.statements
 
 
@@ -213,7 +217,6 @@ class Deep {
         if not g.nodes[sid].synthetic and g.nodes[sid].owner in model.functions
     }
     assert owners == {"a", "b", "c", "d"}  # three call hops up from a
-    assert any("truncated" in n for n in sl.boundary_notes)
 
 
 def test_el_explicit_context(el_repo):
@@ -221,7 +224,7 @@ def test_el_explicit_context(el_repo):
     kb = load_starter_kb()
     inv = sink_of(model, g, kb, "buildConstraintViolationWithTemplate")
     sl = explicit_context(g, g.nodes[inv.statement])
-    assert sl.line_set(g) == {8, 9, 10, 11}
+    assert lines_of(g.nodes, sl.statements) == {8, 9, 10, 11}
 
 
 # ---------------------------------------------------------------- implicit
@@ -233,8 +236,11 @@ def test_el_usage_context(el_repo):
     inv = sink_of(model, g, kb, "buildConstraintViolationWithTemplate")
     c_e = explicit_context(g, g.nodes[inv.statement])
     c_use = usage_context(g, model, c_e)
-    assert c_use.line_set(g) == set(range(26, 32))
-    assert any("external callee" in n for n in c_use.boundary_notes)
+    assert lines_of(g.nodes, c_use.statements) == set(range(26, 32))
+    # The explicit context reaches an external callee; the usage context
+    # slices only in-repository callees.
+    assert [sid for sid in c_e.statements if sid.startswith("external:")]
+    assert not [sid for sid in c_use.statements if sid.startswith("external:")]
 
 
 def test_usage_context_no_calls_empty(tmp_path):
@@ -251,7 +257,7 @@ class A {
     y_def = next(s for s in model.statements.values() if "y = x + 1" in s.text)
     c_e = explicit_context(g, y_def)
     c_use = usage_context(g, model, c_e)
-    assert c_use.line_set(g) == set()
+    assert lines_of(g.nodes, c_use.statements) == set()
 
 
 def test_el_definition_context(el_repo):
@@ -260,9 +266,8 @@ def test_el_definition_context(el_repo):
     inv = sink_of(model, g, kb, "buildConstraintViolationWithTemplate")
     c_e = explicit_context(g, g.nodes[inv.statement])
     c_use = usage_context(g, model, c_e)
-    base = merge_slices("base", g, [c_e, c_use])
-    c_def = definition_context(g, model, base)
-    assert c_def.line_set(g) == {4} | set(range(18, 25))
+    c_def = definition_context(g, model, c_e.statements + c_use.statements)
+    assert lines_of(g.nodes, c_def.statements) == {4} | set(range(18, 25))
 
 
 def test_definition_context_local_branch(tmp_path):
@@ -281,10 +286,7 @@ class A {
     root = write_repo(tmp_path, {"A.java": src})
     model, g = enhanced(root)
     out_def = next(s for s in model.statements.values() if "out = seed" in s.text)
-    from udgscan.context.slicing import ContextSlice
-
-    base = ContextSlice(kind="explicit", statements=[out_def.id], depths={out_def.id: 0})
-    c_def = definition_context(g, model, base)
+    c_def = definition_context(g, model, [out_def.id])
     seed_def = next(s for s in model.statements.values() if "seed = x" in s.text)
     assert seed_def.id in c_def.statements  # local backward slice, no global lookup
     global_def = next(s for s in model.statements.values() if s.kind == "global_def")
@@ -292,8 +294,7 @@ class A {
     # slice itself discovered are not chased further.
     assert global_def.id not in c_def.statements
     # A use with no incoming edge in the *input* set does take the global branch.
-    base2 = ContextSlice(kind="explicit", statements=[seed_def.id], depths={seed_def.id: 0})
-    c_def2 = definition_context(g, model, base2)
+    c_def2 = definition_context(g, model, [seed_def.id])
     assert global_def.id in c_def2.statements
 
 
@@ -310,7 +311,7 @@ class A {
     model, g = enhanced(root)
     ret = next(s for s in model.statements.values() if s.kind == "return")
     c_e = explicit_context(g, ret)
-    c_def = definition_context(g, model, c_e)
+    c_def = definition_context(g, model, c_e.statements)
     assert c_def.statements == []
 
 
@@ -320,11 +321,10 @@ def test_el_declaration_context(el_repo):
     inv = sink_of(model, g, kb, "buildConstraintViolationWithTemplate")
     c_e = explicit_context(g, g.nodes[inv.statement])
     c_use = usage_context(g, model, c_e)
-    base = merge_slices("base", g, [c_e, c_use])
-    c_def = definition_context(g, model, base)
+    c_def = definition_context(g, model, c_e.statements + c_use.statements)
     ids = c_e.statements + c_use.statements + c_def.statements
     c_decl = declaration_context(ids, model)
-    assert c_decl.line_set(model) == {1, 17, 33}
+    assert lines_of(model.statements, c_decl.statements) == {1, 17, 33}
 
 
 def test_declaration_context_two_files(tmp_path):
@@ -368,7 +368,38 @@ def test_el_holistic_golden(el_repo):
     rendered_lines = set(ctx.rendered_lines["TemplateValidator.java"])
     assert rendered_lines == set(range(1, 5)) | set(range(8, 34))
     assert inv.statement in ctx.all
-    assert ctx.explicit.line_set(g) <= ContextSlice("holistic", ctx.all).line_set(model)
+    assert lines_of(g.nodes, ctx.explicit.statements) <= lines_of(model.statements, ctx.all)
+
+
+@pytest.mark.parametrize("budget", [DEFAULT_TOKEN_BUDGET, 40])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_contexts_on_the_original_graph(name, budget):
+    """The original graph holds no global statements: a chosen global that is
+    not a graph node joins the definition context as its own statement, and
+    the drop order ranks what lies outside the graph as `_ordered` does."""
+    model, g_o, _ = parse_and_build(fixture_path(name))
+    invocations = find_sensitive_invocations(g_o, model, load_starter_kb())
+    invocations += [
+        SensitiveInvocation(statement=s.id, api="call")
+        for s in sorted(g_o.nodes.values(), key=lambda s: s.sort_key())
+        if s.calls and not s.synthetic
+    ]
+    contexts = holistic_context(g_o, model, invocations, token_budget=budget)
+    for inv, ctx in zip(invocations, contexts):
+        layers = {*ctx.explicit.statements, *ctx.usage.statements, *ctx.definition.statements, *ctx.declaration.statements}
+        assert inv.statement in ctx.all and set(ctx.all) <= layers
+        assert len(ctx.all) + ctx.dropped == len(layers)
+    outside = {sid for ctx in contexts for sid in ctx.definition.statements if sid not in g_o.nodes}
+    assert {model.stmt(sid).kind for sid in outside} <= {"global_def"}
+    if name == "el_template_validation":
+        # PARAM_NAME, ESCAPE_CHARACTER and ESCAPE_PATTERN.
+        assert sorted(model.stmt(sid).start_line for sid in outside) == [4, 18, 19]
+    if budget == DEFAULT_TOKEN_BUDGET:
+        assert not any(ctx.dropped for ctx in contexts)
+        if name == "el_template_validation":
+            assert {4, 18, 19} <= set(contexts[0].rendered_lines["TemplateValidator.java"])
+    else:
+        assert any(ctx.dropped for ctx in contexts)
 
 
 def test_holistic_rendered_numbers_match(el_repo):
@@ -411,7 +442,6 @@ def test_token_budget_drops_far_statements(el_repo):
     assert tight.dropped > 0
     assert inv.statement in tight.all
     assert len(tight.all) < len(full.all)
-    assert any("token budget" in n for n in tight.boundary_notes)
 
 
 def test_monotonicity_adding_edges_grows_slices(el_repo):
@@ -435,9 +465,9 @@ def test_implicit_idempotence_on_golden(el_repo):
     ctx = holistic_context(g, model, [inv])[0]
     from udgscan.context.slicing import ContextSlice
 
-    full = ContextSlice(kind="holistic", statements=list(ctx.all), depths={s: 0 for s in ctx.all})
+    full = ContextSlice(list(ctx.all), {s: 0 for s in ctx.all})
     again_use = usage_context(g, model, full)
-    again_def = definition_context(g, model, merge_slices("b", g, [full, again_use]))
+    again_def = definition_context(g, model, full.statements + again_use.statements)
     again_decl = declaration_context(list(ctx.all), model)
     new_ids = (set(again_use.statements) | set(again_def.statements) | set(again_decl.statements)) - set(ctx.all)
     assert new_ids == set()

@@ -41,7 +41,7 @@ def _summary_repo(tmp_path, seed):
 
 def _snapshot(ctx):
     out = {
-        name: (sl.kind, sl.statements, sl.depths, sl.boundary_notes)
+        name: (sl.statements, sl.depths)
         for name in SLICES
         for sl in [getattr(ctx, name)]
     }
@@ -50,7 +50,6 @@ def _snapshot(ctx):
         rendered=ctx.rendered,
         rendered_lines=ctx.rendered_lines,
         dropped=ctx.dropped,
-        notes=ctx.boundary_notes,
     )
     return out
 
@@ -186,11 +185,11 @@ def test_only_a_change_drops_the_memo():
 
 def test_an_id_outside_the_graph_sorts_first_by_id():
     g = random_udg(3, max_nodes=20)
-    inside = ContextSlice("data", sorted(g.nodes, reverse=True), depths={sid: 1 for sid in g.nodes})
-    outside = ContextSlice("declaration", ["zz", "aa"], depths={"zz": 0, "aa": 0})
-    merged = merge_slices("m", g, [inside, outside])
+    inside = ContextSlice(sorted(g.nodes, reverse=True), {sid: 1 for sid in g.nodes})
+    outside = ContextSlice(["zz", "aa"], {"zz": 0, "aa": 0})
+    merged = merge_slices(g, [inside, outside])
     assert merged.statements == ["aa", "zz"] + _ref_ordered(g, g.nodes)
-    assert _parts(merged) == _parts(ref_merge_slices("m", g, [inside, outside]))
+    assert _parts(merged) == _parts(ref_merge_slices(g, [inside, outside]))
 
 
 def test_the_memo_dies_with_its_graph():
@@ -227,18 +226,17 @@ def ref_data_slice(g, s, direction="both"):
                     work.append((nxt, d + 1))
         for sid, d in local.items():
             depths[sid] = min(depths.get(sid, d), d)
-    return ContextSlice(kind="data", statements=_ref_ordered(g, set(depths)), depths=depths)
+    return ContextSlice(_ref_ordered(g, set(depths)), depths)
 
 
 def ref_control_slice(g, s, hop_limit=3):
-    best, depths, notes, truncated, externals = {}, {s.id: 0}, [], False, set()
+    best, depths = {}, {s.id: 0}
     for mode in ("forward", "backward"):
         hops, steps, work = {s.id: 0}, {s.id: 0}, [s.id]
         while work:
             cur = work.pop(0)
             node = g.nodes.get(cur)
             if node is not None and node.external:
-                externals.add(cur)
                 continue
             edges = g.out_edges(cur) if mode == "forward" else g.in_edges(cur)
             for e in sorted(edges, key=lambda e: (e.dst if mode == "forward" else e.src)):
@@ -247,7 +245,6 @@ def ref_control_slice(g, s, hop_limit=3):
                 nxt = e.dst if mode == "forward" else e.src
                 nh = hops[cur] + (1 if e.tau == CALL else 0)
                 if nh > hop_limit:
-                    truncated = True
                     continue
                 if nxt not in hops or hops[nxt] > nh:
                     hops[nxt] = nh
@@ -256,57 +253,44 @@ def ref_control_slice(g, s, hop_limit=3):
         for sid, h in hops.items():
             best[sid] = min(best.get(sid, h), h)
             depths[sid] = min(depths.get(sid, steps[sid]), steps[sid])
-    if truncated:
-        notes.append(f"control slice truncated at {hop_limit} call hops")
-    notes.extend(f"external boundary crossed: {g.nodes[ext].text}" for ext in sorted(externals))
-    return ContextSlice(kind="control", statements=_ref_ordered(g, set(best)), boundary_notes=notes, depths=depths)
+    return ContextSlice(_ref_ordered(g, set(best)), depths)
 
 
-def ref_merge_slices(kind, g, slices):
-    ids, notes, depths = set(), [], {}
+def ref_merge_slices(g, slices):
+    ids, depths = set(), {}
     for sl in slices:
         ids.update(sl.statements)
-        notes.extend(n for n in sl.boundary_notes if n not in notes)
         for sid, d in sl.depths.items():
             depths[sid] = min(depths.get(sid, d), d)
-    return ContextSlice(kind=kind, statements=_ref_ordered(g, ids), boundary_notes=notes, depths=depths)
+    return ContextSlice(_ref_ordered(g, ids), depths)
 
 
 def ref_usage_context(g, model, c_e):
-    notes, pieces, seen = [], [], set()
+    pieces, seen = [], set()
     for sid in c_e.statements:
         stmt = g.nodes.get(sid)
         if stmt is None or not stmt.calls or stmt.synthetic:
             continue
         for e in sorted(g.out_edges(sid, CALL), key=lambda e: e.dst):
             dst = g.nodes.get(e.dst)
-            if dst is None:
-                continue
-            if dst.external:
-                note = f"external callee at {stmt.file}:{stmt.start_line}: {dst.text}"
-                if note not in notes:
-                    notes.append(note)
-                continue
-            if e.dst in seen:
+            if dst is None or dst.external or e.dst in seen:
                 continue
             seen.add(e.dst)
             if function_of_entry(model, e.dst) is not None:
                 pieces.append(ref_data_slice(g, dst, "forward"))
-    merged = ref_merge_slices("usage", g, pieces)
-    merged.boundary_notes.extend(n for n in notes if n not in merged.boundary_notes)
-    return merged
+    return ref_merge_slices(g, pieces)
 
 
-def ref_definition_context(g, model, base):
+def ref_definition_context(g, model, base_ids):
     v_def, v_use = set(), {}
-    for sid in base.statements:
+    for sid in base_ids:
         stmt = g.nodes.get(sid)
         if stmt is None:
             continue
         v_def.update(d for d in stmt.defs if d != RETURN_VAR)
         for u in stmt.uses:
             v_use.setdefault(u, []).append(sid)
-    notes, pieces, extra = [], [], set()
+    pieces, extra = [], set()
     for name in sorted(v_use):
         if _resolved(name, v_def):
             continue
@@ -317,21 +301,17 @@ def ref_definition_context(g, model, base):
                 continue
             candidates = model.global_defs.get(name[5:] if name.startswith("this.") else name, [])
             if not candidates:
-                notes.append(f"unresolved variable {name} at {stmt.file}:{stmt.start_line}")
                 continue
             chosen = _closest_global(model, stmt, candidates)
             extra.add(chosen)
-            pieces.append(ref_data_slice(g, g.nodes[chosen], "backward"))
-    merged = ref_merge_slices("definition", g, pieces)
-    ids = (set(merged.statements) | extra) - set(base.statements)
-    merged.statements = _ref_ordered(g, ids)
-    merged.depths = {sid: merged.depths.get(sid, 1) for sid in merged.statements}
-    merged.boundary_notes.extend(n for n in notes if n not in merged.boundary_notes)
-    return merged
+            if chosen in g.nodes:
+                pieces.append(ref_data_slice(g, g.nodes[chosen], "backward"))
+    ids = (set(ref_merge_slices(g, pieces).statements) | extra) - set(base_ids)
+    return ContextSlice(_ref_ordered(g, ids))
 
 
 def _parts(sl):
-    return sl.kind, sl.statements, sl.depths, sl.boundary_notes
+    return sl.statements, sl.depths
 
 
 def _assert_as_uncached(result):
@@ -341,9 +321,9 @@ def _assert_as_uncached(result):
         sink = g.nodes[ctx.invocation.statement]
         assert _parts(ctx.data) == _parts(ref_data_slice(g, sink))
         assert _parts(ctx.control) == _parts(ref_control_slice(g, sink))
-        assert _parts(ctx.explicit) == _parts(ref_merge_slices("explicit", g, [ctx.data, ctx.control]))
+        assert _parts(ctx.explicit) == _parts(ref_merge_slices(g, [ctx.data, ctx.control]))
         assert _parts(ctx.usage) == _parts(ref_usage_context(g, model, ctx.explicit))
-        base = ref_merge_slices("base", g, [ctx.explicit, ctx.usage])
+        base = ref_merge_slices(g, [ctx.explicit, ctx.usage]).statements
         assert _parts(ctx.definition) == _parts(ref_definition_context(g, model, base))
         assert _parts(usage_context(g, model, ctx.explicit)) == _parts(ctx.usage)
         assert _parts(definition_context(g, model, base)) == _parts(ctx.definition)
@@ -375,7 +355,7 @@ def test_contexts_match_the_uncached_code(tmp_path):
     mixed_sinks.write_text(json.dumps({"sinks": [{"function": "Runtime.exec", "cwe_id": "CWE-78"}]}), encoding="utf-8")
     mixed = scan(ScanConfig(repo=write_repo(tmp_path / "mixed", MIXED_USES), oracle_mode="mock", sink_path=str(mixed_sinks)))
     (ctx,) = mixed.contexts.values()
-    assert ctx.definition.boundary_notes == ["unresolved variable this.gone at p/Mixed.java:5"]
+    # `this.gone` is defined nowhere, so only `limit`'s definition is added.
     assert [mixed.model.stmt(sid).defs for sid in ctx.definition.statements] == [{"limit"}]
     for result in [*results, mixed]:
         _assert_as_uncached(result)
@@ -404,4 +384,4 @@ def test_memoized_slices_of_random_graphs(seed):
             slices.append(sl)
     for i in range(0, len(slices), 3):
         window = slices[i : i + 7]
-        assert _parts(merge_slices("m", g, window)) == _parts(ref_merge_slices("m", g, window))
+        assert _parts(merge_slices(g, window)) == _parts(ref_merge_slices(g, window))

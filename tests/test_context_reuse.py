@@ -48,7 +48,7 @@ def rebuild_and_max_budget(g, model, ctx, token_budget):
     inv = ctx.invocation
     sink = g.nodes[inv.statement]
     slices = [ctx.explicit, ctx.usage, ctx.definition, ctx.declaration]
-    all_ids = merge_slices("holistic", g, slices).statements
+    all_ids = merge_slices(g, slices).statements
     distances = {}
     for sid in ctx.explicit.statements:
         distances[sid] = ctx.explicit.depths.get(sid, 1)

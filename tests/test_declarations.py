@@ -215,16 +215,33 @@ def test_malformed_field_declarations_are_reported_at_their_line():
         ("class A<T {\n    int x;\n}\nclass B {\n    boolean f = a > b;\n}\n", 1),
         ("class A {\n    <T void f() {\n    }\n    boolean f = a > b;\n}\n", 2),
         ("class A {\n    Map<String, List<String x = null;\n}\nclass B {\n    int f = a >> b;\n}\n", 2),
+        ("class A {\n    void m() {\n        List<String y;\n    }\n}\n", 3),
+        ("class A {\n    void m() {\n        final Map<String, List<String> y = null;\n    }\n}\n", 3),
+        ("class A {\n    void m(int n) {\n        for (List<String y = null; n < 3; n++) {\n        }\n    }\n}\n", 3),
+        ("class A {\n    void m(int[] g) {\n        for (List<String y : g) {\n        }\n    }\n}\n", 3),
+        ("class A {\n    void m() {\n        try {\n        } catch (Map<String E e) {\n        }\n    }\n}\n", 4),
     ],
 )
 def test_unclosed_type_arguments_end_at_their_statement(text, line):
     """A `<` that no `>` closes before the end of its statement, a `{`, or
-    the group it is in, is an error at its line; it never closes on a `>`
-    of a later class."""
+    the group it is in, is an error at its line, in a member or in a
+    method body; it never closes on a `>` of a later class."""
     model, diags = RepoModel(root=""), DiagnosticSink()
     assert not parse_source("A.java", text, model, diags)
     assert [(d.line, d.message) for d in diags.items] == [(line, "subset violation: unclosed '<'")]
     assert model.classes == {} and model.globals == []
+
+
+def test_a_less_than_in_a_body_still_parses():
+    model = parse(
+        "boolean c = x < 3;\n c = x < f(1, 2);\n if (x < 2) {\n x = 1;\n }\n"
+        " for (int i = 0; i < x; i = i + 1) {\n x = i;\n }"
+    )
+    stmts = statements(model)
+    assert (stmts["c = x < f(1, 2);"].defs, stmts["c = x < f(1, 2);"].uses) == ({"c"}, {"x"})
+    assert stmts["boolean c = x < 3"].defs == {"c"}
+    assert [s.uses for s in model.statements.values() if s.kind == "condition"] == [{"x"}]
+    assert [s.uses for s in model.statements.values() if s.kind == "loop_header"] == [{"i", "x"}]
 
 
 def test_annotated_final_and_dimensioned_parameters_are_read():

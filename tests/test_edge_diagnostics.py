@@ -1,10 +1,9 @@
 """Edge cases: an arity mismatch keeps its edge, an unresolvable variable
-gets a note."""
+adds no definition."""
 
 from conftest import parse_and_build, write_repo
 
 from udgscan.context.implicit import definition_context
-from udgscan.context.slicing import ContextSlice
 from udgscan.enhance.order import compute_analysis_order
 from udgscan.enhance.prune import prune_data_edges
 from udgscan.enhance.summaries import compute_all_summaries
@@ -59,7 +58,6 @@ class A {
     root = write_repo(tmp_path, {"A.java": src})
     model, g, _ = parse_and_build(root)
     y_def = next(s for s in model.statements.values() if "y = x" in s.text)
+    before = definition_context(g, model, [y_def.id]).statements
     y_def.uses.add("phantom")
-    base = ContextSlice(kind="explicit", statements=[y_def.id], depths={y_def.id: 0})
-    c_def = definition_context(g, model, base)
-    assert any("unresolved variable phantom" in n for n in c_def.boundary_notes)
+    assert definition_context(g, model, [y_def.id]).statements == before

@@ -1,14 +1,16 @@
 """The notes each command prints or reports, pinned line by line: eval's
 dataset and metrics warnings, the knowledge base's duplicate-API warning
-among a scan's diagnostics, and rename's collision lines."""
+among a scan's diagnostics (also of a scan that stops early), and rename's
+collision lines."""
 
 import importlib.resources
 import json
 
 from conftest import write_repo
 
+from udgscan.errors import ClientTransportError
 from udgscan.harness.cli import main
-from udgscan.harness.scan import ScanConfig, scan
+from udgscan.harness.scan import EXIT_ORACLE, EXIT_PARSE, ScanConfig, scan
 from udgscan.jsonio import decode
 
 
@@ -54,6 +56,20 @@ class _Unparseable:
         return "no json here"
 
 
+class _Unreachable:
+    def complete(self, prompt: str, site: str = "") -> str:
+        raise ClientTransportError("connection refused")
+
+
+def _duplicate_kb(tmp_path) -> str:
+    """The starter knowledge base with its first API listed twice."""
+    starter = decode(importlib.resources.files("udgscan.knowledge").joinpath("data/starter_kb.json").read_bytes())
+    starter["apis"].append(dict(starter["apis"][0]))
+    kb = tmp_path / "kb.json"
+    kb.write_text(json.dumps(starter), encoding="utf-8")
+    return str(kb)
+
+
 def test_a_duplicate_kb_api_is_noted_after_the_enhancement_notes(tmp_path):
     repo = write_repo(
         tmp_path,
@@ -81,12 +97,8 @@ class App {
             "p/B.java": "package p;\nclass B {\n    void f( }\n",
         },
     )
-    starter = decode(importlib.resources.files("udgscan.knowledge").joinpath("data/starter_kb.json").read_bytes())
-    starter["apis"].append(dict(starter["apis"][0]))
-    kb = tmp_path / "kb.json"
-    kb.write_text(json.dumps(starter), encoding="utf-8")
     out = tmp_path / "out"
-    scan(ScanConfig(repo=repo, kb_path=str(kb), out_dir=str(out)), resolution_oracle=_Unparseable())
+    scan(ScanConfig(repo=repo, kb_path=_duplicate_kb(tmp_path), out_dir=str(out)), resolution_oracle=_Unparseable())
     with open(out / "report.json", encoding="utf-8") as fh:
         diagnostics = json.load(fh)["diagnostics"]
     notes = [(d["severity"], d["module"], d["path"]) for d in diagnostics]
@@ -97,6 +109,43 @@ class App {
         ("warning", "knowledge", ""),
     ]
     assert diagnostics[-1]["message"] == "duplicate api java.lang.Runtime.exec: entries merged"
+
+
+def test_a_scan_stopped_by_a_hierarchy_cycle_keeps_the_knowledge_notes(tmp_path, capsys):
+    repo = write_repo(tmp_path, {"p/A.java": "package p;\nclass A extends B {}\nclass B extends A {}\n"})
+    assert main(["scan", "--repo", repo, "--kb", _duplicate_kb(tmp_path), "--oracle", "mock"]) == EXIT_PARSE
+    report = json.loads(capsys.readouterr().out)
+    notes = [(d["severity"], d["module"]) for d in report["diagnostics"]]
+    assert notes == [("warning", "knowledge"), ("error", "frontend")]
+
+
+def test_a_scan_stopped_by_an_oracle_failure_keeps_the_knowledge_notes(tmp_path):
+    repo = write_repo(
+        tmp_path,
+        {
+            "p/A.java": """package p;
+class Shape {
+    int area() {
+        return 0;
+    }
+}
+class Square extends Shape {
+    int area() {
+        return 1;
+    }
+}
+class App {
+    int run(Shape s) {
+        return s.area();
+    }
+}
+"""
+        },
+    )
+    result = scan(ScanConfig(repo=repo, kb_path=_duplicate_kb(tmp_path)), resolution_oracle=_Unreachable())
+    assert result.exit_code == EXIT_ORACLE
+    notes = [(d["severity"], d["module"]) for d in result.report["diagnostics"]]
+    assert notes == [("warning", "knowledge"), ("error", "enhance")]
 
 
 def test_rename_prints_each_collision(tmp_path, capsys):
