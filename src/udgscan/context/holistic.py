@@ -224,7 +224,9 @@ def _fit(g: UnifiedDependencyGraph, model: RepoModel, ctx: HolisticContext, toke
     inv = ctx.invocation
     explicit, usage, definition, declaration = ctx.explicit, ctx.usage, ctx.definition, ctx.declaration
     all_ids = _ordered(
-        g, {*explicit.statements, *usage.statements, *definition.statements, *declaration.statements}
+        g,
+        {*explicit.statements, *usage.statements, *definition.statements, *declaration.statements},
+        model.statements,
     )
 
     distances = dict(explicit.depths)

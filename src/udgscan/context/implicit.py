@@ -90,7 +90,7 @@ def definition_context(
     # The definition context excludes the usage statements themselves: they
     # are already part of the input context.
     ids.difference_update(base_ids)
-    return ContextSlice(_ordered(g, ids))
+    return ContextSlice(_ordered(g, ids, model.statements))
 
 
 def _definition_of(g: UnifiedDependencyGraph, model: RepoModel, use_sid: str, name: str) -> list[str]:

@@ -8,6 +8,7 @@ graph empties (`UnifiedDependencyGraph.derived`).
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -26,14 +27,17 @@ class ContextSlice:
     depths: dict[str, int] = field(default_factory=dict)
 
 
-def _ordered(g: UnifiedDependencyGraph, ids) -> list[str]:
-    """`ids` in `StatementNode.sort_key` order; an id outside the graph sorts
-    by the key `("", 0, id)`."""
+def _ordered(
+    g: UnifiedDependencyGraph, ids, statements: Mapping[str, StatementNode] | None = None
+) -> list[str]:
+    """`ids` in `StatementNode.sort_key` order.  An id outside the graph is
+    looked up in `statements`, a model's, which a caller whose `ids` may
+    hold one must give."""
     rank = g.rank()
     try:
         return sorted(ids, key=rank.__getitem__)
     except KeyError:
-        return sorted(ids, key=lambda sid: g.nodes[sid].sort_key() if sid in g.nodes else ("", 0, sid))
+        return sorted(ids, key=lambda sid: (g.nodes.get(sid) or statements[sid]).sort_key())
 
 
 def data_slice(

@@ -29,19 +29,13 @@ class EnhancementResult:
     summaries: Mapping[str, FunctionSummary] = field(default_factory=dict)
     order: AnalysisSequence | None = None
 
-    def audit_counts(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        for entry in self.audit:
-            key = f"{entry.tau}.{entry.op}"
-            counts[key] = counts.get(key, 0) + 1
-        return counts
-
 
 def enhance_graph(
     model: RepoModel,
     original: UnifiedDependencyGraph,
     oracle: ResolutionOracle,
     diagnostics: DiagnosticSink,
+    audit: list[AuditEntry],
     jump_targets: list[JumpTarget],
     pool: RequestPool | None = None,
 ) -> EnhancementResult:
@@ -50,11 +44,11 @@ def enhance_graph(
     with the data edges they bring, call-edge refinement (with the call
     graph finalized before ordering), then summary-based data-dependency
     pruning.  The call-edge rules and prompts thus read the data edges a
-    jump brings.  Each pass edits the copy in place, logs its edits to the
-    audit and its warnings to `diagnostics`; `original` is left intact.
+    jump brings.  Each pass edits the copy in place, logs its edits to
+    `audit` and its warnings to `diagnostics`, so both hold what the passes
+    did before a failure; `original` is left intact.
     The call-edge passes send their oracle requests on `pool` (see
     `udgscan.pool`)."""
-    audit: list[AuditEntry] = []
     g = original.copy()
     add_global_nodes(g, model.globals, model, audit)
     reconstruct_labeled_jumps(g, jump_targets, model, audit)

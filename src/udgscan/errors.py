@@ -24,10 +24,6 @@ class SubsetViolation(UdgScanError):
         self.message = message
 
 
-class HierarchyCycle(UdgScanError):
-    """The subtype relation contains a cycle; the repository is rejected."""
-
-
 class OracleParseError(UdgScanError):
     pass
 

@@ -7,21 +7,15 @@ import json
 import math
 import os
 import re
-from collections import deque
-from dataclasses import dataclass, field, fields
+from collections import Counter, deque
+from dataclasses import dataclass, fields
 
-from ..context.holistic import DEFAULT_TOKEN_BUDGET, holistic_context
-from ..context.sinks import find_sensitive_invocations
+from ..context.holistic import DEFAULT_TOKEN_BUDGET, HolisticContext, holistic_context
+from ..context.sinks import SensitiveInvocation, find_sensitive_invocations
 from ..enhance.oracle import MockResolutionOracle
+from ..enhance.passes import AuditEntry
 from ..enhance.pipeline import enhance_graph
-from ..errors import (
-    AllRoundsFailed,
-    ClientTransportError,
-    ConfigError,
-    DiagnosticSink,
-    HierarchyCycle,
-    OracleParseError,
-)
+from ..errors import AllRoundsFailed, ClientTransportError, ConfigError, DiagnosticSink, OracleParseError
 from ..frontend.analysis import build_type_hierarchy
 from ..frontend.parser import parse_repository
 from ..jsonio import read_json_object
@@ -178,12 +172,14 @@ class Finding:
 
 @dataclass
 class ScanResult:
+    """What a scan reached: every stop leaves each field set (see `_scan`)."""
+
     report: dict
-    exit_code: int = EXIT_OK
-    findings: list[Finding] = field(default_factory=list)
-    contexts: dict[str, object] = field(default_factory=dict)
-    graph: object = None
-    model: object = None
+    exit_code: int
+    findings: list[Finding]
+    contexts: dict[str, object]
+    graph: object
+    model: object
 
 
 def _sanitize(name: str) -> str:
@@ -294,46 +290,45 @@ def _scan(config: ScanConfig, inference_client, resolution_oracle) -> ScanResult
     user_sinks = load_user_sinks(config.sink_path, kb) if config.sink_path else []
 
     model = parse_repository(config.repo, diagnostics)
-    try:
-        build_type_hierarchy(model, diagnostics)
-    except HierarchyCycle as exc:
-        diagnostics.extend(kb_notes)
-        diagnostics.add("error", "frontend", str(exc))
-        report = _empty_report(config, diagnostics, reason=str(exc))
-        return ScanResult(report=report, exit_code=EXIT_PARSE)
+    build_type_hierarchy(model, diagnostics)
     jump_targets = resolve_label_targets(model, diagnostics)
 
-    with RequestPool(config.jobs) as pool:
-        g_o = assemble_original_udg(model)
-        try:
-            enh = enhance_graph(model, g_o, oracle, diagnostics, jump_targets, pool)
-        except (OracleParseError, ClientTransportError) as exc:
-            diagnostics.extend(kb_notes)
-            diagnostics.add("error", "enhance", f"oracle failure: {exc}")
-            report = _empty_report(config, diagnostics, reason=str(exc))
-            return ScanResult(report=report, exit_code=EXIT_ORACLE)
-        g_e = enh.graph
+    # What the scan has reached: each stage below adds to or replaces these,
+    # and an oracle failure stops it with what the stages before made.
+    graph = assemble_original_udg(model)
+    audit: list[AuditEntry] = []
+    invocations: list[SensitiveInvocation] = []
+    contexts: dict[str, HolisticContext] = {}
+    names = _Names(invocations)
+    findings: list[Finding] = []
+    fatal = None
+    try:
+        with RequestPool(config.jobs) as pool:
+            graph = enhance_graph(model, graph, oracle, diagnostics, audit, jump_targets, pool).graph
+            invocations = find_sensitive_invocations(graph, model, kb, user_sinks)
+            built = holistic_context(
+                graph, model, invocations, hop_limit=config.hop_limit, token_budget=config.token_budget
+            )
+            contexts = {inv.id: ctx for inv, ctx in zip(invocations, built)}
+            names = _Names(invocations)
 
-        diagnostics.extend(kb_notes)
-        invocations = find_sensitive_invocations(g_e, model, kb, user_sinks)
-        built = holistic_context(
-            g_e, model, invocations, hop_limit=config.hop_limit, token_budget=config.token_budget
-        )
-        contexts = {inv.id: ctx for inv, ctx in zip(invocations, built)}
-        names = _Names(invocations)
+            # Each unit's rounds are one call on the pool, at most about two
+            # per thread ahead of the unit whose votes are aggregated next.
+            in_flight: deque = deque()
+            for inv in invocations:
+                for unit in detection_units_for(inv, kb):
+                    prompt = build_detection_prompt(contexts[inv.id], unit, kb)
+                    votes = issue(pool, query_rounds, client, prompt, config.n_rounds)
+                    in_flight.append((inv, unit, votes))
+                    if len(in_flight) > 2 * config.jobs:
+                        findings.append(_finding(config, model, names, *in_flight.popleft()))
+            findings.extend(_finding(config, model, names, *entry) for entry in in_flight)
+    except (OracleParseError, ClientTransportError) as exc:
+        fatal = str(exc)
+    diagnostics.extend(kb_notes)
+    if fatal is not None:
+        diagnostics.add("error", "enhance", f"oracle failure: {fatal}")
 
-        # Each unit's rounds are one call on the pool, at most about two per
-        # thread ahead of the unit whose votes are aggregated next.
-        findings: list[Finding] = []
-        in_flight: deque = deque()
-        for inv in invocations:
-            for unit in detection_units_for(inv, kb):
-                prompt = build_detection_prompt(contexts[inv.id], unit, kb)
-                votes = issue(pool, query_rounds, client, prompt, config.n_rounds)
-                in_flight.append((inv, unit, votes))
-                if len(in_flight) > 2 * config.jobs:
-                    findings.append(_finding(config, model, names, *in_flight.popleft()))
-        findings.extend(_finding(config, model, names, *entry) for entry in in_flight)
     # Two APIs called at one statement can share a CWE: the later finding's
     # id takes a suffix, as a dump's name does.
     for finding, finding_id in zip(findings, _unique([f.finding_id for f in findings])):
@@ -352,12 +347,12 @@ def _scan(config: ScanConfig, inference_client, resolution_oracle) -> ScanResult
             "files": len(model.files),
             "functions": len(model.functions),
             "classes": len(model.classes),
-            "nodes": len(g_e.nodes),
+            "nodes": len(graph.nodes),
             "edges": {
-                tau: sum(1 for e in g_e.edges if e.tau == tau)
+                tau: sum(1 for e in graph.edges if e.tau == tau)
                 for tau in ("control_flow", "data_dependency", "call")
             },
-            "enhancement": enh.audit_counts(),
+            "enhancement": dict(Counter(f"{entry.tau}.{entry.op}" for entry in audit)),
             "invocations": len(invocations),
         },
         "diagnostics": diagnostics.as_dicts(),
@@ -365,7 +360,10 @@ def _scan(config: ScanConfig, inference_client, resolution_oracle) -> ScanResult
     }
 
     exit_code = EXIT_OK
-    if diagnostics.has_errors():
+    if fatal is not None:
+        report["fatal"] = fatal
+        exit_code = EXIT_ORACLE
+    elif diagnostics.has_errors():
         exit_code = EXIT_PARSE
     elif any(f.verdict == "undetermined" for f in findings):
         exit_code = EXIT_ORACLE
@@ -375,15 +373,8 @@ def _scan(config: ScanConfig, inference_client, resolution_oracle) -> ScanResult
         for recorder, path in recorders:
             _rewrite(path, "".join(recorder.lines()))
     if config.out_dir:
-        _write_outputs(config, report, contexts, names, enh, g_e)
-    return ScanResult(
-        report=report,
-        exit_code=exit_code,
-        findings=findings,
-        contexts=contexts,
-        graph=g_e,
-        model=model,
-    )
+        _write_outputs(config, report, contexts, names, audit, graph)
+    return ScanResult(report, exit_code, findings, contexts, graph, model)
 
 
 def _finding(config: ScanConfig, model, names: _Names, inv, unit, votes) -> Finding:
@@ -417,16 +408,6 @@ def _finding(config: ScanConfig, model, names: _Names, inv, unit, votes) -> Find
     )
 
 
-def _empty_report(config: ScanConfig, diagnostics: DiagnosticSink, reason: str) -> dict:
-    return {
-        "schema_version": 1,
-        "repo": config.repo,
-        "fatal": reason,
-        "diagnostics": diagnostics.as_dicts(),
-        "findings": [],
-    }
-
-
 def _rewrite(path: str, text: str) -> None:
     """Make `path` hold exactly `text`, UTF-8 encoded.
 
@@ -448,17 +429,17 @@ def _rewrite(path: str, text: str) -> None:
         os.close(fd)
 
 
-def _write_outputs(config, report, contexts, names: _Names, enh, g_e) -> None:
+def _write_outputs(config, report, contexts, names: _Names, audit, graph) -> None:
     os.makedirs(config.out_dir, exist_ok=True)
     _rewrite(os.path.join(config.out_dir, "report.json"), json.dumps(report, indent=2, sort_keys=True) + "\n")
     _rewrite(
         os.path.join(config.out_dir, "audit.jsonl"),
-        "".join(entry.json_line() for entry in enh.audit),
+        "".join(entry.json_line() for entry in audit),
     )
     if config.dump_context:
         for inv_id, ctx in contexts.items():
             _rewrite(os.path.join(config.out_dir, f"{names.contexts[inv_id]}.ctx.txt"), ctx.rendered + "\n")
     if config.dump_graph:
-        _rewrite(os.path.join(config.out_dir, "udg.txt"), g_e.dump())
-        _rewrite(os.path.join(config.out_dir, "udg.dot"), g_e.to_dot())
+        _rewrite(os.path.join(config.out_dir, "udg.txt"), graph.dump())
+        _rewrite(os.path.join(config.out_dir, "udg.dot"), graph.to_dot())
 

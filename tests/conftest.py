@@ -56,7 +56,7 @@ def parse_and_build(root: str):
 def enhance(model, g, oracle, diags, pool=None):
     """`enhance_graph` as a scan runs it: on the labeled jumps that
     `resolve_label_targets` resolves, its errors going to `diags`."""
-    return enhance_graph(model, g, oracle, diags, resolve_label_targets(model, diags), pool)
+    return enhance_graph(model, g, oracle, diags, [], resolve_label_targets(model, diags), pool)
 
 
 @pytest.fixture

@@ -402,6 +402,26 @@ def test_contexts_on_the_original_graph(name, budget):
         assert any(ctx.dropped for ctx in contexts)
 
 
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_a_context_on_the_original_graph_is_in_source_order(name):
+    """A statement outside the graph, as every global and declaration
+    statement is on the original graph, takes its place in a context by its
+    file and line, like a graph node."""
+    model, g_o, _ = parse_and_build(fixture_path(name))
+    invocations = [
+        SensitiveInvocation(statement=s.id, api="call")
+        for s in sorted(g_o.nodes.values(), key=lambda s: s.sort_key())
+        if s.calls and not s.synthetic
+    ]
+    outside = 0
+    for ctx in holistic_context(g_o, model, invocations):
+        for ids in (ctx.all, ctx.definition.statements):
+            positions = [(g_o.nodes.get(sid) or model.stmt(sid)).sort_key() for sid in ids]
+            assert positions == sorted(positions)
+        outside += sum(sid not in g_o.nodes for sid in ctx.all)
+    assert outside
+
+
 def test_holistic_rendered_numbers_match(el_repo):
     model, g = enhanced(el_repo)
     kb = load_starter_kb()

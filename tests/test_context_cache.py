@@ -15,8 +15,8 @@ from conftest import FIXTURES, write_repo
 
 from udgscan.context.holistic import holistic_context
 from udgscan.context.implicit import _closest_global, _resolved, definition_context, usage_context
-from udgscan.context.slicing import ContextSlice, control_slice, data_slice, merge_slices
-from udgscan.frontend.model import RETURN_VAR
+from udgscan.context.slicing import ContextSlice, _ordered, control_slice, data_slice, merge_slices
+from udgscan.frontend.model import RETURN_VAR, StatementNode
 from udgscan.udg.calls import function_of_entry
 from udgscan.harness.generate import random_summary_program, random_udg
 from udgscan.harness.oracles import control_slice_oracle, data_slice_oracle
@@ -183,13 +183,19 @@ def test_only_a_change_drops_the_memo():
     assert data_slice(g, sink, "both") is not sl
 
 
-def test_an_id_outside_the_graph_sorts_first_by_id():
+def test_an_id_outside_the_graph_sorts_by_its_statement():
+    """A statement the graph does not hold, as a global statement is not in
+    the original graph, takes its place by its own file and line."""
     g = random_udg(3, max_nodes=20)
-    inside = ContextSlice(sorted(g.nodes, reverse=True), {sid: 1 for sid in g.nodes})
-    outside = ContextSlice(["zz", "aa"], {"zz": 0, "aa": 0})
-    merged = merge_slices(g, [inside, outside])
-    assert merged.statements == ["aa", "zz"] + _ref_ordered(g, g.nodes)
-    assert _parts(merged) == _parts(ref_merge_slices(g, [inside, outside]))
+    first = min(g.nodes.values(), key=StatementNode.sort_key)
+    last = max(g.nodes.values(), key=StatementNode.sort_key)
+    outside = {
+        "aa": StatementNode("aa", last.file, last.end_line + 1, last.end_line + 1, "global_def", "", "global"),
+        "zz": StatementNode("zz", first.file, 0, 0, "global_def", "", "global"),
+    }
+    ordered = _ordered(g, [*outside, *g.nodes], outside)
+    assert ordered == ["zz", *_ref_ordered(g, g.nodes), "aa"]
+    assert ordered == _ref_ordered(g, [*g.nodes, *outside], outside)
 
 
 def test_the_memo_dies_with_its_graph():
@@ -207,8 +213,8 @@ def test_the_memo_dies_with_its_graph():
 # every call recomputes everything from the graph.
 
 
-def _ref_ordered(g, ids):
-    return sorted(ids, key=lambda sid: g.nodes[sid].sort_key() if sid in g.nodes else ("", 0, sid))
+def _ref_ordered(g, ids, statements=None):
+    return sorted(ids, key=lambda sid: (g.nodes[sid] if sid in g.nodes else statements[sid]).sort_key())
 
 
 def ref_data_slice(g, s, direction="both"):
@@ -307,7 +313,7 @@ def ref_definition_context(g, model, base_ids):
             if chosen in g.nodes:
                 pieces.append(ref_data_slice(g, g.nodes[chosen], "backward"))
     ids = (set(ref_merge_slices(g, pieces).statements) | extra) - set(base_ids)
-    return ContextSlice(_ref_ordered(g, ids))
+    return ContextSlice(_ref_ordered(g, ids, model.statements))
 
 
 def _parts(sl):

@@ -23,7 +23,7 @@ from udgscan.enhance.summaries import (
     compute_function_summary,
     flowing_uses,
 )
-from udgscan.errors import DiagnosticSink, HierarchyCycle
+from udgscan.errors import DiagnosticSink
 from udgscan.frontend.analysis import build_type_hierarchy
 from udgscan.frontend.lexer import tokenize
 from udgscan.frontend.model import RETURN_VAR, RepoModel
@@ -167,16 +167,13 @@ def _transfer(stmt, state, g, model, known, aliases: AliasSets):
 
 def _model(files: dict[str, str]):
     """The parsed model of `files`, or None when any file is skipped or the
-    classes inherit in a cycle (a scan stops there)."""
+    classes inherit in a cycle (the hierarchy leaves an edge out)."""
     model, diags = RepoModel(root=""), DiagnosticSink()
     for path, text in files.items():
         if not parse_source(path, text, model, diags):
             return None
-    try:
-        build_type_hierarchy(model, diags)
-    except HierarchyCycle:
-        return None
-    return model
+    build_type_hierarchy(model, diags)
+    return None if diags.has_errors() else model
 
 
 def _enhanced_for_summaries(model):

@@ -1,8 +1,10 @@
+import re
+
 import pytest
 
 from conftest import parse_and_build, write_repo
 
-from udgscan.errors import DiagnosticSink, HierarchyCycle
+from udgscan.errors import DiagnosticSink
 from udgscan.frontend import syntax as syn
 from udgscan.frontend.analysis import build_type_hierarchy
 from udgscan.frontend.parser import parse_repository
@@ -245,11 +247,17 @@ def test_hierarchy_external_supertype(tmp_path):
 
 
 def test_hierarchy_cycle_rejected(tmp_path):
+    """A cycle costs the edge that closes it: B's `extends A`, with one
+    error at B's declaration."""
     src = "package p;\nclass A extends B {\n}\nclass B extends A {\n}\n"
     root = write_repo(tmp_path, {"A.java": src})
     model = parse_repository(root, DiagnosticSink())
-    with pytest.raises(HierarchyCycle, match=r"^inheritance cycle through p\.A -> p\.B -> p\.A$"):
-        build_type_hierarchy(model, DiagnosticSink())
+    diags = DiagnosticSink()
+    h = build_type_hierarchy(model, diags)
+    assert h.edges == [("p.A", "p.B")]
+    assert [d.render() for d in diags.items] == [
+        "[error] frontend: A.java:4: inheritance cycle through p.A -> p.B -> p.A"
+    ]
 
 
 @pytest.mark.parametrize("cycle", [False, True])
@@ -262,12 +270,18 @@ def test_a_long_inheritance_chain_is_checked(tmp_path, cycle):
         f"class C{i:05d}" + (f" extends C{i + 1:05d}" if i + 1 < n else top) + " {\n}\n" for i in range(n)
     )
     model = parse_repository(write_repo(tmp_path, {"A.java": src}), DiagnosticSink())
+    diags = DiagnosticSink()
+    h = build_type_hierarchy(model, diags)
+    # The cycle's closing edge, C01499 -> C00000, is left out.
+    assert h.edges == [(f"p.C{i:05d}", f"p.C{i + 1:05d}") for i in range(n - 1)]
     if cycle:
+        (error,) = diags.items
+        assert (error.severity, error.path, error.line) == ("error", "A.java", 2 * n)
         through = r"^inheritance cycle through p\.C00000 -> p\.C00001 -> .* -> p\.C01499 -> p\.C00000$"
-        with pytest.raises(HierarchyCycle, match=through):
-            build_type_hierarchy(model, DiagnosticSink())
+        assert re.match(through, error.message)
+        assert error.message.count(" -> ") == n
     else:
-        assert len(build_type_hierarchy(model, DiagnosticSink()).edges) == n - 1
+        assert diags.items == []
 
 
 def test_constructor_with_type_arguments_three_deep(tmp_path):

@@ -51,7 +51,7 @@ def test_a_successful_scan_restores_the_collector(collector, parameter_dispatch_
 
 def test_a_hierarchy_cycle_restores_the_collector(collector, tmp_path):
     result = scan(ScanConfig(repo=write_repo(tmp_path, {"A.java": CYCLE})))
-    assert result.exit_code == EXIT_PARSE and "fatal" in result.report
+    assert result.exit_code == EXIT_PARSE and "fatal" not in result.report
     assert gc.isenabled() is collector
 
 

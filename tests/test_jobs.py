@@ -363,15 +363,31 @@ class FailingOracle(Waiting):
         ["svc0/Service2.java#s31/poly0", "svc1/Service3.java#s31/poly0"],  # the first issued is reported
     ],
 )
-def test_oracle_transport_failure_mid_batch(services, failing, waiting_mocks):
+def test_oracle_transport_failure_mid_batch(services, failing, waiting_mocks, tmp_path):
+    full = scan(ScanConfig(repo=services, out_dir=str(tmp_path / "full")))
+    with open(tmp_path / "full" / "audit.jsonl", encoding="utf-8") as fh:
+        full_audit = fh.read().splitlines(keepends=True)
     reports = []
     for jobs in (1, 8):
         waiting_mocks.clear()
-        result = scan(ScanConfig(repo=services, jobs=jobs), resolution_oracle=FailingOracle(failing, waiting_mocks))
+        out = tmp_path / f"out{jobs}"
+        config = ScanConfig(repo=services, jobs=jobs, out_dir=str(out))
+        result = scan(config, resolution_oracle=FailingOracle(failing, waiting_mocks))
         assert result.exit_code == EXIT_ORACLE
         reports.append(result.report)
+        # `--out` holds the report and the edits made before the failure.
+        written = _outputs(out)
+        assert sorted(written) == ["audit.jsonl", "report.json"]
+        assert json.loads(written["report.json"]) == result.report
+        audit = written["audit.jsonl"].decode("utf-8").splitlines(keepends=True)
+        assert audit == full_audit[: len(audit)]
+        assert len(audit) == sum(result.report["stats"]["enhancement"].values())
+        if "reflect" in failing[0]:
+            assert audit  # the polymorphic sites' edits
     assert _on_request_threads(waiting_mocks)
     assert reports[0] == reports[1]
+    assert set(reports[0]) == set(full.report) | {"fatal"}
+    assert reports[0]["findings"] == [] and reports[0]["stats"]["invocations"] == 0
     assert reports[0]["fatal"] == f"endpoint dropped {failing[0]}"
     *before, last = [d["message"] for d in reports[0]["diagnostics"]]
     assert last == f"oracle failure: endpoint dropped {failing[0]}"
@@ -381,6 +397,60 @@ def test_oracle_transport_failure_mid_batch(services, failing, waiting_mocks):
         assert before == ["reflection target class 'unknown' not in repository"]
     else:
         assert before == []
+
+
+class Answering(Replay):
+    """A replay of a resolution transcript that lists the (site, prompt) of
+    each request it answers, in the order it answers them."""
+
+    def __init__(self, path, answered):
+        super().__init__(path, "site")
+        self.answered = answered
+
+    def complete(self, prompt, site):
+        response = super().complete(prompt, site)
+        self.answered.append((site, prompt))
+        return response
+
+
+@pytest.mark.parametrize(
+    "failing", [["svc1/Service1.java#s33/poly0"], ["svc0/Service2.java#s38/reflect0/method"]]
+)
+def test_a_scan_stopped_by_the_oracle_saves_its_transcripts(services, failing, tmp_path, monkeypatch):
+    """The answers a scan got before its oracle failed are saved, and a
+    replay of them answers the same requests and stops at the same site."""
+    scan(ScanConfig(repo=services, transcript_dir=str(tmp_path / "full")))
+    with open(tmp_path / "full" / "resolution.jsonl", encoding="utf-8") as fh:
+        issued = [(rec["site"], rec["prompt"]) for rec in map(json.loads, fh)]
+    before = issued[: [site for site, _ in issued].index(failing[0])]
+    assert before
+
+    threads: list[str] = []
+    monkeypatch.setattr(scan_module, "MockResolutionOracle", lambda: FailingOracle(failing, threads))
+    replays = []
+    for jobs in (1, 8):
+        transcripts = tmp_path / f"t{jobs}"
+        stopped = scan(ScanConfig(repo=services, jobs=jobs, transcript_dir=str(transcripts)))
+        assert stopped.report["fatal"] == f"endpoint dropped {failing[0]}"
+        assert sorted(_outputs(transcripts)) == ["inference.jsonl", "resolution.jsonl"]
+        with open(transcripts / "resolution.jsonl", encoding="utf-8") as fh:
+            saved = [(rec["site"], rec["prompt"]) for rec in map(json.loads, fh)]
+        assert saved[: len(before)] == before
+        for replay_jobs in (1, 8):
+            answered: list[tuple] = []
+            config = ScanConfig(
+                repo=services, jobs=replay_jobs, oracle_mode="replay", transcript_dir=str(transcripts)
+            )
+            replay = scan(config, resolution_oracle=Answering(str(transcripts / "resolution.jsonl"), answered))
+            assert replay.exit_code == EXIT_ORACLE
+            # The batch that failed was issued whole: requests after the
+            # failing one may be answered too, but none before it is missing.
+            assert answered[: len(before)] == before
+            assert replay.report["stats"] == stopped.report["stats"]
+            assert replay.report["diagnostics"][:-1] == stopped.report["diagnostics"][:-1]
+            replays.append(replay.report)
+    assert replays[0]["fatal"] == f"resolution.jsonl holds no response for site {failing[0]!r} with this prompt"
+    assert all(report == replays[0] for report in replays)
 
 
 def test_jobs_must_be_at_least_one(capsys):

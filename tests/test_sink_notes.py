@@ -111,12 +111,15 @@ class App {
     assert diagnostics[-1]["message"] == "duplicate api java.lang.Runtime.exec: entries merged"
 
 
-def test_a_scan_stopped_by_a_hierarchy_cycle_keeps_the_knowledge_notes(tmp_path, capsys):
+def test_a_scan_with_a_hierarchy_cycle_keeps_the_knowledge_notes(tmp_path, capsys):
+    """A cycle is a frontend error like any other: the scan goes on, and the
+    knowledge base's notes follow it, as they follow every frontend note."""
     repo = write_repo(tmp_path, {"p/A.java": "package p;\nclass A extends B {}\nclass B extends A {}\n"})
     assert main(["scan", "--repo", repo, "--kb", _duplicate_kb(tmp_path), "--oracle", "mock"]) == EXIT_PARSE
     report = json.loads(capsys.readouterr().out)
     notes = [(d["severity"], d["module"]) for d in report["diagnostics"]]
-    assert notes == [("warning", "knowledge"), ("error", "frontend")]
+    assert notes == [("error", "frontend"), ("warning", "knowledge")]
+    assert "fatal" not in report
 
 
 def test_a_scan_stopped_by_an_oracle_failure_keeps_the_knowledge_notes(tmp_path):
