@@ -167,7 +167,7 @@ class MockResolutionOracle:
     in the context.
     """
 
-    in_process = True  # answers without waiting: `udgscan.pool.issue` asks it at once
+    in_process = True  # answers without waiting: `udgscan.pool.issue` asks it on the issuing thread
 
     def complete(self, prompt: str, site: str = "") -> str:
         if "polymorphic call statement" in prompt:

@@ -18,7 +18,7 @@ from ..frontend.model import (
     StatementNode,
 )
 from ..pool import RequestPool, issue
-from ..udg.calls import call_statements, function_of_entry, is_invocation_pattern, site_targets
+from ..udg.calls import call_statements, function_of_entry, is_reflective_invocation, site_targets
 from ..udg.ddg import build_ddg, control_flow_edges
 from ..udg.graph import CALL, CONTROL_FLOW, DATA_DEPENDENCY, UdgEdge, UnifiedDependencyGraph
 from .oracle import FOLD_CAP, ConstantFolder, ResolutionOracle, _split_top, extract_json_object, fold_concat
@@ -285,10 +285,11 @@ def enhance_reflective_calls(
     audit: list[AuditEntry],
     pool: RequestPool | None = None,
 ) -> None:
-    """Two-step resolution of the reflective invocation sites in `g`.
+    """Two-step resolution of the reflective invocation sites in `g`: the
+    sites `is_reflective_invocation` accepts that have `external:` targets.
 
-    Successful answers replace the reflective external edges with a call
-    edge to each resolved method; any failure keeps the external edges.
+    Successful answers replace a site's external edges with a call edge to
+    each resolved method; any failure keeps the external edges.
 
     A site is decided by rule, with no prompt built and no request, when it
     invokes a method looked up by name on one known class and the name
@@ -307,13 +308,9 @@ def enhance_reflective_calls(
         # Sites sharing a reflective edge get the same prompts: ask once.
         asked: set[tuple[str, ...]] = set()
         for idx, site in enumerate(stmt.calls):
-            if not is_invocation_pattern(site):
+            if not is_reflective_invocation(site):
                 continue
-            reflective = [
-                t
-                for t in per_site.get(idx, [])
-                if t.startswith("external:") and g.nodes[t].reflective
-            ]
+            reflective = [t for t in per_site[idx] if t.startswith("external:")]
             if not reflective or tuple(reflective) in asked:
                 continue
             asked.add(tuple(reflective))

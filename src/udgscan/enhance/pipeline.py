@@ -25,7 +25,6 @@ from .summaries import FunctionSummary, compute_all_summaries
 @dataclass
 class EnhancementResult:
     graph: UnifiedDependencyGraph
-    audit: list[AuditEntry] = field(default_factory=list)
     summaries: Mapping[str, FunctionSummary] = field(default_factory=dict)
     order: AnalysisSequence | None = None
 
@@ -57,4 +56,4 @@ def enhance_graph(
     order = compute_analysis_order(g, model)
     summaries = compute_all_summaries(g, model, order)
     prune_data_edges(g, summaries, model, audit)
-    return EnhancementResult(graph=g, audit=audit, summaries=summaries, order=order)
+    return EnhancementResult(graph=g, summaries=summaries, order=order)

@@ -169,7 +169,8 @@ def flowing_uses(stmt, per_site, model: RepoModel, summaries: Mapping[str, Funct
     argument of a constructor, or of a site whose targets are empty or
     include an `external:` node; or an argument whose parameter reaches the
     return of some in-repo target (its summary marks the parameter, it has
-    no summary yet, or no parameter at that index).  Summaries and pruning
+    no summary yet, or no parameter at that index).  So a resolved `invoke`,
+    which has no targets, passes every argument on.  Summaries and pruning
     both read this rule.
     """
     flowing = set(stmt.outside_uses)

@@ -62,7 +62,6 @@ class StatementNode:
     code: str = ""  # exact token slice of this statement
     synthetic: bool = False  # entry/exit/external nodes carry no renderable span
     external: bool = False
-    reflective: bool = False
 
     def span_lines(self) -> range:
         return range(self.start_line, self.end_line + 1)

@@ -1,4 +1,4 @@
-"""Issuing model requests: at once, or on a bounded thread pool.
+"""Issuing model requests: on the issuing thread, or on a bounded thread pool.
 
 Code that asks a model issues a batch of calls in a fixed order with
 `issue`, each making its requests and returning an outcome, and reads the
@@ -8,11 +8,11 @@ issue order also re-raises the first failure in that order.
 
 Where a call runs is decided by the layer it asks.  A layer whose class
 sets `in_process = True` answers inside the interpreter and waits on
-nothing, like the offline mocks and a transcript replay, so its calls run
-at once on the issuing thread: under the interpreter lock other threads
-would overlap none of their work and cost a hand-off each.  Any other
-layer, such as a live endpoint or one a caller hands to `scan()`, is
-taken to wait, and its calls go to the pool's threads.
+nothing, like the offline mocks and a transcript replay, so other threads
+would overlap none of its work: its calls run on the issuing thread, each
+when its outcome is first read, so in issue order and none after one that
+fails.  Any other layer, such as a live endpoint or one a caller hands to
+`scan()`, is taken to wait, and its calls go to the pool's threads.
 """
 
 from __future__ import annotations
@@ -21,17 +21,20 @@ from .transcript import Recorder
 
 
 class _Done:
-    """A call already made, read like a finished future: `result()`
-    returns its value or raises its exception."""
+    """A call made when its outcome is first read, read like a future:
+    `result()` returns its value or raises its exception."""
 
     def __init__(self, fn, args: tuple):
+        self._call = (fn, args)
         self._value = self._error = None
-        try:
-            self._value = fn(*args)
-        except Exception as exc:  # raised again when the result is read
-            self._error = exc
 
     def result(self):
+        if self._call is not None:
+            (fn, args), self._call = self._call, None
+            try:
+                self._value = fn(*args)
+            except Exception as exc:  # raised again on every read
+                self._error = exc
         if self._error is not None:
             raise self._error
         return self._value
@@ -41,8 +44,8 @@ class RequestPool:
     """Runs the request calls of one scan, at most `jobs` at once.
 
     The threads start at the first call submitted, which `issue` does only
-    for a layer that waits; with `jobs` 1 calls run at once on the calling
-    thread, since one thread would overlap nothing.
+    for a layer that waits; with `jobs` 1 calls run on the calling thread
+    when their outcome is read, since one thread would overlap nothing.
     """
 
     def __init__(self, jobs: int):
@@ -71,8 +74,8 @@ class RequestPool:
 
 def issue(pool: RequestPool | None, fn, layer, *args):
     """Start `fn(layer, *args)`, whose requests go to `layer`, on `pool`,
-    or at once when `pool` is None or `layer` runs in-process, and return
-    its future.
+    or, when `pool` is None or `layer` runs in-process, make it on this
+    thread when its outcome is first read, and return its future.
 
     A `Recorder` records the call's requests, in the order it makes them,
     at this place of its transcript, wherever and whenever it runs.  Since

@@ -38,7 +38,7 @@ class MockInferenceClient:
     thread: wrap it in a layer without `in_process` to run it on the pool.
     """
 
-    in_process = True  # answers without waiting: `udgscan.pool.issue` asks it at once
+    in_process = True  # answers without waiting: `udgscan.pool.issue` asks it on the issuing thread
     script: list[str] | None = None
     responder: Callable[[str, int], str] | None = None
     _cursor: int = 0

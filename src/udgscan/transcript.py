@@ -58,7 +58,7 @@ class Recorder:
 
 
 class Replay:
-    in_process = True  # `udgscan.pool.issue` makes its requests at once
+    in_process = True  # `udgscan.pool.issue` makes its requests on the issuing thread
 
     def __init__(self, path: str, tag_field: str):
         self.name = os.path.basename(path)

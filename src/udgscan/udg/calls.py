@@ -3,9 +3,10 @@
 Static and constructor calls, and calls on a new object, resolve to their
 exact target; a call on another call's result resolves to none.  Instance calls
 connect to the receiver's declared-type method plus every override in its
-subtypes (the over-approximation later pruned with oracle help).  Reflection
-API invocations connect to a synthetic reflective external node, mirroring
-the under-approximation a scalable analyzer produces.
+subtypes (the over-approximation later pruned with oracle help).  Any other
+call, reflective or not, lands on the external node its name and arity share
+(`is_reflective_invocation` tells a reflective site), mirroring the
+under-approximation a scalable analyzer produces.
 """
 
 from __future__ import annotations
@@ -13,26 +14,21 @@ from __future__ import annotations
 from ..frontend.model import CallSite, FunctionDecl, RepoModel, StatementNode, TypeHierarchy
 from .graph import CALL, UdgEdge, make_external_node
 
-REFLECTION_NAMES = frozenset({"forName", "getMethod", "getDeclaredMethod", "invoke", "newInstance"})
+REFLECTION_NAMES = frozenset({"invoke", "newInstance"})
 REFLECTION_RECEIVER_TYPES = frozenset({"Class", "Method", "Constructor", "Field"})
 
 
-def is_reflective_site(site: CallSite) -> bool:
-    if site.is_constructor:
-        return False
-    if site.name not in REFLECTION_NAMES:
+def is_reflective_invocation(site: CallSite) -> bool:
+    """Whether `site` is an `invoke` or `newInstance` call on a reflection
+    type, on a class-literal, `Class.` or `getClass()` chain, or on a
+    receiver the parser knows nothing of (a chained call's result)."""
+    if site.is_constructor or site.name not in REFLECTION_NAMES:
         return False
     if site.receiver_type and site.receiver_type in REFLECTION_RECEIVER_TYPES:
         return True
     if site.chain.startswith("Class.") or ".class." in site.chain or "getClass()." in site.chain:
         return True
-    # Name-based fallback for chained results, e.g. getClass().getMethod(...)
     return site.receiver is None and site.receiver_type is None
-
-
-def is_invocation_pattern(site: CallSite) -> bool:
-    """Reflective sites that invoke behavior (vs. look it up)."""
-    return site.name in ("invoke", "newInstance")
 
 
 def resolve_call_site(
@@ -108,8 +104,7 @@ def build_call_graph(
                     continue
                 if site.is_constructor and model.resolve_class(site.name, func.file) is not None:
                     continue  # implicit default constructor: nothing to link
-                reflective = is_reflective_site(site)
-                ext = make_external_node(site.name, site.arity, reflective=reflective)
+                ext = make_external_node(site.name, site.arity)
                 externals.setdefault(ext.id, ext)
                 edges.append(UdgEdge(src=sid, dst=ext.id, tau=CALL))
     return edges, externals
@@ -132,8 +127,9 @@ def site_targets(graph, model: RepoModel, stmt: StatementNode) -> dict[int, list
 
     Targets are matched back to sites by callee name and arity; external
     nodes match by their synthetic name.  An edge goes to every site it
-    matches (`g(a) + g(b)` gives both sites `g`); an edge matching no site
-    goes to site 0.  Memoized on the graph; callers do not change the map.
+    matches (`g(a) + g(b)` gives both sites `g`) and to no other: no site
+    names the method a reflective `invoke` resolves to.  Memoized on the
+    graph; callers do not change the map.
     """
     memo = graph.derived("site_targets", model)
     out = memo.get(stmt.id)
@@ -143,7 +139,6 @@ def site_targets(graph, model: RepoModel, stmt: StatementNode) -> dict[int, list
     for edge in graph.out_edges(stmt.id, CALL):
         dst = edge.dst
         func = None if dst.startswith("external:") else function_of_entry(model, dst)
-        matched = False
         for i, site in enumerate(stmt.calls):
             if func is None:
                 hit = dst == f"external:{site.name}/{site.arity}"
@@ -151,9 +146,6 @@ def site_targets(graph, model: RepoModel, stmt: StatementNode) -> dict[int, list
                 hit = func.arity == site.arity and func.name == site.name
             if hit:
                 out[i].append(dst)
-                matched = True
-        if not matched and stmt.calls:
-            out[0].append(dst)
     return out
 
 

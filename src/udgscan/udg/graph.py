@@ -150,9 +150,9 @@ class UnifiedDependencyGraph:
         return "\n".join(out) + "\n"
 
 
-def make_external_node(name: str, arity: int, reflective: bool = False) -> StatementNode:
+def make_external_node(name: str, arity: int) -> StatementNode:
     """Synthetic callee node for a call that cannot be resolved in-repo."""
-    node = StatementNode(
+    return StatementNode(
         id=f"external:{name}/{arity}",
         file="<external>",
         start_line=0,
@@ -162,7 +162,5 @@ def make_external_node(name: str, arity: int, reflective: bool = False) -> State
         owner="external",
         synthetic=True,
         external=True,
-        reflective=reflective,
     )
-    return node
 

@@ -53,10 +53,11 @@ def parse_and_build(root: str):
     return model, g, diags
 
 
-def enhance(model, g, oracle, diags, pool=None):
+def enhance(model, g, oracle, diags, audit=None):
     """`enhance_graph` as a scan runs it: on the labeled jumps that
-    `resolve_label_targets` resolves, its errors going to `diags`."""
-    return enhance_graph(model, g, oracle, diags, [], resolve_label_targets(model, diags), pool)
+    `resolve_label_targets` resolves, its errors going to `diags` and its
+    edits to `audit` (to a list of its own when None)."""
+    return enhance_graph(model, g, oracle, diags, [] if audit is None else audit, resolve_label_targets(model, diags))
 
 
 @pytest.fixture

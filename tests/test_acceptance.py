@@ -34,7 +34,7 @@ from udgscan.harness.scan import ScanConfig, scan
 from udgscan.knowledge import load_starter_kb
 from udgscan.reasoning.clients import MockInferenceClient
 from udgscan.transcript import Recorder, Replay
-from udgscan.udg.calls import function_of_entry
+from udgscan.udg.calls import function_of_entry, is_reflective_invocation
 from udgscan.udg.cfg import resolve_label_targets
 from udgscan.udg.graph import CALL, DATA_DEPENDENCY
 
@@ -43,9 +43,9 @@ def report(n: int, text: str) -> None:
     print(f"\nACCEPTANCE {n}: PASS - {text}")
 
 
-def _enhanced(repo):
+def _enhanced(repo, audit=None):
     model, g, diags = parse_and_build(repo)
-    result = enhance(model, g, MockResolutionOracle(), diags)
+    result = enhance(model, g, MockResolutionOracle(), diags, audit)
     return model, g, result
 
 
@@ -213,10 +213,11 @@ def test_criterion_8_scc_order_soundness():
 
 
 def test_criterion_9_pruning_audit(pruning_repo):
-    model, g_o, result = _enhanced(pruning_repo)
+    audit = []
+    model, g_o, result = _enhanced(pruning_repo, audit)
     g_e = result.graph
     summaries = result.summaries
-    removed = [(a.src, a.dst, a.variable) for a in result.audit if a.op == "remove" and a.tau == DATA_DEPENDENCY]
+    removed = [(a.src, a.dst, a.variable) for a in audit if a.op == "remove" and a.tau == DATA_DEPENDENCY]
     assert len(removed) > 0  # removal-dominant on fixtures with ignored parameters
     enhanced_keys = {e.key() for e in g_e.edges}
     # Bit-exact replay: walk every in-repo call site and recompute keep/remove.
@@ -368,5 +369,7 @@ def test_criterion_12_fail_conservative(dispatch_repo, reflect_repo):
         enhance_reflective_calls(g, _FaultyOracle(mode), model, diags, [])
         remaining = g.out_edges(inv_stmt.id, CALL)
         assert remaining, f"{mode}: reflective edge silently dropped"
-        assert any(g.nodes[e.dst].reflective for e in remaining), mode
+        site = next(c for c in inv_stmt.calls if c.name == "invoke")
+        assert is_reflective_invocation(site), mode
+        assert f"external:invoke/{site.arity}" in {e.dst for e in remaining}, mode
     report(12, f"{len(FAULT_MODES)}-mode fault matrix: polymorphic supersets hold, reflective edges degrade to external")

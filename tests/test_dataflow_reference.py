@@ -80,7 +80,6 @@ def reference_site_targets(graph, model, stmt):
     for edge in graph.out_edges(stmt.id, CALL):
         dst = edge.dst
         func = None if dst.startswith("external:") else function_of_entry(model, dst)
-        matched = False
         for i, site in enumerate(stmt.calls):
             if func is None:
                 hit = dst == f"external:{site.name}/{site.arity}"
@@ -88,9 +87,6 @@ def reference_site_targets(graph, model, stmt):
                 hit = func.arity == site.arity and func.name == site.name
             if hit:
                 out[i].append(dst)
-                matched = True
-        if not matched and stmt.calls:
-            out[0].append(dst)
     return out
 
 

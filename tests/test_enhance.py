@@ -228,8 +228,9 @@ def test_a_resolved_reflective_call_adds_no_warning(reflect_repo):
     # `m.invoke(this, payload)` passes two arguments to a one-parameter
     # method: reflection, not an arity mismatch.
     model, g, diags = parse_and_build(reflect_repo)
-    enh = enhance(model, g, MockResolutionOracle(), diags)
-    assert Counter(f"{entry.tau}.{entry.op}" for entry in enh.audit) == {"call.add": 1, "call.remove": 1}
+    audit = []
+    enhance(model, g, MockResolutionOracle(), diags, audit)
+    assert Counter(f"{entry.tau}.{entry.op}" for entry in audit) == {"call.add": 1, "call.remove": 1}
     assert diags.items == []
 
 
@@ -314,11 +315,12 @@ def test_enhance_graph_leaves_input_intact(name):
     nodes = dict(g.nodes)
     before = [e.key() for e in g.edges]
     dump = g.dump()
-    result = enhance(model, g, MockResolutionOracle(), diags)
+    audit = []
+    result = enhance(model, g, MockResolutionOracle(), diags, audit)
     assert g.nodes == nodes
     assert [e.key() for e in g.edges] == before
     assert g.dump() == dump
-    if result.audit:  # the passes edited the copy, not the input
+    if audit:  # the passes edited the copy, not the input
         assert {e.key() for e in result.graph.edges} != set(before)
 
 
@@ -423,12 +425,13 @@ class J {
 """
     root = write_repo(tmp_path, {"J.java": src})
     model, g, diags = parse_and_build(root)
-    enh = enhance(model, g, MockResolutionOracle(), diags)
+    audit = []
+    enh = enhance(model, g, MockResolutionOracle(), diags, audit)
     sink = _stmt_at(model, 15)
     into_sink = enh.graph.in_edges(sink.id, DATA_DEPENDENCY)
     assert sorted(model.stmt(e.src).start_line for e in into_sink if e.variable == "q") == [5, 9, 13]
     jumped = _stmt_at(model, 9)
-    assert AuditEntry("add", DATA_DEPENDENCY, jumped.id, sink.id, "control_flow", "q") in enh.audit
+    assert AuditEntry("add", DATA_DEPENDENCY, jumped.id, sink.id, "control_flow", "q") in audit
     # The original graph keeps the dead end's view.
     assert not g.has_edge(jumped.id, sink.id, DATA_DEPENDENCY)
 

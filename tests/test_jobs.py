@@ -399,6 +399,34 @@ def test_oracle_transport_failure_mid_batch(services, failing, waiting_mocks, tm
         assert before == []
 
 
+class Listing(FailingOracle):
+    """`FailingOracle`, listing the site of every request it gets."""
+
+    def __init__(self, failing, threads, in_process):
+        super().__init__(failing, threads)
+        self.in_process = in_process
+        self.sites: list[str] = []
+
+    def complete(self, prompt, site):
+        self.sites.append(site)
+        return super().complete(prompt, site)
+
+
+@pytest.mark.parametrize("jobs, in_process", [(1, False), (8, True)])
+@pytest.mark.parametrize(
+    "failing", [["svc1/Service1.java#s33/poly0"], ["svc0/Service2.java#s42/reflect0/class"]]
+)
+def test_no_request_follows_the_failing_one_on_the_scan_thread(services, failing, jobs, in_process):
+    # A call on the scan thread is made when its outcome is read, and the
+    # failure stops the scan before it reads the next one.
+    threads: list[str] = []
+    oracle = Listing(failing, threads, in_process)
+    result = scan(ScanConfig(repo=services, jobs=jobs), resolution_oracle=oracle)
+    assert result.report["fatal"] == f"endpoint dropped {failing[0]}"
+    assert oracle.sites[-1] == failing[0] and oracle.sites.count(failing[0]) == 1
+    assert threads == [threading.current_thread().name] * len(threads)
+
+
 class Answering(Replay):
     """A replay of a resolution transcript that lists the (site, prompt) of
     each request it answers, in the order it answers them."""

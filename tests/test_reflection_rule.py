@@ -17,7 +17,7 @@ from udgscan.enhance.prompts import render_statement_block
 from udgscan.errors import DiagnosticSink
 from udgscan.harness.scan import EXIT_OK, ScanConfig, scan
 from udgscan.transcript import Recorder
-from udgscan.udg.calls import call_statements, function_of_entry, is_invocation_pattern, site_targets
+from udgscan.udg.calls import call_statements, function_of_entry, is_reflective_invocation, site_targets
 from udgscan.udg.graph import CALL
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench"))
@@ -145,9 +145,9 @@ def rule_and_mock(root):
     for stmt in call_statements(g):
         per_site = site_targets(g, model, stmt)
         for idx, site in enumerate(stmt.calls):
-            if not is_invocation_pattern(site):
+            if not is_reflective_invocation(site):
                 continue
-            if not any(t.startswith("external:") and g.nodes[t].reflective for t in per_site[idx]):
+            if not any(t.startswith("external:") for t in per_site[idx]):
                 continue
             rule = passes._looked_up_methods(g, model, stmt, site)
             block = passes._dataflow_block(g, model, stmt, set(stmt.uses))

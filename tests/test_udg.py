@@ -10,7 +10,7 @@ from udgscan.frontend.parser import parse_repository
 from udgscan.frontend.analysis import build_type_hierarchy
 from udgscan.harness.generate import random_udg
 from udgscan.harness.oracles import reaching_def_has_path
-from udgscan.udg.calls import build_call_graph
+from udgscan.udg.calls import build_call_graph, is_reflective_invocation
 from udgscan.udg.cfg import build_cfg
 from udgscan.udg.ddg import build_ddg
 from udgscan.udg.graph import CALL, CONTROL_FLOW, DATA_DEPENDENCY, EDGE_TYPES, UdgEdge, UnifiedDependencyGraph
@@ -228,7 +228,9 @@ def test_reflective_call_external_only(reflect_repo):
     display_search = next(f for f in model.functions.values() if f.name == "displaySearch")
     targets = {e.dst for e in edges if e.src == invoke_stmt.id}
     assert all(t.startswith("external:") for t in targets)
-    assert any(externals[t].reflective for t in targets if t in externals)
+    site = next(c for c in invoke_stmt.calls if c.name == "invoke")
+    assert is_reflective_invocation(site)
+    assert f"external:invoke/{site.arity}" in targets
     assert display_search.entry not in targets
 
 
@@ -244,12 +246,12 @@ class A {
 
 def test_call_on_a_class_literal_is_reflective_not_the_callers_method(tmp_path):
     model = parse_repository(write_repo(tmp_path, {"A.java": CLASS_LITERAL_CALL}), DiagnosticSink())
-    edges, externals = build_call_graph(model, build_type_hierarchy(model, DiagnosticSink()))
+    edges, _ = build_call_graph(model, build_type_hierarchy(model, DiagnosticSink()))
     stmt = next(s for s in model.statements.values() if s.code.startswith("Method m ="))
     assert [(c.chain, c.receiver) for c in stmt.calls] == [("A.class.getMethod", None)]
     targets = [e.dst for e in edges if e.src == stmt.id]
     assert targets == ["external:getMethod/2"]
-    assert externals["external:getMethod/2"].reflective
+    assert not is_reflective_invocation(stmt.calls[0])  # a lookup invokes nothing
 
 
 CHAINED_CALLS = """class Base { void stop() { } }
