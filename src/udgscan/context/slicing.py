@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from ..frontend.model import StatementNode
-from ..udg.graph import CALL, CONTROL_FLOW, DATA_DEPENDENCY, UnifiedDependencyGraph
+from ..udg.graph import CALL, CONTROL_FLOW, DATA_DEPENDENCY, UnifiedDependencyGraph, is_external
 
 DEFAULT_HOP_LIMIT = 3
 
@@ -112,8 +112,7 @@ def control_slice(
         work = deque([s.id])
         while work:
             cur = work.popleft()
-            node = g.nodes.get(cur)
-            if node is not None and node.external:
+            if is_external(cur):
                 continue
             neighbours = adjacency.get(cur)
             if neighbours is None:

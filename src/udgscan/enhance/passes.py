@@ -20,7 +20,7 @@ from ..frontend.model import (
 from ..pool import RequestPool, issue
 from ..udg.calls import call_statements, function_of_entry, is_reflective_invocation, site_targets
 from ..udg.ddg import build_ddg, control_flow_edges
-from ..udg.graph import CALL, CONTROL_FLOW, DATA_DEPENDENCY, UdgEdge, UnifiedDependencyGraph
+from ..udg.graph import CALL, CONTROL_FLOW, DATA_DEPENDENCY, UdgEdge, UnifiedDependencyGraph, is_external
 from .oracle import FOLD_CAP, ConstantFolder, ResolutionOracle, _split_top, extract_json_object, fold_concat
 from .prompts import (
     render_polymorphic_prompt,
@@ -151,6 +151,35 @@ def _dataflow_block(
     return block
 
 
+def _call_groups(g, model: RepoModel, stmt: StatementNode, candidate) -> dict[tuple[str, ...], list[int]]:
+    """The call sites of `stmt` grouped by their `site_targets` list, which
+    sites of one name and arity share, each group keyed by the edges of
+    the list `candidate` accepts, sorted; sites with none are left out."""
+    groups: dict[tuple[str, ...], list[int]] = {}
+    for idx, targets in site_targets(g, model, stmt).items():
+        shared = tuple(sorted(filter(candidate, targets)))
+        if shared:
+            groups.setdefault(shared, []).append(idx)
+    return groups
+
+
+def _settle(g, diagnostics: DiagnosticSink, audit: list[AuditEntry], pass_name: str, groups: list) -> None:
+    """Edit the call edges each (statement, shared edges, targets kept by
+    rule, outcomes asked) group names: an outcome keeps the targets it
+    names, or every shared edge when it names none, with its warning.  A
+    shared edge goes only when nothing keeps it; a kept target not shared
+    is added, in id order, after the removals."""
+    for stmt, shared, kept, outcomes in groups:
+        for outcome in outcomes:
+            named, warning = outcome.result()
+            if warning:
+                diagnostics.add("warning", "enhance", warning, stmt.file, stmt.start_line)
+            kept |= named or set(shared)
+        remove_audited(g, audit, pass_name, [UdgEdge(stmt.id, t, CALL) for t in shared if t not in kept])
+        for target in sorted(kept.difference(shared)):
+            add_audited(g, audit, pass_name, UdgEdge(stmt.id, target, CALL))
+
+
 def enhance_polymorphic_calls(
     g: UnifiedDependencyGraph,
     oracle: ResolutionOracle,
@@ -169,26 +198,21 @@ def enhance_polymorphic_calls(
     declares is feasible (see `_allocated_target`).  Every other site is
     asked, so a transcript holds only the sites that were asked.
 
-    Sites calling one callee (`a.m() + b.m()`) share its call edges: an edge
-    is removed once, and only when no site's answer keeps it.  They are
-    decided together, or all asked; a prompt already asked for at the
-    statement is not asked again.  Every prompt is one call on `pool` (see
-    `udgscan.pool`), issued before the first outcome is read; an edit at one
-    statement changes no other statement's prompt."""
+    Sites calling one callee (`a.m() + b.m()`) share its call edges, which
+    `_settle` edits: an edge is removed only when no site's answer keeps
+    it.  They are decided together, or all asked; a prompt already asked
+    for at the statement is not asked again.  Every prompt is one call on
+    `pool` (see `udgscan.pool`), issued before the first outcome is read; an
+    edit at one statement changes no other statement's prompt."""
     hierarchy = _hierarchy_text(model)
-    # (statement, candidates, the candidates decided by rule, one outcome per prompt)
-    asked: list[tuple[StatementNode, tuple[str, ...], set[str], list]] = []
+    groups = []  # (statement, candidates, candidates decided by rule, one outcome per prompt)
     for stmt in call_statements(g):
-        per_site = site_targets(g, model, stmt)
-        groups: dict[tuple[str, ...], list[int]] = {}
-        for idx in range(len(stmt.calls)):
-            targets = tuple(sorted(t for t in per_site.get(idx, []) if not t.startswith("external:")))
-            if len(targets) >= 2:
-                groups.setdefault(targets, []).append(idx)
-        for targets, sites in groups.items():
+        for targets, sites in _call_groups(g, model, stmt, lambda t: not is_external(t)).items():
+            if len(targets) < 2:
+                continue
             decided = {_allocated_target(g, model, stmt, stmt.calls[idx], targets) for idx in sites}
             if None not in decided:
-                asked.append((stmt, targets, decided, []))
+                groups.append((stmt, targets, decided, []))
                 continue
             outcomes: dict[str, object] = {}
             for idx in sites:
@@ -199,15 +223,8 @@ def enhance_polymorphic_calls(
                     outcomes[prompt] = issue(
                         pool, _ask_feasible, oracle, stmt, f"{stmt.id}/poly{idx}", prompt, by_signature
                     )
-            asked.append((stmt, targets, set(), list(outcomes.values())))
-    for stmt, targets, kept, outcomes in asked:
-        for outcome in outcomes:
-            feasible, warning = outcome.result()
-            if warning:
-                diagnostics.add("warning", "enhance", warning, stmt.file, stmt.start_line)
-            kept |= feasible or set(targets)
-        infeasible = [UdgEdge(stmt.id, t, CALL) for t in sorted(set(targets) - kept)]
-        remove_audited(g, audit, "polymorphism", infeasible)
+            groups.append((stmt, targets, set(), list(outcomes.values())))
+    _settle(g, diagnostics, audit, "polymorphism", groups)
 
 
 def _allocated_target(
@@ -286,52 +303,39 @@ def enhance_reflective_calls(
     pool: RequestPool | None = None,
 ) -> None:
     """Two-step resolution of the reflective invocation sites in `g`: the
-    sites `is_reflective_invocation` accepts that have `external:` targets.
-
-    Successful answers replace a site's external edges with a call edge to
-    each resolved method; any failure keeps the external edges.
+    sites `is_reflective_invocation` accepts that have external targets.
+    Each gets a call edge to each method it resolves to.  Sites calling
+    one external node (`m.invoke(..) + h.invoke(..)`) share its edge, which
+    `_settle` removes only when no site keeps it: a failed answer or a site
+    that is not reflective keeps it.
 
     A site is decided by rule, with no prompt built and no request, when it
     invokes a method looked up by name on one known class and the name
     folds to string constants that each name a method of that class (see
-    `_looked_up_methods`).  Every other site is asked, so a transcript
-    holds only the sites that were asked.  Each asked site's questions are
-    one call on `pool` (see `udgscan.pool`), all issued before the first
-    outcome is read; diagnostics and edits follow in site order.
-    """
+    `_looked_up_methods`).  The undecided sites sharing an edge are asked
+    once, as both prompts name the statement, not the site; a transcript
+    holds only the sites asked.  Each question chain is one call on `pool`
+    (see `udgscan.pool`), all issued before the first outcome is read."""
     class_names = sorted(model.classes)
-    # (statement, the external edges an answer replaces, the methods decided
-    # by rule, else the outcome of asking) per site
-    sites: list[tuple[StatementNode, list[str], list[FunctionDecl] | None, object]] = []
+    groups = []  # (statement, external edges, methods decided by rule, the outcome asked, if any)
     for stmt in call_statements(g):
-        per_site = site_targets(g, model, stmt)
-        # Sites sharing a reflective edge get the same prompts: ask once.
-        asked: set[tuple[str, ...]] = set()
-        for idx, site in enumerate(stmt.calls):
-            if not is_reflective_invocation(site):
-                continue
-            reflective = [t for t in per_site[idx] if t.startswith("external:")]
-            if not reflective or tuple(reflective) in asked:
-                continue
-            asked.add(tuple(reflective))
-            decided = _looked_up_methods(g, model, stmt, site)
-            if decided:
-                sites.append((stmt, reflective, decided, None))
-                continue
-            block = _dataflow_block(g, model, stmt, set(stmt.uses))
-            call_line = render_statement_block([stmt], model)
-            outcome = issue(
-                pool, _ask_reflective, oracle, model, stmt, f"{stmt.id}/reflect{idx}", block, call_line, class_names
-            )
-            sites.append((stmt, reflective, None, outcome))
-    for stmt, reflective, decided, outcome in sites:
-        resolved = decided or outcome.result()
-        if isinstance(resolved, str):
-            diagnostics.add("warning", "enhance", resolved, stmt.file, stmt.start_line)
-            continue
-        remove_audited(g, audit, "reflection", [UdgEdge(stmt.id, ext, CALL) for ext in reflective])
-        for method in resolved:
-            add_audited(g, audit, "reflection", UdgEdge(stmt.id, method.entry, CALL))
+        reflective = []
+        for shared, sites in _call_groups(g, model, stmt, is_external).items():
+            found = [idx for idx in sites if is_reflective_invocation(stmt.calls[idx])]
+            if found:  # a site that is not reflective keeps the shared edge
+                reflective.append((found, shared, set(shared) if len(found) < len(sites) else set()))
+        for found, shared, kept in sorted(reflective, key=lambda group: group[0]):  # by first reflective site
+            asked = []
+            for idx in found:
+                decided = _looked_up_methods(g, model, stmt, stmt.calls[idx])
+                kept |= decided or set()
+                if decided is None and not asked:
+                    block = _dataflow_block(g, model, stmt, set(stmt.uses))
+                    call_line = render_statement_block([stmt], model)
+                    tag = f"{stmt.id}/reflect{idx}"
+                    asked.append(issue(pool, _ask_reflective, oracle, model, stmt, tag, block, call_line, class_names))
+            groups.append((stmt, shared, kept, asked))
+    _settle(g, diagnostics, audit, "reflection", groups)
 
 
 # The whole value of a reflective lookup: `X.class.getMethod(<args>)` or
@@ -340,20 +344,20 @@ _LOOKUP = re.compile(
     r"(?:(?P<cls>[A-Za-z_$][\w$.]*?)\s*\.\s*class|(?:this\s*\.\s*)?getClass\s*\(\s*\))"
     r"\s*\.\s*get(?:Declared)?Method\s*\((?P<args>.*)\)"
 )
-_LOOKUP_CALLS = frozenset({"getClass", "getMethod", "getDeclaredMethod"})
+_CLASS_LITERAL = re.compile(r"\s*[A-Za-z_$][\w$.]*(?:\s*\[\s*\])*\s*\.\s*class\s*")
 
 
 def _looked_up_methods(
     g: UnifiedDependencyGraph, model: RepoModel, stmt: StatementNode, site: CallSite
-) -> list[FunctionDecl] | None:
-    """The methods `site` can invoke, when it is `m.invoke(...)` on a local
-    variable `m` whose one reaching definition assigns it
-    `X.class.getMethod(name, ...)` of a repository class `X`, or
-    `getClass().getMethod(name, ...)` in a class with no repository
-    subtype, and `name` folds over reaching definitions to string constants
-    (see `_reaching_strings`) that each name a method the class declares:
-    per name, its first method by id, in entry order.  None when any of
-    this fails."""
+) -> set[str] | None:
+    """The entries of the methods `site` can invoke, when it is
+    `m.invoke(...)` on a local variable `m` whose one reaching definition
+    assigns it `X.class.getMethod(name, P1.class, ...)` of a repository
+    class `X`, or `getClass().getMethod(name, P1.class, ...)` in a class
+    with no repository subtype, and `name` folds over reaching definitions
+    to string constants (see `_reaching_strings`) that each name a method
+    the class declares with the class literals' simple types as parameter
+    types: every such method of each name.  None when any of this fails."""
     func = model.functions.get(stmt.owner)
     if func is None or site.receiver not in func.var_types or site.chain != f"{site.receiver}.invoke":
         return None
@@ -361,9 +365,6 @@ def _looked_up_methods(
     if len(defs) != 1:
         return None
     lookup = defs[0]
-    calls = [c.name for c in lookup.calls]
-    if not set(calls) <= _LOOKUP_CALLS or calls.count("getMethod") + calls.count("getDeclaredMethod") != 1:
-        return None
     assign = ConstantFolder.ASSIGN.match(lookup.code.strip())
     m = _LOOKUP.fullmatch(assign.group(2).strip()) if assign and assign.group(1) == site.receiver else None
     if m is None:
@@ -374,13 +375,15 @@ def _looked_up_methods(
         cls = None if model.hierarchy.subtypes_of(func.class_name) else model.classes.get(func.class_name)
     if cls is None:
         return None
-    folded: dict[str, set[str] | None] = {}
-    names = fold_concat(_split_top(m.group("args"), ",")[0], lambda v: _reaching_strings(g, lookup, v, folded))
-    methods = _concrete_methods(model, cls)
-    named = [[f for f in methods if f.name == name] for name in names or ()]
-    if not named or not all(named):
+    name, *params = _split_top(m.group("args"), ",")
+    if not all(map(_CLASS_LITERAL.fullmatch, params)):
         return None
-    return _entry_order(min(matches, key=lambda f: f.id) for matches in named)
+    folded: dict[str, set[str] | None] = {}
+    names = fold_concat(name, lambda v: _reaching_strings(g, lookup, v, folded))
+    types = [re.sub(r"\s+", "", p).removesuffix(".class").rsplit(".", 1)[-1] for p in params]
+    methods = [f for f in _concrete_methods(model, cls) if f.param_types == types]
+    named = [{f.entry for f in methods if f.name == name} for name in names or ()]
+    return set().union(*named) if named and all(named) else None
 
 
 def _reaching_strings(
@@ -445,11 +448,6 @@ def _concrete_methods(model: RepoModel, cls: ClassDecl) -> list[FunctionDecl]:
     return [model.functions[fid] for fid in cls.methods if not model.functions[fid].is_abstract]
 
 
-def _entry_order(methods) -> list[FunctionDecl]:
-    """`methods`, each once, ordered by entry node."""
-    return sorted({f.id: f for f in methods}.values(), key=lambda f: f.entry)
-
-
 def _ask_reflective(
     oracle: ResolutionOracle,
     model: RepoModel,
@@ -458,21 +456,21 @@ def _ask_reflective(
     block: str,
     call_line: str,
     class_names: list[str],
-) -> list[FunctionDecl] | str:
+) -> tuple[set[str], str]:
     """Ask which class one reflective site accesses and, once that class
-    resolves, which of its methods it invokes: per method name the answer
-    gives (`target_methods`, or one `target_method`), its first method by
-    id, in entry order, or the warning saying why the site keeps its
-    external edges."""
+    resolves, which of its methods it invokes: the entries of the methods
+    the answer names (`target_methods`, or one `target_method`), each by
+    signature or, with all its overloads, by name, and a warning when it
+    names none (always, on a fault)."""
     prompt = render_reflection_class_prompt(block, call_line, class_names)
     try:
         answer = extract_json_object(oracle.complete(prompt, f"{tag}/class"))
         cls_name = str(answer.get("target_class", "")).strip()
     except OracleParseError as exc:
-        return f"reflection class oracle fault at {stmt.id}: {exc}"
+        return set(), f"reflection class oracle fault at {stmt.id}: {exc}"
     cls = model.resolve_class(cls_name, stmt.file) if cls_name else None
     if cls is None:
-        return f"reflection target class '{cls_name}' not in repository"
+        return set(), f"reflection target class '{cls_name}' not in repository"
     methods = _concrete_methods(model, cls)
     prompt = render_reflection_method_prompt(block, call_line, [f.signature_text() for f in methods])
     try:
@@ -480,11 +478,9 @@ def _ask_reflective(
         named = answer.get("target_methods", answer.get("target_method", ""))
         names = [str(name).strip() for name in (named if isinstance(named, list) else [named])]
     except OracleParseError as exc:
-        return f"reflection method oracle fault at {stmt.id}: {exc}"
-    matches = [[f for f in methods if name in (f.name, f.signature_text())] for name in names]
-    if not any(matches):
-        return f"reflection target method '{', '.join(names)}' not in {cls.name}"
-    return _entry_order(min(found, key=lambda f: f.id) for found in matches if found)
+        return set(), f"reflection method oracle fault at {stmt.id}: {exc}"
+    named = {f.entry for f in methods if f.name in names or f.signature_text() in names}
+    return named, "" if named else f"reflection target method '{', '.join(names)}' not in {cls.name}"
 
 
 def reconstruct_labeled_jumps(

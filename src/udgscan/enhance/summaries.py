@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from ..frontend.model import RETURN_VAR, FunctionDecl, RepoModel
 from ..udg.calls import function_of_entry, site_targets
 from ..udg.ddg import control_flow_edges, flow_graph, solve
-from ..udg.graph import UnifiedDependencyGraph
+from ..udg.graph import UnifiedDependencyGraph, is_external
 from .order import AnalysisSequence
 
 PRIMITIVE_TYPES = frozenset(
@@ -167,7 +167,7 @@ def flowing_uses(stmt, per_site, model: RepoModel, summaries: Mapping[str, Funct
     A use reaches the value when it is made outside every argument list
     (`stmt.outside_uses`); when it is a receiver other than `this`; an
     argument of a constructor, or of a site whose targets are empty or
-    include an `external:` node; or an argument whose parameter reaches the
+    include an external node; or an argument whose parameter reaches the
     return of some in-repo target (its summary marks the parameter, it has
     no summary yet, or no parameter at that index).  So a resolved `invoke`,
     which has no targets, passes every argument on.  Summaries and pruning
@@ -178,7 +178,7 @@ def flowing_uses(stmt, per_site, model: RepoModel, summaries: Mapping[str, Funct
         if site.receiver and site.receiver != "this":
             flowing.add(site.receiver)
         targets = per_site.get(idx, [])
-        if site.is_constructor or not targets or any(t.startswith("external:") for t in targets):
+        if site.is_constructor or not targets or any(map(is_external, targets)):
             for arg_vars in site.arg_vars:
                 flowing |= arg_vars
             continue

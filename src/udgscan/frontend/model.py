@@ -61,7 +61,6 @@ class StatementNode:
     allocates: str = ""
     code: str = ""  # exact token slice of this statement
     synthetic: bool = False  # entry/exit/external nodes carry no renderable span
-    external: bool = False
 
     def span_lines(self) -> range:
         return range(self.start_line, self.end_line + 1)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from ..errors import BudgetExceeded
 from ..frontend import syntax as syn
 from ..frontend.model import RETURN_VAR, FunctionDecl, RepoModel
-from ..udg.graph import CALL, CONTROL_FLOW, DATA_DEPENDENCY, UnifiedDependencyGraph
+from ..udg.graph import CALL, CONTROL_FLOW, DATA_DEPENDENCY, UnifiedDependencyGraph, is_external
 
 PATH_ENV_CAP = 4096
 LOOP_UNROLL = 3
@@ -186,8 +186,7 @@ def control_slice_oracle(g: UnifiedDependencyGraph, start: str, hop_limit: int) 
         work = [start]
         while work:
             cur = work.pop(0)
-            node = g.nodes.get(cur)
-            if node is not None and node.external:
+            if is_external(cur):
                 continue
             edges = g.out_edges(cur) if forward else g.in_edges(cur)
             for e in edges:

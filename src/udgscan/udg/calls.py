@@ -12,7 +12,7 @@ under-approximation a scalable analyzer produces.
 from __future__ import annotations
 
 from ..frontend.model import CallSite, FunctionDecl, RepoModel, StatementNode, TypeHierarchy
-from .graph import CALL, UdgEdge, make_external_node
+from .graph import CALL, UdgEdge, external_id, is_external, make_external_node
 
 REFLECTION_NAMES = frozenset({"invoke", "newInstance"})
 REFLECTION_RECEIVER_TYPES = frozenset({"Class", "Method", "Constructor", "Field"})
@@ -138,10 +138,10 @@ def site_targets(graph, model: RepoModel, stmt: StatementNode) -> dict[int, list
     out = memo[stmt.id] = {i: [] for i in range(len(stmt.calls))}
     for edge in graph.out_edges(stmt.id, CALL):
         dst = edge.dst
-        func = None if dst.startswith("external:") else function_of_entry(model, dst)
+        func = None if is_external(dst) else function_of_entry(model, dst)
         for i, site in enumerate(stmt.calls):
             if func is None:
-                hit = dst == f"external:{site.name}/{site.arity}"
+                hit = dst == external_id(site.name, site.arity)
             else:
                 hit = func.arity == site.arity and func.name == site.name
             if hit:

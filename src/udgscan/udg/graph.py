@@ -150,10 +150,18 @@ class UnifiedDependencyGraph:
         return "\n".join(out) + "\n"
 
 
+def external_id(name: str, arity: int) -> str:
+    return f"external:{name}/{arity}"
+
+
+def is_external(node_id: str) -> bool:
+    return node_id.startswith("external:")
+
+
 def make_external_node(name: str, arity: int) -> StatementNode:
-    """Synthetic callee node for a call that cannot be resolved in-repo."""
+    """The synthetic callee node `external_id(name, arity)` of the calls not resolved in-repo."""
     return StatementNode(
-        id=f"external:{name}/{arity}",
+        id=external_id(name, arity),
         file="<external>",
         start_line=0,
         end_line=0,
@@ -161,6 +169,5 @@ def make_external_node(name: str, arity: int) -> StatementNode:
         text=f"{name}/{arity}",
         owner="external",
         synthetic=True,
-        external=True,
     )
 

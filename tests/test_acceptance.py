@@ -36,7 +36,7 @@ from udgscan.reasoning.clients import MockInferenceClient
 from udgscan.transcript import Recorder, Replay
 from udgscan.udg.calls import function_of_entry, is_reflective_invocation
 from udgscan.udg.cfg import resolve_label_targets
-from udgscan.udg.graph import CALL, DATA_DEPENDENCY
+from udgscan.udg.graph import CALL, DATA_DEPENDENCY, is_external
 
 
 def report(n: int, text: str) -> None:
@@ -271,19 +271,19 @@ def test_criterion_10_rename_isomorphism(tmp_path, el_repo, dispatch_repo, pruni
             return sorted(
                 (n.file, n.start_line, n.end_line, n.kind)
                 for n in g.nodes.values()
-                if not n.external
+                if not is_external(n.id)
             )
 
         assert node_keys(g_a) == node_keys(g_b)
         mapped_edges = {
             (e.src, e.dst, e.tau, mapping.get(e.variable, e.variable))
             for e in g_a.edges
-            if not e.dst.startswith("external:") and not e.src.startswith("external:")
+            if not is_external(e.dst) and not is_external(e.src)
         }
         plain_edges = {
             (e.src, e.dst, e.tau, e.variable)
             for e in g_b.edges
-            if not e.dst.startswith("external:") and not e.src.startswith("external:")
+            if not is_external(e.dst) and not is_external(e.src)
         }
         assert mapped_edges == plain_edges
 

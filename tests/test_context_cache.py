@@ -21,7 +21,7 @@ from udgscan.udg.calls import function_of_entry
 from udgscan.harness.generate import random_summary_program, random_udg
 from udgscan.harness.oracles import control_slice_oracle, data_slice_oracle
 from udgscan.harness.scan import ScanConfig, scan
-from udgscan.udg.graph import CALL, CONTROL_FLOW, DATA_DEPENDENCY, UdgEdge
+from udgscan.udg.graph import CALL, CONTROL_FLOW, DATA_DEPENDENCY, UdgEdge, is_external
 
 FIXTURE_NAMES = sorted(os.listdir(FIXTURES))
 SLICES = ("data", "control", "explicit", "usage", "definition", "declaration")
@@ -149,7 +149,7 @@ def _context_and_sink():
 def test_adding_and_removing_an_edge_changes_the_next_slice():
     result, ctx, sink = _context_and_sink()
     g = result.graph
-    outside = sorted(sid for sid in g.nodes if sid not in ctx.control.statements and not g.nodes[sid].external)
+    outside = sorted(sid for sid in g.nodes if sid not in ctx.control.statements and not is_external(sid))
     far = outside[0]
 
     edge = UdgEdge(far, sink.id, DATA_DEPENDENCY, variable="planted")
@@ -241,8 +241,7 @@ def ref_control_slice(g, s, hop_limit=3):
         hops, steps, work = {s.id: 0}, {s.id: 0}, [s.id]
         while work:
             cur = work.pop(0)
-            node = g.nodes.get(cur)
-            if node is not None and node.external:
+            if is_external(cur):
                 continue
             edges = g.out_edges(cur) if mode == "forward" else g.in_edges(cur)
             for e in sorted(edges, key=lambda e: (e.dst if mode == "forward" else e.src)):
@@ -279,7 +278,7 @@ def ref_usage_context(g, model, c_e):
             continue
         for e in sorted(g.out_edges(sid, CALL), key=lambda e: e.dst):
             dst = g.nodes.get(e.dst)
-            if dst is None or dst.external or e.dst in seen:
+            if dst is None or is_external(e.dst) or e.dst in seen:
                 continue
             seen.add(e.dst)
             if function_of_entry(model, e.dst) is not None:

@@ -10,6 +10,7 @@ from udgscan.errors import ConfigError, DiagnosticSink, DuplicatePair, EmptyInpu
 from udgscan.harness.dataset import load_paired_dataset, normalized_hash
 from udgscan.harness.metrics import compute_metrics, compute_pairwise
 from udgscan.harness.rename import adversarial_rename, build_rename_map, rename_source
+from udgscan.udg.graph import is_external
 
 
 # ------------------------------------------------------------------ metrics
@@ -104,18 +105,18 @@ def test_rename_preserves_original_graph_of_reflective_repo(reflect_repo, tmp_pa
     model_a, g_a, _ = parse_and_build(reflect_repo)
     model_b, g_b, diag_b = parse_and_build(str(out_dir))
     assert not diag_b.has_errors()
-    keys_a = sorted((n.file, n.start_line, n.end_line, n.kind) for n in g_a.nodes.values() if not n.external)
-    keys_b = sorted((n.file, n.start_line, n.end_line, n.kind) for n in g_b.nodes.values() if not n.external)
+    keys_a = sorted((n.file, n.start_line, n.end_line, n.kind) for n in g_a.nodes.values() if not is_external(n.id))
+    keys_b = sorted((n.file, n.start_line, n.end_line, n.kind) for n in g_b.nodes.values() if not is_external(n.id))
     assert keys_a == keys_b
     internal_a = {
         (e.src, e.dst, e.tau, mapping.get(e.variable, e.variable))
         for e in g_a.edges
-        if not e.src.startswith("external:") and not e.dst.startswith("external:")
+        if not is_external(e.src) and not is_external(e.dst)
     }
     internal_b = {
         (e.src, e.dst, e.tau, e.variable)
         for e in g_b.edges
-        if not e.src.startswith("external:") and not e.dst.startswith("external:")
+        if not is_external(e.src) and not is_external(e.dst)
     }
     assert internal_a == internal_b
 
@@ -129,7 +130,7 @@ def test_renamed_repo_parses_and_is_isomorphic(el_repo, tmp_path):
     assert not diag_b.has_errors()
     # Canonical node keys (file, line span, kind) pair the graphs 1:1.
     def keys(g):
-        return sorted((n.file, n.start_line, n.end_line, n.kind) for n in g.nodes.values() if not n.external)
+        return sorted((n.file, n.start_line, n.end_line, n.kind) for n in g.nodes.values() if not is_external(n.id))
 
     assert keys(g_a) == keys(g_b)
     # Statement ids are position-derived, so edges must align under the

@@ -90,6 +90,10 @@ REFUSED = {
         'Method m = getClass().getMethod("showPlain", String.class);\n        Object o = getClass().newInstance();',
         "",
     ),
+    "a parameter type that is not a class literal": (
+        'Class t = String.class;\n        Method m = getClass().getMethod("showPlain", t);',
+        "",
+    ),
     "a name built in a loop": (
         'String t = "show";\n        while (c) {\n            t = t + "x";\n        }\n'
         "        Method m = getClass().getMethod(t, String.class);",
@@ -136,8 +140,9 @@ def dispatch_latency_repo(tmp_path, seed):
 
 def rule_and_mock(root):
     """Per reflective invocation site: the statement, the methods the rule
-    decides (None when it refuses) and the methods the mock names, or its
-    warning, for the prompts the pass would build."""
+    decides (None when it refuses) and the methods the mock names (none
+    with a warning) for the prompts the pass would build, each in entry
+    order."""
     model, g, _ = parse_and_build(root)
     passes.add_global_nodes(g, model.globals, model, [])
     class_names = sorted(model.classes)
@@ -152,9 +157,14 @@ def rule_and_mock(root):
             rule = passes._looked_up_methods(g, model, stmt, site)
             block = passes._dataflow_block(g, model, stmt, set(stmt.uses))
             call_line = render_statement_block([stmt], model)
-            mock = passes._ask_reflective(MockResolutionOracle(), model, stmt, "", block, call_line, class_names)
-            sites.append((stmt, rule, mock))
+            mock, _ = passes._ask_reflective(MockResolutionOracle(), model, stmt, "", block, call_line, class_names)
+            sites.append((stmt, methods(model, rule), methods(model, mock)))
     return sites
+
+
+def methods(model, entries):
+    """The methods of `entries`, in entry order; None for None."""
+    return None if entries is None else [function_of_entry(model, entry) for entry in sorted(entries)]
 
 
 def decided_agreeing(sites):
