@@ -28,10 +28,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import chain
 
 from ..frontend.model import RepoModel, SourceFile, StatementNode
+from ..record import Record
 from ..udg.graph import UnifiedDependencyGraph
 from .implicit import declaration_context, definition_context, usage_context
 from .sinks import SensitiveInvocation
@@ -47,19 +47,45 @@ def whitespace_tokenizer(text: str) -> int:
     return len(text.split())
 
 
-@dataclass
-class HolisticContext:
-    invocation: SensitiveInvocation
-    data: ContextSlice  # both directions from the sink
-    control: ContextSlice  # hop-limited, from the sink
-    explicit: ContextSlice  # data and control merged
-    usage: ContextSlice
-    definition: ContextSlice
-    declaration: ContextSlice
-    all: list[str] = field(default_factory=list)  # kept statements, in sort-key order
-    rendered: str = ""
-    rendered_lines: dict[str, list[int]] = field(default_factory=dict)  # per file, the lines shown
-    dropped: int = 0  # statements the token budget dropped
+class HolisticContext(Record):
+    """One invocation's context slices, and the statements `_fit` keeps of
+    them under the token budget and their rendering."""
+
+    __slots__ = (
+        "invocation",
+        "data",
+        "control",
+        "explicit",
+        "usage",
+        "definition",
+        "declaration",
+        "all",
+        "rendered",
+        "rendered_lines",
+        "dropped",
+    )
+
+    def __init__(
+        self,
+        invocation: SensitiveInvocation,
+        data: ContextSlice,
+        control: ContextSlice,
+        explicit: ContextSlice,
+        usage: ContextSlice,
+        definition: ContextSlice,
+        declaration: ContextSlice,
+    ) -> None:
+        self.invocation = invocation
+        self.data = data  # both directions from the sink
+        self.control = control  # hop-limited, from the sink
+        self.explicit = explicit  # data and control merged
+        self.usage = usage
+        self.definition = definition
+        self.declaration = declaration
+        self.all: list[str] = []  # kept statements, in sort-key order
+        self.rendered = ""
+        self.rendered_lines: dict[str, list[int]] = {}  # per file, the lines shown
+        self.dropped = 0  # statements the token budget dropped
 
 
 class _Block:

@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..frontend.model import RepoModel
+from ..record import Record
 from ..udg.calls import call_statements
 from ..udg.graph import CALL, UnifiedDependencyGraph
 
 
-@dataclass
-class SensitiveInvocation:
-    statement: str
-    api: str
-    cwes: list[str] = field(default_factory=list)
-    origin: str = "knowledge_base"  # "knowledge_base" | "user_sink"
+class SensitiveInvocation(Record):
+    __slots__ = ("statement", "api", "cwes", "origin")
+
+    def __init__(
+        self, statement: str, api: str, cwes: list[str] | None = None, origin: str = "knowledge_base"
+    ) -> None:
+        self.statement = statement
+        self.api = api
+        self.cwes = [] if cwes is None else cwes
+        self.origin = origin  # "knowledge_base" | "user_sink"
 
     @property
     def id(self) -> str:

@@ -9,22 +9,24 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from operator import itemgetter
 
 from ..frontend.model import StatementNode
+from ..record import Record
 from ..udg.graph import CALL, CONTROL_FLOW, DATA_DEPENDENCY, UnifiedDependencyGraph, is_external
 
 DEFAULT_HOP_LIMIT = 3
 
 
-@dataclass
-class ContextSlice:
+class ContextSlice(Record):
     """A set of statements, ordered by (file, line, id), and each one's
     graph distance from the criterion."""
 
-    statements: list[str] = field(default_factory=list)
-    depths: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("statements", "depths")
+
+    def __init__(self, statements: list[str], depths: dict[str, int] | None = None) -> None:
+        self.statements = statements
+        self.depths = {} if depths is None else depths
 
 
 def _ordered(

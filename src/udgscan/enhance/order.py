@@ -3,24 +3,26 @@ bottom-up analysis order (callees before callers)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..frontend.model import RepoModel
+from ..record import Record
 from ..udg.calls import function_of_entry
 from ..udg.graph import CALL, UnifiedDependencyGraph
 
 
-@dataclass(frozen=True)
-class SccComponent:
+class SccComponent(NamedTuple):
     members: tuple[str, ...]  # function ids, sorted
     recursive: bool  # more than one member, or a member calls itself
 
 
-@dataclass
-class AnalysisSequence:
-    components: list[SccComponent] = field(default_factory=list)
-    component_of: dict[str, int] = field(default_factory=dict)
-    called: set[str] = field(default_factory=set)  # functions some call edge targets
+class AnalysisSequence(Record):
+    __slots__ = ("components", "component_of", "called")
+
+    def __init__(self, called: set[str]) -> None:
+        self.components: list[SccComponent] = []
+        self.component_of: dict[str, int] = {}
+        self.called = called  # functions some call edge targets
 
     def __iter__(self):
         return iter(self.components)

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_string
+from typing import NamedTuple
 
 from ..context.slicing import data_slice
 from ..errors import DiagnosticSink, OracleParseError
@@ -32,8 +32,7 @@ from .prompts import (
 DATAFLOW_CONTEXT_CAP = 60  # statements nearest the call site kept in prompts
 
 
-@dataclass
-class AuditEntry:
+class AuditEntry(NamedTuple):
     op: str  # "add" | "remove"
     tau: str
     src: str

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..errors import DiagnosticSink
 from ..frontend.model import JumpTarget, RepoModel
@@ -22,11 +22,10 @@ from .prune import prune_data_edges
 from .summaries import FunctionSummary, compute_all_summaries
 
 
-@dataclass
-class EnhancementResult:
+class EnhancementResult(NamedTuple):
     graph: UnifiedDependencyGraph
-    summaries: Mapping[str, FunctionSummary] = field(default_factory=dict)
-    order: AnalysisSequence | None = None
+    summaries: Mapping[str, FunctionSummary]
+    order: AnalysisSequence
 
 
 def enhance_graph(

@@ -15,7 +15,7 @@ argument.  Data-edge pruning applies the same rule.
 from __future__ import annotations
 
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..frontend.model import RETURN_VAR, FunctionDecl, RepoModel
 from ..udg.calls import function_of_entry, site_targets
@@ -28,20 +28,18 @@ PRIMITIVE_TYPES = frozenset(
 )
 
 
-@dataclass
-class FunctionSummary:
+class FunctionSummary(NamedTuple):
     function: str
-    phi: dict[str, bool] = field(default_factory=dict)
+    phi: dict[str, bool]
 
     def depends(self, param: str) -> bool:
         return self.phi.get(param, False)
 
 
-@dataclass
-class AliasSets:
+class AliasSets(NamedTuple):
     """Flow-insensitive per-function partition of reference variables."""
 
-    groups: dict[str, frozenset[str]] = field(default_factory=dict)
+    groups: dict[str, frozenset[str]]
 
     def of(self, var: str) -> frozenset[str]:
         return self.groups.get(var, frozenset((var,)))
@@ -84,12 +82,12 @@ def build_alias_sets(func: FunctionDecl, model: RepoModel) -> AliasSets:
     groups: dict[str, set[str]] = {}
     for var in parent:
         groups.setdefault(find(var), set()).add(var)
-    out = AliasSets()
+    out: dict[str, frozenset[str]] = {}
     for members in groups.values():
         fs = frozenset(members)
         for m in members:
-            out.groups[m] = fs
-    return out
+            out[m] = fs
+    return AliasSets(out)
 
 
 def compute_function_summary(

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
+
+from .record import Record
 
 
 class UdgScanError(Exception):
@@ -57,8 +59,7 @@ class ClientTransportError(UdgScanError):
     transcript holds no record of it."""
 
 
-@dataclass
-class Diagnostic:
+class Diagnostic(NamedTuple):
     """One non-fatal finding of the pipeline (subset violations, oracle faults, ...)."""
 
     severity: str  # "info" | "warning" | "error"
@@ -83,11 +84,13 @@ class Diagnostic:
         return f"[{self.severity}] {self.module}: {loc}: {self.message}"
 
 
-@dataclass
-class DiagnosticSink:
+class DiagnosticSink(Record):
     """Ordered collector shared by pipeline stages."""
 
-    items: list[Diagnostic] = field(default_factory=list)
+    __slots__ = ("items",)
+
+    def __init__(self) -> None:
+        self.items: list[Diagnostic] = []
 
     def add(self, severity: str, module: str, message: str, path: str = "", line: int = 0) -> None:
         self.items.append(Diagnostic(severity, module, message, path, line))

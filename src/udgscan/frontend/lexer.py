@@ -20,7 +20,7 @@ trivia lines, and its bracket pairs, from these tokens.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import SubsetViolation
 
@@ -78,8 +78,7 @@ _MASTER = re.compile(
 _UNTERMINATED = {"/*": "block comment", '"': "string literal", "'": "char literal"}
 
 
-@dataclass
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident" | "keyword" | "number" | "string" | "char" | "punct"
     text: str
     line: int

@@ -9,23 +9,36 @@ text, 1-based inclusive line spans, and purely syntactic def/use sets.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
+
+from ..record import Record
 
 RETURN_VAR = "<ret>"
 
 
-@dataclass
-class CallSite:
+class CallSite(Record):
     """One method/constructor invocation inside a statement's expression."""
 
-    chain: str  # literal callee chain as written, e.g. "page.append"
-    name: str  # simple method name, e.g. "append"
-    arity: int
-    receiver: str | None = None  # receiver variable name when the base is a known variable
-    receiver_type: str | None = None  # declared type of the receiver variable, if known
-    arg_vars: list[set[str]] = field(default_factory=list)  # known variables per argument
-    is_constructor: bool = False
+    __slots__ = ("chain", "name", "arity", "receiver", "receiver_type", "arg_vars", "is_constructor")
+
+    def __init__(
+        self,
+        chain: str,
+        name: str,
+        arity: int,
+        receiver: str | None = None,
+        receiver_type: str | None = None,
+        arg_vars: list[set[str]] | None = None,
+        is_constructor: bool = False,
+    ) -> None:
+        self.chain = chain  # literal callee chain as written, e.g. "page.append"
+        self.name = name  # simple method name, e.g. "append"
+        self.arity = arity
+        self.receiver = receiver  # receiver variable name when the base is a known variable
+        self.receiver_type = receiver_type  # declared type of the receiver variable, if known
+        self.arg_vars = [] if arg_vars is None else arg_vars  # known variables per argument
+        self.is_constructor = is_constructor
 
     def qualified_candidates(self) -> list[str]:
         """Qualified names this call can be matched under (most specific first)."""
@@ -39,28 +52,61 @@ class CallSite:
         return cands
 
 
-@dataclass
-class StatementNode:
-    id: str
-    file: str
-    start_line: int
-    end_line: int
-    # A statement whose expression performs a method invocation is a "call"
-    # unless a more specific kind (return, condition, loop_header, jump)
-    # applies; such statements still carry call metadata.
-    kind: str
-    text: str  # full source lines covering the span
-    owner: str  # function id or "global"
-    defs: set[str] = field(default_factory=set)
-    uses: set[str] = field(default_factory=set)
-    # The uses made outside every argument list of `calls`.
-    outside_uses: set[str] = field(default_factory=set)
-    calls: list[CallSite] = field(default_factory=list)
-    # The class `T`, as written, when the value this statement assigns is
-    # one `new T(...)` and nothing else.
-    allocates: str = ""
-    code: str = ""  # exact token slice of this statement
-    synthetic: bool = False  # entry/exit/external nodes carry no renderable span
+class StatementNode(Record):
+    __slots__ = (
+        "id",
+        "file",
+        "start_line",
+        "end_line",
+        "kind",
+        "text",
+        "owner",
+        "defs",
+        "uses",
+        "outside_uses",
+        "calls",
+        "allocates",
+        "code",
+        "synthetic",
+    )
+
+    def __init__(
+        self,
+        id: str,
+        file: str,
+        start_line: int,
+        end_line: int,
+        kind: str,
+        text: str,
+        owner: str,
+        defs: set[str] | None = None,
+        uses: set[str] | None = None,
+        outside_uses: set[str] | None = None,
+        calls: list[CallSite] | None = None,
+        allocates: str = "",
+        code: str = "",
+        synthetic: bool = False,
+    ) -> None:
+        self.id = id
+        self.file = file
+        self.start_line = start_line
+        self.end_line = end_line
+        # A statement whose expression performs a method invocation is a "call"
+        # unless a more specific kind (return, condition, loop_header, jump)
+        # applies; such statements still carry call metadata.
+        self.kind = kind
+        self.text = text  # full source lines covering the span
+        self.owner = owner  # function id or "global"
+        self.defs = set() if defs is None else defs
+        self.uses = set() if uses is None else uses
+        # The uses made outside every argument list of `calls`.
+        self.outside_uses = set() if outside_uses is None else outside_uses
+        self.calls = [] if calls is None else calls
+        # The class `T`, as written, when the value this statement assigns is
+        # one `new T(...)` and nothing else.
+        self.allocates = allocates
+        self.code = code  # exact token slice of this statement
+        self.synthetic = synthetic  # entry/exit/external nodes carry no renderable span
 
     def span_lines(self) -> range:
         return range(self.start_line, self.end_line + 1)
@@ -69,20 +115,49 @@ class StatementNode:
         return (self.file, self.start_line, self.id)
 
 
-@dataclass
-class FunctionDecl:
-    id: str
-    class_name: str  # fully qualified owner class
-    name: str
-    param_types: list[str] = field(default_factory=list)
-    params: list[str] = field(default_factory=list)
-    body: list[str] = field(default_factory=list)  # statement ids, in the order the parser made them
-    entry: str = ""
-    exit: str = ""
-    is_abstract: bool = False
-    var_types: dict[str, str] = field(default_factory=dict)  # declared types of params/locals
-    sig_line: int = 0
-    file: str = ""
+class FunctionDecl(Record):
+    __slots__ = (
+        "id",
+        "class_name",
+        "name",
+        "param_types",
+        "params",
+        "body",
+        "entry",
+        "exit",
+        "is_abstract",
+        "var_types",
+        "sig_line",
+        "file",
+    )
+
+    def __init__(
+        self,
+        id: str,
+        class_name: str,
+        name: str,
+        param_types: list[str] | None = None,
+        params: list[str] | None = None,
+        body: list[str] | None = None,
+        entry: str = "",
+        exit: str = "",
+        is_abstract: bool = False,
+        var_types: dict[str, str] | None = None,
+        sig_line: int = 0,
+        file: str = "",
+    ) -> None:
+        self.id = id
+        self.class_name = class_name  # fully qualified owner class
+        self.name = name
+        self.param_types = [] if param_types is None else param_types
+        self.params = [] if params is None else params
+        self.body = [] if body is None else body  # statement ids, in the order the parser made them
+        self.entry = entry
+        self.exit = exit
+        self.is_abstract = is_abstract
+        self.var_types = {} if var_types is None else var_types  # declared types of params/locals
+        self.sig_line = sig_line
+        self.file = file
 
     def signature_text(self) -> str:
         return f"{self.class_name}.{self.name}({', '.join(self.param_types)})"
@@ -92,33 +167,55 @@ class FunctionDecl:
         return len(self.params)
 
 
-@dataclass
-class GlobalDecl:
-    statement: str  # StatementNode id
-    variable: str | None = None  # present iff kind == global_def
-    rhs_uses: set[str] = field(default_factory=set)
-    class_name: str = ""  # enclosing class for field definitions
-    declared_type: str = ""
+class GlobalDecl(Record):
+    __slots__ = ("statement", "variable", "rhs_uses", "class_name", "declared_type")
+
+    def __init__(
+        self,
+        statement: str,
+        variable: str | None = None,
+        rhs_uses: set[str] | None = None,
+        class_name: str = "",
+        declared_type: str = "",
+    ) -> None:
+        self.statement = statement  # StatementNode id
+        self.variable = variable  # present iff kind == global_def
+        self.rhs_uses = set() if rhs_uses is None else rhs_uses
+        self.class_name = class_name  # enclosing class for field definitions
+        self.declared_type = declared_type
 
 
-@dataclass
-class ClassDecl:
-    name: str  # fully qualified
-    simple_name: str
-    supertypes: list[str] = field(default_factory=list)  # as written (extends + implements)
-    methods: list[str] = field(default_factory=list)  # FunctionDecl ids
-    decl_statement: str = ""  # class_decl StatementNode id
-    enclosing: str | None = None
-    file: str = ""
+class ClassDecl(Record):
+    __slots__ = ("name", "simple_name", "supertypes", "methods", "decl_statement", "enclosing", "file")
+
+    def __init__(
+        self,
+        name: str,
+        simple_name: str,
+        supertypes: list[str] | None = None,
+        methods: list[str] | None = None,
+        decl_statement: str = "",
+        enclosing: str | None = None,
+        file: str = "",
+    ) -> None:
+        self.name = name  # fully qualified
+        self.simple_name = simple_name
+        self.supertypes = [] if supertypes is None else supertypes  # as written (extends + implements)
+        self.methods = [] if methods is None else methods  # FunctionDecl ids
+        self.decl_statement = decl_statement  # class_decl StatementNode id
+        self.enclosing = enclosing
+        self.file = file
 
 
-@dataclass
 class TypeHierarchy:
-    edges: list[tuple[str, str]] = field(default_factory=list)  # (subtype, supertype) fqn pairs
-    external_edges: list[tuple[str, str]] = field(default_factory=list)  # (class fqn, supertype as written)
-    # The edges as adjacency, each list in edge order; kept by `add_edge`.
-    direct_supertypes: dict[str, list[str]] = field(default_factory=dict, init=False, repr=False, compare=False)
-    direct_subtypes: dict[str, list[str]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("edges", "external_edges", "direct_supertypes", "direct_subtypes")
+
+    def __init__(self) -> None:
+        self.edges: list[tuple[str, str]] = []  # (subtype, supertype) fqn pairs
+        self.external_edges: list[tuple[str, str]] = []  # (class fqn, supertype as written)
+        # The edges as adjacency, each list in edge order; kept by `add_edge`.
+        self.direct_supertypes: dict[str, list[str]] = {}
+        self.direct_subtypes: dict[str, list[str]] = {}
 
     def add_edge(self, sub: str, sup: str) -> None:
         self.edges.append((sub, sup))
@@ -148,25 +245,24 @@ def _closure(adjacency: dict[str, list[str]], name: str) -> list[str]:
     return out
 
 
-@dataclass
-class JumpTarget:
+class JumpTarget(NamedTuple):
     jump: str  # StatementNode id of the labeled break/continue
     resolved_successor: str  # StatementNode id the reconstructed edge points to
 
 
-@dataclass
 class SourceFile:
-    path: str
-    text: str
-    lines: list[str] = field(init=False)  # the text split at "\n"
-    declarations: list[str] = field(default_factory=list)  # package_decl/import_decl statement ids
-    classes: list[str] = field(default_factory=list)  # class_decl statement ids of top-level classes
-    trivia: list[bool] = field(default_factory=list)  # per line: no token but { } ( ) ; , starts there
-    package: str = ""
-    imports: list[str] = field(default_factory=list)  # single-type imports, e.g. "q.Dao"
+    """One parsed file.  Not slotted: `numbered` and `words` are cached in
+    its instance dict."""
 
-    def __post_init__(self):
-        self.lines = self.text.split("\n")
+    def __init__(self, path: str, text: str) -> None:
+        self.path = path
+        self.text = text
+        self.lines = text.split("\n")
+        self.declarations: list[str] = []  # package_decl/import_decl statement ids
+        self.classes: list[str] = []  # class_decl statement ids of top-level classes
+        self.trivia: list[bool] = []  # per line: no token but { } ( ) ; , starts there
+        self.package = ""
+        self.imports: list[str] = []  # single-type imports, e.g. "q.Dao"
 
     def slice_lines(self, start: int, end: int) -> str:
         return "\n".join(self.lines[start - 1 : end])
@@ -184,7 +280,6 @@ class SourceFile:
         return [len(line.split()) for line in self.numbered]
 
 
-@dataclass
 class RepoModel:
     """The parsed repository.
 
@@ -194,20 +289,37 @@ class RepoModel:
     `hierarchy` that `build_type_hierarchy` sets.
     """
 
-    root: str
-    files: list[SourceFile] = field(default_factory=list)
-    functions: dict[str, FunctionDecl] = field(default_factory=dict)
-    classes: dict[str, ClassDecl] = field(default_factory=dict)
-    globals: list[GlobalDecl] = field(default_factory=list)
-    statements: dict[str, StatementNode] = field(default_factory=dict)
-    hierarchy: TypeHierarchy = field(default_factory=TypeHierarchy)
-    bodies: dict[str, list] = field(default_factory=dict)  # function id -> structured statements
-    # Lookups kept by `merge`.
-    owner_class: dict[str, str] = field(default_factory=dict, init=False, repr=False, compare=False)
-    global_defs: dict[str, list[str]] = field(default_factory=dict, init=False, repr=False, compare=False)
-    functions_by_name: dict[str, list[str]] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _files_by_path: dict[str, SourceFile] = field(default_factory=dict, init=False, repr=False, compare=False)
-    _by_simple_name: dict[str, list[str]] = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = (
+        "root",
+        "files",
+        "functions",
+        "classes",
+        "globals",
+        "statements",
+        "hierarchy",
+        "bodies",
+        "owner_class",
+        "global_defs",
+        "functions_by_name",
+        "_files_by_path",
+        "_by_simple_name",
+    )
+
+    def __init__(self, root: str) -> None:
+        self.root = root
+        self.files: list[SourceFile] = []
+        self.functions: dict[str, FunctionDecl] = {}
+        self.classes: dict[str, ClassDecl] = {}
+        self.globals: list[GlobalDecl] = []
+        self.statements: dict[str, StatementNode] = {}
+        self.hierarchy = TypeHierarchy()
+        self.bodies: dict[str, list] = {}  # function id -> structured statements
+        # Lookups kept by `merge`.
+        self.owner_class: dict[str, str] = {}
+        self.global_defs: dict[str, list[str]] = {}
+        self.functions_by_name: dict[str, list[str]] = {}
+        self._files_by_path: dict[str, SourceFile] = {}
+        self._by_simple_name: dict[str, list[str]] = {}
 
     def merge(self, fragment: RepoModel, source: SourceFile) -> None:
         """Add one parsed file, whose nodes and declarations `fragment` holds;

@@ -26,7 +26,7 @@ one node; a multi-catch parameter takes the type of its last alternative.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import DiagnosticSink, SubsetViolation
 from . import syntax as syn
@@ -58,8 +58,7 @@ MAX_NESTING = 100
 SOURCE_EXTENSION = ".java"
 
 
-@dataclass
-class _PendingBody:
+class _PendingBody(NamedTuple):
     function: FunctionDecl
     cls: ClassDecl
     start: int  # index of the body's first token, after its '{'

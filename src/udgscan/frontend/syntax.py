@@ -7,83 +7,71 @@ to resolve labeled-jump targets.  All references are statement ids.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass
-class Simple:
+class Simple(NamedTuple):
     node: str
 
 
-@dataclass
-class Return:
+class Return(NamedTuple):
     node: str
 
 
-@dataclass
-class Jump:
+class Jump(NamedTuple):
     node: str
     kind: str  # "break" | "continue" | "throw"
     label: str = ""
 
 
-@dataclass
-class Block:
-    stmts: list = field(default_factory=list)
+class Block(NamedTuple):
+    stmts: list
 
 
-@dataclass
-class If:
+class If(NamedTuple):
     cond: str
-    then: list = field(default_factory=list)
-    orelse: list = field(default_factory=list)
+    then: list
+    orelse: list
 
 
-@dataclass
-class While:
+class While(NamedTuple):
     cond: str
-    body: list = field(default_factory=list)
+    body: list
 
 
-@dataclass
-class DoWhile:
+class DoWhile(NamedTuple):
     cond: str
-    body: list = field(default_factory=list)
+    body: list
 
 
-@dataclass
-class For:
+class For(NamedTuple):
     init: str | None
     cond: str | None
     update: str | None
-    body: list = field(default_factory=list)
+    body: list
 
 
-@dataclass
-class ForEach:
+class ForEach(NamedTuple):
     header: str  # loop_header node: the implicit has-next check
     update: str  # assignment node binding the loop variable each iteration
-    body: list = field(default_factory=list)
+    body: list
 
 
-@dataclass
-class Switch:
+class Switch(NamedTuple):
     selector: str
-    cases: list = field(default_factory=list)  # list of (is_default, stmts)
+    cases: list  # list of (is_default, stmts)
 
 
-@dataclass
-class Labeled:
+class Labeled(NamedTuple):
     label: str
     label_node: str
     inner: object = None
 
 
-@dataclass
-class Try:
-    body: list = field(default_factory=list)
-    catches: list = field(default_factory=list)  # list of stmt lists, parsed but not wired
-    finally_: list = field(default_factory=list)
+class Try(NamedTuple):
+    body: list
+    catches: list  # list of stmt lists, parsed but not wired
+    finally_: list
 
 
 def head_node(stmt) -> str | None:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -12,7 +11,10 @@ from ..errors import ConfigError, Diagnostic, DiagnosticSink, UdgScanError
 from .dataset import load_paired_dataset
 from .metrics import compute_metrics, compute_pairwise
 from .rename import adversarial_rename
-from .scan import EXIT_CONFIG, ScanConfig, scan
+from .scan import CONFIG_FIELDS, EXIT_CONFIG, ScanConfig, scan
+
+# Each scan setting's default, by name: the settings a flag can give.
+_DEFAULTS = {name: default for name, default, _ in CONFIG_FIELDS}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,15 +55,12 @@ def _scan_flags(p: argparse.ArgumentParser, repo_required: bool = True) -> None:
     p.add_argument("--api-key-env", dest="api_key_env")
     p.add_argument("--temperature", type=float)
     p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int, help="model requests in flight at once (default 8)")
-
-
-_CONFIG_KEYS = tuple(f.name for f in dataclasses.fields(ScanConfig))
+    p.add_argument("--jobs", type=int, help=f"model requests in flight at once (default {_DEFAULTS['jobs']})")
 
 
 def _config_from_args(args: argparse.Namespace, **overrides) -> ScanConfig:
     """The flags, with `overrides` in place of some, merged over `--config`."""
-    flags = {k: getattr(args, k, None) for k in _CONFIG_KEYS}
+    flags = {k: getattr(args, k, None) for k in _DEFAULTS}
     flags.update(overrides)
     return ScanConfig.from_sources(flags, getattr(args, "config", None))
 

@@ -8,14 +8,13 @@ the file.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..errors import ConfigError, DiagnosticSink, DuplicatePair
 from ..jsonio import read_json_lines
 
 
-@dataclass
-class PairedSample:
+class PairedSample(NamedTuple):
     pair_id: str
     vulnerable_dir: str
     patched_dir: str

@@ -8,7 +8,7 @@ import math
 import os
 import re
 from collections import Counter, deque
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from ..context.holistic import DEFAULT_TOKEN_BUDGET, HolisticContext, holistic_context
 from ..context.sinks import SensitiveInvocation, find_sensitive_invocations
@@ -24,6 +24,7 @@ from ..pool import RequestPool, issue
 from ..reasoning.clients import LiveInferenceClient, MockInferenceClient
 from ..reasoning.prompt import build_detection_prompt
 from ..reasoning.votes import aggregate_votes, query_rounds
+from ..record import Record
 from ..transcript import Recorder, Replay
 from ..udg.build import assemble_original_udg
 from ..udg.cfg import resolve_label_targets
@@ -42,12 +43,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# What a config value must be, by its field's annotation (a string under
-# `from __future__ import annotations`): a test, and its words for the error.
-# A bool is an int to Python, but is never taken for a number here; nor is
-# the NaN or infinity a JSON config file may spell, which no JSON request
-# can carry.
-_FIELD_KINDS = {
+# What a config value must be, by its kind in `CONFIG_FIELDS`: a test, and
+# its words for the error.  A bool is an int to Python, but is never taken
+# for a number here; nor is the NaN or infinity a JSON config file may
+# spell, which no JSON request can carry.
+_KINDS = {
     "int": (_is_int, "an integer"),
     "int | None": (lambda v: v is None or _is_int(v), "an integer or null"),
     "float": (lambda v: _is_int(v) or isinstance(v, float) and math.isfinite(v), "a finite number"),
@@ -58,39 +58,52 @@ _FIELD_KINDS = {
 # The least value of each count; the round count must also be odd, so that
 # a majority always exists.
 _LEAST = {"hop_limit": 0, "n_rounds": 1, "token_budget": 0, "jobs": 1}
-
-
-@dataclass
-class ScanConfig:
-    repo: str = ""
-    kb_path: str | None = None
-    sink_path: str | None = None
-    hop_limit: int = 3
-    n_rounds: int = 3
-    oracle_mode: str = "mock"  # "live" | "mock" | "replay"
-    transcript_dir: str | None = None
-    out_dir: str | None = None
-    dump_context: bool = False
-    dump_graph: bool = False
-    token_budget: int = DEFAULT_TOKEN_BUDGET
-    endpoint: str = ""
-    model: str = ""
-    api_key_env: str = "UDGSCAN_API_KEY"
-    temperature: float = 0.7  # vote diversity across rounds
-    seed: int | None = None
+# Every setting of a scan: its name (a config-file key and a `ScanConfig`
+# attribute), its default, and its kind, a key of `_KINDS`.
+CONFIG_FIELDS = (
+    ("repo", "", "str"),
+    ("kb_path", None, "str | None"),
+    ("sink_path", None, "str | None"),
+    ("hop_limit", 3, "int"),
+    ("n_rounds", 3, "int"),
+    ("oracle_mode", "mock", "str"),  # "live" | "mock" | "replay"
+    ("transcript_dir", None, "str | None"),
+    ("out_dir", None, "str | None"),
+    ("dump_context", False, "bool"),
+    ("dump_graph", False, "bool"),
+    ("token_budget", DEFAULT_TOKEN_BUDGET, "int"),
+    ("endpoint", "", "str"),
+    ("model", "", "str"),
+    ("api_key_env", "UDGSCAN_API_KEY", "str"),
+    ("temperature", 0.7, "float"),  # vote diversity across rounds
+    ("seed", None, "int | None"),
     # The most model requests in flight at once to a layer that waits on an
     # endpoint; in-process layers answer on the scan thread (`udgscan.pool`).
     # The threads wait on I/O, so the default does not depend on the CPU
     # count; outputs do not depend on it.
-    jobs: int = 8
+    ("jobs", 8, "int"),
+)
+
+
+class ScanConfig:
+    """The settings of a scan: one attribute per `CONFIG_FIELDS` entry, the
+    value given by keyword or else its default."""
+
+    __slots__ = tuple(name for name, _, _ in CONFIG_FIELDS)
+
+    def __init__(self, **settings) -> None:
+        for name, default, _ in CONFIG_FIELDS:
+            setattr(self, name, settings.pop(name, default))
+        if settings:
+            raise TypeError(f"unknown settings: {sorted(settings)}")
 
     def validate(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            accepts, kind = _FIELD_KINDS[f.type]
-            least = _LEAST.get(f.name)
+        for name, _, kind in CONFIG_FIELDS:
+            value = getattr(self, name)
+            accepts, words = _KINDS[kind]
+            least = _LEAST.get(name)
             if not accepts(value) or (least is not None and value < least):
-                raise ConfigError(f"{f.name} must be {kind}" + ("" if least is None else f" >= {least}"))
+                raise ConfigError(f"{name} must be {words}" + ("" if least is None else f" >= {least}"))
         if not self.repo:
             raise ConfigError("a repository path is required")
         if not os.path.isdir(self.repo):
@@ -122,8 +135,7 @@ class ScanConfig:
         for key, value in flag_values.items():
             if value is not None:
                 merged[key] = value
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = set(merged) - known
+        unknown = set(merged).difference(name for name, _, _ in CONFIG_FIELDS)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         return cls(**merged)
@@ -140,19 +152,46 @@ def _file_in_the_way(path: str) -> str | None:
     return None if os.path.isdir(path) else path
 
 
-@dataclass
-class Finding:
-    finding_id: str
-    file: str
-    line: int
-    api: str
-    cwe: str
-    verdict: str  # "vulnerable" | "not_vulnerable" | "undetermined"
-    confidence: float
-    explanation: str
-    context_file: str | None = None
-    low_confidence: bool = False
-    origin: str = "knowledge_base"
+class Finding(Record):
+    __slots__ = (
+        "finding_id",
+        "file",
+        "line",
+        "api",
+        "cwe",
+        "verdict",
+        "confidence",
+        "explanation",
+        "context_file",
+        "low_confidence",
+        "origin",
+    )
+
+    def __init__(
+        self,
+        finding_id: str,
+        file: str,
+        line: int,
+        api: str,
+        cwe: str,
+        verdict: str,
+        confidence: float,
+        explanation: str,
+        context_file: str | None,
+        low_confidence: bool,
+        origin: str,
+    ) -> None:
+        self.finding_id = finding_id
+        self.file = file
+        self.line = line
+        self.api = api
+        self.cwe = cwe
+        self.verdict = verdict  # "vulnerable" | "not_vulnerable" | "undetermined"
+        self.confidence = confidence
+        self.explanation = explanation
+        self.context_file = context_file
+        self.low_confidence = low_confidence
+        self.origin = origin
 
     def as_dict(self) -> dict:
         return {
@@ -170,8 +209,7 @@ class Finding:
         }
 
 
-@dataclass
-class ScanResult:
+class ScanResult(NamedTuple):
     """What a scan reached: every stop leaves each field set (see `_scan`)."""
 
     report: dict

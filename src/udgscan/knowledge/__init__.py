@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import importlib.resources
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..errors import ConfigError, DiagnosticSink, MissingGuideline
 from ..jsonio import decode, read_json_object
@@ -20,8 +20,7 @@ from ..jsonio import decode, read_json_object
 CWE_ID_RE = re.compile(r"^CWE-\d+$")
 
 
-@dataclass
-class CweGuideline:
+class CweGuideline(NamedTuple):
     cwe_id: str
     title: str
     vuln_patterns: str
@@ -36,10 +35,9 @@ class CweGuideline:
         }
 
 
-@dataclass
-class KbEntry:
+class KbEntry(NamedTuple):
     api: str  # qualified pattern, optionally dotted
-    cwes: list[str] = field(default_factory=list)
+    cwes: list[str]
     arity: int | None = None
 
     def as_dict(self) -> dict:
@@ -49,8 +47,7 @@ class KbEntry:
         return out
 
 
-@dataclass
-class UserSinkSpec:
+class UserSinkSpec(NamedTuple):
     pattern: str  # function signature pattern, e.g. "MyDao.rawQuery"
     cwe_id: str
     arity: int | None = None
@@ -73,13 +70,15 @@ def suffix_match(pattern: str, candidate: str) -> bool:
     return n > 0 and p[-n:] == c[-n:]
 
 
-@dataclass
 class KnowledgeBase:
-    entries: list[KbEntry] = field(default_factory=list)
-    guidelines: dict[str, CweGuideline] = field(default_factory=dict)
-    # Entry positions by the last segment of the entry's API, built on the
-    # first match (after `parse_knowledge_base` has filled `entries`).
-    _by_name: dict[str, list[int]] | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("entries", "guidelines", "_by_name")
+
+    def __init__(self) -> None:
+        self.entries: list[KbEntry] = []
+        self.guidelines: dict[str, CweGuideline] = {}
+        # Entry positions by the last segment of the entry's API, built on the
+        # first match (after `parse_knowledge_base` has filled `entries`).
+        self._by_name: dict[str, list[int]] | None = None
 
     def guideline_for(self, cwe_id: str) -> CweGuideline:
         if cwe_id not in self.guidelines:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import os
 import threading
-from dataclasses import dataclass, field
 from typing import Callable, Protocol
 
 from ..errors import ClientTransportError, ConfigError
@@ -24,7 +23,6 @@ class InferenceClient(Protocol):
     def complete(self, prompt: str, round_index: int = 0) -> str: ...
 
 
-@dataclass
 class MockInferenceClient:
     """Deterministic client for offline runs and tests.
 
@@ -39,10 +37,15 @@ class MockInferenceClient:
     """
 
     in_process = True  # answers without waiting: `udgscan.pool.issue` asks it on the issuing thread
-    script: list[str] | None = None
-    responder: Callable[[str, int], str] | None = None
-    _cursor: int = 0
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
+    __slots__ = ("script", "responder", "_cursor", "_lock")
+
+    def __init__(
+        self, script: list[str] | None = None, responder: Callable[[str, int], str] | None = None
+    ) -> None:
+        self.script = script
+        self.responder = responder
+        self._cursor = 0
+        self._lock = threading.Lock()
 
     def complete(self, prompt: str, round_index: int = 0) -> str:
         if self.responder is not None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ..context.holistic import HolisticContext
 from ..enhance.prompts import PLACEHOLDER_RE, fill_template
@@ -35,8 +35,7 @@ STEP_HEADERS = (
 )
 
 
-@dataclass
-class MetaPrompt:
+class MetaPrompt(NamedTuple):
     text: str
 
     def unfilled_placeholders(self) -> list[str]:

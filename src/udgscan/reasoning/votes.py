@@ -3,28 +3,30 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..enhance.oracle import json_objects
 from ..errors import AllRoundsFailed, ClientTransportError
+from ..record import Record
 from .clients import InferenceClient
 from .prompt import MetaPrompt
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     raw: str
     parse_ok: bool
     is_vulnerable: bool | None = None
     explanation: str = ""
 
 
-@dataclass
-class AggregatedVerdict:
-    votes: list[Verdict] = field(default_factory=list)
-    final: bool | None = None
-    confidence: float = 0.0
-    low_confidence: bool = False
+class AggregatedVerdict(Record):
+    __slots__ = ("votes", "final", "confidence", "low_confidence")
+
+    def __init__(self, votes: list[Verdict]) -> None:
+        self.votes = votes
+        self.final: bool | None = None
+        self.confidence = 0.0
+        self.low_confidence = False
 
     @property
     def parseable(self) -> list[Verdict]:

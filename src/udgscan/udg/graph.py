@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections.abc import Iterable, ValuesView
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from ..frontend.model import StatementNode
@@ -28,7 +27,6 @@ class UdgEdge(NamedTuple):
         return (self.src, self.dst, self.tau, self.variable)
 
 
-@dataclass
 class UnifiedDependencyGraph:
     """Statement nodes plus edges keyed by `UdgEdge.key()` and indexed per
     node.  `edges`, `edges_of`, `out_edges` and `in_edges` list edges in
@@ -39,13 +37,16 @@ class UnifiedDependencyGraph:
     `add_edge` or `remove_edges` that changes the edges, empties them all.
     """
 
-    nodes: dict[str, StatementNode] = field(default_factory=dict)
-    _edges: dict[tuple, UdgEdge] = field(default_factory=dict, repr=False)
-    _out: dict[str, list[UdgEdge]] = field(default_factory=dict, repr=False)
-    _in: dict[str, list[UdgEdge]] = field(default_factory=dict, repr=False)
-    _derived: dict[str, tuple[object, dict]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    # `__weakref__` lets a test check that a scan's graph, with its memo
+    # tables, is freed once its result is.
+    __slots__ = ("nodes", "_edges", "_out", "_in", "_derived", "__weakref__")
+
+    def __init__(self, nodes: dict[str, StatementNode] | None = None) -> None:
+        self.nodes = {} if nodes is None else nodes
+        self._edges: dict[tuple, UdgEdge] = {}
+        self._out: dict[str, list[UdgEdge]] = {}
+        self._in: dict[str, list[UdgEdge]] = {}
+        self._derived: dict[str, tuple[object, dict]] = {}
 
     @property
     def edges(self) -> ValuesView[UdgEdge]:
@@ -110,12 +111,11 @@ class UnifiedDependencyGraph:
 
     def copy(self) -> "UnifiedDependencyGraph":
         """The same nodes and edges, in the same order, with empty memo tables."""
-        return UnifiedDependencyGraph(
-            nodes=dict(self.nodes),
-            _edges=dict(self._edges),
-            _out={node: list(edges) for node, edges in self._out.items()},
-            _in={node: list(edges) for node, edges in self._in.items()},
-        )
+        g = UnifiedDependencyGraph(dict(self.nodes))
+        g._edges = dict(self._edges)
+        g._out = {node: list(edges) for node, edges in self._out.items()}
+        g._in = {node: list(edges) for node, edges in self._in.items()}
+        return g
 
     def has_edge(self, src: str, dst: str, tau: str) -> bool:
         return any(e.dst == dst and e.tau == tau for e in self._out.get(src, ()))

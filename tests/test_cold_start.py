@@ -1,6 +1,7 @@
 """What a scan imports depends on the mode it runs in: an offline scan loads
 no network, TLS or hashing stack, and, since the mocks and a replay answer
-in-process, no executor."""
+in-process, no executor.  No scan loads `dataclasses` or the introspection
+modules it brings."""
 
 import json
 import os
@@ -11,8 +12,22 @@ from conftest import fixture_path
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 # Loaded by the live client's first request (`urllib.request` brings the
-# rest), by an evaluation's hashing, or by a request that waits.
-NOT_LOADED = ("ssl", "_ssl", "http.client", "email", "urllib.request", "hashlib", "_hashlib", "concurrent.futures")
+# rest), by an evaluation's hashing, or by a request that waits; and, never,
+# `dataclasses` with the modules it imports.
+NOT_LOADED = (
+    "ssl",
+    "_ssl",
+    "http.client",
+    "email",
+    "urllib.request",
+    "hashlib",
+    "_hashlib",
+    "concurrent.futures",
+    "dataclasses",
+    "inspect",
+    "ast",
+    "dis",
+)
 # Runs the CLI and prints, as its last line, the exit code and which of
 # NOT_LOADED the process holds.  `-S` keeps site-packages' start-up hooks
 # out of what is measured.

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import urllib.error
 import urllib.request
@@ -56,7 +55,7 @@ def test_placeholders_inside_the_context_are_kept_verbatim(el_repo):
     """Slots are filled in one pass: a context that holds `%vuln_patterns%`
     or `%cwe%` (say in a string literal) gets no guideline text spliced in."""
     ctx, inv, kb = el_context(el_repo)
-    ctx = dataclasses.replace(ctx, rendered='12|  String s = "%vuln_patterns% / %cwe%";')
+    ctx.rendered = '12|  String s = "%vuln_patterns% / %cwe%";'
     prompt = build_detection_prompt(ctx, (inv.api, "CWE-22"), kb)
     assert ctx.rendered in prompt.text
     assert prompt.text.count(kb.guidelines["CWE-22"].vuln_patterns) == 1

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import json
 import os
@@ -11,7 +10,7 @@ from conftest import write_repo
 
 from udgscan.errors import ConfigError
 from udgscan.harness.cli import main
-from udgscan.harness.scan import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, ScanConfig, scan
+from udgscan.harness.scan import CONFIG_FIELDS, EXIT_CONFIG, EXIT_OK, EXIT_PARSE, ScanConfig, scan
 from udgscan.reasoning.clients import MockInferenceClient
 
 NO = json.dumps({"explanation": "sanitized upstream", "is_vulnerable": False})
@@ -181,17 +180,18 @@ def test_config_file_integers_are_checked(tmp_path, el_repo, capsys, values):
     assert capsys.readouterr().err.startswith(f"error: {name} must be an integer >= ")
 
 
-# A value of the wrong type for each field annotation of `ScanConfig`.
+# A value of the wrong type for each kind of setting in `CONFIG_FIELDS`.
 WRONG_TYPE = {"int": "3", "int | None": "x", "float": "hot", "bool": "yes", "str": 5, "str | None": 5}
 
 
-@pytest.mark.parametrize("field", [f for f in dataclasses.fields(ScanConfig) if f.name != "repo"], ids=lambda f: f.name)
+@pytest.mark.parametrize("field", [f for f in CONFIG_FIELDS if f[0] != "repo"], ids=lambda f: f[0])
 def test_config_file_values_are_checked_by_type(tmp_path, el_repo, capsys, field):
+    name, _, kind = field
     cfg = tmp_path / "config.json"
-    cfg.write_text(json.dumps({field.name: WRONG_TYPE[field.type]}), encoding="utf-8")
+    cfg.write_text(json.dumps({name: WRONG_TYPE[kind]}), encoding="utf-8")
     assert main(["scan", "--repo", el_repo, "--config", str(cfg)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {field.name} must be ")
+    assert err.startswith(f"error: {name} must be ")
     assert "Traceback" not in err
 
 
