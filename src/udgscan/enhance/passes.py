@@ -75,7 +75,7 @@ def remove_audited(
 ) -> None:
     """Remove `edges` from `g` in one `remove_edges` call, with an entry in
     `audit` for each edge `g` held, in the order of `edges`."""
-    for edge in g.remove_edges([edge.key() for edge in edges]):
+    for edge in g.remove_edges(edges):
         audit.append(AuditEntry("remove", edge.tau, edge.src, edge.dst, pass_name, edge.variable))
 
 

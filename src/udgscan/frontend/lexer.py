@@ -79,21 +79,20 @@ _UNTERMINATED = {"/*": "block comment", '"': "string literal", "'": "char litera
 
 
 class Token(NamedTuple):
+    """A token; its text fixes its kind for keywords and punctuation, since
+    no identifier spells a keyword and a literal's text keeps its quotes."""
+
     kind: str  # "ident" | "keyword" | "number" | "string" | "char" | "punct"
     text: str
     line: int
     start: int  # absolute offset, inclusive
     end: int  # absolute offset, exclusive
 
-    def is_punct(self, *texts: str) -> bool:
-        return self.kind == "punct" and self.text in texts
-
-    def is_kw(self, *texts: str) -> bool:
-        return self.kind == "keyword" and self.text in texts
-
 
 def tokenize(text: str, path: str = "<memory>") -> list[Token]:
     tokens: list[Token] = []
+    # Built with `tuple.__new__`, in C, not the named tuple's Python `__new__`.
+    append, count, new = tokens.append, text.count, tuple.__new__
     line = 1
     counted = 0  # offset up to which newlines are counted into `line`
     for m in _MASTER.finditer(text):
@@ -101,17 +100,17 @@ def tokenize(text: str, path: str = "<memory>") -> list[Token]:
         if kind == "end":
             break
         start, end = m.span(kind)
-        line += text.count("\n", counted, start)
+        line += count("\n", counted, start)
         counted = start
         lexeme = text[start:end]
-        if kind == "bad":
-            if lexeme == "/*":
-                # Reported where the scan for "*/" gave up: the last character.
-                line += text.count("\n", start, max(len(text) - 1, start + 2))
-            raise SubsetViolation(path, line, f"unterminated {_UNTERMINATED[lexeme]}")
         if kind == "word":
             kind = "keyword" if lexeme in KEYWORDS else "ident"
         elif kind == "other":
             kind = "punct"
-        tokens.append(Token(kind, lexeme, line, start, end))
+        elif kind == "bad":
+            if lexeme == "/*":
+                # Reported where the scan for "*/" gave up: the last character.
+                line += count("\n", start, max(len(text) - 1, start + 2))
+            raise SubsetViolation(path, line, f"unterminated {_UNTERMINATED[lexeme]}")
+        append(new(Token, (kind, lexeme, line, start, end)))
     return tokens

@@ -115,8 +115,7 @@ class _Cursor:
 
     def semicolon(self) -> int:
         """Index of the first top-level `;` from the cursor; `end` when there is none."""
-        semis = (i for i, t in _top_level(self.tokens, self.closers, self.pos, self.end) if t.text == ";")
-        return next(semis, self.end)
+        return _top_index(self.tokens, self.closers, self.pos, self.end, (";",))
 
     def skip_type_args(self) -> None:
         """Consume the type arguments `<...>` at the cursor."""
@@ -172,23 +171,30 @@ class _FileParser(_Cursor):
 
     # ------------------------------------------------------------------ nodes
 
-    def new_id(self) -> str:
+    def make_node(
+        self,
+        kind: str,
+        first: Token,
+        last: Token,
+        owner: str = "global",
+        defs: set[str] | None = None,
+        expr: _Expr | None = None,
+        allocates: str = "",
+        synthetic: bool = False,
+    ) -> StatementNode:
+        """The file's next statement node, from `first` to `last`, with the
+        uses and calls of `expr`."""
         self.counter += 1
-        return f"{self.src.path}#s{self.counter}"
-
-    def make_node(self, kind: str, first: Token, last: Token, **kw) -> StatementNode:
+        src, path = self.src, self.path
+        sid = f"{path}#s{self.counter}"
+        uses = outside = calls = None
+        if expr is not None:
+            uses, outside, calls = expr.outside | expr.inside, expr.outside, expr.calls
+        text, code = src.slice_lines(first.line, last.line), src.text[first.start : last.end]
         node = StatementNode(
-            id=self.new_id(),
-            file=self.src.path,
-            start_line=first.line,
-            end_line=last.line,
-            kind=kind,
-            text=self.src.slice_lines(first.line, last.line),
-            owner=kw.pop("owner", "global"),
-            code=self.src.text[first.start : last.end],
-            **kw,
+            sid, path, first.line, last.line, kind, text, owner, defs, uses, outside, calls, allocates, code, synthetic
         )
-        self.fragment.statements[node.id] = node
+        self.fragment.statements[sid] = node
         return node
 
     # ------------------------------------------------------------- file level
@@ -312,7 +318,7 @@ class _FileParser(_Cursor):
             raise SubsetViolation(self.src.path, first.line, "unterminated initializer")
         self.pos = semi
         last = self.next()
-        node = self.make_node("global_def", first, last, defs={d[0] for d in declarators}, owner="global")
+        node = self.make_node("global_def", first, last, defs={d[0] for d in declarators})
         decls = []
         for decl_name, declared_type, start, end in declarators:
             g = GlobalDecl(statement=node.id, variable=decl_name, class_name=cls.name, declared_type=declared_type)
@@ -374,21 +380,19 @@ class _FileParser(_Cursor):
             file=self.src.path,
         )
         func.var_types = dict(zip(params, param_types))
-        entry = self.make_node(
-            "entry", first, close, owner=fid, defs=set(params), synthetic=True
-        )
+        entry = self.make_node("entry", first, close, fid, set(params), synthetic=True)
         func.entry = entry.id
         self.fragment.functions[fid] = func
         cls.methods.append(fid)
         if self.at(";"):  # abstract/interface method
             self.next()
             func.is_abstract = True
-            exit_node = self.make_node("exit", close, close, owner=fid, synthetic=True)
+            exit_node = self.make_node("exit", close, close, fid, synthetic=True)
             func.exit = exit_node.id
             return
         start = self.pos + 1
         body_close = self.skip_balanced("{")
-        exit_node = self.make_node("exit", body_close, body_close, owner=fid, synthetic=True)
+        exit_node = self.make_node("exit", body_close, body_close, fid, synthetic=True)
         func.exit = exit_node.id
         self.pending.append(_PendingBody(func, cls, start, self.pos - 1))
 
@@ -436,12 +440,10 @@ class _BodyParser(_Cursor):
         self.fields = fields
         self.depth = 0  # statements enclosing the next one parsed
 
-    def node(self, kind: str, first: Token, last: Token, expr: _Expr | None = None, **kw) -> StatementNode:
+    def node(self, kind: str, first: Token, last: Token, expr=None, defs=None, allocates="") -> StatementNode:
         """A statement node of this body, with the uses and calls of `expr`;
         `func.body` lists them as made."""
-        if expr is not None:
-            kw.update(uses=expr.uses, outside_uses=expr.outside, calls=expr.calls)
-        node = self.fp.make_node(kind, first, last, owner=self.func.id, **kw)
+        node = self.fp.make_node(kind, first, last, self.func.id, defs, expr, allocates)
         self.func.body.append(node.id)
         return node
 
@@ -454,18 +456,19 @@ class _BodyParser(_Cursor):
         outer_end = self.end
         self.pos, self.end = start, end
         stmts = []
-        while self.peek() is not None:
+        while self.pos < end:
             stmts.append(self.parse_statement())
         self.end = outer_end
         return stmts
 
     def consume_until_semicolon(self, first: Token) -> tuple[int, int]:
-        """Consume up to the next top-level ';'; returns the range before it.
-        A missing ';' is reported at `first`, the statement's first token."""
+        """Consume up to and including the next top-level ';'; returns the
+        range before it.  A missing ';' is reported at `first`, the
+        statement's first token."""
         start, semi = self.pos, self.semicolon()
         if semi == self.end:
             raise SubsetViolation(self.path, first.line, "missing ';'")
-        self.pos = semi
+        self.pos = semi + 1
         return start, semi
 
     def parenthesized(self) -> tuple[int, int]:
@@ -477,53 +480,32 @@ class _BodyParser(_Cursor):
     # --------------------------------------------------------------- statements
 
     def parse_statement(self):
-        tok = self.peek()
-        if tok is None:
+        if self.pos >= self.end:
             raise SubsetViolation(self.path, self.func.sig_line, "unexpected end of body")
+        tok = self.tokens[self.pos]
         if self.depth == MAX_NESTING:
             raise SubsetViolation(self.path, tok.line, f"nesting deeper than {MAX_NESTING}")
         self.depth += 1
-        stmt = self.parse_statement_at(tok)
-        self.depth -= 1
-        return stmt
-
-    def parse_statement_at(self, tok: Token):
-        if tok.text == ";":
-            self.next()
-            return syn.Block([])
-        if tok.text == "{":
-            return self.parse_nested_block()
-        if tok.text == "if":
-            return self.parse_if()
-        if tok.text == "while":
-            return self.parse_while()
-        if tok.text == "do":
-            return self.parse_do_while()
-        if tok.text == "for":
-            return self.parse_for()
-        if tok.text == "switch":
-            return self.parse_switch()
-        if tok.text == "try":
-            return self.parse_try()
-        if tok.text == "return":
-            return self.parse_return()
-        if tok.text in ("break", "continue"):
-            return self.parse_jump()
-        if tok.text == "throw":
-            first = self.next()
-            expr = self.extract(*self.consume_until_semicolon(first))
-            last = self.expect(";")
-            node = self.node("jump", first, last, expr)
-            return syn.Jump(node.id, "throw")
-        # Labeled statement: IDENT ':' <statement>
-        if (
+        # The statement its first token's text starts; else a labeled
+        # statement, IDENT ':' <statement>; else a simple one.
+        parse = _STATEMENT_PARSERS.get(tok.text)
+        if parse is not None:
+            stmt = parse(self)
+        elif (
             tok.kind == "ident"
             and (n := self.peek(1)) is not None
             and n.text == ":"
             and ((m := self.peek(2)) is None or m.text != ":")
         ):
-            return self.parse_labeled()
-        return self.parse_simple()
+            stmt = self.parse_labeled()
+        else:
+            stmt = self.parse_simple()
+        self.depth -= 1
+        return stmt
+
+    def parse_empty(self) -> syn.Block:
+        self.next()
+        return syn.Block([])
 
     def parse_nested_block(self) -> syn.Block:
         start = self.pos + 1
@@ -568,20 +550,21 @@ class _BodyParser(_Cursor):
         close = self.tokens[self.pos - 1]
         # A top-level ':' after a variable makes a for-each header only where
         # no top-level ';' makes a classic one: `i = c ? 1 : 2;` is a classic init.
-        marks = [i for i, t in _top_level(self.tokens, self.closers, start, end) if t.text in (";", ":")]
-        semis = [i for i in marks if self.tokens[i].text == ";"]
-        if marks and not semis and marks[0] > start:
-            return self.parse_for_each(first, start, end, close, marks[0])
-        if len(semis) != 2:
+        semi = _top_index(self.tokens, self.closers, start, end, (";",))
+        colon = _top_index(self.tokens, self.closers, start, end, (":",))
+        if semi == end and start < colon < end:
+            return self.parse_for_each(first, start, end, close, colon)
+        semi2 = _top_index(self.tokens, self.closers, semi + 1, end, (";",))
+        if semi2 == end or _top_index(self.tokens, self.closers, semi2 + 1, end, (";",)) < end:
             raise SubsetViolation(self.path, first.line, "malformed for header")
         init_id = cond_id = update_id = None
-        if semis[0] > start:
-            init_id = self.simple_from_tokens(start, semis[0], first, close).node
-        if semis[1] > semis[0] + 1:
-            cond = self.extract(semis[0] + 1, semis[1])
+        if semi > start:
+            init_id = self.simple_from_tokens(start, semi, first, close).node
+        if semi2 > semi + 1:
+            cond = self.extract(semi + 1, semi2)
             cond_id = self.node("loop_header", first, close, cond).id
-        if end > semis[1] + 1:
-            update_id = self.simple_from_tokens(semis[1] + 1, end, first, close).node
+        if end > semi2 + 1:
+            update_id = self.simple_from_tokens(semi2 + 1, end, first, close).node
         body = [self.parse_statement()]
         return syn.For(init_id, cond_id, update_id, body)
 
@@ -594,8 +577,9 @@ class _BodyParser(_Cursor):
         iterable = self.extract(colon + 1, end)
         head = self.node("loop_header", first, close, iterable)
         # The update has no calls of its own, so all its uses are outside.
-        uses = iterable.uses
-        update = self.node("assignment", first, close, defs={var}, uses=uses, outside_uses=set(uses))
+        assign = _Expr(self, self.var_types, self.fields)
+        assign.outside = iterable.uses
+        update = self.node("assignment", first, close, assign, {var})
         body = [self.parse_statement()]
         return syn.ForEach(head.id, update.id, body)
 
@@ -638,8 +622,8 @@ class _BodyParser(_Cursor):
             self.next()
             start, end = self.parenthesized()
             # A multi-catch parameter takes the type of its last alternative.
-            bars = [i for i, t in _top_level(self.tokens, self.closers, start, end) if t.text == "|"]
-            start = bars[-1] + 1 if bars else start
+            while (bar := _top_index(self.tokens, self.closers, start, end, ("|",))) < end:
+                start = bar + 1
             for name, type_name, _, _ in self.declaration(start, end) or ():
                 self.var_types[name] = type_name
             catches.append(self.parse_nested_block().stmts)
@@ -652,10 +636,15 @@ class _BodyParser(_Cursor):
     def parse_return(self) -> syn.Return:
         first = self.expect("return")
         start, end = self.consume_until_semicolon(first)
-        last = self.expect(";")
         defs = {RETURN_VAR} if end > start else set()
-        node = self.node("return", first, last, self.extract(start, end), defs=defs)
+        node = self.node("return", first, self.tokens[end], self.extract(start, end), defs)
         return syn.Return(node.id)
+
+    def parse_throw(self) -> syn.Jump:
+        first = self.next()
+        start, semi = self.consume_until_semicolon(first)
+        node = self.node("jump", first, self.tokens[semi], self.extract(start, semi))
+        return syn.Jump(node.id, "throw")
 
     def parse_jump(self) -> syn.Jump:
         first = self.next()
@@ -674,10 +663,9 @@ class _BodyParser(_Cursor):
         return syn.Labeled(name_tok.text, node.id, inner)
 
     def parse_simple(self) -> syn.Simple:
-        first = self.peek()
+        first = self.tokens[self.pos]
         start, end = self.consume_until_semicolon(first)
-        last = self.expect(";")
-        return self.simple_from_tokens(start, end, first, last)
+        return self.simple_from_tokens(start, end, first, self.tokens[end])
 
     def declaration(self, start: int, end: int) -> list | None:
         """The declarators of the declaration `modifiers Type declarators`
@@ -707,27 +695,25 @@ class _BodyParser(_Cursor):
                 expr.walk(init_start, init_end)
             kind = "call" if expr.calls else "declaration"
             allocates = _allocated_class(toks, self.closers, init_start, init_end) if len(decls) == 1 else ""
-            node = self.node(kind, first, last, expr, defs={d[0] for d in decls}, allocates=allocates)
+            node = self.node(kind, first, last, expr, {d[0] for d in decls}, allocates)
             node.code = self.fp.src.text[toks[start].start : toks[end - 1].end]
             return syn.Simple(node.id)
-        lowered = []
-        while True:
+        stop = _part_end(toks, self.closers, start, end)
+        defs, allocates = self.lower_expression(start, stop, expr)
+        while stop < end:  # the next expression of a for header's list
+            start = stop + 1
             stop = _part_end(toks, self.closers, start, end)
-            lowered.append(self.lower_expression(start, stop, expr))
-            if stop == end:
-                break
-            start = stop + 1  # the next expression of a for header's list
-        defs = set().union(*(part_defs for part_defs, _ in lowered))
-        allocates = lowered[0][1] if len(lowered) == 1 else ""
-        node = self.node("call" if expr.calls else "assignment", first, last, expr, defs=defs, allocates=allocates)
+            defs |= self.lower_expression(start, stop, expr)[0]
+            allocates = ""
+        node = self.node("call" if expr.calls else "assignment", first, last, expr, defs, allocates)
         return syn.Simple(node.id)
 
     def lower_expression(self, start: int, end: int, expr: _Expr) -> tuple[set[str], str]:
         """Walk the assignment, step or call expression tokens[start:end]
         into `expr`; returns the names it defines and the class it allocates."""
         toks, closers = self.tokens, self.closers
-        eq = next((i for i, t in _top_level(toks, closers, start, end) if t.text in _ASSIGN_OPS), None)
-        if eq is not None:
+        eq = _top_index(toks, closers, start, end, _ASSIGN_OPS)
+        if eq < end:
             target = _dotted_name(toks, start, eq)
             defs = {target} if target else set()
             expr.walk(eq + 1, end)
@@ -735,7 +721,7 @@ class _BodyParser(_Cursor):
                 expr.outside |= defs
             # The left side reads its subscripts and what holds its target:
             # the `a` of `a.f = x`, the `new T()` of `new T().f = x`.
-            sub = next((i for i, t in _top_level(toks, closers, start, eq) if t.text == "["), eq)
+            sub = _top_index(toks, closers, start, eq, ("[",))
             named = sub - start > 2 and toks[sub - 2].text == "." and toks[sub - 1].kind == "ident"
             expr.walk(start, sub - 2 if named else start).walk(sub, eq)
             return defs, _allocated_class(toks, closers, eq + 1, end) if toks[eq].text == "=" else ""
@@ -750,33 +736,52 @@ class _BodyParser(_Cursor):
         return set(), ""
 
 
+# Each statement that its first token's text starts, and its reader.
+_STATEMENT_PARSERS = {
+    ";": _BodyParser.parse_empty,
+    "{": _BodyParser.parse_nested_block,
+    "if": _BodyParser.parse_if,
+    "while": _BodyParser.parse_while,
+    "do": _BodyParser.parse_do_while,
+    "for": _BodyParser.parse_for,
+    "switch": _BodyParser.parse_switch,
+    "try": _BodyParser.parse_try,
+    "return": _BodyParser.parse_return,
+    "break": _BodyParser.parse_jump,
+    "continue": _BodyParser.parse_jump,
+    "throw": _BodyParser.parse_throw,
+}
+
 # ---------------------------------------------------------------- token utils
 
 
-def _top_level(tokens: list[Token], closers: list[int], start: int, end: int):
-    """Yield (index, token) for each token of tokens[start:end] outside the
-    groups that open there: an opener is yielded and its group jumped.  The
-    closer of a group that opened before `start` is the last one yielded."""
+def _top_index(tokens: list[Token], closers: list[int], start: int, end: int, texts: tuple[str, ...]) -> int:
+    """Index of the first token of tokens[start:end] outside the groups that
+    open there whose text is one of `texts`; `end` when there is none before
+    `end` or the closer of a group that opened before `start`."""
     i = start
     while i < end:
-        t = tokens[i]
-        yield i, t
-        if t.text in _OPENER_OF:
-            return
+        text = tokens[i].text
+        if text in texts:
+            return i
+        if text in _OPENER_OF:
+            break
         i = closers[i] + 1
+    return end
 
 
 def _part_end(tokens: list[Token], closers: list[int], start: int, end: int) -> int:
     """Index of the first comma of tokens[start:end] outside brackets and
-    outside the type arguments of a `new`; `end` when there is none."""
-    skip = start
-    for i, t in _top_level(tokens, closers, start, end):
-        if i < skip:
-            continue
-        if t.text == ",":
+    outside the type arguments of a `new`; `end` when there is none before
+    `end` or the closer of a group that opened before `start`."""
+    i = start
+    while i < end:
+        text = tokens[i].text
+        if text == ",":
             return i
-        if t.text == "new":
-            skip = _new_type(tokens, closers, i, end)[0]
+        if text in _OPENER_OF:
+            break
+        i = _new_type(tokens, closers, i, end)[0] if text == "new" else closers[i] + 1
     return end
 
 
@@ -800,12 +805,14 @@ def _type_args_close(tokens: list[Token], closers: list[int], i: int, end: int) 
     when none does before `end`, a `;`, a `{` or the closer of the group
     they are in, none of which type arguments hold."""
     depth = 0
-    for j, t in _top_level(tokens, closers, i, end):
-        if t.text in _NOT_IN_TYPE_ARGS:
-            return end
-        depth += _ANGLE_DEPTH.get(t.text, 0)
+    while i < end:
+        text = tokens[i].text
+        if text in _NOT_IN_TYPE_ARGS:
+            break
+        depth += _ANGLE_DEPTH.get(text, 0)
         if depth <= 0:
-            return j
+            return i
+        i = closers[i] + 1
     return end
 
 
@@ -815,7 +822,7 @@ def _dotted_name(tokens: list[Token], i: int, end: int) -> str | None:
     parts: list[str] = []
     while i < end:
         t = tokens[i]
-        if t.kind == "ident" or t.is_kw("this"):
+        if t.kind == "ident" or t.text == "this":
             parts.append(t.text)
         elif t.text == "[":
             break
@@ -909,7 +916,7 @@ def _declarators(
 def _allocated_class(tokens: list[Token], closers: list[int], start: int, end: int) -> str:
     """The class `T` as written when tokens[start:end] are one `new T(...)`
     and nothing else, with any type arguments dropped; '' otherwise."""
-    if start >= end or not tokens[start].is_kw("new"):
+    if start >= end or tokens[start].text != "new":
         return ""
     paren, written = _new_type(tokens, closers, start, end)
     return written if paren < end and tokens[paren].text == "(" and closers[paren] == end - 1 else ""
@@ -965,14 +972,15 @@ class _Expr:
         toks = self.toks
         while i < end:
             t = toks[i]
-            if t.text == "->" or t.text == "::":
-                raise SubsetViolation(self.path, t.line, "lambdas and method references are outside the subset")
-            if t.is_kw("new"):
-                i = self._new(i, end, uses)
-            elif t.kind == "ident" or t.is_kw("this"):
+            text = t.text
+            if t.kind == "ident" or text == "this":
                 i = self._chain(i, end, uses)
-            elif t.text == "(" and self._is_cast(i, end):
+            elif text == "new":
+                i = self._new(i, end, uses)
+            elif text == "(" and self._is_cast(i, end):
                 i = self.closers[i] + 1  # skip the cast type
+            elif text == "->" or text == "::":
+                raise SubsetViolation(self.path, t.line, "lambdas and method references are outside the subset")
             else:
                 i += 1
 
@@ -1003,9 +1011,9 @@ class _Expr:
         segs = [toks[i].text]
         j = i + 1
         while j + 1 < end and toks[j].text == "." and (
-            toks[j + 1].kind == "ident" or toks[j + 1].is_kw("class", "this")
+            toks[j + 1].kind == "ident" or toks[j + 1].text in ("class", "this")
         ):
-            if toks[j + 1].is_kw("class"):  # class literal: no variable involved
+            if toks[j + 1].text == "class":  # class literal: no variable involved
                 if not (j + 3 < end and toks[j + 2].text == "." and toks[j + 3].kind == "ident"):
                     return j + 2
                 segs[-1] += ".class"  # `T.class` stays the base of a chain on it
@@ -1102,7 +1110,7 @@ class _Expr:
         if j + 1 >= end or toks[j].text != ")":
             return False
         nxt = toks[j + 1]
-        return nxt.kind in ("ident", "string", "char", "number") or nxt.is_kw("this", "new") or nxt.text == "("
+        return nxt.kind in ("ident", "string", "char", "number") or nxt.text in ("this", "new", "(")
 
 
 # ------------------------------------------------------------------ repo walk

@@ -81,12 +81,12 @@ def rename_source(
             prev = tok
             continue
         if in_pkg_or_import:
-            if tok.is_punct(";"):
+            if tok.text == ";":
                 in_pkg_or_import = False
             prev = tok
             continue
         if tok.kind == "ident" and tok.text in mapping:
-            selector = prev is not None and prev.is_punct(".")
+            selector = prev is not None and prev.text == "."
             if not selector or tok.text in member_names:
                 spans.append((tok.start, tok.end, mapping[tok.text]))
         prev = tok

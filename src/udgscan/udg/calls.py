@@ -100,13 +100,13 @@ def build_call_graph(
                 targets = resolve_call_site(model, hierarchy, func, site)
                 if targets:
                     for t in sorted(targets, key=lambda f: f.id):
-                        edges.append(UdgEdge(src=sid, dst=t.entry, tau=CALL))
+                        edges.append(UdgEdge(sid, t.entry, CALL))
                     continue
                 if site.is_constructor and model.resolve_class(site.name, func.file) is not None:
                     continue  # implicit default constructor: nothing to link
                 ext = make_external_node(site.name, site.arity)
                 externals.setdefault(ext.id, ext)
-                edges.append(UdgEdge(src=sid, dst=ext.id, tau=CALL))
+                edges.append(UdgEdge(sid, ext.id, CALL))
     return edges, externals
 
 

@@ -93,8 +93,6 @@ def build_ddg(func: FunctionDecl, model: RepoModel, cfg_edges: list[UdgEdge]) ->
             bits = inn[n] & var_mask.get(v, 0)
             while bits:
                 low = bits & -bits
-                edges.append(
-                    UdgEdge(src=site_of_bit[low.bit_length() - 1], dst=nodes[n], tau=DATA_DEPENDENCY, variable=v)
-                )
+                edges.append(UdgEdge(site_of_bit[low.bit_length() - 1], nodes[n], DATA_DEPENDENCY, v))
                 bits ^= low
     return edges

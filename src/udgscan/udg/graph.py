@@ -14,21 +14,17 @@ EDGE_TYPES = (CONTROL_FLOW, DATA_DEPENDENCY, CALL)
 
 
 class UdgEdge(NamedTuple):
-    """An immutable, hashable edge.  A named tuple, not a frozen dataclass:
-    it is built several times per statement, and a tuple is built and
-    compared in C."""
+    """An immutable, hashable edge, and its own key: a named tuple is built,
+    hashed and compared in C, as the tuple of its fields."""
 
     src: str
     dst: str
     tau: str
     variable: str | None = None
 
-    def key(self) -> tuple:
-        return (self.src, self.dst, self.tau, self.variable)
-
 
 class UnifiedDependencyGraph:
-    """Statement nodes plus edges keyed by `UdgEdge.key()` and indexed per
+    """Statement nodes plus edges, each its own key, indexed per
     node.  `edges`, `edges_of`, `out_edges` and `in_edges` list edges in
     insertion order.
 
@@ -43,7 +39,7 @@ class UnifiedDependencyGraph:
 
     def __init__(self, nodes: dict[str, StatementNode] | None = None) -> None:
         self.nodes = {} if nodes is None else nodes
-        self._edges: dict[tuple, UdgEdge] = {}
+        self._edges: dict[UdgEdge, UdgEdge] = {}
         self._out: dict[str, list[UdgEdge]] = {}
         self._in: dict[str, list[UdgEdge]] = {}
         self._derived: dict[str, tuple[object, dict]] = {}
@@ -58,22 +54,21 @@ class UnifiedDependencyGraph:
             self._derived.clear()
 
     def add_edge(self, edge: UdgEdge) -> bool:
-        """Store the edge; False when an edge with its key is already present."""
-        key = edge.key()
-        if key in self._edges:
+        """Store the edge; False when an equal edge is already present."""
+        if edge in self._edges:
             return False
-        self._edges[key] = edge
+        self._edges[edge] = edge
         self._out.setdefault(edge.src, []).append(edge)
         self._in.setdefault(edge.dst, []).append(edge)
         if self._derived:
             self._derived.clear()
         return True
 
-    def remove_edges(self, keys: Iterable[tuple]) -> list[UdgEdge]:
-        """Remove the edges with `keys`; the ones that were present, in the
-        order of `keys`."""
+    def remove_edges(self, edges: Iterable[tuple]) -> list[UdgEdge]:
+        """Remove the edges equal to `edges` (edges or plain 4-tuples); the
+        stored ones that were present, in the order of `edges`."""
         removed = []
-        for key in keys:
+        for key in edges:
             edge = self._edges.pop(key, None)
             if edge is not None:
                 self._out[edge.src].remove(edge)

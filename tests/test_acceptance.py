@@ -219,7 +219,7 @@ def test_criterion_9_pruning_audit(pruning_repo):
     summaries = result.summaries
     removed = [(a.src, a.dst, a.variable) for a in audit if a.op == "remove" and a.tau == DATA_DEPENDENCY]
     assert len(removed) > 0  # removal-dominant on fixtures with ignored parameters
-    enhanced_keys = {e.key() for e in g_e.edges}
+    enhanced_keys = set(g_e.edges)
     # Bit-exact replay: walk every in-repo call site and recompute keep/remove.
     for stmt in model.statements.values():
         if not stmt.calls or stmt.synthetic:
@@ -350,11 +350,11 @@ FAULT_MODES = ["garbage", "wrong_schema", "empty_list", "unknown_names", "raises
 def test_criterion_12_fail_conservative(dispatch_repo, reflect_repo):
     model_d, g_d, _ = parse_and_build(dispatch_repo)
     enhance_polymorphic_calls(g_d, MockResolutionOracle(), model_d, DiagnosticSink(), [])
-    correct_call_edges = {e.key() for e in g_d.edges_of(CALL)}
+    correct_call_edges = set(g_d.edges_of(CALL))
     for mode in FAULT_MODES:
         model, g, diags = parse_and_build(dispatch_repo)
         enhance_polymorphic_calls(g, _FaultyOracle(mode), model, diags, [])
-        faulty_edges = {e.key() for e in g.edges_of(CALL)}
+        faulty_edges = set(g.edges_of(CALL))
         assert faulty_edges >= correct_call_edges, mode
 
     model_r, g_r, _ = parse_and_build(reflect_repo)

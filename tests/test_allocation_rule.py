@@ -185,7 +185,7 @@ def test_deciding_by_rule_edits_the_graph_as_asking_the_mock_does(tmp_path, monk
         model, g, diags = parse_and_build(root)
         oracle, audit = CountingOracle(), []
         passes.enhance_polymorphic_calls(g, oracle, model, diags, audit)
-        edits.append(([a.as_dict() for a in audit], sorted(e.key() for e in g.edges), diags.items, oracle.sites))
+        edits.append(([a.as_dict() for a in audit], sorted(g.edges), diags.items, oracle.sites))
     (audit, edges, diags, asked), (audit_all, edges_all, diags_all, asked_all) = edits
     assert audit and (audit, edges, diags) == (audit_all, edges_all, diags_all)
     assert len(asked) < len(asked_all)

@@ -158,7 +158,7 @@ def test_adding_and_removing_an_edge_changes_the_next_slice():
     assert far in backward.statements and backward.depths[far] == 1
     assert set(data_slice(g, sink, "both").statements) == data_slice_oracle(g, sink.id, "both")
     assert far in holistic_context(g, result.model, [ctx.invocation])[0].explicit.statements
-    assert g.remove_edges({edge.key()}) == [edge]
+    assert g.remove_edges({edge}) == [edge]
     assert far not in data_slice(g, sink, "backward").statements
     assert data_slice(g, sink, "both").statements == ctx.data.statements
 
@@ -166,9 +166,32 @@ def test_adding_and_removing_an_edge_changes_the_next_slice():
     assert g.add_edge(edge)
     assert far in control_slice(g, sink).statements
     assert set(control_slice(g, sink).statements) == control_slice_oracle(g, sink.id, 3)
-    g.remove_edges({edge.key()})
+    g.remove_edges({edge})
     assert control_slice(g, sink).statements == ctx.control.statements
     assert holistic_context(g, result.model, [ctx.invocation])[0].all == ctx.all
+
+
+def test_an_edge_is_its_own_key():
+    """`add_edge` refuses an equal edge built again, and `remove_edges`
+    takes edges and plain 4-tuples alike, returning the stored edges; each
+    removal drops the memo."""
+    result, ctx, sink = _context_and_sink()
+    g = result.graph
+    outside = sorted(sid for sid in g.nodes if sid not in ctx.data.statements and not is_external(sid))
+    far, other = outside[0], outside[1]
+    edge = UdgEdge(far, sink.id, DATA_DEPENDENCY, "planted")
+    assert g.add_edge(edge)
+    assert not g.add_edge(UdgEdge(far, sink.id, DATA_DEPENDENCY, variable="planted"))
+    assert list(g.edges).count(edge) == 1 and g.in_edges(sink.id).count(edge) == 1
+    second = UdgEdge(other, sink.id, DATA_DEPENDENCY, "planted")
+    assert g.add_edge(second)
+    sl = data_slice(g, sink, "backward")
+    removed = g.remove_edges([(far, sink.id, DATA_DEPENDENCY, "planted"), UdgEdge(*second)])
+    assert removed == [edge, second] and removed[0] is edge and removed[1] is second
+    assert type(removed[0]) is UdgEdge
+    assert data_slice(g, sink, "backward") is not sl
+    assert far not in data_slice(g, sink, "backward").statements
+    assert g.remove_edges([tuple(edge), second]) == []
 
 
 def test_only_a_change_drops_the_memo():

@@ -204,6 +204,10 @@ def test_malformed_field_declarations_are_reported_at_their_line():
     assert field_errors("    int a = f(1,\n") == [(3, "subset violation: unclosed '('")]
     assert field_errors("    int a, b\n") == [(2, "subset violation: unclosed '{'")]
     assert field_errors("    int a = f(1)\n}\n") == [(3, "subset violation: unterminated initializer")]
+    # The scans for the field's `;` and for a `,` between its declarators
+    # stop at the class's `}`: a `;` or `,` after it ends nothing.
+    assert field_errors("    int a = f(1)\n}\n;\n") == [(3, "subset violation: unterminated initializer")]
+    assert field_errors("    int a = f(1)\n}\n, int b;\n") == [(3, "subset violation: unterminated initializer")]
     assert field_errors("    int a = f(1));\n}\n") == [(3, "subset violation: unmatched ')'")]
     assert field_errors("    List<String x;\n}\n") == [(3, "subset violation: unclosed '<'")]
 

@@ -91,9 +91,9 @@ def test_no_globals_unchanged(tmp_path):
     src = "package p;\nclass A {\n    int m(int x) {\n        return x;\n    }\n}\n"
     root = write_repo(tmp_path, {"A.java": src})
     model, g, _ = parse_and_build(root)
-    before = {e.key() for e in g.edges}
+    before = set(g.edges)
     add_global_nodes(g, [gl for gl in model.globals if gl.variable], model, [])
-    assert {e.key() for e in g.edges} == before
+    assert set(g.edges) == before
 
 
 # ----------------------------------------------------------- polymorphic pass
@@ -112,10 +112,10 @@ def test_mock_oracle_narrows_dispatch(dispatch_repo):
 def test_single_target_site_not_queried(pruning_repo):
     model, g, _ = parse_and_build(pruning_repo)
     oracle = ScriptedOracle([])
-    before = {e.key() for e in g.edges}
+    before = set(g.edges)
     enhance_polymorphic_calls(g, oracle, model, DiagnosticSink(), [])
     assert oracle.calls == 0
-    assert {e.key() for e in g.edges} == before
+    assert set(g.edges) == before
 
 
 # An answer nesting deeper than any JSON decoder follows.
@@ -126,9 +126,9 @@ TOO_DEEP = '{"feasible_targets": ' + "[" * 100_000 + "]" * 100_000 + "}"
 def test_unparseable_reply_keeps_all_edges(parameter_dispatch_repo, reply):
     model, g, diags = parse_and_build(parameter_dispatch_repo)
     call_stmt = next(s for s in model.statements.values() if any(c.name == "id" for c in s.calls))
-    before = {e.key() for e in g.out_edges(call_stmt.id, CALL)}
+    before = set(g.out_edges(call_stmt.id, CALL))
     enhance_polymorphic_calls(g, ScriptedOracle([reply]), model, diags, [])
-    after = {e.key() for e in g.out_edges(call_stmt.id, CALL)}
+    after = set(g.out_edges(call_stmt.id, CALL))
     assert after == before
     assert [d.message for d in diags.items if "oracle" in d.message] == [
         f"polymorphism oracle fault at {call_stmt.id}: no JSON object found in oracle response"
@@ -138,10 +138,10 @@ def test_unparseable_reply_keeps_all_edges(parameter_dispatch_repo, reply):
 def test_answer_naming_no_candidate_keeps_all(parameter_dispatch_repo):
     model, g, diags = parse_and_build(parameter_dispatch_repo)
     call_stmt = next(s for s in model.statements.values() if any(c.name == "id" for c in s.calls))
-    before = {e.key() for e in g.out_edges(call_stmt.id, CALL)}
+    before = set(g.out_edges(call_stmt.id, CALL))
     reply = json.dumps({"feasible_targets": ["Cat.id(int)"]})
     enhance_polymorphic_calls(g, ScriptedOracle([reply]), model, diags, [])
-    assert {e.key() for e in g.out_edges(call_stmt.id, CALL)} == before
+    assert set(g.out_edges(call_stmt.id, CALL)) == before
 
 
 SHAPES = """package p;
@@ -257,10 +257,10 @@ def test_reflection_unknown_method_keeps_external(reflect_repo):
 def test_no_reflective_calls_unchanged(dispatch_repo):
     model, g, _ = parse_and_build(dispatch_repo)
     oracle = ScriptedOracle([])
-    before = {e.key() for e in g.edges}
+    before = set(g.edges)
     enhance_reflective_calls(g, oracle, model, DiagnosticSink(), [])
     assert oracle.calls == 0
-    assert {e.key() for e in g.edges} == before
+    assert set(g.edges) == before
 
 
 def test_two_invoke_sites_share_one_resolution(tmp_path):
@@ -313,15 +313,15 @@ def test_record_replay_reproduces_graph(reflect_repo, tmp_path):
 def test_enhance_graph_leaves_input_intact(name):
     model, g, diags = parse_and_build(fixture_path(name))
     nodes = dict(g.nodes)
-    before = [e.key() for e in g.edges]
+    before = list(g.edges)
     dump = g.dump()
     audit = []
     result = enhance(model, g, MockResolutionOracle(), diags, audit)
     assert g.nodes == nodes
-    assert [e.key() for e in g.edges] == before
+    assert list(g.edges) == before
     assert g.dump() == dump
     if audit:  # the passes edited the copy, not the input
-        assert {e.key() for e in result.graph.edges} != set(before)
+        assert set(result.graph.edges) != set(before)
 
 
 # ------------------------------------------------------------------ prompts
@@ -397,9 +397,9 @@ class J {
 
 def test_zero_jumps_graph_unchanged(dispatch_repo):
     model, g, _ = parse_and_build(dispatch_repo)
-    before = {e.key() for e in g.edges}
+    before = set(g.edges)
     reconstruct_labeled_jumps(g, [], model, [])
-    assert {e.key() for e in g.edges} == before
+    assert set(g.edges) == before
 
 
 def test_reconstructed_jump_brings_its_data_edges(tmp_path):

@@ -50,10 +50,10 @@ def reference_extract_expression(
             t = toks[i]
             if t.text == "->" or t.text == "::":
                 raise SubsetViolation(path, t.line, "lambdas and method references are outside the subset")
-            if t.is_kw("new"):
+            if t.text == "new":
                 i = handle_new(toks, i)
                 continue
-            if t.kind == "ident" or t.is_kw("this"):
+            if t.kind == "ident" or t.text == "this":
                 i = handle_chain(toks, i)
                 continue
             if t.text == "(" and _looks_like_cast(toks, i, known):
@@ -100,10 +100,10 @@ def reference_extract_expression(
         segs = [toks[i].text]
         j = i + 1
         while j + 1 < len(toks) and toks[j].text == "." and (
-            toks[j + 1].kind == "ident" or toks[j + 1].is_kw("class", "this")
+            toks[j + 1].kind == "ident" or toks[j + 1].text in ("class", "this")
         ):
             nxt = toks[j + 1]
-            if nxt.is_kw("class"):
+            if nxt.text == "class":
                 if not (j + 3 < len(toks) and toks[j + 2].text == "." and toks[j + 3].kind == "ident"):
                     return j + 2
                 segs[-1] += ".class"
@@ -207,7 +207,7 @@ def reference_extract_expression(
         if k >= len(toks):
             return False
         nxt = toks[k]
-        return nxt.kind in ("ident", "string", "char", "number") or nxt.is_kw("this", "new") or nxt.text == "("
+        return nxt.kind in ("ident", "string", "char", "number") or nxt.text in ("this", "new", "(")
 
     walk(tokens)
     return uses, calls

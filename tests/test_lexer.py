@@ -248,3 +248,33 @@ def test_unterminated_block_comment_after_trailing_blanks():
     # the closing `*/` gave up.
     text = "int a;\n  \n\t\n/* open\n\n"
     assert lex(tokenize, text) == (5, "unterminated block comment") == expected(text)
+
+
+# The separators and operators of the subset: a token with one of these
+# texts, or with a keyword's, is punctuation, or that keyword.
+PUNCTUATION = frozenset(list("{}()[];,.=+-*/<>!&|^%?:@~") + _OPERATORS)
+
+
+def assert_text_fixes_kind(text):
+    try:
+        tokens = tokenize(text)
+    except SubsetViolation:
+        return
+    for tok in tokens:
+        if tok.text in KEYWORDS:
+            assert tok.kind == "keyword", tok
+        if tok.text in PUNCTUATION:
+            assert tok.kind == "punct", tok
+        if tok.kind == "keyword":
+            assert tok.text in KEYWORDS, tok
+
+
+@settings(derandomize=True, database=None, max_examples=600, deadline=None)
+@given(st.lists(st.sampled_from(FRAGMENTS + sorted(KEYWORDS) + ["'a'", '"if"', '";"']), max_size=40).map("".join))
+def test_a_token_text_fixes_keyword_and_punctuation_kinds(text):
+    assert_text_fixes_kind(text)
+
+
+def test_a_token_text_fixes_keyword_and_punctuation_kinds_on_fixtures_and_generated_programs():
+    for text in corpus_texts():
+        assert_text_fixes_kind(text)

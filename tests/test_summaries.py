@@ -280,10 +280,10 @@ def test_all_identity_callees_zero_removals(pruning_repo):
         s for s in model.statements.values() if any(c.name == "identity" for c in s.calls)
     ]
     assert clean_calls
-    before = {s.id: {e.key() for e in g.in_edges(s.id, DATA_DEPENDENCY)} for s in clean_calls}
+    before = {s.id: set(g.in_edges(s.id, DATA_DEPENDENCY)) for s in clean_calls}
     prune_data_edges(g, summaries, model, [])
     for stmt in clean_calls:
-        assert {e.key() for e in g.in_edges(stmt.id, DATA_DEPENDENCY)} == before[stmt.id]
+        assert set(g.in_edges(stmt.id, DATA_DEPENDENCY)) == before[stmt.id]
 
 
 def test_removals_strictly_positive_with_audit(pruning_repo):
@@ -293,13 +293,13 @@ def test_removals_strictly_positive_with_audit(pruning_repo):
     order = compute_analysis_order(g, model)
     summaries = compute_all_summaries(g, model, order)
     audit: list[AuditEntry] = []
-    before = {e.key() for e in g.edges}
+    before = set(g.edges)
     prune_data_edges(g, summaries, model, audit=audit)
     removed = [a for a in audit if a.op == "remove" and a.tau == DATA_DEPENDENCY]
     assert len(removed) > 0
     # Bit-exact replay: every removed edge maps to a false summary bit, every
     # kept interprocedural arg edge to a true one.
-    after = {e.key() for e in g.edges}
+    after = set(g.edges)
     assert before - after == {(a.src, a.dst, a.tau, a.variable) for a in removed}
     assert len(before) - len(after) == len(removed)
 
