@@ -9,28 +9,34 @@ tables and the code that reads them while they are hot, and computes what
 one invocation at a time would.
 
 The rendered block is what the reasoning stage sees: per-file, line-numbered
-statements in ascending order.  Gaps made only of blank, comment, or
-brace-only lines are rendered verbatim (keeping snippets syntactically
-coherent); gaps containing real code are elided with `...`.
+statements in ascending order.  Gaps of at most `TRIVIA_GAP_MAX` (in
+`frontend.model`) blank, comment, or brace-only lines are rendered verbatim
+(keeping snippets syntactically coherent); other gaps are elided with
+`...`.  A file's line tables, built the first time it is rendered, make
+each segment a few index operations: its numbered lines, the running word
+count over them (`SourceFile.word_sums`) and, per line, how many trivia
+lines follow it (`SourceFile.trivia_after`).
 
 The token budget counts whitespace-separated words.  A context over it
-loses statements one at a time, farthest first: an explicit statement is
-as far as its depth, a usage statement 10 more than its depth, a
-definition statement 12 and a declaration 0.  Its one rendering is edited
-in place: a drop rebuilds only the gap before each line it uncovers, and a
-drop that uncovers no line leaves the rendering as it was.  The rendering
-keeps its word count as it is edited, per segment, block and whole;
-blocks and segments are joined only by newlines, so the count always
-equals the words of the text, which is joined only when it is read.
+loses statements one at a time, farthest first, ties broken by the later
+position: an explicit statement is as far as its depth, a usage statement
+10 more than its data depth (the lesser of the two when it is both), a
+definition statement 12 and a declaration 0, with no cap on any depth.
+Statements at most 1 away, the sink and the declarations among them, are
+never dropped.  The one rendering is edited in place: a drop rebuilds only
+the gap before each line it uncovers, and a drop that uncovers no line
+leaves the rendering as it was.  The rendering keeps its word count as it
+is edited, per segment, block and whole; blocks and segments are joined
+only by newlines, so the count always equals the words of the text.  The
+text and the lines it shows are built once, when the context is done, in
+one pass over each block's lines (`_Rendering.shown`).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
-from itertools import chain
 
-from ..frontend.model import RepoModel, SourceFile, StatementNode
+from ..frontend.model import RepoModel, SourceFile
 from ..record import Record
 from ..udg.graph import UnifiedDependencyGraph
 from .implicit import declaration_context, definition_context, usage_context
@@ -38,8 +44,6 @@ from .sinks import SensitiveInvocation
 from .slicing import DEFAULT_HOP_LIMIT, ContextSlice, _ordered, control_slice, data_slice, merge_slices
 
 DEFAULT_TOKEN_BUDGET = 16000
-TRIVIA_GAP_MAX = 8  # longest all-trivia gap rendered instead of elided
-_NO_GAP = range(0)
 
 
 def whitespace_tokenizer(text: str) -> int:
@@ -95,53 +99,56 @@ class _Block:
     `count` holds how many kept statements cover each line, `lines` the
     covered lines in order.  Segment i of the text is the numbered line
     `lines[i]` plus the gap up to the next covered line: the gap's lines
-    verbatim when they are at most `TRIVIA_GAP_MAX` trivia lines (they are
-    `gaps[i]`), else `...`.  `segment_words[i]` counts the words of segment
-    i, and `words` those of the whole text, header included.
+    verbatim when they are at most `TRIVIA_GAP_MAX` trivia lines, else
+    `...`.  `segment_words[i]` counts the words of segment i, and `words`
+    those of the whole text, header included.
     """
 
-    def __init__(self, path: str, source: SourceFile, statements: list[StatementNode]):
+    def __init__(self, path: str, source: SourceFile, count: dict[int, int]):
         self.header = f"// file: {path}"
         self.source = source
-        self.count = Counter(chain.from_iterable(stmt.span_lines() for stmt in statements))
-        self.lines = sorted(self.count)
-        # Each segment starts as its numbered line alone; one followed by a
-        # gap then takes the gap's lines or `...`.
-        words = source.words
-        self.gaps: list[range] = [_NO_GAP] * len(self.lines)
-        self.segment_words: list[int] = [words[a - 1] for a in self.lines]
-        for i, (a, b) in enumerate(zip(self.lines, self.lines[1:])):
-            if b > a + 1:
-                self.gaps[i], self.segment_words[i] = self._segment(a, b)
+        self.count = count
+        self.lines = lines = sorted(count)
+        sums, after = source.word_sums, source.trivia_after
+        # `_segment` of each covered line but the last, inline.
+        self.segment_words = [
+            sums[b - 1] - sums[a - 1] if b - a - 1 <= after[a] else sums[a] - sums[a - 1] + 1
+            for a, b in zip(lines, lines[1:])
+        ]
+        self.segment_words.append(sums[lines[-1]] - sums[lines[-1] - 1])
         self.words = len(self.header.split()) + sum(self.segment_words)
 
-    def _segment(self, a: int, b: int) -> tuple[range, int]:
-        """The verbatim gap lines of covered line `a`'s segment and the
-        segment's words, when `b` is the next covered line (0 for none)."""
-        words = self.source.words
-        if b <= a + 1:
-            return _NO_GAP, words[a - 1]
-        if b - a - 1 <= TRIVIA_GAP_MAX and all(self.source.trivia[a : b - 1]):
-            return range(a + 1, b), sum(words[a - 1 : b - 1])
-        return _NO_GAP, words[a - 1] + 1
+    def _segment(self, a: int, b: int) -> int:
+        """The words of covered line `a`'s segment when `b` is the next
+        covered line (0 for none)."""
+        sums = self.source.word_sums
+        if b and b - a - 1 <= self.source.trivia_after[a]:
+            return sums[b - 1] - sums[a - 1]
+        return sums[a] - sums[a - 1] + (b > 0)
 
-    @property
-    def text(self) -> str:
-        numbered = self.source.numbered
-        out = [self.header]
-        for a, b, gap in zip(self.lines, [*self.lines[1:], 0], self.gaps):
-            out.append(numbered[a - 1])
-            if gap:
-                out += numbered[a : b - 1]
-            elif b > a + 1:
-                out.append("...")
-        return "\n".join(out)
+    def shown(self) -> tuple[str, list[int]]:
+        """The block's text and the lines it shows.  The shown lines fall
+        in runs of consecutive lines, which a gap not shown verbatim ends:
+        the text joins the runs with `...`."""
+        lines, after, numbered = self.lines, self.source.trivia_after, self.source.numbered
+        runs: list[str] = []
+        shown: list[int] = []
+        first = lines[0]
+        for a, b in zip(lines, lines[1:]):
+            if b - a - 1 > after[a]:
+                runs.append("\n".join(numbered[first - 1 : a]))
+                shown += range(first, a + 1)
+                first = b
+        runs.append("\n".join(numbered[first - 1 : lines[-1]]))
+        shown += range(first, lines[-1] + 1)
+        return f"{self.header}\n" + "\n...\n".join(runs), shown
 
-    def uncover(self, span: range) -> bool:
-        """Drop one kept statement covering `span`; True when the text changed."""
+    def uncover(self, first: int, last: int) -> bool:
+        """Drop one kept statement covering lines `first` to `last`; True
+        when the text changed."""
         count = self.count
         gone = []
-        for n in span:
+        for n in range(first, last + 1):
             if count[n] > 1:
                 count[n] -= 1
             else:
@@ -149,20 +156,20 @@ class _Block:
                 gone.append(n)
         if not gone:
             return False
+        # From the last line up, so that the segment before each removed
+        # line is rebuilt with the next line that stays.
         lines, segment_words = self.lines, self.segment_words
-        for n in gone:
+        words = self.words
+        for n in reversed(gone):
             i = bisect_left(lines, n)
-            self.words -= segment_words[i]
-            del lines[i], self.gaps[i], segment_words[i]
-        for i in {bisect_left(lines, n) for n in gone} - {0}:
-            after = lines[i] if i < len(lines) else 0
-            self.words -= segment_words[i - 1]
-            self.gaps[i - 1], segment_words[i - 1] = self._segment(lines[i - 1], after)
-            self.words += segment_words[i - 1]
+            words -= segment_words[i]
+            del lines[i], segment_words[i]
+            if i:
+                words -= segment_words[i - 1]
+                segment_words[i - 1] = self._segment(lines[i - 1], lines[i] if i < len(lines) else 0)
+                words += segment_words[i - 1]
+        self.words = words
         return True
-
-    def included(self) -> list[int]:
-        return [n for a, gap in zip(self.lines, self.gaps) for n in (a, *gap)]
 
 
 class _Rendering:
@@ -171,21 +178,25 @@ class _Rendering:
 
     def __init__(self, statement_ids: list[str], model: RepoModel):
         self.model = model
-        by_file: dict[str, list[StatementNode]] = {}
-        for sid in statement_ids:
-            stmt = model.statements.get(sid)
-            if stmt is not None and not stmt.synthetic:
-                by_file.setdefault(stmt.file, []).append(stmt)
+        counts: dict[str, dict[int, int]] = {}
+        path = None
+        for stmt in map(model.statements.get, statement_ids):
+            if stmt is None or stmt.synthetic:
+                continue
+            if stmt.file != path:
+                path = stmt.file
+                count = counts.setdefault(path, {})
+            n = stmt.start_line
+            count[n] = count.get(n, 0) + 1
+            while n < stmt.end_line:
+                n += 1
+                count[n] = count.get(n, 0) + 1
         self.blocks: dict[str, _Block] = {}
-        for path in sorted(by_file):
+        for path in sorted(counts):
             source = model.file_by_path(path)
             if source is not None:
-                self.blocks[path] = _Block(path, source, by_file[path])
+                self.blocks[path] = _Block(path, source, counts[path])
         self.words = sum(block.words for block in self.blocks.values())
-
-    @property
-    def text(self) -> str:
-        return "\n\n".join([block.text for block in self.blocks.values()])
 
     def drop(self, sid: str) -> bool:
         """Drop one kept statement; True when the text changed."""
@@ -194,7 +205,7 @@ class _Rendering:
         if block is None:
             return False
         before = block.words
-        if not block.uncover(stmt.span_lines()):
+        if not block.uncover(stmt.start_line, stmt.end_line):
             return False
         if block.lines:
             self.words += block.words - before
@@ -204,13 +215,15 @@ class _Rendering:
             self.words -= before
         return True
 
-    def included(self) -> dict[str, list[int]]:
-        return {path: block.included() for path, block in self.blocks.items()}
+    def shown(self) -> tuple[str, dict[str, list[int]]]:
+        """The text and, per file, the lines it shows."""
+        shown = {path: block.shown() for path, block in self.blocks.items()}
+        return "\n\n".join([text for text, _ in shown.values()]), {path: lines for path, (_, lines) in shown.items()}
 
 
 def render_context(statement_ids: list[str], model: RepoModel) -> _Rendering:
-    """The rendering of `statement_ids`: its `.text`, the text's `.words`
-    and, per file, the lines it shows (`.included()`)."""
+    """The rendering of `statement_ids`: its `.words` and its text and,
+    per file, the lines the text shows (`.shown()`)."""
     return _Rendering(statement_ids, model)
 
 
@@ -247,49 +260,42 @@ def _fit(g: UnifiedDependencyGraph, model: RepoModel, ctx: HolisticContext, toke
     """Fill in `ctx`'s kept statements and rendering from its slices,
     dropping statements farthest first while the rendering is over the
     token budget."""
-    inv = ctx.invocation
     explicit, usage, definition, declaration = ctx.explicit, ctx.usage, ctx.definition, ctx.declaration
+    # Each slice is in order already: sorting their concatenation merges runs.
     all_ids = _ordered(
         g,
-        {*explicit.statements, *usage.statements, *definition.statements, *declaration.statements},
+        dict.fromkeys(explicit.statements + usage.statements + definition.statements + declaration.statements),
         model.statements,
     )
-
-    distances = dict(explicit.depths)
-    for sid, d in usage.depths.items():
-        distances[sid] = min(distances.get(sid, 99), 10 + d)
-    for sid in definition.statements:
-        distances[sid] = min(distances.get(sid, 99), 12)
-    distances.update(dict.fromkeys(declaration.statements, 0))
-    sink_file = g.nodes[inv.statement].file
-    protected = {inv.statement}
-    protected.update(
-        sid for sid in declaration.statements if model.statements[sid].file == sink_file
-    )
-    protected.update(sid for sid in all_ids if distances[sid] <= 1)
-
     dropped = 0
-    kept = list(all_ids)
-    rendering = render_context(kept, model)
+    kept = all_ids
+    rendering = render_context(all_ids, model)
     if rendering.words > token_budget:
+        # The definition context excludes the explicit and usage ones.
+        distances = dict.fromkeys(definition.statements, 12)
+        distances.update(explicit.depths)
+        for sid, d in usage.depths.items():
+            d += 10
+            if distances.get(sid, d) >= d:
+                distances[sid] = d
+        distances.update(dict.fromkeys(declaration.statements, 0))
         # Farthest first, ties broken by the later position in `all_ids` (a
         # stable sort of its reverse): the order never changes while
-        # statements are dropped, so it is computed once.
-        drop_order = sorted(
-            (sid for sid in reversed(all_ids) if sid not in protected),
-            key=distances.__getitem__,
-            reverse=True,
-        )
+        # statements are dropped, so it is computed once.  It ends with the
+        # statements at most 1 away, the sink and the declarations among
+        # them, which are never dropped.
+        drop_order = sorted(reversed(all_ids), key=distances.__getitem__, reverse=True)
         # A drop that uncovers no line leaves the word count as it was.
         for victim in drop_order:
+            if distances[victim] <= 1:
+                break
             dropped += 1
             if rendering.drop(victim) and rendering.words <= token_budget:
                 break
         gone = set(drop_order[:dropped])
-        kept = [sid for sid in kept if sid not in gone]
+        kept = [sid for sid in all_ids if sid not in gone]
 
     ctx.all = kept
-    ctx.rendered = rendering.text
-    ctx.rendered_lines = rendering.included()
+    ctx.rendered, ctx.rendered_lines = rendering.shown()
     ctx.dropped = dropped
     return ctx

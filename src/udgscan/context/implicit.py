@@ -8,7 +8,7 @@ statement, and an external callee adds none."""
 
 from __future__ import annotations
 
-from ..frontend.model import RETURN_VAR, RepoModel
+from ..frontend.model import RETURN_VAR, RepoModel, StatementNode
 from ..udg.calls import function_of_entry
 from ..udg.graph import CALL, DATA_DEPENDENCY, UnifiedDependencyGraph
 from .slicing import ContextSlice, _ordered, data_slice, merge_slices
@@ -38,11 +38,8 @@ def _callees(g: UnifiedDependencyGraph, model: RepoModel, sid: str) -> tuple[str
     stmt = g.nodes.get(sid)
     if stmt is None or not stmt.calls or stmt.synthetic:
         return ()
-    return tuple(
-        e.dst
-        for e in sorted(g.out_edges(sid, CALL), key=lambda e: e.dst)
-        if e.dst in g.nodes and function_of_entry(model, e.dst) is not None
-    )
+    entries = (dst for _, dst, _, _ in g.out_edges(sid, CALL) if dst in g.nodes)
+    return tuple(sorted(dst for dst in entries if function_of_entry(model, dst) is not None))
 
 
 def _resolved(name: str, defined: set[str]) -> bool:
@@ -66,26 +63,21 @@ def definition_context(
     and seeds a backward slice at the usage statement.  Only the set of
     `base_ids` matters, not its order.
     """
-    v_def: set[str] = set()
-    v_use: dict[str, list[str]] = {}
-    for sid in base_ids:
-        stmt = g.nodes.get(sid)
-        if stmt is None:
-            continue
-        v_def.update(stmt.defs)
-        for u in stmt.uses:
-            v_use.setdefault(u, []).append(sid)
+    stmts = [stmt for stmt in map(g.nodes.get, base_ids) if stmt is not None]
+    v_def = set().union(*[stmt.defs for stmt in stmts])
     v_def.discard(RETURN_VAR)
 
     lookups = g.derived("definitions", model)
     ids: set[str] = set()
-    for name in sorted(v_use):
-        if _resolved(name, v_def):
+    for stmt in stmts:
+        if stmt.uses <= v_def:
             continue
-        for use_sid in sorted(v_use[name]):
-            found = lookups.get((use_sid, name))
+        for name in stmt.uses - v_def:
+            if _resolved(name, v_def):
+                continue
+            found = lookups.get((stmt.id, name))
             if found is None:
-                found = lookups[use_sid, name] = _definition_of(g, model, use_sid, name)
+                found = lookups[stmt.id, name] = _definition_of(g, model, stmt.id, name)
             ids.update(found)
     # The definition context excludes the usage statements themselves: they
     # are already part of the input context.
@@ -133,15 +125,15 @@ def declaration_context(statement_ids: list[str], model: RepoModel) -> ContextSl
     when they enclose a contributed statement (nested sanitizers and the
     like must keep their declaration visible).
     """
+    statements, functions = model.statements, model.functions
     files: set[str] = set()
     class_names: set[str] = set()
-    for sid in statement_ids:
-        stmt = model.statements.get(sid)
+    for stmt in map(statements.get, statement_ids):
         if stmt is None or stmt.synthetic:
             continue
         files.add(stmt.file)
-        func = model.functions.get(stmt.owner)
-        class_names.add(func.class_name if func is not None else model.owner_class.get(sid))
+        func = functions.get(stmt.owner)
+        class_names.add(func.class_name if func is not None else model.owner_class.get(stmt.id))
     enclosing_classes: set[str] = set()
     for name in class_names:
         cur = model.classes.get(name) if name else None
@@ -156,4 +148,4 @@ def declaration_context(statement_ids: list[str], model: RepoModel) -> ContextSl
         if source is not None:
             ids.update(source.declarations)
             ids.update(source.classes)
-    return ContextSlice(sorted(ids, key=lambda sid: model.statements[sid].sort_key()))
+    return ContextSlice([stmt.id for stmt in sorted(map(statements.__getitem__, ids), key=StatementNode.sort_key)])

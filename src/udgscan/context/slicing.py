@@ -2,12 +2,15 @@
 
 A slice depends on the graph alone, so each one is computed once per graph
 and criterion and kept in the graph's memo tables, which any change to the
-graph empties (`UnifiedDependencyGraph.derived`).
+graph empties (`UnifiedDependencyGraph.derived`).  A slice's statements are
+in source order; its depths are graph distances from the criterion, with
+no cap, which the token budget's drop order reads.  Each traversal is a
+list the loop appends to as it reads it, and merging slices sorts their
+concatenated statements, runs that are each in order already.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Mapping
 from operator import itemgetter
 
@@ -16,6 +19,7 @@ from ..record import Record
 from ..udg.graph import CALL, CONTROL_FLOW, DATA_DEPENDENCY, UnifiedDependencyGraph, is_external
 
 DEFAULT_HOP_LIMIT = 3
+_HOPS = {CONTROL_FLOW: 0, CALL: 1}  # per edge type the control slice walks, its hops
 
 
 class ContextSlice(Record):
@@ -55,39 +59,48 @@ def data_slice(
     if sl is None:
         depths = _data_depths(g, s.id, direction != "backward")
         if direction == "both":
-            for sid, d in _data_depths(g, s.id, False).items():
-                if d < depths.get(sid, d + 1):
-                    depths[sid] = d
+            depths = _least(depths, _data_depths(g, s.id, False))
         sl = memo[s.id, direction] = ContextSlice(_ordered(g, depths), depths)
     return sl
 
 
 def _data_depths(g: UnifiedDependencyGraph, sid: str, forward: bool) -> dict[str, int]:
-    """Breadth-first data-dependency distances from `sid` in one direction."""
+    """Breadth-first data-dependency distances from `sid` in one direction:
+    the first visit to a node is by a shortest path."""
     edges_of = g.out_edges if forward else g.in_edges
     local: dict[str, int] = {sid: 0}
-    work = deque([(sid, 0)])
-    while work:
-        cur, d = work.popleft()
+    work = [sid]
+    for cur in work:  # a queue: the loop reaches what it appends
+        d = local[cur] + 1
         for e in edges_of(cur, DATA_DEPENDENCY):
             nxt = e.dst if forward else e.src
-            if nxt not in local or local[nxt] > d + 1:
-                local[nxt] = d + 1
-                work.append((nxt, d + 1))
+            if nxt not in local:
+                local[nxt] = d
+                work.append(nxt)
     return local
+
+
+def _least(a: dict[str, int], b: dict[str, int]) -> dict[str, int]:
+    """The union of two depth maps, each statement at its lesser depth."""
+    out = {**b, **a}
+    for sid in a.keys() & b.keys():
+        if b[sid] < out[sid]:
+            out[sid] = b[sid]
+    return out
 
 
 def _control_neighbours(g: UnifiedDependencyGraph, sid: str, forward: bool) -> tuple[tuple, tuple]:
     """`sid`'s control-flow and call neighbours in one direction, by
-    neighbour id, and the hops the edge to each costs."""
-    edges = g.out_edges(sid) if forward else g.in_edges(sid)
-    pairs = [
-        (e.dst if forward else e.src, 1 if e.tau == CALL else 0)
-        for e in edges
-        if e.tau in (CONTROL_FLOW, CALL)
-    ]
+    neighbour id, and the hops the edge to each costs: none for an external
+    node, where paths end."""
+    if is_external(sid):
+        return (), ()
+    if forward:
+        pairs = [(dst, _HOPS[tau]) for _, dst, tau, _ in g.out_edges(sid) if tau in _HOPS]
+    else:
+        pairs = [(src, _HOPS[tau]) for src, _, tau, _ in g.in_edges(sid) if tau in _HOPS]
     pairs.sort(key=itemgetter(0))
-    return tuple(nxt for nxt, _ in pairs), tuple(cost for _, cost in pairs)
+    return tuple(zip(*pairs)) or ((), ())
 
 
 def control_slice(
@@ -96,52 +109,48 @@ def control_slice(
     """Bidirectional traversal over control-flow and call edges.
 
     Each call-edge crossing consumes one hop; a neighbour beyond the hop
-    limit is not visited, and external nodes terminate paths.
+    limit is not visited, and external nodes terminate paths.  A
+    statement's depth is its step count along the path that first reached
+    it with its fewest hops, the lesser of the two directions.
     Computed once per graph, node and hop limit, like `data_slice`; each
-    node's neighbours are listed once per graph, on its first visit.
+    node's neighbours are listed once per graph, on its first visit, and an
+    external node lists none.
     """
     assert hop_limit >= 0
     memo = g.derived("control_slice")
     sl = memo.get((s.id, hop_limit))
     if sl is not None:
         return sl
-    depths: dict[str, int] = {}
-
+    both = []
     for forward in (True, False):
         adjacency = g.derived("control_out" if forward else "control_in")
         hops: dict[str, int] = {s.id: 0}
         steps: dict[str, int] = {s.id: 0}
-        work = deque([s.id])
-        while work:
-            cur = work.popleft()
-            if is_external(cur):
-                continue
+        work = [s.id]
+        for cur in work:  # a queue: the loop reaches what it appends
             neighbours = adjacency.get(cur)
             if neighbours is None:
                 neighbours = adjacency[cur] = _control_neighbours(g, cur, forward)
+            ids, costs = neighbours
             h, step = hops[cur], steps[cur] + 1
-            for nxt, cost in zip(*neighbours):
+            for nxt, cost in zip(ids, costs):
                 nh = h + cost
                 if nh <= hop_limit and (nxt not in hops or hops[nxt] > nh):
                     hops[nxt] = nh
                     steps[nxt] = step
                     work.append(nxt)
-        for sid, d in steps.items():
-            old = depths.get(sid)
-            if old is None or d < old:
-                depths[sid] = d
-
+        both.append(steps)
+    depths = _least(*both)
     sl = memo[s.id, hop_limit] = ContextSlice(_ordered(g, depths), depths)
     return sl
 
 
 def merge_slices(g: UnifiedDependencyGraph, slices: list[ContextSlice]) -> ContextSlice:
     """The union of `slices`, each statement at its least depth."""
-    depths: dict[str, int] = dict(slices[0].depths) if slices else {}
-    for sl in slices[1:]:
-        for sid, d in sl.depths.items():
-            old = depths.get(sid)
-            if old is None or d < old:
-                depths[sid] = d
-    ids = {sid for sl in slices for sid in sl.statements}
-    return ContextSlice(_ordered(g, ids), depths)
+    depths: dict[str, int] = {}
+    ids: list[str] = []
+    for sl in slices:
+        depths = _least(depths, sl.depths) if depths else dict(sl.depths)
+        ids += sl.statements
+    # Each slice is in order already: sorting their concatenation merges runs.
+    return ContextSlice(_ordered(g, dict.fromkeys(ids)), depths)

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 from ..record import Record
 
 RETURN_VAR = "<ret>"
+TRIVIA_GAP_MAX = 8  # longest all-trivia gap a context renders instead of eliding
 
 
 class CallSite(Record):
@@ -251,8 +253,8 @@ class JumpTarget(NamedTuple):
 
 
 class SourceFile:
-    """One parsed file.  Not slotted: `numbered` and `words` are cached in
-    its instance dict."""
+    """One parsed file.  Not slotted: `numbered`, `word_sums` and
+    `trivia_after` are cached in its instance dict."""
 
     def __init__(self, path: str, text: str) -> None:
         self.path = path
@@ -274,10 +276,23 @@ class SourceFile:
         return [f"{n}| {line}" for n, line in enumerate(self.lines, 1)]
 
     @cached_property
-    def words(self) -> list[int]:
-        """Per line: the words of its `numbered` text, counted the first
-        time the file is rendered."""
-        return [len(line.split()) for line in self.numbered]
+    def word_sums(self) -> list[int]:
+        """Per n: the words of `numbered` lines 1 to n (0 for n = 0),
+        counted the first time the file is rendered."""
+        return list(accumulate([len(line.split()) for line in self.numbered], initial=0))
+
+    @cached_property
+    def trivia_after(self) -> list[int]:
+        """Per line n (index 0 unused): how many trivia lines follow it in a
+        row, counted up to `TRIVIA_GAP_MAX` the first time the file is
+        rendered: a gap after n of at most that many lines is rendered
+        verbatim."""
+        after = [0] * (len(self.trivia) + 1)
+        run = 0
+        for n in range(len(self.trivia) - 1, 0, -1):
+            run = min(run + 1, TRIVIA_GAP_MAX) if self.trivia[n] else 0
+            after[n] = run
+        return after
 
 
 class RepoModel:

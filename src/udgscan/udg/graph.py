@@ -96,10 +96,12 @@ class UnifiedDependencyGraph:
         return rank
 
     def out_edges(self, node: str, tau: str | None = None) -> list[UdgEdge]:
-        return [e for e in self._out.get(node, ()) if tau is None or e.tau == tau]
+        edges = self._out.get(node, ())
+        return list(edges) if tau is None else [e for e in edges if e.tau == tau]
 
     def in_edges(self, node: str, tau: str | None = None) -> list[UdgEdge]:
-        return [e for e in self._in.get(node, ()) if tau is None or e.tau == tau]
+        edges = self._in.get(node, ())
+        return list(edges) if tau is None else [e for e in edges if e.tau == tau]
 
     def edges_of(self, tau: str) -> list[UdgEdge]:
         return [e for e in self.edges if e.tau == tau]

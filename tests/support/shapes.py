@@ -55,3 +55,16 @@ def conditional_redefinitions(n: int) -> dict[str, str]:
         "p/Redefinitions.java": "package p;\nclass Redefinitions {\n    int f(int p) {\n"
         f"        int x = 0;\n{branches}        return x;\n    }}\n}}\n"
     }
+
+
+def many_sinks(n: int) -> dict[str, str]:
+    """One method `run(java.sql.Statement st, String a)` whose n statements
+    `st.execute(a + "i")` are each a SQL sink.  Each sink's context holds
+    the whole method, so the scan keeps n * (n + 5) context statements: the
+    n sinks, the method's entry and exit, the external callee and the
+    package and class declarations."""
+    body = "".join(f'        st.execute(a + "{i}");\n' for i in range(n))
+    return {
+        "p/Sinks.java": "package p;\nclass Sinks {\n"
+        f"    void run(java.sql.Statement st, String a) throws Exception {{\n{body}    }}\n}}\n"
+    }

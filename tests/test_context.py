@@ -464,6 +464,38 @@ def test_token_budget_drops_far_statements(el_repo):
     assert len(tight.all) < len(full.all)
 
 
+def value_chain(name: str, n: int) -> str:
+    """Method `name(String v0)`: `String v{i + 1} = v{i} + "x";` for i < n,
+    then `return v{n};`, so `v{i}` is i data steps from the entry."""
+    body = "".join(f'        String v{i + 1} = v{i} + "x";\n' for i in range(n))
+    return f"    String {name}(String v0) {{\n{body}        return v{n};\n    }}\n"
+
+
+def test_a_usage_statement_is_as_far_as_10_more_than_its_depth(tmp_path):
+    """Usage statements drop by their data depth at any depth.  `a`'s chain
+    runs 4 steps deeper than `b`'s; over the budget, the 6 statements
+    dropped are the deepest (depths 96 to 93 of `a`, 93 and 92 of `b`, the
+    later first of equal depths), and `b`'s statements at depths 89 to 91
+    are kept."""
+    source = (
+        "package p;\nclass S {\n"
+        + value_chain("a", 95)
+        + value_chain("b", 92)
+        + "    void run(java.sql.Statement st, String q) throws Exception {\n"
+        + "        st.executeQuery(a(q) + b(q));\n    }\n}\n"
+    )
+    model, g = enhanced(write_repo(tmp_path, {"p/S.java": source}))
+    inv = sink_of(model, g, load_starter_kb(), "executeQuery")
+    (ctx,) = holistic_context(g, model, [inv], hop_limit=0, token_budget=1300)
+    assert max(ctx.usage.depths.values()) == 96
+    shown = set(ctx.rendered_lines["p/S.java"])
+    # `a`: v{i} is on line i + 3 and its return on 99; `b`: v{i} on line
+    # i + 101 and its return on 194.
+    assert ctx.dropped == 6
+    assert {96, 97, 98, 99, 193, 194}.isdisjoint(shown)
+    assert {95, 190, 191, 192}.issubset(shown)
+
+
 def test_monotonicity_adding_edges_grows_slices(el_repo):
     model, g = enhanced(el_repo)
     kb = load_starter_kb()

@@ -12,6 +12,7 @@ import weakref
 import pytest
 
 from conftest import FIXTURES, write_repo
+from support import shapes
 
 from udgscan.context.holistic import holistic_context
 from udgscan.context.implicit import _closest_global, _resolved, definition_context, usage_context
@@ -21,7 +22,15 @@ from udgscan.udg.calls import function_of_entry
 from udgscan.harness.generate import random_summary_program, random_udg
 from udgscan.harness.oracles import control_slice_oracle, data_slice_oracle
 from udgscan.harness.scan import ScanConfig, scan
-from udgscan.udg.graph import CALL, CONTROL_FLOW, DATA_DEPENDENCY, UdgEdge, is_external
+from udgscan.udg.graph import (
+    CALL,
+    CONTROL_FLOW,
+    DATA_DEPENDENCY,
+    UdgEdge,
+    UnifiedDependencyGraph,
+    is_external,
+    make_external_node,
+)
 
 FIXTURE_NAMES = sorted(os.listdir(FIXTURES))
 SLICES = ("data", "control", "explicit", "usage", "definition", "declaration")
@@ -413,3 +422,58 @@ def test_memoized_slices_of_random_graphs(seed):
     for i in range(0, len(slices), 3):
         window = slices[i : i + 7]
         assert _parts(merge_slices(g, window)) == _parts(ref_merge_slices(g, window))
+
+
+# ---------------------------------------- depths and hops past any sentinel
+
+
+def chain_udg(seed: int, n: int = 150) -> UnifiedDependencyGraph:
+    """Statements `n0` … `n{n-1}` in a chain of data edges and of control
+    edges, every fifth of them a call edge, so depths run to n - 1 and hops
+    to n // 5; plus n // 10 random back edges of each type among the last
+    two thirds, which close cycles but shorten no path from `n0` and lead
+    back to none of the first third, and one external node with an edge in
+    and an edge out."""
+    rng = random.Random(seed)
+    g = UnifiedDependencyGraph()
+    for i in range(n):
+        g.add_node(StatementNode(f"n{i}", "chain.java", i + 1, i + 1, "assignment", f"s{i}", "chain"))
+    external = make_external_node("sink", 1)
+    g.add_node(external)
+    for i in range(n - 1):
+        g.add_edge(UdgEdge(f"n{i}", f"n{i + 1}", CALL if i % 5 == 4 else CONTROL_FLOW))
+        g.add_edge(UdgEdge(f"n{i}", f"n{i + 1}", DATA_DEPENDENCY, "v"))
+    for tau in (CONTROL_FLOW, CALL, DATA_DEPENDENCY):
+        for _ in range(n // 10):
+            b, a = sorted(rng.sample(range(n // 3, n), 2))
+            g.add_edge(UdgEdge(f"n{a}", f"n{b}", tau, "w" if tau == DATA_DEPENDENCY else None))
+    g.add_edge(UdgEdge(f"n{n // 2}", external.id, CALL))
+    g.add_edge(UdgEdge(external.id, f"n{n // 3}", CONTROL_FLOW))
+    return g
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_slices_of_a_long_chain_equal_the_uncached_code(seed):
+    """Every node's memoized slices on `chain_udg`, whose depths and hop
+    counts pass 100, equal the uncached code's and agree with the
+    reachability oracles, at hop limits 0, 1, 3 and 150."""
+    g = chain_udg(seed)
+    assert max(data_slice(g, g.nodes["n0"], "forward").depths.values()) == 149
+    for sid, node in g.nodes.items():
+        for direction in ("forward", "backward", "both"):
+            sl = data_slice(g, node, direction)
+            assert _parts(sl) == _parts(ref_data_slice(g, node, direction))
+            assert set(sl.statements) == data_slice_oracle(g, sid, direction)
+        for limit in (0, 1, 3, 150):
+            sl = control_slice(g, node, limit)
+            assert _parts(sl) == _parts(ref_control_slice(g, node, limit))
+            assert set(sl.statements) == control_slice_oracle(g, sid, limit)
+    assert max(control_slice(g, g.nodes["n0"], 150).depths.values()) > 100
+
+
+def test_many_sinks_contexts_equal_the_uncached_code(tmp_path):
+    """The many-sinks shape at n = 150, where control-slice steps pass 100."""
+    result = scan(ScanConfig(repo=write_repo(tmp_path, shapes.many_sinks(150)), oracle_mode="mock"))
+    assert len(result.contexts) == 150
+    assert max(max(ctx.control.depths.values()) for ctx in result.contexts.values()) > 100
+    _assert_as_uncached(result)

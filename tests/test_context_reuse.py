@@ -10,9 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import FIXTURES, enhance, parse_and_build, write_repo
+from support import shapes
 
 from udgscan.context.holistic import (
-    TRIVIA_GAP_MAX,
     _Rendering,
     holistic_context,
     render_context,
@@ -22,6 +22,7 @@ from udgscan.context.implicit import declaration_context
 from udgscan.context.sinks import SensitiveInvocation
 from udgscan.context.slicing import merge_slices
 from udgscan.enhance.oracle import MockResolutionOracle
+from udgscan.frontend.model import TRIVIA_GAP_MAX
 from udgscan.harness.generate import random_summary_program
 from udgscan.knowledge import load_starter_kb, suffix_match
 
@@ -37,8 +38,7 @@ def enhanced(repo):
 
 
 def text_and_lines(statement_ids, model):
-    rendering = render_context(statement_ids, model)
-    return rendering.text, rendering.included()
+    return render_context(statement_ids, model).shown()
 
 
 def rebuild_and_max_budget(g, model, ctx, token_budget):
@@ -53,16 +53,17 @@ def rebuild_and_max_budget(g, model, ctx, token_budget):
     for sid in ctx.explicit.statements:
         distances[sid] = ctx.explicit.depths.get(sid, 1)
     for sid in ctx.usage.statements:
-        distances[sid] = min(distances.get(sid, 99), 10 + ctx.usage.depths.get(sid, 0))
+        d = 10 + ctx.usage.depths.get(sid, 0)
+        distances[sid] = min(distances.get(sid, d), d)
     for sid in ctx.definition.statements:
-        distances[sid] = min(distances.get(sid, 99), 12)
+        distances[sid] = min(distances.get(sid, 12), 12)
     for sid in ctx.declaration.statements:
-        distances[sid] = min(distances.get(sid, 99), 0)
+        distances[sid] = 0
     protected = {inv.statement}
     protected.update(
         sid for sid in ctx.declaration.statements if model.statements[sid].file == sink.file
     )
-    protected.update(sid for sid in all_ids if distances.get(sid, 99) <= 1)
+    protected.update(sid for sid in all_ids if distances[sid] <= 1)
 
     dropped = 0
     kept = list(all_ids)
@@ -73,7 +74,7 @@ def rebuild_and_max_budget(g, model, ctx, token_budget):
             break
         victim = max(
             candidates,
-            key=lambda sid: (distances.get(sid, 99), g.nodes[sid].sort_key()),
+            key=lambda sid: (distances[sid], g.nodes[sid].sort_key()),
         )
         kept.remove(victim)
         dropped += 1
@@ -90,9 +91,14 @@ def summary_repo(tmp_path, seed):
     return write_repo(tmp_path, files)
 
 
-@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("seed", [0, 1, 2, 3, "many sinks"])
 def test_sorted_drop_order_matches_rebuild_and_max(tmp_path, seed):
-    model, g = enhanced(summary_repo(tmp_path, seed))
+    """On generated repositories, and on the many-sinks shape, where the
+    control-slice depths pass 100."""
+    if seed == "many sinks":
+        model, g = enhanced(write_repo(tmp_path, shapes.many_sinks(120)))
+    else:
+        model, g = enhanced(summary_repo(tmp_path, seed))
     calls = sorted(
         (s for s in model.statements.values() if s.calls and not s.synthetic),
         key=lambda s: s.sort_key(),
@@ -149,8 +155,9 @@ def gap_kinds(rendering):
     out = {}
     for path, block in rendering.blocks.items():
         kinds = {}
-        for a, b, gap in zip(block.lines, [*block.lines[1:], 0], block.gaps):
-            kinds[a] = "last" if not b else "" if b == a + 1 else "verbatim" if gap else "elided"
+        shown = set(block.shown()[1])
+        for a, b in zip(block.lines, [*block.lines[1:], 0]):
+            kinds[a] = "last" if not b else "" if b == a + 1 else "verbatim" if a + 1 in shown else "elided"
         out[path] = kinds
     return out
 
@@ -212,20 +219,20 @@ def test_in_place_drops_match_rendering_from_scratch(tmp_path, name):
     def drop_in_order(order):
         kept = list(ids)
         rendering = _Rendering(kept, model)
-        assert (rendering.text, rendering.included()) == text_and_lines(kept, model)
-        assert rendering.words == whitespace_tokenizer(rendering.text)
+        assert rendering.shown() == text_and_lines(kept, model)
+        assert rendering.words == whitespace_tokenizer(rendering.shown()[0])
         for victim in order:
             kept.remove(victim)
             before, words_before = gap_kinds(rendering), rendering.words
             changed = rendering.drop(victim)
-            got = (rendering.text, rendering.included())
+            got = rendering.shown()
             assert got == text_and_lines(kept, model) == reference_render(kept, model), victim
-            assert rendering.words == whitespace_tokenizer(rendering.text), victim
+            assert rendering.words == whitespace_tokenizer(got[0]), victim
             # A drop only widens gaps, and a wider gap is never rendered
             # verbatim where a narrower one was elided: the count never rises.
             assert rendering.words <= words_before, victim
             seen.update(drop_cases(before, gap_kinds(rendering), changed))
-        assert rendering.text == "" and rendering.words == 0
+        assert rendering.shown() == ("", {}) and rendering.words == 0
 
     drop_in_order()
     if generated:
