@@ -35,9 +35,9 @@ one pass over each block's lines (`_Rendering.shown`).
 from __future__ import annotations
 
 from bisect import bisect_left
+from typing import NamedTuple
 
 from ..frontend.model import RepoModel, SourceFile
-from ..record import Record
 from ..udg.graph import UnifiedDependencyGraph
 from .implicit import declaration_context, definition_context, usage_context
 from .sinks import SensitiveInvocation
@@ -51,45 +51,21 @@ def whitespace_tokenizer(text: str) -> int:
     return len(text.split())
 
 
-class HolisticContext(Record):
+class HolisticContext(NamedTuple):
     """One invocation's context slices, and the statements `_fit` keeps of
     them under the token budget and their rendering."""
 
-    __slots__ = (
-        "invocation",
-        "data",
-        "control",
-        "explicit",
-        "usage",
-        "definition",
-        "declaration",
-        "all",
-        "rendered",
-        "rendered_lines",
-        "dropped",
-    )
-
-    def __init__(
-        self,
-        invocation: SensitiveInvocation,
-        data: ContextSlice,
-        control: ContextSlice,
-        explicit: ContextSlice,
-        usage: ContextSlice,
-        definition: ContextSlice,
-        declaration: ContextSlice,
-    ) -> None:
-        self.invocation = invocation
-        self.data = data  # both directions from the sink
-        self.control = control  # hop-limited, from the sink
-        self.explicit = explicit  # data and control merged
-        self.usage = usage
-        self.definition = definition
-        self.declaration = declaration
-        self.all: list[str] = []  # kept statements, in sort-key order
-        self.rendered = ""
-        self.rendered_lines: dict[str, list[int]] = {}  # per file, the lines shown
-        self.dropped = 0  # statements the token budget dropped
+    invocation: SensitiveInvocation
+    data: ContextSlice  # both directions from the sink
+    control: ContextSlice  # hop-limited, from the sink
+    explicit: ContextSlice  # data and control merged
+    usage: ContextSlice
+    definition: ContextSlice
+    declaration: ContextSlice
+    all: list[str]  # kept statements, in sort-key order
+    rendered: str
+    rendered_lines: dict[str, list[int]]  # per file, the lines shown
+    dropped: int  # statements the token budget dropped
 
 
 class _Block:
@@ -251,16 +227,16 @@ def holistic_context(
     definition = [definition_context(g, model, b) for b in bases]
     declaration = [declaration_context(b + d.statements, model) for b, d in zip(bases, definition)]
     return [
-        _fit(g, model, HolisticContext(*layers), token_budget)
+        _fit(g, model, layers, token_budget)
         for layers in zip(invocations, data, control, explicit, usage, definition, declaration)
     ]
 
 
-def _fit(g: UnifiedDependencyGraph, model: RepoModel, ctx: HolisticContext, token_budget: int) -> HolisticContext:
-    """Fill in `ctx`'s kept statements and rendering from its slices,
-    dropping statements farthest first while the rendering is over the
-    token budget."""
-    explicit, usage, definition, declaration = ctx.explicit, ctx.usage, ctx.definition, ctx.declaration
+def _fit(g: UnifiedDependencyGraph, model: RepoModel, layers: tuple, token_budget: int) -> HolisticContext:
+    """The context of an invocation and its slices, `layers`: the
+    statements kept of the slices and their rendering, dropping statements
+    farthest first while the rendering is over the token budget."""
+    _, _, _, explicit, usage, definition, declaration = layers
     # Each slice is in order already: sorting their concatenation merges runs.
     all_ids = _ordered(
         g,
@@ -295,7 +271,4 @@ def _fit(g: UnifiedDependencyGraph, model: RepoModel, ctx: HolisticContext, toke
         gone = set(drop_order[:dropped])
         kept = [sid for sid in all_ids if sid not in gone]
 
-    ctx.all = kept
-    ctx.rendered, ctx.rendered_lines = rendering.shown()
-    ctx.dropped = dropped
-    return ctx
+    return HolisticContext(*layers, kept, *rendering.shown(), dropped)

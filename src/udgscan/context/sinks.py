@@ -2,22 +2,19 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+from typing import NamedTuple
+
 from ..frontend.model import RepoModel
-from ..record import Record
 from ..udg.calls import call_statements
 from ..udg.graph import CALL, UnifiedDependencyGraph
 
 
-class SensitiveInvocation(Record):
-    __slots__ = ("statement", "api", "cwes", "origin")
-
-    def __init__(
-        self, statement: str, api: str, cwes: list[str] | None = None, origin: str = "knowledge_base"
-    ) -> None:
-        self.statement = statement
-        self.api = api
-        self.cwes = [] if cwes is None else cwes
-        self.origin = origin  # "knowledge_base" | "user_sink"
+class SensitiveInvocation(NamedTuple):
+    statement: str
+    api: str
+    cwes: Sequence[str] = ()
+    origin: str = "knowledge_base"  # "knowledge_base" | "user_sink"
 
     @property
     def id(self) -> str:

@@ -13,24 +13,22 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from operator import itemgetter
+from types import MappingProxyType
+from typing import NamedTuple
 
 from ..frontend.model import StatementNode
-from ..record import Record
 from ..udg.graph import CALL, CONTROL_FLOW, DATA_DEPENDENCY, UnifiedDependencyGraph, is_external
 
 DEFAULT_HOP_LIMIT = 3
 _HOPS = {CONTROL_FLOW: 0, CALL: 1}  # per edge type the control slice walks, its hops
 
 
-class ContextSlice(Record):
+class ContextSlice(NamedTuple):
     """A set of statements, ordered by (file, line, id), and each one's
     graph distance from the criterion."""
 
-    __slots__ = ("statements", "depths")
-
-    def __init__(self, statements: list[str], depths: dict[str, int] | None = None) -> None:
-        self.statements = statements
-        self.depths = {} if depths is None else depths
+    statements: list[str]
+    depths: Mapping[str, int] = MappingProxyType({})
 
 
 def _ordered(

@@ -6,7 +6,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from ..frontend.model import RepoModel
-from ..record import Record
 from ..udg.calls import function_of_entry
 from ..udg.graph import CALL, UnifiedDependencyGraph
 
@@ -16,7 +15,7 @@ class SccComponent(NamedTuple):
     recursive: bool  # more than one member, or a member calls itself
 
 
-class AnalysisSequence(Record):
+class AnalysisSequence:
     __slots__ = ("components", "component_of", "called")
 
     def __init__(self, called: set[str]) -> None:

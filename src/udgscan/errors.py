@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .record import Record
-
 
 class UdgScanError(Exception):
     """Base class for all tool errors."""
@@ -84,7 +82,7 @@ class Diagnostic(NamedTuple):
         return f"[{self.severity}] {self.module}: {loc}: {self.message}"
 
 
-class DiagnosticSink(Record):
+class DiagnosticSink:
     """Ordered collector shared by pipeline stages."""
 
     __slots__ = ("items",)

@@ -9,38 +9,25 @@ text, 1-based inclusive line spans, and purely syntactic def/use sets.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence, Set as AbstractSet
 from functools import cached_property
 from itertools import accumulate
 from typing import NamedTuple
-
-from ..record import Record
 
 RETURN_VAR = "<ret>"
 TRIVIA_GAP_MAX = 8  # longest all-trivia gap a context renders instead of eliding
 
 
-class CallSite(Record):
+class CallSite(NamedTuple):
     """One method/constructor invocation inside a statement's expression."""
 
-    __slots__ = ("chain", "name", "arity", "receiver", "receiver_type", "arg_vars", "is_constructor")
-
-    def __init__(
-        self,
-        chain: str,
-        name: str,
-        arity: int,
-        receiver: str | None = None,
-        receiver_type: str | None = None,
-        arg_vars: list[set[str]] | None = None,
-        is_constructor: bool = False,
-    ) -> None:
-        self.chain = chain  # literal callee chain as written, e.g. "page.append"
-        self.name = name  # simple method name, e.g. "append"
-        self.arity = arity
-        self.receiver = receiver  # receiver variable name when the base is a known variable
-        self.receiver_type = receiver_type  # declared type of the receiver variable, if known
-        self.arg_vars = [] if arg_vars is None else arg_vars  # known variables per argument
-        self.is_constructor = is_constructor
+    chain: str  # literal callee chain as written, e.g. "page.append"
+    name: str  # simple method name, e.g. "append"
+    arity: int
+    receiver: str | None = None  # receiver variable name when the base is a known variable
+    receiver_type: str | None = None  # declared type of the receiver variable, if known
+    arg_vars: Sequence[set[str]] = ()  # known variables per argument
+    is_constructor: bool = False
 
     def qualified_candidates(self) -> list[str]:
         """Qualified names this call can be matched under (most specific first)."""
@@ -54,61 +41,27 @@ class CallSite(Record):
         return cands
 
 
-class StatementNode(Record):
-    __slots__ = (
-        "id",
-        "file",
-        "start_line",
-        "end_line",
-        "kind",
-        "text",
-        "owner",
-        "defs",
-        "uses",
-        "outside_uses",
-        "calls",
-        "allocates",
-        "code",
-        "synthetic",
-    )
-
-    def __init__(
-        self,
-        id: str,
-        file: str,
-        start_line: int,
-        end_line: int,
-        kind: str,
-        text: str,
-        owner: str,
-        defs: set[str] | None = None,
-        uses: set[str] | None = None,
-        outside_uses: set[str] | None = None,
-        calls: list[CallSite] | None = None,
-        allocates: str = "",
-        code: str = "",
-        synthetic: bool = False,
-    ) -> None:
-        self.id = id
-        self.file = file
-        self.start_line = start_line
-        self.end_line = end_line
-        # A statement whose expression performs a method invocation is a "call"
-        # unless a more specific kind (return, condition, loop_header, jump)
-        # applies; such statements still carry call metadata.
-        self.kind = kind
-        self.text = text  # full source lines covering the span
-        self.owner = owner  # function id or "global"
-        self.defs = set() if defs is None else defs
-        self.uses = set() if uses is None else uses
-        # The uses made outside every argument list of `calls`.
-        self.outside_uses = set() if outside_uses is None else outside_uses
-        self.calls = [] if calls is None else calls
-        # The class `T`, as written, when the value this statement assigns is
-        # one `new T(...)` and nothing else.
-        self.allocates = allocates
-        self.code = code  # exact token slice of this statement
-        self.synthetic = synthetic  # entry/exit/external nodes carry no renderable span
+class StatementNode(NamedTuple):
+    id: str
+    file: str
+    start_line: int
+    end_line: int
+    # A statement whose expression performs a method invocation is a "call"
+    # unless a more specific kind (return, condition, loop_header, jump)
+    # applies; such statements still carry call metadata.
+    kind: str
+    text: str  # full source lines covering the span
+    owner: str  # function id or "global"
+    defs: AbstractSet[str] = frozenset()
+    uses: AbstractSet[str] = frozenset()
+    # The uses made outside every argument list of `calls`.
+    outside_uses: AbstractSet[str] = frozenset()
+    calls: Sequence[CallSite] = ()
+    # The class `T`, as written, when the value this statement assigns is
+    # one `new T(...)` and nothing else.
+    allocates: str = ""
+    code: str = ""  # exact token slice of this statement
+    synthetic: bool = False  # entry/exit/external nodes carry no renderable span
 
     def span_lines(self) -> range:
         return range(self.start_line, self.end_line + 1)
@@ -117,49 +70,19 @@ class StatementNode(Record):
         return (self.file, self.start_line, self.id)
 
 
-class FunctionDecl(Record):
-    __slots__ = (
-        "id",
-        "class_name",
-        "name",
-        "param_types",
-        "params",
-        "body",
-        "entry",
-        "exit",
-        "is_abstract",
-        "var_types",
-        "sig_line",
-        "file",
-    )
-
-    def __init__(
-        self,
-        id: str,
-        class_name: str,
-        name: str,
-        param_types: list[str] | None = None,
-        params: list[str] | None = None,
-        body: list[str] | None = None,
-        entry: str = "",
-        exit: str = "",
-        is_abstract: bool = False,
-        var_types: dict[str, str] | None = None,
-        sig_line: int = 0,
-        file: str = "",
-    ) -> None:
-        self.id = id
-        self.class_name = class_name  # fully qualified owner class
-        self.name = name
-        self.param_types = [] if param_types is None else param_types
-        self.params = [] if params is None else params
-        self.body = [] if body is None else body  # statement ids, in the order the parser made them
-        self.entry = entry
-        self.exit = exit
-        self.is_abstract = is_abstract
-        self.var_types = {} if var_types is None else var_types  # declared types of params/locals
-        self.sig_line = sig_line
-        self.file = file
+class FunctionDecl(NamedTuple):
+    id: str
+    class_name: str  # fully qualified owner class
+    name: str
+    param_types: list[str]
+    params: list[str]
+    body: list[str]  # statement ids, in the order the parser made them
+    entry: str
+    exit: str
+    is_abstract: bool
+    var_types: dict[str, str]  # declared types of params/locals
+    sig_line: int
+    file: str
 
     def signature_text(self) -> str:
         return f"{self.class_name}.{self.name}({', '.join(self.param_types)})"
@@ -169,44 +92,22 @@ class FunctionDecl(Record):
         return len(self.params)
 
 
-class GlobalDecl(Record):
-    __slots__ = ("statement", "variable", "rhs_uses", "class_name", "declared_type")
-
-    def __init__(
-        self,
-        statement: str,
-        variable: str | None = None,
-        rhs_uses: set[str] | None = None,
-        class_name: str = "",
-        declared_type: str = "",
-    ) -> None:
-        self.statement = statement  # StatementNode id
-        self.variable = variable  # present iff kind == global_def
-        self.rhs_uses = set() if rhs_uses is None else rhs_uses
-        self.class_name = class_name  # enclosing class for field definitions
-        self.declared_type = declared_type
+class GlobalDecl(NamedTuple):
+    statement: str  # StatementNode id
+    variable: str | None = None  # present iff kind == global_def
+    rhs_uses: AbstractSet[str] = frozenset()
+    class_name: str = ""  # enclosing class for field definitions
+    declared_type: str = ""
 
 
-class ClassDecl(Record):
-    __slots__ = ("name", "simple_name", "supertypes", "methods", "decl_statement", "enclosing", "file")
-
-    def __init__(
-        self,
-        name: str,
-        simple_name: str,
-        supertypes: list[str] | None = None,
-        methods: list[str] | None = None,
-        decl_statement: str = "",
-        enclosing: str | None = None,
-        file: str = "",
-    ) -> None:
-        self.name = name  # fully qualified
-        self.simple_name = simple_name
-        self.supertypes = [] if supertypes is None else supertypes  # as written (extends + implements)
-        self.methods = [] if methods is None else methods  # FunctionDecl ids
-        self.decl_statement = decl_statement  # class_decl StatementNode id
-        self.enclosing = enclosing
-        self.file = file
+class ClassDecl(NamedTuple):
+    name: str  # fully qualified
+    simple_name: str
+    supertypes: list[str]  # as written (extends + implements)
+    methods: list[str]  # FunctionDecl ids
+    decl_statement: str  # class_decl StatementNode id
+    enclosing: str | None
+    file: str
 
 
 class TypeHierarchy:
@@ -300,8 +201,12 @@ class RepoModel:
 
     The parser fills a fresh model, a fragment, with each file; `merge` adds
     a parsed fragment and the lookups over it, and nothing else writes the
-    model.  It is read-only once `parse_repository` returns, apart from the
-    `hierarchy` that `build_type_hierarchy` sets.
+    model.  Its statements, functions, classes and globals are named tuples,
+    each built with its final values: no field of one is assigned after
+    construction, and only the parser, while it reads the record's file,
+    fills in place the fresh sets, lists and dicts it gave it.  The model is
+    read-only once `parse_repository` returns, apart from the `hierarchy`
+    that `build_type_hierarchy` sets.
     """
 
     __slots__ = (

@@ -26,6 +26,7 @@ one node; a multi-catch parameter takes the type of its last alternative.
 from __future__ import annotations
 
 import os
+from collections.abc import Set as AbstractSet
 from typing import NamedTuple
 
 from ..errors import DiagnosticSink, SubsetViolation
@@ -177,20 +178,24 @@ class _FileParser(_Cursor):
         first: Token,
         last: Token,
         owner: str = "global",
-        defs: set[str] | None = None,
+        defs: AbstractSet[str] = frozenset(),
         expr: _Expr | None = None,
         allocates: str = "",
         synthetic: bool = False,
+        code_span: tuple[int, int] | None = None,
     ) -> StatementNode:
         """The file's next statement node, from `first` to `last`, with the
-        uses and calls of `expr`."""
+        uses and calls of `expr`; its code is the text from `first` to
+        `last`, or between the offsets of `code_span` when given."""
         self.counter += 1
         src, path = self.src, self.path
         sid = f"{path}#s{self.counter}"
-        uses = outside = calls = None
+        uses = outside = frozenset()
+        calls = ()
         if expr is not None:
             uses, outside, calls = expr.outside | expr.inside, expr.outside, expr.calls
-        text, code = src.slice_lines(first.line, last.line), src.text[first.start : last.end]
+        start, end = code_span or (first.start, last.end)
+        text, code = src.slice_lines(first.line, last.line), src.text[start:end]
         node = StatementNode(
             sid, path, first.line, last.line, kind, text, owner, defs, uses, outside, calls, allocates, code, synthetic
         )
@@ -228,9 +233,9 @@ class _FileParser(_Cursor):
             fields = self.field_names_for(cls)
             for decl, start, end in declarators:
                 init = _Expr(self, {}, fields).walk(start, end)
-                decl.rhs_uses = init.uses
-                node.uses |= decl.rhs_uses
-                node.outside_uses |= init.outside
+                decl.rhs_uses.update(init.outside, init.inside)
+                node.uses.update(decl.rhs_uses)
+                node.outside_uses.update(init.outside)
                 node.calls.extend(init.calls)
         for pend in self.pending:
             self.parse_body(pend)
@@ -259,6 +264,7 @@ class _FileParser(_Cursor):
             name=fqn,
             simple_name=simple,
             supertypes=supertypes,
+            methods=[],
             decl_statement=decl_node.id,
             enclosing=enclosing,
             file=self.src.path,
@@ -318,10 +324,14 @@ class _FileParser(_Cursor):
             raise SubsetViolation(self.src.path, first.line, "unterminated initializer")
         self.pos = semi
         last = self.next()
-        node = self.make_node("global_def", first, last, defs={d[0] for d in declarators})
+        # The uses and calls start empty, in fresh sets and a fresh list that
+        # the initializers fill once the whole file is read (`parse_file`).
+        node = self.make_node("global_def", first, last, defs={d[0] for d in declarators}, expr=_Expr(self, {}, {}))
         decls = []
         for decl_name, declared_type, start, end in declarators:
-            g = GlobalDecl(statement=node.id, variable=decl_name, class_name=cls.name, declared_type=declared_type)
+            g = GlobalDecl(
+                statement=node.id, variable=decl_name, rhs_uses=set(), class_name=cls.name, declared_type=declared_type
+            )
             self.fragment.globals.append(g)
             decls.append((g, start, end))
         self.pending_fields.append((node, cls, decls))
@@ -370,31 +380,33 @@ class _FileParser(_Cursor):
             while f"{fid}#{k}" in self.fragment.functions:
                 k += 1
             fid = f"{fid}#{k}"
+        entry = self.make_node("entry", first, close, fid, set(params), synthetic=True)
+        is_abstract = self.at(";")  # abstract/interface method
+        if is_abstract:
+            self.next()
+            last = close
+        else:
+            start = self.pos + 1
+            last = self.skip_balanced("{")
+        exit_node = self.make_node("exit", last, last, fid, synthetic=True)
         func = FunctionDecl(
             id=fid,
             class_name=cls.name,
             name=name,
             param_types=param_types,
             params=params,
+            body=[],
+            entry=entry.id,
+            exit=exit_node.id,
+            is_abstract=is_abstract,
+            var_types=dict(zip(params, param_types)),
             sig_line=first.line,
             file=self.src.path,
         )
-        func.var_types = dict(zip(params, param_types))
-        entry = self.make_node("entry", first, close, fid, set(params), synthetic=True)
-        func.entry = entry.id
         self.fragment.functions[fid] = func
         cls.methods.append(fid)
-        if self.at(";"):  # abstract/interface method
-            self.next()
-            func.is_abstract = True
-            exit_node = self.make_node("exit", close, close, fid, synthetic=True)
-            func.exit = exit_node.id
-            return
-        start = self.pos + 1
-        body_close = self.skip_balanced("{")
-        exit_node = self.make_node("exit", body_close, body_close, fid, synthetic=True)
-        func.exit = exit_node.id
-        self.pending.append(_PendingBody(func, cls, start, self.pos - 1))
+        if not is_abstract:
+            self.pending.append(_PendingBody(func, cls, start, self.pos - 1))
 
     # ------------------------------------------------------------ method body
 
@@ -440,10 +452,12 @@ class _BodyParser(_Cursor):
         self.fields = fields
         self.depth = 0  # statements enclosing the next one parsed
 
-    def node(self, kind: str, first: Token, last: Token, expr=None, defs=None, allocates="") -> StatementNode:
+    def node(
+        self, kind: str, first: Token, last: Token, expr=None, defs=frozenset(), allocates="", code_span=None
+    ) -> StatementNode:
         """A statement node of this body, with the uses and calls of `expr`;
         `func.body` lists them as made."""
-        node = self.fp.make_node(kind, first, last, self.func.id, defs, expr, allocates)
+        node = self.fp.make_node(kind, first, last, self.func.id, defs, expr, allocates, code_span=code_span)
         self.func.body.append(node.id)
         return node
 
@@ -695,8 +709,8 @@ class _BodyParser(_Cursor):
                 expr.walk(init_start, init_end)
             kind = "call" if expr.calls else "declaration"
             allocates = _allocated_class(toks, self.closers, init_start, init_end) if len(decls) == 1 else ""
-            node = self.node(kind, first, last, expr, {d[0] for d in decls}, allocates)
-            node.code = self.fp.src.text[toks[start].start : toks[end - 1].end]
+            code_span = (toks[start].start, toks[end - 1].end)
+            node = self.node(kind, first, last, expr, {d[0] for d in decls}, allocates, code_span)
             return syn.Simple(node.id)
         stop = _part_end(toks, self.closers, start, end)
         defs, allocates = self.lower_expression(start, stop, expr)

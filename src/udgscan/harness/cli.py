@@ -58,11 +58,22 @@ def _scan_flags(p: argparse.ArgumentParser, repo_required: bool = True) -> None:
     p.add_argument("--jobs", type=int, help=f"model requests in flight at once (default {_DEFAULTS['jobs']})")
 
 
-def _config_from_args(args: argparse.Namespace, **overrides) -> ScanConfig:
-    """The flags, with `overrides` in place of some, merged over `--config`."""
+def _config_from_args(args: argparse.Namespace) -> ScanConfig:
+    """The flags merged over `--config`."""
     flags = {k: getattr(args, k, None) for k in _DEFAULTS}
-    flags.update(overrides)
     return ScanConfig.from_sources(flags, getattr(args, "config", None))
+
+
+def _variant_config(base: ScanConfig, repo: str, pair_id: str, variant: str) -> ScanConfig:
+    """`base` scanning `repo`, one variant of a pair: each directory it
+    writes or replays, `out_dir` and `transcript_dir`, becomes its own
+    `<dir>/<pair_id>/<variant>`."""
+    settings = {name: getattr(base, name) for name in _DEFAULTS}
+    settings["repo"] = repo
+    for name in ("out_dir", "transcript_dir"):
+        if isinstance(settings[name], str) and settings[name]:
+            settings[name] = os.path.join(settings[name], pair_id, variant)
+    return ScanConfig(**settings)
 
 
 def _print_notes(notes) -> None:
@@ -86,12 +97,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     preds: list[tuple[str, bool]] = []
     labels: list[tuple[str, bool]] = []
     pairs: list[tuple[int, int]] = []
+    base = _config_from_args(args)
     for sample in samples:
         verdicts = []
         for variant_dir, truth in ((sample.vulnerable_dir, True), (sample.patched_dir, False)):
             variant = "vulnerable" if truth else "patched"
-            transcripts = args.transcript_dir and os.path.join(args.transcript_dir, sample.pair_id, variant)
-            result = scan(_config_from_args(args, repo=variant_dir, transcript_dir=transcripts))
+            result = scan(_variant_config(base, variant_dir, sample.pair_id, variant))
             flagged = any(f.verdict == "vulnerable" for f in result.findings)
             verdicts.append(flagged)
             sample_id = f"{sample.pair_id}:{'v' if truth else 'p'}"

@@ -24,7 +24,6 @@ from ..pool import RequestPool, issue
 from ..reasoning.clients import LiveInferenceClient, MockInferenceClient
 from ..reasoning.prompt import build_detection_prompt
 from ..reasoning.votes import aggregate_votes, query_rounds
-from ..record import Record
 from ..transcript import Recorder, Replay
 from ..udg.build import assemble_original_udg
 from ..udg.cfg import resolve_label_targets
@@ -116,6 +115,9 @@ class ScanConfig:
             raise ConfigError("replay mode requires a transcript directory")
         if self.oracle_mode == "live" and (not self.endpoint or not self.model):
             raise ConfigError("live mode requires an endpoint and a model name")
+        for dump in ("dump_context", "dump_graph"):
+            if getattr(self, dump) and not self.out_dir:
+                raise ConfigError(f"{dump} requires an output directory")
         # Directories the scan writes into, checked before any work is done;
         # replay mode reads its transcripts instead.
         writes = [("output", self.out_dir)]
@@ -152,46 +154,18 @@ def _file_in_the_way(path: str) -> str | None:
     return None if os.path.isdir(path) else path
 
 
-class Finding(Record):
-    __slots__ = (
-        "finding_id",
-        "file",
-        "line",
-        "api",
-        "cwe",
-        "verdict",
-        "confidence",
-        "explanation",
-        "context_file",
-        "low_confidence",
-        "origin",
-    )
-
-    def __init__(
-        self,
-        finding_id: str,
-        file: str,
-        line: int,
-        api: str,
-        cwe: str,
-        verdict: str,
-        confidence: float,
-        explanation: str,
-        context_file: str | None,
-        low_confidence: bool,
-        origin: str,
-    ) -> None:
-        self.finding_id = finding_id
-        self.file = file
-        self.line = line
-        self.api = api
-        self.cwe = cwe
-        self.verdict = verdict  # "vulnerable" | "not_vulnerable" | "undetermined"
-        self.confidence = confidence
-        self.explanation = explanation
-        self.context_file = context_file
-        self.low_confidence = low_confidence
-        self.origin = origin
+class Finding(NamedTuple):
+    finding_id: str
+    file: str
+    line: int
+    api: str
+    cwe: str
+    verdict: str  # "vulnerable" | "not_vulnerable" | "undetermined"
+    confidence: float
+    explanation: str
+    context_file: str | None
+    low_confidence: bool
+    origin: str
 
     def as_dict(self) -> dict:
         return {
@@ -369,8 +343,10 @@ def _scan(config: ScanConfig, inference_client, resolution_oracle) -> ScanResult
 
     # Two APIs called at one statement can share a CWE: the later finding's
     # id takes a suffix, as a dump's name does.
-    for finding, finding_id in zip(findings, _unique([f.finding_id for f in findings])):
-        finding.finding_id = finding_id
+    findings = [
+        finding._replace(finding_id=finding_id)
+        for finding, finding_id in zip(findings, _unique([f.finding_id for f in findings]))
+    ]
 
     report = {
         "schema_version": 1,

@@ -121,6 +121,14 @@ def _require(doc: dict, key: str, typ, where: str):
     return value
 
 
+def _cwe_id(doc: dict, where: str) -> str:
+    """A KB guideline's or sink's CWE id, `CWE-` and a number."""
+    cwe_id = _require(doc, "cwe_id", str, where)
+    if not CWE_ID_RE.match(cwe_id):
+        raise ConfigError(f"{where}.cwe_id: malformed CWE id {cwe_id!r}")
+    return cwe_id
+
+
 def _arity(doc: dict, where: str) -> int | None:
     """A KB entry's or sink's optional arity pin, which, when present, is a
     non-negative integer (not a bool, which Python counts as one)."""
@@ -148,9 +156,7 @@ def parse_knowledge_base(doc: dict, diagnostics: DiagnosticSink) -> KnowledgeBas
     guidelines = _require(doc, "guidelines", list, "kb")
     for i, g in enumerate(guidelines):
         where = f"kb.guidelines[{i}]"
-        cwe_id = _require(g, "cwe_id", str, where)
-        if not CWE_ID_RE.match(cwe_id):
-            raise ConfigError(f"{where}.cwe_id: malformed CWE id {cwe_id!r}")
+        cwe_id = _cwe_id(g, where)
         kb.guidelines[cwe_id] = _guideline(g, cwe_id, where)
     apis = _require(doc, "apis", list, "kb")
     seen: dict[tuple[str, int | None], KbEntry] = {}
@@ -194,7 +200,7 @@ def load_user_sinks(path: str, kb: KnowledgeBase) -> list[UserSinkSpec]:
     for i, s in enumerate(sinks_doc):
         where = f"sinks[{i}]"
         pattern = _require(s, "function", str, where)
-        cwe_id = _require(s, "cwe_id", str, where)
+        cwe_id = _cwe_id(s, where)
         arity = _arity(s, where)
         if "guideline" in s:
             kb.guidelines.setdefault(cwe_id, _guideline(s["guideline"], cwe_id, f"{where}.guideline"))

@@ -7,7 +7,6 @@ from typing import NamedTuple
 
 from ..enhance.oracle import json_objects
 from ..errors import AllRoundsFailed, ClientTransportError
-from ..record import Record
 from .clients import InferenceClient
 from .prompt import MetaPrompt
 
@@ -19,14 +18,11 @@ class Verdict(NamedTuple):
     explanation: str = ""
 
 
-class AggregatedVerdict(Record):
-    __slots__ = ("votes", "final", "confidence", "low_confidence")
-
-    def __init__(self, votes: list[Verdict]) -> None:
-        self.votes = votes
-        self.final: bool | None = None
-        self.confidence = 0.0
-        self.low_confidence = False
+class AggregatedVerdict(NamedTuple):
+    votes: list[Verdict]
+    final: bool
+    confidence: float
+    low_confidence: bool
 
     @property
     def parseable(self) -> list[Verdict]:
@@ -86,21 +82,12 @@ def aggregate_votes(votes: list[Verdict]) -> AggregatedVerdict:
     vulnerable and is flagged low-confidence.  `votes` are the rounds
     asked: `confidence` is the winning share of their parseable votes, and
     a unit is also low-confidence when one of them has no parseable vote."""
-    agg = AggregatedVerdict(votes=votes)
-    parseable = agg.parseable
+    parseable = [v for v in votes if v.parse_ok]
     if not parseable:
         raise AllRoundsFailed("no parseable verdicts")
     yes = sum(1 for v in parseable if v.is_vulnerable)
     no = len(parseable) - yes
-    if yes > no:
-        agg.final = True
-    elif no > yes:
-        agg.final = False
-    else:
-        agg.final = True  # safety tie-break: flag for review
-        agg.low_confidence = True
-    winner_votes = yes if agg.final else no
-    agg.confidence = winner_votes / len(parseable)
-    if len(parseable) < len(votes):
-        agg.low_confidence = True
-    return agg
+    final = yes >= no  # safety tie-break: an even split is flagged for review
+    confidence = (yes if final else no) / len(parseable)
+    low_confidence = yes == no or len(parseable) < len(votes)
+    return AggregatedVerdict(votes, final, confidence, low_confidence)

@@ -1,7 +1,6 @@
 """`site_targets` and `call_statements` are memoized on the graph; every
 mutation of the graph is seen by the next call."""
 
-import copy
 import importlib
 
 from conftest import parse_and_build, write_repo
@@ -58,9 +57,7 @@ def test_edge_and_node_changes_reach_the_next_lookup(tmp_path):
 
     before = call_statements(g)
     assert stmt in before
-    twin = copy.copy(stmt)
-    twin.id += "-twin"
-    twin.start_line += 100
+    twin = stmt._replace(id=stmt.id + "-twin", start_line=stmt.start_line + 100)
     g.add_node(twin)
     assert call_statements(g) == [*before, twin]
 

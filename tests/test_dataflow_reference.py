@@ -260,7 +260,7 @@ def test_a_condition_that_defines_transfers_in_both_problems():
     model = _model({"p/F.java": CONDITION_DEF})
     func = next(iter(model.functions.values()))
     cond, ret = (next(n for n in func.body if model.stmt(n).kind == kind) for kind in ("condition", "return"))
-    model.stmt(cond).defs = {"x"}
+    model.statements[cond] = model.stmt(cond)._replace(defs={"x"})
     edges = build_ddg(func, model, build_cfg(func, model))
     assert [e.src for e in edges if e.dst == ret] == [cond]
     g = assemble_original_udg(model)

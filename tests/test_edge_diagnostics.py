@@ -37,7 +37,7 @@ class Use {
     summaries = compute_all_summaries(g, model, order)
     # Sabotage the summary map to simulate a param-list mismatch.
     impl = next(f for f in model.functions.values() if f.class_name.endswith("Impl"))
-    impl.params = ["a"]
+    model.functions[impl.id] = impl._replace(params=["a"])
     prune_data_edges(g, summaries, model, [])
     call_stmt = next(s for s in model.statements.values() if any(c.name == "apply" for c in s.calls))
     kept = {e.variable for e in g.in_edges(call_stmt.id, DATA_DEPENDENCY)}

@@ -44,3 +44,35 @@ def test_eval_record_then_replay(tmp_path, capsys):
     assert rc == 0
     replayed = capsys.readouterr().out
     assert json.loads(recorded) == json.loads(replayed)
+
+
+VARIANTS = [(pair, variant) for pair in ("pair0", "pair1") for variant in ("vulnerable", "patched")]
+
+
+def test_eval_writes_each_variant_into_its_own_output_directory(tmp_path):
+    dataset = _dataset(tmp_path)
+    out = tmp_path / "out"
+    assert main(["eval", "--dataset", dataset, "--oracle", "mock", "--out", str(out), "--dump-context"]) == 0
+    assert not (out / "report.json").exists()
+    for pair, variant in VARIANTS:
+        report = json.loads((out / pair / variant / "report.json").read_text(encoding="utf-8"))
+        assert report["repo"].endswith(f"{pair}/{variant}")
+        assert list((out / pair / variant).glob("*.ctx.txt"))
+
+
+def test_eval_splits_the_directories_a_config_file_gives(tmp_path, capsys):
+    """A config file's `transcript_dir` and `out_dir` are split per pair and
+    variant as the flags are, and replay reads them back so."""
+    dataset = _dataset(tmp_path)
+    config = tmp_path / "config.json"
+    settings = {"transcript_dir": str(tmp_path / "tr"), "out_dir": str(tmp_path / "out")}
+    config.write_text(json.dumps(settings), encoding="utf-8")
+    assert main(["eval", "--dataset", dataset, "--oracle", "mock", "--config", str(config)]) == 0
+    recorded = capsys.readouterr().out
+    assert not (tmp_path / "tr" / "inference.jsonl").exists()
+    for pair, variant in VARIANTS:
+        assert (tmp_path / "tr" / pair / variant / "inference.jsonl").exists()
+        assert (tmp_path / "tr" / pair / variant / "resolution.jsonl").exists()
+        assert (tmp_path / "out" / pair / variant / "report.json").exists()
+    assert main(["eval", "--dataset", dataset, "--oracle", "replay", "--config", str(config)]) == 0
+    assert json.loads(capsys.readouterr().out) == json.loads(recorded)

@@ -195,3 +195,27 @@ def test_an_integer_arity_pins_kb_entries_and_sinks(tmp_path):
     sinks.append({"function": "Dao.rawQuery", "cwe_id": "CWE-89"})
     path.write_text(json.dumps({"sinks": sinks}), encoding="utf-8")
     assert [s.arity for s in load_user_sinks(str(path), kb)] == [0, 2, None]
+
+
+def test_a_sink_cwe_id_is_checked_as_a_kb_one(tmp_path):
+    path = tmp_path / "sinks.json"
+    sink = {"function": "Dao.rawQuery", "cwe_id": "banana", "guideline": GUIDELINE}
+    path.write_text(json.dumps({"sinks": [sink]}), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"^sinks\[0\]\.cwe_id: malformed CWE id 'banana'$"):
+        load_user_sinks(str(path), load_starter_kb())
+    with pytest.raises(ConfigError, match=r"^kb\.guidelines\[0\]\.cwe_id: malformed CWE id 'banana'$"):
+        parse_knowledge_base({"guidelines": [{"cwe_id": "banana", **GUIDELINE}], "apis": []}, DiagnosticSink())
+
+
+def test_an_inline_guideline_leaves_an_earlier_one_of_its_cwe_in_place(tmp_path):
+    """The KB's guideline, or an earlier sink's, wins over an inline one."""
+    kb = load_starter_kb()
+    title = kb.guidelines["CWE-89"].title
+    path = tmp_path / "sinks.json"
+    sinks = [{"function": f, "cwe_id": "CWE-89", "guideline": {**GUIDELINE, "title": f}} for f in ("f", "g")]
+    sinks.append({"function": "h", "cwe_id": "CWE-999", "guideline": {**GUIDELINE, "title": "first"}})
+    sinks.append({"function": "i", "cwe_id": "CWE-999", "guideline": {**GUIDELINE, "title": "second"}})
+    path.write_text(json.dumps({"sinks": sinks}), encoding="utf-8")
+    load_user_sinks(str(path), kb)
+    assert kb.guidelines["CWE-89"].title == title
+    assert kb.guidelines["CWE-999"].title == "first"

@@ -151,7 +151,7 @@ def test_the_dump_lists_every_field_of_the_records():
         "globals": GlobalDecl,
     }
     for section, record in records.items():
-        assert sorted(FIELDS[section]) == sorted(record.__slots__), section
+        assert sorted(FIELDS[section]) == sorted(record._fields), section
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

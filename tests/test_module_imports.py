@@ -34,8 +34,8 @@ def _imports_alone(module: str, *path: str, check: str = "") -> None:
     assert proc.returncode == 0, proc.stderr
 
 
-# Records are named tuples or slotted classes: importing `dataclasses`
-# generates code for each record at every start-up (see `udgscan.record`).
+# Records are named tuples: importing `dataclasses` would generate code for
+# each record at every start-up.
 NO_DATACLASSES = "import sys\nsys.exit('dataclasses was imported' if 'dataclasses' in sys.modules else 0)"
 
 

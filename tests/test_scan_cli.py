@@ -111,7 +111,8 @@ def test_two_findings_of_one_statement_and_cwe_keep_their_own_ids(tmp_path):
         "    void run(Statement st, String q) throws Exception {\n"
         "        int n = st.executeUpdate(q) + st.executeQuery(q).getRow();\n    }\n}\n"
     )
-    result = scan(ScanConfig(repo=write_repo(tmp_path, {"A.java": src}), dump_context=True))
+    repo = write_repo(tmp_path, {"A.java": src})
+    result = scan(ScanConfig(repo=repo, out_dir=str(tmp_path / "out"), dump_context=True))
     assert [(f.api, f.finding_id) for f in result.findings] == [
         ("java.sql.Statement.executeQuery", "A.java_s6::CWE-89"),
         ("java.sql.Statement.executeUpdate", "A.java_s6::CWE-89~2"),
@@ -166,6 +167,16 @@ def test_config_validation():
     # The only field a config file cannot set under `scan`'s required flag.
     with pytest.raises(ConfigError, match="repo must be a string"):
         ScanConfig(repo=5).validate()
+
+
+@pytest.mark.parametrize("flag", ["--dump-context", "--dump-graph"])
+def test_a_dump_without_an_output_directory_is_a_config_error(el_repo, capsys, monkeypatch, flag):
+    """Nothing would write the dump: the scan stops before it parses."""
+    scan_module = importlib.import_module("udgscan.harness.scan")
+    monkeypatch.setattr(scan_module, "parse_repository", lambda *args: pytest.fail("the repository was parsed"))
+    assert main(["scan", "--repo", el_repo, flag]) == EXIT_CONFIG
+    name = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == f"error: {name} requires an output directory\n"
 
 
 @pytest.mark.parametrize(
